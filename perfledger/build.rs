@@ -1,0 +1,14 @@
+//! Records the compiler version for the run fingerprint.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".into(), |v| v.trim().to_string());
+    println!("cargo:rustc-env=LEDGER_RUSTC_VERSION={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
