@@ -9,6 +9,7 @@
 //! tested, and diffed against the paper.
 
 use crate::config::{ExecutionPlan, LoopBound};
+use crate::exec::setprog::Operand;
 
 /// Target language for the emitted source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,109 +30,86 @@ fn vertex_name(i: usize) -> String {
     }
 }
 
-/// Emits the nested-loop matching program for a plan.
+/// Emits the nested-loop matching program for a plan: the enumeration view
+/// of its [`SetProgram`](crate::exec::setprog::SetProgram), i.e. the loops
+/// and hoisted temporaries the interpreter actually runs (IEP additionally
+/// runs the ops only its leaf reads, and stops above the suffix loops).
 pub fn generate(plan: &ExecutionPlan, language: Language) -> String {
-    let mut out = String::new();
     let n = plan.num_loops();
-    let order = plan.config.schedule.order();
+    let program = plan.program();
+    let cpp = language == Language::Cpp;
+    let var = |pos: usize| format!("v_{}", vertex_name(plan.loops[pos].pattern_vertex));
+    let set = |operand: Operand| match (operand, cpp) {
+        (Operand::All, true) => "V_G".to_string(),
+        (Operand::All, false) => "graph.vertices()".to_string(),
+        (Operand::Adj(p), true) => format!("N({})", var(p as usize)),
+        (Operand::Adj(p), false) => format!("graph.neighbors({})", var(p as usize)),
+        (Operand::Slot(s), _) => format!("t{s}"),
+    };
 
-    let schedule_names: Vec<String> = order.iter().map(|&v| vertex_name(v)).collect();
-    match language {
-        Language::Cpp => {
-            out.push_str(&format!(
-                "// GraphPi generated matcher\n// schedule: {}\n// restrictions: {}\nuint64_t count = 0;\n",
-                schedule_names.join(" -> "),
-                describe_restrictions(plan)
-            ));
-        }
-        Language::Rust => {
-            out.push_str(&format!(
-                "// GraphPi generated matcher\n// schedule: {}\n// restrictions: {}\nlet mut count: u64 = 0;\n",
-                schedule_names.join(" -> "),
-                describe_restrictions(plan)
-            ));
-        }
-    }
-
-    for depth in 0..n {
-        let loop_plan = &plan.loops[depth];
-        let indent = "    ".repeat(depth);
-        let var = format!("v_{}", vertex_name(loop_plan.pattern_vertex));
-        let candidate_expr = if loop_plan.parents.is_empty() {
-            match language {
-                Language::Cpp => "V_G".to_string(),
-                Language::Rust => "graph.vertices()".to_string(),
-            }
+    let schedule: Vec<String> = plan
+        .loops
+        .iter()
+        .map(|l| vertex_name(l.pattern_vertex))
+        .collect();
+    let mut out = format!(
+        "// GraphPi generated matcher\n// schedule: {}\n// restrictions: {}\n{}\n",
+        schedule.join(" -> "),
+        describe_restrictions(plan),
+        if cpp {
+            "uint64_t count = 0;"
         } else {
-            let parents: Vec<String> = loop_plan
-                .parents
-                .iter()
-                .map(|&p| {
-                    let pv = plan.loops[p].pattern_vertex;
-                    match language {
-                        Language::Cpp => format!("N(v_{})", vertex_name(pv)),
-                        Language::Rust => format!("graph.neighbors(v_{})", vertex_name(pv)),
-                    }
-                })
-                .collect();
-            parents.join(" ∩ ")
-        };
-        match language {
-            Language::Cpp => {
-                out.push_str(&format!("{indent}for (auto {var} : {candidate_expr}) {{\n"));
-            }
-            Language::Rust => {
-                out.push_str(&format!("{indent}for {var} in {candidate_expr} {{\n"));
-            }
+            "let mut count: u64 = 0;"
         }
-        let inner_indent = "    ".repeat(depth + 1);
-        for bound in &loop_plan.bounds {
-            let (other_pos, cmp) = match *bound {
-                LoopBound::LessThanValueAt(p) => (p, "<="),
-                LoopBound::GreaterThanValueAt(p) => (p, ">="),
+    );
+    for depth in 0..n {
+        let indent = "    ".repeat(depth);
+        let inner = "    ".repeat(depth + 1);
+        let v = var(depth);
+        let candidates = set(program.candidates(depth));
+        out.push_str(&if cpp {
+            format!("{indent}for (auto {v} : {candidates}) {{\n")
+        } else {
+            format!("{indent}for {v} in {candidates} {{\n")
+        });
+        for bound in &plan.loops[depth].bounds {
+            // Break past the upper bound (candidates ascend), skip below
+            // the lower one.
+            let (greater, smaller, exit) = match *bound {
+                LoopBound::LessThanValueAt(p) => (var(p), v.clone(), "break"),
+                LoopBound::GreaterThanValueAt(p) => (v.clone(), var(p), "continue"),
             };
-            let other = format!("v_{}", vertex_name(plan.loops[other_pos].pattern_vertex));
-            // `cmp` is the violating comparison: break/continue when it holds.
-            match (language, *bound) {
-                (Language::Cpp, LoopBound::LessThanValueAt(_)) => out.push_str(&format!(
-                    "{inner_indent}if ({other} {cmp} {var}) break; // restriction id({other}) > id({var})\n"
-                )),
-                (Language::Cpp, LoopBound::GreaterThanValueAt(_)) => out.push_str(&format!(
-                    "{inner_indent}if ({var} {cmp2} {other}) continue; // restriction id({var}) > id({other})\n",
-                    cmp2 = "<="
-                )),
-                (Language::Rust, LoopBound::LessThanValueAt(_)) => out.push_str(&format!(
-                    "{inner_indent}if {other} {cmp} {var} {{ break; }} // restriction id({other}) > id({var})\n"
-                )),
-                (Language::Rust, LoopBound::GreaterThanValueAt(_)) => out.push_str(&format!(
-                    "{inner_indent}if {var} <= {other} {{ continue; }} // restriction id({var}) > id({other})\n"
-                )),
+            let action = if cpp {
+                format!("if ({greater} <= {smaller}) {exit};")
+            } else {
+                format!("if {greater} <= {smaller} {{ {exit}; }}")
+            };
+            out.push_str(&format!(
+                "{inner}{action} // restriction id({greater}) > id({smaller})\n"
+            ));
+        }
+        // The sets whose last parent just bound, built once, here.
+        for op in program.ops_at(depth) {
+            if (op.first_loop as usize) < n {
+                out.push_str(&format!(
+                    "{inner}{} t{} = {} ∩ {};\n",
+                    if cpp { "auto" } else { "let" },
+                    op.dst,
+                    set(op.lhs),
+                    set(Operand::Adj(op.depth)),
+                ));
             }
         }
-        // Injectivity comment on the innermost loop plus the embedding
-        // action.
         if depth == n - 1 {
-            match language {
-                Language::Cpp => out.push_str(&format!(
-                    "{inner_indent}count += 1; // ({}) is an embedding\n",
-                    (0..n)
-                        .map(|i| format!("v_{}", vertex_name(plan.loops[i].pattern_vertex)))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )),
-                Language::Rust => out.push_str(&format!(
-                    "{inner_indent}count += 1; // ({}) is an embedding\n",
-                    (0..n)
-                        .map(|i| format!("v_{}", vertex_name(plan.loops[i].pattern_vertex)))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )),
-            }
+            let embedding: Vec<String> = (0..n).map(var).collect();
+            out.push_str(&format!(
+                "{inner}count += 1; // ({}) is an embedding\n",
+                embedding.join(", ")
+            ));
         }
     }
     for depth in (0..n).rev() {
-        let indent = "    ".repeat(depth);
-        out.push_str(&format!("{indent}}}\n"));
+        out.push_str(&format!("{}}}\n", "    ".repeat(depth)));
     }
     out
 }
@@ -176,9 +154,14 @@ mod tests {
         assert!(code.contains("for (auto v_A : V_G)"));
         // The restriction break in the B loop.
         assert!(code.contains("if (v_A <= v_B) break;"));
-        // The intersections for D (N(B) ∩ N(C)) and E (N(A) ∩ N(B)).
-        assert!(code.contains("N(v_B) ∩ N(v_C)"));
-        assert!(code.contains("N(v_A) ∩ N(v_B)"));
+        // The intersections for D (N(B) ∩ N(C)) and E (N(A) ∩ N(B)) are
+        // hoisted temporaries, each built in the loop of its last parent.
+        assert!(code.contains("        auto t0 = N(v_A) ∩ N(v_B);\n        for (auto v_C"));
+        assert!(code
+            .contains("            auto t1 = N(v_B) ∩ N(v_C);\n            for (auto v_D : t1)"));
+        assert!(code.contains("for (auto v_E : t0)"));
+        // The set only the IEP leaf reads is not part of the loop nest.
+        assert!(!code.contains("t2"));
         // Properly nested braces: 5 opens, 5 closes.
         assert_eq!(code.matches("{\n").count() + code.matches("{{").count(), 5);
         assert_eq!(code.matches("}\n").count(), 5);

@@ -15,9 +15,14 @@
 //! plan is the in-memory equivalent of the generated nested-loop program and
 //! [`crate::codegen`] can render it back to source text.
 
+use crate::exec::setprog::SetProgram;
+use crate::perf_model::RankPermutations;
 use crate::schedule::Schedule;
+use graphpi_pattern::automorphism::automorphism_group;
 use graphpi_pattern::pattern::{Pattern, PatternVertex};
+use graphpi_pattern::permutation::Permutation;
 use graphpi_pattern::restriction::RestrictionSet;
+use std::sync::OnceLock;
 
 /// Hard cap on the number of loops a compiled plan can have (one loop per
 /// pattern vertex; the planner rejects larger patterns — see
@@ -137,7 +142,7 @@ impl Configuration {
 
     /// Compiles the configuration into an executable plan.
     pub fn compile(&self) -> ExecutionPlan {
-        ExecutionPlan::compile(self)
+        self.compile_with_iep(true)
     }
 
     /// Compiles the configuration, optionally disabling IEP counting.
@@ -149,12 +154,25 @@ impl Configuration {
     /// carries an empty independent suffix and a no-op correction, so every
     /// executor treats it as a plain enumerate-everything program.
     pub fn compile_with_iep(&self, enable_iep: bool) -> ExecutionPlan {
-        let mut plan = ExecutionPlan::compile(self);
-        if !enable_iep {
-            plan.iep_suffix_len = 0;
-            plan.iep_correction = IepCorrection::DividePrefixRestricted { divisor: 1 };
+        let (iep_suffix_len, iep_correction) = if enable_iep {
+            let k = self.schedule.independent_suffix_len(&self.pattern);
+            let outer = &self.schedule.order()[..self.schedule.len() - k];
+            let correction = iep_correction(
+                &RankPermutations::new(self.schedule.len()),
+                &automorphism_group(&self.pattern),
+                &self.restrictions.restricted_to(outer),
+            );
+            (k, correction)
+        } else {
+            (0, IepCorrection::DividePrefixRestricted { divisor: 1 })
+        };
+        ExecutionPlan {
+            config: self.clone(),
+            loops: compile_loops(self),
+            iep_suffix_len,
+            iep_correction,
+            program: OnceLock::new(),
         }
-        plan
     }
 }
 
@@ -198,11 +216,14 @@ pub struct LoopPlan {
 /// embeddings that satisfy the *remaining* (outer-loop) restrictions. The
 /// paper divides by that factor. The division is exact only when the factor
 /// is the same for every subgraph; the compiler verifies this by enumerating
-/// all relative orders of the pattern vertices' ids. When the multiplicity
-/// is not uniform (which never happens for the configurations GraphPi's own
-/// generator produces, but can for hand-built ones), the engine falls back
-/// to running IEP with **no** restrictions at all and dividing by the full
-/// automorphism count, which is always exact.
+/// all relative orders of the pattern vertices' ids. The multiplicity is
+/// **not** always uniform, even among the configurations GraphPi's own
+/// generator produces (the cost model's unconstrained pick for the prism P6
+/// is one), so the planner ranks IEP plans with the correction in hand
+/// ([`crate::perf_model::select_best_iep`]) and never picks a non-uniform
+/// candidate while a uniform one exists. A hand-built non-uniform plan has
+/// no IEP leaf ([`SetProgram::iep`]): every executor enumerates it, which
+/// is always exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IepCorrection {
     /// Keep the outer-loop restrictions and divide the IEP total by this
@@ -211,7 +232,9 @@ pub enum IepCorrection {
         /// The uniform multiplicity (≥ 1).
         divisor: u64,
     },
-    /// Drop every restriction for the IEP run and divide by `|Aut|`.
+    /// The multiplicity differs between subgraphs: only dropping every
+    /// restriction (and dividing by `|Aut|`) would make IEP exact, so IEP
+    /// does not run this plan.
     DivideUnrestricted {
         /// The pattern's automorphism count.
         divisor: u64,
@@ -240,96 +263,77 @@ pub struct ExecutionPlan {
     pub iep_suffix_len: usize,
     /// How IEP counting must correct for the restrictions it drops.
     pub iep_correction: IepCorrection,
+    /// The hoisted set program every executor runs, lowered from the fields
+    /// above on first use (the planner forces it for the configuration it
+    /// selects, so ranking the others never pays for it).
+    program: OnceLock<SetProgram>,
 }
 
 impl ExecutionPlan {
-    fn compile(config: &Configuration) -> ExecutionPlan {
-        let pattern = &config.pattern;
-        let order = config.schedule.order();
-        let n = order.len();
-        assert!(
-            n <= MAX_LOOPS,
-            "plans are limited to {MAX_LOOPS} loops (got {n})"
-        );
-
-        let mut loops = Vec::with_capacity(n);
-        for i in 0..n {
-            let v = order[i];
-            let parents: Vec<usize> = (0..i).filter(|&j| pattern.has_edge(order[j], v)).collect();
-            let mut bounds = Vec::new();
-            for r in config.restrictions.restrictions() {
-                let pg = config.schedule.position_of(r.greater);
-                let ps = config.schedule.position_of(r.smaller);
-                let enforced_at = pg.max(ps);
-                if enforced_at != i {
-                    continue;
-                }
-                if ps == i {
-                    // current must be smaller than the earlier `greater`.
-                    bounds.push(LoopBound::LessThanValueAt(pg));
-                } else {
-                    // current must be greater than the earlier `smaller`.
-                    bounds.push(LoopBound::GreaterThanValueAt(ps));
-                }
-            }
-            loops.push(LoopPlan {
-                pattern_vertex: v,
-                parents,
-                bounds,
-            });
-        }
-
-        let iep_suffix_len = config.schedule.independent_suffix_len(pattern);
-        let iep_correction = iep_correction(config, iep_suffix_len);
-
-        ExecutionPlan {
-            config: config.clone(),
-            loops,
-            iep_suffix_len,
-            iep_correction,
-        }
-    }
-
     /// Number of loops (= pattern vertices).
     pub fn num_loops(&self) -> usize {
         self.loops.len()
     }
+
+    /// The plan's set program, lowered at most once.
+    pub fn program(&self) -> &SetProgram {
+        self.program.get_or_init(|| SetProgram::lower(self))
+    }
 }
 
-/// Determines the IEP over-counting correction for this configuration
-/// (Section IV-D).
+/// Resolves each loop's parents and restriction bounds — the part of
+/// compilation the cost model ranks candidates on.
+pub(crate) fn compile_loops(config: &Configuration) -> Vec<LoopPlan> {
+    let pattern = &config.pattern;
+    let order = config.schedule.order();
+    let n = order.len();
+    assert!(
+        n <= MAX_LOOPS,
+        "plans are limited to {MAX_LOOPS} loops (got {n})"
+    );
+    let mut loops: Vec<LoopPlan> = (0..n)
+        .map(|i| LoopPlan {
+            pattern_vertex: order[i],
+            parents: (0..i)
+                .filter(|&j| pattern.has_edge(order[j], order[i]))
+                .collect(),
+            bounds: Vec::new(),
+        })
+        .collect();
+    for r in config.restrictions.restrictions() {
+        let pg = config.schedule.position_of(r.greater);
+        let ps = config.schedule.position_of(r.smaller);
+        // Enforced at whichever endpoint binds later, against the other.
+        if ps > pg {
+            loops[ps].bounds.push(LoopBound::LessThanValueAt(pg));
+        } else {
+            loops[pg].bounds.push(LoopBound::GreaterThanValueAt(ps));
+        }
+    }
+    loops
+}
+
+/// Determines the IEP over-counting correction (Section IV-D), given the
+/// restrictions `remaining` once those enforced in the suffix loops are
+/// dropped: the ones whose endpoints both lie in the outer loops.
 ///
-/// The restrictions that remain after dropping the innermost `k` loops are
-/// those whose endpoints both lie in the outer `n - k` scheduled vertices.
 /// For each possible relative order `π` of the data ids assigned to the
 /// pattern vertices, the per-subgraph multiplicity is the number of
 /// automorphisms `σ` for which `π ∘ σ` satisfies the remaining restrictions.
 /// If that multiplicity is the same for every `π`, dividing the IEP total by
-/// it is exact; otherwise the safe fallback drops all restrictions.
-fn iep_correction(config: &Configuration, k: usize) -> IepCorrection {
-    use graphpi_pattern::automorphism::automorphism_group;
-
-    let order = config.schedule.order();
-    let n = order.len();
-    let outer: Vec<PatternVertex> = order[..n - k].to_vec();
-    let remaining = config.restrictions.restricted_to(&outer);
-    let auts = automorphism_group(&config.pattern);
+/// it is exact.
+pub(crate) fn iep_correction(
+    orders: &RankPermutations,
+    auts: &[Permutation],
+    remaining: &RestrictionSet,
+) -> IepCorrection {
     let aut_count = auts.len() as u64;
-
     if remaining.is_empty() {
         // No restrictions survive: every automorphic copy is counted.
         return IepCorrection::DividePrefixRestricted { divisor: aut_count };
     }
-
-    // Enumerate every relative order of the pattern vertices' ids and count,
-    // for each, how many automorphic re-labelings satisfy the remaining
-    // restrictions. Patterns are tiny, so n! * |Aut| stays small.
-    let mut orders: Vec<Vec<u64>> = Vec::new();
-    let mut current: Vec<u64> = (0..n as u64).collect();
-    permutations_into(&mut current, n, &mut orders);
-
     let mut multiplicity: Option<u64> = None;
-    for ids in &orders {
+    for ids in orders.iter() {
         let m = auts
             .iter()
             .filter(|sigma| {
@@ -339,31 +343,12 @@ fn iep_correction(config: &Configuration, k: usize) -> IepCorrection {
                     .all(|r| ids[sigma.apply(r.greater)] > ids[sigma.apply(r.smaller)])
             })
             .count() as u64;
-        match multiplicity {
-            None => multiplicity = Some(m),
-            Some(prev) if prev != m => {
-                return IepCorrection::DivideUnrestricted { divisor: aut_count };
-            }
-            _ => {}
+        if *multiplicity.get_or_insert(m) != m {
+            return IepCorrection::DivideUnrestricted { divisor: aut_count };
         }
     }
     IepCorrection::DividePrefixRestricted {
         divisor: multiplicity.unwrap_or(aut_count).max(1),
-    }
-}
-
-fn permutations_into(current: &mut Vec<u64>, k: usize, out: &mut Vec<Vec<u64>>) {
-    if k <= 1 {
-        out.push(current.clone());
-        return;
-    }
-    for i in 0..k {
-        permutations_into(current, k - 1, out);
-        if k % 2 == 0 {
-            current.swap(i, k - 1);
-        } else {
-            current.swap(0, k - 1);
-        }
     }
 }
 

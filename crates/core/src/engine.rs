@@ -15,7 +15,7 @@ use crate::error::EngineError;
 use crate::exec::pool::WorkerPool;
 use crate::exec::sink::ModeShared;
 use crate::exec::{iep, interp, parallel};
-use crate::perf_model::{select_best, CostEstimate, PerformanceModel};
+use crate::perf_model::{select_best, select_best_iep, CostEstimate, PerformanceModel};
 use crate::schedule::{efficient_schedules, Schedule};
 use graphpi_graph::csr::{CsrGraph, VertexId};
 use graphpi_graph::hub::{HubGraph, HubOptions};
@@ -249,8 +249,16 @@ impl GraphPi {
         }
 
         let model = PerformanceModel::new(self.stats, pattern.num_vertices());
-        let (best_idx, estimates) = select_best(&model, &candidates);
+        // A count plan is ranked for what will run it: IEP drops the suffix
+        // loops' restrictions and needs a uniform over-count to divide out.
+        let (best_idx, estimates) = if options.enable_iep {
+            select_best_iep(&model, &candidates)
+        } else {
+            select_best(&model, &candidates)
+        };
         let plan = candidates[best_idx].compile_with_iep(options.enable_iep);
+        // Lower the winner here, once, so no query pays for it.
+        plan.program();
         Ok(Plan {
             plan,
             predicted_cost: estimates[best_idx].total,

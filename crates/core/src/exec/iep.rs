@@ -8,62 +8,36 @@
 //! number of ways to choose `k` pairwise-distinct vertices
 //! `(e_1, …, e_k)` with `e_i ∈ S_i`, where `S_i` is the candidate set of the
 //! `i`-th suffix vertex. That number is obtained by inclusion–exclusion over
-//! the "some pair equal" events; each term factors over the connected
-//! components of the equality-pair graph (Algorithm 2) into a product of
-//! intersection cardinalities.
+//! the "some entries equal" events: summed over the set partitions of the
+//! `k` positions with the Möbius coefficient of each partition, the product
+//! over its blocks of `|∩_{i ∈ block} S_i|`.
+//!
+//! Nothing here builds a set. The plan's
+//! [`SetProgram`](crate::exec::setprog::SetProgram) already contains an op
+//! for every block intersection — each is `∩ N(v_p)` over the union of its
+//! members' parents, so coinciding blocks share one slot — hoisted to the
+//! loop of its last parent, and the partition sum is the precomputed
+//! [`IepTable`]. The leaf reads slot cardinalities, takes out the bound
+//! prefix vertices with adjacency probes, and evaluates the table.
 //!
 //! Restrictions enforced in the suffix loops are dropped by this
 //! transformation, so the grand total over-counts by the number of pattern
 //! automorphisms the *remaining* restrictions fail to eliminate; the final
-//! count is divided by that factor (`ExecutionPlan::iep_redundancy`).
-//!
-//! Like the enumeration kernel, the per-prefix IEP term is allocation-free
-//! in steady state: the parallel executor keeps one [`IepScratch`] per
-//! worker and calls [`iep_term_with`] per task, with all candidate sets,
-//! intermediates, and the inclusion–exclusion bookkeeping living in reused
-//! buffers or on the stack.
+//! count is divided by that factor
+//! ([`IepCorrection`](crate::config::IepCorrection)).
 
-use crate::config::{Configuration, ExecutionPlan, IepCorrection, MAX_LOOPS};
-use crate::exec::interp::{self, ExecCtx};
+use crate::config::ExecutionPlan;
+use crate::exec::interp::{self, ExecCtx, Leaf, SearchBuffers, Walk};
+use crate::exec::setprog::{block_coefficient, for_each_partition, IepTable, Operand};
 use graphpi_graph::csr::{CsrGraph, VertexId};
 use graphpi_graph::hub::HubGraph;
-use graphpi_pattern::restriction::RestrictionSet;
 
-/// Largest IEP suffix supported (bounded by `2^(k(k-1)/2)` inclusion–
-/// exclusion terms; 6 keeps the term count at 2^15).
-pub const MAX_IEP_SUFFIX: usize = 6;
-
-/// Reusable scratch for [`iep_term_with`]: the per-suffix-vertex candidate
-/// sets plus the intersection buffers. Create once per worker and reuse
-/// across tasks.
-#[derive(Debug, Default)]
-pub struct IepScratch {
-    /// Candidate set of each suffix vertex.
-    sets: Vec<Vec<VertexId>>,
-    /// Materialisation buffer for subset intersections.
-    inter: Vec<VertexId>,
-    /// Ping-pong scratch for k-way intersections.
-    tmp: Vec<VertexId>,
-    /// Bitset scratch for all-hub intersections.
-    words: Vec<u64>,
-}
-
-impl IepScratch {
-    /// Creates empty scratch buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, k: usize) {
-        if self.sets.len() < k {
-            self.sets.resize_with(k, Vec::new);
-        }
-    }
-}
+pub use crate::exec::setprog::MAX_IEP_SUFFIX;
 
 /// Counts embeddings using IEP over the innermost `plan.iep_suffix_len`
-/// loops. Falls back to plain enumeration when the suffix is shorter than 2
-/// (there is nothing to gain) or when the plan has a single loop.
+/// loops. Falls back to plain enumeration when the plan has no IEP leaf:
+/// the suffix is shorter than 2 (there is nothing to gain), there is no
+/// outer loop, or the over-count is not uniform.
 pub fn count_embeddings_iep(plan: &ExecutionPlan, graph: &CsrGraph) -> u64 {
     count_embeddings_iep_in(plan, ExecCtx::new(graph))
 }
@@ -76,195 +50,128 @@ pub fn count_embeddings_iep_hub(plan: &ExecutionPlan, hubs: &HubGraph) -> u64 {
 
 /// Context-explicit IEP driver.
 pub fn count_embeddings_iep_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>) -> u64 {
-    let k = plan.iep_suffix_len;
-    let n = plan.num_loops();
-    if k < 2 || n <= k {
+    if plan.program().iep().is_none() {
         return interp::count_embeddings_in(plan, ctx);
     }
-    // When the plan's outer restrictions do not over-count every subgraph by
-    // the same factor, run IEP on a restriction-free clone of the plan (see
-    // `IepCorrection`).
-    let unrestricted_plan;
-    let (effective_plan, divisor) = match plan.iep_correction {
-        IepCorrection::DividePrefixRestricted { divisor } => (plan, divisor),
-        IepCorrection::DivideUnrestricted { divisor } => {
-            unrestricted_plan = Configuration::new(
-                plan.config.pattern.clone(),
-                plan.config.schedule.clone(),
-                RestrictionSet::empty(),
-            )
-            .compile();
-            (&unrestricted_plan, divisor)
-        }
-    };
-    let outer_depth = n - k;
-    let mut scratch = IepScratch::new();
-    let mut total: u64 = 0;
-    interp::for_each_prefix(effective_plan, ctx, outer_depth, |prefix| {
-        total += iep_term_with(effective_plan, ctx, prefix, &mut scratch);
-    });
-    debug_assert!(divisor >= 1);
-    total / divisor
+    let mut buffers = SearchBuffers::new(plan.num_loops());
+    let total: u64 = ctx
+        .graph()
+        .vertices()
+        .map(|v| iep_term_with(plan, ctx, &[v], &mut buffers))
+        .sum();
+    total / plan.iep_correction.divisor()
 }
 
 /// Counts embeddings (before dividing by the redundancy factor) contributed
 /// by a single outer-loop prefix. Exposed for the parallel executor.
 ///
-/// Allocates fresh scratch; hot loops should hold an [`IepScratch`] and
+/// Allocates fresh scratch; hot loops should hold a [`SearchBuffers`] and
 /// call [`iep_term_with`] instead.
 pub fn iep_term(plan: &ExecutionPlan, graph: &CsrGraph, prefix: &[VertexId]) -> u64 {
-    let mut scratch = IepScratch::new();
-    iep_term_with(plan, ExecCtx::new(graph), prefix, &mut scratch)
+    let mut buffers = SearchBuffers::new(plan.num_loops());
+    iep_term_with(plan, ExecCtx::new(graph), prefix, &mut buffers)
 }
 
 /// Allocation-free variant of [`iep_term`]: reuses the caller's
-/// [`IepScratch`] and supports hub acceleration through the context.
+/// [`SearchBuffers`] and supports hub acceleration through the context.
+///
+/// `prefix` binds the first `1..=n-k` loops: its ops are replayed, the
+/// remaining outer loops are walked, and the leaf fires under each binding.
+///
+/// # Panics
+/// Panics if the plan has no IEP leaf ([`SetProgram::iep`]) or the prefix
+/// reaches into the suffix.
+///
+/// [`SetProgram::iep`]: crate::exec::setprog::SetProgram::iep
 pub fn iep_term_with(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
     prefix: &[VertexId],
-    scratch: &mut IepScratch,
+    buffers: &mut SearchBuffers,
 ) -> u64 {
-    let n = plan.num_loops();
-    let k = n - prefix.len();
-    debug_assert!(k >= 1);
-    scratch.ensure(k);
-
-    // Candidate set of each suffix vertex: intersection of the neighborhoods
-    // of its bound pattern neighbors, minus the already bound vertices.
-    for (idx, depth) in (prefix.len()..n).enumerate() {
-        let loop_plan = &plan.loops[depth];
-        let set = &mut scratch.sets[idx];
-        if loop_plan.parents.is_empty() {
-            set.clear();
-            set.extend(ctx.graph().vertices());
-        } else {
-            let mut verts = [0 as VertexId; MAX_LOOPS];
-            for (slot, &p) in verts.iter_mut().zip(&loop_plan.parents) {
-                *slot = prefix[p];
-            }
-            interp::intersect_neighborhoods_into(
-                ctx,
-                &verts[..loop_plan.parents.len()],
-                set,
-                &mut scratch.tmp,
-                &mut scratch.words,
-            );
-        }
-        // In-place subtraction of the bound prefix (tiny exclusion list).
-        set.retain(|v| !prefix.contains(v));
+    let table = plan.program().iep().expect("plan has an IEP leaf");
+    assert!(!prefix.is_empty() && prefix.len() <= table.outer);
+    let walk = Walk::iep(plan, ctx, table.outer);
+    if !walk.bind(prefix, buffers) {
+        return 0;
     }
-    count_distinct_tuples_with(&scratch.sets[..k], &mut scratch.inter, &mut scratch.tmp)
+    let mut leaf = IepLeaf {
+        table,
+        ctx,
+        cards: std::mem::take(&mut buffers.cards),
+        total: 0,
+    };
+    walk.descend(buffers, &mut leaf);
+    buffers.cards = leaf.cards;
+    leaf.total
+}
+
+/// Evaluates the plan's [`IepTable`] under every full outer binding.
+struct IepLeaf<'a> {
+    table: &'a IepTable,
+    ctx: ExecCtx<'a>,
+    cards: Vec<u64>,
+    total: u64,
+}
+
+impl Leaf for IepLeaf<'_> {
+    fn hit(&mut self, bound: &[VertexId], counts: &[usize]) -> bool {
+        let graph = self.ctx.graph();
+        self.cards.clear();
+        self.cards.extend(self.table.sets.iter().map(|set| {
+            let unreduced = match set.source {
+                Operand::All => graph.num_vertices(),
+                Operand::Adj(p) => graph.degree(bound[p as usize]),
+                Operand::Slot(s) => counts[s as usize],
+            };
+            // A candidate equal to a bound vertex is no candidate: take out
+            // the bound vertices that are inside the set.
+            let inside = set.probes.iter().filter(|&&(q, probes)| {
+                (0..bound.len())
+                    .filter(|p| probes & (1 << p) != 0)
+                    .all(|p| self.ctx.adjacent(bound[q as usize], bound[p]))
+            });
+            unreduced as u64 - set.sure - inside.count() as u64
+        }));
+        self.total += evaluate(self.table, &self.cards);
+        true
+    }
+}
+
+/// `Σ coeff × Π cards[factor]` over the table's terms, in wrapping
+/// arithmetic: the sum is a count, so it is exact modulo 2⁶⁴ however large
+/// the alternating terms grow.
+fn evaluate(table: &IepTable, cards: &[u64]) -> u64 {
+    table.terms.iter().fold(0u64, |sum, term| {
+        let product = term.factors.iter().fold(term.coeff as u64, |product, &f| {
+            product.wrapping_mul(cards[f as usize])
+        });
+        sum.wrapping_add(product)
+    })
 }
 
 /// Number of ordered tuples `(e_1, …, e_k)` with `e_i ∈ sets[i]` and all
-/// entries pairwise distinct, computed by inclusion–exclusion over equality
-/// pairs with the per-component factorisation of Algorithm 2.
+/// entries pairwise distinct: the partition sum of the module docs over
+/// explicit sets. The reference the plan-level tables are checked against.
 pub fn count_distinct_tuples(sets: &[Vec<VertexId>]) -> u64 {
-    let mut inter = Vec::new();
-    let mut tmp = Vec::new();
-    count_distinct_tuples_with(sets, &mut inter, &mut tmp)
-}
-
-/// Buffer-reusing core of [`count_distinct_tuples`]: all bookkeeping
-/// (subset cardinalities, equality pairs, union–find) lives on the stack;
-/// only the subset intersections touch the two scratch buffers.
-pub fn count_distinct_tuples_with(
-    sets: &[Vec<VertexId>],
-    inter: &mut Vec<VertexId>,
-    tmp: &mut Vec<VertexId>,
-) -> u64 {
     let k = sets.len();
     assert!(k >= 1, "need at least one candidate set");
     assert!(
         k <= MAX_IEP_SUFFIX,
         "IEP suffix larger than {MAX_IEP_SUFFIX} is not supported"
     );
-    if k == 1 {
-        return sets[0].len() as u64;
-    }
-
-    // Cardinality of the intersection of every subset of the candidate
-    // sets, indexed by bitmask (2^k <= 64 entries, on the stack).
-    let mut subset_card = [0i64; 1 << MAX_IEP_SUFFIX];
-    for mask in 1usize..(1 << k) {
-        if mask.count_ones() == 1 {
-            subset_card[mask] = sets[mask.trailing_zeros() as usize].len() as i64;
-        } else {
-            let mut slices: [&[VertexId]; MAX_IEP_SUFFIX] = [&[]; MAX_IEP_SUFFIX];
-            let mut m = 0usize;
-            for (i, set) in sets.iter().enumerate().take(k) {
-                if mask & (1 << i) != 0 {
-                    slices[m] = set.as_slice();
-                    m += 1;
-                }
-            }
-            graphpi_graph::vertex_set::intersect_many_into(&slices[..m], inter, tmp);
-            subset_card[mask] = inter.len() as i64;
-        }
-    }
-
-    // All unordered pairs (i, j), i < j.
-    let mut pairs = [(0usize, 0usize); MAX_IEP_SUFFIX * (MAX_IEP_SUFFIX - 1) / 2];
-    let mut num_pairs = 0usize;
-    for i in 0..k {
-        for j in (i + 1)..k {
-            pairs[num_pairs] = (i, j);
-            num_pairs += 1;
-        }
-    }
-
-    let mut total: i64 = 0;
-    for pair_mask in 0usize..(1 << num_pairs) {
-        let sign = if pair_mask.count_ones() % 2 == 0 {
-            1i64
-        } else {
-            -1i64
-        };
-        // Algorithm 2: union-find the suffix vertices along the selected
-        // equality pairs, then multiply the intersection cardinalities of
-        // the resulting components.
-        let mut parent = [0usize; MAX_IEP_SUFFIX];
-        for (i, slot) in parent.iter_mut().enumerate().take(k) {
-            *slot = i;
-        }
-        for (bit, &(i, j)) in pairs[..num_pairs].iter().enumerate() {
-            if pair_mask & (1 << bit) != 0 {
-                union(&mut parent, i, j);
-            }
-        }
-        let mut component_mask = [0usize; MAX_IEP_SUFFIX];
-        for v in 0..k {
-            component_mask[find(&mut parent, v)] |= 1 << v;
-        }
-        let mut product: i64 = 1;
-        for v in 0..k {
-            if find(&mut parent, v) == v {
-                product = product.saturating_mul(subset_card[component_mask[v]]);
-                if product == 0 {
-                    break;
-                }
-            }
-        }
-        total += sign * product;
-    }
-    total.max(0) as u64
-}
-
-fn find(parent: &mut [usize], x: usize) -> usize {
-    if parent[x] != x {
-        let root = find(parent, parent[x]);
-        parent[x] = root;
-    }
-    parent[x]
-}
-
-fn union(parent: &mut [usize], a: usize, b: usize) {
-    let ra = find(parent, a);
-    let rb = find(parent, b);
-    if ra != rb {
-        parent[ra] = rb;
-    }
+    let mut total = 0i128;
+    for_each_partition(k, |blocks| {
+        total += blocks
+            .iter()
+            .map(|block| {
+                let members: Vec<&[VertexId]> = block.iter().map(|&i| &sets[i][..]).collect();
+                let common = graphpi_graph::vertex_set::intersect_many(&members).len();
+                block_coefficient(block.len()) as i128 * common as i128
+            })
+            .product::<i128>();
+    });
+    total as u64
 }
 
 #[cfg(test)]
@@ -303,8 +210,8 @@ mod tests {
         // Randomised cross-check against explicit enumeration.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..50 {
-            let k = rng.gen_range(2..=4usize);
+        for _ in 0..80 {
+            let k = rng.gen_range(2..=5usize);
             let sets: Vec<Vec<VertexId>> = (0..k)
                 .map(|_| {
                     let mut s: Vec<VertexId> = (0..rng.gen_range(0..8u32))
@@ -404,12 +311,61 @@ mod tests {
         let outer = plan.num_loops() - plan.iep_suffix_len;
         let prefixes = interp::enumerate_prefixes(&plan, &g, outer);
         let ctx = ExecCtx::new(&g);
-        let mut scratch = IepScratch::new();
+        let mut buffers = SearchBuffers::new(plan.num_loops());
         for p in prefixes.iter().take(40) {
             assert_eq!(
-                iep_term_with(&plan, ctx, p, &mut scratch),
+                iep_term_with(&plan, ctx, p, &mut buffers),
                 iep_term(&plan, &g, p)
             );
+        }
+    }
+
+    #[test]
+    fn iep_terms_partition_the_total_at_every_task_depth() {
+        // Task replay is exact wherever the prefix is cut, not only at the
+        // full outer depth.
+        let g = generators::power_law(140, 5, 29);
+        for pattern in [prefab::house(), prefab::p2(), prefab::cycle_6_tri()] {
+            let plan = best_effort_plan(pattern);
+            let outer = plan.program().iep().unwrap().outer;
+            let total = count_embeddings_iep(&plan, &g) * plan.iep_correction.divisor();
+            for depth in 1..=outer {
+                let sum: u64 = interp::enumerate_prefixes(&plan, &g, depth)
+                    .iter()
+                    .map(|p| iep_term(&plan, &g, p))
+                    .sum();
+                assert_eq!(sum, total, "depth {depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn star_tables_are_falling_factorials() {
+        // k leaves on one hub all draw from N(hub): the partition sum must
+        // collapse to c(c-1)…(c-k+1), i.e. the merged coefficients are the
+        // signed Stirling numbers of the first kind.
+        let stirling: [&[i64]; 4] = [
+            &[-1, 1],
+            &[2, -3, 1],
+            &[-6, 11, -6, 1],
+            &[24, -50, 35, -10, 1],
+        ];
+        for (k, expected) in (2..=5).zip(stirling) {
+            let star = prefab::star_pattern(k + 1);
+            let schedule = Schedule::new(&star, (0..=k).collect());
+            let plan = Configuration::new(star, schedule, RestrictionSet::empty()).compile();
+            let table = plan.program().iep().unwrap();
+            assert_eq!(table.sets.len(), 1, "k = {k}");
+            let coeffs: Vec<i64> = table.terms.iter().map(|t| t.coeff).collect();
+            assert_eq!(coeffs, expected, "k = {k}");
+            for (term, blocks) in table.terms.iter().zip(1..) {
+                assert_eq!(term.factors.len(), blocks);
+            }
+            // And against the explicit-set reference.
+            let leaves: Vec<VertexId> = (0..9).collect();
+            let sets = vec![leaves.clone(); k];
+            assert_eq!(evaluate(table, &[9]), count_distinct_tuples(&sets));
+            assert_eq!(count_distinct_tuples(&sets), brute_force_distinct(&sets));
         }
     }
 

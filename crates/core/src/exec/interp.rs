@@ -8,18 +8,23 @@
 //! loop yields embeddings.
 //!
 //! This is the executable counterpart of the code GraphPi generates and
-//! compiles (Figure 5(b)); [`crate::codegen`] renders the same plan as
-//! source text.
+//! compiles (Figure 5(b)): the loops never compute an intersection
+//! themselves. They execute the plan's
+//! [`SetProgram`] — when loop
+//! `i` binds a vertex, the ops hoisted to depth `i` build every set whose
+//! last parent is `v_i`, once, into the slots of a reusable
+//! [`SearchBuffers`]; a deeper loop's candidate set is a slot reference plus
+//! its restriction window. A prefix task replays the ops of its bound depths
+//! and then walks on, so sequential, scoped, pooled and IEP execution
+//! ([`crate::exec::iep`]) are all the same [`Walk`]. [`crate::codegen`]
+//! renders the same program as source text.
 //!
-//! The matching kernel is **allocation-free**: every candidate set is
-//! materialised into a per-depth buffer of a reusable [`SearchBuffers`], the
-//! k-way intersection ping-pongs between that buffer and a shared scratch
-//! (`vertex_set::intersect_many_into`), and the hub-accelerated paths reuse a
-//! shared bitset word buffer. The parallel executor holds one
-//! [`SearchBuffers`] per worker and calls [`count_from_prefix_with`] per
-//! task, so the steady-state worker loop performs no heap allocation at all.
+//! The matching kernel is **allocation-free** in steady state: slots, the
+//! bitset scratch of hub × hub intersections and the bound-vertex stack all
+//! live in the caller's [`SearchBuffers`], one per worker.
 
-use crate::config::{ExecutionPlan, LoopBound, MAX_LOOPS};
+use crate::config::{ExecutionPlan, LoopBound};
+use crate::exec::setprog::{Operand, SetProgram};
 use crate::exec::sink::{CountSink, MatchSink};
 use graphpi_graph::csr::{CsrGraph, VertexId};
 use graphpi_graph::hub::HubGraph;
@@ -64,41 +69,330 @@ impl<'a> ExecCtx<'a> {
     pub fn hubs(&self) -> Option<&'a HubGraph> {
         self.hubs
     }
+
+    /// Whether `a` and `b` are adjacent (a bit probe when either is a hub).
+    #[inline]
+    pub(crate) fn adjacent(&self, a: VertexId, b: VertexId) -> bool {
+        match self.hubs {
+            Some(hubs) if hubs.is_hub(a) => hubs.contains(a, b),
+            Some(hubs) if hubs.is_hub(b) => hubs.contains(b, a),
+            _ => self.graph.has_edge(a, b),
+        }
+    }
 }
 
-/// Reusable scratch for the matching kernel: one candidate buffer per loop
-/// depth, a ping-pong buffer for k-way intersections, a bitset word buffer
-/// for all-hub intersections, and the bound-vertex stack.
+/// Reusable scratch for the matching kernel: the set program's slots, a
+/// bitset word buffer for hub × hub intersections, and the bound-vertex
+/// stack.
 ///
-/// Create once (per worker, per thread) and reuse across tasks; after the
-/// buffers have grown to their steady-state sizes the kernel allocates
-/// nothing.
+/// Create once (per worker, per thread) and reuse across tasks and plans;
+/// after the buffers have grown to their steady-state sizes the kernel
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct SearchBuffers {
-    /// Per-depth candidate materialisation buffers.
-    depth_bufs: Vec<Vec<VertexId>>,
-    /// Ping-pong scratch for multi-way intersections.
-    tmp: Vec<VertexId>,
-    /// Bitset scratch for intersections where every parent is a hub.
+    /// One materialisation buffer per program slot.
+    slots: Vec<Vec<VertexId>>,
+    /// Cardinality of each slot as last built (all the IEP leaf reads).
+    counts: Vec<usize>,
+    /// `0..|V|`, for loops with no bound parent.
+    everything: Vec<VertexId>,
+    /// Bitset scratch for intersections of two hub neighbourhoods.
     words: Vec<u64>,
     /// Bound-vertex stack (prefix + inner-loop bindings).
     stack: Vec<VertexId>,
+    /// The IEP leaf's per-set cardinalities.
+    pub(crate) cards: Vec<u64>,
 }
 
 impl SearchBuffers {
     /// Creates buffers for a plan with `depth` loops.
     pub fn new(depth: usize) -> Self {
         Self {
-            depth_bufs: vec![Vec::new(); depth],
-            tmp: Vec::new(),
-            words: Vec::new(),
             stack: Vec::with_capacity(depth),
+            ..Self::default()
+        }
+    }
+}
+
+/// Receives every full binding of a [`Walk`]'s loops: the bound vertices in
+/// schedule order and the slot cardinalities. Returns `false` to stop the
+/// walk.
+pub(crate) trait Leaf {
+    fn hit(&mut self, bound: &[VertexId], counts: &[usize]) -> bool;
+}
+
+struct SinkLeaf<'s, S>(&'s mut S);
+
+impl<S: MatchSink> Leaf for SinkLeaf<'_, S> {
+    #[inline(always)]
+    fn hit(&mut self, bound: &[VertexId], _: &[usize]) -> bool {
+        self.0.on_match(bound);
+        !self.0.is_full()
+    }
+}
+
+struct VisitLeaf<F>(F);
+
+impl<F: FnMut(&[VertexId])> Leaf for VisitLeaf<F> {
+    #[inline(always)]
+    fn hit(&mut self, bound: &[VertexId], _: &[usize]) -> bool {
+        (self.0)(bound);
+        true
+    }
+}
+
+/// One execution of a plan's set program: which loops are walked, and
+/// therefore which ops run.
+#[derive(Clone, Copy)]
+pub(crate) struct Walk<'a> {
+    plan: &'a ExecutionPlan,
+    program: &'a SetProgram,
+    ctx: ExecCtx<'a>,
+    /// Loops `0..end` are bound; the leaf fires below loop `end - 1`.
+    end: usize,
+    /// IEP: every op runs (the leaf reads the suffix sets), count-only ops
+    /// are not materialised.
+    iep: bool,
+}
+
+impl<'a> Walk<'a> {
+    /// A walk that enumerates the bindings of loops `0..end`.
+    pub(crate) fn enumerate(plan: &'a ExecutionPlan, ctx: ExecCtx<'a>, end: usize) -> Self {
+        Self {
+            plan,
+            program: plan.program(),
+            ctx,
+            end,
+            iep: false,
         }
     }
 
-    fn ensure_depth(&mut self, depth: usize) {
-        if self.depth_bufs.len() < depth {
-            self.depth_bufs.resize_with(depth, Vec::new);
+    /// A walk over the `outer` loops above a plan's IEP leaf.
+    pub(crate) fn iep(plan: &'a ExecutionPlan, ctx: ExecCtx<'a>, outer: usize) -> Self {
+        Self {
+            iep: true,
+            ..Self::enumerate(plan, ctx, outer)
+        }
+    }
+
+    /// Sizes `buffers` for this plan's program and binds `prefix`,
+    /// replaying the ops of its depths. Returns `false` when one of them
+    /// proves the subtree empty.
+    pub(crate) fn bind(&self, prefix: &[VertexId], buffers: &mut SearchBuffers) -> bool {
+        let slots = self.program.num_slots();
+        if buffers.slots.len() < slots {
+            buffers.slots.resize_with(slots, Vec::new);
+            buffers.counts.resize(slots, 0);
+        }
+        buffers.stack.clear();
+        buffers.stack.extend_from_slice(prefix);
+        (0..prefix.len()).all(|depth| self.run_ops(depth, buffers))
+    }
+
+    /// Walks loops `stack.len()..end` below the bound stack, firing `leaf`
+    /// at every full binding. Returns `false` when the leaf stopped it.
+    pub(crate) fn descend<L: Leaf>(&self, buffers: &mut SearchBuffers, leaf: &mut L) -> bool {
+        if buffers.stack.len() == self.end {
+            leaf.hit(&buffers.stack, &buffers.counts)
+        } else {
+            self.walk(buffers.stack.len(), buffers, leaf)
+        }
+    }
+
+    /// Runs the ops hoisted to `depth`, whose vertex is on the stack.
+    /// Returns `false` when a set some loop draws candidates through came
+    /// out empty: nothing below can match.
+    fn run_ops(&self, depth: usize, buffers: &mut SearchBuffers) -> bool {
+        let ops = self.program.ops_at(depth);
+        if ops.is_empty() {
+            return true;
+        }
+        let SearchBuffers {
+            slots,
+            counts,
+            words,
+            stack,
+            ..
+        } = buffers;
+        let n = self.plan.num_loops();
+        let rhs = stack[depth];
+        for op in ops {
+            if !self.iep && op.first_loop as usize >= self.end {
+                continue;
+            }
+            let (built, rest) = slots.split_at_mut(op.dst as usize);
+            let pair = match op.lhs {
+                Operand::Adj(p) => self.pair(stack[p as usize], rhs),
+                Operand::Slot(s) => self.extend(&built[s as usize], rhs),
+                Operand::All => unreachable!("ops intersect at least two neighbourhoods"),
+            };
+            let len = if self.iep && op.count_only {
+                pair.count()
+            } else {
+                pair.materialise(&mut rest[0], words);
+                rest[0].len()
+            };
+            counts[op.dst as usize] = len;
+            if len == 0 && (op.first_loop as usize) < n {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// `N(a) ∩ N(b)` for two bound vertices.
+    fn pair(&self, a: VertexId, b: VertexId) -> Pair<'a> {
+        let graph = self.ctx.graph;
+        match self.ctx.hubs {
+            Some(hubs) if hubs.is_hub(a) && hubs.is_hub(b) => Pair::Rows(hubs, a, b),
+            Some(hubs) if hubs.is_hub(a) => Pair::Probe(hubs, graph.neighbors(b), a),
+            Some(hubs) if hubs.is_hub(b) => Pair::Probe(hubs, graph.neighbors(a), b),
+            _ => Pair::Lists(graph.neighbors(a), graph.neighbors(b)),
+        }
+    }
+
+    /// `set ∩ N(b)` for a built slot.
+    fn extend<'s>(&self, set: &'s [VertexId], b: VertexId) -> Pair<'s>
+    where
+        'a: 's,
+    {
+        match self.ctx.hubs {
+            Some(hubs) if hubs.is_hub(b) => Pair::Probe(hubs, set, b),
+            _ => Pair::Lists(set, self.ctx.graph.neighbors(b)),
+        }
+    }
+
+    /// The index range of loop `depth`'s candidates that survives its
+    /// restriction bounds: candidates must lie strictly between the largest
+    /// lower and the smallest upper bound.
+    fn window(&self, depth: usize, bound: &[VertexId], candidates: &[VertexId]) -> (usize, usize) {
+        let mut lower: Option<VertexId> = None;
+        let mut upper: Option<VertexId> = None;
+        for b in &self.plan.loops[depth].bounds {
+            match *b {
+                LoopBound::LessThanValueAt(pos) => {
+                    let limit = bound[pos];
+                    upper = Some(upper.map_or(limit, |u: VertexId| u.min(limit)));
+                }
+                LoopBound::GreaterThanValueAt(pos) => {
+                    let limit = bound[pos];
+                    lower = Some(lower.map_or(limit, |l: VertexId| l.max(limit)));
+                }
+            }
+        }
+        let start = lower.map_or(0, |l| candidates.partition_point(|&x| x <= l));
+        let end = upper.map_or(candidates.len(), |u| candidates.partition_point(|&x| x < u));
+        // Crossed bounds leave nothing.
+        (start, end.max(start))
+    }
+
+    fn walk<L: Leaf>(&self, depth: usize, buffers: &mut SearchBuffers, leaf: &mut L) -> bool {
+        let source = self.program.candidates(depth);
+        // A raw neighbourhood outlives the buffers; a slot is re-read by
+        // index, because the ops of this depth write (other) slots while
+        // the loop runs.
+        let adjacency: &[VertexId] = match source {
+            Operand::Adj(p) => self.ctx.graph.neighbors(buffers.stack[p as usize]),
+            _ => &[],
+        };
+        if source == Operand::All && buffers.everything.len() != self.ctx.graph.num_vertices() {
+            buffers.everything.clear();
+            buffers.everything.extend(self.ctx.graph.vertices());
+        }
+        let (start, end) = self.window(
+            depth,
+            &buffers.stack,
+            match source {
+                Operand::All => &buffers.everything,
+                Operand::Adj(_) => adjacency,
+                Operand::Slot(s) => &buffers.slots[s as usize],
+            },
+        );
+        let last = depth + 1 == self.end;
+        if last && self.program.ops_at(depth).is_empty() {
+            // Innermost loop with nothing to build: the candidate slice can
+            // stay borrowed, and every candidate not already bound is a hit.
+            let SearchBuffers {
+                slots,
+                counts,
+                everything,
+                stack,
+                ..
+            } = buffers;
+            let candidates: &[VertexId] = match source {
+                Operand::All => everything,
+                Operand::Adj(_) => adjacency,
+                Operand::Slot(s) => &slots[s as usize],
+            };
+            for &v in &candidates[start..end] {
+                if stack.contains(&v) {
+                    continue;
+                }
+                stack.push(v);
+                let go = leaf.hit(stack, counts);
+                stack.pop();
+                if !go {
+                    return false;
+                }
+            }
+            return true;
+        }
+        let candidate = |buffers: &SearchBuffers, idx: usize| match source {
+            Operand::All => buffers.everything[idx],
+            Operand::Adj(_) => adjacency[idx],
+            Operand::Slot(s) => buffers.slots[s as usize][idx],
+        };
+        for idx in start..end {
+            let v = candidate(buffers, idx);
+            if buffers.stack.contains(&v) {
+                continue;
+            }
+            buffers.stack.push(v);
+            let go = !self.run_ops(depth, buffers)
+                || if last {
+                    leaf.hit(&buffers.stack, &buffers.counts)
+                } else {
+                    self.walk(depth + 1, buffers, leaf)
+                };
+            buffers.stack.pop();
+            if !go {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The two sets of one op, paired with the cheapest way to intersect them:
+///
+/// * two sorted lists — merge or galloping ([`vertex_set`]);
+/// * a sorted list against a hub — probe each element in the hub's bitset
+///   row (`O(|list|)` regardless of the hub's degree);
+/// * two hubs — word-AND the bitset rows.
+#[derive(Clone, Copy)]
+enum Pair<'a> {
+    Lists(&'a [VertexId], &'a [VertexId]),
+    Probe(&'a HubGraph, &'a [VertexId], VertexId),
+    Rows(&'a HubGraph, VertexId, VertexId),
+}
+
+impl Pair<'_> {
+    fn materialise(self, out: &mut Vec<VertexId>, words: &mut Vec<u64>) {
+        match self {
+            Pair::Lists(a, b) => vertex_set::intersect_into(a, b, out),
+            Pair::Probe(hubs, list, hub) => hubs.filter_list_into(&[hub], list, out),
+            Pair::Rows(hubs, a, b) => {
+                hubs.and_rows_into(&[a, b], words);
+                HubGraph::extract_bits_into(words, out);
+            }
+        }
+    }
+
+    fn count(self) -> usize {
+        match self {
+            Pair::Lists(a, b) => vertex_set::intersect_count(a, b),
+            Pair::Probe(hubs, list, hub) => list.iter().filter(|&&v| hubs.contains(hub, v)).count(),
+            Pair::Rows(hubs, a, b) => hubs.intersect_hubs_count(a, b),
         }
     }
 }
@@ -151,27 +445,11 @@ pub fn for_each_embedding<F: FnMut(&[VertexId])>(
 pub fn for_each_embedding_in<F: FnMut(&[VertexId])>(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
-    mut visitor: F,
+    visitor: F,
 ) {
-    let n = plan.num_loops();
-    if n == 0 {
-        return;
-    }
-    let mut buffers = SearchBuffers::new(n);
-    let SearchBuffers {
-        depth_bufs,
-        tmp,
-        words,
-        stack,
-    } = &mut buffers;
-    for v in ctx.graph.vertices() {
-        stack.push(v);
-        if n == 1 {
-            visitor(stack);
-        } else {
-            recurse(plan, ctx, 1, stack, depth_bufs, tmp, words, &mut visitor);
-        }
-        stack.pop();
+    // An embedding is a valid prefix of every loop.
+    if plan.num_loops() > 0 {
+        for_each_prefix(plan, ctx, plan.num_loops(), visitor);
     }
 }
 
@@ -221,8 +499,7 @@ pub fn count_from_prefix(plan: &ExecutionPlan, graph: &CsrGraph, prefix: &[Verte
 /// [`SearchBuffers`] and supports hub acceleration through the context.
 ///
 /// Implemented as [`match_from_prefix_with`] driving a [`CountSink`] — the
-/// sink monomorphises into the same `count += 1` hot loop the pre-sink
-/// kernel inlined, so counts (and count throughput) are unchanged.
+/// sink monomorphises into a `count += 1` innermost loop.
 pub fn count_from_prefix_with(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
@@ -240,6 +517,9 @@ pub fn count_from_prefix_with(
 /// explores nothing) and stops early once [`MatchSink::is_full`] reports
 /// saturation. Returns `false` when the search was cut short by a full
 /// sink.
+///
+/// The prefix may have any length from 1 to the loop count: the ops of its
+/// depths are replayed once, then the remaining loops are walked.
 pub fn match_from_prefix_with<S: MatchSink>(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
@@ -256,25 +536,8 @@ pub fn match_from_prefix_with<S: MatchSink>(
         sink.on_match(prefix);
         return !sink.is_full();
     }
-    buffers.ensure_depth(n);
-    let SearchBuffers {
-        depth_bufs,
-        tmp,
-        words,
-        stack,
-    } = buffers;
-    stack.clear();
-    stack.extend_from_slice(prefix);
-    recurse_sink(
-        plan,
-        ctx,
-        prefix.len(),
-        stack,
-        depth_bufs,
-        tmp,
-        words,
-        sink,
-    )
+    let walk = Walk::enumerate(plan, ctx, n);
+    !walk.bind(prefix, buffers) || walk.descend(buffers, &mut SinkLeaf(sink))
 }
 
 /// Enumerates every valid prefix of length `depth` (the values bound by the
@@ -298,309 +561,24 @@ pub fn enumerate_prefixes(
 /// valid prefix without materialising the task list. This is what the
 /// parallel executor's master thread uses to feed workers in batches while
 /// enumeration is still running.
+///
+/// Only the ops that feed the candidates of loops below `depth` run, so
+/// whether a prefix is valid never depends on sets deeper loops would read.
 pub fn for_each_prefix<F: FnMut(&[VertexId])>(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
     depth: usize,
-    mut visitor: F,
+    visitor: F,
 ) {
     let n = plan.num_loops();
     assert!(depth >= 1 && depth <= n);
+    let walk = Walk::enumerate(plan, ctx, depth);
     let mut buffers = SearchBuffers::new(n);
-    let SearchBuffers {
-        depth_bufs,
-        tmp,
-        words,
-        stack,
-    } = &mut buffers;
+    let mut leaf = VisitLeaf(visitor);
     for v in ctx.graph.vertices() {
-        stack.push(v);
-        if depth == 1 {
-            visitor(stack);
-        } else {
-            collect_prefixes(
-                plan,
-                ctx,
-                1,
-                depth,
-                stack,
-                depth_bufs,
-                tmp,
-                words,
-                &mut visitor,
-            );
+        if walk.bind(&[v], &mut buffers) {
+            walk.descend(&mut buffers, &mut leaf);
         }
-        stack.pop();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn collect_prefixes<F: FnMut(&[VertexId])>(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    depth: usize,
-    target: usize,
-    bound: &mut Vec<VertexId>,
-    buffers: &mut [Vec<VertexId>],
-    tmp: &mut Vec<VertexId>,
-    words: &mut Vec<u64>,
-    visitor: &mut F,
-) {
-    let (current_buf, rest) = buffers.split_first_mut().expect("buffer per depth");
-    let Some((candidates, start, end)) =
-        candidate_range(plan, ctx, depth, bound, current_buf, tmp, words)
-    else {
-        return;
-    };
-    for &v in &candidates[start..end] {
-        if bound.contains(&v) {
-            continue;
-        }
-        bound.push(v);
-        if depth + 1 == target {
-            visitor(bound);
-        } else {
-            collect_prefixes(
-                plan,
-                ctx,
-                depth + 1,
-                target,
-                bound,
-                rest,
-                tmp,
-                words,
-                visitor,
-            );
-        }
-        bound.pop();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recurse<F: FnMut(&[VertexId])>(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    depth: usize,
-    bound: &mut Vec<VertexId>,
-    buffers: &mut [Vec<VertexId>],
-    tmp: &mut Vec<VertexId>,
-    words: &mut Vec<u64>,
-    visitor: &mut F,
-) {
-    let n = plan.num_loops();
-    let (current_buf, rest) = buffers.split_first_mut().expect("buffer per depth");
-    let Some((candidates, start, end)) =
-        candidate_range(plan, ctx, depth, bound, current_buf, tmp, words)
-    else {
-        return;
-    };
-    if depth == n - 1 {
-        // Innermost loop: every candidate not already bound is an embedding.
-        for &v in &candidates[start..end] {
-            if bound.contains(&v) {
-                continue;
-            }
-            bound.push(v);
-            visitor(bound);
-            bound.pop();
-        }
-        return;
-    }
-    for &v in &candidates[start..end] {
-        if bound.contains(&v) {
-            continue;
-        }
-        bound.push(v);
-        recurse(plan, ctx, depth + 1, bound, rest, tmp, words, visitor);
-        bound.pop();
-    }
-}
-
-/// The sink-driven twin of [`recurse`]: identical candidate generation and
-/// bound handling, but each embedding goes to a [`MatchSink`] and the walk
-/// unwinds as soon as the sink is full. Returns `false` on early exit.
-///
-/// For sinks that never saturate ([`CountSink`], [`super::sink::OrbitSink`])
-/// the `is_full` check is a constant `false` after monomorphisation, so the
-/// compiled loop matches the closure-based recursion bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn recurse_sink<S: MatchSink>(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    depth: usize,
-    bound: &mut Vec<VertexId>,
-    buffers: &mut [Vec<VertexId>],
-    tmp: &mut Vec<VertexId>,
-    words: &mut Vec<u64>,
-    sink: &mut S,
-) -> bool {
-    let n = plan.num_loops();
-    let (current_buf, rest) = buffers.split_first_mut().expect("buffer per depth");
-    let Some((candidates, start, end)) =
-        candidate_range(plan, ctx, depth, bound, current_buf, tmp, words)
-    else {
-        return true;
-    };
-    if depth == n - 1 {
-        // Innermost loop: every candidate not already bound is an embedding.
-        for &v in &candidates[start..end] {
-            if bound.contains(&v) {
-                continue;
-            }
-            bound.push(v);
-            sink.on_match(bound);
-            bound.pop();
-            if sink.is_full() {
-                return false;
-            }
-        }
-        return true;
-    }
-    for &v in &candidates[start..end] {
-        if bound.contains(&v) {
-            continue;
-        }
-        bound.push(v);
-        let keep_going = recurse_sink(plan, ctx, depth + 1, bound, rest, tmp, words, sink);
-        bound.pop();
-        if !keep_going {
-            return false;
-        }
-    }
-    true
-}
-
-/// Materialises `∩_{v ∈ verts} N(v)` into `out`, choosing the cheapest
-/// available strategy:
-///
-/// * no hubs among `verts` — smallest-first k-way merge/galloping
-///   intersection ([`vertex_set::intersect_many_into`]);
-/// * hubs and at least one non-hub — intersect the (small) non-hub lists,
-///   then probe each survivor against the hub bitset rows (`O(result × k)`
-///   regardless of the hubs' degrees);
-/// * every parent a hub — word-AND the bitset rows and extract the set bits.
-///
-/// Allocation-free: `out`, `tmp` and `words` are caller-owned scratch.
-pub(crate) fn intersect_neighborhoods_into(
-    ctx: ExecCtx<'_>,
-    verts: &[VertexId],
-    out: &mut Vec<VertexId>,
-    tmp: &mut Vec<VertexId>,
-    words: &mut Vec<u64>,
-) {
-    debug_assert!(!verts.is_empty() && verts.len() <= MAX_LOOPS);
-    if let Some(hubs) = ctx.hubs {
-        let mut hub_vs = [0 as VertexId; MAX_LOOPS];
-        let mut lists: [&[VertexId]; MAX_LOOPS] = [&[]; MAX_LOOPS];
-        let (mut nh, mut nl) = (0usize, 0usize);
-        for &v in verts {
-            if hubs.is_hub(v) {
-                hub_vs[nh] = v;
-                nh += 1;
-            } else {
-                lists[nl] = ctx.graph.neighbors(v);
-                nl += 1;
-            }
-        }
-        match (nl, nh) {
-            (0, _) => {
-                hubs.and_rows_into(&hub_vs[..nh], words);
-                HubGraph::extract_bits_into(words, out);
-            }
-            (1, _) => hubs.filter_list_into(&hub_vs[..nh], lists[0], out),
-            _ => {
-                vertex_set::intersect_many_into(&lists[..nl], out, tmp);
-                if nh > 0 {
-                    hubs.retain_adjacent_to_all(&hub_vs[..nh], out);
-                }
-            }
-        }
-    } else {
-        let mut lists: [&[VertexId]; MAX_LOOPS] = [&[]; MAX_LOOPS];
-        for (slot, &v) in lists.iter_mut().zip(verts) {
-            *slot = ctx.graph.neighbors(v);
-        }
-        vertex_set::intersect_many_into(&lists[..verts.len()], out, tmp);
-    }
-}
-
-/// Computes the candidate set of loop `depth` given the currently bound
-/// prefix, returning the slice together with the index range that survives
-/// the restriction bounds. Returns `None` when the range is empty.
-///
-/// The slice aliases either a CSR adjacency list (single non-hub parent) or
-/// the depth's scratch buffer. Allocation-free for any parent count: the
-/// multi-parent branch intersects smallest-first directly into `scratch`
-/// via [`vertex_set::intersect_many_into`] (ping-ponging with `tmp`), and
-/// the hub paths use bit probes or word-ANDs into `words`.
-#[allow(clippy::too_many_arguments)]
-fn candidate_range<'a>(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'a>,
-    depth: usize,
-    bound: &[VertexId],
-    scratch: &'a mut Vec<VertexId>,
-    tmp: &mut Vec<VertexId>,
-    words: &mut Vec<u64>,
-) -> Option<(&'a [VertexId], usize, usize)> {
-    let loop_plan = &plan.loops[depth];
-    let candidates: &[VertexId] = match loop_plan.parents.len() {
-        0 => {
-            // Only the outermost loop may be parentless, and the driver
-            // handles it; a parentless inner loop would require scanning the
-            // whole vertex set, which phase-1 schedules never produce. Fall
-            // back to materialising the full vertex range for generality
-            // (needed when executing deliberately inefficient schedules in
-            // the Figure 9 experiment).
-            scratch.clear();
-            scratch.extend(ctx.graph.vertices());
-            scratch.as_slice()
-        }
-        1 => ctx.graph.neighbors(bound[loop_plan.parents[0]]),
-        _ => {
-            let mut verts = [0 as VertexId; MAX_LOOPS];
-            for (slot, &p) in verts.iter_mut().zip(&loop_plan.parents) {
-                *slot = bound[p];
-            }
-            intersect_neighborhoods_into(
-                ctx,
-                &verts[..loop_plan.parents.len()],
-                scratch,
-                tmp,
-                words,
-            );
-            scratch.as_slice()
-        }
-    };
-
-    // Restriction bounds: candidates must lie strictly between `lower` and
-    // `upper`.
-    let mut lower: Option<VertexId> = None;
-    let mut upper: Option<VertexId> = None;
-    for b in &loop_plan.bounds {
-        match *b {
-            LoopBound::LessThanValueAt(pos) => {
-                let limit = bound[pos];
-                upper = Some(upper.map_or(limit, |u: VertexId| u.min(limit)));
-            }
-            LoopBound::GreaterThanValueAt(pos) => {
-                let limit = bound[pos];
-                lower = Some(lower.map_or(limit, |l: VertexId| l.max(limit)));
-            }
-        }
-    }
-    let start = match lower {
-        Some(l) => candidates.partition_point(|&x| x <= l),
-        None => 0,
-    };
-    let end = match upper {
-        Some(u) => candidates.partition_point(|&x| x < u),
-        None => candidates.len(),
-    };
-    if start >= end {
-        None
-    } else {
-        Some((candidates, start, end))
     }
 }
 
@@ -710,7 +688,7 @@ mod tests {
         let sets = generate_restriction_sets(&house, GenerationOptions::default());
         let plan = plan_for(house, vec![0, 1, 2, 3, 4], sets[0].clone());
         let total = count_embeddings(&plan, &g);
-        for depth in 1..=2 {
+        for depth in 1..=plan.num_loops() {
             let prefixes = enumerate_prefixes(&plan, &g, depth);
             let sum: u64 = prefixes
                 .iter()
@@ -840,6 +818,52 @@ mod tests {
         let est = sink.finish().estimate(1.0);
         assert_eq!(est.estimate, total as f64);
         assert_eq!(est.stderr, 0.0);
+    }
+
+    #[test]
+    fn parentless_inner_loops_scan_every_vertex() {
+        // C, D, E first: E is adjacent to neither, so its loop has no bound
+        // parent (a schedule phase 1 eliminates; Figure 9 still runs them).
+        let g = generators::power_law(60, 4, 23);
+        let house = prefab::house();
+        let sets = generate_restriction_sets(&house, GenerationOptions::default());
+        let efficient = plan_for(house.clone(), vec![0, 1, 2, 3, 4], sets[0].clone());
+        let scanning = plan_for(house, vec![2, 3, 4, 0, 1], sets[0].clone());
+        assert!(scanning.loops[2].parents.is_empty());
+        assert_eq!(
+            count_embeddings(&scanning, &g),
+            count_embeddings(&efficient, &g)
+        );
+        let prefixes = enumerate_prefixes(&scanning, &g, 3);
+        let sum: u64 = prefixes
+            .iter()
+            .map(|p| count_from_prefix(&scanning, &g, p))
+            .sum();
+        assert_eq!(sum, count_embeddings(&efficient, &g));
+    }
+
+    #[test]
+    fn crossed_bounds_leave_an_empty_window() {
+        // id(A) > id(C) > id(B) bounds C's loop from both sides; wherever
+        // the bound A is the smaller of the two the window is crossed.
+        let g = generators::erdos_renyi(60, 400, 11);
+        let restrictions = RestrictionSet::from_pairs(&[(0, 2), (2, 1)]);
+        let plan = plan_for(prefab::triangle(), vec![0, 1, 2], restrictions);
+        assert_eq!(
+            count_embeddings(&plan, &g),
+            graphpi_graph::triangles::count_triangles(&g)
+        );
+    }
+
+    #[test]
+    fn prefixes_do_not_depend_on_deeper_sets() {
+        // (v0, v1) is a task whether or not N(v0) ∩ N(v1), which only loop
+        // 3 reads, is empty: the task set is the candidate windows alone.
+        let g = generators::path(6);
+        let plan = plan_for(prefab::clique(4), vec![0, 1, 2, 3], RestrictionSet::empty());
+        assert_eq!(enumerate_prefixes(&plan, &g, 2).len(), 10);
+        assert_eq!(enumerate_prefixes(&plan, &g, 3).len(), 0);
+        assert_eq!(count_embeddings(&plan, &g), 0);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! * [`cluster`] — a simulated multi-node cluster reproducing the paper's
 //!   distributed task-partitioning and work-stealing design for the
 //!   scalability experiments.
+//! * [`setprog`] — the hoisted set program every plan is lowered to and
+//!   every executor above runs: one intersection per distinct parent set,
+//!   computed where its last parent binds, plus the precomputed IEP leaf.
 //! * [`sink`] — the [`sink::MatchSink`] abstraction that turns the matcher
 //!   into a pipeline: counting, enumeration, per-vertex (orbit) counts and
 //!   sampled approximate counting all share the same kernels.
@@ -22,4 +25,5 @@ pub mod iep;
 pub mod interp;
 pub mod parallel;
 pub mod pool;
+pub mod setprog;
 pub mod sink;

@@ -17,8 +17,10 @@
 //!   varies by orders of magnitude — fine-grained tasks plus stealing is
 //!   exactly what keeps the load balanced.
 //! * A task is an inline fixed-capacity [`PrefixTask`] (`Copy`, no heap),
-//!   and every worker reuses one [`SearchBuffers`]/[`IepScratch`], so the
-//!   steady-state worker loop performs **no heap allocation**.
+//!   and every worker reuses one [`SearchBuffers`], so the steady-state
+//!   worker loop performs **no heap allocation**. A worker replays the set
+//!   ops of the task's bound depths once and walks on from there, so a task
+//!   may be cut at any depth — IEP tasks included.
 //!
 //! Hub acceleration (degree-descending relabeling + bitset rows for the
 //! high-degree core, see [`graphpi_graph::hub`]) plugs in through
@@ -26,7 +28,7 @@
 //! bit-identical with it on or off.
 
 use crate::config::{ExecutionPlan, MAX_LOOPS};
-use crate::exec::iep::{self, IepScratch};
+use crate::exec::iep;
 use crate::exec::interp::{self, ExecCtx, SearchBuffers};
 use crate::exec::sink::{sample_accepts, EmbedSink, ModeShared};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -131,22 +133,6 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-fn clamp_prefix_depth(plan: &ExecutionPlan, options: &ParallelOptions) -> usize {
-    let n = plan.num_loops();
-    let depth = options
-        .prefix_depth
-        .unwrap_or_else(|| default_prefix_depth(plan));
-    let depth = depth.clamp(1, n);
-    match options.mode {
-        // IEP replaces exactly the innermost `iep_suffix_len` loops, so a
-        // task must bind every outer loop: the candidate sets of the suffix
-        // vertices reference parents anywhere in the outer prefix.
-        CountMode::Iep if plan.iep_suffix_len >= 2 => n - plan.iep_suffix_len,
-        _ => depth,
-    }
-    .max(1)
-}
-
 /// Counts embeddings in parallel.
 pub fn count_parallel(plan: &ExecutionPlan, graph: &CsrGraph, options: ParallelOptions) -> u64 {
     if options.hub_bitsets {
@@ -176,10 +162,6 @@ pub fn count_parallel_with_hubs(
 pub(crate) enum ExecPath {
     /// The plan has no loops; the count is zero.
     Empty,
-    /// IEP with non-uniform prefix restrictions: delegate to the sequential
-    /// implementation (rare fallback, not worth a parallel variant of the
-    /// unrestricted re-plan).
-    SequentialIep,
     /// The prefixes are already full embeddings; count them on the calling
     /// thread without materialising anything.
     MasterOnly {
@@ -203,26 +185,18 @@ pub(crate) fn resolve_path(plan: &ExecutionPlan, options: &ParallelOptions) -> E
     if n == 0 {
         return ExecPath::Empty;
     }
-    let depth = clamp_prefix_depth(plan, options);
-
-    // IEP with a too-short suffix silently degrades to enumeration, exactly
-    // like the sequential path.
-    let mode = if options.mode == CountMode::Iep
-        && (plan.iep_suffix_len < 2 || n <= plan.iep_suffix_len)
-    {
-        CountMode::Enumerate
-    } else {
-        options.mode
+    // A plan without an IEP leaf (suffix too short, or an over-count no
+    // division corrects) silently degrades to enumeration, exactly like
+    // the sequential path. With one, tasks stop above the suffix the leaf
+    // replaces.
+    let (mode, deepest) = match (options.mode, plan.program().iep()) {
+        (CountMode::Iep, Some(table)) => (CountMode::Iep, table.outer),
+        _ => (CountMode::Enumerate, n),
     };
-
-    if mode == CountMode::Iep
-        && matches!(
-            plan.iep_correction,
-            crate::config::IepCorrection::DivideUnrestricted { .. }
-        )
-    {
-        return ExecPath::SequentialIep;
-    }
+    let depth = options
+        .prefix_depth
+        .unwrap_or_else(|| default_prefix_depth(plan))
+        .clamp(1, deepest);
 
     if depth == n {
         return ExecPath::MasterOnly { depth };
@@ -249,7 +223,6 @@ pub(crate) fn run_degenerate(
 ) -> Option<u64> {
     match path {
         ExecPath::Empty => Some(0),
-        ExecPath::SequentialIep => Some(iep::count_embeddings_iep_in(plan, ctx)),
         ExecPath::MasterOnly { depth } => {
             let mut count = 0u64;
             interp::for_each_prefix(plan, ctx, depth, |_| count += 1);
@@ -315,11 +288,10 @@ pub(crate) fn count_one_task(
     mode: CountMode,
     prefix: &[VertexId],
     buffers: &mut SearchBuffers,
-    iep_scratch: &mut IepScratch,
 ) -> u64 {
     match mode {
         CountMode::Enumerate => interp::count_from_prefix_with(plan, ctx, prefix, buffers),
-        CountMode::Iep => iep::iep_term_with(plan, ctx, prefix, iep_scratch),
+        CountMode::Iep => iep::iep_term_with(plan, ctx, prefix, buffers),
     }
 }
 
@@ -442,8 +414,7 @@ impl crate::exec::sink::MatchSink for SharedOrbit<'_> {
 
 /// Executes the non-task [`ExecPath`] variants of a **mode** job on the
 /// calling thread; returns `false` for [`ExecPath::Tasks`], which needs
-/// workers. Mode plans are compiled with IEP disabled and executed with
-/// [`CountMode::Enumerate`], so [`ExecPath::SequentialIep`] cannot occur.
+/// workers.
 pub(crate) fn run_mode_degenerate(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
@@ -452,9 +423,6 @@ pub(crate) fn run_mode_degenerate(
 ) -> bool {
     match path {
         ExecPath::Empty => true,
-        ExecPath::SequentialIep => {
-            unreachable!("mode jobs never request IEP execution")
-        }
         ExecPath::MasterOnly { depth } => {
             // Every depth-`depth` prefix is a full embedding; feed each
             // through the shared per-task kernel (prefix == embedding).
@@ -501,7 +469,6 @@ fn run(plan: &ExecutionPlan, ctx: ExecCtx<'_>, options: ParallelOptions) -> u64 
                 // their scratch lives on their stack frame; pool workers
                 // pass in scratch that survives across jobs.
                 let mut buffers = SearchBuffers::new(plan.num_loops());
-                let mut iep_scratch = IepScratch::new();
                 total.fetch_add(
                     process_tasks(
                         plan,
@@ -513,7 +480,6 @@ fn run(plan: &ExecutionPlan, ctx: ExecCtx<'_>, options: ParallelOptions) -> u64 
                         injector,
                         done,
                         &mut buffers,
-                        &mut iep_scratch,
                         std::thread::yield_now,
                     ),
                     Ordering::Relaxed,
@@ -543,14 +509,13 @@ pub(crate) fn process_tasks(
     injector: &Injector<PrefixTask>,
     done: &AtomicBool,
     buffers: &mut SearchBuffers,
-    iep_scratch: &mut IepScratch,
     idle: impl Fn(),
 ) -> u64 {
     let mut local = 0u64;
     loop {
         match next_task(worker, me, stealers, injector) {
             Some(task) => {
-                local += count_one_task(plan, ctx, mode, task.as_slice(), buffers, iep_scratch);
+                local += count_one_task(plan, ctx, mode, task.as_slice(), buffers);
             }
             None => {
                 // No task anywhere. If the master has finished and the
@@ -764,9 +729,10 @@ mod tests {
     }
 
     #[test]
-    fn unrestricted_iep_fallback_in_parallel_api() {
-        // A plan whose IEP correction requires the unrestricted fallback
-        // must still return the exact count through the parallel API.
+    fn non_uniform_plan_is_enumerated_in_parallel() {
+        // A hand-built plan whose over-count no division corrects has no
+        // IEP leaf: asked for IEP, it is enumerated — by tasks, like any
+        // other plan — and the count is exact.
         let g = generators::erdos_renyi(120, 600, 4);
         let pattern = prefab::path_pattern(5);
         let schedule = Schedule::new(&pattern, vec![2, 1, 3, 0, 4]);
@@ -776,16 +742,60 @@ mod tests {
             plan.iep_correction,
             crate::config::IepCorrection::DivideUnrestricted { .. }
         ));
-        let expected = iep::count_embeddings_iep(&plan, &g);
-        let got = count_parallel(
-            &plan,
-            &g,
-            ParallelOptions {
-                threads: 2,
+        let options = ParallelOptions {
+            threads: 2,
+            mode: CountMode::Iep,
+            ..Default::default()
+        };
+        assert!(matches!(
+            resolve_path(&plan, &options),
+            ExecPath::Tasks {
+                mode: CountMode::Enumerate,
+                ..
+            }
+        ));
+        assert_eq!(
+            count_parallel(&plan, &g, options),
+            interp::count_embeddings(&plan, &g)
+        );
+        assert_eq!(
+            iep::count_embeddings_iep(&plan, &g),
+            interp::count_embeddings(&plan, &g)
+        );
+    }
+
+    #[test]
+    fn evaluation_patterns_plan_to_parallel_iep() {
+        // The planner's own pick must be one IEP runs well: a uniform
+        // over-count (P6's cheapest enumeration plan is not), executed as
+        // default-depth tasks rather than on the calling thread.
+        use crate::engine::{GraphPi, PlanOptions};
+        let engine = GraphPi::new(generators::power_law(200, 5, 3));
+        for (name, pattern) in prefab::evaluation_patterns() {
+            let plan = engine.plan(&pattern, PlanOptions::default()).unwrap().plan;
+            assert!(
+                matches!(
+                    plan.iep_correction,
+                    crate::config::IepCorrection::DividePrefixRestricted { .. }
+                ),
+                "{name}: {:?}",
+                plan.iep_correction
+            );
+            let options = ParallelOptions {
                 mode: CountMode::Iep,
                 ..Default::default()
-            },
-        );
-        assert_eq!(got, expected);
+            };
+            assert!(
+                matches!(
+                    resolve_path(&plan, &options),
+                    ExecPath::Tasks {
+                        mode: CountMode::Iep,
+                        depth: 2,
+                        ..
+                    }
+                ),
+                "{name}"
+            );
+        }
     }
 }

@@ -11,9 +11,9 @@
 //! jobs concurrently**:
 //!
 //! * **Workers are spawned once** and live as long as the pool, keeping
-//!   their Chase–Lev deque, [`SearchBuffers`] and [`IepScratch`] alive
-//!   across jobs, so the warm path performs zero thread spawns and zero
-//!   steady-state allocation.
+//!   their Chase–Lev deque and [`SearchBuffers`] alive across jobs, so the
+//!   warm path performs zero thread spawns and zero steady-state
+//!   allocation.
 //! * **Jobs occupy slots.** The pool owns a fixed table of
 //!   [`max_in_flight`](WorkerPool::max_in_flight) job slots. Each slot has
 //!   its **own injector lane**, and every queued task is **tagged** with its
@@ -44,9 +44,14 @@
 //!   issues one `notify_one` per pushed batch *once more than a full batch
 //!   of backlog is sitting unclaimed in its lane*, so a query the submitter
 //!   can chew alone pays zero context switches while a large query's
-//!   backlog ramps up the pool batch by batch. Idle workers poll with a
-//!   short [`Parker`] timeout for a few milliseconds, then park on the
-//!   wakeup condvar until backlog reappears.
+//!   backlog ramps up the pool batch by batch. A worker that finds no task
+//!   anywhere parks on the wakeup condvar until backlog reappears. It does
+//!   not nap and poll first: with tasks around a microsecond a job is over
+//!   before a poller's patience is, and on a core shared with other
+//!   runnable threads the pollers cost those threads more than they save
+//!   the next job (perf ledger, one pinned CPU: `mixed_rw` write p50 −33 %,
+//!   `serve_warm` and `plan_churn` −15–20 % without them; a lone client's
+//!   tiny query on idle cores pays ~10 µs for the futex wake instead).
 //! * **Caller-runs master helping** — after streaming, the submitting
 //!   thread drains its own job's lane itself (with the slot's persistent
 //!   scratch). Tiny jobs often complete entirely on the caller; job
@@ -68,30 +73,16 @@
 //! discipline on `pending`.
 
 use crate::config::{ExecutionPlan, MAX_LOOPS};
-use crate::exec::iep::IepScratch;
 use crate::exec::interp::{ExecCtx, SearchBuffers};
 use crate::exec::parallel::{self, CountMode, ExecPath, ParallelOptions, PrefixTask};
 use crate::exec::sink::ModeShared;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use crossbeam::sync::{Parker, Unparker};
 use graphpi_graph::csr::CsrGraph;
 use graphpi_graph::hub::{HubGraph, HubOptions};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long an idle worker naps before re-checking the job lanes and
-/// sibling deques. Short enough that steal latency stays invisible next to
-/// task runtimes, long enough to release the core on an oversubscribed
-/// machine.
-const IDLE_PARK: Duration = Duration::from_micros(50);
-
-/// Consecutive empty-handed naps before a worker stops polling and parks on
-/// the wakeup condvar (≈3 ms of patience at [`IDLE_PARK`]): bounds idle CPU
-/// between jobs without adding wakeup latency during one.
-const DEEP_IDLE_ROUNDS: u32 = 64;
 
 /// A queued unit of work: a prefix task tagged with the slot index of the
 /// job it belongs to. Tags are what let one worker serve several concurrent
@@ -171,7 +162,6 @@ impl JobSlot {
             done_cv: Condvar::new(),
             scratch: Mutex::new(MasterScratch {
                 buffers: SearchBuffers::new(MAX_LOOPS),
-                iep: IepScratch::new(),
                 deque: Worker::new_lifo(),
             }),
         }
@@ -206,7 +196,6 @@ impl JobSlot {
 /// The persistent scratch of one lane's master (submitting) side.
 struct MasterScratch {
     buffers: SearchBuffers,
-    iep: IepScratch,
     /// The master's own deque for batched lane drains (one injector lock
     /// per [`crossbeam::deque::BATCH`] tasks instead of one per task). Not
     /// registered with the worker stealers: the master only ever holds one
@@ -252,8 +241,6 @@ fn lock_state(shared: &Shared) -> std::sync::MutexGuard<'_, State> {
 /// Dropping the pool shuts the workers down and joins them.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    /// Wakes polling idle workers (one [`Parker`] per worker).
-    unparkers: Vec<Unparker>,
     threads: usize,
     handles: Vec<JoinHandle<()>>,
 }
@@ -302,24 +289,20 @@ impl WorkerPool {
         let stealers: Arc<Vec<Stealer<TaggedTask>>> =
             Arc::new(deques.iter().map(Worker::stealer).collect());
 
-        let mut unparkers = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for (me, deque) in deques.into_iter().enumerate() {
-            let parker = Parker::new();
-            unparkers.push(parker.unparker());
             let shared = Arc::clone(&shared);
             let stealers = Arc::clone(&stealers);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("graphpi-pool-{me}"))
-                    .spawn(move || worker_thread(&shared, me, &deque, &stealers, &parker))
+                    .spawn(move || worker_thread(&shared, me, &deque, &stealers))
                     .expect("spawn pool worker"),
             );
         }
 
         Self {
             shared,
-            unparkers,
             threads,
             handles,
         }
@@ -483,7 +466,6 @@ impl WorkerPool {
                 mode,
                 tagged.task.as_slice(),
                 &mut scratch.buffers,
-                &mut scratch.iep,
             );
         }
         slot.total.fetch_add(local, Ordering::Relaxed);
@@ -591,7 +573,13 @@ impl WorkerPool {
             if slot.panicked.load(Ordering::Relaxed) {
                 continue;
             }
-            parallel::mode_one_task(plan, ctx, shared, tagged.task.as_slice(), &mut scratch.buffers);
+            parallel::mode_one_task(
+                plan,
+                ctx,
+                shared,
+                tagged.task.as_slice(),
+                &mut scratch.buffers,
+            );
         }
 
         drop(scratch_guard);
@@ -627,9 +615,6 @@ impl Drop for WorkerPool {
         drop(lock_state(&self.shared));
         self.shared.job_ready.notify_all();
         self.shared.slot_free.notify_all();
-        for unparker in &self.unparkers {
-            unparker.unpark();
-        }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -721,54 +706,42 @@ impl Drop for JobGuard<'_> {
 
 /// The persistent worker body: scan the job lanes and sibling deques for
 /// tagged tasks (any mix of concurrent jobs), execute each against its own
-/// job's plan with scratch that survives across jobs, and idle adaptively
-/// (short [`Parker`] naps first, deep condvar sleep after
-/// [`DEEP_IDLE_ROUNDS`] empty rounds).
+/// job's plan with scratch that survives across jobs, and sleep on the
+/// wakeup condvar when there is none.
 fn worker_thread(
     shared: &Shared,
     me: usize,
     deque: &Worker<TaggedTask>,
     stealers: &[Stealer<TaggedTask>],
-    parker: &Parker,
 ) {
     // The scratch that makes the warm path allocation-free: created once
     // per worker and reused for every task of every job the pool ever runs.
     let mut buffers = SearchBuffers::new(MAX_LOOPS);
-    let mut iep_scratch = IepScratch::new();
     let mut rotation = me; // fairness: stagger which lane each worker scans first
-    let mut idle_rounds = 0u32;
 
     loop {
         match next_task(deque, me, stealers, &shared.slots, &mut rotation) {
             Some(tagged) => {
-                idle_rounds = 0;
                 let slot = &shared.slots[tagged.slot as usize];
-                run_task(slot, &tagged.task, &mut buffers, &mut iep_scratch);
+                run_task(slot, &tagged.task, &mut buffers);
             }
             None => {
+                // Sleep until a submitter's backlog notify (or shutdown).
+                // Re-check for backlog under the state lock: a batch pushed
+                // before this point is visible here, and one pushed after
+                // will re-notify while we wait. What siblings still hold in
+                // their own deques (at most one stolen batch each) is theirs
+                // to finish.
+                let state = lock_state(shared);
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                if idle_rounds < DEEP_IDLE_ROUNDS {
-                    idle_rounds += 1;
-                    parker.park_timeout(IDLE_PARK);
-                } else {
-                    // Deep sleep until a submitter's backlog notify (or
-                    // shutdown). Re-check for backlog under the state lock:
-                    // a batch pushed before this point is visible here, and
-                    // one pushed after will re-notify while we wait.
-                    let state = lock_state(shared);
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if shared.slots.iter().all(|s| s.injector.is_empty()) {
-                        let woken = shared
-                            .job_ready
-                            .wait(state)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        drop(woken);
-                    }
-                    idle_rounds = 0;
+                if shared.slots.iter().all(|s| s.injector.is_empty()) {
+                    let woken = shared
+                        .job_ready
+                        .wait(state)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    drop(woken);
                 }
             }
         }
@@ -778,12 +751,7 @@ fn worker_thread(
 /// Executes one tagged task against its job slot, isolating panics to that
 /// job, then accounts it. Tasks of a job already marked panicked are
 /// discarded (accounted without execution).
-fn run_task(
-    slot: &JobSlot,
-    task: &PrefixTask,
-    buffers: &mut SearchBuffers,
-    iep_scratch: &mut IepScratch,
-) {
+fn run_task(slot: &JobSlot, task: &PrefixTask, buffers: &mut SearchBuffers) {
     if !slot.panicked.load(Ordering::Relaxed) {
         // SAFETY: we hold a popped, not-yet-accounted task of this slot's
         // job, so the submitter is still blocked from returning and the
@@ -807,7 +775,7 @@ fn run_task(
                 } else {
                     CountMode::Enumerate
                 };
-                parallel::count_one_task(plan, ctx, mode, task.as_slice(), buffers, iep_scratch)
+                parallel::count_one_task(plan, ctx, mode, task.as_slice(), buffers)
             } else {
                 // Mode job: results fold into the shared mode state; the
                 // slot total stays zero.
@@ -1217,7 +1185,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_iep_unrestricted_fallback_matches_sequential() {
+    fn pool_enumerates_non_uniform_plans_like_the_sequential_path() {
         use crate::schedule::Schedule;
         use graphpi_pattern::restriction::RestrictionSet;
         let g = generators::erdos_renyi(100, 500, 5);

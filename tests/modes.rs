@@ -231,3 +231,55 @@ fn sample_estimates_within_ci_at_fixed_seed() {
         ));
     }
 }
+
+/// FNV-1a over a `u64` stream: one number that pins a whole result.
+fn fingerprint(values: impl IntoIterator<Item = u64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The sink modes' results on a pinned graph, recorded at the commit before
+/// the interpreter moved to hoisted set programs: per-vertex counts, the
+/// embeddings a bounded sequential enumeration stops at (i.e. the visit
+/// order) and a fixed-seed sample (i.e. the task decomposition) must not
+/// have moved by a bit.
+#[test]
+fn sink_modes_are_bit_identical_to_the_recompute_interpreter() {
+    use graphpi::core::config::Configuration;
+    use graphpi::core::exec::interp::{match_embeddings_in, ExecCtx};
+    use graphpi::core::exec::sink::EmbedSink;
+    use graphpi::core::Schedule;
+    use graphpi::pattern::restriction::RestrictionSet;
+
+    let graph = generators::power_law(150, 4, 0x5EED);
+    let pattern = prefab::house();
+    let engine = GraphPi::new(graph.clone());
+    let session = engine.session();
+
+    let orbit = session.count_per_vertex(&pattern).unwrap();
+    assert_eq!(fingerprint(orbit.iter().copied()), PINNED_ORBIT);
+
+    let approx = session.count_approx(&pattern, 0.3, 7).unwrap();
+    assert_eq!(
+        (approx.estimate.to_bits(), approx.stderr.to_bits()),
+        PINNED_SAMPLE
+    );
+    assert_eq!((approx.sampled_tasks, approx.total_tasks), PINNED_TASKS);
+
+    let schedule = Schedule::new(&pattern, vec![0, 1, 2, 3, 4]);
+    let plan = Configuration::new(pattern, schedule, RestrictionSet::from_pairs(&[(0, 1)]))
+        .compile_with_iep(false);
+    let mut page = EmbedSink::new(5, 1_000);
+    match_embeddings_in(&plan, ExecCtx::new(&graph), 2, &mut page);
+    assert_eq!(page.len(), 1_000);
+    assert_eq!(
+        fingerprint(page.vertices().iter().map(|&v| v as u64)),
+        PINNED_PAGE
+    );
+}
+
+const PINNED_ORBIT: u64 = 18_040_342_854_661_671_641;
+const PINNED_SAMPLE: (u64, u64) = (4_671_968_026_183_772_843, 4_661_461_067_838_852_423);
+const PINNED_TASKS: (u64, u64) = (179, 590);
+const PINNED_PAGE: u64 = 11_921_581_192_696_166_922;

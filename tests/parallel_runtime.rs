@@ -142,6 +142,92 @@ fn hub_option_through_parallel_options_matches_plain() {
     assert_eq!(plain, hubbed);
 }
 
+/// The hoisted executor against the naive ground truth: every evaluation
+/// pattern, as the engine plans it, counted by enumeration and by IEP across
+/// threads × hub layout × kernel family — and cut into tasks at **every**
+/// depth, IEP tasks shallower than `n − k` included, whose terms must add up
+/// to the same total.
+#[test]
+fn hoisted_counts_match_naive_across_the_execution_matrix_and_task_depths() {
+    use graphpi::baseline::naive;
+    use graphpi::core::engine::{CountOptions, GraphPi, PlanOptions};
+    use graphpi::core::exec::iep;
+
+    let graph = generators::power_law(36, 4, 77);
+    let engine = GraphPi::new(graph.clone());
+    // Low thresholds, so a graph this small has a hub core to probe.
+    let hubs = HubGraph::build(
+        &graph,
+        HubOptions {
+            max_hubs: 12,
+            min_degree: 4,
+        },
+    );
+    assert!(hubs.hub_count() > 0);
+    for (name, pattern) in prefab::evaluation_patterns() {
+        let expected = naive::count_embeddings(&pattern, &graph);
+        let plan = engine.plan(&pattern, PlanOptions::default()).unwrap().plan;
+        for threads in [1usize, 4] {
+            for scalar_kernels in [true, false] {
+                for use_iep in [false, true] {
+                    let options = CountOptions {
+                        use_iep,
+                        threads,
+                        scalar_kernels,
+                        ..CountOptions::default()
+                    };
+                    assert_eq!(
+                        engine.execute_count(&plan, options),
+                        expected,
+                        "{name}: {options:?}"
+                    );
+                    // Same kernel pin (it is process-global), hub layout.
+                    assert_eq!(
+                        count_parallel_with_hubs(&plan, &hubs, options.parallel_options()),
+                        expected,
+                        "{name}: {options:?}, hubs"
+                    );
+                }
+            }
+        }
+
+        let n = plan.num_loops();
+        for depth in 1..=n {
+            let prefixes = interp::enumerate_prefixes(&plan, &graph, depth);
+            let sum: u64 = prefixes
+                .iter()
+                .map(|p| interp::count_from_prefix(&plan, &graph, p))
+                .sum();
+            assert_eq!(sum, expected, "{name}: enumeration tasks at depth {depth}");
+            if depth <= n - plan.iep_suffix_len {
+                let raw: u64 = prefixes
+                    .iter()
+                    .map(|p| iep::iep_term(&plan, &graph, p))
+                    .sum();
+                assert_eq!(
+                    raw / plan.iep_correction.divisor(),
+                    expected,
+                    "{name}: IEP tasks at depth {depth}"
+                );
+            }
+        }
+        // The executors cut IEP jobs wherever they are asked to.
+        for prefix_depth in 1..=n {
+            let got = count_parallel(
+                &plan,
+                &graph,
+                ParallelOptions {
+                    threads: 3,
+                    prefix_depth: Some(prefix_depth),
+                    mode: CountMode::Iep,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(got, expected, "{name}: IEP job at depth {prefix_depth}");
+        }
+    }
+}
+
 /// Strategy: a random simple graph with `4..max_vertices` vertices.
 fn arb_graph(max_vertices: usize, max_edges: usize) -> impl Strategy<Value = CsrGraph> {
     (
