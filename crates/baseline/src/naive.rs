@@ -56,7 +56,7 @@ pub fn canonical_embedding(auts: &[Permutation], mapping: &[VertexId]) -> Vec<Ve
     let mut best: Option<Vec<VertexId>> = None;
     for perm in auts {
         let candidate: Vec<VertexId> = (0..mapping.len()).map(|i| mapping[perm.apply(i)]).collect();
-        if best.as_ref().is_none_or(|b| candidate < *b) {
+        if best.as_ref().map_or(true, |b| candidate < *b) {
             best = Some(candidate);
         }
     }

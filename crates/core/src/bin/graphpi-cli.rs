@@ -64,7 +64,7 @@
 //! the chaos tests drive.
 //!
 //! `remote --mode=orbit|sample` sends the same mode queries over the wire
-//! (protocol v2's `CountRequest` mode byte), and `remote --enumerate
+//! (the `CountRequest` mode byte), and `remote --enumerate
 //! --limit N` streams the embeddings themselves as paged `ENUM_PAGE`
 //! frames (`--page-size` caps embeddings per page). Enumeration carries
 //! no idempotency key: the retrying client re-issues it only while zero
@@ -1088,41 +1088,48 @@ fn run_chaos_proxy(args: &ChaosProxyArgs) -> Result<(), String> {
     proxy.run().map_err(|e| e.to_string())
 }
 
-/// Sends a deliberately malformed frame (wrong magic) on a raw socket and
-/// verifies the server answers with a typed error (or cleanly drops the
-/// connection) and keeps serving afterwards.
+/// Sends two deliberately unacceptable frames — one with a corrupt magic,
+/// one well-formed but carrying the retired protocol version 1 — each on
+/// its own raw socket, and verifies the server answers with a typed error
+/// (or cleanly drops the connection) and keeps serving afterwards.
 fn probe_malformed(addr: &str) -> Result<(), String> {
     use std::io::Write;
-    let mut stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| format!("failed to connect to {addr}: {e}"))?;
     // Valid length prefix, corrupt magic: the server must not crash.
     let mut garbage = Vec::new();
     garbage.extend_from_slice(&8u32.to_le_bytes());
     garbage.extend_from_slice(b"XXxx\x01\x02\x03\x04");
-    stream
-        .write_all(&garbage)
-        .map_err(|e| format!("probe write failed: {e}"))?;
-    match protocol::read_frame(&mut stream) {
-        Ok(frame) if frame.opcode == protocol::op::ERROR => {
-            let detail = protocol::WireError::decode(&frame.payload)
-                .map(|e| e.code.to_string())
-                .unwrap_or_else(|| "undecodable".to_string());
-            println!("probe: malformed frame answered with typed error ({detail})");
+    let mut v1_ping = protocol::Frame::new(protocol::op::PING, vec![]).encode();
+    v1_ping[6] = 1;
+    for (what, bytes) in [("malformed", garbage), ("protocol-v1", v1_ping)] {
+        let mut stream = std::net::TcpStream::connect(addr)
+            .map_err(|e| format!("failed to connect to {addr}: {e}"))?;
+        stream
+            .write_all(&bytes)
+            .map_err(|e| format!("probe write failed: {e}"))?;
+        match protocol::read_frame(&mut stream) {
+            Ok(frame) if frame.opcode == protocol::op::ERROR => {
+                let detail = protocol::WireError::decode(&frame.payload)
+                    .map(|e| e.code.to_string())
+                    .unwrap_or_else(|| "undecodable".to_string());
+                println!("probe: {what} frame answered with typed error ({detail})");
+            }
+            Ok(frame) => {
+                return Err(format!(
+                    "probe: unexpected reply opcode {:#04x} to a {what} frame",
+                    frame.opcode
+                ))
+            }
+            Err(NetError::Closed) => {
+                println!("probe: {what} frame dropped the connection cleanly")
+            }
+            Err(e) => return Err(format!("probe: unexpected failure: {e}")),
         }
-        Ok(frame) => {
-            return Err(format!(
-                "probe: unexpected reply opcode {:#04x} to a malformed frame",
-                frame.opcode
-            ))
-        }
-        Err(NetError::Closed) => println!("probe: malformed frame dropped the connection cleanly"),
-        Err(e) => return Err(format!("probe: unexpected failure: {e}")),
+        // The server must still be alive for everyone else.
+        Client::connect(addr)
+            .and_then(|mut c| c.ping())
+            .map_err(|e| format!("probe: server unreachable after the {what} frame: {e}"))?;
+        println!("probe: server still answers ping after the {what} frame");
     }
-    // The server must still be alive for everyone else.
-    Client::connect(addr)
-        .and_then(|mut c| c.ping())
-        .map_err(|e| format!("probe: server unreachable after malformed frame: {e}"))?;
-    println!("probe: server still answers ping after the malformed frame");
     Ok(())
 }
 

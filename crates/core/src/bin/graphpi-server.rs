@@ -20,7 +20,7 @@
 //! the background while serving, so even `kill -9` loses at most one
 //! interval of warmth.
 //!
-//! With `--wal <path>` the graph is **mutable and durable**: the v2
+//! With `--wal <path>` the graph is **mutable and durable**: the
 //! `UPDATE` opcode commits edge batches that are fsync'd to the
 //! write-ahead log before they become visible, queries pin generation
 //! snapshots, and a restart with the same `--graph` and `--wal` replays
@@ -37,7 +37,7 @@
 //! (so the replica is itself crash-safe), answers `COUNT`/`STATS`/
 //! `HEALTH` (reporting its role and replication lag), and refuses
 //! `UPDATE` with `NOT_PRIMARY` carrying the primary's address. `SIGUSR1`
-//! or the v2 `PROMOTE` opcode (`graphpi-cli promote`) promotes it: the
+//! or the `PROMOTE` opcode (`graphpi-cli promote`) promotes it: the
 //! subscription is sealed and the server flips to read-write primary.
 
 use graphpi_core::config::{PoolOptions, ServeOptions};

@@ -1408,7 +1408,7 @@ mod tests {
         let engine = engine();
         let pattern = prefab::house();
         let (pool, plan_opts, _) = small_session_options();
-        let plain = engine.session_with(pool.clone(), plan_opts, CountOptions::default());
+        let plain = engine.session_with(pool, plan_opts, CountOptions::default());
         let hub = engine.session_with(
             pool,
             plan_opts,

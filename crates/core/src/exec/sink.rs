@@ -471,8 +471,10 @@ mod tests {
         for v in 0..100u32 {
             assert!(sample_accepts(3, 1.0, &[v]));
         }
-        let mut accum = SampleAccum::default();
-        accum.total = 10;
+        let mut accum = SampleAccum {
+            total: 10,
+            ..SampleAccum::default()
+        };
         for y in [5u64, 0, 7, 3, 1, 0, 0, 2, 9, 4] {
             accum.record(y);
         }

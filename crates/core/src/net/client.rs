@@ -1,20 +1,22 @@
 //! The GraphPi client library: a thin, synchronous request/response layer
 //! over any [`Transport`], plus the retrying client built on top of it.
 //!
-//! `Client` is what `graphpi-cli remote` and the network tests are built
-//! on. Each method sends exactly one request frame and blocks for exactly
-//! one response frame; a typed server error ([`op::ERROR`]) surfaces as
-//! [`NetError::Remote`] with its [`ErrorCode`] intact, so callers can
-//! distinguish "your deadline expired" from "your pattern is disconnected"
-//! without string matching.
+//! [`Client`] is what `graphpi-cli remote` and the network tests are built
+//! on, and the only code that builds a request, sends it, and reads the
+//! reply. Each method sends exactly one request frame and blocks for
+//! exactly one response frame (a page stream, for enumeration); a typed
+//! server error ([`op::ERROR`]) surfaces as [`NetError::Remote`] with its
+//! [`ErrorCode`] intact, so callers can distinguish "your deadline
+//! expired" from "your pattern is disconnected" without string matching.
 //!
-//! [`RetryingClient`] wraps the same wire exchange in a [`RetryPolicy`]:
-//! bounded attempts, exponential backoff with seeded jitter, per-attempt
-//! and overall deadlines, and automatic reconnect through a caller-
-//! supplied connector. COUNT retries carry a client-generated request ID
-//! so a resend after an *ambiguous* failure (reply lost mid-read) is
-//! answered from the server's completed-request ledger instead of
-//! double-executing.
+//! [`RetryingClient`] runs that same client through one [`RetryPolicy`]
+//! loop: bounded attempts, exponential backoff with seeded jitter,
+//! per-attempt and overall deadlines, and automatic reconnect through a
+//! caller-supplied connector. COUNT and UPDATE retries carry a
+//! client-generated request ID so a resend after an *ambiguous* failure
+//! (reply lost mid-read) is answered from the server's completed-request
+//! ledger instead of double-executing. [`FailoverClient`] is endpoint
+//! routing over two of those.
 
 use super::chaos::SplitMix64;
 use super::protocol::{
@@ -23,6 +25,7 @@ use super::protocol::{
     WireError, MAX_UPDATE_EDGES,
 };
 use graphpi_pattern::Pattern;
+use std::cell::Cell;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -46,8 +49,7 @@ pub struct RemoteCountOptions {
     /// up and shedding with `RETRY_LATER` past its wait budget.
     pub min_generation: u64,
     /// Execution mode: a plain count (default), per-vertex orbit counts
-    /// (summarised in the reply), or a seeded sampled estimate
-    /// (protocol v2).
+    /// (summarised in the reply), or a seeded sampled estimate.
     pub mode: QueryMode,
 }
 
@@ -102,7 +104,10 @@ pub struct RemoteCount {
     pub ext: CountExt,
 }
 
-/// A synchronous GraphPi protocol client over any [`Transport`].
+/// A synchronous GraphPi protocol client over any [`Transport`]. A receive
+/// timeout configured on the transport bounds the wait for each reply
+/// frame: a quiet expiry surfaces as [`NetError::Idle`] (the TCP transport
+/// of [`Client::connect`] has none and waits as long as the query runs).
 #[derive(Debug)]
 pub struct Client<T: Transport = TcpTransport> {
     transport: T,
@@ -115,6 +120,9 @@ impl Client<TcpTransport> {
     }
 }
 
+/// The probe payload `PING` sends and expects echoed.
+const PING_PAYLOAD: [u8; 3] = [0xA5, 0x5A, 0x42];
+
 impl<T: Transport> Client<T> {
     /// Wraps an existing transport.
     pub fn new(transport: T) -> Self {
@@ -126,38 +134,45 @@ impl<T: Transport> Client<T> {
         self.transport
     }
 
-    /// Sends one request and receives its response, surfacing server
-    /// [`op::ERROR`] frames as [`NetError::Remote`].
-    fn roundtrip(&mut self, request: &Frame, expect: u8) -> Result<Frame, NetError> {
-        self.transport.send(request)?;
-        let response = loop {
-            match self.transport.recv() {
-                Ok(frame) => break frame,
-                // Only surfaced when the caller configured a read timeout
-                // on the transport; the query is still running, keep
-                // waiting.
-                Err(NetError::Idle) => continue,
-                Err(error) => return Err(error),
-            }
-        };
-        if response.opcode == op::ERROR {
-            let error = WireError::decode(&response.payload)
+    /// Receives the next reply frame, which must carry opcode `expect`;
+    /// a server [`op::ERROR`] frame surfaces as [`NetError::Remote`].
+    fn recv_reply(&mut self, expect: u8) -> Result<Frame, NetError> {
+        let frame = self.transport.recv()?;
+        if frame.opcode == op::ERROR {
+            let error = WireError::decode(&frame.payload)
                 .ok_or(NetError::Protocol("undecodable error payload"))?;
             return Err(error.into_net_error());
         }
-        if response.opcode != expect {
+        if frame.opcode != expect {
             return Err(NetError::Protocol(
                 "response opcode does not match the request",
             ));
         }
-        Ok(response)
+        Ok(frame)
+    }
+
+    /// Sends one request frame and receives its one reply frame.
+    fn exchange(&mut self, opcode: u8, payload: Vec<u8>, expect: u8) -> Result<Frame, NetError> {
+        self.transport.send(&Frame::new(opcode, payload))?;
+        self.recv_reply(expect)
+    }
+
+    /// [`Client::exchange`] plus decoding the reply payload.
+    fn call<R>(
+        &mut self,
+        opcode: u8,
+        payload: Vec<u8>,
+        expect: u8,
+        decode: fn(&[u8]) -> Option<R>,
+    ) -> Result<R, NetError> {
+        let reply = self.exchange(opcode, payload, expect)?;
+        decode(&reply.payload).ok_or(NetError::Protocol("undecodable reply payload"))
     }
 
     /// Liveness probe: sends `PING`, expects the payload echoed back.
     pub fn ping(&mut self) -> Result<(), NetError> {
-        let payload = vec![0xA5, 0x5A, 0x42];
-        let response = self.roundtrip(&Frame::new(op::PING, payload.clone()), op::PONG)?;
-        if response.payload != payload {
+        let reply = self.exchange(op::PING, PING_PAYLOAD.to_vec(), op::PONG)?;
+        if reply.payload != PING_PAYLOAD {
             return Err(NetError::Protocol("pong payload was not echoed"));
         }
         Ok(())
@@ -183,9 +198,7 @@ impl<T: Transport> Client<T> {
             mode: options.mode,
             pattern: pattern.canonical_bytes(),
         };
-        let response = self.roundtrip(&Frame::new(op::COUNT, request.encode()), op::COUNT_OK)?;
-        let ok = CountOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable COUNT_OK payload"))?;
+        let ok = self.call(op::COUNT, request.encode(), op::COUNT_OK, CountOk::decode)?;
         Ok(RemoteCount {
             count: ok.count,
             elapsed: Duration::from_micros(ok.elapsed_micros),
@@ -194,7 +207,7 @@ impl<T: Transport> Client<T> {
     }
 
     /// Enumerates up to `limit` embeddings with default options,
-    /// collecting every streamed page (protocol v2).
+    /// collecting every streamed page.
     pub fn enumerate(
         &mut self,
         pattern: &Pattern,
@@ -216,6 +229,19 @@ impl<T: Transport> Client<T> {
         limit: u64,
         options: RemoteEnumerateOptions,
     ) -> Result<RemoteEnumeration, NetError> {
+        self.enumerate_paged(pattern, limit, options, &Cell::new(0))
+    }
+
+    /// The one page-collecting loop. `pages` counts the pages received so
+    /// far, so a caller can tell — even on failure — whether any of the
+    /// stream arrived.
+    fn enumerate_paged(
+        &mut self,
+        pattern: &Pattern,
+        limit: u64,
+        options: RemoteEnumerateOptions,
+        pages: &Cell<u64>,
+    ) -> Result<RemoteEnumeration, NetError> {
         let request = EnumerateRequest {
             hub_bitsets: options.hub_bitsets,
             deadline_ms: options.deadline_ms,
@@ -225,46 +251,31 @@ impl<T: Transport> Client<T> {
         };
         self.transport
             .send(&Frame::new(op::ENUMERATE, request.encode()))?;
-        let mut result = RemoteEnumeration {
-            embeddings: Vec::new(),
-            pages: 0,
-        };
+        pages.set(0);
+        let mut embeddings = Vec::new();
         loop {
-            let frame = match self.transport.recv() {
-                Ok(frame) => frame,
-                Err(NetError::Idle) => continue,
-                Err(error) => return Err(error),
-            };
-            if frame.opcode == op::ERROR {
-                let error = WireError::decode(&frame.payload)
-                    .ok_or(NetError::Protocol("undecodable error payload"))?;
-                return Err(error.into_net_error());
-            }
-            if frame.opcode != op::ENUM_PAGE {
-                return Err(NetError::Protocol(
-                    "response opcode does not match the request",
-                ));
-            }
+            let frame = self.recv_reply(op::ENUM_PAGE)?;
             let page = EnumPage::decode(&frame.payload)
-                .ok_or(NetError::Protocol("undecodable ENUM_PAGE payload"))?;
+                .ok_or(NetError::Protocol("undecodable reply payload"))?;
             if usize::from(page.pattern_size) != pattern.num_vertices() {
                 return Err(NetError::Protocol(
                     "page pattern size does not match the request",
                 ));
             }
-            result.pages += 1;
-            result
-                .embeddings
-                .extend(page.embeddings().map(<[u32]>::to_vec));
+            pages.set(pages.get() + 1);
+            embeddings.extend(page.embeddings().map(<[u32]>::to_vec));
             if page.last {
-                return Ok(result);
+                return Ok(RemoteEnumeration {
+                    embeddings,
+                    pages: pages.get(),
+                });
             }
         }
     }
 
-    /// Commits one edge batch (protocol v2). Inserts apply before
-    /// deletes; the reply carries the generation the batch produced.
-    /// Static servers answer [`ErrorCode::ReadOnly`].
+    /// Commits one edge batch. Inserts apply before deletes; the reply
+    /// carries the generation the batch produced. Static servers answer
+    /// [`ErrorCode::ReadOnly`].
     pub fn update(
         &mut self,
         inserts: &[(u32, u32)],
@@ -273,69 +284,58 @@ impl<T: Transport> Client<T> {
         self.update_with(inserts, deletes, RemoteUpdateOptions::default())
     }
 
-    /// Commits one edge batch with explicit options.
+    /// Commits one edge batch with explicit options. Batches that cannot
+    /// fit one frame are refused before anything is sent — the caller
+    /// must split them (see [`MAX_UPDATE_EDGES`]).
     pub fn update_with(
         &mut self,
         inserts: &[(u32, u32)],
         deletes: &[(u32, u32)],
         options: RemoteUpdateOptions,
     ) -> Result<UpdateOk, NetError> {
-        let request = encode_update(inserts, deletes, options)?;
-        let response = self.roundtrip(&Frame::new(op::UPDATE, request.encode()), op::UPDATE_OK)?;
-        UpdateOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable UPDATE_OK payload"))
+        if inserts.len().saturating_add(deletes.len()) > MAX_UPDATE_EDGES {
+            return Err(NetError::Protocol(
+                "update batch exceeds one frame; split it into MAX_UPDATE_EDGES chunks",
+            ));
+        }
+        let request = UpdateRequest {
+            deadline_ms: options.deadline_ms,
+            request_id: options.request_id,
+            inserts: inserts.to_vec(),
+            deletes: deletes.to_vec(),
+        };
+        self.call(
+            op::UPDATE,
+            request.encode(),
+            op::UPDATE_OK,
+            UpdateOk::decode,
+        )
     }
 
     /// Fetches the server's counter snapshot.
     pub fn stats(&mut self) -> Result<StatsOk, NetError> {
-        let response = self.roundtrip(&Frame::new(op::STATS, vec![]), op::STATS_OK)?;
-        StatsOk::decode(&response.payload).ok_or(NetError::Protocol("undecodable STATS_OK payload"))
+        self.call(op::STATS, vec![], op::STATS_OK, StatsOk::decode)
     }
 
-    /// Probes server readiness (protocol v2): ready, draining, or
-    /// overloaded, with a retry-after hint when not ready.
+    /// Probes server readiness: ready, draining, or overloaded, with a
+    /// retry-after hint when not ready.
     pub fn health(&mut self) -> Result<HealthOk, NetError> {
-        let response = self.roundtrip(&Frame::new(op::HEALTH, vec![]), op::HEALTH_OK)?;
-        HealthOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable HEALTH_OK payload"))
+        self.call(op::HEALTH, vec![], op::HEALTH_OK, HealthOk::decode)
     }
 
-    /// Asks a replica to promote itself to primary (protocol v2),
-    /// blocking until its apply loop seals the stream. Idempotent on a
-    /// server that is already primary. Returns the sealed generation.
+    /// Asks a replica to promote itself to primary, blocking until its
+    /// apply loop seals the stream. Idempotent on a server that is already
+    /// primary. Returns the sealed generation.
     pub fn promote(&mut self) -> Result<PromoteOk, NetError> {
-        let response = self.roundtrip(&Frame::new(op::PROMOTE, vec![]), op::PROMOTE_OK)?;
-        PromoteOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable PROMOTE_OK payload"))
+        self.call(op::PROMOTE, vec![], op::PROMOTE_OK, PromoteOk::decode)
     }
 
     /// Asks the server to drain and exit. The server acknowledges, then
     /// closes this connection.
     pub fn shutdown_server(&mut self) -> Result<(), NetError> {
-        self.roundtrip(&Frame::new(op::SHUTDOWN, vec![]), op::SHUTDOWN_OK)?;
+        self.exchange(op::SHUTDOWN, vec![], op::SHUTDOWN_OK)?;
         Ok(())
     }
-}
-
-/// Builds the wire request for an update, refusing batches that cannot
-/// fit one frame (the caller must split them — see
-/// [`MAX_UPDATE_EDGES`]).
-fn encode_update(
-    inserts: &[(u32, u32)],
-    deletes: &[(u32, u32)],
-    options: RemoteUpdateOptions,
-) -> Result<UpdateRequest, NetError> {
-    if inserts.len().saturating_add(deletes.len()) > MAX_UPDATE_EDGES {
-        return Err(NetError::Protocol(
-            "update batch exceeds one frame; split it into MAX_UPDATE_EDGES chunks",
-        ));
-    }
-    Ok(UpdateRequest {
-        deadline_ms: options.deadline_ms,
-        request_id: options.request_id,
-        inserts: inserts.to_vec(),
-        deletes: deletes.to_vec(),
-    })
 }
 
 /// Convenience: is this error the server saying "deadline exceeded"?
@@ -445,17 +445,18 @@ pub struct RetryStats {
     pub hints_honored: u64,
 }
 
-type Connector = Box<dyn FnMut() -> Result<Box<dyn Transport + Send>, NetError> + Send>;
+type BoxedTransport = Box<dyn Transport + Send>;
+type Connector = Box<dyn FnMut() -> Result<BoxedTransport, NetError> + Send>;
 
 /// A [`Client`] wrapped in a [`RetryPolicy`]: reconnects through a
 /// caller-supplied connector, classifies failures via [`is_retryable`],
 /// sleeps the policy's jittered backoff (stretched to any server
-/// retry-after hint), and tags COUNT queries with request IDs so
-/// ambiguous failures are safe to resend.
+/// retry-after hint), and tags COUNT and UPDATE requests with request IDs
+/// so ambiguous failures are safe to resend.
 pub struct RetryingClient {
     connector: Connector,
     policy: RetryPolicy,
-    transport: Option<Box<dyn Transport + Send>>,
+    client: Option<Client<BoxedTransport>>,
     id_rng: SplitMix64,
     stats: RetryStats,
 }
@@ -471,7 +472,7 @@ impl RetryingClient {
         Self {
             connector: Box::new(connector),
             policy,
-            transport: None,
+            client: None,
             // Offset the ID stream from the jitter stream so the two
             // deterministic sequences never correlate.
             id_rng: SplitMix64::new(policy.seed ^ 0x1D0_C0DE),
@@ -482,10 +483,7 @@ impl RetryingClient {
     /// Retrying client dialing `addr` over plain TCP.
     pub fn connect_tcp(addr: std::net::SocketAddr, policy: RetryPolicy) -> Self {
         Self::new(
-            move || {
-                let transport = TcpTransport::connect(addr)?;
-                Ok(Box::new(transport) as Box<dyn Transport + Send>)
-            },
+            move || Ok(Box::new(TcpTransport::connect(addr)?) as BoxedTransport),
             policy,
         )
     }
@@ -504,7 +502,7 @@ impl RetryingClient {
     /// the connector. Lets failover logic force a re-route without
     /// waiting for the dead socket to fail an exchange.
     pub fn disconnect(&mut self) {
-        self.transport = None;
+        self.client = None;
     }
 
     /// Counts embeddings of `pattern` with default options, retrying per
@@ -524,24 +522,7 @@ impl RetryingClient {
         if options.request_id == 0 {
             options.request_id = self.next_request_id();
         }
-        let request = CountRequest {
-            no_iep: options.no_iep,
-            hub_bitsets: options.hub_bitsets,
-            deadline_ms: options.deadline_ms,
-            request_id: options.request_id,
-            min_generation: options.min_generation,
-            mode: options.mode,
-            pattern: pattern.canonical_bytes(),
-        };
-        let frame = Frame::new(op::COUNT, request.encode());
-        let response = self.exchange_with_retries(&frame, op::COUNT_OK)?;
-        let ok = CountOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable COUNT_OK payload"))?;
-        Ok(RemoteCount {
-            count: ok.count,
-            elapsed: Duration::from_micros(ok.elapsed_micros),
-            ext: ok.ext,
-        })
+        self.with_retries(|client| client.count_with(pattern, options), || true)
     }
 
     /// Enumerates up to `limit` embeddings with default options, with
@@ -567,122 +548,11 @@ impl RetryingClient {
         limit: u64,
         options: RemoteEnumerateOptions,
     ) -> Result<RemoteEnumeration, NetError> {
-        let started = Instant::now();
-        let deadline = self.policy.overall_deadline.map(|limit| started + limit);
-        let schedule = self.policy.backoff_schedule();
-        let mut last_error = NetError::Closed;
-        for attempt in 0..self.policy.max_attempts.max(1) {
-            if attempt > 0 {
-                self.stats.retries += 1;
-            }
-            self.stats.attempts += 1;
-            match self.try_enumerate_once(pattern, limit, options, deadline) {
-                Ok(result) => return Ok(result),
-                Err((error, pages_received)) => {
-                    // The stream is in an unknown state after any failure;
-                    // always reconnect before the next attempt.
-                    self.transport = None;
-                    if pages_received > 0 || !is_retryable(&error) {
-                        return Err(error);
-                    }
-                    let wait = schedule
-                        .get(attempt as usize)
-                        .copied()
-                        .unwrap_or(Duration::ZERO);
-                    last_error = error;
-                    if attempt + 1 >= self.policy.max_attempts.max(1) {
-                        break;
-                    }
-                    if let Some(deadline) = deadline {
-                        if Instant::now() + wait >= deadline {
-                            return Err(last_error);
-                        }
-                    }
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
-                }
-            }
-        }
-        Err(last_error)
-    }
-
-    /// One enumeration attempt; on failure, reports how many pages had
-    /// already arrived (the retry-safety signal).
-    fn try_enumerate_once(
-        &mut self,
-        pattern: &Pattern,
-        limit: u64,
-        options: RemoteEnumerateOptions,
-        deadline: Option<Instant>,
-    ) -> Result<RemoteEnumeration, (NetError, u64)> {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                return Err((NetError::Idle, 0));
-            }
-        }
-        if self.transport.is_none() {
-            self.stats.connects += 1;
-            self.transport = Some((self.connector)().map_err(|e| (e, 0))?);
-        }
-        let transport = self.transport.as_mut().expect("connected above");
-        let mut timeout = self.policy.attempt_timeout;
-        if let Some(deadline) = deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            timeout = Some(
-                timeout
-                    .map_or(left, |t| t.min(left))
-                    .max(Duration::from_millis(1)),
-            );
-        }
-        transport.set_recv_timeout(timeout).map_err(|e| (e, 0))?;
-        let request = EnumerateRequest {
-            hub_bitsets: options.hub_bitsets,
-            deadline_ms: options.deadline_ms,
-            limit,
-            page_size: options.page_size,
-            pattern: pattern.canonical_bytes(),
-        };
-        transport
-            .send(&Frame::new(op::ENUMERATE, request.encode()))
-            .map_err(|e| (e, 0))?;
-        let mut result = RemoteEnumeration {
-            embeddings: Vec::new(),
-            pages: 0,
-        };
-        loop {
-            let frame = transport.recv().map_err(|e| (e, result.pages))?;
-            if frame.opcode == op::ERROR {
-                let error = WireError::decode(&frame.payload)
-                    .ok_or(NetError::Protocol("undecodable error payload"))
-                    .map_err(|e| (e, result.pages))?;
-                return Err((error.into_net_error(), result.pages));
-            }
-            if frame.opcode != op::ENUM_PAGE {
-                return Err((
-                    NetError::Protocol("response opcode does not match the request"),
-                    result.pages,
-                ));
-            }
-            let page = EnumPage::decode(&frame.payload)
-                .ok_or((
-                    NetError::Protocol("undecodable ENUM_PAGE payload"),
-                    result.pages,
-                ))?;
-            if usize::from(page.pattern_size) != pattern.num_vertices() {
-                return Err((
-                    NetError::Protocol("page pattern size does not match the request"),
-                    result.pages,
-                ));
-            }
-            result.pages += 1;
-            result
-                .embeddings
-                .extend(page.embeddings().map(<[u32]>::to_vec));
-            if page.last {
-                return Ok(result);
-            }
-        }
+        let pages = Cell::new(0);
+        self.with_retries(
+            |client| client.enumerate_paged(pattern, limit, options, &pages),
+            || pages.get() == 0,
+        )
     }
 
     /// Commits one edge batch, retrying per the policy. Every attempt
@@ -709,26 +579,21 @@ impl RetryingClient {
         if options.request_id == 0 {
             options.request_id = self.next_request_id();
         }
-        let request = encode_update(inserts, deletes, options)?;
-        let frame = Frame::new(op::UPDATE, request.encode());
-        let response = self.exchange_with_retries(&frame, op::UPDATE_OK)?;
-        UpdateOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable UPDATE_OK payload"))
+        self.with_retries(
+            |client| client.update_with(inserts, deletes, options),
+            || true,
+        )
     }
 
     /// Fetches the server's counter snapshot, retrying per the policy
     /// (STATS is naturally idempotent — no request ID needed).
     pub fn stats_remote(&mut self) -> Result<StatsOk, NetError> {
-        let response = self.exchange_with_retries(&Frame::new(op::STATS, vec![]), op::STATS_OK)?;
-        StatsOk::decode(&response.payload).ok_or(NetError::Protocol("undecodable STATS_OK payload"))
+        self.with_retries(Client::stats, || true)
     }
 
     /// Probes server readiness, retrying per the policy.
     pub fn health(&mut self) -> Result<HealthOk, NetError> {
-        let response =
-            self.exchange_with_retries(&Frame::new(op::HEALTH, vec![]), op::HEALTH_OK)?;
-        HealthOk::decode(&response.payload)
-            .ok_or(NetError::Protocol("undecodable HEALTH_OK payload"))
+        self.with_retries(Client::health, || true)
     }
 
     fn next_request_id(&mut self) -> u64 {
@@ -740,115 +605,96 @@ impl RetryingClient {
         }
     }
 
-    /// One logical request: up to `max_attempts` wire exchanges, with
+    /// The one retry loop: up to `max_attempts` runs of `attempt`, with
     /// reconnects, backoff, hint-stretched sleeps, and deadline
-    /// enforcement between them.
-    fn exchange_with_retries(&mut self, request: &Frame, expect: u8) -> Result<Frame, NetError> {
-        let started = Instant::now();
-        let deadline = self.policy.overall_deadline.map(|limit| started + limit);
+    /// enforcement between them. A failure is retried only when it is
+    /// [`is_retryable`] *and* `resend_is_safe` still holds (requests that
+    /// are not idempotent narrow it).
+    fn with_retries<R>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Client<BoxedTransport>) -> Result<R, NetError>,
+        resend_is_safe: impl Fn() -> bool,
+    ) -> Result<R, NetError> {
+        let deadline = self
+            .policy
+            .overall_deadline
+            .map(|limit| Instant::now() + limit);
         let schedule = self.policy.backoff_schedule();
+        let max_attempts = self.policy.max_attempts.max(1);
         let mut last_error = NetError::Closed;
-        for attempt in 0..self.policy.max_attempts.max(1) {
-            if attempt > 0 {
+        for n in 0..max_attempts {
+            if n > 0 {
                 self.stats.retries += 1;
             }
             self.stats.attempts += 1;
-            match self.try_once(request, expect, deadline) {
-                Ok(response) => return Ok(response),
-                Err(error) => {
-                    if !is_retryable(&error) {
-                        return Err(error);
-                    }
-                    // A retryable *remote* error arrived on a live
-                    // connection; everything else leaves the stream in
-                    // an unknown state, so reconnect.
-                    let keep_connection = matches!(
-                        error,
-                        NetError::Remote {
-                            code: ErrorCode::RetryLater,
-                            ..
-                        }
-                    );
-                    if !keep_connection {
-                        self.transport = None;
-                    }
-                    let mut wait = schedule
-                        .get(attempt as usize)
-                        .copied()
-                        .unwrap_or(Duration::ZERO);
-                    if let NetError::Remote {
-                        retry_after_ms: Some(hint_ms),
-                        ..
-                    } = error
-                    {
-                        let hint = Duration::from_millis(u64::from(hint_ms));
-                        if hint > wait {
-                            wait = hint;
-                            self.stats.hints_honored += 1;
-                        }
-                    }
-                    last_error = error;
-                    if attempt + 1 >= self.policy.max_attempts.max(1) {
-                        break;
-                    }
-                    if let Some(deadline) = deadline {
-                        let now = Instant::now();
-                        if now + wait >= deadline {
-                            return Err(last_error);
-                        }
-                    }
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
+            let error = match self.connected(deadline).and_then(&mut attempt) {
+                Ok(reply) => return Ok(reply),
+                Err(error) => error,
+            };
+            // A typed refusal arrived on a connection the server keeps
+            // open; anything else (and the two refusals that close it)
+            // leaves the stream in an unknown state, so reconnect.
+            let keep_connection = matches!(
+                &error,
+                NetError::Remote { code, .. }
+                    if *code == ErrorCode::RetryLater || !code.is_retryable()
+            );
+            if !keep_connection {
+                self.client = None;
+            }
+            if !is_retryable(&error) || !resend_is_safe() {
+                return Err(error);
+            }
+            let mut wait = schedule.get(n as usize).copied().unwrap_or(Duration::ZERO);
+            if let NetError::Remote {
+                retry_after_ms: Some(hint_ms),
+                ..
+            } = error
+            {
+                let hint = Duration::from_millis(u64::from(hint_ms));
+                if hint > wait {
+                    wait = hint;
+                    self.stats.hints_honored += 1;
                 }
+            }
+            last_error = error;
+            let out_of_time = deadline.is_some_and(|deadline| Instant::now() + wait >= deadline);
+            if n + 1 >= max_attempts || out_of_time {
+                break;
+            }
+            if !wait.is_zero() {
+                std::thread::sleep(wait);
             }
         }
         Err(last_error)
     }
 
-    /// One wire attempt: (re)connect if needed, bound the read, send,
-    /// receive, surface typed errors.
-    fn try_once(
+    /// The live connection for one attempt: (re)dials if needed and
+    /// bounds the attempt's reads by the tighter of the per-attempt
+    /// timeout and the time left on the overall deadline.
+    fn connected(
         &mut self,
-        request: &Frame,
-        expect: u8,
         deadline: Option<Instant>,
-    ) -> Result<Frame, NetError> {
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                return Err(NetError::Idle);
-            }
-        }
-        if self.transport.is_none() {
-            self.stats.connects += 1;
-            self.transport = Some((self.connector)()?);
-        }
-        let transport = self.transport.as_mut().expect("connected above");
-        // Bound this attempt by the tighter of the per-attempt timeout
-        // and the time left on the overall deadline.
+    ) -> Result<&mut Client<BoxedTransport>, NetError> {
         let mut timeout = self.policy.attempt_timeout;
         if let Some(deadline) = deadline {
             let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(NetError::Idle);
+            }
             timeout = Some(
                 timeout
                     .map_or(left, |t| t.min(left))
                     .max(Duration::from_millis(1)),
             );
         }
-        transport.set_recv_timeout(timeout)?;
-        transport.send(request)?;
-        let response = transport.recv()?;
-        if response.opcode == op::ERROR {
-            let error = WireError::decode(&response.payload)
-                .ok_or(NetError::Protocol("undecodable error payload"))?;
-            return Err(error.into_net_error());
+        if self.client.is_none() {
+            self.stats.connects += 1;
+            self.client = Some(Client::new((self.connector)()?));
         }
-        if response.opcode != expect {
-            return Err(NetError::Protocol(
-                "response opcode does not match the request",
-            ));
-        }
-        Ok(response)
+        let client = self.client.as_mut().expect("connected above");
+        client.transport.set_recv_timeout(timeout)?;
+        Ok(client)
     }
 }
 
@@ -922,7 +768,7 @@ impl FailoverClient {
                         match TcpTransport::connect(endpoints[index]) {
                             Ok(transport) => {
                                 last.store(index, Ordering::Relaxed);
-                                return Ok(Box::new(transport) as Box<dyn Transport + Send>);
+                                return Ok(Box::new(transport) as BoxedTransport);
                             }
                             Err(e) => error = e,
                         }
@@ -938,8 +784,7 @@ impl FailoverClient {
             RetryingClient::new(
                 move || {
                     let index = primary.load(Ordering::Relaxed) % endpoints.len();
-                    let transport = TcpTransport::connect(endpoints[index])?;
-                    Ok(Box::new(transport) as Box<dyn Transport + Send>)
+                    Ok(Box::new(TcpTransport::connect(endpoints[index])?) as BoxedTransport)
                 },
                 // Writes and reads draw from distinct ID streams so the
                 // two idempotency-key sequences never collide.

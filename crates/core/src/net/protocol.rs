@@ -7,7 +7,7 @@
 //! offset  size  field
 //! 0       4     length  u32 LE: number of bytes that follow (4 + payload)
 //! 4       2     magic   "GP"
-//! 6       1     version 0x01
+//! 6       1     version 0x02
 //! 7       1     opcode  see [`op`]
 //! 8       len-4 payload opcode-specific (see the codec structs below)
 //! ```
@@ -34,17 +34,10 @@ use std::time::Duration;
 /// First two payload bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"GP";
 
-/// Current protocol version. Version 2 adds the `HEALTH` opcode, the
-/// `RETRY_LATER` error code (with a retry-after hint), and optional
-/// client-generated request IDs on `COUNT`. Servers accept every version
-/// in [`MIN_VERSION`]`..=`[`VERSION`] — the version byte of each request
-/// frame is echoed in its reply, so a v1 client keeps speaking v1 — and
-/// refuse anything else with [`ErrorCode::UnsupportedVersion`], closing
-/// the connection.
+/// The protocol version — the only one spoken. A frame carrying any other
+/// version byte is refused with [`ErrorCode::UnsupportedVersion`] and the
+/// connection is closed.
 pub const VERSION: u8 = 2;
-
-/// Oldest protocol version still served (see [`VERSION`]).
-pub const MIN_VERSION: u8 = 1;
 
 /// Bytes of header covered by the length prefix (magic + version + opcode).
 pub const HEADER_LEN: usize = 4;
@@ -66,26 +59,26 @@ pub mod op {
     pub const PING: u8 = 0x03;
     /// Ask the server to drain and exit (empty payload).
     pub const SHUTDOWN: u8 = 0x04;
-    /// Readiness probe for load balancers and supervisors (empty payload;
-    /// protocol v2).
+    /// Readiness probe for load balancers and supervisors (empty
+    /// payload).
     pub const HEALTH: u8 = 0x05;
     /// Apply a batch of edge insertions/deletions
-    /// ([`super::UpdateRequest`] payload; protocol v2). Static servers
+    /// ([`super::UpdateRequest`] payload). Static servers
     /// answer [`super::ErrorCode::ReadOnly`].
     pub const UPDATE: u8 = 0x06;
     /// Subscribe to the primary's WAL stream from a cursor
-    /// ([`super::ReplSubscribe`] payload; protocol v2). Only durable
+    /// ([`super::ReplSubscribe`] payload). Only durable
     /// (`--wal`) primaries accept it; the connection then alternates
     /// [`REPL_BATCH`] / [`REPL_ACK`] until either side closes.
     pub const REPL_SUBSCRIBE: u8 = 0x07;
     /// Replica's durable-cursor acknowledgement ([`super::ReplAck`]
-    /// payload; protocol v2). Solicits the next [`REPL_BATCH`].
+    /// payload). Solicits the next [`REPL_BATCH`].
     pub const REPL_ACK: u8 = 0x08;
     /// Ask a replica to stop following its primary and serve writes
-    /// (empty payload; protocol v2). Idempotent on a primary.
+    /// (empty payload). Idempotent on a primary.
     pub const PROMOTE: u8 = 0x09;
     /// Enumerate embeddings of a pattern ([`super::EnumerateRequest`]
-    /// payload; protocol v2). Answered by a stream of [`ENUM_PAGE`]
+    /// payload). Answered by a stream of [`ENUM_PAGE`]
     /// frames. Enumeration is **not** idempotent and never enters the
     /// completed-request ledger: a retry after an ambiguous failure may
     /// re-run the query and observe a different page split (or, with a
@@ -106,12 +99,12 @@ pub mod op {
     pub const PONG: u8 = 0x83;
     /// Shutdown acknowledged; the server is now draining.
     pub const SHUTDOWN_OK: u8 = 0x84;
-    /// Health reply ([`super::HealthOk`] payload; protocol v2).
+    /// Health reply ([`super::HealthOk`] payload).
     pub const HEALTH_OK: u8 = 0x85;
-    /// Update applied ([`super::UpdateOk`] payload; protocol v2).
+    /// Update applied ([`super::UpdateOk`] payload).
     pub const UPDATE_OK: u8 = 0x86;
     /// One page of an enumeration's result stream ([`super::EnumPage`]
-    /// payload; protocol v2). The last page carries a flag; the stream is
+    /// payload). The last page carries a flag; the stream is
     /// `ENUM_PAGE*` terminated by a flagged page (or an [`ERROR`] frame,
     /// after which no further pages follow).
     pub const ENUM_PAGE: u8 = 0x8A;
@@ -152,22 +145,21 @@ pub enum ErrorCode {
     /// The server is at its connection limit. Connection closes.
     TooManyConnections,
     /// The admission wait queue is full: the server is shedding load
-    /// instead of queueing unboundedly (protocol v2). The error carries a
+    /// instead of queueing unboundedly. The error carries a
     /// retry-after hint derived from the server's latency histogram.
     /// Connection stays open.
     RetryLater,
     /// An [`op::UPDATE`] reached a server whose graph is immutable (no
-    /// `--wal`). Deterministic rejection; connection stays open
-    /// (protocol v2).
+    /// `--wal`). Deterministic rejection; connection stays open.
     ReadOnly,
     /// A write (or replication subscribe) reached a read replica. The
     /// error message carries the primary's address when the replica knows
     /// it (possibly empty). Deterministic until a failover changes roles;
-    /// connection stays open (protocol v2).
+    /// connection stays open.
     NotPrimary,
     /// A well-formed request carried an argument value the server rejects
     /// (enumeration limit of zero, sample rate outside `(0, 1]`).
-    /// Deterministic rejection; connection stays open (protocol v2).
+    /// Deterministic rejection; connection stays open.
     InvalidArgument,
     /// A code this build does not know (forward compatibility).
     Other(u8),
@@ -280,7 +272,7 @@ pub enum NetError {
         /// Human-readable detail from the server.
         message: String,
         /// Server-suggested wait before retrying (carried by
-        /// [`ErrorCode::RetryLater`] in protocol v2).
+        /// [`ErrorCode::RetryLater`]).
         retry_after_ms: Option<u32>,
     },
 }
@@ -315,6 +307,13 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+impl From<WireError> for Frame {
+    /// The [`op::ERROR`] frame carrying this error.
+    fn from(error: WireError) -> Self {
+        Frame::new(op::ERROR, error.encode())
+    }
+}
+
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)
@@ -327,10 +326,6 @@ impl From<std::io::Error> for NetError {
 /// the connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The protocol version byte. Frames built with [`Frame::new`] carry
-    /// the current [`VERSION`]; servers echo the version of each request
-    /// frame in its reply so down-version clients stay served.
-    pub version: u8,
     /// The opcode byte (see [`op`]).
     pub opcode: u8,
     /// The opcode-specific payload.
@@ -338,36 +333,15 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Builds a current-version frame from an opcode and payload.
+    /// Builds a frame from an opcode and payload.
     pub fn new(opcode: u8, payload: Vec<u8>) -> Self {
-        Self::with_version(VERSION, opcode, payload)
+        Self { opcode, payload }
     }
 
-    /// Builds a frame with an explicit version byte (reply echoing,
-    /// down-version compatibility tests).
-    pub fn with_version(version: u8, opcode: u8, payload: Vec<u8>) -> Self {
-        Self {
-            version,
-            opcode,
-            payload,
-        }
-    }
-
-    /// An [`op::ERROR`] frame carrying `code` and `message` (truncated to
-    /// `u16::MAX` bytes).
+    /// An [`op::ERROR`] frame carrying `code` and `message` (truncated so
+    /// the frame always fits [`MAX_FRAME_LEN`]; see [`WireError::new`]).
     pub fn error(code: ErrorCode, message: &str) -> Self {
-        Self::new(op::ERROR, WireError::new(code, message).encode())
-    }
-
-    /// An [`op::ERROR`] frame with a retry-after hint (protocol v2; the
-    /// hint travels as a trailing field v1 decoders never see).
-    pub fn error_with_hint(code: ErrorCode, message: &str, retry_after_ms: u32) -> Self {
-        Self::new(
-            op::ERROR,
-            WireError::new(code, message)
-                .with_retry_after(retry_after_ms)
-                .encode(),
-        )
+        WireError::new(code, message).into()
     }
 
     /// Serialises the frame (length prefix + header + payload).
@@ -376,7 +350,7 @@ impl Frame {
         let mut out = Vec::with_capacity(4 + len);
         out.extend_from_slice(&(len as u32).to_le_bytes());
         out.extend_from_slice(&MAGIC);
-        out.push(self.version);
+        out.push(VERSION);
         out.push(self.opcode);
         out.extend_from_slice(&self.payload);
         out
@@ -436,11 +410,10 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Frame, NetError> {
     if body[..2] != MAGIC {
         return Err(NetError::BadMagic);
     }
-    if !(MIN_VERSION..=VERSION).contains(&body[2]) {
+    if body[2] != VERSION {
         return Err(NetError::UnsupportedVersion(body[2]));
     }
     Ok(Frame {
-        version: body[2],
         opcode: body[3],
         payload: body[HEADER_LEN..].to_vec(),
     })
@@ -530,15 +503,160 @@ impl Transport for TcpTransport {
     }
 }
 
-/// What a [`op::COUNT`] request asks to be counted (protocol v2; the
-/// plain global count needs no mode bytes on the wire).
+/// Bounds-checked read cursor over one payload. Every payload `decode`
+/// below is a straight run of `?` over these methods; [`Reader::bytes`]
+/// is the one place that touches the underlying slice, so a malformed
+/// payload can only ever yield `None`, never a panic or an out-of-range
+/// read.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn new(payload: &'a [u8]) -> Self {
+        Self { rest: payload }
+    }
+
+    /// The next `n` bytes; `None` (consuming nothing) when fewer remain.
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.rest.len() {
+            return None;
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.bytes(N)?.try_into().ok()
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.array().map(|[byte]| byte)
+    }
+
+    fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A `u64` whose presence a flag bit announces: absent reads as 0, and
+    /// a present field must not *be* 0 — the flag promises a usable value.
+    fn flagged_u64(&mut self, present: bool) -> Option<u64> {
+        if present {
+            self.u64().filter(|&value| value != 0)
+        } else {
+            Some(0)
+        }
+    }
+
+    /// `n` little-endian `u32`s. The byte range is checked before anything
+    /// is allocated, so a hostile count cannot reserve memory.
+    fn u32s(&mut self, n: usize) -> Option<impl ExactSizeIterator<Item = u32> + 'a> {
+        let words = self.bytes(n.checked_mul(4)?)?.chunks_exact(4);
+        Some(words.map(|word| u32::from_le_bytes([word[0], word[1], word[2], word[3]])))
+    }
+
+    /// `n` `(u32, u32)` pairs.
+    fn pairs(&mut self, n: usize) -> Option<Vec<(u32, u32)>> {
+        let mut words = self.u32s(n.checked_mul(2)?)?;
+        let mut pairs = Vec::with_capacity(n);
+        while let (Some(a), Some(b)) = (words.next(), words.next()) {
+            pairs.push((a, b));
+        }
+        Some(pairs)
+    }
+
+    /// `n` reserved bytes, which must all be zero.
+    fn reserved(&mut self, n: usize) -> Option<()> {
+        self.bytes(n)?.iter().all(|&byte| byte == 0).then_some(())
+    }
+
+    /// Everything left (for trailing variable-length fields).
+    fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+
+    /// Ends the decode: `value` if the payload was consumed exactly,
+    /// `None` on trailing bytes.
+    fn finish<T>(self, value: T) -> Option<T> {
+        self.rest.is_empty().then_some(value)
+    }
+}
+
+/// The write half of the cursor pair: little-endian appends onto one
+/// `Vec<u8>`, so every payload `encode` mirrors its `decode` line by line.
+struct Writer(Vec<u8>);
+
+impl Writer {
+    fn with_capacity(capacity: usize) -> Self {
+        Self(Vec::with_capacity(capacity))
+    }
+
+    fn u8(&mut self, value: u8) -> &mut Self {
+        self.0.push(value);
+        self
+    }
+
+    fn u16(&mut self, value: u16) -> &mut Self {
+        self.bytes(&value.to_le_bytes())
+    }
+
+    fn u32(&mut self, value: u32) -> &mut Self {
+        self.bytes(&value.to_le_bytes())
+    }
+
+    fn u64(&mut self, value: u64) -> &mut Self {
+        self.bytes(&value.to_le_bytes())
+    }
+
+    /// The write side of [`Reader::flagged_u64`]: 0 means absent.
+    fn flagged_u64(&mut self, value: u64) -> &mut Self {
+        if value != 0 {
+            self.u64(value);
+        }
+        self
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.0.extend_from_slice(bytes);
+        self
+    }
+
+    fn finish(self) -> Vec<u8> {
+        self.0
+    }
+}
+
+/// `bit` when `on`, else 0 — for assembling flag bytes.
+fn flag(on: bool, bit: u8) -> u8 {
+    if on {
+        bit
+    } else {
+        0
+    }
+}
+
+/// What a [`op::COUNT`] request asks to be counted (the plain global
+/// count needs no mode bytes on the wire).
 ///
 /// Orbit and sample replies ride back in the [`CountOk`] mode extension;
 /// both execute on full-depth (IEP-free) plans server-side, so the
 /// `no_iep` request flag is irrelevant to them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryMode {
-    /// The global embedding count (the v1 behavior).
+    /// The global embedding count.
     #[default]
     Count,
     /// Per-vertex (orbit) counts; the reply summarizes them (sum, support,
@@ -579,9 +697,8 @@ impl QueryMode {
 /// ```text
 /// offset  size  field          present
 /// 0       1     flags          always: bit0 = disable IEP, bit1 = hub
-///                              bitsets, bit2 = request ID (protocol v2),
-///                              bit3 = min generation (protocol v2),
-///                              bit4 = query mode (protocol v2)
+///                              bitsets, bit2 = request ID, bit3 = min
+///                              generation, bit4 = query mode
 /// 1       4     deadline_ms    always; u32 LE, 0 = no deadline
 /// 5       8     request_id     u64 LE, only when flag bit2 is set
 /// +0      8     min_generation u64 LE, only when flag bit3 is set
@@ -618,8 +735,8 @@ pub struct CountRequest {
     /// Lowest graph generation this count may be served from (0 = any;
     /// never sent on the wire as 0).
     pub min_generation: u64,
-    /// What to count ([`QueryMode::Count`] = the v1 global count; never
-    /// sent on the wire for plain counts, so v1 servers keep working).
+    /// What to count ([`QueryMode::Count`] is never sent on the wire:
+    /// plain counts omit the mode flag).
     pub mode: QueryMode,
     /// The pattern, as canonical bytes.
     pub pattern: Vec<u8>,
@@ -631,105 +748,58 @@ impl CountRequest {
     const FLAG_REQUEST_ID: u8 = 1 << 2;
     const FLAG_MIN_GENERATION: u8 = 1 << 3;
     const FLAG_MODE: u8 = 1 << 4;
+    /// Every defined flag: they fill the low bits up to `FLAG_MODE`.
+    const KNOWN_FLAGS: u8 = (Self::FLAG_MODE << 1) - 1;
     const MODE_ORBIT: u8 = 1;
     const MODE_SAMPLE: u8 = 2;
 
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(38 + self.pattern.len());
-        let mut flags = 0u8;
-        if self.no_iep {
-            flags |= Self::FLAG_NO_IEP;
-        }
-        if self.hub_bitsets {
-            flags |= Self::FLAG_HUBS;
-        }
-        if self.request_id != 0 {
-            flags |= Self::FLAG_REQUEST_ID;
-        }
-        if self.min_generation != 0 {
-            flags |= Self::FLAG_MIN_GENERATION;
-        }
-        if self.mode != QueryMode::Count {
-            flags |= Self::FLAG_MODE;
-        }
-        out.push(flags);
-        out.extend_from_slice(&self.deadline_ms.to_le_bytes());
-        if self.request_id != 0 {
-            out.extend_from_slice(&self.request_id.to_le_bytes());
-        }
-        if self.min_generation != 0 {
-            out.extend_from_slice(&self.min_generation.to_le_bytes());
-        }
+        let mut out = Writer::with_capacity(38 + self.pattern.len());
+        out.u8(flag(self.no_iep, Self::FLAG_NO_IEP)
+            | flag(self.hub_bitsets, Self::FLAG_HUBS)
+            | flag(self.request_id != 0, Self::FLAG_REQUEST_ID)
+            | flag(self.min_generation != 0, Self::FLAG_MIN_GENERATION)
+            | flag(self.mode != QueryMode::Count, Self::FLAG_MODE))
+            .u32(self.deadline_ms)
+            .flagged_u64(self.request_id)
+            .flagged_u64(self.min_generation);
         match self.mode {
             QueryMode::Count => {}
-            QueryMode::Orbit => out.push(Self::MODE_ORBIT),
+            QueryMode::Orbit => {
+                out.u8(Self::MODE_ORBIT);
+            }
             QueryMode::Sample { seed, rate_bits } => {
-                out.push(Self::MODE_SAMPLE);
-                out.extend_from_slice(&seed.to_le_bytes());
-                out.extend_from_slice(&rate_bits.to_le_bytes());
+                out.u8(Self::MODE_SAMPLE).u64(seed).u64(rate_bits);
             }
         }
-        out.extend_from_slice(&self.pattern);
-        out
+        out.bytes(&self.pattern);
+        out.finish()
     }
 
     /// Parses a payload; `None` on truncation, unknown flag bits, or an
     /// unknown mode byte (the pattern bytes themselves are validated later
     /// by `Pattern::from_canonical_bytes`).
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() < 5 {
+        let mut r = Reader::new(payload);
+        let flags = r.u8()?;
+        if flags & !Self::KNOWN_FLAGS != 0 {
             return None;
         }
-        let flags = payload[0];
-        if flags
-            & !(Self::FLAG_NO_IEP
-                | Self::FLAG_HUBS
-                | Self::FLAG_REQUEST_ID
-                | Self::FLAG_MIN_GENERATION
-                | Self::FLAG_MODE)
-            != 0
-        {
-            return None;
-        }
-        let deadline_ms = u32::from_le_bytes(payload[1..5].try_into().ok()?);
-        let mut pos = 5usize;
-        let request_id = if flags & Self::FLAG_REQUEST_ID != 0 {
-            let id = u64::from_le_bytes(payload.get(pos..pos + 8)?.try_into().ok()?);
-            pos += 8;
-            if id == 0 {
-                return None; // the flag promises a usable key
-            }
-            id
+        let deadline_ms = r.u32()?;
+        let request_id = r.flagged_u64(flags & Self::FLAG_REQUEST_ID != 0)?;
+        let min_generation = r.flagged_u64(flags & Self::FLAG_MIN_GENERATION != 0)?;
+        let mode = if flags & Self::FLAG_MODE == 0 {
+            QueryMode::Count
         } else {
-            0
-        };
-        let min_generation = if flags & Self::FLAG_MIN_GENERATION != 0 {
-            let floor = u64::from_le_bytes(payload.get(pos..pos + 8)?.try_into().ok()?);
-            pos += 8;
-            if floor == 0 {
-                return None; // the flag promises a usable floor
-            }
-            floor
-        } else {
-            0
-        };
-        let mode = if flags & Self::FLAG_MODE != 0 {
-            let tag = *payload.get(pos)?;
-            pos += 1;
-            match tag {
+            match r.u8()? {
                 Self::MODE_ORBIT => QueryMode::Orbit,
-                Self::MODE_SAMPLE => {
-                    let seed = u64::from_le_bytes(payload.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    let rate_bits = u64::from_le_bytes(payload.get(pos..pos + 8)?.try_into().ok()?);
-                    pos += 8;
-                    QueryMode::Sample { seed, rate_bits }
-                }
+                Self::MODE_SAMPLE => QueryMode::Sample {
+                    seed: r.u64()?,
+                    rate_bits: r.u64()?,
+                },
                 _ => return None, // the flag promises a non-count mode
             }
-        } else {
-            QueryMode::Count
         };
         Some(Self {
             no_iep: flags & Self::FLAG_NO_IEP != 0,
@@ -738,7 +808,7 @@ impl CountRequest {
             request_id,
             min_generation,
             mode,
-            pattern: payload[pos..].to_vec(),
+            pattern: r.rest().to_vec(),
         })
     }
 }
@@ -790,7 +860,7 @@ impl SampleSummary {
 /// The mode-specific tail of a [`CountOk`] reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountExt {
-    /// A plain count: no extension bytes (the exact v1 reply).
+    /// A plain count: no extension bytes.
     #[default]
     None,
     /// Orbit summary (`mode` byte 1 + 28 payload bytes).
@@ -801,13 +871,11 @@ pub enum CountExt {
 
 /// [`op::COUNT_OK`] payload: the embedding count and the server-side
 /// execution time (`[u64 count][u64 elapsed_micros]`, LE), optionally
-/// followed by a mode extension (protocol v2):
-/// `[u8 mode]` then, for orbit (mode 1),
+/// followed by a mode extension: `[u8 mode]` then, for orbit (mode 1),
 /// `[u64 sum][u64 nonzero][u64 max_count][u32 max_vertex]`, or for sample
 /// (mode 2), `[u64 estimate_bits][u64 stderr_bits][u64 sampled]`
-/// `[u64 total]`. Plain counts stay exactly 16 bytes, so v1 decoders are
-/// untouched — mode replies only ever answer mode requests, which v1
-/// clients cannot send.
+/// `[u64 total]`. Plain counts are exactly 16 bytes; mode replies only
+/// ever answer mode requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountOk {
     /// Number of embeddings found. For orbit mode, the global count the
@@ -821,9 +889,6 @@ pub struct CountOk {
 }
 
 impl CountOk {
-    const ORBIT_EXT_LEN: usize = 1 + 28;
-    const SAMPLE_EXT_LEN: usize = 1 + 32;
-
     /// A plain-count reply (no mode extension).
     pub fn new(count: u64, elapsed_micros: u64) -> Self {
         Self {
@@ -835,59 +900,54 @@ impl CountOk {
 
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + Self::SAMPLE_EXT_LEN);
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&self.elapsed_micros.to_le_bytes());
+        let mut out = Writer::with_capacity(16 + 33);
+        out.u64(self.count).u64(self.elapsed_micros);
         match self.ext {
             CountExt::None => {}
             CountExt::Orbit(orbit) => {
-                out.push(CountRequest::MODE_ORBIT);
-                out.extend_from_slice(&orbit.sum.to_le_bytes());
-                out.extend_from_slice(&orbit.nonzero_vertices.to_le_bytes());
-                out.extend_from_slice(&orbit.max_count.to_le_bytes());
-                out.extend_from_slice(&orbit.max_vertex.to_le_bytes());
+                out.u8(CountRequest::MODE_ORBIT)
+                    .u64(orbit.sum)
+                    .u64(orbit.nonzero_vertices)
+                    .u64(orbit.max_count)
+                    .u32(orbit.max_vertex);
             }
             CountExt::Sample(sample) => {
-                out.push(CountRequest::MODE_SAMPLE);
-                out.extend_from_slice(&sample.estimate_bits.to_le_bytes());
-                out.extend_from_slice(&sample.stderr_bits.to_le_bytes());
-                out.extend_from_slice(&sample.sampled_tasks.to_le_bytes());
-                out.extend_from_slice(&sample.total_tasks.to_le_bytes());
+                out.u8(CountRequest::MODE_SAMPLE)
+                    .u64(sample.estimate_bits)
+                    .u64(sample.stderr_bits)
+                    .u64(sample.sampled_tasks)
+                    .u64(sample.total_tasks);
             }
         }
-        out
+        out.finish()
     }
 
     /// Parses a payload; `None` unless it is exactly 16 bytes (plain
     /// count) or 16 plus a well-formed mode extension.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() < 16 {
-            return None;
-        }
-        let count = u64::from_le_bytes(payload[..8].try_into().ok()?);
-        let elapsed_micros = u64::from_le_bytes(payload[8..16].try_into().ok()?);
-        let ext = &payload[16..];
-        let ext = match ext.first() {
-            None => CountExt::None,
-            Some(&CountRequest::MODE_ORBIT) if ext.len() == Self::ORBIT_EXT_LEN => {
-                CountExt::Orbit(OrbitSummary {
-                    sum: u64::from_le_bytes(ext[1..9].try_into().ok()?),
-                    nonzero_vertices: u64::from_le_bytes(ext[9..17].try_into().ok()?),
-                    max_count: u64::from_le_bytes(ext[17..25].try_into().ok()?),
-                    max_vertex: u32::from_le_bytes(ext[25..29].try_into().ok()?),
-                })
+        let mut r = Reader::new(payload);
+        let count = r.u64()?;
+        let elapsed_micros = r.u64()?;
+        let ext = if r.is_empty() {
+            CountExt::None
+        } else {
+            match r.u8()? {
+                CountRequest::MODE_ORBIT => CountExt::Orbit(OrbitSummary {
+                    sum: r.u64()?,
+                    nonzero_vertices: r.u64()?,
+                    max_count: r.u64()?,
+                    max_vertex: r.u32()?,
+                }),
+                CountRequest::MODE_SAMPLE => CountExt::Sample(SampleSummary {
+                    estimate_bits: r.u64()?,
+                    stderr_bits: r.u64()?,
+                    sampled_tasks: r.u64()?,
+                    total_tasks: r.u64()?,
+                }),
+                _ => return None,
             }
-            Some(&CountRequest::MODE_SAMPLE) if ext.len() == Self::SAMPLE_EXT_LEN => {
-                CountExt::Sample(SampleSummary {
-                    estimate_bits: u64::from_le_bytes(ext[1..9].try_into().ok()?),
-                    stderr_bits: u64::from_le_bytes(ext[9..17].try_into().ok()?),
-                    sampled_tasks: u64::from_le_bytes(ext[17..25].try_into().ok()?),
-                    total_tasks: u64::from_le_bytes(ext[25..33].try_into().ok()?),
-                })
-            }
-            Some(_) => return None,
         };
-        Some(Self {
+        r.finish(Self {
             count,
             elapsed_micros,
             ext,
@@ -895,8 +955,8 @@ impl CountOk {
     }
 }
 
-/// [`op::ENUMERATE`] payload (protocol v2): enumerate up to `limit`
-/// embeddings, streamed back as [`op::ENUM_PAGE`] frames.
+/// [`op::ENUMERATE`] payload: enumerate up to `limit` embeddings,
+/// streamed back as [`op::ENUM_PAGE`] frames.
 ///
 /// ```text
 /// offset  size  field        notes
@@ -935,35 +995,29 @@ impl EnumerateRequest {
 
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(17 + self.pattern.len());
-        out.push(if self.hub_bitsets { Self::FLAG_HUBS } else { 0 });
-        out.extend_from_slice(&self.deadline_ms.to_le_bytes());
-        out.extend_from_slice(&self.limit.to_le_bytes());
-        out.extend_from_slice(&self.page_size.to_le_bytes());
-        out.extend_from_slice(&self.pattern);
-        out
+        let mut out = Writer::with_capacity(17 + self.pattern.len());
+        out.u8(flag(self.hub_bitsets, Self::FLAG_HUBS))
+            .u32(self.deadline_ms)
+            .u64(self.limit)
+            .u32(self.page_size)
+            .bytes(&self.pattern);
+        out.finish()
     }
 
     /// Parses a payload; `None` on truncation, unknown flag bits, or a
     /// zero limit.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() < 17 {
-            return None;
-        }
-        let flags = payload[0];
+        let mut r = Reader::new(payload);
+        let flags = r.u8()?;
         if flags & !Self::FLAG_HUBS != 0 {
-            return None;
-        }
-        let limit = u64::from_le_bytes(payload[5..13].try_into().ok()?);
-        if limit == 0 {
             return None;
         }
         Some(Self {
             hub_bitsets: flags & Self::FLAG_HUBS != 0,
-            deadline_ms: u32::from_le_bytes(payload[1..5].try_into().ok()?),
-            limit,
-            page_size: u32::from_le_bytes(payload[13..17].try_into().ok()?),
-            pattern: payload[17..].to_vec(),
+            deadline_ms: r.u32()?,
+            limit: r.u64().filter(|&limit| limit != 0)?,
+            page_size: r.u32()?,
+            pattern: r.rest().to_vec(),
         })
     }
 }
@@ -974,8 +1028,7 @@ pub fn max_embeddings_per_page(pattern_size: usize) -> usize {
     (MAX_FRAME_LEN - HEADER_LEN - 8) / (4 * pattern_size.max(1))
 }
 
-/// [`op::ENUM_PAGE`] payload (protocol v2): one page of an enumeration's
-/// result stream.
+/// [`op::ENUM_PAGE`] payload: one page of an enumeration's result stream.
 ///
 /// ```text
 /// offset  size   field         notes
@@ -1021,48 +1074,38 @@ impl EnumPage {
 
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        debug_assert_eq!(self.vertices.len() % usize::from(self.pattern_size.max(1)), 0);
-        let mut out = Vec::with_capacity(8 + 4 * self.vertices.len());
-        out.push(if self.last { Self::FLAG_LAST } else { 0 });
-        out.push(self.pattern_size);
-        out.extend_from_slice(&[0u8; 2]);
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for &v in &self.vertices {
-            out.extend_from_slice(&v.to_le_bytes());
+        debug_assert_eq!(
+            self.vertices.len() % usize::from(self.pattern_size.max(1)),
+            0
+        );
+        let mut out = Writer::with_capacity(8 + 4 * self.vertices.len());
+        out.u8(flag(self.last, Self::FLAG_LAST))
+            .u8(self.pattern_size)
+            .u16(0)
+            .u32(self.len() as u32);
+        for &vertex in &self.vertices {
+            out.u32(vertex);
         }
-        out
+        out.finish()
     }
 
     /// Parses a payload; `None` on truncation, trailing bytes, unknown
     /// flag bits, nonzero reserved bytes, a zero pattern size, or a count
     /// that disagrees with the payload length.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() < 8 {
-            return None;
-        }
-        let flags = payload[0];
+        let mut r = Reader::new(payload);
+        let flags = r.u8()?;
         if flags & !Self::FLAG_LAST != 0 {
             return None;
         }
-        let pattern_size = payload[1];
-        if pattern_size == 0 || payload[2] != 0 || payload[3] != 0 {
-            return None;
-        }
-        let n = u32::from_le_bytes(payload[4..8].try_into().ok()?) as usize;
-        let vertex_bytes = &payload[8..];
-        let expected = n
-            .checked_mul(usize::from(pattern_size))?
-            .checked_mul(4)?;
-        if vertex_bytes.len() != expected {
-            return None;
-        }
-        Some(Self {
+        let pattern_size = r.u8().filter(|&k| k != 0)?;
+        r.reserved(2)?;
+        let n = r.u32()? as usize;
+        let vertices = r.u32s(n.checked_mul(usize::from(pattern_size))?)?.collect();
+        r.finish(Self {
             last: flags & Self::FLAG_LAST != 0,
             pattern_size,
-            vertices: vertex_bytes
-                .chunks_exact(4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                .collect(),
+            vertices,
         })
     }
 }
@@ -1072,9 +1115,9 @@ impl EnumPage {
 /// [`MAX_FRAME_LEN`]. Clients split bigger batches.
 pub const MAX_UPDATE_EDGES: usize = (MAX_FRAME_LEN - HEADER_LEN - 21) / 8;
 
-/// [`op::UPDATE`] payload (protocol v2): a batch of undirected edge
-/// insertions and deletions, applied atomically — inserts first, then
-/// deletes; the reply carries the generation the batch produced.
+/// [`op::UPDATE`] payload: a batch of undirected edge insertions and
+/// deletions, applied atomically — inserts first, then deletes; the reply
+/// carries the generation the batch produced.
 ///
 /// ```text
 /// offset  size  field
@@ -1110,76 +1153,44 @@ impl UpdateRequest {
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
         let edges = self.inserts.len() + self.deletes.len();
-        let mut out = Vec::with_capacity(21 + 8 * edges);
-        let mut flags = 0u8;
-        if self.request_id != 0 {
-            flags |= Self::FLAG_REQUEST_ID;
-        }
-        out.push(flags);
-        out.extend_from_slice(&self.deadline_ms.to_le_bytes());
-        if self.request_id != 0 {
-            out.extend_from_slice(&self.request_id.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.inserts.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.deletes.len() as u32).to_le_bytes());
+        let mut out = Writer::with_capacity(21 + 8 * edges);
+        out.u8(flag(self.request_id != 0, Self::FLAG_REQUEST_ID))
+            .u32(self.deadline_ms)
+            .flagged_u64(self.request_id)
+            .u32(self.inserts.len() as u32)
+            .u32(self.deletes.len() as u32);
         for &(u, v) in self.inserts.iter().chain(self.deletes.iter()) {
-            out.extend_from_slice(&u.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
+            out.u32(u).u32(v);
         }
-        out
+        out.finish()
     }
 
     /// Parses a payload; `None` on truncation, trailing bytes, unknown
     /// flag bits, or edge counts that disagree with the payload length.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() < 5 {
-            return None;
-        }
-        let flags = payload[0];
+        let mut r = Reader::new(payload);
+        let flags = r.u8()?;
         if flags & !Self::FLAG_REQUEST_ID != 0 {
             return None;
         }
-        let deadline_ms = u32::from_le_bytes(payload[1..5].try_into().ok()?);
-        let (request_id, rest) = if flags & Self::FLAG_REQUEST_ID != 0 {
-            let id = u64::from_le_bytes(payload.get(5..13)?.try_into().ok()?);
-            if id == 0 {
-                return None; // the flag promises a usable key
-            }
-            (id, payload.get(13..)?)
-        } else {
-            (0, &payload[5..])
-        };
-        if rest.len() < 8 {
-            return None;
-        }
-        let n_inserts = u32::from_le_bytes(rest[..4].try_into().ok()?) as usize;
-        let n_deletes = u32::from_le_bytes(rest[4..8].try_into().ok()?) as usize;
-        let edges = &rest[8..];
-        if edges.len() != 8 * (n_inserts.checked_add(n_deletes)?) {
-            return None;
-        }
-        let mut pairs = edges
-            .chunks_exact(8)
-            .map(|pair| {
-                (
-                    u32::from_le_bytes(pair[..4].try_into().unwrap()),
-                    u32::from_le_bytes(pair[4..].try_into().unwrap()),
-                )
-            })
-            .collect::<Vec<_>>();
-        let deletes = pairs.split_off(n_inserts);
-        Some(Self {
+        let deadline_ms = r.u32()?;
+        let request_id = r.flagged_u64(flags & Self::FLAG_REQUEST_ID != 0)?;
+        let n_inserts = r.u32()? as usize;
+        let n_deletes = r.u32()? as usize;
+        let inserts = r.pairs(n_inserts)?;
+        let deletes = r.pairs(n_deletes)?;
+        r.finish(Self {
             deadline_ms,
             request_id,
-            inserts: pairs,
+            inserts,
             deletes,
         })
     }
 }
 
-/// [`op::UPDATE_OK`] payload (protocol v2): the generation the batch
-/// produced plus what it actually changed
-/// (`[u64 generation][u32 inserted][u32 deleted]`, LE).
+/// [`op::UPDATE_OK`] payload: the generation the batch produced plus what
+/// it actually changed (`[u64 generation][u32 inserted][u32 deleted]`,
+/// LE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateOk {
     /// Graph generation after the batch; queries pinned to this or later
@@ -1194,48 +1205,43 @@ pub struct UpdateOk {
 impl UpdateOk {
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.inserted.to_le_bytes());
-        out.extend_from_slice(&self.deleted.to_le_bytes());
-        out
+        let mut out = Writer::with_capacity(16);
+        out.u64(self.generation)
+            .u32(self.inserted)
+            .u32(self.deleted);
+        out.finish()
     }
 
     /// Parses a payload; `None` unless it is exactly 16 bytes.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() != 16 {
-            return None;
-        }
-        Some(Self {
-            generation: u64::from_le_bytes(payload[..8].try_into().ok()?),
-            inserted: u32::from_le_bytes(payload[8..12].try_into().ok()?),
-            deleted: u32::from_le_bytes(payload[12..].try_into().ok()?),
-        })
+        let mut r = Reader::new(payload);
+        let ok = Self {
+            generation: r.u64()?,
+            inserted: r.u32()?,
+            deleted: r.u32()?,
+        };
+        r.finish(ok)
     }
 }
 
-/// Server readiness, as reported by the [`op::HEALTH`] opcode
-/// (protocol v2). Probes and load balancers branch on this without
-/// issuing a query.
+/// Server readiness, as reported by the [`op::HEALTH`] opcode. Probes and
+/// load balancers branch on this without issuing a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum HealthState {
     /// Accepting and executing queries.
-    Ready,
+    Ready = 0,
     /// Draining: in-flight queries finish, new work is refused.
-    Draining,
+    Draining = 1,
     /// The admission wait queue is full; new queries get
     /// [`ErrorCode::RetryLater`].
-    Overloaded,
+    Overloaded = 2,
 }
 
 impl HealthState {
-    /// The wire byte for this state.
+    /// The wire byte for this state (its discriminant).
     pub fn code(self) -> u8 {
-        match self {
-            HealthState::Ready => 0,
-            HealthState::Draining => 1,
-            HealthState::Overloaded => 2,
-        }
+        self as u8
     }
 
     /// Decodes a wire byte; `None` for unknown states.
@@ -1264,25 +1270,22 @@ impl fmt::Display for HealthState {
 /// [`ReplRole::Primary`] — replication is the only way to be anything
 /// else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
 pub enum ReplRole {
     /// Serves writes; fans committed WAL records out to subscribers.
     #[default]
-    Primary,
+    Primary = 0,
     /// Follows a primary's WAL stream; writes get
     /// [`ErrorCode::NotPrimary`].
-    Replica,
+    Replica = 1,
     /// Promotion requested; the replication stream is being sealed.
-    Promoting,
+    Promoting = 2,
 }
 
 impl ReplRole {
-    /// The wire byte for this role.
+    /// The wire byte for this role (its discriminant).
     pub fn code(self) -> u8 {
-        match self {
-            ReplRole::Primary => 0,
-            ReplRole::Replica => 1,
-            ReplRole::Promoting => 2,
-        }
+        self as u8
     }
 
     /// Decodes a wire byte; `None` for unknown roles.
@@ -1307,10 +1310,8 @@ impl fmt::Display for ReplRole {
 }
 
 /// [`op::HEALTH_OK`] payload:
-/// `[u8 state][u32 retry_after_ms][u8 role][u64 replication_lag]` (LE).
-/// The retry-after hint is 0 when the server is ready. Pre-replication
-/// servers sent only the first five bytes; decoders accept both lengths,
-/// defaulting the missing fields to a caught-up primary.
+/// `[u8 state][u32 retry_after_ms][u8 role][u64 replication_lag]` (LE),
+/// exactly 14 bytes. The retry-after hint is 0 when the server is ready.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthOk {
     /// The server's readiness state.
@@ -1327,46 +1328,25 @@ pub struct HealthOk {
 impl HealthOk {
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(14);
-        out.push(self.state.code());
-        out.extend_from_slice(&self.retry_after_ms.to_le_bytes());
-        out.push(self.role.code());
-        out.extend_from_slice(&self.replication_lag.to_le_bytes());
-        out
+        let mut out = Writer::with_capacity(14);
+        out.u8(self.state.code())
+            .u32(self.retry_after_ms)
+            .u8(self.role.code())
+            .u64(self.replication_lag);
+        out.finish()
     }
 
-    /// Serialises for a peer speaking protocol `version`: v1 peers get
-    /// the original 5-byte layout (their decoders reject anything
-    /// longer), v2 peers the full 14 bytes.
-    pub fn encode_for(&self, version: u8) -> Vec<u8> {
-        let mut out = self.encode();
-        if version < 2 {
-            out.truncate(5);
-        }
-        out
-    }
-
-    /// Parses a payload; `None` unless it is exactly 5 bytes (the
-    /// pre-replication layout) or exactly 14, with known state and role
-    /// bytes.
+    /// Parses a payload; `None` unless it is exactly 14 bytes with known
+    /// state and role bytes.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() != 5 && payload.len() != 14 {
-            return None;
-        }
-        let (role, replication_lag) = if payload.len() == 14 {
-            (
-                ReplRole::from_code(payload[5])?,
-                u64::from_le_bytes(payload[6..14].try_into().ok()?),
-            )
-        } else {
-            (ReplRole::Primary, 0)
+        let mut r = Reader::new(payload);
+        let health = Self {
+            state: HealthState::from_code(r.u8()?)?,
+            retry_after_ms: r.u32()?,
+            role: ReplRole::from_code(r.u8()?)?,
+            replication_lag: r.u64()?,
         };
-        Some(Self {
-            state: HealthState::from_code(payload[0])?,
-            retry_after_ms: u32::from_le_bytes(payload[1..5].try_into().ok()?),
-            role,
-            replication_lag,
-        })
+        r.finish(health)
     }
 }
 
@@ -1449,9 +1429,11 @@ impl LatencyHistogram {
     }
 }
 
-/// [`op::STATS_OK`] payload: a full server counter snapshot. Fixed-size:
-/// seven `u32` gauges, eight `u64` counters, then the 32-bucket latency
-/// histogram (all LE).
+/// [`op::STATS_OK`] payload: a full server counter snapshot. Fixed-size
+/// (exactly 380 bytes, all LE): seven `u32` gauges, eight `u64` counters,
+/// the 32-bucket latency histogram, then
+/// `[u64 replication_lag][u8 role][7 reserved zero bytes]`
+/// `[u64 enumerations_total][u64 pages_sent]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsOk {
     /// Worker threads currently alive in the pool.
@@ -1486,41 +1468,29 @@ pub struct StatsOk {
     /// Plan-cache evictions.
     pub cache_evictions: u64,
     /// Count queries refused with [`ErrorCode::RetryLater`] because the
-    /// admission wait queue was full (protocol v2; this slot was the
-    /// always-zero `reserved` field in v1, so the layout is unchanged).
+    /// admission wait queue was full.
     pub overload_rejections: u64,
     /// Per-query execution latency histogram.
     pub latency: LatencyHistogram,
     /// Generations this server trails its primary by (0 on a primary).
-    /// Rides in the v2 trailing extension (see [`StatsOk::encode_for`]).
     pub replication_lag: u64,
-    /// The server's replication role (v2 trailing extension).
+    /// The server's replication role.
     pub repl_role: ReplRole,
-    /// Enumeration streams started (second v2 trailing extension; rides
-    /// after the replication extension, same reserved-tail pattern).
+    /// Enumeration streams started.
     pub enumerations_total: u64,
-    /// Enumeration result pages sent across all streams (second v2
-    /// trailing extension).
+    /// Enumeration result pages sent across all streams.
     pub pages_sent: u64,
 }
 
 impl StatsOk {
-    const ENCODED_LEN: usize = 7 * 4 + 8 * 8 + HISTOGRAM_BUCKETS * 8;
-    /// Size of the v2 trailing extension: `[u64 replication_lag]`
-    /// `[u8 role][7 reserved zero bytes]`. The reserved bytes keep the
-    /// extension 8-byte aligned and leave room for the next field without
-    /// another length change.
-    const REPL_EXT_LEN: usize = 16;
-    /// Size of the second v2 trailing extension:
-    /// `[u64 enumerations_total][u64 pages_sent]`. Appended after the
-    /// replication extension; decoders that predate it simply stop at the
-    /// shorter accepted length.
-    const ENUM_EXT_LEN: usize = 16;
+    const ENCODED_LEN: usize = 7 * 4 + 8 * 8 + HISTOGRAM_BUCKETS * 8 + 16 + 16;
+    /// Zero bytes after the role byte: they keep the tail 8-byte aligned
+    /// and leave room for the next small field without a length change.
+    const RESERVED: usize = 7;
 
-    /// Serialises the payload in the v1 layout (no replication
-    /// extension) — what a v1 peer must receive.
+    /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::ENCODED_LEN + Self::REPL_EXT_LEN);
+        let mut out = Writer::with_capacity(Self::ENCODED_LEN);
         for gauge in [
             self.live_workers,
             self.max_in_flight,
@@ -1530,7 +1500,7 @@ impl StatsOk {
             self.cache_capacity,
             self.warm_started,
         ] {
-            out.extend_from_slice(&gauge.to_le_bytes());
+            out.u32(gauge);
         }
         for counter in [
             self.connections_total,
@@ -1542,117 +1512,56 @@ impl StatsOk {
             self.cache_evictions,
             self.overload_rejections,
         ] {
-            out.extend_from_slice(&counter.to_le_bytes());
+            out.u64(counter);
         }
         for bucket in self.latency.buckets {
-            out.extend_from_slice(&bucket.to_le_bytes());
+            out.u64(bucket);
         }
-        out
+        out.u64(self.replication_lag)
+            .u8(self.repl_role.code())
+            .bytes(&[0; Self::RESERVED])
+            .u64(self.enumerations_total)
+            .u64(self.pages_sent);
+        out.finish()
     }
 
-    /// Serialises the payload for a peer speaking `version`: v2 peers get
-    /// the trailing replication and enumeration extensions (which their
-    /// decoders accept by length), v1 peers get the exact layout they
-    /// validate against.
-    pub fn encode_for(&self, version: u8) -> Vec<u8> {
-        let mut out = self.encode();
-        if version >= 2 {
-            out.extend_from_slice(&self.replication_lag.to_le_bytes());
-            out.push(self.repl_role.code());
-            out.extend_from_slice(&[0u8; 7]);
-            out.extend_from_slice(&self.enumerations_total.to_le_bytes());
-            out.extend_from_slice(&self.pages_sent.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses a payload; `None` unless it is exactly the v1 fixed size,
-    /// that plus the 16-byte replication extension (whose reserved bytes
-    /// must be zero), or that plus the 16-byte enumeration extension as
-    /// well — each historical length decodes with the newer fields
-    /// defaulted to zero.
+    /// Parses a payload; `None` unless it is exactly the one fixed length,
+    /// with a known role byte and zeroed reserved bytes.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        let (replication_lag, repl_role, enumerations_total, pages_sent) = if payload.len()
-            == Self::ENCODED_LEN + Self::REPL_EXT_LEN + Self::ENUM_EXT_LEN
-            || payload.len() == Self::ENCODED_LEN + Self::REPL_EXT_LEN
-        {
-            let ext = &payload[Self::ENCODED_LEN..];
-            if ext[9..Self::REPL_EXT_LEN].iter().any(|&b| b != 0) {
-                return None;
-            }
-            let (enumerations_total, pages_sent) = if ext.len() > Self::REPL_EXT_LEN {
-                let tail = &ext[Self::REPL_EXT_LEN..];
-                (
-                    u64::from_le_bytes(tail[..8].try_into().ok()?),
-                    u64::from_le_bytes(tail[8..16].try_into().ok()?),
-                )
-            } else {
-                (0, 0)
-            };
-            (
-                u64::from_le_bytes(ext[..8].try_into().ok()?),
-                ReplRole::from_code(ext[8])?,
-                enumerations_total,
-                pages_sent,
-            )
-        } else if payload.len() == Self::ENCODED_LEN {
-            (0, ReplRole::Primary, 0, 0)
-        } else {
-            return None;
-        };
-        let payload = &payload[..Self::ENCODED_LEN];
-        let mut pos = 0usize;
-        let mut next_u32 = || {
-            let v = u32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap());
-            pos += 4;
-            v
-        };
-        let live_workers = next_u32();
-        let max_in_flight = next_u32();
-        let in_flight = next_u32();
-        let queued = next_u32();
-        let cache_len = next_u32();
-        let cache_capacity = next_u32();
-        let warm_started = next_u32();
-        let mut next_u64 = || {
-            let v = u64::from_le_bytes(payload[pos..pos + 8].try_into().unwrap());
-            pos += 8;
-            v
-        };
-        let connections_total = next_u64();
-        let queries_total = next_u64();
-        let deadline_exceeded = next_u64();
-        let protocol_errors = next_u64();
-        let cache_hits = next_u64();
-        let cache_misses = next_u64();
-        let cache_evictions = next_u64();
-        let overload_rejections = next_u64();
-        let mut latency = LatencyHistogram::default();
-        for bucket in latency.buckets.iter_mut() {
-            *bucket = next_u64();
+        let mut r = Reader::new(payload);
+        let mut stats = Self::default();
+        for gauge in [
+            &mut stats.live_workers,
+            &mut stats.max_in_flight,
+            &mut stats.in_flight,
+            &mut stats.queued,
+            &mut stats.cache_len,
+            &mut stats.cache_capacity,
+            &mut stats.warm_started,
+        ] {
+            *gauge = r.u32()?;
         }
-        Some(Self {
-            live_workers,
-            max_in_flight,
-            in_flight,
-            queued,
-            cache_len,
-            cache_capacity,
-            warm_started,
-            connections_total,
-            queries_total,
-            deadline_exceeded,
-            protocol_errors,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            overload_rejections,
-            latency,
-            replication_lag,
-            repl_role,
-            enumerations_total,
-            pages_sent,
-        })
+        for counter in [
+            &mut stats.connections_total,
+            &mut stats.queries_total,
+            &mut stats.deadline_exceeded,
+            &mut stats.protocol_errors,
+            &mut stats.cache_hits,
+            &mut stats.cache_misses,
+            &mut stats.cache_evictions,
+            &mut stats.overload_rejections,
+        ] {
+            *counter = r.u64()?;
+        }
+        for bucket in &mut stats.latency.buckets {
+            *bucket = r.u64()?;
+        }
+        stats.replication_lag = r.u64()?;
+        stats.repl_role = ReplRole::from_code(r.u8()?)?;
+        r.reserved(Self::RESERVED)?;
+        stats.enumerations_total = r.u64()?;
+        stats.pages_sent = r.u64()?;
+        r.finish(stats)
     }
 }
 
@@ -1682,23 +1591,21 @@ pub struct ReplSubscribe {
 impl ReplSubscribe {
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(17);
-        out.push(0);
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.offset.to_le_bytes());
-        out
+        let mut out = Writer::with_capacity(17);
+        out.u8(0).u64(self.generation).u64(self.offset);
+        out.finish()
     }
 
     /// Parses a payload; `None` unless it is exactly 17 bytes with a zero
     /// flags byte.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() != 17 || payload[0] != 0 {
-            return None;
-        }
-        Some(Self {
-            generation: u64::from_le_bytes(payload[1..9].try_into().ok()?),
-            offset: u64::from_le_bytes(payload[9..17].try_into().ok()?),
-        })
+        let mut r = Reader::new(payload);
+        r.reserved(1)?;
+        let subscribe = Self {
+            generation: r.u64()?,
+            offset: r.u64()?,
+        };
+        r.finish(subscribe)
     }
 }
 
@@ -1751,51 +1658,46 @@ impl ReplBatch {
 
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(29 + self.bytes.len());
         let flags = match self.payload {
             ReplPayload::Records => 0,
-            ReplPayload::Checkpoint { done: false } => Self::FLAG_CHECKPOINT,
-            ReplPayload::Checkpoint { done: true } => {
-                Self::FLAG_CHECKPOINT | Self::FLAG_CHECKPOINT_DONE
+            ReplPayload::Checkpoint { done } => {
+                Self::FLAG_CHECKPOINT | flag(done, Self::FLAG_CHECKPOINT_DONE)
             }
         };
-        out.push(flags);
-        out.extend_from_slice(&self.primary_generation.to_le_bytes());
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.next_offset.to_le_bytes());
-        out.extend_from_slice(&(self.bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.bytes);
-        out
+        let mut out = Writer::with_capacity(29 + self.bytes.len());
+        out.u8(flags)
+            .u64(self.primary_generation)
+            .u64(self.generation)
+            .u64(self.next_offset)
+            .u32(self.bytes.len() as u32)
+            .bytes(&self.bytes);
+        out.finish()
     }
 
     /// Parses a payload; `None` on truncation, trailing bytes, unknown
     /// flag bits, or a done flag without the checkpoint flag.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() < 29 {
-            return None;
-        }
-        let flags = payload[0];
-        if flags & !(Self::FLAG_CHECKPOINT | Self::FLAG_CHECKPOINT_DONE) != 0 {
-            return None;
-        }
-        let batch_payload = match (
-            flags & Self::FLAG_CHECKPOINT != 0,
-            flags & Self::FLAG_CHECKPOINT_DONE != 0,
-        ) {
-            (false, false) => ReplPayload::Records,
-            (true, done) => ReplPayload::Checkpoint { done },
-            (false, true) => return None, // done promises a checkpoint
+        let mut r = Reader::new(payload);
+        let flags = r.u8()?;
+        let payload = match flags {
+            0 => ReplPayload::Records,
+            Self::FLAG_CHECKPOINT => ReplPayload::Checkpoint { done: false },
+            f if f == Self::FLAG_CHECKPOINT | Self::FLAG_CHECKPOINT_DONE => {
+                ReplPayload::Checkpoint { done: true }
+            }
+            _ => return None, // unknown bits, or done without checkpoint
         };
-        let n = u32::from_le_bytes(payload[25..29].try_into().ok()?) as usize;
-        if payload.len() != 29usize.checked_add(n)? {
-            return None;
-        }
-        Some(Self {
-            payload: batch_payload,
-            primary_generation: u64::from_le_bytes(payload[1..9].try_into().ok()?),
-            generation: u64::from_le_bytes(payload[9..17].try_into().ok()?),
-            next_offset: u64::from_le_bytes(payload[17..25].try_into().ok()?),
-            bytes: payload[29..].to_vec(),
+        let primary_generation = r.u64()?;
+        let generation = r.u64()?;
+        let next_offset = r.u64()?;
+        let n = r.u32()? as usize;
+        let bytes = r.bytes(n)?.to_vec();
+        r.finish(Self {
+            payload,
+            primary_generation,
+            generation,
+            next_offset,
+            bytes,
         })
     }
 }
@@ -1816,21 +1718,19 @@ pub struct ReplAck {
 impl ReplAck {
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.offset.to_le_bytes());
-        out
+        let mut out = Writer::with_capacity(16);
+        out.u64(self.generation).u64(self.offset);
+        out.finish()
     }
 
     /// Parses a payload; `None` unless it is exactly 16 bytes.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() != 16 {
-            return None;
-        }
-        Some(Self {
-            generation: u64::from_le_bytes(payload[..8].try_into().ok()?),
-            offset: u64::from_le_bytes(payload[8..].try_into().ok()?),
-        })
+        let mut r = Reader::new(payload);
+        let ack = Self {
+            generation: r.u64()?,
+            offset: r.u64()?,
+        };
+        r.finish(ack)
     }
 }
 
@@ -1846,49 +1746,48 @@ pub struct PromoteOk {
 impl PromoteOk {
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        self.generation.to_le_bytes().to_vec()
+        let mut out = Writer::with_capacity(8);
+        out.u64(self.generation);
+        out.finish()
     }
 
     /// Parses a payload; `None` unless it is exactly 8 bytes.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() != 8 {
-            return None;
-        }
-        Some(Self {
-            generation: u64::from_le_bytes(payload.try_into().ok()?),
-        })
+        let mut r = Reader::new(payload);
+        let generation = r.u64()?;
+        r.finish(Self { generation })
     }
 }
 
 /// [`op::ERROR`] payload: `[u8 code][u16 msg_len][msg utf8]`, optionally
-/// followed by a 4-byte LE retry-after hint in milliseconds (protocol
-/// v2). v1 decoders reject trailing bytes, so servers only append the
-/// hint on v2 connections.
+/// followed by a 4-byte LE retry-after hint in milliseconds. The message
+/// is capped at [`WireError::MAX_MESSAGE_LEN`] bytes so that the error
+/// frame — hint included — always fits [`MAX_FRAME_LEN`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     /// The typed error code.
     pub code: ErrorCode,
     /// Human-readable detail.
     pub message: String,
-    /// Suggested client backoff before retrying (v2 extension).
+    /// Suggested client backoff before retrying.
     pub retry_after_ms: Option<u32>,
 }
 
 impl WireError {
-    /// Builds an error payload, truncating the message to `u16::MAX` bytes.
+    /// Longest message an error frame can carry: the frame cap less the
+    /// frame header, the 3-byte code/length prefix and the 4-byte hint.
+    pub const MAX_MESSAGE_LEN: usize = MAX_FRAME_LEN - HEADER_LEN - 7;
+
+    /// Builds an error payload, truncating the message (on a char
+    /// boundary) to [`WireError::MAX_MESSAGE_LEN`] bytes.
     pub fn new(code: ErrorCode, message: &str) -> Self {
-        let mut message = message.to_string();
-        if message.len() > usize::from(u16::MAX) {
-            // Truncate on a char boundary.
-            let mut cut = usize::from(u16::MAX);
-            while !message.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            message.truncate(cut);
+        let mut cut = message.len().min(Self::MAX_MESSAGE_LEN);
+        while !message.is_char_boundary(cut) {
+            cut -= 1;
         }
         Self {
             code,
-            message,
+            message: message[..cut].to_string(),
             retry_after_ms: None,
         }
     }
@@ -1901,34 +1800,28 @@ impl WireError {
 
     /// Serialises the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(3 + self.message.len() + 4);
-        out.push(self.code.code());
-        out.extend_from_slice(&(self.message.len() as u16).to_le_bytes());
-        out.extend_from_slice(self.message.as_bytes());
+        let mut out = Writer::with_capacity(3 + self.message.len() + 4);
+        out.u8(self.code.code())
+            .u16(self.message.len() as u16)
+            .bytes(self.message.as_bytes());
         if let Some(ms) = self.retry_after_ms {
-            out.extend_from_slice(&ms.to_le_bytes());
+            out.u32(ms);
         }
-        out
+        out.finish()
     }
 
     /// Parses a payload; `None` on truncation, unexpected trailing bytes,
-    /// or non-UTF-8 text. Exactly four trailing bytes decode as the v2
+    /// or non-UTF-8 text. Exactly four trailing bytes decode as the
     /// retry-after hint.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        if payload.len() < 3 {
-            return None;
-        }
-        let code = ErrorCode::from_code(payload[0]);
-        let msg_len = u16::from_le_bytes(payload[1..3].try_into().ok()?) as usize;
-        let text = payload.get(3..3 + msg_len)?;
-        let retry_after_ms = match payload.len() - 3 - msg_len {
-            0 => None,
-            4 => Some(u32::from_le_bytes(payload[3 + msg_len..].try_into().ok()?)),
-            _ => return None,
-        };
-        Some(Self {
+        let mut r = Reader::new(payload);
+        let code = ErrorCode::from_code(r.u8()?);
+        let msg_len = usize::from(r.u16()?);
+        let message = String::from_utf8(r.bytes(msg_len)?.to_vec()).ok()?;
+        let retry_after_ms = if r.is_empty() { None } else { Some(r.u32()?) };
+        r.finish(Self {
             code,
-            message: String::from_utf8(text.to_vec()).ok()?,
+            message,
             retry_after_ms,
         })
     }
@@ -2026,7 +1919,7 @@ mod tests {
             "unknown flags"
         );
 
-        // v2 request IDs round-trip and change the encoded length.
+        // Request IDs round-trip and change the encoded length.
         let tagged = CountRequest {
             request_id: 0xDEAD_BEEF_CAFE_F00D,
             ..req.clone()
@@ -2060,12 +1953,12 @@ mod tests {
         let err = WireError::new(ErrorCode::DeadlineExceeded, "too slow");
         assert_eq!(WireError::decode(&err.encode()).unwrap(), err);
         assert!(WireError::decode(&err.encode()[..2]).is_none());
-        // A single trailing byte is neither v1 nor a v2 hint.
+        // A single trailing byte is neither nothing nor a 4-byte hint.
         let mut padded = err.encode();
         padded.push(0);
         assert!(WireError::decode(&padded).is_none());
 
-        // v2 retry-after hint rides as exactly four trailing bytes.
+        // The retry-after hint rides as exactly four trailing bytes.
         let hinted = WireError::new(ErrorCode::RetryLater, "busy").with_retry_after(250);
         assert_eq!(hinted.encode().len(), 3 + 4 + 4);
         let decoded = WireError::decode(&hinted.encode()).unwrap();
@@ -2177,24 +2070,40 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_are_still_accepted() {
-        // A v1 peer's frame parses and remembers its version, so replies
-        // can echo it.
-        let frame = Frame::with_version(MIN_VERSION, op::PING, vec![]);
-        let decoded = read_frame(&mut Cursor::new(frame.encode())).unwrap();
-        assert_eq!(decoded.version, MIN_VERSION);
-        assert_eq!(decoded, frame);
-        // Versions outside MIN..=current are refused.
-        let future = Frame::with_version(VERSION + 1, op::PING, vec![]).encode();
-        assert!(matches!(
-            read_frame(&mut Cursor::new(future)),
-            Err(NetError::UnsupportedVersion(_))
-        ));
-        let ancient = Frame::with_version(0, op::PING, vec![]).encode();
-        assert!(matches!(
-            read_frame(&mut Cursor::new(ancient)),
-            Err(NetError::UnsupportedVersion(0))
-        ));
+    fn every_other_version_byte_is_refused() {
+        // One version is spoken: the retired v1, a future v3 and anything
+        // else fail with the byte seen, before the opcode is looked at.
+        for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+            let mut bytes = Frame::new(op::PING, vec![]).encode();
+            bytes[6] = version;
+            assert!(matches!(
+                read_frame(&mut Cursor::new(bytes)),
+                Err(NetError::UnsupportedVersion(seen)) if seen == version
+            ));
+        }
+    }
+
+    #[test]
+    fn oversized_error_messages_still_fit_one_frame() {
+        // 70 000 bytes of message cannot ride in a 64 KiB frame: the
+        // constructor truncates (on a char boundary) so the frame is
+        // always readable, with and without the 4-byte hint.
+        let long = "x".repeat(70_000);
+        let hinted = WireError::new(ErrorCode::RetryLater, &long).with_retry_after(250);
+        for frame in [
+            Frame::error(ErrorCode::Internal, &long),
+            hinted.clone().into(),
+        ] {
+            let decoded = read_frame(&mut Cursor::new(frame.encode())).unwrap();
+            let error = WireError::decode(&decoded.payload).unwrap();
+            assert_eq!(error.message.len(), WireError::MAX_MESSAGE_LEN);
+        }
+        assert_eq!(Frame::from(hinted).encode().len(), 4 + MAX_FRAME_LEN);
+        // A multi-byte char straddling the cap is dropped whole.
+        let wide = "\u{e9}".repeat(40_000);
+        let error = WireError::new(ErrorCode::Internal, &wide);
+        assert_eq!(error.message.len(), WireError::MAX_MESSAGE_LEN - 1);
+        assert_eq!(WireError::decode(&error.encode()).unwrap(), error);
     }
 
     #[test]
@@ -2272,44 +2181,7 @@ mod tests {
     }
 
     #[test]
-    fn health_and_stats_encode_per_version() {
-        // A v2 health reply carries role + lag; encode_for(v1) truncates
-        // to the 5 bytes a v1 decoder insists on.
-        let health = HealthOk {
-            state: HealthState::Ready,
-            retry_after_ms: 0,
-            role: ReplRole::Replica,
-            replication_lag: 3,
-        };
-        assert_eq!(health.encode_for(MIN_VERSION).len(), 5);
-        assert_eq!(health.encode_for(VERSION).len(), 14);
-        let decoded = HealthOk::decode(&health.encode_for(VERSION)).unwrap();
-        assert_eq!(decoded, health);
-        let v1 = HealthOk::decode(&health.encode_for(MIN_VERSION)).unwrap();
-        assert_eq!(v1.state, HealthState::Ready);
-        // The 5-byte form decodes with the defaults a v1 server implies.
-        assert_eq!(v1.role, ReplRole::Primary);
-        assert_eq!(v1.replication_lag, 0);
-
-        let stats = StatsOk {
-            replication_lag: 4,
-            repl_role: ReplRole::Replica,
-            ..StatsOk::default()
-        };
-        let v2 = stats.encode_for(VERSION);
-        let v1 = stats.encode_for(MIN_VERSION);
-        assert_eq!(v2.len(), v1.len() + 32);
-        let decoded = StatsOk::decode(&v2).unwrap();
-        assert_eq!(decoded.replication_lag, 4);
-        assert_eq!(decoded.repl_role, ReplRole::Replica);
-        // A v1 payload decodes with the reserved-field defaults.
-        let decoded = StatsOk::decode(&v1).unwrap();
-        assert_eq!(decoded.replication_lag, 0);
-        assert_eq!(decoded.repl_role, ReplRole::Primary);
-    }
-
-    #[test]
-    fn stats_enumeration_tail_is_length_discriminated() {
+    fn stats_and_health_have_exactly_one_length() {
         let stats = StatsOk {
             enumerations_total: 12,
             pages_sent: 345,
@@ -2317,21 +2189,34 @@ mod tests {
             repl_role: ReplRole::Replica,
             ..StatsOk::default()
         };
-        let v2 = stats.encode_for(VERSION);
-        let decoded = StatsOk::decode(&v2).unwrap();
-        assert_eq!(decoded, stats);
-        // A replication-era payload (one 16-byte extension) still decodes,
-        // with the enumeration counters defaulted.
-        let repl_only = &v2[..v2.len() - 16];
-        let decoded = StatsOk::decode(repl_only).unwrap();
-        assert_eq!(decoded.replication_lag, 1);
-        assert_eq!(decoded.enumerations_total, 0);
-        assert_eq!(decoded.pages_sent, 0);
-        // Any other length is refused.
-        assert!(StatsOk::decode(&v2[..v2.len() - 8]).is_none());
-        let mut longer = v2.clone();
+        let bytes = stats.encode();
+        assert_eq!(bytes.len(), 380);
+        assert_eq!(StatsOk::decode(&bytes).unwrap(), stats);
+        // Any other length is refused — including the two shorter layouts
+        // older builds used to emit (316 and 348 bytes).
+        for len in (0..bytes.len()).rev().step_by(8).chain([316, 348]) {
+            assert!(StatsOk::decode(&bytes[..len]).is_none(), "length {len}");
+        }
+        let mut longer = bytes.clone();
         longer.push(0);
         assert!(StatsOk::decode(&longer).is_none());
+        // Reserved bytes must be zero and the role byte known.
+        let mut reserved = bytes.clone();
+        reserved[380 - 17] = 1;
+        assert!(StatsOk::decode(&reserved).is_none());
+        let mut role = bytes;
+        role[380 - 24] = 9;
+        assert!(StatsOk::decode(&role).is_none());
+
+        let health = HealthOk {
+            state: HealthState::Ready,
+            retry_after_ms: 0,
+            role: ReplRole::Replica,
+            replication_lag: 3,
+        };
+        assert_eq!(health.encode().len(), 14);
+        assert_eq!(HealthOk::decode(&health.encode()).unwrap(), health);
+        assert!(HealthOk::decode(&health.encode()[..5]).is_none());
     }
 
     #[test]
@@ -2441,7 +2326,10 @@ mod tests {
         };
         assert_eq!(EnumerateRequest::decode(&req.encode()).unwrap(), req);
         // Zero limits, unknown flags and truncations never parse.
-        let zero_limit = EnumerateRequest { limit: 0, ..req.clone() };
+        let zero_limit = EnumerateRequest {
+            limit: 0,
+            ..req.clone()
+        };
         assert!(EnumerateRequest::decode(&zero_limit.encode()).is_none());
         let mut flagged = req.encode();
         flagged[0] |= 0x80;

@@ -5,7 +5,9 @@
 //!
 //! One thread (the caller of [`Server::serve`]) runs a non-blocking accept
 //! loop; every accepted connection gets a scoped handler thread that speaks
-//! strict request/response framing. Handlers never touch each other's
+//! strict request/response framing: each request's handler returns its
+//! reply (`Result<Frame, WireError>`, or a page stream) and one loop in
+//! `handle_connection` writes it. Handlers never touch each other's
 //! state, so **a bad frame kills its connection, never the server**:
 //! framing errors (bad magic, wrong version, oversized length, mid-frame
 //! truncation) answer with a typed error frame and close that one
@@ -13,9 +15,8 @@
 //! opcode, bad payload, rejected pattern, expired deadline) answer and keep
 //! the connection open.
 //!
-//! Queries execute on the shared multi-tenant
-//! [`WorkerPool`] through an **admission
-//! gate** sized to the pool's `max_in_flight`. The gate, not the pool, is
+//! Queries execute on the shared multi-tenant [`WorkerPool`] through an
+//! **admission gate** sized to the pool's `max_in_flight`. The gate, not the pool, is
 //! where excess queries wait — unlike the pool's own blocking submit path,
 //! a gated wait can observe the query's deadline, so a queued query whose
 //! deadline expires is cancelled *without ever executing* (true
@@ -36,22 +37,24 @@
 use crate::config::{PoolOptions, ServeOptions};
 use crate::dynamic::DynamicEngine;
 use crate::engine::{
-    CacheStats, CountOptions, GraphPi, PlanCache, PlanOptions, SavedPlanKey, Session,
-    WarmStartReport,
+    CountOptions, GraphPi, PlanCache, PlanOptions, SavedPlanKey, Session, WarmStartReport,
 };
 use crate::exec::pool::WorkerPool;
 use crate::net::protocol::{
     max_embeddings_per_page, op, CountExt, CountOk, CountRequest, EnumPage, EnumerateRequest,
     ErrorCode, Frame, HealthOk, HealthState, LatencyHistogram, NetError, OrbitSummary, PromoteOk,
     QueryMode, ReplAck, ReplBatch, ReplPayload, ReplRole, ReplSubscribe, SampleSummary, StatsOk,
-    TcpTransport, Transport, UpdateOk, UpdateRequest, HISTOGRAM_BUCKETS, REPL_CHUNK_BYTES,
+    TcpTransport, Transport, UpdateOk, UpdateRequest, WireError, HISTOGRAM_BUCKETS,
+    REPL_CHUNK_BYTES,
 };
 use crate::persist;
 use graphpi_graph::delta::{DeltaError, EdgeBatch};
 use graphpi_graph::wal::{DurableError, ShipPoint, WalReader};
 use graphpi_pattern::Pattern;
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::io::{ErrorKind, Read};
+use std::iter::Once;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -348,7 +351,11 @@ fn request_fingerprint(request: &CountRequest) -> u64 {
         QueryMode::Orbit => eat(1),
         QueryMode::Sample { seed, rate_bits } => {
             eat(2);
-            for byte in seed.to_le_bytes().into_iter().chain(rate_bits.to_le_bytes()) {
+            for byte in seed
+                .to_le_bytes()
+                .into_iter()
+                .chain(rate_bits.to_le_bytes())
+            {
                 eat(byte);
             }
         }
@@ -418,8 +425,12 @@ impl RequestLedger {
     }
 
     /// The recorded reply for `id`, if it exists *and* belongs to the
-    /// same logical request.
+    /// same logical request. ID 0 means "no idempotency key": it is never
+    /// recorded and never replays.
     fn lookup(&self, id: u64, fingerprint: u64) -> Option<LedgerReply> {
+        if id == 0 {
+            return None;
+        }
         let inner = self.inner.lock().expect("ledger poisoned");
         match inner.replies.get(&id) {
             Some((stored, reply)) if *stored == fingerprint => Some(*reply),
@@ -428,6 +439,9 @@ impl RequestLedger {
     }
 
     fn record(&self, id: u64, fingerprint: u64, reply: LedgerReply) {
+        if id == 0 {
+            return;
+        }
         let mut inner = self.inner.lock().expect("ledger poisoned");
         if inner.replies.insert(id, (fingerprint, reply)).is_none() {
             inner.order.push_back(id);
@@ -543,17 +557,6 @@ impl ServeBackend<'_> {
         })
     }
 
-    /// Enumerates up to `limit` embeddings against a single consistent
-    /// generation (flattened page source for the `ENUMERATE` stream).
-    fn enumerate_with(
-        &self,
-        pattern: &Pattern,
-        limit: u64,
-        options: CountOptions,
-    ) -> Result<Vec<Vec<u32>>, crate::error::EngineError> {
-        self.with_session(|session| session.enumerate_with(pattern, limit, options))
-    }
-
     /// The dynamic engine, when updates are accepted.
     fn dynamic(&self) -> Option<&DynamicEngine> {
         match self {
@@ -564,46 +567,13 @@ impl ServeBackend<'_> {
 
     /// The serving generation (0 for a static, immutable graph).
     fn generation(&self) -> u64 {
-        match self {
-            ServeBackend::Static(_) => 0,
-            ServeBackend::Dynamic { engine, .. } => engine.generation(),
-        }
-    }
-
-    fn pool(&self) -> &WorkerPool {
-        match self {
-            ServeBackend::Static(session) => session.pool(),
-            ServeBackend::Dynamic { pool, .. } => pool,
-        }
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        match self {
-            ServeBackend::Static(session) => session.cache_stats(),
-            ServeBackend::Dynamic { cache, .. } => cache.stats(),
-        }
+        self.dynamic().map_or(0, DynamicEngine::generation)
     }
 
     /// Warm-starts the plan cache against the engine serving right now
     /// (for a dynamic backend: the recovered generation).
     fn warm_start(&self, keys: &[SavedPlanKey]) -> WarmStartReport {
-        match self {
-            ServeBackend::Static(session) => session.warm_start(keys),
-            ServeBackend::Dynamic {
-                engine,
-                pool,
-                cache,
-            } => {
-                let pin = engine.pin();
-                let session = pin.engine().session_shared(
-                    Arc::clone(pool),
-                    Arc::clone(cache),
-                    PlanOptions::default(),
-                    CountOptions::default(),
-                );
-                session.warm_start(keys)
-            }
-        }
+        self.with_session(|session| session.warm_start(keys))
     }
 }
 
@@ -749,7 +719,7 @@ impl Server {
     }
 
     /// Serves a [`DynamicEngine`] until drained: counts pin the current
-    /// generation per query, and the v2 `UPDATE` opcode commits edge
+    /// generation per query, and the `UPDATE` opcode commits edge
     /// batches (durably, when the engine was opened with a WAL).
     pub fn serve_dynamic(self, engine: &DynamicEngine) -> Result<ServerReport, NetError> {
         self.serve_dynamic_with_repl(engine, ReplState::primary())
@@ -808,6 +778,16 @@ impl Server {
         let admission = Admission::new(pool.max_in_flight(), max_waiting);
         let ledger = RequestLedger::new(LEDGER_CAPACITY);
         let snapshots_written = AtomicU64::new(0);
+        let ctx = ServeCtx {
+            backend: &backend,
+            pool: &pool,
+            cache: &cache,
+            metrics: &metrics,
+            admission: &admission,
+            ledger: &ledger,
+            draining: &draining,
+            repl: &repl,
+        };
         std::thread::scope(|scope| {
             // Crash safety: a background thread re-snapshots the plan
             // cache every `snapshot_interval`, so a `kill -9` loses at
@@ -874,25 +854,12 @@ impl Server {
                             continue;
                         }
                         metrics.active_connections.fetch_add(1, Ordering::Relaxed);
-                        let backend = &backend;
-                        let metrics = &metrics;
-                        let admission = &admission;
-                        let ledger = &ledger;
-                        let draining = &draining;
-                        let repl = &repl;
                         let read_timeout = options.read_timeout;
                         scope.spawn(move || {
-                            handle_connection(
-                                stream,
-                                backend,
-                                metrics,
-                                admission,
-                                ledger,
-                                draining,
-                                repl,
-                                read_timeout,
-                            );
-                            metrics.active_connections.fetch_sub(1, Ordering::Relaxed);
+                            handle_connection(stream, ctx, read_timeout);
+                            ctx.metrics
+                                .active_connections
+                                .fetch_sub(1, Ordering::Relaxed);
                         });
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
@@ -920,24 +887,53 @@ impl Server {
     }
 }
 
+/// What every request handler needs from the serving process, bundled
+/// once per server and copied into each connection thread.
+#[derive(Clone, Copy)]
+struct ServeCtx<'a> {
+    backend: &'a ServeBackend<'a>,
+    pool: &'a WorkerPool,
+    cache: &'a PlanCache,
+    metrics: &'a Metrics,
+    admission: &'a Admission,
+    ledger: &'a RequestLedger,
+    draining: &'a AtomicBool,
+    repl: &'a ReplState,
+}
+
+/// What one request earns: a single frame, a single frame after which
+/// the connection closes, or a page stream. Iterating yields the frames
+/// to write, in order — [`handle_connection`] is the only writer.
+enum Reply<'a> {
+    One(Once<Frame>),
+    Last(Once<Frame>),
+    Pages(PageStream<'a>),
+}
+
+impl Reply<'_> {
+    fn one(frame: Frame) -> Self {
+        Reply::One(std::iter::once(frame))
+    }
+
+    fn last(frame: Frame) -> Self {
+        Reply::Last(std::iter::once(frame))
+    }
+}
+
+impl Iterator for Reply<'_> {
+    type Item = Frame;
+
+    fn next(&mut self) -> Option<Frame> {
+        match self {
+            Reply::One(frame) | Reply::Last(frame) => frame.next(),
+            Reply::Pages(pages) => pages.next(),
+        }
+    }
+}
+
 /// Speaks the protocol with one client until EOF, a framing error, or
 /// drain. Never panics outward and never takes the server down.
-///
-/// Version negotiation is per-frame: each reply echoes the request's
-/// version byte, so a v1 client talks v1 end to end (and never sees
-/// v2-only payload extensions like retry-after hints) while a v2 client
-/// on the same server gets the full protocol.
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    stream: TcpStream,
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    ledger: &RequestLedger,
-    draining: &AtomicBool,
-    repl: &ReplState,
-    read_timeout: Duration,
-) {
+fn handle_connection(stream: TcpStream, ctx: ServeCtx<'_>, read_timeout: Duration) {
     // The read timeout is the handler's poll granularity: an idle wait
     // wakes up this often to notice a drain. Zero would mean non-blocking
     // reads (a busy loop), so it is clamped away.
@@ -949,608 +945,473 @@ fn handle_connection(
     stream.set_read_timeout(Some(timeout)).ok();
     let mut transport = TcpTransport::new(stream);
     loop {
-        if draining.load(Ordering::Acquire) {
-            let _ = transport.send(&Frame::error(
+        let mut reply = if ctx.draining.load(Ordering::Acquire) {
+            Reply::last(Frame::error(
                 ErrorCode::ShuttingDown,
                 "server is draining; reconnect later",
-            ));
-            return;
-        }
-        let frame = match transport.recv() {
-            Ok(frame) => frame,
-            Err(NetError::Idle) => continue,
-            Err(NetError::Closed) => return,
-            Err(error) => {
-                // Framing is broken: answer with the matching typed code
-                // (best-effort — the peer may already be gone) and drop
-                // this one connection.
-                metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let code = match &error {
-                    NetError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
-                    NetError::FrameTooLarge(_) => ErrorCode::FrameTooLarge,
-                    _ => ErrorCode::BadFrame,
-                };
-                let _ = transport.send(&Frame::error(code, &error.to_string()));
+            ))
+        } else {
+            match transport.recv() {
+                Ok(frame) => match dispatch(&ctx, &mut transport, frame) {
+                    Some(reply) => reply,
+                    None => return,
+                },
+                Err(NetError::Idle) => continue,
+                Err(NetError::Closed) => return,
+                Err(error) => {
+                    // Framing is broken: answer with the matching typed
+                    // code (best-effort — the peer may already be gone)
+                    // and drop this one connection.
+                    ctx.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    let code = match &error {
+                        NetError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
+                        NetError::FrameTooLarge(_) => ErrorCode::FrameTooLarge,
+                        _ => ErrorCode::BadFrame,
+                    };
+                    Reply::last(Frame::error(code, &error.to_string()))
+                }
+            }
+        };
+        let closes = matches!(reply, Reply::Last(_));
+        for frame in &mut reply {
+            if transport.send(&frame).is_err() {
                 return;
             }
-        };
-        let peer = frame.version;
-        let keep_alive = match frame.opcode {
-            op::PING => transport
-                .send(&Frame::with_version(peer, op::PONG, frame.payload))
-                .is_ok(),
-            op::STATS => {
-                let reply = stats_frame(peer, backend, metrics, admission, repl);
-                transport.send(&reply).is_ok()
-            }
-            op::HEALTH => {
-                let reply = health_frame(peer, backend, metrics, admission, draining, repl);
-                transport.send(&reply).is_ok()
-            }
-            op::COUNT => handle_count(
-                &mut transport,
-                peer,
-                &frame.payload,
-                backend,
-                metrics,
-                admission,
-                ledger,
-            ),
-            // ENUMERATE is a v2 opcode: the paged reply stream does not
-            // exist in protocol v1.
-            op::ENUMERATE if peer >= 2 => handle_enumerate(
-                &mut transport,
-                peer,
-                &frame.payload,
-                backend,
-                metrics,
-                admission,
-            ),
-            // UPDATE is a v2 opcode: a v1 peer sending it gets the same
-            // UnknownOpcode a v1 server would have answered, so mixed
-            // fleets fail loudly instead of half-applying.
-            op::UPDATE if peer >= 2 => handle_update(
-                &mut transport,
-                peer,
-                &frame.payload,
-                backend,
-                metrics,
-                admission,
-                ledger,
-                repl,
-            ),
-            // Subscribing hands the whole connection over to the
-            // replication stream; it never returns to request/response
-            // framing, so the handler closes it when shipping ends.
-            op::REPL_SUBSCRIBE if peer >= 2 => {
-                handle_replication(
-                    &mut transport,
-                    peer,
-                    &frame.payload,
-                    backend,
-                    repl,
-                    metrics,
-                    draining,
-                );
-                false
-            }
-            op::PROMOTE if peer >= 2 => {
-                handle_promote(&mut transport, peer, &frame.payload, backend, repl, metrics)
-            }
-            op::SHUTDOWN => {
-                draining.store(true, Ordering::Release);
-                let _ = transport.send(&Frame::with_version(peer, op::SHUTDOWN_OK, vec![]));
-                false
-            }
-            other => {
-                metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                transport
-                    .send(&error_frame(
-                        peer,
-                        ErrorCode::UnknownOpcode,
-                        &format!(
-                            "opcode {other:#04x} is not part of protocol v{}",
-                            super::protocol::VERSION
-                        ),
-                        None,
-                    ))
-                    .is_ok()
-            }
-        };
-        if !keep_alive {
+        }
+        if closes {
             return;
         }
     }
 }
 
-/// Builds an error reply for a peer speaking protocol `version`. The
-/// retry-after hint is a v2 payload extension, so it is dropped (not
-/// mis-encoded) for v1 peers.
-fn error_frame(version: u8, code: ErrorCode, message: &str, retry_after_ms: Option<u32>) -> Frame {
-    let frame = match retry_after_ms {
-        Some(ms) if version >= 2 => Frame::error_with_hint(code, message, ms),
-        _ => Frame::error(code, message),
-    };
-    Frame::with_version(version, frame.opcode, frame.payload)
-}
-
-/// The retry-after hint for shed queries: the observed median execution
-/// latency (one queue "turn"), clamped to a sane band. An empty
-/// histogram (cold server under a thundering herd) falls back to a flat
-/// default.
-fn retry_after_hint_ms(metrics: &Metrics) -> u32 {
-    let histogram = metrics.latency_snapshot();
-    let median_us = histogram
-        .percentile_upper_bound_micros(0.5)
-        .unwrap_or(u64::from(DEFAULT_RETRY_HINT_MS) * 1000);
-    (median_us / 1000).clamp(1, 5_000) as u32
-}
-
-/// Runs one `COUNT` request end to end. Returns whether the connection
-/// stays open (false only when the reply could not be sent).
-#[allow(clippy::too_many_arguments)]
-fn handle_count(
+/// Routes one well-framed request to its handler. Content errors inside
+/// the frame become a typed [`op::ERROR`] reply on a connection that
+/// stays open. `None` means there is nobody left to answer (a replication
+/// subscriber that went away).
+fn dispatch<'a>(
+    ctx: &ServeCtx<'a>,
     transport: &mut TcpTransport,
-    peer: u8,
-    payload: &[u8],
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    ledger: &RequestLedger,
-) -> bool {
-    let request = match CountRequest::decode(payload) {
-        Some(request) => request,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "count payload must be [flags u8][deadline_ms u32][id u64?][pattern bytes]",
-                    None,
-                ))
-                .is_ok();
+    frame: Frame,
+) -> Option<Reply<'a>> {
+    let outcome = match frame.opcode {
+        op::PING => Ok(Reply::one(Frame::new(op::PONG, frame.payload))),
+        op::STATS => Ok(Reply::one(ctx.stats_frame())),
+        op::HEALTH => Ok(Reply::one(ctx.health_frame())),
+        op::COUNT => handle_count(ctx, &frame.payload).map(Reply::one),
+        op::ENUMERATE => handle_enumerate(ctx, &frame.payload).map(Reply::Pages),
+        op::UPDATE => handle_update(ctx, &frame.payload).map(Reply::one),
+        op::PROMOTE => handle_promote(ctx, &frame.payload).map(Reply::one),
+        // Subscribing hands the whole connection over to the replication
+        // stream; it never returns to request/response framing, so
+        // whatever ends the stream also closes the connection.
+        op::REPL_SUBSCRIBE => {
+            let end = handle_replication(ctx, transport, &frame.payload)
+                .expect_err("a replication stream only ever ends");
+            return end.map(|refusal| Reply::last(refusal.into()));
         }
+        op::SHUTDOWN => {
+            ctx.draining.store(true, Ordering::Release);
+            Ok(Reply::last(Frame::new(op::SHUTDOWN_OK, vec![])))
+        }
+        other => Err(ctx.protocol_error(
+            ErrorCode::UnknownOpcode,
+            &format!(
+                "opcode {other:#04x} is not part of protocol v{}",
+                super::protocol::VERSION
+            ),
+        )),
     };
+    Some(outcome.unwrap_or_else(|error| Reply::one(error.into())))
+}
+
+/// The instant a request's `deadline_ms` field expires (0 = no deadline).
+fn deadline_after(deadline_ms: u32) -> Option<Instant> {
+    (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)))
+}
+
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|deadline| Instant::now() >= deadline)
+}
+
+/// The engine refused the pattern (empty, disconnected, too large).
+fn pattern_rejected(error: crate::error::EngineError) -> WireError {
+    WireError::new(ErrorCode::PatternRejected, &error.to_string())
+}
+
+impl ServeCtx<'_> {
+    /// A content error inside a well-formed frame: counted, typed, and
+    /// the connection stays open.
+    fn protocol_error(&self, code: ErrorCode, message: &str) -> WireError {
+        self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        WireError::new(code, message)
+    }
+
+    /// Decodes a request payload; one that does not parse is a content
+    /// error answered with the `layout` it should have had.
+    fn decode<R>(
+        &self,
+        decode: fn(&[u8]) -> Option<R>,
+        payload: &[u8],
+        layout: &str,
+    ) -> Result<R, WireError> {
+        decode(payload).ok_or_else(|| self.protocol_error(ErrorCode::BadPayload, layout))
+    }
+
+    /// Validates the pattern bytes of a decoded request.
+    fn pattern(&self, bytes: &[u8]) -> Result<Pattern, WireError> {
+        Pattern::from_canonical_bytes(bytes).ok_or_else(|| {
+            self.protocol_error(
+                ErrorCode::BadPayload,
+                "pattern bytes are not a valid canonical pattern",
+            )
+        })
+    }
+
+    /// A missed deadline: counted and typed.
+    fn deadline_exceeded(&self, message: &str) -> WireError {
+        self.metrics
+            .deadline_exceeded
+            .fetch_add(1, Ordering::Relaxed);
+        WireError::new(ErrorCode::DeadlineExceeded, message)
+    }
+
+    /// Where a write sent to this non-primary node should go instead (the
+    /// message field carries the primary's address, possibly empty, so a
+    /// failover-aware client can re-route).
+    fn not_primary(&self) -> WireError {
+        WireError::new(ErrorCode::NotPrimary, &self.repl.primary_addr())
+    }
+
+    /// The retry-after hint for shed queries: the observed median
+    /// execution latency (one queue "turn"), clamped to a sane band. An
+    /// empty histogram (cold server under a thundering herd) falls back to
+    /// a flat default.
+    fn retry_after_hint_ms(&self) -> u32 {
+        let median_us = self
+            .metrics
+            .latency_snapshot()
+            .percentile_upper_bound_micros(0.5)
+            .unwrap_or(u64::from(DEFAULT_RETRY_HINT_MS) * 1000);
+        (median_us / 1000).clamp(1, 5_000) as u32
+    }
+
+    /// Runs `work` (a `what`: "query", "enumeration", "update") behind the
+    /// admission gate, returning its result and execution time.
+    ///
+    /// On deadline expiry the work is cancelled having consumed no pool
+    /// slot and no worker time; a full wait queue sheds it immediately
+    /// with a typed `RETRY_LATER` and a hint. The permit covers only
+    /// `work` itself, and a panic inside it is contained here (the pool
+    /// already isolated it to the job's slot) and answered as
+    /// [`ErrorCode::Internal`].
+    fn admitted<R>(
+        &self,
+        what: &str,
+        deadline: Option<Instant>,
+        work: impl FnOnce() -> R,
+    ) -> Result<(R, Duration), WireError> {
+        match self.admission.acquire_until(deadline) {
+            Admit::Admitted => {}
+            Admit::DeadlineExpired => {
+                return Err(self.deadline_exceeded(&format!(
+                    "deadline expired while queued; the {what} did not run"
+                )));
+            }
+            Admit::Overloaded => {
+                self.metrics
+                    .overload_rejections
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(WireError::new(
+                    ErrorCode::RetryLater,
+                    &format!("admission queue is full; the {what} did not run"),
+                )
+                .with_retry_after(self.retry_after_hint_ms()));
+            }
+        }
+        let start = Instant::now();
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(work));
+        let elapsed = start.elapsed();
+        self.admission.release();
+        match outcome {
+            Ok(result) => Ok((result, elapsed)),
+            Err(_) => Err(WireError::new(
+                ErrorCode::Internal,
+                &format!("{what} panicked; the server isolated it"),
+            )),
+        }
+    }
+
+    /// Builds a `STATS_OK` reply from the live counters.
+    fn stats_frame(&self) -> Frame {
+        let (pool, cache) = (self.pool, self.cache.stats());
+        let metrics = self.metrics;
+        let stats = StatsOk {
+            live_workers: pool.live_workers() as u32,
+            max_in_flight: pool.max_in_flight() as u32,
+            in_flight: pool.in_flight() as u32,
+            queued: self.admission.waiting() as u32,
+            cache_len: cache.len as u32,
+            cache_capacity: cache.capacity as u32,
+            warm_started: metrics.warm_started.load(Ordering::Relaxed) as u32,
+            connections_total: metrics.connections_total.load(Ordering::Relaxed),
+            queries_total: metrics.queries_total.load(Ordering::Relaxed),
+            deadline_exceeded: metrics.deadline_exceeded.load(Ordering::Relaxed),
+            protocol_errors: metrics.protocol_errors.load(Ordering::Relaxed),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            overload_rejections: metrics.overload_rejections.load(Ordering::Relaxed),
+            latency: metrics.latency_snapshot(),
+            replication_lag: self.repl.replication_lag(self.backend.generation()),
+            repl_role: self.repl.role(),
+            enumerations_total: metrics.enumerations_total.load(Ordering::Relaxed),
+            pages_sent: metrics.pages_sent.load(Ordering::Relaxed),
+        };
+        Frame::new(op::STATS_OK, stats.encode())
+    }
+
+    /// Builds a `HEALTH_OK` reply: drain beats overload, overload beats
+    /// ready, and any not-ready state carries a retry-after hint.
+    fn health_frame(&self) -> Frame {
+        let state = if self.draining.load(Ordering::Acquire) {
+            HealthState::Draining
+        } else if self.admission.is_full() {
+            HealthState::Overloaded
+        } else {
+            HealthState::Ready
+        };
+        let health = HealthOk {
+            state,
+            retry_after_ms: match state {
+                HealthState::Ready => 0,
+                _ => self.retry_after_hint_ms(),
+            },
+            role: self.repl.role(),
+            replication_lag: self.repl.replication_lag(self.backend.generation()),
+        };
+        Frame::new(op::HEALTH_OK, health.encode())
+    }
+}
+
+/// Runs one `COUNT` request end to end.
+fn handle_count(ctx: &ServeCtx<'_>, payload: &[u8]) -> Result<Frame, WireError> {
+    let request = ctx.decode(
+        CountRequest::decode,
+        payload,
+        "count payload must be [flags u8][deadline_ms u32][id u64?][pattern bytes]",
+    )?;
     // Idempotent retry: a request ID we have already answered replays
     // the recorded reply — no admission, no execution, no double count.
     let fingerprint = request_fingerprint(&request);
-    if request.request_id != 0 {
-        if let Some(LedgerReply::Count(recorded)) = ledger.lookup(request.request_id, fingerprint) {
-            return transport
-                .send(&Frame::with_version(peer, op::COUNT_OK, recorded.encode()))
-                .is_ok();
-        }
+    if let Some(LedgerReply::Count(recorded)) = ctx.ledger.lookup(request.request_id, fingerprint) {
+        return Ok(Frame::new(op::COUNT_OK, recorded.encode()));
     }
-    let pattern = match Pattern::from_canonical_bytes(&request.pattern) {
-        Some(pattern) => pattern,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "pattern bytes are not a valid canonical pattern",
-                    None,
-                ))
-                .is_ok();
-        }
-    };
-    // Execution modes are a v2 feature: the mode-extended reply would not
-    // parse on a v1 peer, so a v1 frame carrying a mode is refused.
-    if peer < 2 && request.mode != QueryMode::Count {
-        metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::BadPayload,
-                "execution modes (orbit/sample) require protocol v2",
-                None,
-            ))
-            .is_ok();
-    }
+    let pattern = ctx.pattern(&request.pattern)?;
     // A nonsensical sample rate is a content error in a well-formed
     // frame: typed reply, connection stays open, nothing executes.
     if let Some(rate) = request.mode.sample_rate() {
         if !rate.is_finite() || rate <= 0.0 {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::InvalidArgument,
-                    "sample rate must be a finite value in (0, 1]",
-                    None,
-                ))
-                .is_ok();
+            return Err(ctx.protocol_error(
+                ErrorCode::InvalidArgument,
+                "sample rate must be a finite value in (0, 1]",
+            ));
         }
     }
-    let deadline = (request.deadline_ms > 0)
-        .then(|| Instant::now() + Duration::from_millis(u64::from(request.deadline_ms)));
-
-    // Read-your-writes: a v2 client may set a generation floor. Small
-    // replication lag is absorbed by waiting briefly (before admission,
-    // so the wait burns no pool slot); past the wait budget the client
-    // is told RETRY_LATER — retrying another replica beats pinning a
-    // handler thread here.
+    let deadline = deadline_after(request.deadline_ms);
     if request.min_generation > 0 {
-        let Some(engine) = backend.dynamic() else {
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "a generation floor needs a dynamic server; this graph is immutable",
-                    None,
-                ))
-                .is_ok();
-        };
-        let wait_until = {
-            let cap = Instant::now() + MIN_GENERATION_WAIT;
-            deadline.map_or(cap, |d| d.min(cap))
-        };
-        while engine.generation() < request.min_generation {
-            if Instant::now() >= wait_until {
-                let current = engine.generation();
-                return transport
-                    .send(&error_frame(
-                        peer,
-                        ErrorCode::RetryLater,
-                        &format!(
-                            "graph is at generation {current}, below the requested floor {}",
-                            request.min_generation
-                        ),
-                        Some(MIN_GENERATION_WAIT.as_millis() as u32),
-                    ))
-                    .is_ok();
-            }
-            std::thread::sleep(MIN_GENERATION_POLL);
-        }
+        await_generation(ctx, request.min_generation, deadline)?;
     }
 
-    // Queue for admission. On expiry the query is cancelled having
-    // consumed no pool slot and no worker time; a full wait queue sheds
-    // the query immediately with a typed RETRY_LATER and a hint.
-    match admission.acquire_until(deadline) {
-        Admit::Admitted => {}
-        Admit::DeadlineExpired => {
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired while queued; the query was not executed",
-                    None,
-                ))
-                .is_ok();
-        }
-        Admit::Overloaded => {
-            metrics.overload_rejections.fetch_add(1, Ordering::Relaxed);
-            let hint = retry_after_hint_ms(metrics);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::RetryLater,
-                    "admission queue is full; the query was not executed",
-                    Some(hint),
-                ))
-                .is_ok();
-        }
-    }
-
-    metrics.queries_total.fetch_add(1, Ordering::Relaxed);
     let count_options = CountOptions {
         use_iep: !request.no_iep,
         hub_bitsets: request.hub_bitsets,
         ..CountOptions::default()
     };
-    let start = Instant::now();
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        backend.count_mode(&pattern, count_options, request.mode)
-    }));
-    let elapsed = start.elapsed();
-    admission.release();
-
-    let reply = match outcome {
-        Err(_) => error_frame(
-            peer,
-            ErrorCode::Internal,
-            "query panicked; the worker pool isolated it",
-            None,
-        ),
-        Ok(Err(engine_error)) => error_frame(
-            peer,
-            ErrorCode::PatternRejected,
-            &engine_error.to_string(),
-            None,
-        ),
-        Ok(Ok((count, ext))) => {
-            let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-            metrics.record_latency(micros);
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "query completed after its deadline",
-                    None,
-                )
-            } else {
-                let ok = CountOk {
-                    count,
-                    elapsed_micros: micros,
-                    ext,
-                };
-                if request.request_id != 0 {
-                    ledger.record(request.request_id, fingerprint, LedgerReply::Count(ok));
-                }
-                Frame::with_version(peer, op::COUNT_OK, ok.encode())
-            }
-        }
+    let (outcome, elapsed) = ctx.admitted("query", deadline, || {
+        ctx.metrics.queries_total.fetch_add(1, Ordering::Relaxed);
+        ctx.backend
+            .count_mode(&pattern, count_options, request.mode)
+    })?;
+    let (count, ext) = outcome.map_err(pattern_rejected)?;
+    let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+    ctx.metrics.record_latency(micros);
+    // A reply never claims to have met a deadline it missed.
+    if expired(deadline) {
+        return Err(ctx.deadline_exceeded("query completed after its deadline"));
+    }
+    let ok = CountOk {
+        count,
+        elapsed_micros: micros,
+        ext,
     };
-    transport.send(&reply).is_ok()
+    ctx.ledger
+        .record(request.request_id, fingerprint, LedgerReply::Count(ok));
+    Ok(Frame::new(op::COUNT_OK, ok.encode()))
 }
 
-/// Runs one `ENUMERATE` request end to end: decode, admit, enumerate up
-/// to the limit, then stream the embeddings as `ENUM_PAGE` frames.
-/// Returns whether the connection stays open.
+/// Read-your-writes: a client may set a generation floor. Small
+/// replication lag is absorbed by waiting briefly (before admission, so
+/// the wait burns no pool slot); past the wait budget the client is told
+/// `RETRY_LATER` — retrying another replica beats pinning a handler
+/// thread here.
+fn await_generation(
+    ctx: &ServeCtx<'_>,
+    floor: u64,
+    deadline: Option<Instant>,
+) -> Result<(), WireError> {
+    let engine = ctx.backend.dynamic().ok_or_else(|| {
+        WireError::new(
+            ErrorCode::BadPayload,
+            "a generation floor needs a dynamic server; this graph is immutable",
+        )
+    })?;
+    let cap = Instant::now() + MIN_GENERATION_WAIT;
+    let wait_until = deadline.map_or(cap, |deadline| deadline.min(cap));
+    while engine.generation() < floor {
+        if Instant::now() >= wait_until {
+            let current = engine.generation();
+            return Err(WireError::new(
+                ErrorCode::RetryLater,
+                &format!("graph is at generation {current}, below the requested floor {floor}"),
+            )
+            .with_retry_after(MIN_GENERATION_WAIT.as_millis() as u32));
+        }
+        std::thread::sleep(MIN_GENERATION_POLL);
+    }
+    Ok(())
+}
+
+/// The reply to one `ENUMERATE`: the matched embeddings, cut into
+/// `ENUM_PAGE` frames on demand.
+///
+/// The deadline is re-checked **between pages**, so a client can bound
+/// how long a huge stream occupies its connection: an expired deadline
+/// mid-stream yields a typed `DEADLINE_EXCEEDED` frame in place of the
+/// next page (clients treat any error frame as terminating the stream).
+struct PageStream<'a> {
+    ctx: ServeCtx<'a>,
+    embeddings: Vec<Vec<u32>>,
+    pattern_size: usize,
+    per_page: usize,
+    next_page: usize,
+    total_pages: usize,
+    deadline: Option<Instant>,
+}
+
+impl Iterator for PageStream<'_> {
+    type Item = Frame;
+
+    fn next(&mut self) -> Option<Frame> {
+        if self.next_page == self.total_pages {
+            return None;
+        }
+        if self.next_page > 0 && expired(self.deadline) {
+            self.next_page = self.total_pages;
+            let dropped = "deadline expired mid-stream; remaining pages dropped";
+            return Some(self.ctx.deadline_exceeded(dropped).into());
+        }
+        let start = self.next_page * self.per_page;
+        let end = (start + self.per_page).min(self.embeddings.len());
+        let mut vertices = Vec::with_capacity((end - start) * self.pattern_size);
+        for embedding in &self.embeddings[start..end] {
+            vertices.extend_from_slice(embedding);
+        }
+        self.next_page += 1;
+        self.ctx.metrics.pages_sent.fetch_add(1, Ordering::Relaxed);
+        let page = EnumPage {
+            last: self.next_page == self.total_pages,
+            pattern_size: self.pattern_size as u8,
+            vertices,
+        };
+        Some(Frame::new(op::ENUM_PAGE, page.encode()))
+    }
+}
+
+/// Runs one `ENUMERATE` request: decode, admit, enumerate up to the
+/// limit, then hand back the [`PageStream`] that pages the embeddings
+/// out.
 ///
 /// The admission permit covers only the matching itself — page streaming
 /// is network-bound and must not hold a pool slot hostage to a slow
-/// reader. The deadline is re-checked **between pages**, so a client can
-/// bound how long a huge stream occupies its connection: an expired
-/// deadline mid-stream answers a typed `DEADLINE_EXCEEDED` frame in
-/// place of the next page (clients treat any error frame as terminating
-/// the stream).
+/// reader.
 ///
 /// Enumeration is **not idempotent at the wire level** — there is no
 /// request ID and no ledger entry: replaying pages after an ambiguous
 /// failure could interleave two streams, and a truncated-limit re-run may
 /// legitimately return different embeddings. Clients resume by issuing a
 /// fresh request.
-fn handle_enumerate(
-    transport: &mut TcpTransport,
-    peer: u8,
-    payload: &[u8],
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-) -> bool {
-    let request = match EnumerateRequest::decode(payload) {
-        Some(request) => request,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "enumerate payload must be [flags u8][deadline_ms u32][limit u64]\
-                     [page_size u32][pattern bytes] with a nonzero limit",
-                    None,
-                ))
-                .is_ok();
-        }
-    };
-    let pattern = match Pattern::from_canonical_bytes(&request.pattern) {
-        Some(pattern) => pattern,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "pattern bytes are not a valid canonical pattern",
-                    None,
-                ))
-                .is_ok();
-        }
-    };
-    let deadline = (request.deadline_ms > 0)
-        .then(|| Instant::now() + Duration::from_millis(u64::from(request.deadline_ms)));
-
-    match admission.acquire_until(deadline) {
-        Admit::Admitted => {}
-        Admit::DeadlineExpired => {
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired while queued; the enumeration was not executed",
-                    None,
-                ))
-                .is_ok();
-        }
-        Admit::Overloaded => {
-            metrics.overload_rejections.fetch_add(1, Ordering::Relaxed);
-            let hint = retry_after_hint_ms(metrics);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::RetryLater,
-                    "admission queue is full; the enumeration was not executed",
-                    Some(hint),
-                ))
-                .is_ok();
-        }
-    }
-
-    metrics.enumerations_total.fetch_add(1, Ordering::Relaxed);
+fn handle_enumerate<'a>(ctx: &ServeCtx<'a>, payload: &[u8]) -> Result<PageStream<'a>, WireError> {
+    let request = ctx.decode(
+        EnumerateRequest::decode,
+        payload,
+        "enumerate payload must be [flags u8][deadline_ms u32][limit u64]\
+         [page_size u32][pattern bytes] with a nonzero limit",
+    )?;
+    let pattern = ctx.pattern(&request.pattern)?;
+    let deadline = deadline_after(request.deadline_ms);
     let count_options = CountOptions {
         hub_bitsets: request.hub_bitsets,
         ..CountOptions::default()
     };
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        backend.enumerate_with(&pattern, request.limit, count_options)
-    }));
-    admission.release();
+    let (outcome, _) = ctx.admitted("enumeration", deadline, || {
+        ctx.metrics
+            .enumerations_total
+            .fetch_add(1, Ordering::Relaxed);
+        ctx.backend
+            .with_session(|session| session.enumerate_with(&pattern, request.limit, count_options))
+    })?;
+    let embeddings = outcome.map_err(pattern_rejected)?;
 
-    let embeddings = match outcome {
-        Err(_) => {
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::Internal,
-                    "enumeration panicked; the worker pool isolated it",
-                    None,
-                ))
-                .is_ok();
-        }
-        Ok(Err(engine_error)) => {
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::PatternRejected,
-                    &engine_error.to_string(),
-                    None,
-                ))
-                .is_ok();
-        }
-        Ok(Ok(embeddings)) => embeddings,
-    };
-
-    // Page streaming: the requested page size is clamped to what a frame
-    // can carry; 0 means "largest legal page".
-    let k = pattern.num_vertices().max(1);
-    let cap = max_embeddings_per_page(k).max(1);
+    // The requested page size is clamped to what a frame can carry;
+    // 0 means "largest legal page".
+    let pattern_size = pattern.num_vertices().max(1);
+    let cap = max_embeddings_per_page(pattern_size).max(1);
     let per_page = match request.page_size {
         0 => cap,
         requested => (requested as usize).min(cap),
     };
-    let total_pages = embeddings.len().div_ceil(per_page).max(1);
-    for page_index in 0..total_pages {
-        if page_index > 0 && deadline.is_some_and(|d| Instant::now() >= d) {
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired mid-stream; remaining pages dropped",
-                    None,
-                ))
-                .is_ok();
-        }
-        let start = page_index * per_page;
-        let end = (start + per_page).min(embeddings.len());
-        let mut vertices = Vec::with_capacity((end - start) * k);
-        for embedding in &embeddings[start..end] {
-            vertices.extend_from_slice(embedding);
-        }
-        let page = EnumPage {
-            last: page_index + 1 == total_pages,
-            pattern_size: k as u8,
-            vertices,
-        };
-        if transport
-            .send(&Frame::with_version(peer, op::ENUM_PAGE, page.encode()))
-            .is_err()
-        {
-            return false;
-        }
-        metrics.pages_sent.fetch_add(1, Ordering::Relaxed);
-    }
-    true
+    Ok(PageStream {
+        ctx: *ctx,
+        total_pages: embeddings.len().div_ceil(per_page).max(1),
+        embeddings,
+        pattern_size,
+        per_page,
+        next_page: 0,
+        deadline,
+    })
 }
 
 /// Runs one `UPDATE` request end to end: decode, replay-check the
 /// ledger, admit, commit through the dynamic engine, answer with the
-/// applied generation. Returns whether the connection stays open.
+/// applied generation.
 ///
 /// Updates are **not naturally idempotent** — recommitting a batch that
 /// already applied would burn a generation and, for delete-then-insert
 /// mixes, can change the graph — so the ledger matters more here than
 /// for counts: a retry carrying a known request ID is answered with the
 /// originally applied generation without touching the graph or the WAL.
-#[allow(clippy::too_many_arguments)]
-fn handle_update(
-    transport: &mut TcpTransport,
-    peer: u8,
-    payload: &[u8],
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    ledger: &RequestLedger,
-    repl: &ReplState,
-) -> bool {
-    // A replica never commits client batches locally — the message field
-    // carries the primary's address (possibly empty) so a
-    // failover-aware client can re-route the write.
-    if repl.role() != ReplRole::Primary {
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::NotPrimary,
-                &repl.primary_addr(),
-                None,
-            ))
-            .is_ok();
+fn handle_update(ctx: &ServeCtx<'_>, payload: &[u8]) -> Result<Frame, WireError> {
+    // A replica never commits client batches locally.
+    if ctx.repl.role() != ReplRole::Primary {
+        return Err(ctx.not_primary());
     }
-    let Some(engine) = backend.dynamic() else {
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::ReadOnly,
-                "this server serves an immutable graph; restart it with --wal to accept updates",
-                None,
-            ))
-            .is_ok();
-    };
-    let request = match UpdateRequest::decode(payload) {
-        Some(request) => request,
-        None => {
-            metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::BadPayload,
-                    "update payload must be [flags u8][deadline_ms u32][id u64?]\
-                     [n_ins u32][n_del u32][edge pairs]",
-                    None,
-                ))
-                .is_ok();
-        }
-    };
+    let engine = ctx.backend.dynamic().ok_or_else(|| {
+        WireError::new(
+            ErrorCode::ReadOnly,
+            "this server serves an immutable graph; restart it with --wal to accept updates",
+        )
+    })?;
+    let request = ctx.decode(
+        UpdateRequest::decode,
+        payload,
+        "update payload must be [flags u8][deadline_ms u32][id u64?]\
+         [n_ins u32][n_del u32][edge pairs]",
+    )?;
     let fingerprint = update_fingerprint(&request);
-    if request.request_id != 0 {
-        if let Some(LedgerReply::Update(recorded)) = ledger.lookup(request.request_id, fingerprint)
-        {
-            return transport
-                .send(&Frame::with_version(peer, op::UPDATE_OK, recorded.encode()))
-                .is_ok();
-        }
+    if let Some(LedgerReply::Update(recorded)) = ctx.ledger.lookup(request.request_id, fingerprint)
+    {
+        return Ok(Frame::new(op::UPDATE_OK, recorded.encode()));
     }
-    let deadline = (request.deadline_ms > 0)
-        .then(|| Instant::now() + Duration::from_millis(u64::from(request.deadline_ms)));
-
-    // Updates queue at the same admission gate as counts, so a client
-    // flooding commits is shed (or deadline-cancelled) exactly like a
-    // client flooding queries — commit order itself is serialised inside
-    // the engine.
-    match admission.acquire_until(deadline) {
-        Admit::Admitted => {}
-        Admit::DeadlineExpired => {
-            metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired while queued; the update was not applied",
-                    None,
-                ))
-                .is_ok();
-        }
-        Admit::Overloaded => {
-            metrics.overload_rejections.fetch_add(1, Ordering::Relaxed);
-            let hint = retry_after_hint_ms(metrics);
-            return transport
-                .send(&error_frame(
-                    peer,
-                    ErrorCode::RetryLater,
-                    "admission queue is full; the update was not applied",
-                    Some(hint),
-                ))
-                .is_ok();
-        }
-    }
-
     let mut batch = EdgeBatch::new();
     for &(a, b) in &request.inserts {
         batch.insert(a, b);
@@ -1558,96 +1419,94 @@ fn handle_update(
     for &(a, b) in &request.deletes {
         batch.delete(a, b);
     }
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| engine.apply(&batch)));
-    admission.release();
-
-    let reply = match outcome {
-        Err(_) => error_frame(
-            peer,
-            ErrorCode::Internal,
-            "update panicked; the graph was not modified",
-            None,
-        ),
+    // Updates queue at the same admission gate as counts, so a client
+    // flooding commits is shed (or deadline-cancelled) exactly like a
+    // client flooding queries — commit order itself is serialised inside
+    // the engine.
+    let deadline = deadline_after(request.deadline_ms);
+    let (outcome, _) = ctx.admitted("update", deadline, || engine.apply(&batch))?;
+    let report = outcome.map_err(|error| match error {
         // Validation failures (vertex beyond the growth limit) reject the
         // whole batch before anything is logged or applied.
-        Ok(Err(DurableError::Delta(DeltaError::VertexOutOfRange { vertex, limit }))) => {
-            error_frame(
-                peer,
-                ErrorCode::BadPayload,
-                &format!("vertex {vertex} exceeds the growth limit {limit}; batch rejected"),
-                None,
-            )
-        }
+        DurableError::Delta(DeltaError::VertexOutOfRange { vertex, limit }) => WireError::new(
+            ErrorCode::BadPayload,
+            &format!("vertex {vertex} exceeds the growth limit {limit}; batch rejected"),
+        ),
         // A WAL append/fsync failure means durability cannot be promised;
         // the batch was not applied in memory either.
-        Ok(Err(wal_error)) => error_frame(
-            peer,
+        wal_error => WireError::new(
             ErrorCode::Internal,
             &format!("write-ahead log failure: {wal_error}"),
-            None,
         ),
-        Ok(Ok(report)) => {
-            metrics.updates_total.fetch_add(1, Ordering::Relaxed);
-            let ok = UpdateOk {
-                generation: report.generation,
-                inserted: report.inserted,
-                deleted: report.deleted,
-            };
-            if request.request_id != 0 {
-                ledger.record(request.request_id, fingerprint, LedgerReply::Update(ok));
-            }
-            Frame::with_version(peer, op::UPDATE_OK, ok.encode())
-        }
+    })?;
+    ctx.metrics.updates_total.fetch_add(1, Ordering::Relaxed);
+    let ok = UpdateOk {
+        generation: report.generation,
+        inserted: report.inserted,
+        deleted: report.deleted,
     };
-    transport.send(&reply).is_ok()
+    ctx.ledger
+        .record(request.request_id, fingerprint, LedgerReply::Update(ok));
+    Ok(Frame::new(op::UPDATE_OK, ok.encode()))
 }
 
-/// Dispatches a `REPL_SUBSCRIBE`: validates the subscription, then hands
-/// the connection over to [`serve_replication`].
+/// How a replication stream ended: with the typed refusal to send as the
+/// connection's last frame, or `None` when the subscriber is already gone.
+type StreamEnd = Option<WireError>;
+
+/// Validates a `REPL_SUBSCRIBE`, then hands the connection over to
+/// [`serve_replication`] until the stream ends.
 fn handle_replication(
+    ctx: &ServeCtx<'_>,
     transport: &mut TcpTransport,
-    peer: u8,
     payload: &[u8],
-    backend: &ServeBackend<'_>,
-    repl: &ReplState,
-    metrics: &Metrics,
-    draining: &AtomicBool,
-) {
-    let Some(sub) = ReplSubscribe::decode(payload) else {
-        metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        let _ = transport.send(&error_frame(
-            peer,
-            ErrorCode::BadPayload,
-            "subscribe payload must be [flags u8][generation u64][offset u64]",
-            None,
-        ));
-        return;
-    };
-    let Some(engine) = backend.dynamic().filter(|engine| engine.is_durable()) else {
-        let _ = transport.send(&error_frame(
-            peer,
-            ErrorCode::ReadOnly,
-            "replication requires a durable (--wal) primary",
-            None,
-        ));
-        return;
-    };
-    if repl.role() != ReplRole::Primary {
-        let _ = transport.send(&error_frame(
-            peer,
-            ErrorCode::NotPrimary,
-            &repl.primary_addr(),
-            None,
-        ));
-        return;
+) -> Result<Infallible, StreamEnd> {
+    let sub = ctx.decode(
+        ReplSubscribe::decode,
+        payload,
+        "subscribe payload must be [flags u8][generation u64][offset u64]",
+    )?;
+    let engine = ctx
+        .backend
+        .dynamic()
+        .filter(|engine| engine.is_durable())
+        .ok_or_else(|| {
+            WireError::new(
+                ErrorCode::ReadOnly,
+                "replication requires a durable (--wal) primary",
+            )
+        })?;
+    ctx.repl.subscribers.fetch_add(1, Ordering::Relaxed);
+    let end = serve_replication(ctx, transport, sub, engine);
+    ctx.repl.subscribers.fetch_sub(1, Ordering::Relaxed);
+    end
+}
+
+/// The two conditions that end a replication stream from this side: the
+/// server is draining, or this node is not (or no longer) the primary.
+fn may_ship(ctx: &ServeCtx<'_>) -> Result<(), WireError> {
+    if ctx.draining.load(Ordering::Acquire) {
+        Err(WireError::new(
+            ErrorCode::ShuttingDown,
+            "server is draining; resubscribe later",
+        ))
+    } else if ctx.repl.role() != ReplRole::Primary {
+        Err(ctx.not_primary())
+    } else {
+        Ok(())
     }
-    repl.subscribers.fetch_add(1, Ordering::Relaxed);
-    let _ = serve_replication(transport, peer, sub, engine, repl, draining);
-    repl.subscribers.fetch_sub(1, Ordering::Relaxed);
+}
+
+fn unreadable(what: &str, error: impl std::fmt::Display) -> WireError {
+    WireError::new(
+        ErrorCode::Internal,
+        &format!("primary {what} unreadable: {error}"),
+    )
 }
 
 /// Ships the primary's WAL to one subscribed replica until the peer goes
-/// away, the server drains, or this node stops being the primary.
+/// away, the server drains, this node stops being the primary, or the log
+/// cannot be read.
 ///
 /// The shipped unit is a **byte range of the log**, not a decoded
 /// record: the replica reassembles record frames with
@@ -1663,158 +1522,76 @@ fn handle_replication(
 /// the cursor from the replica's last acknowledged generation — bytes
 /// from one epoch are never shipped under another epoch's offsets.
 fn serve_replication(
+    ctx: &ServeCtx<'_>,
     transport: &mut TcpTransport,
-    peer: u8,
     sub: ReplSubscribe,
     engine: &DynamicEngine,
-    repl: &ReplState,
-    draining: &AtomicBool,
-) -> Result<(), NetError> {
+) -> Result<Infallible, StreamEnd> {
     let wal_path = engine.wal_path().expect("durable engine has a WAL path");
     let mut cursor_gen = sub.generation;
     let mut offset_hint = sub.offset;
     'resolve: loop {
-        if draining.load(Ordering::Acquire) {
-            return transport.send(&error_frame(
-                peer,
-                ErrorCode::ShuttingDown,
-                "server is draining; resubscribe later",
-                None,
-            ));
-        }
-        if repl.role() != ReplRole::Primary {
-            return transport.send(&error_frame(
-                peer,
-                ErrorCode::NotPrimary,
-                &repl.primary_addr(),
-                None,
-            ));
-        }
+        may_ship(ctx)?;
         let epoch = engine.wal_epoch().unwrap_or(0);
-        let mut reader = match WalReader::open(&wal_path) {
-            Ok(reader) => reader,
-            Err(error) => {
-                if engine.wal_epoch() != Some(epoch) {
-                    continue 'resolve;
-                }
-                return transport.send(&error_frame(
-                    peer,
-                    ErrorCode::Internal,
-                    &format!("primary log unreadable: {error}"),
-                    None,
-                ));
-            }
-        };
-        let point = match reader.resolve_cursor(cursor_gen, offset_hint) {
-            Ok(point) => point,
-            Err(error) => {
-                // A reset mid-scan leaves the file momentarily at odds
-                // with the cursor; retry against the new epoch instead
-                // of failing the subscriber.
-                if engine.wal_epoch() != Some(epoch) {
-                    continue 'resolve;
-                }
-                return transport.send(&error_frame(
-                    peer,
-                    ErrorCode::Internal,
-                    &format!("primary log unreadable: {error}"),
-                    None,
-                ));
-            }
-        };
+        // A reset mid-open or mid-scan leaves the file momentarily at
+        // odds with the cursor; retry against the new epoch instead of
+        // failing the subscriber.
+        let resolved = WalReader::open(&wal_path).and_then(|mut reader| {
+            let point = reader.resolve_cursor(cursor_gen, offset_hint)?;
+            Ok((reader, point))
+        });
         if engine.wal_epoch() != Some(epoch) {
             continue 'resolve;
         }
-        match point {
+        let (mut reader, point) = resolved.map_err(|error| unreadable("log", error))?;
+        let mut offset = match point {
+            ShipPoint::Records { offset } => offset,
             ShipPoint::NeedsCheckpoint => {
-                match ship_checkpoint(transport, peer, engine, draining)? {
-                    Some(generation) => {
-                        // Bootstrap complete: record shipping resumes at
-                        // the top of the reset log.
-                        cursor_gen = generation;
-                        offset_hint = 0;
-                        continue 'resolve;
-                    }
-                    // A newer checkpoint landed mid-stream; restart the
-                    // bootstrap (the replica resets its staging file on
-                    // the chunk whose start offset is zero).
-                    None => continue 'resolve,
-                }
-            }
-            ShipPoint::Records { mut offset } => loop {
-                if draining.load(Ordering::Acquire) {
-                    return transport.send(&error_frame(
-                        peer,
-                        ErrorCode::ShuttingDown,
-                        "server is draining; resubscribe later",
-                        None,
-                    ));
-                }
-                if repl.role() != ReplRole::Primary {
-                    return transport.send(&error_frame(
-                        peer,
-                        ErrorCode::NotPrimary,
-                        &repl.primary_addr(),
-                        None,
-                    ));
-                }
-                if engine.wal_epoch() != Some(epoch) {
+                // Bootstrap complete: record shipping resumes at the top
+                // of the reset log. `None`: a newer checkpoint landed
+                // mid-stream; restart the bootstrap (the replica resets
+                // its staging file on the chunk whose start offset is 0).
+                if let Some(generation) = ship_checkpoint(ctx, transport, engine)? {
+                    cursor_gen = generation;
                     offset_hint = 0;
-                    continue 'resolve;
                 }
-                let end = engine.wal_len().unwrap_or(offset);
-                let horizon = engine.replication_horizon().unwrap_or(0);
-                let batch = if offset < end {
-                    let want = usize::try_from(end - offset)
-                        .map_or(REPL_CHUNK_BYTES, |remaining| {
-                            remaining.min(REPL_CHUNK_BYTES)
-                        });
-                    let (bytes, next_offset) = match reader.read_raw(offset, want) {
-                        Ok(read) => read,
-                        Err(error) => {
-                            if engine.wal_epoch() != Some(epoch) {
-                                offset_hint = 0;
-                                continue 'resolve;
-                            }
-                            return transport.send(&error_frame(
-                                peer,
-                                ErrorCode::Internal,
-                                &format!("primary log unreadable: {error}"),
-                                None,
-                            ));
-                        }
-                    };
-                    if engine.wal_epoch() != Some(epoch) {
-                        // The bytes may straddle the reset; discard them.
-                        offset_hint = 0;
-                        continue 'resolve;
-                    }
-                    ReplBatch {
-                        payload: ReplPayload::Records,
-                        primary_generation: engine.generation(),
-                        generation: horizon,
-                        next_offset,
-                        bytes,
-                    }
-                } else {
-                    ReplBatch {
-                        payload: ReplPayload::Records,
-                        primary_generation: engine.generation(),
-                        generation: horizon,
-                        next_offset: offset,
-                        bytes: Vec::new(),
-                    }
-                };
-                let heartbeat = batch.bytes.is_empty();
-                transport.send(&Frame::with_version(peer, op::REPL_BATCH, batch.encode()))?;
-                let ack = recv_ack(transport, draining)?;
-                repl.note_shipment(engine.generation().saturating_sub(ack.generation));
-                cursor_gen = ack.generation;
-                offset = ack.offset;
-                if heartbeat {
-                    std::thread::sleep(REPL_HEARTBEAT_PAUSE);
-                }
-            },
+                continue 'resolve;
+            }
+        };
+        loop {
+            may_ship(ctx)?;
+            let end = engine.wal_len().unwrap_or(offset);
+            let horizon = engine.replication_horizon().unwrap_or(0);
+            let read = if offset < end {
+                let want = usize::try_from(end - offset)
+                    .map_or(REPL_CHUNK_BYTES, |left| left.min(REPL_CHUNK_BYTES));
+                reader.read_raw(offset, want)
+            } else {
+                Ok((Vec::new(), offset))
+            };
+            if engine.wal_epoch() != Some(epoch) {
+                // The offset is stale and the bytes may straddle the
+                // reset; discard them.
+                offset_hint = 0;
+                continue 'resolve;
+            }
+            let (bytes, next_offset) = read.map_err(|error| unreadable("log", error))?;
+            let heartbeat = bytes.is_empty();
+            let batch = ReplBatch {
+                payload: ReplPayload::Records,
+                primary_generation: engine.generation(),
+                generation: horizon,
+                next_offset,
+                bytes,
+            };
+            let ack = ship(ctx, transport, &batch).ok_or(None)?;
+            ctx.repl
+                .note_shipment(engine.generation().saturating_sub(ack.generation));
+            cursor_gen = ack.generation;
+            offset = ack.offset;
+            if heartbeat {
+                std::thread::sleep(REPL_HEARTBEAT_PAUSE);
+            }
         }
     }
 }
@@ -1822,8 +1599,8 @@ fn serve_replication(
 /// Streams the primary's checkpoint file to a bootstrapping replica.
 /// Returns `Ok(Some(generation))` when the replica acknowledged the
 /// complete file (the record cursor then restarts at that generation,
-/// offset 0) and `Ok(None)` when a newer checkpoint landed mid-stream
-/// and the bootstrap must restart.
+/// offset 0), `Ok(None)` when a newer checkpoint landed mid-stream and
+/// the bootstrap must restart.
 ///
 /// The generation is captured *before* the file is opened: any
 /// checkpoint completing after the capture moves the horizon and fails
@@ -1831,150 +1608,83 @@ fn serve_replication(
 /// generation. The open handle pins one inode, so the streamed bytes
 /// are internally consistent even while a rename replaces the file.
 fn ship_checkpoint(
+    ctx: &ServeCtx<'_>,
     transport: &mut TcpTransport,
-    peer: u8,
     engine: &DynamicEngine,
-    draining: &AtomicBool,
-) -> Result<Option<u64>, NetError> {
+) -> Result<Option<u64>, StreamEnd> {
     let path = engine
         .checkpoint_file()
         .expect("durable engine has a checkpoint path");
     let generation = engine.replication_horizon().unwrap_or(0);
-    let mut file = match std::fs::File::open(&path) {
-        Ok(file) => file,
-        Err(error) => {
-            transport.send(&error_frame(
-                peer,
-                ErrorCode::Internal,
-                &format!("primary checkpoint unreadable: {error}"),
-                None,
-            ))?;
-            return Err(NetError::Closed);
-        }
-    };
+    let mut file = std::fs::File::open(&path).map_err(|e| unreadable("checkpoint", e))?;
     let mut sent = 0u64;
     loop {
-        if draining.load(Ordering::Acquire) {
-            transport.send(&error_frame(
-                peer,
-                ErrorCode::ShuttingDown,
-                "server is draining; resubscribe later",
-                None,
-            ))?;
-            return Err(NetError::Closed);
-        }
+        may_ship(ctx)?;
         let mut chunk = vec![0u8; REPL_CHUNK_BYTES];
-        let n = match file.read(&mut chunk) {
-            Ok(n) => n,
-            Err(error) => {
-                transport.send(&error_frame(
-                    peer,
-                    ErrorCode::Internal,
-                    &format!("primary checkpoint unreadable: {error}"),
-                    None,
-                ))?;
-                return Err(NetError::Closed);
-            }
-        };
-        if n == 0 {
-            break;
-        }
+        let n = file
+            .read(&mut chunk)
+            .map_err(|e| unreadable("checkpoint", e))?;
         chunk.truncate(n);
         sent += n as u64;
+        // The empty chunk at EOF carries the done flag — but only if no
+        // newer checkpoint replaced the one just streamed.
+        let done = n == 0;
+        if done && engine.replication_horizon() != Some(generation) {
+            return Ok(None);
+        }
         let batch = ReplBatch {
-            payload: ReplPayload::Checkpoint { done: false },
+            payload: ReplPayload::Checkpoint { done },
             primary_generation: engine.generation(),
             generation,
             next_offset: sent,
             bytes: chunk,
         };
-        transport.send(&Frame::with_version(peer, op::REPL_BATCH, batch.encode()))?;
-        recv_ack(transport, draining)?;
+        ship(ctx, transport, &batch).ok_or(None)?;
+        if done {
+            return Ok(Some(generation));
+        }
     }
-    if engine.replication_horizon() != Some(generation) {
-        return Ok(None);
-    }
-    let done = ReplBatch {
-        payload: ReplPayload::Checkpoint { done: true },
-        primary_generation: engine.generation(),
-        generation,
-        next_offset: sent,
-        bytes: Vec::new(),
-    };
-    transport.send(&Frame::with_version(peer, op::REPL_BATCH, done.encode()))?;
-    recv_ack(transport, draining)?;
-    Ok(Some(generation))
 }
 
-/// Waits for the strict-alternation `REPL_ACK` that follows every
-/// `REPL_BATCH`. Idle timeouts keep polling so a drain is noticed; any
-/// other frame from the replica is a protocol violation that ends the
-/// subscription.
-fn recv_ack(transport: &mut TcpTransport, draining: &AtomicBool) -> Result<ReplAck, NetError> {
+/// Sends one `REPL_BATCH` and waits for the strict-alternation
+/// `REPL_ACK` that follows it. Idle timeouts keep polling so a drain is
+/// noticed; a dead transport or any other frame from the replica ends the
+/// subscription (`None`).
+fn ship(ctx: &ServeCtx<'_>, transport: &mut TcpTransport, batch: &ReplBatch) -> Option<ReplAck> {
+    transport
+        .send(&Frame::new(op::REPL_BATCH, batch.encode()))
+        .ok()?;
     loop {
         match transport.recv() {
-            Ok(frame) if frame.opcode == op::REPL_ACK => {
-                let Some(ack) = ReplAck::decode(&frame.payload) else {
-                    return Err(NetError::Closed);
-                };
-                return Ok(ack);
-            }
-            Ok(_) => return Err(NetError::Closed),
-            Err(NetError::Idle) => {
-                if draining.load(Ordering::Acquire) {
-                    return Err(NetError::Closed);
-                }
-            }
-            Err(error) => return Err(error),
+            Ok(frame) if frame.opcode == op::REPL_ACK => return ReplAck::decode(&frame.payload),
+            Err(NetError::Idle) if !ctx.draining.load(Ordering::Acquire) => {}
+            _ => return None,
         }
     }
 }
 
 /// Handles an explicit `PROMOTE`: idempotent on a primary; on a replica
 /// it requests promotion and waits for the apply loop to seal the
-/// stream and flip the role. Returns whether the connection stays open.
-fn handle_promote(
-    transport: &mut TcpTransport,
-    peer: u8,
-    payload: &[u8],
-    backend: &ServeBackend<'_>,
-    repl: &ReplState,
-    metrics: &Metrics,
-) -> bool {
+/// stream and flip the role.
+fn handle_promote(ctx: &ServeCtx<'_>, payload: &[u8]) -> Result<Frame, WireError> {
     if !payload.is_empty() {
-        metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::BadPayload,
-                "promote carries no payload",
-                None,
-            ))
-            .is_ok();
+        return Err(ctx.protocol_error(ErrorCode::BadPayload, "promote carries no payload"));
     }
-    let Some(engine) = backend.dynamic() else {
-        return transport
-            .send(&error_frame(
-                peer,
-                ErrorCode::ReadOnly,
-                "promotion requires a dynamic (--wal) server",
-                None,
-            ))
-            .is_ok();
-    };
-    if repl.role() != ReplRole::Primary {
-        repl.request_promote();
+    let engine = ctx.backend.dynamic().ok_or_else(|| {
+        WireError::new(
+            ErrorCode::ReadOnly,
+            "promotion requires a dynamic (--wal) server",
+        )
+    })?;
+    if ctx.repl.role() != ReplRole::Primary {
+        ctx.repl.request_promote();
         let deadline = Instant::now() + PROMOTE_WAIT;
-        while repl.role() != ReplRole::Primary {
+        while ctx.repl.role() != ReplRole::Primary {
             if Instant::now() >= deadline {
-                return transport
-                    .send(&error_frame(
-                        peer,
-                        ErrorCode::Internal,
-                        "promotion did not complete in time",
-                        None,
-                    ))
-                    .is_ok();
+                return Err(WireError::new(
+                    ErrorCode::Internal,
+                    "promotion did not complete in time",
+                ));
             }
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -1982,75 +1692,7 @@ fn handle_promote(
     let ok = PromoteOk {
         generation: engine.generation(),
     };
-    transport
-        .send(&Frame::with_version(peer, op::PROMOTE_OK, ok.encode()))
-        .is_ok()
-}
-
-/// Builds a `STATS_OK` reply from the live counters.
-fn stats_frame(
-    peer: u8,
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    repl: &ReplState,
-) -> Frame {
-    let pool = backend.pool();
-    let cache = backend.cache_stats();
-    let stats = StatsOk {
-        live_workers: pool.live_workers() as u32,
-        max_in_flight: pool.max_in_flight() as u32,
-        in_flight: pool.in_flight() as u32,
-        queued: admission.waiting() as u32,
-        cache_len: cache.len as u32,
-        cache_capacity: cache.capacity as u32,
-        warm_started: metrics.warm_started.load(Ordering::Relaxed) as u32,
-        connections_total: metrics.connections_total.load(Ordering::Relaxed),
-        queries_total: metrics.queries_total.load(Ordering::Relaxed),
-        deadline_exceeded: metrics.deadline_exceeded.load(Ordering::Relaxed),
-        protocol_errors: metrics.protocol_errors.load(Ordering::Relaxed),
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        cache_evictions: cache.evictions,
-        overload_rejections: metrics.overload_rejections.load(Ordering::Relaxed),
-        latency: metrics.latency_snapshot(),
-        replication_lag: repl.replication_lag(backend.generation()),
-        repl_role: repl.role(),
-        enumerations_total: metrics.enumerations_total.load(Ordering::Relaxed),
-        pages_sent: metrics.pages_sent.load(Ordering::Relaxed),
-    };
-    Frame::with_version(peer, op::STATS_OK, stats.encode_for(peer))
-}
-
-/// Builds a `HEALTH_OK` reply: drain beats overload, overload beats
-/// ready, and any not-ready state carries a retry-after hint. The v2
-/// payload extension adds the replication role and lag.
-fn health_frame(
-    peer: u8,
-    backend: &ServeBackend<'_>,
-    metrics: &Metrics,
-    admission: &Admission,
-    draining: &AtomicBool,
-    repl: &ReplState,
-) -> Frame {
-    let state = if draining.load(Ordering::Acquire) {
-        HealthState::Draining
-    } else if admission.is_full() {
-        HealthState::Overloaded
-    } else {
-        HealthState::Ready
-    };
-    let retry_after_ms = match state {
-        HealthState::Ready => 0,
-        _ => retry_after_hint_ms(metrics),
-    };
-    let health = HealthOk {
-        state,
-        retry_after_ms,
-        role: repl.role(),
-        replication_lag: repl.replication_lag(backend.generation()),
-    };
-    Frame::with_version(peer, op::HEALTH_OK, health.encode_for(peer))
+    Ok(Frame::new(op::PROMOTE_OK, ok.encode()))
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@
 //!   reconstruction. [`load_binary_mmap`] maps the arrays zero-copy
 //!   (64-bit Unix; elsewhere it transparently falls back to a copying
 //!   read) — the path that opens the door to Patents/LiveJournal/Orkut
-//!   scale ingest. The legacy v1 edge-pair format is still read.
+//!   scale ingest. The retired `GRPHPI01` edge-pair format is recognised
+//!   only to be refused with a pointer to `graphpi-cli convert`.
 //!
 //! # v2 binary layout (little-endian)
 //!
@@ -49,7 +50,10 @@ use std::sync::Arc;
 /// Magic bytes of the current (v2, raw-CSR) binary format.
 const BINARY_MAGIC_V2: &[u8; 8] = b"GRPHPI02";
 
-/// Magic bytes of the legacy v1 (edge-pair) binary format.
+/// Magic bytes of the retired v1 (edge-pair) binary format. Nothing has
+/// written it since v2 landed; it is still *recognised* so such a file is
+/// refused with a useful message instead of "magic mismatch" (or, worse,
+/// being sniffed as a text edge list).
 const BINARY_MAGIC_V1: &[u8; 8] = b"GRPHPI01";
 
 /// Version field written into v2 headers.
@@ -280,9 +284,10 @@ pub fn save_binary<P: AsRef<Path>>(graph: &CsrGraph, path: P) -> io::Result<()> 
     result
 }
 
-/// Whether `path` starts with a binary graph magic (either format
-/// version). This is the sniff `--format auto` front ends should use —
-/// it keeps the magic knowledge next to the formats themselves.
+/// Whether `path` starts with a binary graph magic (the current one, or
+/// the retired v1 one the loaders then refuse by name). This is the sniff
+/// `--format auto` front ends should use — it keeps the magic knowledge
+/// next to the formats themselves.
 pub fn sniff_is_binary<P: AsRef<Path>>(path: P) -> bool {
     let mut magic = [0u8; 8];
     std::fs::File::open(path)
@@ -304,6 +309,9 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 /// Validates magic, version, both checksums and the exact file size.
 fn validate_header_v2(bytes: &[u8]) -> Result<HeaderV2, LoadError> {
     let fail = |msg: String| Err(LoadError::BadFormat(msg));
+    if bytes.starts_with(BINARY_MAGIC_V1) {
+        return fail("GRPHPI01 is no longer read; re-run `graphpi-cli convert`".into());
+    }
     if bytes.len() < BINARY_HEADER_LEN {
         return fail(format!(
             "truncated header: {} bytes, need {BINARY_HEADER_LEN}",
@@ -405,42 +413,6 @@ fn validate_csr(offsets: &[usize], neighbors: &[VertexId]) -> Result<(), LoadErr
     Ok(())
 }
 
-/// Parses the legacy v1 (edge-pair) image and rebuilds the CSR with the
-/// parallel builder.
-fn parse_binary_v1(bytes: &[u8]) -> Result<CsrGraph, LoadError> {
-    let fail = |msg: String| Err(LoadError::BadFormat(msg));
-    if bytes.len() < 24 {
-        return fail(format!("truncated v1 header: {} bytes", bytes.len()));
-    }
-    let num_vertices = usize::try_from(read_u64(bytes, 8))
-        .map_err(|_| LoadError::BadFormat("num_vertices exceeds address space".into()))?;
-    let num_edges = read_u64(bytes, 16);
-    let expected = num_edges
-        .checked_mul(8)
-        .and_then(|b| b.checked_add(24))
-        .ok_or_else(|| LoadError::BadFormat("v1 header sizes overflow".into()))?;
-    if expected != bytes.len() as u64 {
-        return fail(format!(
-            "v1 file is {} bytes, header implies {expected}",
-            bytes.len()
-        ));
-    }
-    let mut edges = Vec::with_capacity(num_edges as usize);
-    for pair in bytes[24..].chunks_exact(8) {
-        let u = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
-        let v = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
-        edges.push((u, v));
-    }
-    let graph = build_from_edge_slice(&edges, num_vertices, 0);
-    if graph.num_edges() != num_edges {
-        return fail(format!(
-            "expected {num_edges} edges, reconstructed {}",
-            graph.num_edges()
-        ));
-    }
-    Ok(graph)
-}
-
 /// Copying parse of a v2 image.
 fn parse_binary_v2(bytes: &[u8]) -> Result<CsrGraph, LoadError> {
     let header = validate_header_v2(bytes)?;
@@ -465,17 +437,12 @@ fn parse_binary_v2(bytes: &[u8]) -> Result<CsrGraph, LoadError> {
     ))
 }
 
-/// Loads a binary graph file (v2 or legacy v1) by reading it into memory.
+/// Loads a v2 binary graph file by reading it into memory.
 ///
 /// For large files prefer [`load_binary_mmap`], which maps the arrays
 /// zero-copy where the platform supports it.
 pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<CsrGraph, LoadError> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() >= 8 && &bytes[0..8] == BINARY_MAGIC_V1 {
-        parse_binary_v1(&bytes)
-    } else {
-        parse_binary_v2(&bytes)
-    }
+    parse_binary_v2(&std::fs::read(path)?)
 }
 
 /// Opens a v2 binary graph file **zero-copy**: the offsets and neighbors
@@ -485,13 +452,10 @@ pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<CsrGraph, LoadError> {
 ///
 /// On targets without the mapping fast path (non-Unix or 32-bit) the file
 /// is read into an aligned heap region instead — same validation, same
-/// result, one copy. Legacy v1 files are rebuilt via the parallel builder.
+/// result, one copy.
 pub fn load_binary_mmap<P: AsRef<Path>>(path: P) -> Result<CsrGraph, LoadError> {
     let region = Arc::new(Region::map(path)?);
     let bytes = region.bytes();
-    if bytes.len() >= 8 && &bytes[0..8] == BINARY_MAGIC_V1 {
-        return parse_binary_v1(bytes);
-    }
     let header = validate_header_v2(bytes)?;
     #[cfg(all(target_pointer_width = "64", target_endian = "little"))]
     {
@@ -905,9 +869,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
+    fn retired_v1_files_are_refused_by_name() {
         let g = generators::erdos_renyi(40, 150, 8);
-        // Hand-write the v1 edge-pair format.
+        // Hand-write a complete, valid image in the v1 edge-pair format.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(BINARY_MAGIC_V1);
         bytes.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
@@ -916,13 +880,20 @@ mod tests {
             bytes.extend_from_slice(&u.to_le_bytes());
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        let path = temp_dir().join("legacy_v1.bin");
+        let path = temp_dir().join("retired_v1.bin");
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(load_binary(&path).unwrap(), g);
-        assert_eq!(load_binary_mmap(&path).unwrap(), g);
-        // Truncated v1 is rejected, not misread.
-        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(matches!(load_binary(&path), Err(LoadError::BadFormat(_))));
+        // Still sniffed as binary (never parsed as a text edge list), and
+        // both loaders say what the file is and what to do about it.
+        assert!(sniff_is_binary(&path));
+        for result in [load_binary(&path), load_binary_mmap(&path)] {
+            match result {
+                Err(LoadError::BadFormat(message)) => assert_eq!(
+                    message,
+                    "GRPHPI01 is no longer read; re-run `graphpi-cli convert`"
+                ),
+                other => panic!("a GRPHPI01 image must be refused, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

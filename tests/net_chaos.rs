@@ -3,22 +3,25 @@
 //! execution (retries + request-ID idempotency doing their job), an
 //! overloaded server must shed with a typed `RETRY_LATER` (plus a usable
 //! retry-after hint) instead of dropping connections, the `HEALTH` opcode
-//! must report readiness, and a protocol-v1 client must stay served by a
-//! v2 server with v1-shaped replies.
+//! must report readiness, a frame of any other protocol version must be
+//! refused loudly, and the retrying client's one retry loop must treat
+//! enumerations like counts — except that it never resends once a page
+//! has arrived.
 
 use graphpi::core::config::ServeOptions;
 use graphpi::core::engine::{GraphPi, PlanCache};
 use graphpi::core::exec::pool::WorkerPool;
-use graphpi::core::net::protocol::{self, op, CountOk, CountRequest, Frame, QueryMode, StatsOk};
+use graphpi::core::net::protocol::{self, op, EnumPage, Frame, WireError};
 use graphpi::core::net::{
     ChaosConfig, ChaosConnector, Client, ErrorCode, HealthState, NetError, RemoteCountOptions,
     RetryPolicy, RetryingClient, Server, ServerHandle, Transport,
 };
 use graphpi::graph::generators;
 use graphpi::pattern::prefab;
-use std::io::Write;
+use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Sets the drain flag when dropped so a failed assertion unwinds instead
@@ -275,7 +278,7 @@ fn health_reports_ready_on_an_idle_server() {
 }
 
 #[test]
-fn protocol_v1_clients_are_served_with_v1_replies() {
+fn other_protocol_versions_are_refused_loudly() {
     let engine = GraphPi::new(generators::power_law(160, 5, 91));
     let baseline = {
         let session = engine.session();
@@ -288,41 +291,129 @@ fn protocol_v1_clients_are_served_with_v1_replies() {
         let _drain = DrainOnDrop(handle.clone());
         let serving = scope.spawn(|| server.serve(&engine).unwrap());
 
-        // Hand-rolled v1 session: a COUNT (no request-ID flag — v1 never
-        // sets it) and a STATS, each answered with the request's version
-        // byte echoed back.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let request = CountRequest {
-            no_iep: false,
-            hub_bitsets: false,
-            deadline_ms: 0,
-            request_id: 0,
-            min_generation: 0,
-            mode: QueryMode::Count,
-            pattern: prefab::triangle().canonical_bytes(),
-        };
-        stream
-            .write_all(&Frame::with_version(1, op::COUNT, request.encode()).encode())
-            .unwrap();
-        let reply = protocol::read_frame(&mut stream).unwrap();
-        assert_eq!(reply.version, 1, "replies must echo the peer's version");
-        assert_eq!(reply.opcode, op::COUNT_OK);
-        assert_eq!(CountOk::decode(&reply.payload).unwrap().count, baseline);
+        // The retired v1 and a future v3: each frame earns exactly one
+        // typed UNSUPPORTED_VERSION error and a closed connection, and is
+        // counted — nothing is served down-version.
+        for (refused, version) in [(1u64, 1u8), (2, 3)] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut ping = Frame::new(op::PING, vec![7]).encode();
+            ping[6] = version;
+            stream.write_all(&ping).unwrap();
+            let reply = protocol::read_frame(&mut stream).unwrap();
+            assert_eq!(reply.opcode, op::ERROR);
+            let error = WireError::decode(&reply.payload).unwrap();
+            assert_eq!(error.code, ErrorCode::UnsupportedVersion);
+            assert_eq!(stream.read(&mut [0u8; 1]).unwrap_or(0), 0, "still open");
 
-        stream
-            .write_all(&Frame::with_version(1, op::STATS, vec![]).encode())
-            .unwrap();
-        let reply = protocol::read_frame(&mut stream).unwrap();
-        assert_eq!(reply.version, 1);
-        assert_eq!(reply.opcode, op::STATS_OK);
-        let stats = StatsOk::decode(&reply.payload).unwrap();
-        assert_eq!(stats.queries_total, 1);
+            // The next v2 client is served as if nothing happened.
+            let mut client = Client::connect(addr).unwrap();
+            assert_eq!(client.count(&prefab::triangle()).unwrap().count, baseline);
+            assert_eq!(client.stats().unwrap().protocol_errors, refused);
+        }
 
-        drop(stream);
         handle.shutdown();
         serving.join().unwrap();
     });
+}
+
+/// A `Transport` that replays a script: every `recv` pops the next scripted
+/// outcome, every `send` is recorded. All connections dialed by one client
+/// share the script, so it reads as the client's whole conversation.
+#[derive(Clone, Default)]
+struct Scripted {
+    replies: Arc<Mutex<VecDeque<Result<Frame, NetError>>>>,
+    sent: Arc<Mutex<Vec<Frame>>>,
+}
+
+impl Transport for Scripted {
+    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+        self.sent.lock().unwrap().push(frame.clone());
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<Frame, NetError> {
+        let next = self.replies.lock().unwrap().pop_front();
+        next.expect("the client read past the end of the script")
+    }
+}
+
+/// A retrying client over `script`, with a fast deterministic backoff.
+fn scripted_client(script: Vec<Result<Frame, NetError>>) -> (RetryingClient, Scripted) {
+    let transport = Scripted::default();
+    transport.replies.lock().unwrap().extend(script);
+    let dialed = transport.clone();
+    let client = RetryingClient::new(
+        move || Ok(Box::new(dialed.clone()) as Box<dyn Transport + Send>),
+        RetryPolicy {
+            max_attempts: 4,
+            initial_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+            ..RetryPolicy::default()
+        },
+    );
+    (client, transport)
+}
+
+fn triangle_page(last: bool, vertices: Vec<u32>) -> Result<Frame, NetError> {
+    let page = EnumPage {
+        last,
+        pattern_size: 3,
+        vertices,
+    };
+    Ok(Frame::new(op::ENUM_PAGE, page.encode()))
+}
+
+#[test]
+fn enumerations_are_retried_only_while_zero_pages_arrived() {
+    // The connection dies before the first page: nothing of the stream
+    // was seen, so the enumeration is safely re-issued on a fresh dial.
+    let (mut client, transport) = scripted_client(vec![
+        Err(NetError::Closed),
+        triangle_page(false, vec![0, 1, 2]),
+        triangle_page(true, vec![3, 4, 5]),
+    ]);
+    let result = client.enumerate(&prefab::triangle(), 10).unwrap();
+    assert_eq!(result.embeddings, vec![vec![0, 1, 2], vec![3, 4, 5]]);
+    assert_eq!(result.pages, 2);
+    let stats = client.stats();
+    assert_eq!((stats.attempts, stats.retries, stats.connects), (2, 1, 2));
+    assert_eq!(transport.sent.lock().unwrap().len(), 2);
+
+    // One page in, the same failure is final: re-running could interleave
+    // a second stream with the page already delivered.
+    let (mut client, transport) = scripted_client(vec![
+        triangle_page(false, vec![0, 1, 2]),
+        Err(NetError::Closed),
+    ]);
+    let error = client.enumerate(&prefab::triangle(), 10).unwrap_err();
+    assert!(matches!(error, NetError::Closed), "got {error}");
+    let stats = client.stats();
+    assert_eq!((stats.attempts, stats.retries), (1, 0));
+    assert_eq!(transport.sent.lock().unwrap().len(), 1);
+}
+
+#[test]
+fn shed_enumerations_honour_the_hint_and_keep_the_connection() {
+    // Shed, then served: the retry waits out the server's retry-after hint
+    // (far above the 1-2 ms backoff) on the connection it already has —
+    // RETRY_LATER leaves the stream in sync — exactly as a count does.
+    let shed = WireError::new(ErrorCode::RetryLater, "admission queue is full");
+    let (mut client, transport) = scripted_client(vec![
+        Ok(shed.with_retry_after(30).into()),
+        triangle_page(true, vec![0, 1, 2]),
+    ]);
+    let started = std::time::Instant::now();
+    let result = client.enumerate(&prefab::triangle(), 10).unwrap();
+    assert!(started.elapsed() >= Duration::from_millis(30));
+    assert_eq!(result.embeddings, vec![vec![0, 1, 2]]);
+    let stats = client.stats();
+    assert_eq!(stats.hints_honored, 1);
+    assert_eq!(stats.connects, 1, "RETRY_LATER must not cost a redial");
+    assert_eq!((stats.attempts, stats.retries), (2, 1));
+    let sent = transport.sent.lock().unwrap();
+    assert_eq!(sent.len(), 2);
+    assert_eq!(sent[0], sent[1], "the retry resends the same request");
 }
