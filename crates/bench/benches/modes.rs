@@ -60,10 +60,14 @@ fn assert_mode_parity(session: &Session<'_>, pattern: &graphpi_pattern::Pattern,
         pattern.num_vertices() as u64 * exact,
         "orbit counts must sum to pattern_size x count"
     );
-    let full = session.count_approx(pattern, 1.0, SAMPLE_SEED).expect("sample parity");
+    let full = session
+        .count_approx(pattern, 1.0, SAMPLE_SEED)
+        .expect("sample parity");
     assert_eq!(full.estimate, exact as f64, "rate-1 sampling must be exact");
     assert_eq!(full.stderr, 0.0, "rate-1 sampling must report zero error");
-    let embeddings = session.enumerate(pattern, u64::MAX).expect("enumerate parity");
+    let embeddings = session
+        .enumerate(pattern, u64::MAX)
+        .expect("enumerate parity");
     assert_eq!(
         embeddings.len() as u64,
         exact,
@@ -96,14 +100,17 @@ fn main() {
     );
 
     let mut table = Table::new(vec![
-        "pattern", "count", "orbit", "sample", "enumerate", "exact", "sampled est",
+        "pattern",
+        "count",
+        "orbit",
+        "sample",
+        "enumerate",
+        "exact",
+        "sampled est",
     ]);
     let mut records: Vec<BenchRecord> = Vec::new();
 
-    for (name, pattern) in [
-        ("triangle", prefab::triangle()),
-        ("house", prefab::house()),
-    ] {
+    for (name, pattern) in [("triangle", prefab::triangle()), ("house", prefab::house())] {
         let exact = session.count(&pattern).expect("exact count");
         assert_mode_parity(&session, &pattern, exact);
 

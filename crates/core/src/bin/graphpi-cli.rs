@@ -1582,8 +1582,8 @@ fn run_remote_enumerate(args: &RemoteArgs, name: &str, pattern: &Pattern) -> Res
             .enumerate_with(pattern, args.limit, options)
             .map_err(|e| format!("enumerate failed: {e}"))?
     } else {
-        let mut client = Client::connect(&args.addr)
-            .map_err(|e| format!("enumerate: connect failed: {e}"))?;
+        let mut client =
+            Client::connect(&args.addr).map_err(|e| format!("enumerate: connect failed: {e}"))?;
         client
             .enumerate_with(pattern, args.limit, options)
             .map_err(|e| format!("enumerate failed: {e}"))?
@@ -2208,7 +2208,10 @@ mod tests {
                 &["--mode=enumerate", "--list", "3"],
                 "--list is the count-mode",
             ),
-            (&["--limit", "5"], "--limit only applies to --mode=enumerate"),
+            (
+                &["--limit", "5"],
+                "--limit only applies to --mode=enumerate",
+            ),
             (&["--sample-rate", "0.5"], "only apply to --mode=sample"),
             (&["--sample-seed", "9"], "only apply to --mode=sample"),
             (
@@ -2270,7 +2273,10 @@ mod tests {
                 vec!["remote", "--pattern", "p1", "--mode=enumerate"],
                 "paged --enumerate",
             ),
-            (vec!["remote", "--enumerate"], "--enumerate needs a --pattern"),
+            (
+                vec!["remote", "--enumerate"],
+                "--enumerate needs a --pattern",
+            ),
             (
                 vec!["remote", "--pattern", "p1", "--enumerate", "--clients", "2"],
                 "cannot combine with",

@@ -120,7 +120,10 @@ impl EmbedSink {
 
     /// Consumes the sink, returning one `Vec` per embedding.
     pub fn into_embeddings(self) -> Vec<Vec<VertexId>> {
-        self.buf.chunks(self.arity.max(1)).map(<[_]>::to_vec).collect()
+        self.buf
+            .chunks(self.arity.max(1))
+            .map(<[_]>::to_vec)
+            .collect()
     }
 }
 

@@ -192,7 +192,12 @@ fn rejects_nonsensical_mode_combos() {
     // plain count.
     assert_rejected(
         &[
-            "count", "--graph", "g.txt", "--pattern", "house", "--mode=turbo",
+            "count",
+            "--graph",
+            "g.txt",
+            "--pattern",
+            "house",
+            "--mode=turbo",
         ],
         "unknown mode",
     );

@@ -126,9 +126,8 @@ fn modes_agree_across_execution_matrix() {
         for threads in [1usize, 4] {
             for hub_bitsets in [false, true] {
                 for scalar_kernels in [false, true] {
-                    let label = format!(
-                        "threads={threads} hub={hub_bitsets} scalar={scalar_kernels}"
-                    );
+                    let label =
+                        format!("threads={threads} hub={hub_bitsets} scalar={scalar_kernels}");
                     let options = CountOptions {
                         threads,
                         hub_bitsets,
@@ -143,10 +142,8 @@ fn modes_agree_across_execution_matrix() {
                         PlanOptions::default(),
                         options,
                     );
-                    let got = canonical_tuples(
-                        &pattern,
-                        session.enumerate(&pattern, u64::MAX).unwrap(),
-                    );
+                    let got =
+                        canonical_tuples(&pattern, session.enumerate(&pattern, u64::MAX).unwrap());
                     assert_eq!(got, expected_tuples, "enumerate {label}");
                     assert_eq!(
                         session.count_per_vertex(&pattern).unwrap(),
