@@ -94,7 +94,7 @@
 
 use graphpi_core::codegen::{generate, Language};
 use graphpi_core::config::PoolOptions;
-use graphpi_core::engine::{CountOptions, GraphPi, PlanOptions};
+use graphpi_core::engine::{CountOptions, GraphPi, Mode, Outcome, PlanOptions};
 use graphpi_core::net::protocol::{self, LatencyHistogram};
 use graphpi_core::net::{
     ChaosConfig, ChaosConnector, ChaosProxy, Client, CountExt, FailoverClient, NetError, QueryMode,
@@ -1894,14 +1894,23 @@ fn run_local_mode(
         PlanOptions::default(),
         count_options,
     );
+    let mode = match args.mode {
+        CliMode::Count => Mode::Count,
+        CliMode::Enumerate => Mode::Enumerate { limit: args.limit },
+        CliMode::Orbit => Mode::Orbit,
+        CliMode::Sample => Mode::Sample {
+            rate: args.sample_rate,
+            seed: args.sample_seed,
+        },
+    };
     let start = std::time::Instant::now();
-    match args.mode {
-        CliMode::Count => unreachable!("dispatched for non-count modes only"),
-        CliMode::Enumerate => {
-            let embeddings = session
-                .enumerate(pattern, args.limit)
-                .map_err(|e| e.to_string())?;
-            let elapsed = start.elapsed();
+    let outcome = session
+        .run(pattern, mode, count_options)
+        .map_err(|e| e.to_string())?;
+    let elapsed = start.elapsed();
+    match outcome {
+        Outcome::Count(count) => println!("embeddings: {count}  ({elapsed:?})"),
+        Outcome::Embeddings(embeddings) => {
             for embedding in &embeddings {
                 println!("  {embedding:?}");
             }
@@ -1913,43 +1922,30 @@ fn run_local_mode(
                 if truncated { ", truncated" } else { "" },
             );
         }
-        CliMode::Orbit => {
-            let counts = session
-                .count_per_vertex(pattern)
-                .map_err(|e| e.to_string())?;
-            let elapsed = start.elapsed();
-            let sum: u64 = counts.iter().sum();
-            let nonzero = counts.iter().filter(|&&c| c > 0).count();
-            let (max_vertex, max_count) = counts
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &c)| c)
-                .map(|(v, &c)| (v, c))
-                .unwrap_or((0, 0));
+        Outcome::PerVertex(counts) => {
+            let orbit = protocol::OrbitSummary::of(&counts);
             let size = pattern.num_vertices() as u64;
             println!(
-                "orbit: counts sum {sum} = {size} x {} embeddings, {nonzero}/{} vertices \
-                 participate, max {max_count} at vertex {max_vertex} ({elapsed:?})",
-                sum / size.max(1),
+                "orbit: counts sum {} = {size} x {} embeddings, {}/{} vertices \
+                 participate, max {} at vertex {} ({elapsed:?})",
+                orbit.sum,
+                orbit.sum / size.max(1),
+                orbit.nonzero_vertices,
                 counts.len(),
+                orbit.max_count,
+                orbit.max_vertex,
             );
         }
-        CliMode::Sample => {
-            let approx = session
-                .count_approx(pattern, args.sample_rate, args.sample_seed)
-                .map_err(|e| e.to_string())?;
-            let elapsed = start.elapsed();
-            println!(
-                "sample: estimate {:.1} +- {:.1} stderr (rate {}, seed {}, {}/{} tasks sampled) \
-                 in {elapsed:?}",
-                approx.estimate,
-                approx.stderr,
-                args.sample_rate,
-                args.sample_seed,
-                approx.sampled_tasks,
-                approx.total_tasks
-            );
-        }
+        Outcome::Approx(approx) => println!(
+            "sample: estimate {:.1} +- {:.1} stderr (rate {}, seed {}, {}/{} tasks sampled) \
+             in {elapsed:?}",
+            approx.estimate,
+            approx.stderr,
+            args.sample_rate,
+            args.sample_seed,
+            approx.sampled_tasks,
+            approx.total_tasks
+        ),
     }
     Ok(())
 }

@@ -12,16 +12,17 @@
 
 use crate::config::{Configuration, ExecutionPlan, PoolOptions, MAX_LOOPS};
 use crate::error::EngineError;
+use crate::exec::interp::ExecCtx;
 use crate::exec::pool::WorkerPool;
-use crate::exec::sink::ModeShared;
+use crate::exec::sink::Job;
 use crate::exec::{iep, interp, parallel};
 use crate::perf_model::{select_best, select_best_iep, CostEstimate, PerformanceModel};
-use crate::schedule::{efficient_schedules, Schedule};
+use crate::schedule::efficient_schedules;
 use graphpi_graph::csr::{CsrGraph, VertexId};
 use graphpi_graph::hub::{HubGraph, HubOptions};
 use graphpi_graph::stats::GraphStats;
 use graphpi_pattern::pattern::Pattern;
-use graphpi_pattern::restriction::{generate_restriction_sets, GenerationOptions, RestrictionSet};
+use graphpi_pattern::restriction::{generate_restriction_sets, GenerationOptions};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -110,9 +111,7 @@ impl CountOptions {
         }
     }
 
-    /// Derives the executor options once. Call sites that execute many
-    /// plans (a [`Session`], a repeat loop) derive this a single time and
-    /// pass it by reference instead of rebuilding it per count.
+    /// The executor options these execution options stand for.
     pub fn parallel_options(&self) -> parallel::ParallelOptions {
         parallel::ParallelOptions {
             threads: self.threads,
@@ -294,55 +293,23 @@ impl GraphPi {
         Ok(self.execute_count(&plan.plan, count_options))
     }
 
-    /// Executes an already-compiled plan and returns the embedding count.
+    /// Executes an already-compiled plan and returns the embedding count:
+    /// sequentially (enumerating or with IEP) on one thread, on the scoped
+    /// parallel executor otherwise.
     pub fn execute_count(&self, plan: &ExecutionPlan, options: CountOptions) -> u64 {
-        // Derived exactly once per call (a Session derives it once per
-        // session instead) and passed down by reference.
-        let parallel_options = options.parallel_options();
-        self.execute_count_prepared(plan, &options, &parallel_options)
-    }
-
-    /// [`GraphPi::execute_count`] with the executor options pre-derived:
-    /// the hot entry point for repeated counting, where the caller holds
-    /// one [`parallel::ParallelOptions`] and passes it by reference.
-    pub fn execute_count_prepared(
-        &self,
-        plan: &ExecutionPlan,
-        options: &CountOptions,
-        parallel_options: &parallel::ParallelOptions,
-    ) -> u64 {
-        // The pair must agree on the counting mode: the sequential dispatch
-        // below reads `options.use_iep`, the parallel executors read
-        // `parallel_options.mode`. Derive the latter with
-        // [`CountOptions::parallel_options`].
-        debug_assert_eq!(
-            parallel_options.mode == parallel::CountMode::Iep,
-            options.use_iep,
-            "parallel_options must be derived from the same CountOptions"
-        );
         // Authoritative per call: dispatch is process-global, so this call's
         // setting becomes the process setting (the `GRAPHPI_FORCE_SCALAR`
         // environment pin is folded into detection and stays sticky).
         graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);
-        let threads = if options.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+        let ctx = if options.hub_bitsets {
+            ExecCtx::with_hubs(self.hub_index())
         } else {
-            options.threads
+            ExecCtx::new(&self.graph)
         };
-        if options.hub_bitsets {
-            let hubs = self.hub_index();
-            return match (options.use_iep, threads) {
-                (false, 1) => interp::count_embeddings_hub(plan, hubs),
-                (true, 1) => iep::count_embeddings_iep_hub(plan, hubs),
-                (_, _) => parallel::count_parallel_with_hubs(plan, hubs, *parallel_options),
-            };
-        }
-        match (options.use_iep, threads) {
-            (false, 1) => interp::count_embeddings(plan, &self.graph),
-            (true, 1) => iep::count_embeddings_iep(plan, &self.graph),
-            (_, _) => parallel::count_parallel(plan, &self.graph, *parallel_options),
+        match (options.use_iep, parallel::resolve_threads(options.threads)) {
+            (false, 1) => interp::count_embeddings_in(plan, ctx),
+            (true, 1) => iep::count_embeddings_iep_in(plan, ctx),
+            (_, _) => parallel::count_parallel_in(plan, ctx, options.parallel_options()),
         }
     }
 
@@ -351,20 +318,6 @@ impl GraphPi {
     pub fn list(&self, pattern: &Pattern) -> Result<Vec<Vec<VertexId>>, EngineError> {
         let plan = self.plan(pattern, PlanOptions::default())?;
         Ok(interp::list_embeddings(&plan.plan, &self.graph))
-    }
-
-    /// Counts embeddings with an explicitly provided configuration,
-    /// bypassing the planner (used by the schedule/restriction breakdown
-    /// experiments).
-    pub fn count_with_configuration(
-        &self,
-        schedule: Schedule,
-        restrictions: RestrictionSet,
-        pattern: &Pattern,
-        options: CountOptions,
-    ) -> u64 {
-        let plan = Configuration::new(pattern.clone(), schedule, restrictions).compile();
-        self.execute_count(&plan, options)
     }
 
     /// Opens a long-lived serving [`Session`] with default options: a
@@ -410,14 +363,12 @@ impl GraphPi {
         plan_options: PlanOptions,
         count_options: CountOptions,
     ) -> Session<'_> {
-        let parallel_options = count_options.parallel_options();
         Session {
             engine: self,
             pool,
             cache,
             plan_options,
             count_options,
-            parallel_options,
         }
     }
 }
@@ -491,6 +442,83 @@ pub struct ApproxCount {
     pub sampled_tasks: u64,
     /// Total number of prefix tasks the search decomposed into.
     pub total_tasks: u64,
+}
+
+/// What a query asks about a pattern's embeddings: the execution modes
+/// [`Session::run`] serves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Mode {
+    /// The exact embedding count (the interactive workload; IEP-capable).
+    Count,
+    /// The embeddings themselves, at most `limit` of them.
+    Enumerate {
+        /// Hard budget on the embeddings recorded, enforced while matching.
+        limit: u64,
+    },
+    /// For every data vertex, the number of embeddings it participates in.
+    Orbit,
+    /// A Horvitz–Thompson estimate of the count from sampled prefix tasks.
+    Sample {
+        /// Probability with which each prefix task is kept (finite, > 0).
+        rate: f64,
+        /// Seed of the keep/skip hash; a fixed seed reproduces the sample.
+        seed: u64,
+    },
+}
+
+/// The result of [`Session::run`], one variant per [`Mode`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// [`Mode::Count`]: the exact embedding count.
+    Count(u64),
+    /// [`Mode::Enumerate`]: one `Vec` per embedding, indexed by pattern
+    /// vertex, in original data-graph ids.
+    Embeddings(Vec<Vec<VertexId>>),
+    /// [`Mode::Orbit`]: per-vertex counts indexed by original vertex id.
+    PerVertex(Vec<u64>),
+    /// [`Mode::Sample`]: the estimate and its uncertainty.
+    Approx(ApproxCount),
+}
+
+impl Outcome {
+    /// The count of a [`Mode::Count`] run.
+    ///
+    /// # Panics
+    /// If the outcome is another mode's (as for every accessor below).
+    pub fn into_count(self) -> u64 {
+        match self {
+            Outcome::Count(count) => count,
+            other => other.is_not("a count"),
+        }
+    }
+
+    /// The embeddings of a [`Mode::Enumerate`] run.
+    pub fn into_embeddings(self) -> Vec<Vec<VertexId>> {
+        match self {
+            Outcome::Embeddings(embeddings) => embeddings,
+            other => other.is_not("an enumeration"),
+        }
+    }
+
+    /// The per-vertex counts of a [`Mode::Orbit`] run.
+    pub fn into_per_vertex(self) -> Vec<u64> {
+        match self {
+            Outcome::PerVertex(counts) => counts,
+            other => other.is_not("an orbit profile"),
+        }
+    }
+
+    /// The estimate of a [`Mode::Sample`] run.
+    pub fn into_approx(self) -> ApproxCount {
+        match self {
+            Outcome::Approx(approx) => approx,
+            other => other.is_not("a sample estimate"),
+        }
+    }
+
+    fn is_not(&self, wanted: &str) -> ! {
+        panic!("query outcome is not {wanted}: {self:?}")
+    }
 }
 
 /// Outcome of [`Session::warm_start`]: how many persisted keys applied to
@@ -698,10 +726,6 @@ pub struct Session<'g> {
     cache: Arc<PlanCache>,
     plan_options: PlanOptions,
     count_options: CountOptions,
-    /// Derived once at session construction and passed by reference on
-    /// every count (the per-call rebuild this replaces showed up at
-    /// serving-path granularity).
-    parallel_options: parallel::ParallelOptions,
 }
 
 impl<'g> Session<'g> {
@@ -761,11 +785,95 @@ impl<'g> Session<'g> {
         report
     }
 
+    /// Runs one query of any [`Mode`] on the warm path — cached plan,
+    /// persistent pool — under per-call execution options (IEP, hub
+    /// acceleration, prefix depth, kernel family; the worker count is the
+    /// pool's, so `threads` is ignored, and the sink modes never use IEP).
+    /// This is the entry the server and the CLI use; [`Session::count`],
+    /// [`Session::enumerate`], [`Session::count_per_vertex`] and
+    /// [`Session::count_approx`] are shorthands for it with the session's
+    /// own options.
+    ///
+    /// Fails with [`EngineError::InvalidSampleRate`] unless a sample rate
+    /// is finite and positive, and with the planner's error for a pattern
+    /// it rejects.
+    pub fn run(
+        &self,
+        pattern: &Pattern,
+        mode: Mode,
+        options: CountOptions,
+    ) -> Result<Outcome, EngineError> {
+        let plan = match mode {
+            Mode::Sample { rate, .. } if !rate.is_finite() || rate <= 0.0 => {
+                return Err(EngineError::InvalidSampleRate);
+            }
+            // Only counting can use a plan whose innermost loops IEP
+            // replaced by arithmetic.
+            Mode::Count => self.plan_cached(pattern)?,
+            _ => self.mode_plan_cached(pattern)?,
+        };
+        Ok(self.run_plan(&plan.plan, mode, options))
+    }
+
+    /// [`Session::run`] below plan selection: pins the kernel family,
+    /// builds the execution context, submits the job to the pool and turns
+    /// what it folded into the caller's result.
+    fn run_plan(&self, plan: &ExecutionPlan, mode: Mode, options: CountOptions) -> Outcome {
+        // Same contract as `GraphPi::execute_count`: the per-call knob is
+        // authoritative for the process-global kernel dispatch.
+        graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);
+        let hubs = options.hub_bitsets.then(|| self.engine.hub_index());
+        let ctx = hubs.map_or_else(|| ExecCtx::new(&self.engine.graph), ExecCtx::with_hubs);
+        let executor_options = options.parallel_options();
+        let job = match mode {
+            Mode::Count => Job::count(plan, executor_options.mode),
+            Mode::Enumerate { limit } => Job::enumerate(limit),
+            Mode::Orbit => Job::orbit(ctx.graph().num_vertices()),
+            Mode::Sample { rate, seed } => Job::sample(seed, rate),
+        };
+        let count = self.pool.run_job(plan, ctx, &executor_options, &job);
+        // The hub layout relabels vertices degree-descending; results go
+        // back to the caller in original ids.
+        let original = |v: VertexId| hubs.map_or(v, |h| h.original_id(v));
+        match job {
+            Job::Count { .. } => Outcome::Count(count),
+            Job::Enumerate { out, .. } => {
+                let flat = out.into_inner().expect("enumeration sink poisoned");
+                let n = plan.num_loops();
+                let mut embeddings = Vec::with_capacity(flat.len() / n.max(1));
+                for chunk in flat.chunks_exact(n) {
+                    let mut by_pattern_vertex = vec![0 as VertexId; n];
+                    for (i, &v) in chunk.iter().enumerate() {
+                        by_pattern_vertex[plan.loops[i].pattern_vertex] = original(v);
+                    }
+                    embeddings.push(by_pattern_vertex);
+                }
+                Outcome::Embeddings(embeddings)
+            }
+            Job::Orbit { counts } => {
+                let mut result = vec![0u64; counts.len()];
+                for (v, count) in counts.into_iter().enumerate() {
+                    result[original(v as VertexId) as usize] = count.into_inner();
+                }
+                Outcome::PerVertex(result)
+            }
+            Job::Sample { rate, accum, .. } => {
+                let accum = accum.into_inner().expect("sample accumulator poisoned");
+                let estimate = accum.estimate(rate);
+                Outcome::Approx(ApproxCount {
+                    estimate: estimate.estimate,
+                    stderr: estimate.stderr,
+                    sampled_tasks: estimate.sampled,
+                    total_tasks: estimate.total,
+                })
+            }
+        }
+    }
+
     /// Counts embeddings of `pattern` on the warm path: cached plan,
     /// persistent pool, session-wide execution options.
     pub fn count(&self, pattern: &Pattern) -> Result<u64, EngineError> {
-        let plan = self.plan_cached(pattern)?;
-        Ok(self.execute(&plan.plan, &self.count_options, &self.parallel_options))
+        self.count_with(pattern, self.count_options)
     }
 
     /// Counts embeddings with per-call execution options (IEP, hub
@@ -776,35 +884,14 @@ impl<'g> Session<'g> {
         pattern: &Pattern,
         count_options: CountOptions,
     ) -> Result<u64, EngineError> {
-        let plan = self.plan_cached(pattern)?;
-        let parallel_options = count_options.parallel_options();
-        Ok(self.execute(&plan.plan, &count_options, &parallel_options))
+        self.run(pattern, Mode::Count, count_options)
+            .map(Outcome::into_count)
     }
 
     /// Executes an already-compiled plan on the session pool.
     pub fn execute_count(&self, plan: &ExecutionPlan) -> u64 {
-        self.execute(plan, &self.count_options, &self.parallel_options)
-    }
-
-    fn execute(
-        &self,
-        plan: &ExecutionPlan,
-        count_options: &CountOptions,
-        parallel_options: &parallel::ParallelOptions,
-    ) -> u64 {
-        // Same contract as `GraphPi::execute_count_prepared`: the per-call
-        // knob is authoritative for the process-global kernel dispatch.
-        graphpi_graph::vertex_set::set_force_scalar(count_options.scalar_kernels);
-        if count_options.hub_bitsets {
-            self.pool
-                .count_with_hubs(plan, self.engine.hub_index(), parallel_options)
-        } else {
-            self.pool.count_in(
-                plan,
-                interp::ExecCtx::new(&self.engine.graph),
-                parallel_options,
-            )
-        }
+        self.run_plan(plan, Mode::Count, self.count_options)
+            .into_count()
     }
 
     /// Returns the cached *full-depth* plan for `pattern`: the same planner
@@ -821,29 +908,6 @@ impl<'g> Session<'g> {
         let key = PlanKey::new(pattern, &options, &self.engine.stats);
         self.cache
             .get_or_plan(key, || self.engine.plan(pattern, options))
-    }
-
-    /// Runs a full-depth plan through the pool in a non-count mode, folding
-    /// results into `shared`. Mode jobs are submitted on a low-priority
-    /// lane so they never starve concurrent interactive counts.
-    fn run_mode(&self, plan: &ExecutionPlan, shared: &ModeShared, count_options: &CountOptions) {
-        graphpi_graph::vertex_set::set_force_scalar(count_options.scalar_kernels);
-        let options = parallel::ParallelOptions {
-            mode: parallel::CountMode::Enumerate,
-            ..self.parallel_options
-        };
-        if count_options.hub_bitsets {
-            let hubs = self.engine.hub_index();
-            self.pool
-                .run_mode_in(plan, interp::ExecCtx::with_hubs(hubs), &options, shared);
-        } else {
-            self.pool.run_mode_in(
-                plan,
-                interp::ExecCtx::new(&self.engine.graph),
-                &options,
-                shared,
-            );
-        }
     }
 
     /// Enumerates embeddings of `pattern`, returning at most `limit` of
@@ -868,37 +932,8 @@ impl<'g> Session<'g> {
         pattern: &Pattern,
         limit: u64,
     ) -> Result<Vec<Vec<VertexId>>, EngineError> {
-        self.enumerate_with(pattern, limit, self.count_options)
-    }
-
-    /// [`Session::enumerate`] with per-call [`CountOptions`] overriding the
-    /// session defaults (only `hub_bitsets` and `scalar_kernels` matter to
-    /// enumeration; `use_iep` is ignored because mode plans never use IEP).
-    pub fn enumerate_with(
-        &self,
-        pattern: &Pattern,
-        limit: u64,
-        options: CountOptions,
-    ) -> Result<Vec<Vec<VertexId>>, EngineError> {
-        let plan = self.mode_plan_cached(pattern)?;
-        let shared = ModeShared::enumerate(limit);
-        self.run_mode(&plan.plan, &shared, &options);
-        let ModeShared::Enumerate { out, .. } = &shared else {
-            unreachable!("constructed as Enumerate above")
-        };
-        let flat = std::mem::take(&mut *out.lock().expect("enumeration sink poisoned"));
-        let n = plan.plan.num_loops();
-        let hubs = options.hub_bitsets.then(|| self.engine.hub_index());
-        let mut embeddings = Vec::with_capacity(flat.len() / n.max(1));
-        for chunk in flat.chunks_exact(n) {
-            let mut by_pattern_vertex = vec![0 as VertexId; n];
-            for (i, &v) in chunk.iter().enumerate() {
-                let v = hubs.map_or(v, |h| h.original_id(v));
-                by_pattern_vertex[plan.plan.loops[i].pattern_vertex] = v;
-            }
-            embeddings.push(by_pattern_vertex);
-        }
-        Ok(embeddings)
+        self.run(pattern, Mode::Enumerate { limit }, self.count_options)
+            .map(Outcome::into_embeddings)
     }
 
     /// Counts, for every data vertex, the embeddings of `pattern` it
@@ -908,38 +943,8 @@ impl<'g> Session<'g> {
     /// member vertices, so the returned counts sum to
     /// `pattern_size × total_count`.
     pub fn count_per_vertex(&self, pattern: &Pattern) -> Result<Vec<u64>, EngineError> {
-        self.count_per_vertex_with(pattern, self.count_options)
-    }
-
-    /// [`Session::count_per_vertex`] with per-call [`CountOptions`]
-    /// overriding the session defaults.
-    pub fn count_per_vertex_with(
-        &self,
-        pattern: &Pattern,
-        options: CountOptions,
-    ) -> Result<Vec<u64>, EngineError> {
-        let plan = self.mode_plan_cached(pattern)?;
-        let num_vertices = self.engine.graph.num_vertices();
-        let shared = ModeShared::orbit(num_vertices);
-        self.run_mode(&plan.plan, &shared, &options);
-        let ModeShared::Orbit { counts } = &shared else {
-            unreachable!("constructed as Orbit above")
-        };
-        let mut result = vec![0u64; num_vertices];
-        if options.hub_bitsets {
-            // The hub layout relabels vertices degree-descending; translate
-            // back so callers index by original id.
-            let hubs = self.engine.hub_index();
-            for (new_id, count) in counts.iter().enumerate() {
-                result[hubs.original_id(new_id as VertexId) as usize] =
-                    count.load(Ordering::Relaxed);
-            }
-        } else {
-            for (v, count) in counts.iter().enumerate() {
-                result[v] = count.load(Ordering::Relaxed);
-            }
-        }
-        Ok(result)
+        self.run(pattern, Mode::Orbit, self.count_options)
+            .map(Outcome::into_per_vertex)
     }
 
     /// Estimates the embedding count of `pattern` by uniformly sampling
@@ -957,44 +962,19 @@ impl<'g> Session<'g> {
         rate: f64,
         seed: u64,
     ) -> Result<ApproxCount, EngineError> {
-        self.count_approx_with(pattern, rate, seed, self.count_options)
-    }
-
-    /// [`Session::count_approx`] with per-call [`CountOptions`] overriding
-    /// the session defaults.
-    pub fn count_approx_with(
-        &self,
-        pattern: &Pattern,
-        rate: f64,
-        seed: u64,
-        options: CountOptions,
-    ) -> Result<ApproxCount, EngineError> {
-        if !rate.is_finite() || rate <= 0.0 {
-            return Err(EngineError::InvalidSampleRate);
-        }
-        let plan = self.mode_plan_cached(pattern)?;
-        let shared = ModeShared::sample(seed, rate);
-        self.run_mode(&plan.plan, &shared, &options);
-        let ModeShared::Sample { accum, .. } = &shared else {
-            unreachable!("constructed as Sample above")
-        };
-        let accum = accum.lock().expect("sample accumulator poisoned");
-        let estimate = accum.estimate(rate);
-        Ok(ApproxCount {
-            estimate: estimate.estimate,
-            stderr: estimate.stderr,
-            sampled_tasks: estimate.sampled,
-            total_tasks: estimate.total,
-        })
+        self.run(pattern, Mode::Sample { rate, seed }, self.count_options)
+            .map(Outcome::into_approx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
     use graphpi_graph::generators;
     use graphpi_pattern::automorphism::automorphism_count;
     use graphpi_pattern::prefab;
+    use graphpi_pattern::restriction::RestrictionSet;
 
     fn engine() -> GraphPi {
         GraphPi::new(generators::power_law(260, 5, 12))
@@ -1119,10 +1099,8 @@ mod tests {
                 CountOptions::sequential_enumeration(),
             )
             .unwrap();
-        let unrestricted = engine.count_with_configuration(
-            schedule,
-            RestrictionSet::empty(),
-            &pattern,
+        let unrestricted = engine.execute_count(
+            &Configuration::new(pattern.clone(), schedule, RestrictionSet::empty()).compile(),
             CountOptions::sequential_enumeration(),
         );
         assert_eq!(

@@ -30,7 +30,6 @@ use crate::config::ExecutionPlan;
 use crate::exec::interp::{self, ExecCtx, Leaf, SearchBuffers, Walk};
 use crate::exec::setprog::{block_coefficient, for_each_partition, IepTable, Operand};
 use graphpi_graph::csr::{CsrGraph, VertexId};
-use graphpi_graph::hub::HubGraph;
 
 pub use crate::exec::setprog::MAX_IEP_SUFFIX;
 
@@ -40,12 +39,6 @@ pub use crate::exec::setprog::MAX_IEP_SUFFIX;
 /// outer loop, or the over-count is not uniform.
 pub fn count_embeddings_iep(plan: &ExecutionPlan, graph: &CsrGraph) -> u64 {
     count_embeddings_iep_in(plan, ExecCtx::new(graph))
-}
-
-/// Hub-accelerated variant of [`count_embeddings_iep`]; returns the same
-/// count as the plain path on the original graph.
-pub fn count_embeddings_iep_hub(plan: &ExecutionPlan, hubs: &HubGraph) -> u64 {
-    count_embeddings_iep_in(plan, ExecCtx::with_hubs(hubs))
 }
 
 /// Context-explicit IEP driver.
@@ -298,7 +291,7 @@ mod tests {
         for pattern in [prefab::house(), prefab::p2(), prefab::cycle_6_tri()] {
             let plan = best_effort_plan(pattern);
             assert_eq!(
-                count_embeddings_iep_hub(&plan, &hubs),
+                count_embeddings_iep_in(&plan, ExecCtx::with_hubs(&hubs)),
                 count_embeddings_iep(&plan, &g)
             );
         }

@@ -16,7 +16,7 @@
 //! [`SearchBuffers`]; a deeper loop's candidate set is a slot reference plus
 //! its restriction window. A prefix task replays the ops of its bound depths
 //! and then walks on, so sequential, scoped, pooled and IEP execution
-//! ([`crate::exec::iep`]) are all the same [`Walk`]. [`crate::codegen`]
+//! ([`crate::exec::iep`]) are all the same `Walk`. [`crate::codegen`]
 //! renders the same program as source text.
 //!
 //! The matching kernel is **allocation-free** in steady state: slots, the
@@ -402,12 +402,6 @@ pub fn count_embeddings(plan: &ExecutionPlan, graph: &CsrGraph) -> u64 {
     count_embeddings_in(plan, ExecCtx::new(graph))
 }
 
-/// Counts every embedding using hub-accelerated intersections. Returns the
-/// same count as [`count_embeddings`] on the original graph.
-pub fn count_embeddings_hub(plan: &ExecutionPlan, hubs: &HubGraph) -> u64 {
-    count_embeddings_in(plan, ExecCtx::with_hubs(hubs))
-}
-
 /// Counts every embedding in an explicit execution context.
 pub fn count_embeddings_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>) -> u64 {
     let mut count = 0u64;
@@ -746,7 +740,7 @@ mod tests {
             let schedules = crate::schedule::efficient_schedules(&pattern);
             let plan = Configuration::new(pattern, schedules[0].clone(), sets[0].clone()).compile();
             assert_eq!(
-                count_embeddings_hub(&plan, &hubs),
+                count_embeddings_in(&plan, ExecCtx::with_hubs(&hubs)),
                 count_embeddings(&plan, &g),
                 "{name}"
             );

@@ -22,6 +22,14 @@
 //!   ops of the task's bound depths once and walks on from there, so a task
 //!   may be cut at any depth — IEP tasks included.
 //!
+//! What a task *folds into* is data, a `Job`: counting (an enumerated
+//! subtree or one IEP term per task) and the three sink modes share one
+//! path resolution, one producer, one per-task kernel (`run_one_task`) and
+//! one calling-thread fallback (`run_on_caller`). Two executors run them:
+//! the scoped one here ([`count_parallel`] — workers spawned and joined per
+//! call, counts only) and the persistent [`crate::exec::pool::WorkerPool`]
+//! (every job kind).
+//!
 //! Hub acceleration (degree-descending relabeling + bitset rows for the
 //! high-degree core, see [`graphpi_graph::hub`]) plugs in through
 //! [`ParallelOptions::hub_bitsets`] or a prebuilt [`HubGraph`]; counts are
@@ -30,7 +38,7 @@
 use crate::config::{ExecutionPlan, MAX_LOOPS};
 use crate::exec::iep;
 use crate::exec::interp::{self, ExecCtx, SearchBuffers};
-use crate::exec::sink::{sample_accepts, EmbedSink, ModeShared};
+use crate::exec::sink::{sample_accepts, EmbedSink, Job};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use graphpi_graph::csr::{CsrGraph, VertexId};
 use graphpi_graph::hub::{HubGraph, HubOptions};
@@ -137,9 +145,9 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
 pub fn count_parallel(plan: &ExecutionPlan, graph: &CsrGraph, options: ParallelOptions) -> u64 {
     if options.hub_bitsets {
         let hubs = HubGraph::build(graph, HubOptions::default());
-        run(plan, ExecCtx::with_hubs(&hubs), options)
+        count_parallel_in(plan, ExecCtx::with_hubs(&hubs), options)
     } else {
-        run(plan, ExecCtx::new(graph), options)
+        count_parallel_in(plan, ExecCtx::new(graph), options)
     }
 }
 
@@ -150,28 +158,26 @@ pub fn count_parallel_with_hubs(
     hubs: &HubGraph,
     options: ParallelOptions,
 ) -> u64 {
-    run(plan, ExecCtx::with_hubs(hubs), options)
+    count_parallel_in(plan, ExecCtx::with_hubs(hubs), options)
 }
 
-/// The execution strategy resolved from a plan and the requested options —
-/// the single source of truth for mode degradation, sequential fallbacks and
+/// The execution strategy resolved from a plan, the requested options and
+/// the job — the single source of truth for sequential fallbacks and
 /// degenerate depths, shared by the scoped executor ([`count_parallel`]) and
 /// the persistent pool ([`crate::exec::pool::WorkerPool`]), which is what
 /// keeps their counts bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExecPath {
-    /// The plan has no loops; the count is zero.
+    /// The plan has no loops; there is nothing to match.
     Empty,
-    /// The prefixes are already full embeddings; count them on the calling
-    /// thread without materialising anything.
+    /// The prefixes are already full embeddings; fold them on the calling
+    /// thread ([`run_on_caller`]) without queueing anything.
     MasterOnly {
         /// The (full) prefix depth.
         depth: usize,
     },
     /// The real parallel job: stream depth-`depth` prefixes to workers.
     Tasks {
-        /// Effective counting mode (IEP may degrade to enumeration).
-        mode: CountMode,
         /// Task prefix depth.
         depth: usize,
         /// Tasks per injector batch.
@@ -179,19 +185,17 @@ pub(crate) enum ExecPath {
     },
 }
 
-/// Resolves how a plan must execute under the given options.
-pub(crate) fn resolve_path(plan: &ExecutionPlan, options: &ParallelOptions) -> ExecPath {
+/// Resolves how `job` must execute over `plan` under the given options.
+pub(crate) fn resolve_path(plan: &ExecutionPlan, options: &ParallelOptions, job: &Job) -> ExecPath {
     let n = plan.num_loops();
     if n == 0 {
         return ExecPath::Empty;
     }
-    // A plan without an IEP leaf (suffix too short, or an over-count no
-    // division corrects) silently degrades to enumeration, exactly like
-    // the sequential path. With one, tasks stop above the suffix the leaf
-    // replaces.
-    let (mode, deepest) = match (options.mode, plan.program().iep()) {
-        (CountMode::Iep, Some(table)) => (CountMode::Iep, table.outer),
-        _ => (CountMode::Enumerate, n),
+    // IEP tasks stop above the suffix the leaf replaces; everything else
+    // may be cut at any depth.
+    let deepest = match (job, plan.program().iep()) {
+        (Job::Count { iep: true }, Some(table)) => table.outer,
+        _ => n,
     };
     let depth = options
         .prefix_depth
@@ -207,29 +211,25 @@ pub(crate) fn resolve_path(plan: &ExecutionPlan, options: &ParallelOptions) -> E
     } else {
         options.batch_size
     };
-    ExecPath::Tasks {
-        mode,
-        depth,
-        batch_size,
-    }
+    ExecPath::Tasks { depth, batch_size }
 }
 
-/// Executes the non-task [`ExecPath`] variants on the calling thread.
-/// Returns `None` for [`ExecPath::Tasks`], which needs workers.
-pub(crate) fn run_degenerate(
+/// The calling-thread fallback every executor shares: folds each
+/// depth-`depth` prefix through the per-task kernel right here, queueing
+/// nothing. Returns the job's raw count total — at full depth, which IEP
+/// tasks never reach, that is the count itself.
+pub(crate) fn run_on_caller(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
-    path: ExecPath,
-) -> Option<u64> {
-    match path {
-        ExecPath::Empty => Some(0),
-        ExecPath::MasterOnly { depth } => {
-            let mut count = 0u64;
-            interp::for_each_prefix(plan, ctx, depth, |_| count += 1);
-            Some(count)
-        }
-        ExecPath::Tasks { .. } => None,
-    }
+    depth: usize,
+    job: &Job,
+) -> u64 {
+    let mut buffers = SearchBuffers::new(plan.num_loops());
+    let mut raw = 0u64;
+    interp::for_each_prefix(plan, ctx, depth, |prefix| {
+        raw += run_one_task(plan, ctx, job, prefix, &mut buffers);
+    });
+    raw
 }
 
 /// The producer core shared by the scoped executor and the pool: enumerates
@@ -256,75 +256,35 @@ pub(crate) fn stream_prefix_batches(
     }
 }
 
-/// The master side of a scoped parallel job: streams prefix batches into the
-/// shared injector and marks `done`. `after_batch` runs once per pushed
-/// batch (and once after `done` is set).
-pub(crate) fn stream_tasks(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    depth: usize,
-    batch_size: usize,
-    injector: &Injector<PrefixTask>,
-    done: &AtomicBool,
-    after_batch: impl Fn(),
-) {
-    stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
-        injector.push_batch(batch.drain(..));
-        after_batch();
-    });
-    done.store(true, Ordering::Release);
-    after_batch();
-}
-
-/// Counts the embeddings of one prefix task — the single per-task kernel
-/// every executor shares (scoped workers, pool workers serving any job, and
-/// the pool's caller-runs master helping), which is what keeps their counts
-/// bit-identical: a job's total is the same sum of the same per-task terms
-/// regardless of which threads ran them.
+/// Runs one prefix task's subtree into its job — the single per-task kernel
+/// every executor shares (scoped workers, pool workers serving any job, the
+/// pool's caller-runs master helping and [`run_on_caller`]), which is what
+/// keeps their results bit-identical: a job folds the same per-task
+/// contributions regardless of which threads ran them.
+///
+/// Returns the task's term of a count job's raw total (zero for the sink
+/// modes, whose per-task work accumulates locally — a page of embeddings,
+/// relaxed per-vertex adds, one sample decision — and merges into the job
+/// under at most one brief lock per task, so concurrent workers never
+/// serialise on the match loop itself).
 #[inline]
-pub(crate) fn count_one_task(
+pub(crate) fn run_one_task(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
-    mode: CountMode,
+    job: &Job,
     prefix: &[VertexId],
     buffers: &mut SearchBuffers,
 ) -> u64 {
-    match mode {
-        CountMode::Enumerate => interp::count_from_prefix_with(plan, ctx, prefix, buffers),
-        CountMode::Iep => iep::iep_term_with(plan, ctx, prefix, buffers),
-    }
-}
-
-/// Applies the IEP over-counting correction to a job's raw total.
-pub(crate) fn finalize_count(raw: u64, mode: CountMode, plan: &ExecutionPlan) -> u64 {
-    match mode {
-        CountMode::Enumerate => raw,
-        CountMode::Iep => raw / plan.iep_correction.divisor(),
-    }
-}
-
-/// The mode-generic twin of [`count_one_task`]: runs one prefix task's
-/// subtree into the job's [`ModeShared`]. Per-task work accumulates locally
-/// (a page of embeddings, relaxed per-vertex adds, one sample decision) and
-/// merges under at most one brief lock per task, so concurrent workers
-/// never serialise on the match loop itself. Shared by the pool's workers,
-/// the pool's caller-runs master and the degenerate sequential paths —
-/// every execution shape folds the same per-task contributions.
-pub(crate) fn mode_one_task(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    shared: &ModeShared,
-    prefix: &[VertexId],
-    buffers: &mut SearchBuffers,
-) {
-    match shared {
-        ModeShared::Enumerate {
+    match job {
+        Job::Count { iep: false } => interp::count_from_prefix_with(plan, ctx, prefix, buffers),
+        Job::Count { iep: true } => iep::iep_term_with(plan, ctx, prefix, buffers),
+        Job::Enumerate {
             limit,
             claimed,
             out,
         } => {
             if claimed.load(Ordering::Relaxed) >= *limit {
-                return; // budget exhausted: drain remaining tasks cheaply
+                return 0; // budget exhausted: drain remaining tasks cheaply
             }
             let arity = plan.num_loops();
             let mut local = EmbedSink::new(arity, u64::MAX);
@@ -348,12 +308,14 @@ pub(crate) fn mode_one_task(
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .extend_from_slice(local.vertices());
             }
+            0
         }
-        ModeShared::Orbit { counts } => {
+        Job::Orbit { counts } => {
             let mut sink = SharedOrbit { counts };
             interp::match_from_prefix_with(plan, ctx, prefix, buffers, &mut sink);
+            0
         }
-        ModeShared::Sample { seed, rate, accum } => {
+        Job::Sample { seed, rate, accum } => {
             let accepted = sample_accepts(*seed, *rate, prefix);
             let y = if accepted {
                 interp::count_from_prefix_with(plan, ctx, prefix, buffers)
@@ -367,7 +329,16 @@ pub(crate) fn mode_one_task(
             if accepted {
                 accum.record(y);
             }
+            0
         }
+    }
+}
+
+/// Applies the IEP over-counting correction to a job's raw total.
+pub(crate) fn finalize_count(raw: u64, job: &Job, plan: &ExecutionPlan) -> u64 {
+    match job {
+        Job::Count { iep: true } => raw / plan.iep_correction.divisor(),
+        _ => raw,
     }
 }
 
@@ -412,123 +383,57 @@ impl crate::exec::sink::MatchSink for SharedOrbit<'_> {
     }
 }
 
-/// Executes the non-task [`ExecPath`] variants of a **mode** job on the
-/// calling thread; returns `false` for [`ExecPath::Tasks`], which needs
-/// workers.
-pub(crate) fn run_mode_degenerate(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    path: ExecPath,
-    shared: &ModeShared,
-) -> bool {
-    match path {
-        ExecPath::Empty => true,
-        ExecPath::MasterOnly { depth } => {
-            // Every depth-`depth` prefix is a full embedding; feed each
-            // through the shared per-task kernel (prefix == embedding).
-            let mut buffers = SearchBuffers::new(plan.num_loops());
-            interp::for_each_prefix(plan, ctx, depth, |prefix| {
-                mode_one_task(plan, ctx, shared, prefix, &mut buffers);
-            });
-            true
-        }
-        ExecPath::Tasks { .. } => false,
-    }
-}
-
-fn run(plan: &ExecutionPlan, ctx: ExecCtx<'_>, options: ParallelOptions) -> u64 {
-    let threads = resolve_threads(options.threads);
-    let path = resolve_path(plan, &options);
-    if let Some(count) = run_degenerate(plan, ctx, path) {
-        return count;
-    }
-    let ExecPath::Tasks {
-        mode,
-        depth,
-        batch_size,
-    } = path
-    else {
-        unreachable!("run_degenerate handles every other path");
+/// Counts embeddings in parallel in an explicit execution context: the
+/// scoped executor. Workers are spawned for this one job and joined before
+/// returning, so their scratch lives on their own stack frames.
+pub fn count_parallel_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>, options: ParallelOptions) -> u64 {
+    let job = &Job::count(plan, options.mode);
+    let (depth, batch_size) = match resolve_path(plan, &options, job) {
+        ExecPath::Empty => return 0,
+        ExecPath::MasterOnly { depth } => return run_on_caller(plan, ctx, depth, job),
+        ExecPath::Tasks { depth, batch_size } => (depth, batch_size),
     };
 
     let injector: Injector<PrefixTask> = Injector::new();
     let done = AtomicBool::new(false);
     let total = AtomicU64::new(0);
 
-    let workers: Vec<Worker<PrefixTask>> = (0..threads).map(|_| Worker::new_lifo()).collect();
+    let workers: Vec<Worker<PrefixTask>> = (0..resolve_threads(options.threads))
+        .map(|_| Worker::new_lifo())
+        .collect();
     let stealers: Vec<Stealer<PrefixTask>> = workers.iter().map(Worker::stealer).collect();
 
     std::thread::scope(|scope| {
         for (me, worker) in workers.into_iter().enumerate() {
-            let stealers = &stealers;
-            let injector = &injector;
-            let done = &done;
-            let total = &total;
+            let (stealers, injector, done, total) = (&stealers, &injector, &done, &total);
             scope.spawn(move || {
-                // Scoped workers are born and die with this one job, so
-                // their scratch lives on their stack frame; pool workers
-                // pass in scratch that survives across jobs.
                 let mut buffers = SearchBuffers::new(plan.num_loops());
-                total.fetch_add(
-                    process_tasks(
-                        plan,
-                        ctx,
-                        mode,
-                        &worker,
-                        me,
-                        stealers,
-                        injector,
-                        done,
-                        &mut buffers,
-                        std::thread::yield_now,
-                    ),
-                    Ordering::Relaxed,
-                );
+                let mut local = 0u64;
+                loop {
+                    match next_task(&worker, me, stealers, injector) {
+                        Some(task) => {
+                            local += run_one_task(plan, ctx, job, task.as_slice(), &mut buffers);
+                        }
+                        // No task anywhere. If the master has finished and
+                        // the injector is drained, any still-queued task is
+                        // owned by a sibling that will process it — safe to
+                        // retire.
+                        None if done.load(Ordering::Acquire) && injector.is_empty() => break,
+                        None => std::thread::yield_now(),
+                    }
+                }
+                total.fetch_add(local, Ordering::Relaxed);
             });
         }
 
-        stream_tasks(plan, ctx, depth, batch_size, &injector, &done, || {});
+        // The master: stream prefix batches into the shared injector.
+        stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
+            injector.push_batch(batch.drain(..));
+        });
+        done.store(true, Ordering::Release);
     });
 
-    finalize_count(total.load(Ordering::Relaxed), mode, plan)
-}
-
-/// One worker's task-processing loop for one job: pop locally, refill from
-/// the injector in batches, steal batches from siblings, and count with the
-/// caller-provided reusable scratch. `idle` runs when no task is available
-/// anywhere but the job is not finished (scoped workers yield; pool workers
-/// park with a timeout). Returns the worker's local total.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_tasks(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    mode: CountMode,
-    worker: &Worker<PrefixTask>,
-    me: usize,
-    stealers: &[Stealer<PrefixTask>],
-    injector: &Injector<PrefixTask>,
-    done: &AtomicBool,
-    buffers: &mut SearchBuffers,
-    idle: impl Fn(),
-) -> u64 {
-    let mut local = 0u64;
-    loop {
-        match next_task(worker, me, stealers, injector) {
-            Some(task) => {
-                local += count_one_task(plan, ctx, mode, task.as_slice(), buffers);
-            }
-            None => {
-                // No task anywhere. If the master has finished and the
-                // injector is drained, any still-queued task is owned by a
-                // sibling that will process it — safe to retire.
-                if done.load(Ordering::Acquire) && injector.is_empty() {
-                    break;
-                }
-                idle();
-            }
-        }
-    }
-    local
+    finalize_count(total.load(Ordering::Relaxed), job, plan)
 }
 
 /// Task acquisition order: own deque, then a batch from the injector, then
@@ -747,12 +652,11 @@ mod tests {
             mode: CountMode::Iep,
             ..Default::default()
         };
+        let job = Job::count(&plan, options.mode);
+        assert!(matches!(job, Job::Count { iep: false }));
         assert!(matches!(
-            resolve_path(&plan, &options),
-            ExecPath::Tasks {
-                mode: CountMode::Enumerate,
-                ..
-            }
+            resolve_path(&plan, &options, &job),
+            ExecPath::Tasks { .. }
         ));
         assert_eq!(
             count_parallel(&plan, &g, options),
@@ -785,14 +689,12 @@ mod tests {
                 mode: CountMode::Iep,
                 ..Default::default()
             };
+            let job = Job::count(&plan, options.mode);
+            assert!(matches!(job, Job::Count { iep: true }), "{name}");
             assert!(
                 matches!(
-                    resolve_path(&plan, &options),
-                    ExecPath::Tasks {
-                        mode: CountMode::Iep,
-                        depth: 2,
-                        ..
-                    }
+                    resolve_path(&plan, &options, &job),
+                    ExecPath::Tasks { depth: 2, .. }
                 ),
                 "{name}"
             );

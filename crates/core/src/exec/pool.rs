@@ -18,10 +18,12 @@
 //!   [`max_in_flight`](WorkerPool::max_in_flight) job slots. Each slot has
 //!   its **own injector lane**, and every queued task is **tagged** with its
 //!   slot index, so one worker can drain tasks from several active jobs
-//!   without ever mixing their counts: the per-task kernel
-//!   (`parallel::count_one_task`, shared with the scoped executor — which
-//!   is what keeps pooled counts bit-identical to scoped counts) adds into
-//!   the owning slot's total.
+//!   without ever mixing their results: the per-task kernel
+//!   (`parallel::run_one_task`, shared with the scoped executor — which is
+//!   what keeps pooled counts bit-identical to scoped counts) folds each
+//!   task into the owning slot's job, whatever its kind. Counting is one
+//!   job kind among four; every kind enters through the same submission
+//!   routine (`WorkerPool::run_job`).
 //! * **Completion is accounting, not thread handshakes.** Each slot counts
 //!   its published-but-unfinished tasks (`pending`); a job is complete when
 //!   its producer has finished streaming and `pending` returns to zero.
@@ -59,23 +61,32 @@
 //!
 //! # Safety model
 //!
-//! A slot stores type-erased pointers to the submitter's stack frame
-//! (plan/graph/hub index). Their validity is guaranteed by the accounting
-//! protocol: a worker only dereferences them while it holds a popped,
+//! A slot publishes **one** type-erased pointer: to a `JobRecord`
+//! (`{plan, ctx, job}`) that lives on the submitter's stack frame and
+//! borrows the plan, the graph / hub index and the job state from the
+//! submitter's callers. Its validity is guaranteed by the accounting
+//! protocol: a worker only dereferences it while it holds a popped,
 //! not-yet-accounted task of that job, `pending` is incremented before a
 //! task is published and decremented only after the worker is done touching
 //! the job, and the submitter does not return (or unwind, see `JobGuard`)
-//! past the pointees until `pending` reaches zero with streaming finished.
+//! past the record until `pending` reaches zero with streaming finished.
 //! A slot cannot be reused for a new job before that point, so a task's tag
 //! always resolves to the job that created it. The happens-before edges
 //! come from the injector (mutex-backed in the vendored `crossbeam`), the
 //! Chase–Lev release/acquire pair on sibling steals, and the acquire/release
 //! discipline on `pending`.
+//!
+//! The lane's scheduling **priority is not read through the record**. It is
+//! a plain slot field written at install, because `next_task` consults it
+//! for every lane while holding no task of any of them — at which point a
+//! lane's last job may have completed and its record may be gone. A stale
+//! priority only misorders one scan; a stale record pointer would be a
+//! dangling read.
 
 use crate::config::{ExecutionPlan, MAX_LOOPS};
 use crate::exec::interp::{ExecCtx, SearchBuffers};
-use crate::exec::parallel::{self, CountMode, ExecPath, ParallelOptions, PrefixTask};
-use crate::exec::sink::ModeShared;
+use crate::exec::parallel::{self, ExecPath, ParallelOptions, PrefixTask};
+use crate::exec::sink::Job;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use graphpi_graph::csr::CsrGraph;
 use graphpi_graph::hub::{HubGraph, HubOptions};
@@ -93,31 +104,30 @@ struct TaggedTask {
     task: PrefixTask,
 }
 
+/// Everything a worker needs to run a task of one job, built on the
+/// submitter's stack and published through [`JobSlot::record`].
+#[derive(Clone, Copy)]
+struct JobRecord<'a> {
+    plan: &'a ExecutionPlan,
+    ctx: ExecCtx<'a>,
+    job: &'a Job,
+}
+
 /// One job slot: a lane of the multi-tenant scheduler, owned by exactly one
 /// submitter at a time (enforced by the free-list in [`State`]).
-///
-/// The pointer fields are type-erased references into the owning
-/// submitter's stack; see the module-level safety model for why reading
-/// them while holding an unaccounted task of this slot is sound. They are
-/// atomics only to give the slot a safe `Sync` story — every access is
-/// `Relaxed`, ordered by the queue transfer that delivered the task.
 struct JobSlot {
-    plan: AtomicPtr<ExecutionPlan>,
-    graph: AtomicPtr<CsrGraph>,
-    /// Null when executing without hub acceleration.
-    hubs: AtomicPtr<HubGraph>,
-    /// Effective counting mode (`true` = one IEP term per task).
-    iep_mode: AtomicBool,
-    /// Mode-generic job state: null for count jobs (the unchanged hot
-    /// path); otherwise a pointer to the submitter's [`ModeShared`]
-    /// (enumeration page buffer / orbit counters / sample accumulator),
-    /// valid under exactly the same accounting protocol as `plan`/`graph`.
-    mode: AtomicPtr<ModeShared>,
+    /// The current job's [`JobRecord`], a type-erased reference into the
+    /// owning submitter's stack; see the module-level safety model for why
+    /// reading it while holding an unaccounted task of this slot is sound.
+    /// Atomic only to give the slot a safe `Sync` story — every access is
+    /// `Relaxed`, ordered by the queue transfer that delivered the task.
+    record: AtomicPtr<JobRecord<'static>>,
     /// Scheduling priority of the current job: `true` for interactive
-    /// counts, `false` for long mode jobs (paged enumeration, orbit
-    /// profiles), which workers only pull from once every high-priority
-    /// lane is dry — the 2-level priority that keeps a huge enumeration
-    /// from starving small counts.
+    /// counts, `false` for the sink modes (paged enumeration, orbit
+    /// profiles, samples), which workers only pull from once every
+    /// high-priority lane is dry — the 2-level priority that keeps a huge
+    /// enumeration from starving small counts. A slot field rather than
+    /// part of the record: see the safety model.
     high_priority: AtomicBool,
     /// This job's task lane. Pool-owned (not on the submitter's stack), so
     /// workers may probe any slot's lane at any time; a free slot's lane is
@@ -147,11 +157,7 @@ struct JobSlot {
 impl JobSlot {
     fn new() -> Self {
         Self {
-            plan: AtomicPtr::new(std::ptr::null_mut()),
-            graph: AtomicPtr::new(std::ptr::null_mut()),
-            hubs: AtomicPtr::new(std::ptr::null_mut()),
-            iep_mode: AtomicBool::new(false),
-            mode: AtomicPtr::new(std::ptr::null_mut()),
+            record: AtomicPtr::new(std::ptr::null_mut()),
             high_priority: AtomicBool::new(true),
             injector: Injector::new(),
             pending: AtomicU64::new(0),
@@ -178,7 +184,7 @@ impl JobSlot {
 
     /// Accounts one finished/discarded task; wakes the submitter when this
     /// was the last one of a fully streamed job. The `Release` in the
-    /// `fetch_sub` is what publishes the worker's reads of the job pointers
+    /// `fetch_sub` is what publishes the worker's reads of the job record
     /// (and its `total` contribution) to the submitter's `Acquire` load.
     fn account_task(&self) {
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1
@@ -367,19 +373,36 @@ impl WorkerPool {
         ctx: ExecCtx<'_>,
         options: &ParallelOptions,
     ) -> u64 {
-        let path = parallel::resolve_path(plan, options);
-        if let Some(count) = parallel::run_degenerate(plan, ctx, path) {
+        self.run_job(plan, ctx, options, &Job::count(plan, options.mode))
+    }
+
+    /// Runs one job of any kind on the pool — the single submission
+    /// routine: install the slot, stream prefix tasks into its lane, help
+    /// drain it (caller-runs), wait for worker-held tasks, re-raise a task
+    /// panic. Every task folds into `job` through
+    /// [`parallel::run_one_task`]; the return value is a count job's
+    /// embedding count and zero for the sink modes, whose results are in
+    /// `job`. Counts run at high scheduling priority, sink modes at low:
+    /// workers only pull from their lanes when every count lane is dry.
+    ///
+    /// Sink-mode jobs need a plan compiled with IEP disabled
+    /// ([`crate::engine::PlanOptions::enable_iep`] = false): sinks observe
+    /// individual embeddings, which IEP never materialises.
+    pub(crate) fn run_job(
+        &self,
+        plan: &ExecutionPlan,
+        ctx: ExecCtx<'_>,
+        options: &ParallelOptions,
+        job: &Job,
+    ) -> u64 {
+        let (depth, batch_size) = match parallel::resolve_path(plan, options, job) {
             // Degenerate paths run entirely on the calling thread: no slot,
             // no queue, naturally concurrent.
-            return count;
-        }
-        let ExecPath::Tasks {
-            mode,
-            depth,
-            batch_size,
-        } = path
-        else {
-            unreachable!("run_degenerate handles every other path");
+            ExecPath::Empty => return 0,
+            ExecPath::MasterOnly { depth } => {
+                return parallel::run_on_caller(plan, ctx, depth, job)
+            }
+            ExecPath::Tasks { depth, batch_size } => (depth, batch_size),
         };
 
         let slot_idx = self.acquire_slot();
@@ -390,25 +413,16 @@ impl WorkerPool {
         // job's completion protocol left the lane drained, so plain stores
         // are enough: the injector push below publishes everything.
         debug_assert_eq!(slot.pending.load(Ordering::Relaxed), 0);
+        let record = JobRecord { plan, ctx, job };
         slot.total.store(0, Ordering::Relaxed);
         slot.producer_done.store(false, Ordering::Relaxed);
         slot.panicked.store(false, Ordering::Relaxed);
-        slot.plan
-            .store(plan as *const ExecutionPlan as *mut _, Ordering::Relaxed);
-        slot.graph
-            .store(ctx.graph() as *const CsrGraph as *mut _, Ordering::Relaxed);
-        slot.hubs.store(
-            ctx.hubs()
-                .map_or(std::ptr::null_mut(), |h| h as *const HubGraph as *mut _),
+        slot.record.store(
+            &record as *const JobRecord<'_> as *mut JobRecord<'static>,
             Ordering::Relaxed,
         );
-        slot.iep_mode
-            .store(mode == CountMode::Iep, Ordering::Relaxed);
-        // Counts are the interactive workload: mode pointer null (workers
-        // take the unchanged counting hot path) and high scheduling
-        // priority.
-        slot.mode.store(std::ptr::null_mut(), Ordering::Relaxed);
-        slot.high_priority.store(true, Ordering::Relaxed);
+        slot.high_priority
+            .store(matches!(job, Job::Count { .. }), Ordering::Relaxed);
 
         // Completion guard *before* the scratch lock: on unwind the scratch
         // guard drops (and unlocks) first, so `JobGuard::drop` can relock it
@@ -420,6 +434,13 @@ impl WorkerPool {
 
         let tag = slot_idx as u32;
         parallel::stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
+            // Once an enumeration's budget is fully claimed every further
+            // task would early-return anyway; stop feeding the queue and
+            // let the in-flight tail drain.
+            if job.enumeration_full() {
+                batch.clear();
+                return;
+            }
             // Account before publishing so `pending` can never be observed
             // at zero while tasks sit in the lane.
             slot.pending
@@ -441,7 +462,7 @@ impl WorkerPool {
 
         // Master helping (caller-runs): drain this job's own lane with the
         // lane's persistent scratch. Master-popped tasks are accounted at
-        // pop — the pointees live on this very stack frame, so only
+        // pop — the record lives on this very stack frame, so only
         // *worker*-held tasks need the completion accounting — which makes
         // a panic below leave no unaccounted in-hand task behind.
         let mut local = 0u64;
@@ -460,10 +481,10 @@ impl WorkerPool {
                 // burning time on a result that will be thrown away.
                 continue;
             }
-            local += parallel::count_one_task(
+            local += parallel::run_one_task(
                 plan,
                 ctx,
-                mode,
+                job,
                 tagged.task.as_slice(),
                 &mut scratch.buffers,
             );
@@ -475,118 +496,7 @@ impl WorkerPool {
         if panicked {
             panic!("a pool worker panicked while executing this query");
         }
-        parallel::finalize_count(raw, mode, plan)
-    }
-
-    /// Runs a **mode** job (enumeration / orbit counts / sampling) on the
-    /// pool: the same slot protocol, task streaming, caller-runs helping
-    /// and completion accounting as [`WorkerPool::count_in`], but each task
-    /// folds its results into `shared` through
-    /// [`parallel::mode_one_task`] instead of adding to the slot total.
-    /// Mode jobs run at **low** scheduling priority: workers only pull from
-    /// their lanes when every interactive count lane is dry.
-    ///
-    /// The plan must be compiled with IEP disabled
-    /// ([`crate::engine::PlanOptions::enable_iep`] = false) and
-    /// `options.mode` must be [`CountMode::Enumerate`]; sinks observe
-    /// individual embeddings, which IEP never materialises.
-    pub(crate) fn run_mode_in(
-        &self,
-        plan: &ExecutionPlan,
-        ctx: ExecCtx<'_>,
-        options: &ParallelOptions,
-        shared: &ModeShared,
-    ) {
-        debug_assert_eq!(options.mode, CountMode::Enumerate);
-        let path = parallel::resolve_path(plan, options);
-        if parallel::run_mode_degenerate(plan, ctx, path, shared) {
-            return;
-        }
-        let ExecPath::Tasks {
-            depth, batch_size, ..
-        } = path
-        else {
-            unreachable!("run_mode_degenerate handles every other path");
-        };
-
-        let slot_idx = self.acquire_slot();
-        let pool_shared = &*self.shared;
-        let slot = &pool_shared.slots[slot_idx];
-
-        debug_assert_eq!(slot.pending.load(Ordering::Relaxed), 0);
-        slot.total.store(0, Ordering::Relaxed);
-        slot.producer_done.store(false, Ordering::Relaxed);
-        slot.panicked.store(false, Ordering::Relaxed);
-        slot.plan
-            .store(plan as *const ExecutionPlan as *mut _, Ordering::Relaxed);
-        slot.graph
-            .store(ctx.graph() as *const CsrGraph as *mut _, Ordering::Relaxed);
-        slot.hubs.store(
-            ctx.hubs()
-                .map_or(std::ptr::null_mut(), |h| h as *const HubGraph as *mut _),
-            Ordering::Relaxed,
-        );
-        slot.iep_mode.store(false, Ordering::Relaxed);
-        slot.mode
-            .store(shared as *const ModeShared as *mut _, Ordering::Relaxed);
-        slot.high_priority.store(false, Ordering::Relaxed);
-
-        let guard = JobGuard {
-            shared: pool_shared,
-            slot_idx,
-        };
-        let mut scratch_guard = slot.lock_scratch();
-        let scratch = &mut *scratch_guard;
-        debug_assert!(scratch.deque.is_empty());
-
-        let tag = slot_idx as u32;
-        parallel::stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
-            // Once an enumeration's budget is fully claimed every further
-            // task would early-return anyway; stop feeding the queue and
-            // let the in-flight tail drain.
-            if shared.enumeration_full() {
-                batch.clear();
-                return;
-            }
-            slot.pending
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            slot.injector
-                .push_batch(batch.drain(..).map(|task| TaggedTask { slot: tag, task }));
-            if slot.injector.len() > batch_size {
-                drop(lock_state(pool_shared));
-                pool_shared.job_ready.notify_one();
-            }
-        });
-        slot.producer_done.store(true, Ordering::Release);
-
-        // Caller-runs helping, mirroring `count_in`.
-        loop {
-            let tagged = match scratch.deque.pop() {
-                Some(task) => task,
-                None => match slot.injector.steal_batch_and_pop(&scratch.deque) {
-                    Steal::Success(task) => task,
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                },
-            };
-            slot.pending.fetch_sub(1, Ordering::Relaxed);
-            if slot.panicked.load(Ordering::Relaxed) {
-                continue;
-            }
-            parallel::mode_one_task(
-                plan,
-                ctx,
-                shared,
-                tagged.task.as_slice(),
-                &mut scratch.buffers,
-            );
-        }
-
-        drop(scratch_guard);
-        let (_, panicked) = guard.finish();
-        if panicked {
-            panic!("a pool worker panicked while executing this query");
-        }
+        parallel::finalize_count(raw, job, plan)
     }
 
     /// Claims a free job slot, blocking while `max_in_flight` jobs are
@@ -755,33 +665,12 @@ fn run_task(slot: &JobSlot, task: &PrefixTask, buffers: &mut SearchBuffers) {
     if !slot.panicked.load(Ordering::Relaxed) {
         // SAFETY: we hold a popped, not-yet-accounted task of this slot's
         // job, so the submitter is still blocked from returning and the
-        // pointers are live (module-level safety model). The queue hop that
-        // delivered the task orders these loads after the submitter's
-        // stores. The mode pointer (when non-null) targets the same
-        // submitter stack frame and shares the same validity protocol.
+        // record (and everything it borrows) is live (module-level safety
+        // model). The queue hop that delivered the task orders this load
+        // after the submitter's store.
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe {
-            let plan = &*slot.plan.load(Ordering::Relaxed);
-            let hubs = slot.hubs.load(Ordering::Relaxed);
-            let ctx = if hubs.is_null() {
-                ExecCtx::new(&*slot.graph.load(Ordering::Relaxed))
-            } else {
-                ExecCtx::with_hubs(&*hubs)
-            };
-            let mode_ptr = slot.mode.load(Ordering::Relaxed);
-            if mode_ptr.is_null() {
-                // Count job: the unchanged hot path.
-                let mode = if slot.iep_mode.load(Ordering::Relaxed) {
-                    CountMode::Iep
-                } else {
-                    CountMode::Enumerate
-                };
-                parallel::count_one_task(plan, ctx, mode, task.as_slice(), buffers)
-            } else {
-                // Mode job: results fold into the shared mode state; the
-                // slot total stays zero.
-                parallel::mode_one_task(plan, ctx, &*mode_ptr, task.as_slice(), buffers);
-                0
-            }
+            let JobRecord { plan, ctx, job } = *slot.record.load(Ordering::Relaxed);
+            parallel::run_one_task(plan, ctx, job, task.as_slice(), buffers)
         }));
         match result {
             Ok(count) => {
@@ -850,16 +739,135 @@ fn next_task(
 mod tests {
     use super::*;
     use crate::config::Configuration;
-    use crate::exec::{interp, parallel::count_parallel};
+    use crate::exec::parallel::{count_parallel, CountMode};
+    use crate::exec::sink::{EmbedSink, OrbitSink, SampleAccum, SampleSink};
+    use crate::exec::{interp, interp::match_embeddings_in};
     use crate::schedule::efficient_schedules;
+    use graphpi_graph::csr::VertexId;
     use graphpi_graph::generators;
     use graphpi_pattern::prefab;
     use graphpi_pattern::restriction::{generate_restriction_sets, GenerationOptions};
 
-    fn plan_for(pattern: graphpi_pattern::Pattern) -> ExecutionPlan {
+    fn configuration_for(pattern: graphpi_pattern::Pattern) -> Configuration {
         let sets = generate_restriction_sets(&pattern, GenerationOptions::default());
         let schedules = efficient_schedules(&pattern);
-        Configuration::new(pattern, schedules[0].clone(), sets[0].clone()).compile()
+        Configuration::new(pattern, schedules[0].clone(), sets[0].clone())
+    }
+
+    fn plan_for(pattern: graphpi_pattern::Pattern) -> ExecutionPlan {
+        configuration_for(pattern).compile()
+    }
+
+    /// The sequential oracle of the sink modes over one full-depth plan:
+    /// the same prefix decomposition the pool uses, folded by the plain
+    /// sinks on this thread.
+    struct SinkOracle {
+        plan: ExecutionPlan,
+        orbit: Vec<u64>,
+        sample: SampleAccum,
+        /// Every embedding, schedule order, sorted.
+        all: Vec<Vec<VertexId>>,
+    }
+
+    const SAMPLE_SEED: u64 = 7;
+    const SAMPLE_RATE: f64 = 0.4;
+
+    impl SinkOracle {
+        fn new(pattern: graphpi_pattern::Pattern, g: &CsrGraph) -> Self {
+            let plan = configuration_for(pattern).compile_with_iep(false);
+            let ctx = ExecCtx::new(g);
+            let depth = parallel::default_prefix_depth(&plan);
+            let mut orbit = OrbitSink::new(g.num_vertices());
+            match_embeddings_in(&plan, ctx, depth, &mut orbit);
+            let mut sample = SampleSink::new(SAMPLE_SEED, SAMPLE_RATE);
+            match_embeddings_in(&plan, ctx, depth, &mut sample);
+            let mut embed = EmbedSink::new(plan.num_loops(), u64::MAX);
+            match_embeddings_in(&plan, ctx, depth, &mut embed);
+            let mut all = embed.into_embeddings();
+            all.sort();
+            Self {
+                plan,
+                orbit: orbit.into_counts(),
+                sample: sample.finish(),
+                all,
+            }
+        }
+
+        /// Runs sink job number `kind` (orbit, sample, bounded enumerate) on
+        /// the pool and checks it against the oracle.
+        fn check(&self, pool: &WorkerPool, g: &CsrGraph, kind: usize, options: &ParallelOptions) {
+            let run = |job: &Job| pool.run_job(&self.plan, ExecCtx::new(g), options, job);
+            match kind % 3 {
+                0 => {
+                    let job = Job::orbit(g.num_vertices());
+                    assert_eq!(run(&job), 0, "sink jobs return no count");
+                    let Job::Orbit { counts } = job else {
+                        panic!("constructed as Orbit")
+                    };
+                    let counts: Vec<u64> = counts.into_iter().map(AtomicU64::into_inner).collect();
+                    assert_eq!(counts, self.orbit, "orbit");
+                }
+                1 => {
+                    let job = Job::sample(SAMPLE_SEED, SAMPLE_RATE);
+                    run(&job);
+                    let Job::Sample { accum, .. } = job else {
+                        panic!("constructed as Sample")
+                    };
+                    assert_eq!(accum.into_inner().unwrap(), self.sample, "sample");
+                }
+                _ => {
+                    let limit = self.all.len() / 2;
+                    let job = Job::enumerate(limit as u64);
+                    run(&job);
+                    let Job::Enumerate { out, .. } = job else {
+                        panic!("constructed as Enumerate")
+                    };
+                    let flat = out.into_inner().unwrap();
+                    let page: Vec<&[VertexId]> = flat.chunks(self.plan.num_loops()).collect();
+                    assert_eq!(page.len(), limit, "bounded enumerate fills its budget");
+                    for embedding in page {
+                        assert!(
+                            self.all
+                                .binary_search_by(|e| e.as_slice().cmp(embedding))
+                                .is_ok(),
+                            "bounded enumerate emitted a non-embedding: {embedding:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn tagged(slot: u32) -> TaggedTask {
+        TaggedTask {
+            slot,
+            task: PrefixTask::from_slice(&[slot]),
+        }
+    }
+
+    #[test]
+    fn next_task_prefers_high_priority_lanes() {
+        // Enumeration never starves counts: with work queued in a
+        // low-priority lane and a high-priority lane, every pull drains the
+        // high-priority lane first, wherever the lane rotation starts.
+        for start in 0..2 {
+            let slots = [JobSlot::new(), JobSlot::new()];
+            slots[0].high_priority.store(false, Ordering::Relaxed);
+            slots[1].high_priority.store(true, Ordering::Relaxed);
+            for slot in 0..2u32 {
+                slots[slot as usize]
+                    .injector
+                    .push_batch((0..3).map(|_| tagged(slot)));
+            }
+            let deque = Worker::new_lifo();
+            let stealers = [deque.stealer()];
+            let mut rotation = start;
+            let order: Vec<u32> = std::iter::from_fn(|| {
+                next_task(&deque, 0, &stealers, &slots, &mut rotation).map(|t| t.slot)
+            })
+            .collect();
+            assert_eq!(order, [1, 1, 1, 0, 0, 0], "rotation start {start}");
+        }
     }
 
     /// A plan corrupted so task processing indexes out of bounds: loop 1
@@ -1008,10 +1016,12 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_jobs_do_not_mix_counts() {
-        // Different plans and different modes in flight at once: every
-        // submitter must get exactly its own job's count.
+        // Different plans and different job kinds (count, orbit, sample,
+        // bounded enumerate) in flight at once: every submitter must get
+        // exactly its own job's result.
         let g = generators::power_law(160, 5, 13);
         let pool = WorkerPool::with_max_in_flight(2, 4);
+        let oracle = SinkOracle::new(prefab::house(), &g);
         let plans: Vec<ExecutionPlan> = [prefab::triangle(), prefab::rectangle(), prefab::house()]
             .into_iter()
             .map(plan_for)
@@ -1039,8 +1049,19 @@ mod tests {
                         assert_eq!(pool.count(plan, g, &options), want, "job {i}");
                     }
                 });
+                let oracle = &oracle;
+                scope.spawn(move || {
+                    let options = ParallelOptions {
+                        batch_size: 1 + i,
+                        ..Default::default()
+                    };
+                    for round in 0..6 {
+                        oracle.check(pool, g, i + round, &options);
+                    }
+                });
             }
         });
+        assert_eq!(pool.in_flight(), 0);
     }
 
     #[test]
@@ -1144,6 +1165,7 @@ mod tests {
         let pool = WorkerPool::with_max_in_flight(2, 3);
         let good = plan_for(prefab::house());
         let expected = interp::count_embeddings(&good, &g);
+        let oracle = SinkOracle::new(prefab::house(), &g);
         let bad = poison_plan();
         std::thread::scope(|scope| {
             // One thread keeps submitting poisoned jobs...
@@ -1167,17 +1189,18 @@ mod tests {
                     }
                 })
             };
-            // ...while two others demand exact counts throughout.
-            for _ in 0..2 {
-                let pool = &pool;
-                let good = &good;
-                let g = &g;
-                scope.spawn(move || {
-                    for _ in 0..8 {
-                        assert_eq!(pool.count(good, g, &ParallelOptions::default()), expected);
-                    }
-                });
-            }
+            // ...while two others demand exact results throughout: one
+            // counting, one running sink-mode jobs.
+            scope.spawn(|| {
+                for _ in 0..8 {
+                    assert_eq!(pool.count(&good, &g, &ParallelOptions::default()), expected);
+                }
+            });
+            scope.spawn(|| {
+                for kind in 0..8 {
+                    oracle.check(&pool, &g, kind, &ParallelOptions::default());
+                }
+            });
             poisoner.join().unwrap();
         });
         assert_eq!(pool.live_workers(), 2);

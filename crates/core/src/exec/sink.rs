@@ -18,13 +18,15 @@
 //!   at interactive latency.
 //!
 //! The parallel executors do not share one sink across workers; each worker
-//! accumulates locally and merges into a [`ModeShared`] (the job-level
-//! shared state) under brief, per-task synchronisation. IEP never applies
-//! to sink modes — a sink observes *individual* embeddings, which is
-//! exactly what IEP avoids materialising — so mode plans are compiled with
-//! IEP disabled at the planner
+//! accumulates locally and merges into the job's `Job` (what a prefix
+//! task folds into) under brief, per-task synchronisation. IEP never
+//! applies to sink modes — a sink observes *individual* embeddings, which
+//! is exactly what IEP avoids materialising — so mode plans are compiled
+//! with IEP disabled at the planner
 //! ([`crate::engine::PlanOptions::enable_iep`]).
 
+use crate::config::ExecutionPlan;
+use crate::exec::parallel::CountMode;
 use graphpi_graph::csr::VertexId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -357,12 +359,19 @@ impl MatchSink for SampleSink {
     }
 }
 
-/// Job-level shared state of a mode execution: what per-worker local
-/// accumulation merges into. One instance lives on the submitting thread's
-/// stack for the duration of the job, referenced by the pool's job slot
-/// under the same validity protocol as the plan and graph pointers.
+/// What a prefix task folds into: the job kind and, for the sink modes, the
+/// shared state per-worker local accumulation merges into. One instance
+/// lives on the submitting thread's stack for the duration of the job; the
+/// pool's job slot publishes it to workers beside the plan and the
+/// execution context (see [`crate::exec::pool`]'s safety model).
 #[derive(Debug)]
-pub(crate) enum ModeShared {
+pub(crate) enum Job {
+    /// Counting: every task returns its term of the job's raw total, which
+    /// the executor sums.
+    Count {
+        /// One IEP term per task instead of an enumerated subtree.
+        iep: bool,
+    },
     /// Enumeration: a global budget (`claimed`) bounds the recorded
     /// embeddings at `limit`; workers append whole local pages under the
     /// mutex.
@@ -393,9 +402,18 @@ pub(crate) enum ModeShared {
     },
 }
 
-impl ModeShared {
+impl Job {
+    /// A count job in the requested mode. A plan without an IEP leaf
+    /// (suffix too short, or an over-count no division corrects) silently
+    /// degrades to enumeration, exactly like the sequential path.
+    pub(crate) fn count(plan: &ExecutionPlan, mode: CountMode) -> Self {
+        Job::Count {
+            iep: mode == CountMode::Iep && plan.program().iep().is_some(),
+        }
+    }
+
     pub(crate) fn enumerate(limit: u64) -> Self {
-        ModeShared::Enumerate {
+        Job::Enumerate {
             limit,
             claimed: AtomicU64::new(0),
             out: Mutex::new(Vec::new()),
@@ -403,13 +421,13 @@ impl ModeShared {
     }
 
     pub(crate) fn orbit(num_vertices: usize) -> Self {
-        ModeShared::Orbit {
+        Job::Orbit {
             counts: (0..num_vertices).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     pub(crate) fn sample(seed: u64, rate: f64) -> Self {
-        ModeShared::Sample {
+        Job::Sample {
             seed,
             rate,
             accum: Mutex::new(SampleAccum::default()),
@@ -420,9 +438,7 @@ impl ModeShared {
     /// remaining tasks cheaply).
     pub(crate) fn enumeration_full(&self) -> bool {
         match self {
-            ModeShared::Enumerate { limit, claimed, .. } => {
-                claimed.load(Ordering::Relaxed) >= *limit
-            }
+            Job::Enumerate { limit, claimed, .. } => claimed.load(Ordering::Relaxed) >= *limit,
             _ => false,
         }
     }
@@ -550,13 +566,13 @@ mod tests {
     }
 
     #[test]
-    fn mode_shared_enumeration_budget() {
-        let shared = ModeShared::enumerate(2);
-        assert!(!shared.enumeration_full());
-        if let ModeShared::Enumerate { claimed, .. } = &shared {
+    fn job_enumeration_budget() {
+        let job = Job::enumerate(2);
+        assert!(!job.enumeration_full());
+        if let Job::Enumerate { claimed, .. } = &job {
             claimed.store(2, Ordering::Relaxed);
         }
-        assert!(shared.enumeration_full());
-        assert!(!ModeShared::orbit(4).enumeration_full());
+        assert!(job.enumeration_full());
+        assert!(!Job::orbit(4).enumeration_full());
     }
 }

@@ -49,8 +49,8 @@ pub mod schedule;
 pub use config::{Configuration, ExecutionPlan, IepCorrection, PoolOptions, ServeOptions};
 pub use dynamic::{DynamicEngine, PinnedEngine};
 pub use engine::{
-    ApproxCount, CacheStats, CountOptions, GraphPi, Plan, PlanCache, PlanOptions, SavedPlanKey,
-    Session, WarmStartReport,
+    ApproxCount, CacheStats, CountOptions, GraphPi, Mode, Outcome, Plan, PlanCache, PlanOptions,
+    SavedPlanKey, Session, WarmStartReport,
 };
 pub use error::EngineError;
 pub use exec::pool::WorkerPool;
@@ -62,7 +62,8 @@ pub use schedule::Schedule;
 pub mod prelude {
     pub use crate::config::{Configuration, PoolOptions, ServeOptions};
     pub use crate::engine::{
-        ApproxCount, CacheStats, CountOptions, GraphPi, Plan, PlanCache, PlanOptions, Session,
+        ApproxCount, CacheStats, CountOptions, GraphPi, Mode, Outcome, Plan, PlanCache,
+        PlanOptions, Session,
     };
     pub use crate::error::EngineError;
     pub use crate::exec::pool::WorkerPool;

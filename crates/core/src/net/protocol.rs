@@ -830,6 +830,24 @@ pub struct OrbitSummary {
     pub max_vertex: u32,
 }
 
+impl OrbitSummary {
+    /// Summarises a per-vertex count vector (indexed by vertex id).
+    pub fn of(counts: &[u64]) -> Self {
+        let (max_vertex, max_count) = counts
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &c)| c)
+            .map(|(v, &c)| (v as u32, c))
+            .unwrap_or((0, 0));
+        Self {
+            sum: counts.iter().sum(),
+            nonzero_vertices: counts.iter().filter(|&&c| c > 0).count() as u64,
+            max_count,
+            max_vertex,
+        }
+    }
+}
+
 /// Sample-mode result riding in the [`CountOk`] mode extension (the
 /// Horvitz–Thompson estimate; see
 /// [`crate::engine::Session::count_approx`]).

@@ -37,7 +37,8 @@
 use crate::config::{PoolOptions, ServeOptions};
 use crate::dynamic::DynamicEngine;
 use crate::engine::{
-    CountOptions, GraphPi, PlanCache, PlanOptions, SavedPlanKey, Session, WarmStartReport,
+    CountOptions, GraphPi, Mode, Outcome, PlanCache, PlanOptions, SavedPlanKey, Session,
+    WarmStartReport,
 };
 use crate::exec::pool::WorkerPool;
 use crate::net::protocol::{
@@ -514,46 +515,34 @@ impl ServeBackend<'_> {
         options: CountOptions,
         mode: QueryMode,
     ) -> Result<(u64, CountExt), crate::error::EngineError> {
-        self.with_session(|session| match mode {
-            QueryMode::Count => session
-                .count_with(pattern, options)
-                .map(|count| (count, CountExt::None)),
-            QueryMode::Orbit => {
-                let counts = session.count_per_vertex_with(pattern, options)?;
-                let sum: u64 = counts.iter().sum();
-                let nonzero_vertices = counts.iter().filter(|&&c| c > 0).count() as u64;
-                let (max_vertex, max_count) = counts
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, &c)| c)
-                    .map(|(v, &c)| (v as u32, c))
-                    .unwrap_or((0, 0));
+        let run = match mode {
+            QueryMode::Count => Mode::Count,
+            QueryMode::Orbit => Mode::Orbit,
+            QueryMode::Sample { seed, rate_bits } => Mode::Sample {
+                rate: f64::from_bits(rate_bits),
+                seed,
+            },
+        };
+        let outcome = self.with_session(|session| session.run(pattern, run, options))?;
+        Ok(match outcome {
+            Outcome::Count(count) => (count, CountExt::None),
+            Outcome::Embeddings(embeddings) => (embeddings.len() as u64, CountExt::None),
+            Outcome::PerVertex(counts) => {
+                let summary = OrbitSummary::of(&counts);
                 // Every embedding touches pattern-size vertices, so the
                 // headline count is the exact global count.
                 let size = pattern.num_vertices() as u64;
-                Ok((
-                    sum / size.max(1),
-                    CountExt::Orbit(OrbitSummary {
-                        sum,
-                        nonzero_vertices,
-                        max_count,
-                        max_vertex,
-                    }),
-                ))
+                (summary.sum / size.max(1), CountExt::Orbit(summary))
             }
-            QueryMode::Sample { seed, rate_bits } => {
-                let rate = f64::from_bits(rate_bits);
-                let approx = session.count_approx_with(pattern, rate, seed, options)?;
-                Ok((
-                    approx.estimate.round().max(0.0) as u64,
-                    CountExt::Sample(SampleSummary {
-                        estimate_bits: approx.estimate.to_bits(),
-                        stderr_bits: approx.stderr.to_bits(),
-                        sampled_tasks: approx.sampled_tasks,
-                        total_tasks: approx.total_tasks,
-                    }),
-                ))
-            }
+            Outcome::Approx(approx) => (
+                approx.estimate.round().max(0.0) as u64,
+                CountExt::Sample(SampleSummary {
+                    estimate_bits: approx.estimate.to_bits(),
+                    stderr_bits: approx.stderr.to_bits(),
+                    sampled_tasks: approx.sampled_tasks,
+                    total_tasks: approx.total_tasks,
+                }),
+            ),
         })
     }
 
@@ -1357,10 +1346,13 @@ fn handle_enumerate<'a>(ctx: &ServeCtx<'a>, payload: &[u8]) -> Result<PageStream
         ctx.metrics
             .enumerations_total
             .fetch_add(1, Ordering::Relaxed);
+        let mode = Mode::Enumerate {
+            limit: request.limit,
+        };
         ctx.backend
-            .with_session(|session| session.enumerate_with(&pattern, request.limit, count_options))
+            .with_session(|session| session.run(&pattern, mode, count_options))
     })?;
-    let embeddings = outcome.map_err(pattern_rejected)?;
+    let embeddings = outcome.map_err(pattern_rejected)?.into_embeddings();
 
     // The requested page size is clamped to what a frame can carry;
     // 0 means "largest legal page".

@@ -13,7 +13,7 @@
 //! house embeddings on the same five vertices).
 
 use graphpi::baseline::naive;
-use graphpi::core::engine::{CountOptions, GraphPi, PlanOptions};
+use graphpi::core::engine::{CountOptions, GraphPi, Mode, PlanOptions};
 use graphpi::core::{EngineError, PoolOptions};
 use graphpi::graph::builder::GraphBuilder;
 use graphpi::graph::{generators, CsrGraph};
@@ -113,7 +113,8 @@ proptest! {
 }
 
 /// Every mode agrees with the ground truth across threads × hub layout ×
-/// forced-scalar kernels, and the truncation budget is honored.
+/// forced-scalar kernels × per-call task depth, and the truncation budget
+/// is honored.
 #[test]
 fn modes_agree_across_execution_matrix() {
     let graph = generators::power_law(60, 4, 1);
@@ -124,48 +125,53 @@ fn modes_agree_across_execution_matrix() {
         let exact = expected_tuples.len() as u64;
         let engine = GraphPi::new(graph.clone());
         for threads in [1usize, 4] {
-            for hub_bitsets in [false, true] {
-                for scalar_kernels in [false, true] {
-                    let label =
-                        format!("threads={threads} hub={hub_bitsets} scalar={scalar_kernels}");
-                    let options = CountOptions {
-                        threads,
-                        hub_bitsets,
-                        scalar_kernels,
-                        ..CountOptions::default()
-                    };
-                    let session = engine.session_with(
-                        PoolOptions {
-                            threads,
-                            ..PoolOptions::default()
-                        },
-                        PlanOptions::default(),
-                        options,
-                    );
-                    let got =
-                        canonical_tuples(&pattern, session.enumerate(&pattern, u64::MAX).unwrap());
-                    assert_eq!(got, expected_tuples, "enumerate {label}");
-                    assert_eq!(
-                        session.count_per_vertex(&pattern).unwrap(),
-                        expected_orbit,
-                        "orbit {label}"
-                    );
-                    // Rate 1 sampling degenerates to the exact count.
-                    let approx = session.count_approx(&pattern, 1.0, 0).unwrap();
-                    assert_eq!(approx.estimate, exact as f64, "sample {label}");
-                    assert_eq!(approx.stderr, 0.0, "sample stderr {label}");
-                    // A truncated enumeration honors its budget and returns
-                    // valid occurrences.
-                    if exact > 2 {
-                        let page =
-                            canonical_tuples(&pattern, session.enumerate(&pattern, 2).unwrap());
-                        assert_eq!(page.len(), 2, "limit {label}");
-                        for tuple in &page {
-                            assert!(
-                                expected_tuples.contains(tuple),
-                                "truncated page emitted a non-embedding under {label}: {tuple:?}"
-                            );
-                        }
+            let session = engine.session_with(
+                PoolOptions {
+                    threads,
+                    ..PoolOptions::default()
+                },
+                PlanOptions::default(),
+                CountOptions::default(),
+            );
+            // hub layout × forced-scalar kernels × per-call task depth
+            for cell in 0..8 {
+                let (hub_bitsets, scalar_kernels) = (cell & 1 != 0, cell & 2 != 0);
+                let prefix_depth = (cell & 4 != 0).then_some(1);
+                let label = format!(
+                    "threads={threads} hub={hub_bitsets} scalar={scalar_kernels} \
+                     depth={prefix_depth:?}"
+                );
+                let options = CountOptions {
+                    threads,
+                    hub_bitsets,
+                    scalar_kernels,
+                    prefix_depth,
+                    ..CountOptions::default()
+                };
+                let run = |mode| session.run(&pattern, mode, options).unwrap();
+                let enumerate = |limit| {
+                    canonical_tuples(&pattern, run(Mode::Enumerate { limit }).into_embeddings())
+                };
+                assert_eq!(enumerate(u64::MAX), expected_tuples, "enumerate {label}");
+                assert_eq!(
+                    run(Mode::Orbit).into_per_vertex(),
+                    expected_orbit,
+                    "orbit {label}"
+                );
+                // Rate 1 sampling degenerates to the exact count.
+                let approx = run(Mode::Sample { rate: 1.0, seed: 0 }).into_approx();
+                assert_eq!(approx.estimate, exact as f64, "sample {label}");
+                assert_eq!(approx.stderr, 0.0, "sample stderr {label}");
+                // A truncated enumeration honors its budget and returns
+                // valid occurrences.
+                if exact > 2 {
+                    let page = enumerate(2);
+                    assert_eq!(page.len(), 2, "limit {label}");
+                    for tuple in &page {
+                        assert!(
+                            expected_tuples.contains(tuple),
+                            "truncated page emitted a non-embedding under {label}: {tuple:?}"
+                        );
                     }
                 }
             }
@@ -263,6 +269,23 @@ fn sink_modes_are_bit_identical_to_the_recompute_interpreter() {
         PINNED_SAMPLE
     );
     assert_eq!((approx.sampled_tasks, approx.total_tasks), PINNED_TASKS);
+
+    // A per-call task depth reaches the sink modes too: at depth 1 the
+    // tasks are the 150 start vertices, not the 590 depth-2 prefixes.
+    let options = CountOptions {
+        prefix_depth: Some(1),
+        ..CountOptions::default()
+    };
+    let sample = Mode::Sample { rate: 1.0, seed: 7 };
+    let shallow = session
+        .run(&pattern, sample, options)
+        .unwrap()
+        .into_approx();
+    let default = session.count_approx(&pattern, 1.0, 7).unwrap();
+    assert_eq!(shallow.estimate, default.estimate);
+    assert_eq!(default.total_tasks, PINNED_TASKS.1);
+    assert_ne!(shallow.total_tasks, default.total_tasks);
+    assert!(shallow.total_tasks <= graph.num_vertices() as u64);
 
     let schedule = Schedule::new(&pattern, vec![0, 1, 2, 3, 4]);
     let plan = Configuration::new(pattern, schedule, RestrictionSet::from_pairs(&[(0, 1)]))
