@@ -16,9 +16,9 @@
 //! [`crate::codegen`] can render it back to source text.
 
 use crate::exec::setprog::SetProgram;
-use crate::perf_model::RankPermutations;
 use crate::schedule::Schedule;
 use graphpi_pattern::automorphism::automorphism_group;
+use graphpi_pattern::orders::OrderTable;
 use graphpi_pattern::pattern::{Pattern, PatternVertex};
 use graphpi_pattern::permutation::Permutation;
 use graphpi_pattern::restriction::RestrictionSet;
@@ -154,21 +154,34 @@ impl Configuration {
     /// carries an empty independent suffix and a no-op correction, so every
     /// executor treats it as a plain enumerate-everything program.
     pub fn compile_with_iep(&self, enable_iep: bool) -> ExecutionPlan {
-        let (iep_suffix_len, iep_correction) = if enable_iep {
+        self.compile_with_correction(enable_iep.then(|| {
             let k = self.schedule.independent_suffix_len(&self.pattern);
             let outer = &self.schedule.order()[..self.schedule.len() - k];
-            let correction = iep_correction(
-                &RankPermutations::new(self.schedule.len()),
+            iep_correction(
+                OrderTable::for_size(self.schedule.len()),
                 &automorphism_group(&self.pattern),
                 &self.restrictions.restricted_to(outer),
-            );
-            (k, correction)
-        } else {
-            (0, IepCorrection::DividePrefixRestricted { divisor: 1 })
+            )
+        }))
+    }
+
+    /// [`Self::compile_with_iep`] for a caller that already holds this
+    /// configuration's [`iep_correction`] (the planner, which ranked on it);
+    /// `None` compiles without IEP.
+    pub(crate) fn compile_with_correction(
+        &self,
+        iep_correction: Option<IepCorrection>,
+    ) -> ExecutionPlan {
+        let (iep_suffix_len, iep_correction) = match iep_correction {
+            Some(correction) => (
+                self.schedule.independent_suffix_len(&self.pattern),
+                correction,
+            ),
+            None => (0, IepCorrection::DividePrefixRestricted { divisor: 1 }),
         };
         ExecutionPlan {
             config: self.clone(),
-            loops: compile_loops(self),
+            loops: compile_loops(&self.pattern, &self.schedule, &self.restrictions),
             iep_suffix_len,
             iep_correction,
             program: OnceLock::new(),
@@ -215,8 +228,8 @@ pub struct LoopPlan {
 /// over-counts each distinct subgraph by the number of its automorphic
 /// embeddings that satisfy the *remaining* (outer-loop) restrictions. The
 /// paper divides by that factor. The division is exact only when the factor
-/// is the same for every subgraph; the compiler verifies this by enumerating
-/// all relative orders of the pattern vertices' ids. The multiplicity is
+/// is the same for every subgraph; the compiler verifies this over all
+/// relative orders of the pattern vertices' ids. The multiplicity is
 /// **not** always uniform, even among the configurations GraphPi's own
 /// generator produces (the cost model's unconstrained pick for the prism P6
 /// is one), so the planner ranks IEP plans with the correction in hand
@@ -283,9 +296,12 @@ impl ExecutionPlan {
 
 /// Resolves each loop's parents and restriction bounds — the part of
 /// compilation the cost model ranks candidates on.
-pub(crate) fn compile_loops(config: &Configuration) -> Vec<LoopPlan> {
-    let pattern = &config.pattern;
-    let order = config.schedule.order();
+pub(crate) fn compile_loops(
+    pattern: &Pattern,
+    schedule: &Schedule,
+    restrictions: &RestrictionSet,
+) -> Vec<LoopPlan> {
+    let order = schedule.order();
     let n = order.len();
     assert!(
         n <= MAX_LOOPS,
@@ -300,9 +316,9 @@ pub(crate) fn compile_loops(config: &Configuration) -> Vec<LoopPlan> {
             bounds: Vec::new(),
         })
         .collect();
-    for r in config.restrictions.restrictions() {
-        let pg = config.schedule.position_of(r.greater);
-        let ps = config.schedule.position_of(r.smaller);
+    for r in restrictions.restrictions() {
+        let pg = schedule.position_of(r.greater);
+        let ps = schedule.position_of(r.smaller);
         // Enforced at whichever endpoint binds later, against the other.
         if ps > pg {
             loops[ps].bounds.push(LoopBound::LessThanValueAt(pg));
@@ -322,8 +338,14 @@ pub(crate) fn compile_loops(config: &Configuration) -> Vec<LoopPlan> {
 /// automorphisms `σ` for which `π ∘ σ` satisfies the remaining restrictions.
 /// If that multiplicity is the same for every `π`, dividing the IEP total by
 /// it is exact.
+///
+/// The orders `π` for which a given `σ` qualifies are the AND of one
+/// [`OrderTable`] bitset per restriction, so a word of the table settles 64
+/// orders at once: the qualifying sets of every `σ` are summed into a
+/// bit-sliced counter, and the multiplicity is uniform iff every counter bit
+/// reads the same across all orders.
 pub(crate) fn iep_correction(
-    orders: &RankPermutations,
+    orders: &OrderTable,
     auts: &[Permutation],
     remaining: &RestrictionSet,
 ) -> IepCorrection {
@@ -332,19 +354,36 @@ pub(crate) fn iep_correction(
         // No restrictions survive: every automorphic copy is counted.
         return IepCorrection::DividePrefixRestricted { divisor: aut_count };
     }
+    let non_uniform = IepCorrection::DivideUnrestricted { divisor: aut_count };
     let mut multiplicity: Option<u64> = None;
-    for ids in orders.iter() {
-        let m = auts
-            .iter()
-            .filter(|sigma| {
-                remaining
-                    .restrictions()
-                    .iter()
-                    .all(|r| ids[sigma.apply(r.greater)] > ids[sigma.apply(r.smaller)])
-            })
-            .count() as u64;
+    for (w, &every_order) in orders.all().iter().enumerate() {
+        // `count[i]` holds bit `i` of each order's multiplicity; at most
+        // 8! automorphisms are added, so sixteen bits never overflow.
+        let mut count = [0u64; 16];
+        for sigma in auts {
+            let mut carry = remaining
+                .restrictions()
+                .iter()
+                .fold(every_order, |kept, r| {
+                    kept & orders.greater(sigma.apply(r.greater), sigma.apply(r.smaller))[w]
+                });
+            for bit in &mut count {
+                if carry == 0 {
+                    break;
+                }
+                (*bit, carry) = (*bit ^ carry, *bit & carry);
+            }
+        }
+        let mut m = 0u64;
+        for (i, &bit) in count.iter().enumerate() {
+            if bit == every_order {
+                m |= 1 << i;
+            } else if bit != 0 {
+                return non_uniform;
+            }
+        }
         if *multiplicity.get_or_insert(m) != m {
-            return IepCorrection::DivideUnrestricted { divisor: aut_count };
+            return non_uniform;
         }
     }
     IepCorrection::DividePrefixRestricted {

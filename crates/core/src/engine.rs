@@ -16,7 +16,7 @@ use crate::exec::interp::ExecCtx;
 use crate::exec::pool::WorkerPool;
 use crate::exec::sink::Job;
 use crate::exec::{iep, interp, parallel};
-use crate::perf_model::{select_best, select_best_iep, CostEstimate, PerformanceModel};
+use crate::perf_model::{rank, Corrections, CostEstimate, PerformanceModel};
 use crate::schedule::efficient_schedules;
 use graphpi_graph::csr::{CsrGraph, VertexId};
 use graphpi_graph::hub::{HubGraph, HubOptions};
@@ -236,32 +236,30 @@ impl GraphPi {
             schedules.truncate(options.max_schedules);
         }
 
-        let mut candidates: Vec<Configuration> = Vec::with_capacity(sets.len() * schedules.len());
-        for schedule in &schedules {
-            for set in &sets {
-                candidates.push(Configuration::new(
-                    pattern.clone(),
-                    schedule.clone(),
-                    set.clone(),
-                ));
-            }
-        }
-
         let model = PerformanceModel::new(self.stats, pattern.num_vertices());
         // A count plan is ranked for what will run it: IEP drops the suffix
         // loops' restrictions and needs a uniform over-count to divide out.
-        let (best_idx, estimates) = if options.enable_iep {
-            select_best_iep(&model, &candidates)
-        } else {
-            select_best(&model, &candidates)
-        };
-        let plan = candidates[best_idx].compile_with_iep(options.enable_iep);
+        let mut corrections = options.enable_iep.then(|| Corrections::new(pattern));
+        // Candidates are (schedule, set) index pairs, schedule-major; only
+        // the winner becomes a `Configuration`.
+        let candidates = schedules
+            .iter()
+            .flat_map(|schedule| sets.iter().map(move |set| (pattern, schedule, set)));
+        let (best_idx, predicted_cost) = rank(&model, corrections.as_mut(), candidates, |_, _| {});
+        let schedule = &schedules[best_idx / sets.len()];
+        let set = &sets[best_idx % sets.len()];
+        // Ranking priced the winner's IEP correction already (whenever it
+        // has an IEP suffix); compiling must not price it again.
+        let correction =
+            corrections.map(|mut c| c.of(schedule, set, schedule.independent_suffix_len(pattern)));
+        let plan = Configuration::new(pattern.clone(), schedule.clone(), set.clone())
+            .compile_with_correction(correction);
         // Lower the winner here, once, so no query pays for it.
         plan.program();
         Ok(Plan {
             plan,
-            predicted_cost: estimates[best_idx].total,
-            candidates_considered: candidates.len(),
+            predicted_cost,
+            candidates_considered: sets.len() * schedules.len(),
             schedules_generated,
             restriction_sets_generated,
             preprocessing_time: start.elapsed(),
@@ -991,6 +989,29 @@ mod tests {
         assert!(plan.restriction_sets_generated > 0);
         assert!(plan.predicted_cost > 0.0);
         assert_eq!(plan.plan.num_loops(), 5);
+    }
+
+    #[test]
+    fn planned_plan_is_the_winner_compiled_from_scratch() {
+        // `plan` hands the compiler the correction ranking memoised (or,
+        // for a winner without an IEP suffix, computes it once itself);
+        // a hand-built configuration still computes its own.
+        let engine = engine();
+        let mut patterns = prefab::evaluation_patterns();
+        patterns.extend(prefab::motifs_4());
+        patterns.push(("cycle5", prefab::cycle_pattern(5)));
+        for (name, pattern) in patterns {
+            for enable_iep in [true, false] {
+                let options = PlanOptions {
+                    enable_iep,
+                    ..PlanOptions::default()
+                };
+                let plan = engine.plan(&pattern, options).unwrap().plan;
+                let from_scratch = plan.config.compile_with_iep(enable_iep);
+                from_scratch.program();
+                assert_eq!(plan, from_scratch, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -20,70 +20,33 @@
 //!   [`SetProgram`](crate::exec::setprog::SetProgram) hoists to loop `i`
 //!   ([`for_each_charged_merge`]), and
 //! * `f_i` is the probability that the restriction(s) enforced in this loop
-//!   filter out the current partial embedding, computed exactly by
-//!   enumerating the `n!` possible relative orders of the pattern vertices'
-//!   data ids and filtering them restriction by restriction in loop order.
+//!   filter out the current partial embedding: exactly the share of the
+//!   relative orders of the pattern vertices' data ids, among those every
+//!   earlier loop's restrictions keep, that this loop's restrictions reject.
 //!
-//! The model is deterministic, cheap (microseconds per configuration for
-//! 6-vertex patterns) and is only ever used to *rank* configurations.
+//! `l_i` and `c_i` depend on the schedule alone and are computed once per
+//! schedule, however many restriction sets it is paired with. `f_i` is read
+//! from the process-wide [`OrderTable`]: the orders a restriction keeps are
+//! one bitset, the orders still alive at a loop are a running AND of them,
+//! and the share is two popcounts. One routine prices candidates this way
+//! for [`select_best`], [`select_best_iep`] and
+//! [`GraphPi::plan`](crate::engine::GraphPi::plan).
+//!
+//! The model is deterministic and is only ever used to *rank*
+//! configurations; the perf ledger's `perf_model.rank_us` row prices it.
 
 use crate::config::{
     compile_loops, iep_correction, Configuration, ExecutionPlan, IepCorrection, LoopPlan, MAX_LOOPS,
 };
+use crate::schedule::Schedule;
 use graphpi_graph::GraphStats;
 use graphpi_pattern::automorphism::automorphism_group;
-use graphpi_pattern::restriction::{Restriction, RestrictionSet};
+use graphpi_pattern::orders::OrderTable;
+use graphpi_pattern::pattern::Pattern;
+use graphpi_pattern::permutation::Permutation;
+use graphpi_pattern::restriction::RestrictionSet;
+use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// Reusable cache of all `n!` relative-order permutations for a pattern
-/// size, used to compute the `f_i` filter probabilities exactly and to
-/// check that an IEP divisor is uniform.
-#[derive(Debug, Clone)]
-pub struct RankPermutations {
-    n: usize,
-    perms: Vec<Vec<u64>>,
-}
-
-impl RankPermutations {
-    /// Enumerates the `n!` orders (n ≤ 10 keeps this comfortably small).
-    pub fn new(n: usize) -> Self {
-        assert!(n <= 10, "rank permutation enumeration limited to n <= 10");
-        let mut perms = Vec::new();
-        let mut current: Vec<u64> = (0..n as u64).collect();
-        heap_permutations(&mut current, n, &mut perms);
-        Self { n, perms }
-    }
-
-    /// Number of permutations (`n!`).
-    pub fn len(&self) -> usize {
-        self.perms.len()
-    }
-
-    /// True only for the degenerate zero-vertex case.
-    pub fn is_empty(&self) -> bool {
-        self.perms.is_empty()
-    }
-
-    /// Every order, as the rank of each pattern vertex's id.
-    pub fn iter(&self) -> impl Iterator<Item = &[u64]> {
-        self.perms.iter().map(Vec::as_slice)
-    }
-}
-
-fn heap_permutations(current: &mut Vec<u64>, k: usize, out: &mut Vec<Vec<u64>>) {
-    if k <= 1 {
-        out.push(current.clone());
-        return;
-    }
-    for i in 0..k {
-        heap_permutations(current, k - 1, out);
-        if k % 2 == 0 {
-            current.swap(i, k - 1);
-        } else {
-            current.swap(0, k - 1);
-        }
-    }
-}
 
 /// Per-loop factors produced by the model (exposed for inspection, tests and
 /// the ablation benchmarks).
@@ -106,11 +69,12 @@ pub struct CostEstimate {
     pub total: f64,
 }
 
-/// The performance model: graph statistics plus the rank-permutation cache.
+/// The performance model: graph statistics plus the id-order table of the
+/// pattern size it prices.
 #[derive(Debug, Clone)]
 pub struct PerformanceModel {
     stats: GraphStats,
-    ranks: RankPermutations,
+    orders: &'static OrderTable,
 }
 
 /// Visits every merge the model charges, as `(loop, merged)`: building a
@@ -133,13 +97,34 @@ pub fn for_each_charged_merge(loops: &[LoopPlan], mut visit: impl FnMut(usize, u
     }
 }
 
+/// The factors that depend on the schedule alone.
+pub(crate) struct ScheduleTerms {
+    n: usize,
+    /// Length of the independent suffix IEP could replace.
+    iep_suffix_len: usize,
+    /// Loop position of each pattern vertex.
+    position: [usize; MAX_LOOPS],
+    loop_size: [f64; MAX_LOOPS],
+    intersection_cost: [f64; MAX_LOOPS],
+}
+
+/// What a restriction set adds to its schedule's terms.
+pub(crate) struct Priced {
+    filter_probability: [f64; MAX_LOOPS],
+    total: f64,
+}
+
 impl PerformanceModel {
     /// Builds a model for a pattern of `pattern_size` vertices over a graph
     /// with the given statistics.
+    ///
+    /// # Panics
+    /// If `pattern_size` exceeds [`OrderTable::MAX_VERTICES`], the planner's
+    /// cap.
     pub fn new(stats: GraphStats, pattern_size: usize) -> Self {
         Self {
             stats,
-            ranks: RankPermutations::new(pattern_size),
+            orders: OrderTable::for_size(pattern_size),
         }
     }
 
@@ -150,109 +135,241 @@ impl PerformanceModel {
 
     /// Predicts the enumeration cost of a configuration.
     pub fn predict_configuration(&self, config: &Configuration) -> CostEstimate {
-        let loops = compile_loops(config);
-        self.estimate(config, &loops, loops.len())
+        let loops = compile_loops(&config.pattern, &config.schedule, &config.restrictions);
+        self.estimate(config, &loops)
     }
 
     /// Predicts the enumeration cost of a compiled plan.
     pub fn predict(&self, plan: &ExecutionPlan) -> CostEstimate {
-        self.estimate(&plan.config, &plan.loops, plan.num_loops())
+        self.estimate(&plan.config, &plan.loops)
     }
 
-    /// The model proper. Restrictions enforced in loops at or beyond
-    /// `filtering_loops` do not filter: IEP drops them with the loops.
-    fn estimate(
+    fn estimate(&self, config: &Configuration, loops: &[LoopPlan]) -> CostEstimate {
+        let terms = self.schedule_terms(&config.pattern, &config.schedule, loops);
+        let priced = self.price(&terms, &config.restrictions, terms.n, &mut Vec::new());
+        cost_estimate(&terms, &priced)
+    }
+
+    /// `l_i` and `c_i` of a schedule whose loops have the given parents.
+    fn schedule_terms(
         &self,
-        config: &Configuration,
+        pattern: &Pattern,
+        schedule: &Schedule,
         loops: &[LoopPlan],
-        filtering_loops: usize,
-    ) -> CostEstimate {
+    ) -> ScheduleTerms {
         let n = loops.len();
         assert_eq!(
-            n, self.ranks.n,
+            n,
+            self.orders.num_vertices(),
             "plan size does not match the model's pattern size"
         );
-        let filter_probabilities = self.filter_probabilities(config, filtering_loops);
-        let mut estimates: Vec<LoopEstimate> = (0..n)
-            .map(|i| LoopEstimate {
-                loop_size: match loops[i].parents.len() {
-                    0 => self.stats.num_vertices as f64,
-                    parents => self.stats.expected_intersection_size(parents),
-                },
-                intersection_cost: 0.0,
-                filter_probability: filter_probabilities[i],
-            })
-            .collect();
+        let mut terms = ScheduleTerms {
+            n,
+            iep_suffix_len: schedule.independent_suffix_len(pattern),
+            position: [0; MAX_LOOPS],
+            loop_size: [0.0; MAX_LOOPS],
+            intersection_cost: [0.0; MAX_LOOPS],
+        };
+        for (i, &v) in schedule.order().iter().enumerate() {
+            terms.position[v] = i;
+            terms.loop_size[i] = match loops[i].parents.len() {
+                0 => self.stats.num_vertices as f64,
+                parents => self.stats.expected_intersection_size(parents),
+            };
+        }
         // `c_i`: a merge of a running intersection of `merged`
         // neighbourhoods (expected size) with one more (expected size
         // 2|E|/|V|) costs the sum of the two cardinalities.
         let neighborhood = self.stats.expected_neighborhood_size();
         for_each_charged_merge(loops, |i, merged| {
-            estimates[i].intersection_cost +=
+            terms.intersection_cost[i] +=
                 self.stats.expected_intersection_size(merged) + neighborhood;
         });
-
-        // Recursive cost, evaluated innermost-out.
-        let mut cost = 0.0f64;
-        for (i, e) in estimates.iter().enumerate().rev() {
-            let kept = e.loop_size * (1.0 - e.filter_probability);
-            cost = if i == n - 1 {
-                kept
-            } else {
-                kept * (e.intersection_cost + cost)
-            };
-        }
-        CostEstimate {
-            loops: estimates,
-            total: cost,
-        }
+        terms
     }
 
-    /// `f_i`: the probability that the partial embedding is filtered out by
-    /// the restrictions enforced in loop `i`, conditioned on having survived
-    /// every earlier restriction. Computed exactly over the `n!` relative
-    /// orders.
-    fn filter_probabilities(&self, config: &Configuration, filtering_loops: usize) -> Vec<f64> {
-        let n = config.schedule.len();
-        // Restrictions grouped by the loop where they become checkable.
-        let mut per_loop: Vec<Vec<Restriction>> = vec![Vec::new(); n];
-        for r in config.restrictions.restrictions() {
-            let pg = config.schedule.position_of(r.greater);
-            let ps = config.schedule.position_of(r.smaller);
-            if pg.max(ps) < filtering_loops {
-                per_loop[pg.max(ps)].push(*r);
+    /// The model proper: `f_i` for one restriction set, then the recursion.
+    ///
+    /// `f_i` is the probability that the partial embedding is filtered out
+    /// by the restrictions enforced in loop `i`, conditioned on having
+    /// survived every earlier restriction. Restrictions enforced in loops at
+    /// or beyond `filtering_loops` do not filter: IEP drops them with the
+    /// loops. `alive` is scratch for the running AND.
+    fn price(
+        &self,
+        terms: &ScheduleTerms,
+        restrictions: &RestrictionSet,
+        filtering_loops: usize,
+        alive: &mut Vec<u64>,
+    ) -> Priced {
+        let n = terms.n;
+        let mut filter_probability = [0.0f64; MAX_LOOPS];
+        alive.clear();
+        alive.extend_from_slice(self.orders.all());
+        let mut before = self.orders.num_orders();
+        for (i, probability) in filter_probability[..filtering_loops.min(n)]
+            .iter_mut()
+            .enumerate()
+        {
+            // A restriction becomes checkable where its later endpoint binds.
+            let mut filters = false;
+            for r in restrictions.restrictions() {
+                if terms.position[r.greater].max(terms.position[r.smaller]) == i {
+                    filters = true;
+                    let keeps = self.orders.greater(r.greater, r.smaller);
+                    alive.iter_mut().zip(keeps).for_each(|(a, k)| *a &= k);
+                }
+            }
+            if filters && before > 0 {
+                let after = popcount(alive);
+                *probability = (before - after) as f64 / before as f64;
+                before = after;
             }
         }
-        let mut probabilities = vec![0.0f64; n];
-        if per_loop.iter().all(|v| v.is_empty()) {
-            return probabilities;
+
+        // Recursive cost, evaluated innermost-out.
+        let mut total = 0.0f64;
+        for i in (0..n).rev() {
+            let kept = terms.loop_size[i] * (1.0 - filter_probability[i]);
+            total = if i == n - 1 {
+                kept
+            } else {
+                kept * (terms.intersection_cost[i] + total)
+            };
         }
-        // Ranks are indexed by pattern vertex directly.
-        let mut survivors: Vec<&[u64]> = self.ranks.iter().collect();
-        for i in 0..n {
-            if per_loop[i].is_empty() || survivors.is_empty() {
-                continue;
-            }
-            let before = survivors.len();
-            survivors.retain(|ids| per_loop[i].iter().all(|r| r.satisfied_by(ids)));
-            probabilities[i] = (before - survivors.len()) as f64 / before as f64;
+        Priced {
+            filter_probability,
+            total,
         }
-        probabilities
     }
 }
 
-/// Index of the first cheapest estimate.
-fn cheapest(estimates: &[CostEstimate], tie_break: impl Fn(usize) -> (bool, u64)) -> usize {
-    (0..estimates.len())
-        .min_by(|&a, &b| {
-            let (non_uniform_a, divisor_a) = tie_break(a);
-            let (non_uniform_b, divisor_b) = tie_break(b);
-            non_uniform_a
-                .cmp(&non_uniform_b)
-                .then(estimates[a].total.partial_cmp(&estimates[b].total).unwrap())
-                .then(divisor_a.cmp(&divisor_b))
+fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+fn cost_estimate(terms: &ScheduleTerms, priced: &Priced) -> CostEstimate {
+    CostEstimate {
+        loops: (0..terms.n)
+            .map(|i| LoopEstimate {
+                loop_size: terms.loop_size[i],
+                intersection_cost: terms.intersection_cost[i],
+                filter_probability: priced.filter_probability[i],
+            })
+            .collect(),
+        total: priced.total,
+    }
+}
+
+/// One candidate of a ranking: a schedule and a restriction set of a pattern.
+pub(crate) type Candidate<'a> = (&'a Pattern, &'a Schedule, &'a RestrictionSet);
+
+/// The IEP corrections of one pattern's configurations, memoised per set of
+/// remaining restrictions (as bits `greater * n + smaller`): most schedules
+/// of a pattern share a suffix, and the correction depends on nothing else.
+pub(crate) struct Corrections {
+    orders: &'static OrderTable,
+    auts: Vec<Permutation>,
+    memo: HashMap<u64, IepCorrection>,
+}
+
+impl Corrections {
+    pub(crate) fn new(pattern: &Pattern) -> Self {
+        Self {
+            orders: OrderTable::for_size(pattern.num_vertices()),
+            auts: automorphism_group(pattern),
+            memo: HashMap::new(),
+        }
+    }
+
+    /// The [`iep_correction`] of a configuration of the pattern whose last
+    /// `k` loops IEP replaces.
+    pub(crate) fn of(
+        &mut self,
+        schedule: &Schedule,
+        restrictions: &RestrictionSet,
+        k: usize,
+    ) -> IepCorrection {
+        let n = schedule.len();
+        let outer = &schedule.order()[..n - k];
+        let outer_set = outer.iter().fold(0usize, |set, &v| set | 1 << v);
+        let remaining = restrictions
+            .restrictions()
+            .iter()
+            .filter(|r| outer_set >> r.greater & outer_set >> r.smaller & 1 == 1)
+            .fold(0u64, |set, r| set | 1 << (r.greater * n + r.smaller));
+        *self.memo.entry(remaining).or_insert_with(|| {
+            iep_correction(self.orders, &self.auts, &restrictions.restricted_to(outer))
         })
-        .expect("no configurations to select from")
+    }
+}
+
+/// Prices `candidates` in order, reporting each one's factors to `each`, and
+/// returns the position and predicted cost of the first cheapest: for
+/// enumeration without `corrections` (see [`select_best`]), for IEP counting
+/// with the [`Corrections`] of the one pattern every candidate is of (see
+/// [`select_best_iep`]).
+///
+/// # Panics
+/// If there are no candidates.
+pub(crate) fn rank<'a>(
+    model: &PerformanceModel,
+    mut corrections: Option<&mut Corrections>,
+    candidates: impl Iterator<Item = Candidate<'a>>,
+    mut each: impl FnMut(&ScheduleTerms, &Priced),
+) -> (usize, f64) {
+    // The schedule the previous candidate had, and its terms.
+    let mut shared: Option<(&Pattern, &Schedule, ScheduleTerms)> = None;
+    let mut alive = Vec::new();
+    // (non-uniform, cost, divisor) of the best candidate so far, and which.
+    let mut best: Option<((bool, f64, u64), usize)> = None;
+    for (index, (pattern, schedule, restrictions)) in candidates.enumerate() {
+        if !matches!(shared, Some((p, s, _)) if p == pattern && s == schedule) {
+            let loops = compile_loops(pattern, schedule, &RestrictionSet::empty());
+            let terms = model.schedule_terms(pattern, schedule, &loops);
+            shared = Some((pattern, schedule, terms));
+        }
+        let (_, _, terms) = shared.as_ref().expect("set just above");
+        let (n, k) = (terms.n, terms.iep_suffix_len);
+        let (filtering_loops, non_uniform, divisor) = match &mut corrections {
+            Some(corrections) if k >= 2 && n > k => match corrections.of(schedule, restrictions, k)
+            {
+                IepCorrection::DividePrefixRestricted { divisor } => (n - k, false, divisor),
+                IepCorrection::DivideUnrestricted { divisor } => (n - k, true, divisor),
+            },
+            // Enumerated whatever is asked for: nothing to correct.
+            _ => (n, false, 1),
+        };
+        let priced = model.price(terms, restrictions, filtering_loops, &mut alive);
+        each(terms, &priced);
+        let cheaper = best.map_or(true, |((best_non_uniform, best_total, best_divisor), _)| {
+            let by_cost = priced.total.partial_cmp(&best_total);
+            let order = (non_uniform.cmp(&best_non_uniform))
+                .then(by_cost.expect("predicted costs are never NaN"))
+                .then(divisor.cmp(&best_divisor));
+            order == Ordering::Less
+        });
+        if cheaper {
+            best = Some(((non_uniform, priced.total, divisor), index));
+        }
+    }
+    let ((_, total, _), index) = best.expect("no configurations to select from");
+    (index, total)
+}
+
+fn rank_configurations(
+    model: &PerformanceModel,
+    corrections: Option<&mut Corrections>,
+    configs: &[Configuration],
+) -> (usize, Vec<CostEstimate>) {
+    let mut estimates = Vec::with_capacity(configs.len());
+    let candidates = configs
+        .iter()
+        .map(|c| (&c.pattern, &c.schedule, &c.restrictions));
+    let (best, _) = rank(model, corrections, candidates, |terms, priced| {
+        estimates.push(cost_estimate(terms, priced));
+    });
+    (best, estimates)
 }
 
 /// Ranks a list of configurations for **enumeration** and returns the index
@@ -262,12 +379,7 @@ pub fn select_best(
     model: &PerformanceModel,
     configs: &[Configuration],
 ) -> (usize, Vec<CostEstimate>) {
-    assert!(!configs.is_empty(), "no configurations to select from");
-    let estimates: Vec<CostEstimate> = configs
-        .iter()
-        .map(|c| model.predict_configuration(c))
-        .collect();
-    (cheapest(&estimates, |_| (false, 0)), estimates)
+    rank_configurations(model, None, configs)
 }
 
 /// Ranks configurations of **one pattern** for IEP counting. Differs from
@@ -277,45 +389,14 @@ pub fn select_best(
 /// non-uniformly (which IEP cannot divide out, see [`IepCorrection`]) loses
 /// to every uniform one; and equal costs tie-break toward the smaller
 /// divisor, i.e. toward the plan that enumerates fewer redundant prefixes.
-///
-/// The correction is memoised per (outer vertex set, remaining
-/// restrictions): most schedules of a pattern share a suffix.
 pub fn select_best_iep(
     model: &PerformanceModel,
     configs: &[Configuration],
 ) -> (usize, Vec<CostEstimate>) {
     assert!(!configs.is_empty(), "no configurations to select from");
-    let pattern = &configs[0].pattern;
-    let n = pattern.num_vertices();
-    let auts = automorphism_group(pattern);
-    let mut memo: HashMap<(usize, RestrictionSet), IepCorrection> = HashMap::new();
-    let mut corrections = Vec::with_capacity(configs.len());
-    let estimates: Vec<CostEstimate> = configs
-        .iter()
-        .map(|config| {
-            debug_assert_eq!(&config.pattern, pattern);
-            let k = config.schedule.independent_suffix_len(pattern);
-            if k < 2 || n <= k {
-                // Enumerated whatever is asked for: nothing to correct.
-                corrections.push(IepCorrection::DividePrefixRestricted { divisor: 1 });
-                return model.predict_configuration(config);
-            }
-            let outer = &config.schedule.order()[..n - k];
-            let outer_set = outer.iter().fold(0usize, |m, &v| m | 1 << v);
-            let correction = *memo
-                .entry((outer_set, config.restrictions.restricted_to(outer)))
-                .or_insert_with_key(|(_, remaining)| {
-                    iep_correction(&model.ranks, &auts, remaining)
-                });
-            corrections.push(correction);
-            model.estimate(config, &compile_loops(config), n - k)
-        })
-        .collect();
-    let best = cheapest(&estimates, |i| match corrections[i] {
-        IepCorrection::DividePrefixRestricted { divisor } => (false, divisor),
-        IepCorrection::DivideUnrestricted { divisor } => (true, divisor),
-    });
-    (best, estimates)
+    debug_assert!(configs.iter().all(|c| c.pattern == configs[0].pattern));
+    let mut corrections = Corrections::new(&configs[0].pattern);
+    rank_configurations(model, Some(&mut corrections), configs)
 }
 
 #[cfg(test)]
@@ -336,11 +417,181 @@ mod tests {
         Configuration::new(pattern, schedule, restrictions)
     }
 
+    /// The n!-scanning planner, kept as the oracle the order table must
+    /// agree with: every assignment of the ids `0..n` to the vertices, and
+    /// `f_i`, the IEP correction and the cost recursion computed by walking
+    /// them one at a time.
+    mod oracle {
+        use super::*;
+        use graphpi_pattern::restriction::Restriction;
+
+        pub fn all_id_orders(n: usize) -> Vec<Vec<u64>> {
+            fn extend(ids: &mut Vec<u64>, n: usize, out: &mut Vec<Vec<u64>>) {
+                if ids.len() == n {
+                    out.push(ids.clone());
+                    return;
+                }
+                for id in 0..n as u64 {
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                        extend(ids, n, out);
+                        ids.pop();
+                    }
+                }
+            }
+            let mut out = Vec::new();
+            extend(&mut Vec::new(), n, &mut out);
+            out
+        }
+
+        pub fn filter_probabilities(
+            orders: &[Vec<u64>],
+            config: &Configuration,
+            filtering_loops: usize,
+        ) -> Vec<f64> {
+            let n = config.schedule.len();
+            let mut per_loop: Vec<Vec<Restriction>> = vec![Vec::new(); n];
+            for r in config.restrictions.restrictions() {
+                let pg = config.schedule.position_of(r.greater);
+                let ps = config.schedule.position_of(r.smaller);
+                if pg.max(ps) < filtering_loops {
+                    per_loop[pg.max(ps)].push(*r);
+                }
+            }
+            let mut probabilities = vec![0.0f64; n];
+            let mut survivors: Vec<&Vec<u64>> = orders.iter().collect();
+            for i in 0..n {
+                if per_loop[i].is_empty() || survivors.is_empty() {
+                    continue;
+                }
+                let before = survivors.len();
+                survivors.retain(|ids| per_loop[i].iter().all(|r| r.satisfied_by(ids)));
+                probabilities[i] = (before - survivors.len()) as f64 / before as f64;
+            }
+            probabilities
+        }
+
+        pub fn iep_correction(
+            orders: &[Vec<u64>],
+            auts: &[Permutation],
+            remaining: &RestrictionSet,
+        ) -> IepCorrection {
+            let aut_count = auts.len() as u64;
+            let multiplicity = |ids: &Vec<u64>| {
+                let satisfies = |sigma: &&Permutation| {
+                    remaining
+                        .restrictions()
+                        .iter()
+                        .all(|r| ids[sigma.apply(r.greater)] > ids[sigma.apply(r.smaller)])
+                };
+                auts.iter().filter(satisfies).count() as u64
+            };
+            let first = multiplicity(&orders[0]);
+            if orders.iter().all(|ids| multiplicity(ids) == first) {
+                IepCorrection::DividePrefixRestricted {
+                    divisor: first.max(1),
+                }
+            } else {
+                IepCorrection::DivideUnrestricted { divisor: aut_count }
+            }
+        }
+
+        pub fn total(loops: &[LoopEstimate], filter_probabilities: &[f64]) -> f64 {
+            let n = loops.len();
+            let mut cost = 0.0f64;
+            for i in (0..n).rev() {
+                let kept = loops[i].loop_size * (1.0 - filter_probabilities[i]);
+                cost = if i == n - 1 {
+                    kept
+                } else {
+                    kept * (loops[i].intersection_cost + cost)
+                };
+            }
+            cost
+        }
+    }
+
     #[test]
-    fn rank_permutation_counts() {
-        assert_eq!(RankPermutations::new(3).len(), 6);
-        assert_eq!(RankPermutations::new(5).len(), 120);
-        assert_eq!(RankPermutations::new(6).len(), 720);
+    fn the_order_table_agrees_with_scanning_every_id_order() {
+        use crate::schedule::efficient_schedules;
+        use graphpi_pattern::pattern::Pattern;
+        use graphpi_pattern::restriction::{generate_restriction_sets, GenerationOptions};
+        let mut patterns = prefab::evaluation_patterns();
+        patterns.extend(prefab::motifs_3());
+        patterns.extend(prefab::motifs_4());
+        patterns.push(("house", prefab::house()));
+        patterns.push((
+            "bowtie",
+            Pattern::new(5, &[(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]),
+        ));
+        patterns.push(("star5", prefab::star_pattern(5)));
+        patterns.push(("cycle5", prefab::cycle_pattern(5)));
+        patterns.push(("cycle6", prefab::cycle_pattern(6)));
+        patterns.push(("K5", prefab::clique(5)));
+        let (mut uniform, mut non_uniform) = (0, 0);
+        for (name, pattern) in patterns {
+            let n = pattern.num_vertices();
+            let model = PerformanceModel::new(stats(), n);
+            let orders = oracle::all_id_orders(n);
+            let auts = automorphism_group(&pattern);
+            let schedules = efficient_schedules(&pattern);
+            let sets = generate_restriction_sets(&pattern, GenerationOptions::default());
+            let configs: Vec<Configuration> = schedules
+                .iter()
+                .step_by(schedules.len().div_ceil(10))
+                .flat_map(|schedule| {
+                    sets.iter().step_by(sets.len().div_ceil(6)).map(|set| {
+                        Configuration::new(pattern.clone(), schedule.clone(), set.clone())
+                    })
+                })
+                .collect();
+
+            let (_, enumeration) = select_best(&model, &configs);
+            let (_, counting) = select_best_iep(&model, &configs);
+            let mut corrections = Corrections::new(&pattern);
+            for (i, config) in configs.iter().enumerate() {
+                let context = format!(
+                    "{name} {:?} {:?}",
+                    config.schedule.order(),
+                    config.restrictions
+                );
+                // Per loop, then in total, ranked for enumeration ...
+                let expected = oracle::filter_probabilities(&orders, config, n);
+                let estimate = model.predict_configuration(config);
+                assert_eq!(estimate, enumeration[i], "{context}");
+                for (l, f) in estimate.loops.iter().zip(&expected) {
+                    assert_eq!(l.filter_probability.to_bits(), f.to_bits(), "{context}");
+                }
+                let total = oracle::total(&estimate.loops, &expected);
+                assert_eq!(estimate.total.to_bits(), total.to_bits(), "{context}");
+
+                // ... and for IEP, which drops the suffix loops' restrictions.
+                let k = config.schedule.independent_suffix_len(&pattern);
+                let filtering_loops = if k >= 2 { n - k } else { n };
+                let expected = oracle::filter_probabilities(&orders, config, filtering_loops);
+                for (l, f) in counting[i].loops.iter().zip(&expected) {
+                    assert_eq!(l.filter_probability.to_bits(), f.to_bits(), "{context}");
+                }
+                let total = oracle::total(&counting[i].loops, &expected);
+                assert_eq!(counting[i].total.to_bits(), total.to_bits(), "{context}");
+
+                // The correction compiling computes (any k) is the oracle's.
+                let outer = &config.schedule.order()[..n - k];
+                let remaining = config.restrictions.restricted_to(outer);
+                let expected = oracle::iep_correction(&orders, &auts, &remaining);
+                assert_eq!(config.compile().iep_correction, expected, "{context}");
+                let memoised = corrections.of(&config.schedule, &config.restrictions, k);
+                assert_eq!(memoised, expected, "{context}");
+                match expected {
+                    IepCorrection::DividePrefixRestricted { .. } => uniform += 1,
+                    IepCorrection::DivideUnrestricted { .. } => non_uniform += 1,
+                }
+            }
+        }
+        assert!(
+            uniform > 100 && non_uniform > 100,
+            "{uniform} {non_uniform}"
+        );
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!   decomposition, and the distinction between 1-cycles and 2-cycles that
 //!   drives GraphPi's restriction generation (Section IV-A).
 //! * [`automorphism`] — enumeration of the automorphism group of a pattern.
+//! * [`orders`] — the `n!` relative id-orders of a pattern's vertices as
+//!   bitsets, the one table restriction validation, the cost model's filter
+//!   probabilities and the IEP correction are all read from.
 //! * [`restriction`] — the 2-cycle based automorphism-elimination algorithm
 //!   (Algorithm 1 in the paper): it produces *multiple* complete restriction
 //!   sets, each of which reduces every embedding's automorphism count to one.
@@ -17,12 +20,14 @@
 //!   3- and 4-vertex motifs, and the six evaluation patterns P1–P6.
 
 pub mod automorphism;
+pub mod orders;
 pub mod pattern;
 pub mod permutation;
 pub mod prefab;
 pub mod restriction;
 
 pub use automorphism::automorphism_group;
+pub use orders::OrderTable;
 pub use pattern::{Pattern, PatternVertex};
 pub use permutation::Permutation;
 pub use restriction::{Restriction, RestrictionSet};

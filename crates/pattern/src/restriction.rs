@@ -13,11 +13,21 @@
 //! `no_conflict` test (acyclicity of a small digraph) determines which other
 //! automorphisms fall with it. Exposing the whole family of sets lets the
 //! performance model pick the one that prunes the search tree earliest.
+//!
+//! The recursion visits thousands of sets for a six-vertex pattern, so
+//! inside it a set is one `u64` (a bit per ordered vertex pair), the digraph
+//! is eight row masks on the stack, and the visited sets are keyed by the
+//! word. The `validate` step — does the set keep exactly one of each
+//! subgraph's `|Aut|` embeddings on `K_n` — is an AND and a popcount over
+//! the [`OrderTable`]'s id-order bitsets instead of a match over `n!`
+//! assignments. The perf ledger's `restriction.generate_us` row prices the
+//! whole generator.
 
 use crate::automorphism::automorphism_group;
+use crate::orders::OrderTable;
 use crate::pattern::{Pattern, PatternVertex};
 use crate::permutation::Permutation;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// A single partial-order constraint `id(greater) > id(smaller)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -102,6 +112,10 @@ impl RestrictionSet {
         self.restrictions.iter().all(|r| r.satisfied_by(ids))
     }
 
+    fn pairs(&self) -> impl Iterator<Item = (PatternVertex, PatternVertex)> + Clone + '_ {
+        self.restrictions.iter().map(|r| (r.greater, r.smaller))
+    }
+
     /// Restrictions whose `greater`/`smaller` vertices are both contained in
     /// `vertices` (used when only a prefix of the schedule is bound).
     pub fn restricted_to(&self, vertices: &[PatternVertex]) -> RestrictionSet {
@@ -116,6 +130,94 @@ impl RestrictionSet {
     }
 }
 
+/// Largest pattern the mask encoding serves (see [`OrderTable::MAX_VERTICES`]).
+const MAX_VERTICES: usize = OrderTable::MAX_VERTICES;
+
+/// A restriction set over at most eight vertices as one word: restriction
+/// `id(g) > id(s)` is bit `8 * g + s`. Ascending bits are the set's
+/// canonical (sorted) order.
+fn mask_of(res_set: &RestrictionSet) -> u64 {
+    res_set.pairs().fold(0, |mask, (g, s)| mask | bit_of(g, s))
+}
+
+fn bit_of(greater: PatternVertex, smaller: PatternVertex) -> u64 {
+    assert!(
+        greater < MAX_VERTICES && smaller < MAX_VERTICES,
+        "restriction masks hold at most {MAX_VERTICES} vertices"
+    );
+    1 << (MAX_VERTICES * greater + smaller)
+}
+
+/// The `(greater, smaller)` pairs of a mask, in canonical order.
+#[derive(Clone)]
+struct MaskPairs(u64);
+
+impl Iterator for MaskPairs {
+    type Item = (PatternVertex, PatternVertex);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some((bit / MAX_VERTICES, bit % MAX_VERTICES))
+    }
+}
+
+/// The constraint digraph of a restriction set: an edge `g -> s` per
+/// restriction, kept both as the mask and as one out-neighbour mask per
+/// vertex. Lives on the stack; Algorithm 1 builds one per branch.
+struct Constraints {
+    n: usize,
+    mask: u64,
+    rows: [u8; MAX_VERTICES],
+}
+
+impl Constraints {
+    fn new(n: usize, mask: u64) -> Self {
+        assert!(n <= MAX_VERTICES, "at most {MAX_VERTICES} vertices");
+        let mut rows = [0; MAX_VERTICES];
+        for (g, s) in MaskPairs(mask) {
+            rows[g] |= 1 << s;
+        }
+        Self { n, mask, rows }
+    }
+
+    /// Whether the permutation with the given images survives: the digraph
+    /// stays acyclic once every edge's image under it is added.
+    fn spares(&self, image: &[u8; MAX_VERTICES]) -> bool {
+        let mut rows = self.rows;
+        for (g, s) in MaskPairs(self.mask) {
+            rows[image[g] as usize] |= 1 << image[s];
+        }
+        // Kahn's algorithm a layer at a time: drop every vertex no live
+        // vertex points at until none is left (acyclic) or none can go.
+        let mut live = ((1u16 << self.n) - 1) as u8;
+        while live != 0 {
+            let mut pointed_at = 0u8;
+            let mut rest = live;
+            while rest != 0 {
+                pointed_at |= rows[rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+            }
+            if live & !pointed_at == 0 {
+                return false;
+            }
+            live &= pointed_at;
+        }
+        true
+    }
+}
+
+fn images(perm: &Permutation) -> [u8; MAX_VERTICES] {
+    let mut image = [0u8; MAX_VERTICES];
+    for (v, &to) in perm.mapping().iter().enumerate() {
+        image[v] = to as u8;
+    }
+    image
+}
+
 /// The `no_conflict` predicate of Algorithm 1.
 ///
 /// Returns `true` when the permutation **survives** (is *not* eliminated by)
@@ -123,41 +225,12 @@ impl RestrictionSet {
 /// `perm(a) > perm(b)`, and the union of those constraints is consistent,
 /// i.e. the directed graph with edges `a -> b` and `perm(a) -> perm(b)` for
 /// every restriction is acyclic.
+///
+/// # Panics
+/// If the permutation acts on more than eight vertices.
 pub fn no_conflict(perm: &Permutation, res_set: &RestrictionSet) -> bool {
     let n = perm.len();
-    // Adjacency matrix of the (tiny) constraint digraph.
-    let mut adj = vec![false; n * n];
-    for r in res_set.restrictions() {
-        adj[r.greater * n + r.smaller] = true;
-        adj[perm.apply(r.greater) * n + perm.apply(r.smaller)] = true;
-    }
-    is_acyclic(&adj, n)
-}
-
-fn is_acyclic(adj: &[bool], n: usize) -> bool {
-    // Kahn's algorithm on the dense matrix.
-    let mut indegree = vec![0usize; n];
-    for u in 0..n {
-        for v in 0..n {
-            if adj[u * n + v] {
-                indegree[v] += 1;
-            }
-        }
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-    let mut removed = 0usize;
-    while let Some(u) = queue.pop() {
-        removed += 1;
-        for v in 0..n {
-            if adj[u * n + v] {
-                indegree[v] -= 1;
-                if indegree[v] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-    }
-    removed == n
+    Constraints::new(n, mask_of(res_set)).spares(&images(perm))
 }
 
 /// Returns the automorphisms of `auts` that survive (are not eliminated by)
@@ -176,42 +249,29 @@ pub fn surviving_automorphisms<'a>(
 /// embedding, so the unrestricted count is `n!` and the set is complete and
 /// correct iff the restricted count equals `n! / |Aut(pattern)|`.
 pub fn validate(pattern: &Pattern, res_set: &RestrictionSet) -> bool {
-    let n = pattern.num_vertices();
+    let orders = OrderTable::for_size(pattern.num_vertices());
     let aut_count = automorphism_group(pattern).len() as u64;
-    let total = factorial(n);
-    if total % aut_count != 0 {
-        return false;
-    }
-    count_satisfying_assignments(n, res_set) == total / aut_count
+    keeps_one_order_per_subgraph(orders, aut_count, res_set.pairs())
+}
+
+/// [`validate`] for a caller that already holds `|Aut(pattern)|`.
+fn keeps_one_order_per_subgraph(
+    orders: &OrderTable,
+    aut_count: u64,
+    pairs: impl Iterator<Item = (PatternVertex, PatternVertex)> + Clone,
+) -> bool {
+    let total = orders.num_orders();
+    total % aut_count == 0 && orders.count_satisfying(pairs) == total / aut_count
 }
 
 /// Counts the permutations of `0..n` (used as data ids) that satisfy every
 /// restriction in the set. This equals the number of embeddings found on
 /// `K_n` when the restrictions are applied.
+///
+/// # Panics
+/// If `n` exceeds [`OrderTable::MAX_VERTICES`].
 pub fn count_satisfying_assignments(n: usize, res_set: &RestrictionSet) -> u64 {
-    let mut ids: Vec<u64> = (0..n as u64).collect();
-    let mut count = 0u64;
-    permute_count(&mut ids, 0, res_set, &mut count);
-    count
-}
-
-fn permute_count(ids: &mut Vec<u64>, k: usize, res_set: &RestrictionSet, count: &mut u64) {
-    let n = ids.len();
-    if k == n {
-        if res_set.satisfied_by(ids) {
-            *count += 1;
-        }
-        return;
-    }
-    for i in k..n {
-        ids.swap(k, i);
-        permute_count(ids, k + 1, res_set, count);
-        ids.swap(k, i);
-    }
-}
-
-fn factorial(n: usize) -> u64 {
-    (1..=n as u64).product::<u64>().max(1)
+    OrderTable::for_size(n).count_satisfying(res_set.pairs())
 }
 
 /// Options controlling the restriction-set generator.
@@ -245,6 +305,10 @@ impl Default for GenerationOptions {
 /// group contains no involutions at all, a case the paper does not
 /// encounter), a fallback total-order set over one vertex orbit is produced
 /// and validated.
+///
+/// # Panics
+/// If a pattern with a non-trivial automorphism group has more than
+/// [`OrderTable::MAX_VERTICES`] vertices.
 pub fn generate_restriction_sets(
     pattern: &Pattern,
     options: GenerationOptions,
@@ -260,31 +324,41 @@ pub fn generate_from_group(
     auts: &[Permutation],
     options: GenerationOptions,
 ) -> Vec<RestrictionSet> {
-    let mut found: BTreeSet<Vec<Restriction>> = BTreeSet::new();
-    let mut visited: BTreeSet<Vec<Restriction>> = BTreeSet::new();
-
     if auts.len() <= 1 {
         // Asymmetric pattern: the empty set is complete.
         return vec![RestrictionSet::empty()];
     }
+    let n = pattern.num_vertices();
+    let orders = OrderTable::for_size(n);
+    let aut_count = auts.len() as u64;
 
-    let survivors: Vec<&Permutation> = auts.iter().collect();
-    recurse(
-        &survivors,
-        &RestrictionSet::empty(),
-        &mut found,
-        &mut visited,
-        options.max_sets,
-    );
+    let mut search = Search {
+        n,
+        images: auts.iter().map(images).collect(),
+        two_cycles: auts.iter().map(Permutation::two_cycles).collect(),
+        found: Vec::new(),
+        visited: HashSet::new(),
+        max_sets: options.max_sets,
+    };
+    let everyone: Vec<usize> = (0..auts.len()).collect();
+    search.recurse(&everyone, 0);
 
-    let mut sets: Vec<RestrictionSet> = found
-        .into_iter()
-        .map(|restrictions| RestrictionSet { restrictions })
-        .collect();
-
+    // Most of what the recursion completes is not complete (Algorithm 1
+    // validates for a reason), so validate the masks and build sets from
+    // the few that pass, sorted as sets sort.
+    let mut found = search.found;
     if !options.skip_validation {
-        sets.retain(|s| validate(pattern, s));
+        found.retain(|&mask| keeps_one_order_per_subgraph(orders, aut_count, MaskPairs(mask)));
     }
+    let mut sets: Vec<RestrictionSet> = found
+        .iter()
+        .map(|&mask| RestrictionSet {
+            restrictions: MaskPairs(mask)
+                .map(|(g, s)| Restriction::new(g, s))
+                .collect(),
+        })
+        .collect();
+    sets.sort_unstable_by(|a, b| a.restrictions.cmp(&b.restrictions));
 
     if sets.is_empty() {
         // Fallback (see doc comment): impose a total order over the orbit of
@@ -296,54 +370,63 @@ pub fn generate_from_group(
         for w in orbit.windows(2) {
             set.push(Restriction::new(w[0], w[1]));
         }
-        if validate(pattern, &set) {
+        if keeps_one_order_per_subgraph(orders, aut_count, set.pairs()) {
             sets.push(set);
         }
     }
     sets
 }
 
-fn recurse(
-    survivors: &[&Permutation],
-    res_set: &RestrictionSet,
-    found: &mut BTreeSet<Vec<Restriction>>,
-    visited: &mut BTreeSet<Vec<Restriction>>,
+/// The state of one run of Algorithm 1's recursion. Automorphisms are
+/// indices into `images` / `two_cycles`; restriction sets are masks.
+struct Search {
+    n: usize,
+    images: Vec<[u8; MAX_VERTICES]>,
+    two_cycles: Vec<Vec<(usize, usize)>>,
+    /// Completed sets, in the order the traversal reached them.
+    found: Vec<u64>,
+    visited: HashSet<u64>,
     max_sets: usize,
-) {
-    if found.len() >= max_sets {
-        return;
-    }
-    if !visited.insert(res_set.restrictions().to_vec()) {
-        return;
-    }
-    if survivors.len() <= 1 {
-        // Only the identity remains; record the completed set.
-        found.insert(res_set.restrictions().to_vec());
-        return;
-    }
-    for perm in survivors {
-        if perm.is_identity() {
-            continue;
+}
+
+impl Search {
+    fn recurse(&mut self, survivors: &[usize], res_set: u64) {
+        if self.found.len() >= self.max_sets {
+            return;
         }
-        for (a, b) in perm.two_cycles() {
-            // Both orientations of the pair are valid branches (the paper's
-            // pseudocode iterates over each vertex of the 2-cycle).
-            for (greater, smaller) in [(a, b), (b, a)] {
-                let new_set = res_set.with(Restriction::new(greater, smaller));
-                if new_set.len() == res_set.len() {
-                    continue; // already present
-                }
-                let remaining: Vec<&Permutation> = survivors
-                    .iter()
-                    .copied()
-                    .filter(|p| no_conflict(p, &new_set))
-                    .collect();
-                if remaining.len() == survivors.len() {
-                    continue; // the new restriction eliminated nothing
-                }
-                recurse(&remaining, &new_set, found, visited, max_sets);
-                if found.len() >= max_sets {
-                    return;
+        if !self.visited.insert(res_set) {
+            return;
+        }
+        if survivors.len() <= 1 {
+            // Only the identity remains; record the completed set.
+            self.found.push(res_set);
+            return;
+        }
+        for &perm in survivors {
+            for c in 0..self.two_cycles[perm].len() {
+                let (a, b) = self.two_cycles[perm][c];
+                // Both orientations of the pair are valid branches (the paper's
+                // pseudocode iterates over each vertex of the 2-cycle).
+                for (greater, smaller) in [(a, b), (b, a)] {
+                    let new_set = res_set | bit_of(greater, smaller);
+                    // Already present, or a set some other branch reached:
+                    // the recursion would return at once.
+                    if new_set == res_set || self.visited.contains(&new_set) {
+                        continue;
+                    }
+                    let constraints = Constraints::new(self.n, new_set);
+                    let remaining: Vec<usize> = survivors
+                        .iter()
+                        .copied()
+                        .filter(|&p| constraints.spares(&self.images[p]))
+                        .collect();
+                    if remaining.len() == survivors.len() {
+                        continue; // the new restriction eliminated nothing
+                    }
+                    self.recurse(&remaining, new_set);
+                    if self.found.len() >= self.max_sets {
+                        return;
+                    }
                 }
             }
         }
@@ -354,6 +437,67 @@ fn recurse(
 mod tests {
     use super::*;
     use crate::prefab;
+
+    /// Every assignment of the ids `0..n` to `n` vertices: the scan the
+    /// order table replaced, kept as the oracle it must agree with.
+    fn all_id_orders(n: usize) -> Vec<Vec<u64>> {
+        fn extend(ids: &mut Vec<u64>, n: usize, out: &mut Vec<Vec<u64>>) {
+            if ids.len() == n {
+                out.push(ids.clone());
+                return;
+            }
+            for id in 0..n as u64 {
+                if !ids.contains(&id) {
+                    ids.push(id);
+                    extend(ids, n, out);
+                    ids.pop();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        extend(&mut Vec::new(), n, &mut out);
+        out
+    }
+
+    #[test]
+    fn validation_agrees_with_scanning_every_id_order() {
+        let mut patterns = prefab::evaluation_patterns();
+        patterns.extend(prefab::motifs_3());
+        patterns.extend(prefab::motifs_4());
+        patterns.push(("house", prefab::house()));
+        patterns.push((
+            "bowtie",
+            Pattern::new(5, &[(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]),
+        ));
+        patterns.push(("star5", prefab::star_pattern(5)));
+        patterns.push(("cycle5", prefab::cycle_pattern(5)));
+        patterns.push(("cycle6", prefab::cycle_pattern(6)));
+        patterns.push(("K5", prefab::clique(5)));
+        for (name, pattern) in patterns {
+            let n = pattern.num_vertices();
+            let orders = all_id_orders(n);
+            let aut_count = automorphism_group(&pattern).len();
+            // Unvalidated, so the family holds incomplete sets too.
+            let options = GenerationOptions {
+                skip_validation: true,
+                ..GenerationOptions::default()
+            };
+            let sets = generate_restriction_sets(&pattern, options);
+            let mut complete = 0;
+            for set in &sets {
+                let satisfying = orders.iter().filter(|ids| set.satisfied_by(ids)).count();
+                assert_eq!(
+                    count_satisfying_assignments(n, set),
+                    satisfying as u64,
+                    "{name} {set:?}"
+                );
+                let is_complete = satisfying * aut_count == orders.len();
+                assert_eq!(validate(&pattern, set), is_complete, "{name} {set:?}");
+                complete += usize::from(is_complete);
+            }
+            assert!(complete > 0, "{name}: no complete set");
+        }
+    }
 
     fn assert_all_valid(pattern: &Pattern, sets: &[RestrictionSet]) {
         for s in sets {

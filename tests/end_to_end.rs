@@ -56,6 +56,28 @@ fn planner_output_is_internally_consistent() {
 }
 
 #[test]
+fn planner_works_at_the_size_cap() {
+    // Seven- and eight-vertex patterns rank over 5,040 and 40,320 id-orders
+    // per candidate; both modes must plan and agree with brute force.
+    let graph = generators::erdos_renyi(18, 40, 5);
+    let engine = GraphPi::new(graph.clone());
+    for pattern in [prefab::cycle_pattern(7), prefab::path_pattern(8)] {
+        let expected = graphpi::baseline::naive::count_embeddings(&pattern, &graph);
+        assert!(expected > 0, "{pattern:?} should occur in the test graph");
+        for enable_iep in [true, false] {
+            let options = PlanOptions {
+                enable_iep,
+                ..PlanOptions::default()
+            };
+            let plan = engine.plan(&pattern, options).unwrap();
+            assert!(validate(&pattern, &plan.plan.config.restrictions));
+            let count = engine.execute_count(&plan.plan, CountOptions::default());
+            assert_eq!(count, expected, "{pattern:?} iep={enable_iep}");
+        }
+    }
+}
+
+#[test]
 fn dataset_registry_supports_matching() {
     // The tiny dataset variants must be directly usable by the engine.
     for dataset in datasets::tiny_datasets() {
