@@ -1,125 +1,45 @@
-//! Command-line front end for the GraphPi engine.
+//! Command-line front end for the GraphPi engine: local queries (`stats`,
+//! `plan`, `count`), graph files (`convert`, `update`), and the network
+//! client of a running `graphpi-server` (`remote`, `promote`,
+//! `chaos-proxy`).
 //!
 //! ```text
-//! graphpi-cli stats   --graph edges.txt
-//! graphpi-cli plan    --graph edges.txt --pattern p3
-//! graphpi-cli count   --graph edges.txt --pattern house [--threads 8] [--no-iep] [--hubs] [--list 5]
-//! graphpi-cli count   --graph graph.bin --format binary --pattern house --repeat 50 --session
+//! graphpi-cli count   --graph edges.txt --pattern house --threads 8
+//! graphpi-cli count   --graph graph.bin --pattern triangle --mode=enumerate --limit 20
 //! graphpi-cli convert edges.txt graph.bin
-//! graphpi-cli update  --graph edges.txt --wal graph.wal --insert 0 9 --delete 3 4 [--ops ops.txt]
+//! graphpi-cli update  --graph edges.txt --wal graph.wal --insert 0 9 --delete 3 4
 //! graphpi-cli remote  --addr 127.0.0.1:7431 --pattern house --clients 4 --repeat 8 --stats
-//! graphpi-cli remote  --addr 127.0.0.1:7431 --mutate ops.txt
+//! graphpi-cli --help              # the commands
+//! graphpi-cli remote --help       # one command's flags, defaults and meaning
 //! ```
 //!
-//! Graphs load from a whitespace-separated edge list (`#`/`%` comments
-//! allowed) or from the checksummed binary format written by `convert`
-//! (`--format text|binary|auto`; `auto`, the default, sniffs the magic
-//! bytes). Binary graphs open **zero-copy** via `mmap` where the platform
-//! supports it — the fast path for repeated runs on large datasets.
-//!
-//! Patterns are named (`triangle`, `rectangle`, `house`, `cycle6tri`,
-//! `p1`..`p6`, `cliqueK`, `cycleK`, `pathK`, `starK`) or given explicitly as
-//! `adj:<0/1 adjacency matrix string>` in row-major order.
-//!
-//! `--repeat N` runs the count N times. Without `--session` every
-//! iteration pays the full cold path (re-plan + spawn/join worker
-//! threads); with `--session` the query runs on a persistent worker pool
-//! with a compiled-plan cache, so iterations after the first are the warm
-//! serving path. The reported cold/warm split is the amortization this
-//! distinction buys.
-//!
-//! `--clients N` (requires `--session`) is the concurrent-load mode: N
-//! client threads share one session and each runs `--repeat` queries
-//! simultaneously, exercising the pool's multi-job scheduler. The report is
-//! aggregate throughput plus the plan-cache counters (which must satisfy
-//! hits + misses = total queries). `--max-in-flight N` caps how many of
-//! those jobs the pool runs at once (0 = automatic); extra clients block,
-//! which is the pool's backpressure.
-//!
-//! `--scalar-kernels` pins the sorted-set intersection kernels to the
-//! portable scalar reference (process-wide) instead of the runtime-detected
-//! SIMD family; counts are bit-identical either way.
-//!
-//! `--mode` selects what `count` computes: `count` (default, the exact
-//! global count), `orbit` (per-vertex participation counts),
-//! `sample` (a seeded Horvitz–Thompson estimate; `--sample-rate R` in
-//! `(0, 1]`, default 0.1, and `--sample-seed N`, default 0 — the same
-//! seed replays the same estimate), or `enumerate` (the embeddings
-//! themselves, up to `--limit N`, default 100). The non-count modes run a
-//! single query stream, so they reject `--clients`; `--list` stays the
-//! count-mode preview.
-//!
-//! `remote` talks to a running `graphpi-server` over the wire protocol
-//! (`docs/protocol.md`): `--pattern` counts remotely (`--clients N` opens N
-//! concurrent connections, each running `--repeat` queries, and verifies
-//! every observed count is bit-identical), `--stats` prints the server's
-//! counters and latency histogram, `--ping` is a liveness probe,
-//! `--probe-malformed` sends a garbage frame and verifies the server
-//! answers with a typed error and keeps serving, and `--shutdown` asks the
-//! server to drain gracefully. `--retries N` and `--backoff-ms N` run the
-//! counts through the resilient retrying client (automatic reconnect,
-//! request-ID idempotency, exponential backoff with jitter), and
-//! `--chaos-seed N` additionally routes each connection through the
-//! in-process seeded fault injector — a manual probe of the same machinery
-//! the chaos tests drive.
-//!
-//! `remote --mode=orbit|sample` sends the same mode queries over the wire
-//! (the `CountRequest` mode byte), and `remote --enumerate
-//! --limit N` streams the embeddings themselves as paged `ENUM_PAGE`
-//! frames (`--page-size` caps embeddings per page). Enumeration carries
-//! no idempotency key: the retrying client re-issues it only while zero
-//! pages have arrived.
-//!
-//! `remote --endpoints a,b,c` is the failover mode for a replicated
-//! deployment: counts rotate across every endpoint (with read-your-writes
-//! generation floors after a `--mutate`), writes route to the primary and
-//! follow `NOT_PRIMARY` redirects, and the run ends with a `replication:`
-//! summary (reads per endpoint, failovers, the worst replication lag any
-//! endpoint reports). `promote --addr <replica>` asks a replica to become
-//! the primary — the manual half of a failover drill.
-//!
-//! `chaos-proxy` runs the standalone byte-level fault-injecting TCP proxy
-//! between real clients and a real server (prints one
-//! `proxying on <addr>` line to stdout, then serves until killed).
-//!
-//! `update` commits edge batches to a **local** WAL-backed graph: the
-//! base graph comes from `--graph`, the durable state from `--wal`
-//! (created on first use, replayed on every run), and the batch from
-//! repeated `--insert u v` / `--delete u v` flags and/or an `--ops` file
-//! of `+ u v` / `- u v` lines (file order is preserved: an insert
-//! following a delete starts a new batch, because within one batch all
-//! inserts apply before all deletes). `remote --mutate <ops-file>` sends
-//! the same ops format to a running `graphpi-server --wal`, split into
-//! frame-sized batches, and prints the final generation.
+//! Every flag is declared once, in the tables below, and `--help` prints
+//! them. A malformed command line, a bad pattern or a failed run exits 1
+//! with a one-line message (followed by the usage line when a flag is at
+//! fault).
 
+mod common;
+
+use common::Kind::Switch;
+use common::{flag, load_graph, Flag, GraphFormat, Kind, Parsed, Spec, FORMAT, U32, U64, USIZE};
 use graphpi_core::codegen::{generate, Language};
 use graphpi_core::config::PoolOptions;
-use graphpi_core::engine::{CountOptions, GraphPi, Mode, Outcome, PlanOptions};
+use graphpi_core::engine::{
+    CountOptions, GraphPi, Mode, Outcome, PlanOptions, Session, MAX_PATTERN_VERTICES,
+};
 use graphpi_core::net::protocol::{self, LatencyHistogram};
 use graphpi_core::net::{
     ChaosConfig, ChaosConnector, ChaosProxy, Client, CountExt, FailoverClient, NetError, QueryMode,
-    RemoteCountOptions, RemoteEnumerateOptions, RemoteEnumeration, RemoteUpdateOptions,
-    RetryPolicy, RetryStats, RetryingClient, Transport, UpdateOk,
+    RemoteCount, RemoteCountOptions, RemoteEnumerateOptions, RemoteUpdateOptions, RetryPolicy,
+    RetryStats, RetryingClient, Transport, UpdateOk,
 };
-use graphpi_graph::csr::CsrGraph;
 use graphpi_graph::wal::DurableGraph;
 use graphpi_graph::DurableGraphOptions;
 use graphpi_graph::{io, vertex_set, EdgeBatch};
 use graphpi_pattern::{prefab, Pattern};
-use std::net::ToSocketAddrs;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
-use std::time::Duration;
-
-/// How to interpret the `--graph` file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GraphFormat {
-    /// Sniff the magic bytes: binary if they match, else text.
-    Auto,
-    /// Whitespace-separated edge list.
-    Text,
-    /// The checksummed binary format (opened zero-copy via mmap).
-    Binary,
-}
+use std::time::{Duration, Instant};
 
 /// What the `count` command computes (`--mode`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,6 +53,16 @@ enum CliMode {
     Sample,
     /// The embeddings themselves, up to `--limit`.
     Enumerate,
+}
+
+impl CliMode {
+    /// Every mode, in the order of [`MODE_NAMES`].
+    const ALL: [CliMode; 4] = [Self::Count, Self::Orbit, Self::Sample, Self::Enumerate];
+
+    /// The `--mode` spelling.
+    fn name(self) -> &'static str {
+        MODE_NAMES[self as usize]
+    }
 }
 
 /// Parsed command-line invocation.
@@ -241,258 +171,289 @@ struct ChaosProxyArgs {
     partial_per_mille: u32,
 }
 
-const USAGE: &str = "usage: graphpi-cli <stats|plan|count> --graph <path> \
-[--format auto|text|binary] [--pattern <name|adj:...>] [--threads N] [--no-iep] [--hubs] \
-[--scalar-kernels] [--list N] [--repeat N] [--session] [--clients N] [--max-in-flight N] \
-[--mode count|orbit|sample|enumerate] [--sample-rate R] [--sample-seed N (default 0)] [--limit N]\n\
-       graphpi-cli convert <edge-list> <binary-out>\n\
-       graphpi-cli update --graph <path> --wal <path> [--format auto|text|binary] \
-[--insert U V]... [--delete U V]... [--ops <file>] [--checkpoint]\n\
-       graphpi-cli remote [--addr host:port | --endpoints a,b,c] [--pattern <name>] \
-[--clients N] [--repeat N] [--no-iep] [--hubs] [--deadline-ms N] [--retries N] [--backoff-ms N] \
-[--chaos-seed N] [--ping] [--stats] [--probe-malformed] [--shutdown] [--mutate <ops-file>] \
-[--mode count|orbit|sample] [--sample-rate R] [--sample-seed N] \
-[--enumerate] [--limit N] [--page-size N]\n\
-       graphpi-cli promote [--addr host:port]\n\
-       graphpi-cli chaos-proxy --upstream host:port [--listen host:port] [--seed N] \
-[--stall-per-mille N] [--stall-ms N] [--reset-per-mille N] [--partial-per-mille N]";
+/// The `--mode` spellings, in the order of [`CliMode::ALL`].
+const MODE_NAMES: [&str; 4] = ["count", "orbit", "sample", "enumerate"];
 
-/// A [`CliArgs`] with every count-path knob at its default — the shape
-/// the non-counting subcommands (convert, update, remote, ...) return.
-fn base_args(command: Command, graph_path: String, format: GraphFormat) -> CliArgs {
+const PATH: Kind = Kind::Str("<path>");
+const HOST_PORT: Kind = Kind::Str("<host:port>");
+const PER_MILLE: Kind = Kind::Int(32, 0..=1000, "is per mille (0..=1000)");
+const AT_LEAST_ONE: Kind = Kind::Int(usize::BITS, 1..=u64::MAX, "must be at least 1");
+
+/// Rows that more than one command's table holds.
+#[rustfmt::skip] // one row per flag: name, kind, default, help
+mod shared_rows {
+    use super::*;
+    pub const GRAPH: Flag       = flag("--graph",       PATH,   "",            "data graph: an edge list (`#`/`%` comments) or the binary `convert` writes").required();
+    pub const FORMAT_ROW: Flag  = flag("--format",      FORMAT, "auto",        "how to read --graph (auto sniffs the magic bytes; binary opens via mmap)");
+    pub const PATTERN: Flag     = flag("--pattern",     Kind::Str("<name>"), "", "triangle|rectangle|house|cycle6tri|p1..p6|cliqueK|cycleK|pathK|starK|adj:<row-major 0/1 matrix>");
+    pub const NO_IEP: Flag      = flag("--no-iep",      Switch, "",            "count without the inclusion-exclusion suffix");
+    pub const HUBS: Flag        = flag("--hubs",        Switch, "",            "use the hub-bitset layout (same counts)");
+    pub const REPEAT: Flag      = flag("--repeat",      AT_LEAST_ONE, "1",     "run the query N times");
+    pub const CLIENTS: Flag     = flag("--clients",     AT_LEAST_ONE, "1",     "concurrent clients, each running --repeat queries; all counts must agree");
+    pub const MODE: Flag        = flag("--mode",        Kind::OneOf("mode", &MODE_NAMES), "count", "exact count, per-vertex orbit counts, seeded sample estimate, or the embeddings");
+    pub const SAMPLE_RATE: Flag = flag("--sample-rate", Kind::Float(0.0, 1.0, "must be in (0, 1]"), "0.1", "--mode=sample: subtree sampling probability");
+    pub const SAMPLE_SEED: Flag = flag("--sample-seed", U64,    "0",           "--mode=sample: the same seed replays the same estimate");
+    pub const LIMIT: Flag       = flag("--limit",       Kind::Int(64, 1..=u64::MAX, "must be at least 1 (an empty enumeration is a no-op)"), "100", "enumeration: the most embeddings to return");
+    pub const ADDR: Flag        = flag("--addr",        HOST_PORT, "127.0.0.1:7431", "the server to talk to");
+}
+use shared_rows::*;
+
+#[rustfmt::skip] // one row per flag: name, kind, default, help
+const QUERY_FLAGS: &[Flag] = &[
+    GRAPH, FORMAT_ROW, PATTERN,
+    flag("--threads",        USIZE,  "0", "worker threads (0 = all cores)"),
+    NO_IEP, HUBS,
+    flag("--scalar-kernels", Switch, "",  "pin the set kernels to the portable scalar reference (same counts)"),
+    flag("--list",           USIZE,  "0", "count mode: also print the first N embeddings"),
+    REPEAT,
+    flag("--session",        Switch, "",  "run on a persistent worker pool with a compiled-plan cache (the warm serving path)"),
+    CLIENTS,
+    flag("--max-in-flight",  USIZE,  "0", "with --session: jobs the pool runs at once (0 = automatic); extra clients block"),
+    MODE, SAMPLE_RATE, SAMPLE_SEED, LIMIT,
+];
+
+static STATS: Spec = Spec {
+    command: "graphpi-cli stats",
+    about: "Print the graph's size, triangle count and degree statistics.",
+    flags: QUERY_FLAGS,
+};
+
+static PLAN: Spec = Spec {
+    command: "graphpi-cli plan",
+    about: "Choose the schedule and restrictions for --pattern and print the generated matcher.",
+    flags: QUERY_FLAGS,
+};
+
+static COUNT: Spec = Spec {
+    command: "graphpi-cli count",
+    about:
+        "Count the embeddings of --pattern (or, with --mode, list, attribute or estimate them).\n\
+            --repeat alone re-plans and re-spawns the worker threads every iteration (cold);\n\
+            with --session the later iterations hit the plan cache on a warm pool, and\n\
+            --clients N drives that one session from N threads at once. The non-count modes\n\
+            always run on a session, as a server would run them.",
+    flags: QUERY_FLAGS,
+};
+
+static CONVERT: Spec = Spec {
+    command: "graphpi-cli convert <edge-list> <binary-out>",
+    about: "Write an edge list in the checksummed binary format and verify it reads back.",
+    flags: &[],
+};
+
+#[rustfmt::skip]
+static UPDATE: Spec = Spec {
+    command: "graphpi-cli update",
+    about: "Commit edge batches to a local WAL-backed graph.\n\
+            The log is created on first use and replayed on every run. An ops file holds\n\
+            `+ u v` / `- u v` lines; within one batch all inserts apply before all deletes,\n\
+            so an insert that follows a delete starts a new batch.",
+    flags: &[
+        GRAPH, FORMAT_ROW,
+        flag("--wal",         PATH,   "",     "the write-ahead log holding the durable state").required(),
+        flag("--insert",      Kind::VertexPair, "", "insert edge U V"),
+        flag("--delete",      Kind::VertexPair, "", "delete edge U V"),
+        flag("--ops",         PATH,   "",     "ops file, committed before the --insert/--delete flags"),
+        flag("--checkpoint",  Switch, "",     "fold the log into a checkpoint afterwards"),
+    ],
+};
+
+#[rustfmt::skip]
+static REMOTE: Spec = Spec {
+    command: "graphpi-cli remote",
+    about: "Talk to a running graphpi-server (docs/protocol.md).\n\
+            One run may mutate, then count or enumerate, then ask for --stats or --shutdown.\n\
+            Every request retries per --retries and carries a request ID, so a resend is answered\n\
+            once. --endpoints is the failover mode of a replicated deployment: reads rotate over\n\
+            the endpoints, writes follow the primary.",
+    flags: &[
+        ADDR,
+        flag("--endpoints",       Kind::Str("<a,b,c>"), "", "failover mode: every endpoint of a replicated deployment (instead of --addr)"),
+        PATTERN, CLIENTS, REPEAT, NO_IEP, HUBS,
+        flag("--deadline-ms",     U32,    "0",  "per-request deadline covering queueing and execution (0 = none)"),
+        flag("--retries",         Kind::Int(32, 1..=u64::MAX, "must be at least 1 (the first attempt)"), "1", "attempts per request, reconnecting with jittered exponential backoff"),
+        flag("--backoff-ms",      U64,    "10", "backoff before the second attempt; doubles per retry"),
+        flag("--chaos-seed",      U64,    "",   "route each connection through the in-process seeded fault injector"),
+        flag("--ping",            Switch, "",   "liveness probe"),
+        flag("--stats",           Switch, "",   "print the server's counters and latency histogram"),
+        flag("--probe-malformed", Switch, "",   "send a garbage frame and a protocol-v1 frame; the server must refuse both and survive"),
+        flag("--shutdown",        Switch, "",   "ask the server to drain gracefully"),
+        flag("--mutate",          PATH,   "",   "ops file (`+ u v` / `- u v` lines) to commit, in frame-sized batches, before counting"),
+        MODE, SAMPLE_RATE, SAMPLE_SEED,
+        flag("--enumerate",       Switch, "",   "stream the embeddings as pages instead of counting (not --mode=enumerate)"),
+        LIMIT,
+        flag("--page-size",       U32,    "0",  "--enumerate: embeddings per page (0 = server default)"),
+    ],
+};
+
+static PROMOTE: Spec = Spec {
+    command: "graphpi-cli promote",
+    about: "Ask the replica at --addr to become the primary (the manual half of a failover).",
+    flags: &[ADDR],
+};
+
+#[rustfmt::skip]
+static CHAOS_PROXY: Spec = Spec {
+    command: "graphpi-cli chaos-proxy",
+    about: "Run the byte-level fault-injecting TCP proxy in front of a server.\n\
+            Prints `proxying on <addr>`, then serves until killed.",
+    flags: &[
+        flag("--upstream",           HOST_PORT, "",            "the real server").required(),
+        flag("--listen",             HOST_PORT, "127.0.0.1:0", "address to bind (port 0 picks a free one)"),
+        flag("--seed",               U64,       "0",           "fault schedule seed"),
+        flag("--stall-per-mille",    PER_MILLE, "50",          "chance that a chunk stalls"),
+        flag("--stall-ms",           U64,       "2",           "how long a stall lasts"),
+        flag("--reset-per-mille",    PER_MILLE, "20",          "chance that a chunk resets the connection"),
+        flag("--partial-per-mille",  PER_MILLE, "20",          "chance that a chunk is cut short"),
+    ],
+};
+
+static COMMANDS: [&Spec; 8] = [
+    &STATS,
+    &PLAN,
+    &COUNT,
+    &CONVERT,
+    &UPDATE,
+    &REMOTE,
+    &PROMOTE,
+    &CHAOS_PROXY,
+];
+
+/// The top-level `--help`: every command with the first line of its purpose.
+fn overview() -> String {
+    let mut text = "usage: graphpi-cli <command> [flags]\n\ncommands:\n".to_string();
+    for spec in COMMANDS {
+        let summary = spec.about.lines().next().unwrap_or("");
+        text += &format!("  {:<12} {summary}\n", spec.name());
+    }
+    text + "\n`graphpi-cli <command> --help` lists that command's flags."
+}
+
+/// The command the first word of the command line names.
+fn command_named(args: &[String]) -> Option<&'static Spec> {
+    let name = args.first()?;
+    COMMANDS.iter().copied().find(|spec| spec.name() == name)
+}
+
+fn parse_args(args: &[String]) -> Result<CliArgs, String> {
+    let name = args.first().map_or("", String::as_str);
+    let Some(spec) = command_named(args) else {
+        let names: Vec<&str> = COMMANDS.iter().map(|spec| spec.name()).collect();
+        return Err(format!(
+            "unknown command {name:?}: expected one of {} (see graphpi-cli --help)",
+            names.join(", ")
+        ));
+    };
+    let rest = &args[1..];
+    // Every command carries the count-path knobs at their defaults.
+    let other = |command| query_args(command, &COUNT.defaults());
+    if name == "convert" {
+        let [input, output] = rest else {
+            return Err(format!(
+                "convert needs exactly <edge-list> <binary-out>\n{}",
+                spec.usage()
+            ));
+        };
+        return Ok(CliArgs {
+            graph_path: input.clone(),
+            ..other(Command::Convert {
+                output: output.clone(),
+            })
+        });
+    }
+    let parsed = spec.parse(rest)?;
+    Ok(match name {
+        "stats" => checked_query_args(Command::Stats, &parsed, spec)?,
+        "plan" => checked_query_args(Command::Plan, &parsed, spec)?,
+        "count" => checked_query_args(Command::Count, &parsed, spec)?,
+        "update" => CliArgs {
+            graph_path: parsed.get("--graph"),
+            format: GraphFormat::ALL[parsed.choice("--format")],
+            ..other(Command::Update(update_args(&parsed)?))
+        },
+        "remote" => other(Command::Remote(remote_args(&parsed)?)),
+        "promote" => other(Command::Promote {
+            addr: parsed.get("--addr"),
+        }),
+        "chaos-proxy" => other(Command::ChaosProxy(ChaosProxyArgs {
+            listen: parsed.get("--listen"),
+            upstream: parsed.get("--upstream"),
+            seed: parsed.get("--seed"),
+            stall_per_mille: parsed.get("--stall-per-mille"),
+            stall_ms: parsed.get("--stall-ms"),
+            reset_per_mille: parsed.get("--reset-per-mille"),
+            partial_per_mille: parsed.get("--partial-per-mille"),
+        })),
+        _ => unreachable!("every entry of COMMANDS has an arm"),
+    })
+}
+
+/// Fills a [`CliArgs`] from a parse of [`QUERY_FLAGS`].
+fn query_args(command: Command, parsed: &Parsed) -> CliArgs {
     CliArgs {
         command,
-        graph_path,
-        format,
-        pattern: None,
-        threads: 0,
-        use_iep: true,
-        hub_bitsets: false,
-        scalar_kernels: false,
-        list: 0,
-        repeat: 1,
-        session: false,
-        clients: 1,
-        max_in_flight: 0,
-        mode: CliMode::Count,
-        sample_rate: DEFAULT_SAMPLE_RATE,
-        sample_seed: 0,
-        limit: DEFAULT_ENUM_LIMIT,
+        graph_path: parsed.opt("--graph").unwrap_or_default(),
+        format: GraphFormat::ALL[parsed.choice("--format")],
+        pattern: parsed.opt("--pattern"),
+        threads: parsed.get("--threads"),
+        use_iep: !parsed.given("--no-iep"),
+        hub_bitsets: parsed.given("--hubs"),
+        scalar_kernels: parsed.given("--scalar-kernels"),
+        list: parsed.get("--list"),
+        repeat: parsed.get("--repeat"),
+        session: parsed.given("--session"),
+        clients: parsed.get("--clients"),
+        max_in_flight: parsed.get("--max-in-flight"),
+        mode: CliMode::ALL[parsed.choice("--mode")],
+        sample_rate: parsed.get("--sample-rate"),
+        sample_seed: parsed.get("--sample-seed"),
+        limit: parsed.get("--limit"),
     }
 }
 
-/// Default subtree sampling probability for `--mode=sample`.
-const DEFAULT_SAMPLE_RATE: f64 = 0.1;
-/// Default embedding budget for `--mode=enumerate`.
-const DEFAULT_ENUM_LIMIT: u64 = 100;
+/// The sampling knobs mean nothing to the exact modes.
+fn sample_flags_need_sample_mode(parsed: &Parsed, mode: CliMode) -> Result<(), String> {
+    if mode != CliMode::Sample && (parsed.given("--sample-rate") || parsed.given("--sample-seed")) {
+        return Err(
+            "--sample-rate/--sample-seed only apply to --mode=sample (the other modes are exact)"
+                .to_string(),
+        );
+    }
+    Ok(())
+}
 
-fn parse_args(args: &[String]) -> Result<CliArgs, String> {
-    // `--flag=value` is sugar for `--flag value`, everywhere a flag takes
-    // a value (`--mode=enumerate` reads better than `--mode enumerate`).
-    let expanded: Vec<String> = args
-        .iter()
-        .flat_map(|arg| {
-            match arg
-                .strip_prefix("--")
-                .and_then(|stripped| stripped.split_once('='))
-            {
-                Some((flag, value)) => vec![format!("--{flag}"), value.to_string()],
-                None => vec![arg.clone()],
-            }
-        })
-        .collect();
-    let args = &expanded;
-    let mut iter = args.iter();
-    let command = match iter.next().map(String::as_str) {
-        Some("stats") => Command::Stats,
-        Some("plan") => Command::Plan,
-        Some("count") => Command::Count,
-        Some("convert") => {
-            let input = iter
-                .next()
-                .ok_or(format!("convert needs <edge-list> <binary-out>\n{USAGE}"))?;
-            let output = iter
-                .next()
-                .ok_or(format!("convert needs <edge-list> <binary-out>\n{USAGE}"))?;
-            if let Some(extra) = iter.next() {
-                return Err(format!("unexpected argument {extra:?}\n{USAGE}"));
-            }
-            return Ok(base_args(
-                Command::Convert {
-                    output: output.clone(),
-                },
-                input.clone(),
-                GraphFormat::Auto,
-            ));
-        }
-        Some("chaos-proxy") => {
-            let proxy = parse_chaos_proxy_args(iter.as_slice())?;
-            return Ok(base_args(
-                Command::ChaosProxy(proxy),
-                String::new(),
-                GraphFormat::Auto,
-            ));
-        }
-        Some("update") => {
-            let (graph_path, format, update) = parse_update_args(iter.as_slice())?;
-            return Ok(base_args(Command::Update(update), graph_path, format));
-        }
-        Some("promote") => {
-            let mut addr = "127.0.0.1:7431".to_string();
-            let mut promote_iter = iter.clone();
-            while let Some(flag) = promote_iter.next() {
-                match flag.as_str() {
-                    "--addr" => addr = promote_iter.next().ok_or("--addr needs a value")?.clone(),
-                    other => return Err(format!("unknown flag {other}\n{USAGE}")),
-                }
-            }
-            return Ok(base_args(
-                Command::Promote { addr },
-                String::new(),
-                GraphFormat::Auto,
-            ));
-        }
-        Some("remote") => {
-            let remote = parse_remote_args(iter.as_slice())?;
-            return Ok(base_args(
-                Command::Remote(remote),
-                String::new(),
-                GraphFormat::Auto,
-            ));
-        }
-        other => return Err(format!("unknown command {other:?}\n{USAGE}")),
-    };
-    let mut graph_path = None;
-    let mut format = GraphFormat::Auto;
-    let mut pattern = None;
-    let mut threads = 0usize;
-    let mut use_iep = true;
-    let mut hub_bitsets = false;
-    let mut scalar_kernels = false;
-    let mut list = 0usize;
-    let mut repeat = 1usize;
-    let mut session = false;
-    let mut clients = 1usize;
-    let mut max_in_flight = 0usize;
-    let mut mode = CliMode::Count;
-    let mut sample_rate: Option<f64> = None;
-    let mut sample_seed: Option<u64> = None;
-    let mut limit: Option<u64> = None;
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--graph" => graph_path = Some(iter.next().ok_or("--graph needs a value")?.clone()),
-            "--format" => {
-                format = match iter.next().ok_or("--format needs a value")?.as_str() {
-                    "auto" => GraphFormat::Auto,
-                    "text" => GraphFormat::Text,
-                    "binary" => GraphFormat::Binary,
-                    other => return Err(format!("unknown format {other:?} (auto|text|binary)")),
-                }
-            }
-            "--pattern" => pattern = Some(iter.next().ok_or("--pattern needs a value")?.clone()),
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|_| "--threads must be an integer".to_string())?
-            }
-            "--no-iep" => use_iep = false,
-            "--hubs" => hub_bitsets = true,
-            "--scalar-kernels" => scalar_kernels = true,
-            "--session" => session = true,
-            "--repeat" => {
-                repeat = iter
-                    .next()
-                    .ok_or("--repeat needs a value")?
-                    .parse()
-                    .map_err(|_| "--repeat must be an integer".to_string())?;
-                if repeat == 0 {
-                    return Err("--repeat must be at least 1".to_string());
-                }
-            }
-            "--list" => {
-                list = iter
-                    .next()
-                    .ok_or("--list needs a value")?
-                    .parse()
-                    .map_err(|_| "--list must be an integer".to_string())?
-            }
-            "--clients" => {
-                clients = iter
-                    .next()
-                    .ok_or("--clients needs a value")?
-                    .parse()
-                    .map_err(|_| "--clients must be an integer".to_string())?;
-                if clients == 0 {
-                    return Err("--clients must be at least 1".to_string());
-                }
-            }
-            "--max-in-flight" => {
-                max_in_flight = iter
-                    .next()
-                    .ok_or("--max-in-flight needs a value")?
-                    .parse()
-                    .map_err(|_| "--max-in-flight must be an integer".to_string())?
-            }
-            "--mode" => {
-                mode = parse_mode(iter.next().ok_or("--mode needs a value")?)?;
-            }
-            "--sample-rate" => {
-                sample_rate = Some(parse_sample_rate(
-                    iter.next().ok_or("--sample-rate needs a value")?,
-                )?);
-            }
-            "--sample-seed" => {
-                sample_seed = Some(
-                    iter.next()
-                        .ok_or("--sample-seed needs a value")?
-                        .parse()
-                        .map_err(|_| "--sample-seed must be an integer".to_string())?,
-                );
-            }
-            "--limit" => {
-                let value: u64 = iter
-                    .next()
-                    .ok_or("--limit needs a value")?
-                    .parse()
-                    .map_err(|_| "--limit must be an integer".to_string())?;
-                if value == 0 {
-                    return Err(
-                        "--limit must be at least 1 (an empty enumeration is a no-op)".to_string(),
-                    );
-                }
-                limit = Some(value);
-            }
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
+/// `stats` / `plan` / `count`: the filled arguments, once the rules that
+/// span several flags hold.
+fn checked_query_args(command: Command, parsed: &Parsed, spec: &Spec) -> Result<CliArgs, String> {
+    let args = query_args(command, parsed);
+    if args.command != Command::Stats && args.pattern.is_none() {
+        return Err(format!(
+            "--pattern is required for this command\n{}",
+            spec.usage()
+        ));
     }
-    let graph_path = graph_path.ok_or_else(|| format!("--graph is required\n{USAGE}"))?;
-    if !matches!(command, Command::Stats) && pattern.is_none() {
-        return Err(format!("--pattern is required for this command\n{USAGE}"));
-    }
-    if clients > 1 && !session {
+    if args.clients > 1 && !args.session {
         return Err("--clients requires --session (the concurrent-load mode \
                     runs on the shared session pool)"
             .to_string());
     }
-    if max_in_flight > 0 && !session {
+    if args.max_in_flight > 0 && !args.session {
         return Err(
             "--max-in-flight requires --session (only the session pool schedules jobs)".to_string(),
         );
     }
-    if mode != CliMode::Count {
-        if command != Command::Count {
+    if args.mode != CliMode::Count {
+        if args.command != Command::Count {
             return Err("--mode applies to the count command".to_string());
         }
-        if clients > 1 {
+        if args.clients > 1 {
             return Err(format!(
                 "--clients is the count-mode concurrent-load harness; --mode={} runs a \
                  single query stream",
-                mode_name(mode)
+                args.mode.name()
             ));
         }
-        if list > 0 {
+        if args.list > 0 {
             return Err(
                 "--list is the count-mode embedding preview; use --mode=enumerate --limit N \
                  to list embeddings"
@@ -500,232 +461,55 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             );
         }
     }
-    if mode != CliMode::Sample && (sample_rate.is_some() || sample_seed.is_some()) {
-        return Err(
-            "--sample-rate/--sample-seed only apply to --mode=sample (the other modes are exact)"
-                .to_string(),
-        );
-    }
-    if mode != CliMode::Enumerate && limit.is_some() {
+    sample_flags_need_sample_mode(parsed, args.mode)?;
+    if args.mode != CliMode::Enumerate && parsed.given("--limit") {
         return Err("--limit only applies to --mode=enumerate".to_string());
     }
-    Ok(CliArgs {
-        command,
-        graph_path,
-        format,
-        pattern,
-        threads,
-        use_iep,
-        hub_bitsets,
-        scalar_kernels,
-        list,
-        repeat,
-        session,
-        clients,
-        max_in_flight,
-        mode,
-        sample_rate: sample_rate.unwrap_or(DEFAULT_SAMPLE_RATE),
-        sample_seed: sample_seed.unwrap_or(0),
-        limit: limit.unwrap_or(DEFAULT_ENUM_LIMIT),
-    })
+    Ok(args)
 }
 
-/// Parses a `--mode` value.
-fn parse_mode(value: &str) -> Result<CliMode, String> {
-    match value {
-        "count" => Ok(CliMode::Count),
-        "orbit" => Ok(CliMode::Orbit),
-        "sample" => Ok(CliMode::Sample),
-        "enumerate" => Ok(CliMode::Enumerate),
-        other => Err(format!(
-            "unknown mode {other:?} (count|orbit|sample|enumerate)"
-        )),
-    }
-}
-
-/// The `--mode` spelling of a [`CliMode`], for error messages.
-fn mode_name(mode: CliMode) -> &'static str {
-    match mode {
-        CliMode::Count => "count",
-        CliMode::Orbit => "orbit",
-        CliMode::Sample => "sample",
-        CliMode::Enumerate => "enumerate",
-    }
-}
-
-/// Parses and range-checks a `--sample-rate` value.
-fn parse_sample_rate(value: &str) -> Result<f64, String> {
-    let rate: f64 = value
-        .parse()
-        .map_err(|_| "--sample-rate must be a number".to_string())?;
-    if !rate.is_finite() || rate <= 0.0 || rate > 1.0 {
-        return Err("--sample-rate must be in (0, 1]".to_string());
-    }
-    Ok(rate)
-}
-
-/// Parses the flags after `remote`.
-fn parse_remote_args(args: &[String]) -> Result<RemoteArgs, String> {
-    let mut remote = RemoteArgs {
-        addr: "127.0.0.1:7431".to_string(),
-        endpoints: Vec::new(),
-        pattern: None,
-        clients: 1,
-        repeat: 1,
-        no_iep: false,
-        hubs: false,
-        deadline_ms: 0,
-        retries: 1,
-        backoff_ms: 10,
-        chaos_seed: None,
-        ping: false,
-        stats: false,
-        shutdown: false,
-        probe_malformed: false,
-        mutate: None,
-        mode: CliMode::Count,
-        sample_rate: DEFAULT_SAMPLE_RATE,
-        sample_seed: 0,
-        enumerate: false,
-        limit: DEFAULT_ENUM_LIMIT,
-        page_size: 0,
+/// `remote`: the filled arguments, once the rules that span several
+/// flags hold.
+fn remote_args(parsed: &Parsed) -> Result<RemoteArgs, String> {
+    let endpoints: Option<String> = parsed.opt("--endpoints");
+    let remote = RemoteArgs {
+        addr: parsed.get("--addr"),
+        endpoints: endpoints
+            .iter()
+            .flat_map(|list| list.split(','))
+            .map(|part| part.trim().to_string())
+            .filter(|part| !part.is_empty())
+            .collect(),
+        pattern: parsed.opt("--pattern"),
+        clients: parsed.get("--clients"),
+        repeat: parsed.get("--repeat"),
+        no_iep: parsed.given("--no-iep"),
+        hubs: parsed.given("--hubs"),
+        deadline_ms: parsed.get("--deadline-ms"),
+        retries: parsed.get("--retries"),
+        backoff_ms: parsed.get("--backoff-ms"),
+        chaos_seed: parsed.opt("--chaos-seed"),
+        ping: parsed.given("--ping"),
+        stats: parsed.given("--stats"),
+        shutdown: parsed.given("--shutdown"),
+        probe_malformed: parsed.given("--probe-malformed"),
+        mutate: parsed.opt("--mutate"),
+        mode: CliMode::ALL[parsed.choice("--mode")],
+        sample_rate: parsed.get("--sample-rate"),
+        sample_seed: parsed.get("--sample-seed"),
+        enumerate: parsed.given("--enumerate"),
+        limit: parsed.get("--limit"),
+        page_size: parsed.get("--page-size"),
     };
-    let mut sample_rate: Option<f64> = None;
-    let mut sample_seed: Option<u64> = None;
-    let mut limit: Option<u64> = None;
-    let mut page_size: Option<u32> = None;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--addr" => remote.addr = iter.next().ok_or("--addr needs a value")?.clone(),
-            "--endpoints" => {
-                remote.endpoints = iter
-                    .next()
-                    .ok_or("--endpoints needs a comma-separated address list")?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|part| !part.is_empty())
-                    .map(str::to_string)
-                    .collect();
-                if remote.endpoints.is_empty() {
-                    return Err("--endpoints needs at least one address".to_string());
-                }
-            }
-            "--pattern" => {
-                remote.pattern = Some(iter.next().ok_or("--pattern needs a value")?.clone())
-            }
-            "--clients" => {
-                remote.clients = iter
-                    .next()
-                    .ok_or("--clients needs a value")?
-                    .parse()
-                    .map_err(|_| "--clients must be an integer".to_string())?;
-                if remote.clients == 0 {
-                    return Err("--clients must be at least 1".to_string());
-                }
-            }
-            "--repeat" => {
-                remote.repeat = iter
-                    .next()
-                    .ok_or("--repeat needs a value")?
-                    .parse()
-                    .map_err(|_| "--repeat must be an integer".to_string())?;
-                if remote.repeat == 0 {
-                    return Err("--repeat must be at least 1".to_string());
-                }
-            }
-            "--deadline-ms" => {
-                remote.deadline_ms = iter
-                    .next()
-                    .ok_or("--deadline-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--deadline-ms must be an integer".to_string())?
-            }
-            "--retries" => {
-                remote.retries = iter
-                    .next()
-                    .ok_or("--retries needs a value")?
-                    .parse()
-                    .map_err(|_| "--retries must be an integer".to_string())?;
-                if remote.retries == 0 {
-                    return Err("--retries must be at least 1 (the first attempt)".to_string());
-                }
-            }
-            "--backoff-ms" => {
-                remote.backoff_ms = iter
-                    .next()
-                    .ok_or("--backoff-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--backoff-ms must be an integer".to_string())?
-            }
-            "--chaos-seed" => {
-                remote.chaos_seed = Some(
-                    iter.next()
-                        .ok_or("--chaos-seed needs a value")?
-                        .parse()
-                        .map_err(|_| "--chaos-seed must be an integer".to_string())?,
-                )
-            }
-            "--mutate" => {
-                remote.mutate = Some(iter.next().ok_or("--mutate needs a value")?.clone())
-            }
-            "--no-iep" => remote.no_iep = true,
-            "--hubs" => remote.hubs = true,
-            "--ping" => remote.ping = true,
-            "--stats" => remote.stats = true,
-            "--shutdown" => remote.shutdown = true,
-            "--probe-malformed" => remote.probe_malformed = true,
-            "--mode" => {
-                remote.mode = parse_mode(iter.next().ok_or("--mode needs a value")?)?;
-                if remote.mode == CliMode::Enumerate {
-                    return Err(
-                        "remote enumeration is the paged --enumerate request, not a --mode value"
-                            .to_string(),
-                    );
-                }
-            }
-            "--sample-rate" => {
-                sample_rate = Some(parse_sample_rate(
-                    iter.next().ok_or("--sample-rate needs a value")?,
-                )?);
-            }
-            "--sample-seed" => {
-                sample_seed = Some(
-                    iter.next()
-                        .ok_or("--sample-seed needs a value")?
-                        .parse()
-                        .map_err(|_| "--sample-seed must be an integer".to_string())?,
-                );
-            }
-            "--enumerate" => remote.enumerate = true,
-            "--limit" => {
-                let value: u64 = iter
-                    .next()
-                    .ok_or("--limit needs a value")?
-                    .parse()
-                    .map_err(|_| "--limit must be an integer".to_string())?;
-                if value == 0 {
-                    return Err(
-                        "--limit must be at least 1 (an empty enumeration is a no-op)".to_string(),
-                    );
-                }
-                limit = Some(value);
-            }
-            "--page-size" => {
-                page_size = Some(
-                    iter.next()
-                        .ok_or("--page-size needs a value")?
-                        .parse()
-                        .map_err(|_| "--page-size must be an integer".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
+    let probes = remote.ping || remote.stats || remote.shutdown || remote.probe_malformed;
+    if endpoints.is_some() && remote.endpoints.is_empty() {
+        return Err("--endpoints needs at least one address".to_string());
     }
-    remote.sample_rate = sample_rate.unwrap_or(DEFAULT_SAMPLE_RATE);
-    remote.sample_seed = sample_seed.unwrap_or(0);
-    remote.limit = limit.unwrap_or(DEFAULT_ENUM_LIMIT);
-    remote.page_size = page_size.unwrap_or(0);
+    if remote.mode == CliMode::Enumerate {
+        return Err(
+            "remote enumeration is the paged --enumerate request, not a --mode value".to_string(),
+        );
+    }
     if remote.enumerate {
         if remote.pattern.is_none() {
             return Err("--enumerate needs a --pattern to enumerate".to_string());
@@ -733,7 +517,7 @@ fn parse_remote_args(args: &[String]) -> Result<RemoteArgs, String> {
         if remote.mode != CliMode::Count {
             return Err(format!(
                 "--enumerate streams embeddings; it cannot combine with --mode={}",
-                mode_name(remote.mode)
+                remote.mode.name()
             ));
         }
         if remote.clients > 1 {
@@ -744,22 +528,15 @@ fn parse_remote_args(args: &[String]) -> Result<RemoteArgs, String> {
             );
         }
     }
-    if remote.pattern.is_none()
-        && remote.mutate.is_none()
-        && !(remote.ping || remote.stats || remote.shutdown || remote.probe_malformed)
-    {
+    if remote.pattern.is_none() && remote.mutate.is_none() && !probes {
         return Err(format!(
             "remote needs something to do: --pattern, --mutate, --ping, --stats, \
-             --probe-malformed or --shutdown\n{USAGE}"
+             --probe-malformed or --shutdown\n{}",
+            REMOTE.usage()
         ));
     }
-    if remote.mode != CliMode::Sample && (sample_rate.is_some() || sample_seed.is_some()) {
-        return Err(
-            "--sample-rate/--sample-seed only apply to --mode=sample (the other modes are exact)"
-                .to_string(),
-        );
-    }
-    if !remote.enumerate && (limit.is_some() || page_size.is_some()) {
+    sample_flags_need_sample_mode(parsed, remote.mode)?;
+    if !remote.enumerate && (parsed.given("--limit") || parsed.given("--page-size")) {
         return Err("--limit/--page-size only apply to --enumerate".to_string());
     }
     if remote.chaos_seed.is_some() && remote.retries == 1 {
@@ -773,7 +550,7 @@ fn parse_remote_args(args: &[String]) -> Result<RemoteArgs, String> {
         // Failover mode drives counts and mutations through the
         // multi-endpoint client; the single-connection probes have no
         // meaningful target in a rotation.
-        if remote.ping || remote.stats || remote.shutdown || remote.probe_malformed {
+        if probes {
             return Err(
                 "--endpoints is for counts and mutations; use --addr for --ping, --stats, \
                  --probe-malformed and --shutdown"
@@ -798,75 +575,40 @@ fn parse_remote_args(args: &[String]) -> Result<RemoteArgs, String> {
         if remote.mode != CliMode::Count {
             return Err(format!(
                 "--mode={} is --addr territory; the failover client verifies exact counts",
-                mode_name(remote.mode)
+                remote.mode.name()
             ));
         }
     }
     Ok(remote)
 }
 
-/// Parses the flags after `update`.
-fn parse_update_args(args: &[String]) -> Result<(String, GraphFormat, UpdateArgs), String> {
-    let mut graph_path = None;
-    let mut format = GraphFormat::Auto;
-    let mut update = UpdateArgs {
-        wal: String::new(),
-        inserts: Vec::new(),
-        deletes: Vec::new(),
-        ops: None,
-        checkpoint: false,
+/// `update`: the filled arguments; a run must have something to commit.
+fn update_args(parsed: &Parsed) -> Result<UpdateArgs, String> {
+    let update = UpdateArgs {
+        wal: parsed.get("--wal"),
+        inserts: parsed.pairs("--insert"),
+        deletes: parsed.pairs("--delete"),
+        ops: parsed.opt("--ops"),
+        checkpoint: parsed.given("--checkpoint"),
     };
-    fn edge(flag: &str, iter: &mut std::slice::Iter<'_, String>) -> Result<(u32, u32), String> {
-        let u = iter
-            .next()
-            .ok_or(format!("{flag} needs two vertex ids"))?
-            .parse()
-            .map_err(|_| format!("{flag} vertices must be integers"))?;
-        let v = iter
-            .next()
-            .ok_or(format!("{flag} needs two vertex ids"))?
-            .parse()
-            .map_err(|_| format!("{flag} vertices must be integers"))?;
-        Ok((u, v))
-    }
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--graph" => graph_path = Some(iter.next().ok_or("--graph needs a value")?.clone()),
-            "--wal" => update.wal = iter.next().ok_or("--wal needs a value")?.clone(),
-            "--ops" => update.ops = Some(iter.next().ok_or("--ops needs a value")?.clone()),
-            "--insert" => update.inserts.push(edge("--insert", &mut iter)?),
-            "--delete" => update.deletes.push(edge("--delete", &mut iter)?),
-            "--checkpoint" => update.checkpoint = true,
-            "--format" => {
-                format = match iter.next().ok_or("--format needs a value")?.as_str() {
-                    "auto" => GraphFormat::Auto,
-                    "text" => GraphFormat::Text,
-                    "binary" => GraphFormat::Binary,
-                    other => return Err(format!("unknown format {other:?} (auto|text|binary)")),
-                }
-            }
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-    }
-    let graph_path = graph_path.ok_or_else(|| format!("--graph is required\n{USAGE}"))?;
-    if update.wal.is_empty() {
-        return Err(format!("update requires --wal <path>\n{USAGE}"));
-    }
     if update.inserts.is_empty()
         && update.deletes.is_empty()
         && update.ops.is_none()
         && !update.checkpoint
     {
         return Err(format!(
-            "update needs something to commit: --insert, --delete, --ops or --checkpoint\n{USAGE}"
+            "update needs something to commit: --insert, --delete, --ops or --checkpoint\n{}",
+            UPDATE.usage()
         ));
     }
-    Ok((graph_path, format, update))
+    Ok(update)
 }
 
 /// One mutation from an ops file: `true` = insert, `false` = delete.
 type Op = (bool, (u32, u32));
+
+/// One side of a batch on its way to a client's `update_with`.
+type Edges = [(u32, u32)];
 
 /// One wire-sized batch: the insert list, then the delete list.
 type OpBatch = (Vec<(u32, u32)>, Vec<(u32, u32)>);
@@ -935,6 +677,12 @@ fn ops_to_batches(ops: &[Op], cap: usize) -> Vec<OpBatch> {
     batches
 }
 
+/// Reads and parses an ops file.
+fn read_ops(path: &str) -> Result<Vec<Op>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_ops_text(&text)
+}
+
 /// Runs the `update` subcommand: open (replay) the durable graph, commit
 /// the requested batches, optionally checkpoint.
 fn run_update(graph_path: &str, format: GraphFormat, args: &UpdateArgs) -> Result<(), String> {
@@ -951,11 +699,7 @@ fn run_update(graph_path: &str, format: GraphFormat, args: &UpdateArgs) -> Resul
             "absent"
         },
     );
-    let mut ops: Vec<Op> = Vec::new();
-    if let Some(path) = &args.ops {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        ops.extend(parse_ops_text(&text)?);
-    }
+    let mut ops = args.ops.as_deref().map_or(Ok(Vec::new()), read_ops)?;
     ops.extend(args.inserts.iter().map(|&edge| (true, edge)));
     ops.extend(args.deletes.iter().map(|&edge| (false, edge)));
     let mut inserted = 0u64;
@@ -991,66 +735,6 @@ fn run_update(graph_path: &str, format: GraphFormat, args: &UpdateArgs) -> Resul
         snapshot.graph().num_edges()
     );
     Ok(())
-}
-
-/// Parses the flags after `chaos-proxy`.
-fn parse_chaos_proxy_args(args: &[String]) -> Result<ChaosProxyArgs, String> {
-    let mut proxy = ChaosProxyArgs {
-        listen: "127.0.0.1:0".to_string(),
-        upstream: String::new(),
-        seed: 0,
-        stall_per_mille: 50,
-        stall_ms: 2,
-        reset_per_mille: 20,
-        partial_per_mille: 20,
-    };
-    fn per_mille(name: &str, value: Option<&String>) -> Result<u32, String> {
-        let value: u32 = value
-            .ok_or(format!("{name} needs a value"))?
-            .parse()
-            .map_err(|_| format!("{name} must be an integer"))?;
-        if value > 1000 {
-            return Err(format!("{name} is per mille (0..=1000)"));
-        }
-        Ok(value)
-    }
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--listen" => proxy.listen = iter.next().ok_or("--listen needs a value")?.clone(),
-            "--upstream" => proxy.upstream = iter.next().ok_or("--upstream needs a value")?.clone(),
-            "--seed" => {
-                proxy.seed = iter
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?
-            }
-            "--stall-ms" => {
-                proxy.stall_ms = iter
-                    .next()
-                    .ok_or("--stall-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--stall-ms must be an integer".to_string())?
-            }
-            "--stall-per-mille" => {
-                proxy.stall_per_mille = per_mille("--stall-per-mille", iter.next())?
-            }
-            "--reset-per-mille" => {
-                proxy.reset_per_mille = per_mille("--reset-per-mille", iter.next())?
-            }
-            "--partial-per-mille" => {
-                proxy.partial_per_mille = per_mille("--partial-per-mille", iter.next())?
-            }
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-    }
-    if proxy.upstream.is_empty() {
-        return Err(format!(
-            "chaos-proxy requires --upstream <host:port>\n{USAGE}"
-        ));
-    }
-    Ok(proxy)
 }
 
 /// Resolves `host:port` to a socket address.
@@ -1188,79 +872,151 @@ fn print_remote_stats(stats: &protocol::StatsOk) {
     }
 }
 
+/// The retry policy `--retries` / `--backoff-ms` ask for. Request IDs are
+/// drawn from the policy's seed and the server remembers them as
+/// idempotency keys, so the seed is fresh per invocation (clock and pid)
+/// and per client: two runs of this program must never present the same
+/// ID, or the second would be answered from the first one's ledger entry.
+fn retry_policy(args: &RemoteArgs, client_index: u64) -> RetryPolicy {
+    let clock = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+    let clock = clock.map_or(0, |since| since.as_nanos() as u64);
+    let seed = clock ^ (u64::from(std::process::id()) << 32) ^ client_index;
+    let mut policy = RetryPolicy::default().with_seed(seed);
+    policy.max_attempts = args.retries;
+    policy.initial_backoff = Duration::from_millis(args.backoff_ms);
+    policy
+}
+
+/// One retrying connection to `addr`: plain TCP, or with `--chaos-seed`
+/// through the in-process fault injector (its own fault stream per
+/// client).
+fn connect(args: &RemoteArgs, addr: SocketAddr, client_index: u64) -> RetryingClient {
+    let policy = retry_policy(args, client_index);
+    match args.chaos_seed {
+        Some(seed) => {
+            let connector = ChaosConnector::new(addr, ChaosConfig::gentle(seed ^ client_index));
+            let dial = move || Ok(Box::new(connector.connect()?) as Box<dyn Transport + Send>);
+            RetryingClient::new(dial, policy)
+        }
+        None => RetryingClient::connect_tcp(addr, policy),
+    }
+}
+
+/// Commits the `--mutate` ops file through `send`, one frame-sized batch
+/// after another, and prints the summary; `landed` says where (the
+/// failover client names the primary it ended on).
+fn mutate<C>(
+    args: &RemoteArgs,
+    ops_path: &str,
+    client: &mut C,
+    send: impl Fn(&mut C, &Edges, &Edges, RemoteUpdateOptions) -> Result<UpdateOk, NetError>,
+    landed: impl Fn(&C) -> String,
+) -> Result<(), String> {
+    let batches = ops_to_batches(&read_ops(ops_path)?, protocol::MAX_UPDATE_EDGES);
+    let options = RemoteUpdateOptions {
+        deadline_ms: args.deadline_ms,
+        request_id: 0,
+    };
+    let (mut inserted, mut deleted, mut generation) = (0u64, 0u64, None);
+    for (ins, del) in &batches {
+        let ok = send(client, ins, del, options).map_err(|e| format!("mutate failed: {e}"))?;
+        inserted += u64::from(ok.inserted);
+        deleted += u64::from(ok.deleted);
+        generation = Some(ok.generation);
+    }
+    match generation {
+        Some(generation) => println!(
+            "mutate: {} batch(es) applied, +{inserted} -{deleted} edges, generation {generation}{}",
+            batches.len(),
+            landed(client)
+        ),
+        None => println!("mutate: {ops_path} contained no operations"),
+    }
+    Ok(())
+}
+
+/// What a `remote` invocation's count requests carry.
+fn count_options(args: &RemoteArgs) -> RemoteCountOptions {
+    RemoteCountOptions {
+        no_iep: args.no_iep,
+        hub_bitsets: args.hubs,
+        deadline_ms: args.deadline_ms,
+        mode: match args.mode {
+            CliMode::Orbit => QueryMode::Orbit,
+            CliMode::Sample => QueryMode::sample(args.sample_seed, args.sample_rate),
+            _ => QueryMode::Count,
+        },
+        ..RemoteCountOptions::default()
+    }
+}
+
+/// Runs `--repeat` queries through `count` (given the query's index): the
+/// counts observed, and the mode extension of the last reply.
+fn repeat_counts(
+    repeat: usize,
+    mut count: impl FnMut(usize) -> Result<RemoteCount, NetError>,
+) -> Result<(Vec<u64>, CountExt), NetError> {
+    let mut observed = Vec::with_capacity(repeat);
+    let mut ext = CountExt::None;
+    for query in 0..repeat {
+        let reply = count(query)?;
+        observed.push(reply.count);
+        ext = reply.ext;
+    }
+    Ok((observed, ext))
+}
+
+/// Runs `work` once per client index on its own scoped thread; the first
+/// client to fail (or to panic) fails the run.
+fn run_clients<T: Send>(
+    clients: usize,
+    work: impl Fn(usize) -> Result<T, String> + Sync,
+) -> Result<Vec<T>, String> {
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (0..clients)
+            .map(|index| scope.spawn(move || work(index)))
+            .collect();
+        // Join every client before looking at any result: a handle left
+        // unjoined would turn its thread's panic into the scope's.
+        let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
+        let results = joined.into_iter().enumerate().map(|(index, joined)| {
+            joined.unwrap_or_else(|_| Err(format!("client {index} panicked")))
+        });
+        results.collect()
+    })
+}
+
 /// Runs `remote --endpoints a,b,c`: mutations and counts through the
 /// multi-endpoint failover client, with a `replication:` summary of
 /// where the traffic landed and how far the replicas trail.
-fn run_remote_failover(args: &RemoteArgs) -> Result<(), String> {
-    let endpoints: Vec<std::net::SocketAddr> = args
-        .endpoints
-        .iter()
-        .map(|addr| resolve_addr(addr))
-        .collect::<Result<_, _>>()?;
-    let policy = RetryPolicy {
-        max_attempts: args.retries.max(2),
-        initial_backoff: Duration::from_millis(args.backoff_ms),
-        ..RetryPolicy::default()
-    };
+fn run_remote_failover(args: &RemoteArgs, pattern: Option<&Pattern>) -> Result<(), String> {
+    let endpoints = args.endpoints.iter().map(|addr| resolve_addr(addr));
+    let mut policy = retry_policy(args, 0);
+    policy.max_attempts = policy.max_attempts.max(2);
     // Read-your-writes on: counts after a mutation carry the committed
     // generation as a floor, so a lagging replica waits or sheds.
-    let mut client = FailoverClient::connect(endpoints, policy, true);
+    let mut client = FailoverClient::connect(endpoints.collect::<Result<_, _>>()?, policy, true);
     if let Some(ops_path) = &args.mutate {
-        let text = std::fs::read_to_string(ops_path)
-            .map_err(|e| format!("cannot read {ops_path}: {e}"))?;
-        let ops = parse_ops_text(&text)?;
-        let batches = ops_to_batches(&ops, protocol::MAX_UPDATE_EDGES);
-        let mut inserted = 0u64;
-        let mut deleted = 0u64;
-        let mut last: Option<UpdateOk> = None;
-        for (ins, del) in &batches {
-            let options = RemoteUpdateOptions {
-                deadline_ms: args.deadline_ms,
-                request_id: 0,
-            };
-            let ok = client
-                .update_with(ins, del, options)
-                .map_err(|e| format!("mutate failed: {e}"))?;
-            inserted += u64::from(ok.inserted);
-            deleted += u64::from(ok.deleted);
-            last = Some(ok);
-        }
-        match last {
-            Some(ok) => println!(
-                "mutate: {} batch(es) applied, +{inserted} -{deleted} edges, generation {} \
-                 (primary {})",
-                batches.len(),
-                ok.generation,
-                client.primary_endpoint()
-            ),
-            None => println!("mutate: {ops_path} contained no operations"),
-        }
+        mutate(
+            args,
+            ops_path,
+            &mut client,
+            FailoverClient::update_with,
+            |client| format!(" (primary {})", client.primary_endpoint()),
+        )?;
     }
-    if let Some(name) = &args.pattern {
-        let pattern = resolve_pattern(name)?;
-        // Non-count modes are rejected at parse time for --endpoints, so
-        // the failover path always runs plain counts.
-        let options = RemoteCountOptions {
-            no_iep: args.no_iep,
-            hub_bitsets: args.hubs,
-            deadline_ms: args.deadline_ms,
-            request_id: 0,
-            min_generation: 0,
-            mode: QueryMode::Count,
-        };
-        let start = std::time::Instant::now();
-        let mut observed = Vec::with_capacity(args.repeat);
-        for query in 0..args.repeat {
+    if let (Some(name), Some(pattern)) = (&args.pattern, pattern) {
+        let start = Instant::now();
+        let (observed, _) = repeat_counts(args.repeat, |query| {
             // Reads are sticky per connection; rotating between queries
             // spreads the burst across the endpoint list.
             if query > 0 {
                 client.rotate_reads();
             }
-            let result = client
-                .count_with(&pattern, options)
-                .map_err(|e| format!("count failed: {e}"))?;
-            observed.push(result.count);
-        }
+            client.count_with(pattern, count_options(args))
+        })
+        .map_err(|e| format!("count failed: {e}"))?;
         let elapsed = start.elapsed();
         let first = observed[0];
         if observed.iter().any(|&c| c != first) {
@@ -1317,8 +1073,10 @@ fn run_promote(addr: &str) -> Result<(), String> {
 
 /// Runs the `remote` subcommand against a live `graphpi-server`.
 fn run_remote(args: &RemoteArgs) -> Result<(), String> {
+    // A bad pattern fails the run before anything is sent.
+    let pattern = args.pattern.as_deref().map(resolve_pattern).transpose()?;
     if !args.endpoints.is_empty() {
-        return run_remote_failover(args);
+        return run_remote_failover(args, pattern.as_ref());
     }
     if args.probe_malformed {
         probe_malformed(&args.addr)?;
@@ -1329,65 +1087,21 @@ fn run_remote(args: &RemoteArgs) -> Result<(), String> {
             .map_err(|e| format!("ping failed: {e}"))?;
         println!("ping: ok ({})", args.addr);
     }
+    let addr = resolve_addr(&args.addr)?;
     if let Some(ops_path) = &args.mutate {
         // Mutations run before any counting, so `--mutate ops.txt
-        // --pattern house` counts the post-update graph.
-        let text = std::fs::read_to_string(ops_path)
-            .map_err(|e| format!("cannot read {ops_path}: {e}"))?;
-        let ops = parse_ops_text(&text)?;
-        let batches = ops_to_batches(&ops, protocol::MAX_UPDATE_EDGES);
-        let options = RemoteUpdateOptions {
-            deadline_ms: args.deadline_ms,
-            request_id: 0,
-        };
-        let mut inserted = 0u64;
-        let mut deleted = 0u64;
-        let mut last: Option<UpdateOk> = None;
-        if args.retries > 1 {
-            // The retrying client tags every batch with a request ID, so
-            // a resend after an ambiguous failure replays from the
-            // server's ledger instead of committing twice.
-            let policy = RetryPolicy {
-                max_attempts: args.retries,
-                initial_backoff: Duration::from_millis(args.backoff_ms),
-                ..RetryPolicy::default()
-            };
-            let mut client = RetryingClient::connect_tcp(resolve_addr(&args.addr)?, policy);
-            for (ins, del) in &batches {
-                let ok = client
-                    .update_with(ins, del, options)
-                    .map_err(|e| format!("mutate failed: {e}"))?;
-                inserted += u64::from(ok.inserted);
-                deleted += u64::from(ok.deleted);
-                last = Some(ok);
-            }
-        } else {
-            let mut client =
-                Client::connect(&args.addr).map_err(|e| format!("mutate: connect failed: {e}"))?;
-            for (ins, del) in &batches {
-                let ok = client
-                    .update_with(ins, del, options)
-                    .map_err(|e| format!("mutate failed: {e}"))?;
-                inserted += u64::from(ok.inserted);
-                deleted += u64::from(ok.deleted);
-                last = Some(ok);
-            }
-        }
-        match last {
-            Some(ok) => println!(
-                "mutate: {} batch(es) applied, +{inserted} -{deleted} edges, generation {}",
-                batches.len(),
-                ok.generation
-            ),
-            None => println!("mutate: {ops_path} contained no operations"),
-        }
+        // --pattern house` counts the post-update graph. Every batch
+        // carries a request ID, so a resend after an ambiguous failure
+        // replays from the server's ledger instead of committing twice.
+        let mut client = connect(args, addr, 0);
+        let send = RetryingClient::update_with;
+        mutate(args, ops_path, &mut client, send, |_| String::new())?;
     }
-    if let Some(name) = &args.pattern {
-        let pattern = resolve_pattern(name)?;
+    if let (Some(name), Some(pattern)) = (&args.pattern, &pattern) {
         if args.enumerate {
-            run_remote_enumerate(args, name, &pattern)?;
+            run_remote_enumerate(args, addr, name, pattern)?;
         } else {
-            run_remote_counts(args, name, &pattern)?;
+            run_remote_counts(args, addr, name, pattern)?;
         }
     }
     if args.stats {
@@ -1405,102 +1119,30 @@ fn run_remote(args: &RemoteArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// The wire [`QueryMode`] a `remote` invocation's count requests carry.
-fn remote_query_mode(args: &RemoteArgs) -> QueryMode {
-    match args.mode {
-        CliMode::Orbit => QueryMode::Orbit,
-        CliMode::Sample => QueryMode::sample(args.sample_seed, args.sample_rate),
-        _ => QueryMode::Count,
-    }
-}
-
 /// Runs the remote counting loop (all `--mode`s; enumeration is
 /// [`run_remote_enumerate`]): every client thread opens its own
 /// connection and runs `--repeat` queries, and all observed headline
 /// counts must be bit-identical — sample mode included, because a fixed
 /// seed replays the same estimate on an unchanged graph.
-fn run_remote_counts(args: &RemoteArgs, name: &str, pattern: &Pattern) -> Result<(), String> {
-    let options = RemoteCountOptions {
-        no_iep: args.no_iep,
-        hub_bitsets: args.hubs,
-        deadline_ms: args.deadline_ms,
-        request_id: 0,
-        min_generation: 0,
-        mode: remote_query_mode(args),
-    };
-    // With --retries or --chaos-seed the counts run through the
-    // resilient retrying client (which needs a resolved address for
-    // its reconnect loop) instead of the plain one-shot client.
-    let use_retry = args.retries > 1 || args.chaos_seed.is_some();
-    let resolved = if use_retry {
-        Some(resolve_addr(&args.addr)?)
-    } else {
-        None
-    };
-    let start = std::time::Instant::now();
-    type ClientResult = Result<(Vec<u64>, CountExt, RetryStats), String>;
-    let results: Vec<ClientResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..args.clients)
-            .map(|client_index| {
-                let addr = &args.addr;
-                scope.spawn(move || {
-                    let mut observed = Vec::with_capacity(args.repeat);
-                    let mut ext = CountExt::None;
-                    if let Some(resolved) = resolved {
-                        let policy = RetryPolicy {
-                            max_attempts: args.retries,
-                            initial_backoff: Duration::from_millis(args.backoff_ms),
-                            ..RetryPolicy::default()
-                        }
-                        .with_seed(client_index as u64);
-                        let mut client = match args.chaos_seed {
-                            Some(seed) => {
-                                let config = ChaosConfig::gentle(seed ^ client_index as u64);
-                                let connector = ChaosConnector::new(resolved, config);
-                                RetryingClient::new(
-                                    move || {
-                                        let transport = connector.connect()?;
-                                        Ok(Box::new(transport) as Box<dyn Transport + Send>)
-                                    },
-                                    policy,
-                                )
-                            }
-                            None => RetryingClient::connect_tcp(resolved, policy),
-                        };
-                        for _ in 0..args.repeat {
-                            let result = client
-                                .count_with(pattern, options)
-                                .map_err(|e| format!("client {client_index}: {e}"))?;
-                            observed.push(result.count);
-                            ext = result.ext;
-                        }
-                        Ok((observed, ext, client.stats()))
-                    } else {
-                        let mut client = Client::connect(addr)
-                            .map_err(|e| format!("client {client_index}: connect: {e}"))?;
-                        for _ in 0..args.repeat {
-                            let result = client
-                                .count_with(pattern, options)
-                                .map_err(|e| format!("client {client_index}: {e}"))?;
-                            observed.push(result.count);
-                            ext = result.ext;
-                        }
-                        Ok((observed, ext, RetryStats::default()))
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("remote client thread panicked"))
-            .collect()
-    });
+fn run_remote_counts(
+    args: &RemoteArgs,
+    addr: SocketAddr,
+    name: &str,
+    pattern: &Pattern,
+) -> Result<(), String> {
+    let options = count_options(args);
+    let start = Instant::now();
+    let results = run_clients(args.clients, |client_index| {
+        let mut client = connect(args, addr, client_index as u64);
+        let counted = repeat_counts(args.repeat, |_| client.count_with(pattern, options));
+        let (observed, ext) = counted.map_err(|e| format!("client {client_index}: {e}"))?;
+        Ok((observed, ext, client.stats()))
+    })?;
     let elapsed = start.elapsed();
     let mut all_counts = Vec::new();
     let mut mode_ext = CountExt::None;
     let mut retry = RetryStats::default();
-    for result in results {
-        let (counts, ext, stats) = result?;
+    for (counts, ext, stats) in results {
         all_counts.extend(counts);
         if !matches!(ext, CountExt::None) {
             mode_ext = ext;
@@ -1538,7 +1180,7 @@ fn run_remote_counts(args: &RemoteArgs, name: &str, pattern: &Pattern) -> Result
             sample.total_tasks
         ),
     }
-    if use_retry {
+    if args.retries > 1 || args.chaos_seed.is_some() {
         println!(
             "resilience: {} attempts, {} connects, {} retries, {} server hints honored",
             retry.attempts, retry.connects, retry.retries, retry.hints_honored
@@ -1550,44 +1192,21 @@ fn run_remote_counts(args: &RemoteArgs, name: &str, pattern: &Pattern) -> Result
 /// Runs `remote --enumerate`: one paged `ENUMERATE` stream (non-idempotent
 /// — retried automatically only while zero pages have arrived), printing a
 /// short embedding preview and the page/total summary.
-fn run_remote_enumerate(args: &RemoteArgs, name: &str, pattern: &Pattern) -> Result<(), String> {
+fn run_remote_enumerate(
+    args: &RemoteArgs,
+    addr: SocketAddr,
+    name: &str,
+    pattern: &Pattern,
+) -> Result<(), String> {
     let options = RemoteEnumerateOptions {
         hub_bitsets: args.hubs,
         deadline_ms: args.deadline_ms,
         page_size: args.page_size,
     };
-    let start = std::time::Instant::now();
-    let result: RemoteEnumeration = if args.retries > 1 || args.chaos_seed.is_some() {
-        let resolved = resolve_addr(&args.addr)?;
-        let policy = RetryPolicy {
-            max_attempts: args.retries,
-            initial_backoff: Duration::from_millis(args.backoff_ms),
-            ..RetryPolicy::default()
-        };
-        let mut client = match args.chaos_seed {
-            Some(seed) => {
-                let config = ChaosConfig::gentle(seed);
-                let connector = ChaosConnector::new(resolved, config);
-                RetryingClient::new(
-                    move || {
-                        let transport = connector.connect()?;
-                        Ok(Box::new(transport) as Box<dyn Transport + Send>)
-                    },
-                    policy,
-                )
-            }
-            None => RetryingClient::connect_tcp(resolved, policy),
-        };
-        client
-            .enumerate_with(pattern, args.limit, options)
-            .map_err(|e| format!("enumerate failed: {e}"))?
-    } else {
-        let mut client =
-            Client::connect(&args.addr).map_err(|e| format!("enumerate: connect failed: {e}"))?;
-        client
-            .enumerate_with(pattern, args.limit, options)
-            .map_err(|e| format!("enumerate failed: {e}"))?
-    };
+    let start = Instant::now();
+    let result = connect(args, addr, 0)
+        .enumerate_with(pattern, args.limit, options)
+        .map_err(|e| format!("enumerate failed: {e}"))?;
     let elapsed = start.elapsed();
     const PREVIEW: usize = 5;
     for embedding in result.embeddings.iter().take(PREVIEW) {
@@ -1609,25 +1228,27 @@ fn run_remote_enumerate(args: &RemoteArgs, name: &str, pattern: &Pattern) -> Res
 fn resolve_pattern(name: &str) -> Result<Pattern, String> {
     let lower = name.to_ascii_lowercase();
     if let Some(matrix) = lower.strip_prefix("adj:") {
-        return std::panic::catch_unwind(|| Pattern::from_adjacency_string(matrix))
-            .map_err(|_| format!("invalid adjacency string {matrix:?}"));
+        return Pattern::try_from_adjacency_string(matrix)
+            .map_err(|e| format!("invalid adjacency string {matrix:?}: {e}"));
     }
-    let sized = |prefix: &str| -> Option<usize> {
-        lower
-            .strip_prefix(prefix)
-            .and_then(|rest| rest.parse::<usize>().ok())
-    };
-    if let Some(k) = sized("clique") {
-        return Ok(prefab::clique(k));
-    }
-    if let Some(k) = sized("cycle") {
-        return Ok(prefab::cycle_pattern(k));
-    }
-    if let Some(k) = sized("path") {
-        return Ok(prefab::path_pattern(k));
-    }
-    if let Some(k) = sized("star") {
-        return Ok(prefab::star_pattern(k));
+    // The sized families: name, smallest K that is a pattern, constructor.
+    type Build = fn(usize) -> Pattern;
+    let families: [(&str, usize, Build); 4] = [
+        ("clique", 1, prefab::clique),
+        ("cycle", 3, prefab::cycle_pattern),
+        ("path", 1, prefab::path_pattern),
+        ("star", 1, prefab::star_pattern),
+    ];
+    for (family, smallest, build) in families {
+        let Some(k) = lower.strip_prefix(family).and_then(|k| k.parse().ok()) else {
+            continue;
+        };
+        if !(smallest..=MAX_PATTERN_VERTICES).contains(&k) {
+            return Err(format!(
+                "{family}K needs K in {smallest}..={MAX_PATTERN_VERTICES}, got {k}"
+            ));
+        }
+        return Ok(build(k));
     }
     match lower.as_str() {
         "triangle" => Ok(prefab::triangle()),
@@ -1646,23 +1267,9 @@ fn resolve_pattern(name: &str) -> Result<Pattern, String> {
     }
 }
 
-/// Loads the data graph honoring `--format` (binary opens zero-copy).
-fn load_graph(path: &str, format: GraphFormat) -> Result<CsrGraph, String> {
-    let binary = match format {
-        GraphFormat::Binary => true,
-        GraphFormat::Text => false,
-        GraphFormat::Auto => io::sniff_is_binary(path),
-    };
-    if binary {
-        io::load_binary_mmap(path).map_err(|e| format!("failed to load {path}: {e}"))
-    } else {
-        io::load_edge_list(path).map_err(|e| format!("failed to load {path}: {e}"))
-    }
-}
-
 /// Runs `convert <edge-list> <binary-out>` and verifies the round trip.
 fn run_convert(input: &str, output: &str) -> Result<(), String> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let graph = load_graph(input, GraphFormat::Auto)?;
     let loaded = start.elapsed();
     io::save_binary(&graph, output).map_err(|e| format!("failed to write {output}: {e}"))?;
@@ -1690,22 +1297,33 @@ fn run(args: CliArgs) -> Result<(), String> {
     if args.scalar_kernels {
         vertex_set::set_force_scalar(true);
     }
-    if let Command::Convert { output } = &args.command {
-        return run_convert(&args.graph_path, output);
+    match &args.command {
+        Command::Convert { output } => run_convert(&args.graph_path, output),
+        Command::Remote(remote) => run_remote(remote),
+        Command::Promote { addr } => run_promote(addr),
+        Command::ChaosProxy(proxy) => run_chaos_proxy(proxy),
+        Command::Update(update) => run_update(&args.graph_path, args.format, update),
+        Command::Stats | Command::Plan | Command::Count => run_query(&args),
     }
-    if let Command::Remote(remote) = &args.command {
-        return run_remote(remote);
-    }
-    if let Command::Promote { addr } = &args.command {
-        return run_promote(addr);
-    }
-    if let Command::ChaosProxy(proxy) = &args.command {
-        return run_chaos_proxy(proxy);
-    }
-    if let Command::Update(update) = &args.command {
-        return run_update(&args.graph_path, args.format, update);
-    }
-    let load_start = std::time::Instant::now();
+}
+
+/// The persistent pool and plan cache `--session` and the non-count modes
+/// run on.
+fn open_session<'e>(engine: &'e GraphPi, args: &CliArgs, options: CountOptions) -> Session<'e> {
+    let pool = PoolOptions {
+        threads: args.threads,
+        max_in_flight: args.max_in_flight,
+        ..PoolOptions::default()
+    };
+    engine.session_with(pool, PlanOptions::default(), options)
+}
+
+/// Runs `stats`, `plan` and `count`: each prints what the one before it
+/// does, then its own part.
+fn run_query(args: &CliArgs) -> Result<(), String> {
+    // A bad pattern fails the run before the graph is loaded.
+    let pattern = args.pattern.as_deref().map(resolve_pattern).transpose()?;
+    let load_start = Instant::now();
     let graph = load_graph(&args.graph_path, args.format)?;
     println!(
         "graph: {} vertices, {} edges ({}loaded in {:?})",
@@ -1724,11 +1342,10 @@ fn run(args: CliArgs) -> Result<(), String> {
         "stats: triangles={} max_degree={} avg_degree={:.2} p1={:.3e} p2={:.3e}",
         stats.triangle_count, stats.max_degree, stats.avg_degree, stats.p1, stats.p2
     );
-    if args.command == Command::Stats {
+    let Some(pattern) = pattern.filter(|_| args.command != Command::Stats) else {
         return Ok(());
-    }
+    };
 
-    let pattern = resolve_pattern(args.pattern.as_deref().unwrap())?;
     let plan = engine
         .plan(&pattern, PlanOptions::default())
         .map_err(|e| e.to_string())?;
@@ -1759,45 +1376,34 @@ fn run(args: CliArgs) -> Result<(), String> {
     };
     println!("kernels: {}", vertex_set::active_kernel().name());
     if args.mode != CliMode::Count {
-        return run_local_mode(&engine, &pattern, &args, count_options);
+        return run_local_mode(&engine, &pattern, args, count_options);
     }
-    let mut timings: Vec<std::time::Duration> = Vec::with_capacity(args.repeat);
+    let mut timings: Vec<Duration> = Vec::with_capacity(args.repeat);
     let mut count = 0u64;
     if args.session {
         // Warm serving path: persistent pool + compiled-plan cache. The
         // first iteration pays planning (a cache miss); the rest are warm.
-        let session = engine.session_with(
-            PoolOptions {
-                threads: args.threads,
-                max_in_flight: args.max_in_flight,
-                ..PoolOptions::default()
-            },
-            PlanOptions::default(),
-            count_options,
-        );
+        let session = open_session(&engine, args, count_options);
         if args.clients > 1 {
             // Concurrent-load mode: N clients share the session, each
             // running `repeat` queries as simultaneous jobs on the pool.
             // One cold query first so the comparison below is warm-path.
-            let cold_start = std::time::Instant::now();
+            let cold_start = Instant::now();
             count = session.count(&pattern).map_err(|e| e.to_string())?;
             let cold = cold_start.elapsed();
-            let expected = count;
-            let start = std::time::Instant::now();
-            std::thread::scope(|scope| {
-                for client in 0..args.clients {
-                    let session = &session;
-                    let pattern = &pattern;
-                    scope.spawn(move || {
-                        for _ in 0..args.repeat {
-                            let got = session
-                                .count(pattern)
-                                .unwrap_or_else(|e| panic!("client {client}: {e}"));
-                            assert_eq!(got, expected, "client {client} observed a diverging count");
-                        }
-                    });
+            let start = Instant::now();
+            run_clients(args.clients, |client| {
+                for _ in 0..args.repeat {
+                    let got = session.count(&pattern);
+                    let got = got.map_err(|e| format!("client {client}: {e}"))?;
+                    if got != count {
+                        return Err(format!(
+                            "client {client} observed a diverging count: {got}, not {count}"
+                        ));
+                    }
                 }
-            });
+                Ok(())
+            })?;
             let elapsed = start.elapsed();
             let queries = (args.clients * args.repeat) as u32;
             let stats = session.cache_stats();
@@ -1823,7 +1429,7 @@ fn run(args: CliArgs) -> Result<(), String> {
             return Ok(());
         }
         for _ in 0..args.repeat {
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             count = session.count(&pattern).map_err(|e| e.to_string())?;
             timings.push(start.elapsed());
         }
@@ -1838,7 +1444,7 @@ fn run(args: CliArgs) -> Result<(), String> {
         // Cold path: every iteration re-plans and spawns/joins a fresh set
         // of worker threads, like independent CLI invocations would.
         for _ in 0..args.repeat {
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             let iter_plan = engine
                 .plan(&pattern, PlanOptions::default())
                 .map_err(|e| e.to_string())?;
@@ -1850,7 +1456,7 @@ fn run(args: CliArgs) -> Result<(), String> {
     if args.repeat > 1 {
         let rest = &timings[1..];
         let rest_min = rest.iter().min().expect("repeat > 1");
-        let rest_avg = rest.iter().sum::<std::time::Duration>() / rest.len() as u32;
+        let rest_avg = rest.iter().sum::<Duration>() / rest.len() as u32;
         if args.session {
             // Iterations after the first hit the plan cache and warm pool.
             println!(
@@ -1885,15 +1491,7 @@ fn run_local_mode(
     args: &CliArgs,
     count_options: CountOptions,
 ) -> Result<(), String> {
-    let session = engine.session_with(
-        PoolOptions {
-            threads: args.threads,
-            max_in_flight: args.max_in_flight,
-            ..PoolOptions::default()
-        },
-        PlanOptions::default(),
-        count_options,
-    );
+    let session = open_session(engine, args, count_options);
     let mode = match args.mode {
         CliMode::Count => Mode::Count,
         CliMode::Enumerate => Mode::Enumerate { limit: args.limit },
@@ -1903,7 +1501,7 @@ fn run_local_mode(
             seed: args.sample_seed,
         },
     };
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let outcome = session
         .run(pattern, mode, count_options)
         .map_err(|e| e.to_string())?;
@@ -1952,6 +1550,10 @@ fn run_local_mode(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if common::wants_help(&args) {
+        println!("{}", command_named(&args).map_or_else(overview, Spec::help));
+        return ExitCode::SUCCESS;
+    }
     match parse_args(&args).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -1964,6 +1566,10 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the `--sample-rate` and `--limit` rows' defaults must parse to.
+    const DEFAULT_SAMPLE_RATE: f64 = 0.1;
+    const DEFAULT_ENUM_LIMIT: u64 = 100;
 
     fn strings(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -2762,5 +2368,170 @@ mod tests {
         }
         std::fs::remove_file(&text).ok();
         std::fs::remove_file(&bin).ok();
+    }
+
+    #[test]
+    fn every_row_of_every_flag_table_parses_and_refuses_as_declared() {
+        for spec in COMMANDS {
+            common::testing::check_rows(spec);
+        }
+    }
+
+    /// The flags and defaults of the hand-written parsers the tables
+    /// replaced: nothing added, renamed, removed or re-defaulted.
+    #[test]
+    fn the_tables_hold_exactly_the_flags_and_defaults_they_replaced() {
+        let query = "--graph= --format=auto --pattern= --threads=0 --no-iep= --hubs= \
+                     --scalar-kernels= --list=0 --repeat=1 --session= --clients=1 \
+                     --max-in-flight=0 --mode=count --sample-rate=0.1 --sample-seed=0 --limit=100";
+        let expected = [
+            ("stats", query),
+            ("plan", query),
+            ("count", query),
+            ("convert", ""),
+            (
+                "update",
+                "--graph= --format=auto --wal= --insert= --delete= --ops= --checkpoint=",
+            ),
+            (
+                "remote",
+                "--addr=127.0.0.1:7431 --endpoints= --pattern= --clients=1 --repeat=1 --no-iep= \
+                 --hubs= --deadline-ms=0 --retries=1 --backoff-ms=10 --chaos-seed= --ping= \
+                 --stats= --probe-malformed= --shutdown= --mutate= --mode=count \
+                 --sample-rate=0.1 --sample-seed=0 --enumerate= --limit=100 --page-size=0",
+            ),
+            ("promote", "--addr=127.0.0.1:7431"),
+            (
+                "chaos-proxy",
+                "--upstream= --listen=127.0.0.1:0 --seed=0 --stall-per-mille=50 --stall-ms=2 \
+                 --reset-per-mille=20 --partial-per-mille=20",
+            ),
+        ];
+        for (spec, (name, rows)) in COMMANDS.iter().zip(expected) {
+            assert_eq!(spec.name(), name);
+            let declared: Vec<String> = spec
+                .flags
+                .iter()
+                .map(|flag| format!("{}={}", flag.name, flag.default))
+                .collect();
+            assert_eq!(declared.join(" "), rows, "{name}");
+        }
+    }
+
+    /// The wording of every bound and choice a flag enforces, as the
+    /// hand-written parsers spelled it.
+    #[test]
+    fn out_of_bounds_operands_keep_their_wording() {
+        let count = ["count", "--graph", "g", "--pattern", "p1"];
+        let cases: &[(&[&str], &[&str], &str)] = &[
+            (&count, &["--repeat", "0"], "--repeat must be at least 1"),
+            (&count, &["--clients", "0"], "--clients must be at least 1"),
+            (
+                &count,
+                &["--mode=enumerate", "--limit", "0"],
+                "--limit must be at least 1 (an empty enumeration is a no-op)",
+            ),
+            (
+                &count,
+                &["--mode=sample", "--sample-rate", "2"],
+                "--sample-rate must be in (0, 1]",
+            ),
+            (
+                &count,
+                &["--sample-rate", "half"],
+                "--sample-rate must be a number",
+            ),
+            (
+                &count,
+                &["--format", "tsv"],
+                "unknown format \"tsv\" (auto|text|binary)",
+            ),
+            (
+                &count,
+                &["--mode", "turbo"],
+                "unknown mode \"turbo\" (count|orbit|sample|enumerate)",
+            ),
+            (&count, &["--threads"], "--threads needs a value"),
+            (
+                &["remote", "--ping"],
+                &["--retries", "0"],
+                "--retries must be at least 1 (the first attempt)",
+            ),
+            (
+                &["remote", "--ping"],
+                &["--deadline-ms", "4294967296"],
+                "--deadline-ms must be an integer",
+            ),
+            (
+                &["chaos-proxy", "--upstream", "h:1"],
+                &["--reset-per-mille", "1001"],
+                "--reset-per-mille is per mille (0..=1000)",
+            ),
+            (
+                &["update", "--graph", "g", "--wal", "w"],
+                &["--insert", "0"],
+                "--insert needs two vertex ids",
+            ),
+            (
+                &["update", "--graph", "g", "--wal", "w"],
+                &["--delete", "a", "b"],
+                "--delete vertices must be integers",
+            ),
+        ];
+        for (base, extra, message) in cases {
+            let argv = [*base, *extra].concat();
+            assert_eq!(
+                parse_args(&strings(&argv)).unwrap_err(),
+                *message,
+                "{argv:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_patterns_are_errors_not_panics() {
+        for (name, needle) in [
+            ("cycle2", "cycleK needs K in 3..=8, got 2"),
+            ("clique200000", "cliqueK needs K in 1..=8, got 200000"),
+            ("path0", "pathK needs K in 1..=8"),
+            ("star9", "starK needs K in 1..=8"),
+            ("adj:010", "length 3 is not a square"),
+            ("adj:01x0", "not 0 or 1"),
+            ("adj:0100", "not symmetric"),
+            ("adj:1001", "self loop"),
+        ] {
+            let error = resolve_pattern(name).unwrap_err();
+            assert!(error.contains(needle), "{name}: {error}");
+            assert!(!error.contains('\n'), "{name}: one line");
+        }
+        assert_eq!(resolve_pattern("cycle3").unwrap(), prefab::triangle());
+        assert_eq!(resolve_pattern("cycle6tri").unwrap(), prefab::cycle_6_tri());
+    }
+
+    #[test]
+    fn an_unknown_command_is_named_on_one_line() {
+        let error = parse_args(&strings(&["foo"])).unwrap_err();
+        assert!(error.starts_with("unknown command \"foo\""), "{error}");
+        assert!(!error.contains('\n'), "{error}");
+        assert!(parse_args(&[])
+            .unwrap_err()
+            .starts_with("unknown command \"\""));
+    }
+
+    #[test]
+    fn a_failing_client_fails_the_run_without_a_panic() {
+        let ran = run_clients(3, |index| {
+            if index == 1 {
+                Err("client 1: boom".to_string())
+            } else {
+                Ok(index)
+            }
+        });
+        assert_eq!(ran.unwrap_err(), "client 1: boom");
+        assert_eq!(run_clients(3, Ok).unwrap(), [0, 1, 2]);
+        let panicked = run_clients(2, |index| -> Result<(), String> {
+            panic!("client {index}")
+        });
+        assert_eq!(panicked.unwrap_err(), "client 0 panicked");
     }
 }

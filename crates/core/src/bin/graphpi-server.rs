@@ -1,11 +1,8 @@
 //! The GraphPi network server binary.
 //!
 //! ```text
-//! graphpi-server --graph edges.txt [--listen 127.0.0.1:7431] [--threads N]
-//!                [--cache-capacity N] [--max-in-flight N]
-//!                [--max-connections N] [--queue-depth N]
-//!                [--persist plans.gppc] [--snapshot-interval-ms N]
-//!                [--wal graph.wal]
+//! graphpi-server --graph edges.txt [--listen 127.0.0.1:7431] [--wal graph.wal]
+//! graphpi-server --help          # every flag, its default and what it does
 //! ```
 //!
 //! Loads the data graph once (text edge list or the checksummed binary
@@ -40,22 +37,42 @@
 //! or the `PROMOTE` opcode (`graphpi-cli promote`) promotes it: the
 //! subscription is sealed and the server flips to read-write primary.
 
+mod common;
+
+use common::{flag, load_graph, GraphFormat, Kind, Spec, U64, USIZE};
 use graphpi_core::config::{PoolOptions, ServeOptions};
 use graphpi_core::engine::GraphPi;
 use graphpi_core::net::{run_replication, ReplState, Server};
 use graphpi_core::DynamicEngine;
-use graphpi_graph::csr::CsrGraph;
-use graphpi_graph::io;
 use graphpi_graph::DurableGraphOptions;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "usage: graphpi-server --graph <path> [--listen <addr:port>] \
-[--threads N] [--cache-capacity N] [--max-in-flight N] [--max-connections N] \
-[--queue-depth N] [--persist <path>] [--snapshot-interval-ms N] [--wal <path>] \
-[--checkpoint-interval-ms N] [--replica-of <addr:port>]";
+const PATH: Kind = Kind::Str("<path>");
+const ADDR: Kind = Kind::Str("<addr:port>");
+
+#[rustfmt::skip] // one row per flag: name, kind, default, help
+static SERVER: Spec = Spec {
+    command: "graphpi-server",
+    about: "Serves pattern-matching queries over one data graph (wire protocol: docs/protocol.md).\n\
+            Prints `listening on <addr>` once ready; drains on SHUTDOWN, SIGTERM or SIGINT.",
+    flags: &[
+        flag("--graph",                  PATH,  "",               "data graph: edge list or `graphpi-cli convert` binary (sniffed)").required(),
+        flag("--listen",                 ADDR,  "127.0.0.1:7431", "address to bind (port 0 picks a free one)"),
+        flag("--threads",                USIZE, "0",              "pool worker threads (0 = all cores)"),
+        flag("--cache-capacity",         USIZE, "64",             "compiled plans the cache keeps"),
+        flag("--max-in-flight",          USIZE, "0",              "jobs the pool runs at once (0 = automatic)"),
+        flag("--max-connections",        USIZE, "64",             "connections served at once; more are refused"),
+        flag("--queue-depth",            USIZE, "0",              "queries that may wait for admission before shedding (0 = automatic)"),
+        flag("--persist",                PATH,  "",               "plan-cache snapshot: written on drain, re-planned on start"),
+        flag("--snapshot-interval-ms",   U64,   "0",              "also write --persist this often while serving (0 = off)"),
+        flag("--wal",                    PATH,  "",               "write-ahead log: makes the graph mutable (UPDATE) and durable"),
+        flag("--checkpoint-interval-ms", U64,   "0",              "fold the WAL into a checkpoint this often (needs --wal; 0 = off)"),
+        flag("--replica-of",             ADDR,  "",               "start as a read replica of this primary (needs --wal)"),
+    ],
+};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,114 +92,35 @@ struct ServerArgs {
 }
 
 fn parse_args(args: &[String]) -> Result<ServerArgs, String> {
-    let mut graph_path = None;
-    let mut listen = "127.0.0.1:7431".to_string();
-    let mut threads = 0usize;
-    let mut cache_capacity = 64usize;
-    let mut max_in_flight = 0usize;
-    let mut max_connections = 64usize;
-    let mut queue_depth = 0usize;
-    let mut persist = None;
-    let mut snapshot_interval_ms = 0u64;
-    let mut wal = None;
-    let mut checkpoint_interval_ms = 0u64;
-    let mut replica_of = None;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--graph" => graph_path = Some(iter.next().ok_or("--graph needs a value")?.clone()),
-            "--listen" => listen = iter.next().ok_or("--listen needs a value")?.clone(),
-            "--persist" => persist = Some(iter.next().ok_or("--persist needs a value")?.clone()),
-            "--wal" => wal = Some(iter.next().ok_or("--wal needs a value")?.clone()),
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|_| "--threads must be an integer".to_string())?
-            }
-            "--cache-capacity" => {
-                cache_capacity = iter
-                    .next()
-                    .ok_or("--cache-capacity needs a value")?
-                    .parse()
-                    .map_err(|_| "--cache-capacity must be an integer".to_string())?
-            }
-            "--max-in-flight" => {
-                max_in_flight = iter
-                    .next()
-                    .ok_or("--max-in-flight needs a value")?
-                    .parse()
-                    .map_err(|_| "--max-in-flight must be an integer".to_string())?
-            }
-            "--max-connections" => {
-                max_connections = iter
-                    .next()
-                    .ok_or("--max-connections needs a value")?
-                    .parse()
-                    .map_err(|_| "--max-connections must be an integer".to_string())?
-            }
-            "--queue-depth" => {
-                queue_depth = iter
-                    .next()
-                    .ok_or("--queue-depth needs a value")?
-                    .parse()
-                    .map_err(|_| "--queue-depth must be an integer".to_string())?
-            }
-            "--snapshot-interval-ms" => {
-                snapshot_interval_ms = iter
-                    .next()
-                    .ok_or("--snapshot-interval-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--snapshot-interval-ms must be an integer".to_string())?
-            }
-            "--checkpoint-interval-ms" => {
-                checkpoint_interval_ms = iter
-                    .next()
-                    .ok_or("--checkpoint-interval-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--checkpoint-interval-ms must be an integer".to_string())?
-            }
-            "--replica-of" => {
-                replica_of = Some(iter.next().ok_or("--replica-of needs a value")?.clone())
-            }
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
-    }
-    if wal.is_none() {
-        if replica_of.is_some() {
+    let parsed = SERVER.parse(args)?;
+    let args = ServerArgs {
+        graph_path: parsed.get("--graph"),
+        listen: parsed.get("--listen"),
+        threads: parsed.get("--threads"),
+        cache_capacity: parsed.get("--cache-capacity"),
+        max_in_flight: parsed.get("--max-in-flight"),
+        max_connections: parsed.get("--max-connections"),
+        queue_depth: parsed.get("--queue-depth"),
+        persist: parsed.opt("--persist"),
+        snapshot_interval_ms: parsed.get("--snapshot-interval-ms"),
+        wal: parsed.opt("--wal"),
+        checkpoint_interval_ms: parsed.get("--checkpoint-interval-ms"),
+        replica_of: parsed.opt("--replica-of"),
+    };
+    if args.wal.is_none() {
+        let usage = SERVER.usage();
+        if args.replica_of.is_some() {
             return Err(format!(
-                "--replica-of needs --wal: the replica re-logs the stream it applies\n{USAGE}"
+                "--replica-of needs --wal: the replica re-logs the stream it applies\n{usage}"
             ));
         }
-        if checkpoint_interval_ms > 0 {
+        if args.checkpoint_interval_ms > 0 {
             return Err(format!(
-                "--checkpoint-interval-ms needs --wal: only a durable graph checkpoints\n{USAGE}"
+                "--checkpoint-interval-ms needs --wal: only a durable graph checkpoints\n{usage}"
             ));
         }
     }
-    Ok(ServerArgs {
-        graph_path: graph_path.ok_or_else(|| format!("--graph is required\n{USAGE}"))?,
-        listen,
-        threads,
-        cache_capacity,
-        max_in_flight,
-        max_connections,
-        queue_depth,
-        persist,
-        snapshot_interval_ms,
-        wal,
-        checkpoint_interval_ms,
-        replica_of,
-    })
-}
-
-fn load_graph(path: &str) -> Result<CsrGraph, String> {
-    if io::sniff_is_binary(path) {
-        io::load_binary_mmap(path).map_err(|e| format!("failed to load {path}: {e}"))
-    } else {
-        io::load_edge_list(path).map_err(|e| format!("failed to load {path}: {e}"))
-    }
+    Ok(args)
 }
 
 /// SIGTERM/SIGINT handling, in raw libc-less FFI (the same idiom as the
@@ -245,7 +183,7 @@ mod signals {
 
 fn run(args: ServerArgs) -> Result<(), String> {
     let load_start = std::time::Instant::now();
-    let graph = load_graph(&args.graph_path)?;
+    let graph = load_graph(&args.graph_path, GraphFormat::Auto)?;
     eprintln!(
         "graph: {} vertices, {} edges (loaded in {:?})",
         graph.num_vertices(),
@@ -386,6 +324,10 @@ fn run(args: ServerArgs) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if common::wants_help(&args) {
+        println!("{}", SERVER.help());
+        return ExitCode::SUCCESS;
+    }
     match parse_args(&args).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -487,5 +429,31 @@ mod tests {
         assert!(parse_args(&strings(&["--graph", "g", "--threads", "x"])).is_err());
         assert!(parse_args(&strings(&["--bogus"])).is_err());
         assert!(parse_args(&strings(&["--graph", "g", "--snapshot-interval-ms", "x"])).is_err());
+    }
+
+    #[test]
+    fn every_row_of_the_flag_table_parses_and_refuses_as_declared() {
+        common::testing::check_rows(&SERVER);
+    }
+
+    /// The flags and defaults of the hand-written parser the table replaced.
+    #[test]
+    fn the_table_holds_exactly_the_flags_and_defaults_it_replaced() {
+        let rows: Vec<(&str, &str)> = SERVER.flags.iter().map(|f| (f.name, f.default)).collect();
+        let expected = [
+            ("--graph", ""),
+            ("--listen", "127.0.0.1:7431"),
+            ("--threads", "0"),
+            ("--cache-capacity", "64"),
+            ("--max-in-flight", "0"),
+            ("--max-connections", "64"),
+            ("--queue-depth", "0"),
+            ("--persist", ""),
+            ("--snapshot-interval-ms", "0"),
+            ("--wal", ""),
+            ("--checkpoint-interval-ms", "0"),
+            ("--replica-of", ""),
+        ];
+        assert_eq!(rows, expected);
     }
 }

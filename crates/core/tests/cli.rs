@@ -357,3 +357,159 @@ fn clients_mode_reports_aggregate_throughput() {
     );
     assert!(stdout.contains("max 2 jobs in flight"), "stdout: {stdout}");
 }
+
+/// Asserts the invocation exits 1 with exactly one line on stderr that
+/// mentions `needle` and is not a panic report.
+fn assert_one_line_error(args: &[&str], needle: &str) {
+    let output = cli()
+        .args(args)
+        .env("RUST_BACKTRACE", "0")
+        .output()
+        .expect("spawn graphpi-cli");
+    let stderr = stderr_of(&output);
+    assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn bad_patterns_exit_one_with_one_line_and_no_panic() {
+    let graph = temp_graph("badpatterns");
+    let graph = graph.to_str().unwrap();
+    for (pattern, needle) in [
+        ("cycle2", "cycleK needs K in 3..="),
+        ("clique200000", "cliqueK needs K in 1..="),
+        ("adj:010", "invalid adjacency string"),
+        ("adj:01x0", "invalid adjacency string"),
+        ("adj:0100", "invalid adjacency string"),
+    ] {
+        assert_one_line_error(&["count", "--graph", graph, "--pattern", pattern], needle);
+        assert_one_line_error(&["plan", "--graph", graph, "--pattern", pattern], needle);
+        // `remote` refuses the pattern before it dials anything.
+        assert_one_line_error(&["remote", "--pattern", pattern], needle);
+    }
+}
+
+#[test]
+fn unknown_command_exits_one_with_one_line() {
+    assert_one_line_error(&["foo"], "unknown command \"foo\"");
+}
+
+#[test]
+fn an_unreachable_server_fails_every_client_without_a_panic() {
+    // Port 1 on loopback refuses the connection.
+    assert_one_line_error(
+        &[
+            "remote",
+            "--addr",
+            "127.0.0.1:1",
+            "--pattern",
+            "triangle",
+            "--clients",
+            "2",
+        ],
+        "client 0:",
+    );
+}
+
+/// `--help` is an answer, not an error: exit 0, stdout only, and below the
+/// usage line one row for every flag that line names.
+#[test]
+fn help_exits_zero_and_describes_every_flag_of_the_usage_line() {
+    let help = |binary: &str, args: &[&str]| {
+        let output = Command::new(binary).args(args).output().expect("spawn");
+        assert!(output.status.success(), "{args:?}: {}", stderr_of(&output));
+        assert!(stderr_of(&output).is_empty(), "{args:?}");
+        let text = stdout_of(&output);
+        let usage = text.lines().next().unwrap_or_default().to_string();
+        let flags = usage
+            .split([' ', '[', ']'])
+            .filter(|word| word.starts_with("--"));
+        for flag in flags {
+            assert!(
+                text.contains(&format!("\n  {flag} ")),
+                "{args:?} lacks a row for {flag}"
+            );
+        }
+        (usage, text)
+    };
+    let cli = env!("CARGO_BIN_EXE_graphpi-cli");
+    let (_, overview) = help(cli, &["--help"]);
+    for (command, a_flag) in [
+        ("stats", "--graph"),
+        ("plan", "--pattern"),
+        ("count", "--sample-rate"),
+        ("convert", "<binary-out>"),
+        ("update", "--insert U V"),
+        ("remote", "--probe-malformed"),
+        ("promote", "--addr"),
+        ("chaos-proxy", "--partial-per-mille"),
+    ] {
+        assert!(overview.contains(&format!("\n  {command} ")), "{overview}");
+        let (usage, _) = help(cli, &[command, "--help"]);
+        assert!(
+            usage.starts_with(&format!("usage: graphpi-cli {command}")),
+            "{usage}"
+        );
+        assert!(usage.contains(a_flag), "{usage}");
+    }
+    let (usage, _) = help(env!("CARGO_BIN_EXE_graphpi-server"), &["--help"]);
+    assert!(
+        usage.starts_with("usage: graphpi-server --graph <path> ["),
+        "{usage}"
+    );
+    assert!(usage.contains("--replica-of"), "{usage}");
+}
+
+/// Request IDs are idempotency keys the server remembers. Two invocations
+/// must never present the same one, or the second is answered from the
+/// first one's ledger entry: a stale count, a mutation silently dropped.
+#[test]
+fn separate_invocations_never_replay_each_others_requests() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("graphpi_cli_replay_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    // A path 0-1-2-3; inserting 0-2 closes the one triangle.
+    std::fs::write(path("g.txt"), "0 1\n1 2\n2 3\n").unwrap();
+    std::fs::write(path("insert.txt"), "+ 0 2\n").unwrap();
+    std::fs::write(path("delete.txt"), "- 0 2\n").unwrap();
+    let mut server = Command::new(env!("CARGO_BIN_EXE_graphpi-server"))
+        .args(["--graph", &path("g.txt"), "--wal", &path("g.wal")])
+        .args(["--listen", "127.0.0.1:0", "--threads", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn graphpi-server");
+    let mut banner = String::new();
+    BufReader::new(server.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap()
+        .to_string();
+    let remote = |extra: &[&str]| {
+        let output = run(&[&["remote", "--addr", &addr], extra].concat());
+        assert!(output.status.success(), "{extra:?}: {}", stderr_of(&output));
+        stdout_of(&output)
+    };
+    for retries in ["1", "3"] {
+        let count = |expected: &str| {
+            let stdout = remote(&["--pattern", "triangle", "--retries", retries]);
+            assert!(stdout.contains(expected), "--retries {retries}: {stdout}");
+        };
+        count("triangle: 0 embeddings");
+        let stdout = remote(&["--mutate", &path("insert.txt"), "--retries", retries]);
+        assert!(stdout.contains("+1 -0 edges"), "{stdout}");
+        count("triangle: 1 embeddings");
+        let stdout = remote(&["--mutate", &path("delete.txt"), "--retries", retries]);
+        assert!(stdout.contains("+0 -1 edges"), "{stdout}");
+    }
+    remote(&["--shutdown"]);
+    server.wait().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}

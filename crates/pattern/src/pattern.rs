@@ -47,31 +47,44 @@ impl Pattern {
     /// row-major.
     ///
     /// # Panics
-    /// Panics if the length is not a perfect square, a character is not
-    /// `0`/`1`, or the matrix is not symmetric with a zero diagonal.
+    /// Panics where [`Pattern::try_from_adjacency_string`] returns an error.
     pub fn from_adjacency_string(s: &str) -> Self {
+        Self::try_from_adjacency_string(s).expect("malformed adjacency string")
+    }
+
+    /// [`Pattern::from_adjacency_string`] for strings from outside the
+    /// program: an error says what is wrong when the length is not a
+    /// perfect square, a character is not `0`/`1`, or the matrix is not
+    /// symmetric with a zero diagonal.
+    pub fn try_from_adjacency_string(s: &str) -> Result<Self, String> {
         let len = s.len();
         let n = (len as f64).sqrt().round() as usize;
-        assert_eq!(n * n, len, "adjacency string length {len} is not a square");
+        if n * n != len {
+            return Err(format!("length {len} is not a square"));
+        }
         let bits: Vec<bool> = s
-            .chars()
-            .map(|c| match c {
-                '0' => false,
-                '1' => true,
-                other => panic!("invalid character {other:?} in adjacency string"),
+            .bytes()
+            .map(|byte| match byte {
+                b'0' => Ok(false),
+                b'1' => Ok(true),
+                _ => Err("a character is not 0 or 1".to_string()),
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let mut p = Self::empty(n);
         for i in 0..n {
-            assert!(!bits[i * n + i], "self loop at vertex {i}");
-            for j in 0..n {
-                assert_eq!(bits[i * n + j], bits[j * n + i], "matrix not symmetric");
-                if bits[i * n + j] && i < j {
-                    p.add_edge(i, j);
+            if bits[i * n + i] {
+                return Err(format!("self loop at vertex {i}"));
+            }
+            for j in 0..i {
+                if bits[i * n + j] != bits[j * n + i] {
+                    return Err(format!("matrix not symmetric at ({i}, {j})"));
+                }
+                if bits[i * n + j] {
+                    p.add_edge(j, i);
                 }
             }
         }
-        p
+        Ok(p)
     }
 
     /// Adds an undirected edge in place.
