@@ -3,15 +3,15 @@
 //! The paper scales GraphPi to 1,024 nodes (24,576 cores) of Tianhe-2A. This
 //! reproduction measures every fine-grained task once on the local machine
 //! and replays the measured durations on a simulated cluster with per-node
-//! queues and inter-node work stealing (see `exec::cluster`), reporting the
-//! simulated makespan for the paper's node counts:
+//! queues and inter-node work stealing (see `graphpi_bench::cluster`),
+//! reporting the simulated makespan for the paper's node counts:
 //!
 //! * (a) P1–P6 on the Orkut stand-in, 1–128 nodes,
 //! * (b) P2 and P3 on the Twitter stand-in, 128–1,024 nodes.
 
+use graphpi_bench::cluster::strong_scaling;
 use graphpi_bench::{banner, orkut, scale_from_env, twitter, Table};
 use graphpi_core::engine::{GraphPi, PlanOptions};
-use graphpi_core::exec::cluster::strong_scaling;
 use graphpi_pattern::prefab;
 
 const THREADS_PER_NODE: usize = 24;

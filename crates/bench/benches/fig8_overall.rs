@@ -12,9 +12,7 @@
 
 use graphpi_baseline::expansion::{ExpansionEngine, ExpansionOutcome};
 use graphpi_baseline::GraphZeroEngine;
-use graphpi_bench::{
-    banner, bench_datasets, measure, scale_from_env, secs, write_bench_json, BenchRecord, Table,
-};
+use graphpi_bench::{banner, bench_datasets, measure, scale_from_env, secs, Table};
 use graphpi_core::engine::{CountOptions, GraphPi, PlanOptions};
 use graphpi_pattern::prefab;
 
@@ -32,7 +30,6 @@ fn main() {
     }
 
     let patterns = prefab::evaluation_patterns();
-    let mut records: Vec<BenchRecord> = Vec::new();
     let mut table = Table::new(vec![
         "graph",
         "pattern",
@@ -62,18 +59,6 @@ fn main() {
             });
             let (gz_count, gz_time) = measure(|| graphzero.count(pattern));
             assert_eq!(count, gz_count, "count mismatch on {name}/{}", dataset.name);
-            records.push(BenchRecord::new(
-                format!("fig8/graphpi/{name}"),
-                pi_time.as_nanos() as f64,
-                dataset.name,
-                1,
-            ));
-            records.push(BenchRecord::new(
-                format!("fig8/graphzero/{name}"),
-                gz_time.as_nanos() as f64,
-                dataset.name,
-                1,
-            ));
 
             let (fractal_cell, fractal_speedup) = if run_expansion {
                 let (outcome, fr_time) = measure(|| expansion.count(pattern));
@@ -111,5 +96,4 @@ fn main() {
     }
     println!();
     table.print();
-    write_bench_json("BENCH_fig8_overall.json", &records).expect("write BENCH_fig8_overall.json");
 }

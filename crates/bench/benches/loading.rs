@@ -1,20 +1,20 @@
 //! Ingest-path benchmarks: text parse vs binary copy-load vs zero-copy
 //! mmap open, and serial vs parallel CSR construction — the data-plane
-//! costs that gate every dataset-scale experiment.
-//!
-//! Results are printed *and* written to `BENCH_loading.json` as
-//! `{op, ns_per_iter, graph, threads}` records (`GRAPHPI_BENCH_JSON_DIR`
-//! overrides the output directory), mirroring `BENCH_micro.json`.
+//! costs that gate every dataset-scale experiment, and the one row family
+//! the perf ledger has no probe for.
 //!
 //! Correctness is asserted before anything is timed: every load path must
 //! produce a graph with the same `GraphStats::fingerprint`, and the binary
 //! paths must reproduce the saved graph exactly.
 
-use criterion::{black_box, criterion_group, Criterion};
-use graphpi_bench::{scale_from_env, write_bench_json, BenchRecord};
+use graphpi_bench::{banner, measure, scale_from_env, Table};
 use graphpi_graph::builder::build_from_edge_slice;
 use graphpi_graph::csr::VertexId;
 use graphpi_graph::{generators, io, GraphStats};
+use std::hint::black_box;
+
+/// Timed repetitions per row, after one untimed warm-up call.
+const REPS: u32 = 20;
 
 /// Thread count used by the parallel-build bench: the available cores
 /// (capped), but at least 2 so the parallel code path is always the one
@@ -84,73 +84,57 @@ impl LoadFixture {
     }
 }
 
-fn bench_loading(c: &mut Criterion) {
-    let fixture = LoadFixture::create();
-
-    c.bench_function("loading/text_load", |bench| {
-        bench.iter(|| black_box(io::load_edge_list(&fixture.text_path).expect("text load")))
+/// Mean milliseconds per call of `op` over [`REPS`] calls.
+fn mean_ms<T>(mut op: impl FnMut() -> T) -> f64 {
+    black_box(op());
+    let ((), elapsed) = measure(|| {
+        for _ in 0..REPS {
+            black_box(op());
+        }
     });
-    c.bench_function("loading/binary_load_copy", |bench| {
-        bench.iter(|| black_box(io::load_binary(&fixture.bin_path).expect("binary load")))
-    });
-    c.bench_function("loading/binary_load_mmap", |bench| {
-        bench.iter(|| black_box(io::load_binary_mmap(&fixture.bin_path).expect("mmap load")))
-    });
-    c.bench_function("loading/build_serial", |bench| {
-        bench.iter(|| black_box(build_from_edge_slice(black_box(&fixture.edges), 0, 1)))
-    });
-    let threads = build_threads();
-    c.bench_function("loading/build_parallel", |bench| {
-        bench.iter(|| black_box(build_from_edge_slice(black_box(&fixture.edges), 0, threads)))
-    });
-    c.bench_function("loading/convert_text_to_binary", |bench| {
-        let out = fixture.dir.join("bench_convert.bin");
-        bench.iter(|| {
-            let g = io::load_edge_list(&fixture.text_path).expect("text load");
-            io::save_binary(&g, &out).expect("binary save");
-        })
-    });
-
-    std::fs::remove_dir_all(&fixture.dir).ok();
+    elapsed.as_secs_f64() * 1e3 / f64::from(REPS)
 }
 
-criterion_group!(
-    name = loading;
-    config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_loading
-);
-
 fn main() {
-    loading();
-
+    banner(
+        "Loading — text parse vs binary copy vs mmap open; serial vs parallel CSR build",
+        &format!("mean of {REPS} calls per row, in milliseconds"),
+    );
+    let fixture = LoadFixture::create();
     let threads = build_threads();
-    let records: Vec<BenchRecord> = criterion::take_results()
-        .iter()
-        .map(|r| {
-            let t = if r.id == "loading/build_parallel" {
-                threads
-            } else {
-                1
-            };
-            BenchRecord::new(r.id.clone(), r.mean_ns, "LoadBench", t)
-        })
-        .collect();
-    write_bench_json("BENCH_loading.json", &records).expect("write BENCH_loading.json");
 
-    let mean_of = |op: &str| {
-        records
-            .iter()
-            .find(|r| r.op == op)
-            .map(|r| r.ns_per_iter)
-            .unwrap_or(f64::NAN)
-    };
-    let text = mean_of("loading/text_load");
-    let copy = mean_of("loading/binary_load_copy");
-    let mmap = mean_of("loading/binary_load_mmap");
-    let serial = mean_of("loading/build_serial");
-    let parallel = mean_of("loading/build_parallel");
+    let text = mean_ms(|| io::load_edge_list(&fixture.text_path).expect("text load"));
+    let copy = mean_ms(|| io::load_binary(&fixture.bin_path).expect("binary load"));
+    let mmap = mean_ms(|| io::load_binary_mmap(&fixture.bin_path).expect("mmap load"));
+    let serial = mean_ms(|| build_from_edge_slice(black_box(&fixture.edges), 0, 1));
+    let parallel = mean_ms(|| build_from_edge_slice(black_box(&fixture.edges), 0, threads));
+    let out = fixture.dir.join("bench_convert.bin");
+    let convert = mean_ms(|| {
+        let g = io::load_edge_list(&fixture.text_path).expect("text load");
+        io::save_binary(&g, &out).expect("binary save");
+    });
+    std::fs::remove_dir_all(&fixture.dir).ok();
+
+    let mut table = Table::new(vec!["op", "threads", "ms/call"]);
+    for (op, op_threads, ms) in [
+        ("loading/text_load", 1, text),
+        ("loading/binary_load_copy", 1, copy),
+        ("loading/binary_load_mmap", 1, mmap),
+        ("loading/build_serial", 1, serial),
+        ("loading/build_parallel", threads, parallel),
+        ("loading/convert_text_to_binary", 1, convert),
+    ] {
+        table.row(vec![
+            op.to_string(),
+            op_threads.to_string(),
+            format!("{ms:.3}"),
+        ]);
+    }
+    println!();
+    table.print();
+
     println!(
-        "load speedup vs text parse: binary copy {:.2}x, mmap {:.2}x",
+        "\nload speedup vs text parse: binary copy {:.2}x, mmap {:.2}x",
         text / copy,
         text / mmap,
     );
@@ -163,8 +147,8 @@ fn main() {
     // build; the mmap number already contains full validation).
     println!(
         "ingest pipeline speedup: (text+serial {:.2} ms) / (mmap+parallel {:.2} ms) = {:.2}x",
-        (text + serial) / 1e6,
-        (mmap + parallel) / 1e6,
+        text + serial,
+        mmap + parallel,
         (text + serial) / (mmap + parallel),
     );
 }

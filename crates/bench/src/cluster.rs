@@ -17,8 +17,8 @@
 //! task partitioning, per-node queues, steal-when-low — is identical to the
 //! paper's; only the transport (MPI) is replaced by the simulator.
 
-use crate::config::ExecutionPlan;
-use crate::exec::{interp, parallel};
+use graphpi_core::config::ExecutionPlan;
+use graphpi_core::exec::{interp, parallel};
 use graphpi_graph::csr::{CsrGraph, VertexId};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -277,8 +277,8 @@ pub fn strong_scaling(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Configuration;
-    use crate::schedule::efficient_schedules;
+    use graphpi_core::config::Configuration;
+    use graphpi_core::schedule::efficient_schedules;
     use graphpi_graph::generators;
     use graphpi_pattern::prefab;
     use graphpi_pattern::restriction::{generate_restriction_sets, GenerationOptions};

@@ -1,8 +1,8 @@
 //! Shared infrastructure for the benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation has a corresponding
-//! bench target in `benches/` (see `DESIGN.md` for the experiment index).
-//! This library provides what those targets share:
+//! bench target in `benches/` (`docs/REPRODUCTION.md` is the experiment
+//! index). This library provides what those targets share:
 //!
 //! * [`bench_datasets`] — laptop-scale synthetic stand-ins for the paper's
 //!   six datasets (Table I), with the original sizes kept for display. The
@@ -11,22 +11,16 @@
 //! * [`measure`] — wall-clock timing of a closure.
 //! * [`Table`] — fixed-width table printing so the bench output mirrors the
 //!   paper's rows.
-//! * [`BenchRecord`] / [`write_bench_json`] — machine-readable result
-//!   emission (`BENCH_micro.json` and friends) so CI can track the perf
-//!   trajectory across PRs.
-//! * [`count_parallel_mutex_baseline`] — the pre-rewrite parallel runtime
-//!   (upfront task materialisation + one mutex-guarded FIFO, one lock and
-//!   one heap-allocated task per pop), kept as the comparison baseline for
-//!   the work-stealing micro benches.
+//! * [`cluster`] — the discrete-event cluster simulator behind Figure 12.
+//!
+//! How fast the system itself is — kernels, pool, plan cache, wire path,
+//! WAL — is the perf ledger's job (`perfledger/`, `BENCHMARK.json`), not
+//! this crate's.
 
-use graphpi_core::config::ExecutionPlan;
-use graphpi_core::exec::interp;
-use graphpi_graph::csr::{CsrGraph, VertexId};
+pub mod cluster;
+
+use graphpi_graph::csr::CsrGraph;
 use graphpi_graph::generators;
-use std::collections::VecDeque;
-use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A stand-in dataset used by the benches.
@@ -131,23 +125,6 @@ pub fn twitter(scale: f64) -> BenchDataset {
     }
 }
 
-/// Serving-workload stand-in: a modest power-law graph sized so that one
-/// query's matching work is tens of microseconds — the regime where the
-/// per-call fixed costs (planning, thread spawn/join) dominate and the
-/// warm [`graphpi_core::engine::Session`] path pays off. Used by
-/// `benches/serving.rs`.
-pub fn serving_dataset(scale: f64) -> BenchDataset {
-    let graph = generators::power_law(scaled(100, scale), 2, 0xBEEF07);
-    BenchDataset {
-        name: "Serving",
-        // Purely synthetic — no real-world counterpart, so the "original"
-        // metadata is the stand-in's own size.
-        original_vertices: graph.num_vertices() as u64,
-        original_edges: graph.num_edges(),
-        graph,
-    }
-}
-
 /// The five datasets used in the single-node comparison figures, in paper
 /// order (Figure 8, Figure 10).
 pub fn bench_datasets(scale: f64) -> Vec<BenchDataset> {
@@ -158,126 +135,6 @@ pub fn bench_datasets(scale: f64) -> Vec<BenchDataset> {
         livejournal(scale),
         orkut(scale),
     ]
-}
-
-/// One machine-readable benchmark result row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Operation id (e.g. `parallel_count/chase_lev`).
-    pub op: String,
-    /// Mean wall-clock nanoseconds per iteration.
-    pub ns_per_iter: f64,
-    /// Name of the graph the operation ran on (`-` for graph-free kernels).
-    pub graph: String,
-    /// Number of worker threads (1 for sequential kernels).
-    pub threads: usize,
-}
-
-impl BenchRecord {
-    /// Builds a record from a measured mean.
-    pub fn new(
-        op: impl Into<String>,
-        ns_per_iter: f64,
-        graph: impl Into<String>,
-        threads: usize,
-    ) -> Self {
-        Self {
-            op: op.into(),
-            ns_per_iter,
-            graph: graph.into(),
-            threads,
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Serialises the records as a JSON array of objects
-/// (`[{"op": ..., "ns_per_iter": ..., "graph": ..., "threads": ...}, ...]`).
-pub fn bench_records_to_json(records: &[BenchRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"op\": \"{}\", \"ns_per_iter\": {:.1}, \"graph\": \"{}\", \"threads\": {}}}{}\n",
-            json_escape(&r.op),
-            r.ns_per_iter,
-            json_escape(&r.graph),
-            r.threads,
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Writes the records to `path` as JSON (see [`bench_records_to_json`]) and
-/// prints where they went. `GRAPHPI_BENCH_JSON_DIR` overrides the directory;
-/// the default is the process working directory, which under `cargo bench`
-/// is this package's root (`crates/bench/`), not the workspace root.
-pub fn write_bench_json(
-    file_name: &str,
-    records: &[BenchRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::env::var("GRAPHPI_BENCH_JSON_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("."));
-    let path = dir.join(file_name);
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(bench_records_to_json(records).as_bytes())?;
-    println!("\nwrote {} records to {}", records.len(), path.display());
-    Ok(path)
-}
-
-/// The **pre-rewrite** parallel counting runtime, kept verbatim as the
-/// micro-bench baseline: the master materialises every prefix task upfront
-/// as a heap-allocated `Vec<VertexId>`, all workers drain one mutex-guarded
-/// FIFO a single task at a time, and every task allocates fresh search
-/// buffers. The speedup of `graphpi_core::exec::parallel::count_parallel`
-/// over this function is what `BENCH_micro.json` tracks.
-pub fn count_parallel_mutex_baseline(
-    plan: &ExecutionPlan,
-    graph: &CsrGraph,
-    threads: usize,
-    prefix_depth: usize,
-) -> u64 {
-    let n = plan.num_loops();
-    assert!(threads >= 1 && prefix_depth >= 1 && prefix_depth <= n);
-    let tasks = interp::enumerate_prefixes(plan, graph, prefix_depth);
-    if tasks.is_empty() {
-        return 0;
-    }
-    if prefix_depth == n {
-        return tasks.len() as u64;
-    }
-    let queue: Mutex<VecDeque<Vec<VertexId>>> = Mutex::new(tasks.into());
-    let total = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local = 0u64;
-                loop {
-                    let task = queue.lock().expect("baseline queue poisoned").pop_front();
-                    match task {
-                        Some(prefix) => {
-                            local += interp::count_from_prefix(plan, graph, &prefix);
-                        }
-                        None => break,
-                    }
-                }
-                total.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-    });
-    total.load(Ordering::Relaxed)
 }
 
 /// Runs a closure and returns its result with the elapsed wall-clock time.
@@ -422,57 +279,5 @@ mod tests {
         // The environment variable is normally unset in tests.
         let s = scale_from_env();
         assert!((0.1..=20.0).contains(&s));
-    }
-
-    #[test]
-    fn bench_records_serialise_to_json() {
-        let records = vec![
-            BenchRecord::new("intersect/merge", 123.456, "-", 1),
-            BenchRecord::new("parallel_count/chase_lev", 9.5e6, "LiveJournal", 8),
-        ];
-        let json = bench_records_to_json(&records);
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"op\": \"intersect/merge\""));
-        assert!(json.contains("\"graph\": \"LiveJournal\""));
-        assert!(json.contains("\"threads\": 8"));
-        // Exactly one separating comma between the two objects.
-        assert_eq!(json.matches("},").count(), 1);
-    }
-
-    #[test]
-    fn json_escaping_handles_quotes_and_controls() {
-        let r = vec![BenchRecord::new("weird\"op\\\n", 1.0, "-", 1)];
-        let json = bench_records_to_json(&r);
-        assert!(json.contains("weird\\\"op\\\\\\u000a"));
-    }
-
-    #[test]
-    fn mutex_baseline_matches_the_real_runtime() {
-        use graphpi_core::config::Configuration;
-        use graphpi_core::exec::parallel::{count_parallel, ParallelOptions};
-        use graphpi_core::schedule::efficient_schedules;
-        use graphpi_pattern::restriction::{generate_restriction_sets, GenerationOptions};
-
-        let g = generators::power_law(150, 5, 42);
-        let pattern = graphpi_pattern::prefab::house();
-        let sets = generate_restriction_sets(&pattern, GenerationOptions::default());
-        let schedules = efficient_schedules(&pattern);
-        let plan = Configuration::new(pattern, schedules[0].clone(), sets[0].clone()).compile();
-        let baseline = count_parallel_mutex_baseline(&plan, &g, 4, 2);
-        let rewritten = count_parallel(
-            &plan,
-            &g,
-            ParallelOptions {
-                threads: 4,
-                prefix_depth: Some(2),
-                ..Default::default()
-            },
-        );
-        assert_eq!(baseline, rewritten);
-        assert_eq!(
-            baseline,
-            graphpi_core::exec::interp::count_embeddings(&plan, &g)
-        );
     }
 }

@@ -24,8 +24,9 @@ pub enum Kind {
     /// Any string; the payload names the operand in the usage text.
     Str(&'static str),
     /// An unsigned integer of at most this many bits ("must be an
-    /// integer"), within the bounds (else `<flag> <complaint>`).
-    Int(u32, RangeInclusive<u64>, &'static str),
+    /// integer"), within the bounds (else `<flag> <complaint>`, the first
+    /// complaint for a value below them, the second for one above).
+    Int(u32, RangeInclusive<u64>, &'static str, &'static str),
     /// A number above the first bound and up to the second (else `<flag>
     /// <complaint>`).
     Float(f64, f64, &'static str),
@@ -37,11 +38,27 @@ pub enum Kind {
 }
 
 /// An integer operand bounded only by its type's width.
-pub const USIZE: Kind = Kind::Int(usize::BITS, 0..=u64::MAX, "");
+pub const USIZE: Kind = Kind::Int(usize::BITS, 0..=u64::MAX, "", "");
 /// See [`USIZE`].
-pub const U64: Kind = Kind::Int(64, 0..=u64::MAX, "");
+pub const U64: Kind = Kind::Int(64, 0..=u64::MAX, "", "");
 /// See [`USIZE`].
-pub const U32: Kind = Kind::Int(32, 0..=u64::MAX, "");
+pub const U32: Kind = Kind::Int(32, 0..=u64::MAX, "", "");
+
+/// The most a flag may ask for when its value becomes a number of OS
+/// threads or of per-job slots allocated up front: far more than any
+/// machine has cores, far fewer than it takes to hang the process spawning
+/// them.
+const MAX_WORKERS: u64 = 1024;
+const TOO_MANY_WORKERS: &str = "must be at most 1024";
+/// A number of threads or slots; 0 asks for the automatic choice.
+pub const WORKERS: Kind = Kind::Int(usize::BITS, 0..=MAX_WORKERS, "", TOO_MANY_WORKERS);
+/// A number of threads, of which there must be one.
+pub const WORKERS_AT_LEAST_ONE: Kind = Kind::Int(
+    usize::BITS,
+    1..=MAX_WORKERS,
+    "must be at least 1",
+    TOO_MANY_WORKERS,
+);
 
 /// One row of a flag table.
 #[derive(Debug)]
@@ -83,9 +100,10 @@ impl Flag {
     /// Checks one operand against the flag's kind.
     fn check(&self, value: &str) -> Result<(), String> {
         let complaint = match &self.kind {
-            Kind::Int(bits, bounds, out_of_bounds) => match value.parse::<u64>() {
+            Kind::Int(bits, bounds, too_small, too_large) => match value.parse::<u64>() {
                 Ok(parsed) if *bits < u64::BITS && parsed >> bits != 0 => "must be an integer",
-                Ok(parsed) if !bounds.contains(&parsed) => out_of_bounds,
+                Ok(parsed) if parsed < *bounds.start() => too_small,
+                Ok(parsed) if parsed > *bounds.end() => too_large,
                 Ok(_) => return Ok(()),
                 Err(_) => "must be an integer",
             },
@@ -328,7 +346,7 @@ pub mod testing {
         match &flag.kind {
             Kind::Switch => vec![],
             Kind::Str(_) => words(&["x"]),
-            Kind::Int(_, bounds, _) => vec![bounds.start().to_string()],
+            Kind::Int(_, bounds, ..) => vec![bounds.start().to_string()],
             Kind::Float(_, up_to, _) => vec![up_to.to_string()],
             Kind::OneOf(_, choices) => words(&choices[..1]),
             Kind::VertexPair => words(&["1", "2"]),
@@ -382,7 +400,7 @@ pub mod testing {
                     continue;
                 }
                 Kind::Str(_) => {}
-                Kind::Int(bits, bounds, complaint) => {
+                Kind::Int(bits, bounds, too_small, too_large) => {
                     assert_eq!(error(&[name, "x"]), format!("{name} must be an integer"));
                     assert_eq!(error(&[name, "-1"]), format!("{name} must be an integer"));
                     if *bits < u64::BITS {
@@ -395,13 +413,13 @@ pub mod testing {
                     if let Some(below) = bounds.start().checked_sub(1) {
                         assert_eq!(
                             error(&[name, &below.to_string()]),
-                            format!("{name} {complaint}")
+                            format!("{name} {too_small}")
                         );
                     }
                     if let Some(above) = bounds.end().checked_add(1) {
                         assert_eq!(
                             error(&[name, &above.to_string()]),
-                            format!("{name} {complaint}")
+                            format!("{name} {too_large}")
                         );
                     }
                 }

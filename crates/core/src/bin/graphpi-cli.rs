@@ -21,7 +21,10 @@
 mod common;
 
 use common::Kind::Switch;
-use common::{flag, load_graph, Flag, GraphFormat, Kind, Parsed, Spec, FORMAT, U32, U64, USIZE};
+use common::{
+    flag, load_graph, Flag, GraphFormat, Kind, Parsed, Spec, FORMAT, U32, U64, USIZE, WORKERS,
+    WORKERS_AT_LEAST_ONE,
+};
 use graphpi_core::codegen::{generate, Language};
 use graphpi_core::config::PoolOptions;
 use graphpi_core::engine::{
@@ -176,8 +179,8 @@ const MODE_NAMES: [&str; 4] = ["count", "orbit", "sample", "enumerate"];
 
 const PATH: Kind = Kind::Str("<path>");
 const HOST_PORT: Kind = Kind::Str("<host:port>");
-const PER_MILLE: Kind = Kind::Int(32, 0..=1000, "is per mille (0..=1000)");
-const AT_LEAST_ONE: Kind = Kind::Int(usize::BITS, 1..=u64::MAX, "must be at least 1");
+const PER_MILLE: Kind = Kind::Int(32, 0..=1000, "", "is per mille (0..=1000)");
+const AT_LEAST_ONE: Kind = Kind::Int(usize::BITS, 1..=u64::MAX, "must be at least 1", "");
 
 /// Rows that more than one command's table holds.
 #[rustfmt::skip] // one row per flag: name, kind, default, help
@@ -189,11 +192,11 @@ mod shared_rows {
     pub const NO_IEP: Flag      = flag("--no-iep",      Switch, "",            "count without the inclusion-exclusion suffix");
     pub const HUBS: Flag        = flag("--hubs",        Switch, "",            "use the hub-bitset layout (same counts)");
     pub const REPEAT: Flag      = flag("--repeat",      AT_LEAST_ONE, "1",     "run the query N times");
-    pub const CLIENTS: Flag     = flag("--clients",     AT_LEAST_ONE, "1",     "concurrent clients, each running --repeat queries; all counts must agree");
+    pub const CLIENTS: Flag     = flag("--clients",     WORKERS_AT_LEAST_ONE, "1", "concurrent clients, each running --repeat queries; all counts must agree");
     pub const MODE: Flag        = flag("--mode",        Kind::OneOf("mode", &MODE_NAMES), "count", "exact count, per-vertex orbit counts, seeded sample estimate, or the embeddings");
     pub const SAMPLE_RATE: Flag = flag("--sample-rate", Kind::Float(0.0, 1.0, "must be in (0, 1]"), "0.1", "--mode=sample: subtree sampling probability");
     pub const SAMPLE_SEED: Flag = flag("--sample-seed", U64,    "0",           "--mode=sample: the same seed replays the same estimate");
-    pub const LIMIT: Flag       = flag("--limit",       Kind::Int(64, 1..=u64::MAX, "must be at least 1 (an empty enumeration is a no-op)"), "100", "enumeration: the most embeddings to return");
+    pub const LIMIT: Flag       = flag("--limit",       Kind::Int(64, 1..=u64::MAX, "must be at least 1 (an empty enumeration is a no-op)", ""), "100", "enumeration: the most embeddings to return");
     pub const ADDR: Flag        = flag("--addr",        HOST_PORT, "127.0.0.1:7431", "the server to talk to");
 }
 use shared_rows::*;
@@ -201,14 +204,14 @@ use shared_rows::*;
 #[rustfmt::skip] // one row per flag: name, kind, default, help
 const QUERY_FLAGS: &[Flag] = &[
     GRAPH, FORMAT_ROW, PATTERN,
-    flag("--threads",        USIZE,  "0", "worker threads (0 = all cores)"),
+    flag("--threads",        WORKERS, "0", "worker threads (0 = all cores)"),
     NO_IEP, HUBS,
     flag("--scalar-kernels", Switch, "",  "pin the set kernels to the portable scalar reference (same counts)"),
     flag("--list",           USIZE,  "0", "count mode: also print the first N embeddings"),
     REPEAT,
     flag("--session",        Switch, "",  "run on a persistent worker pool with a compiled-plan cache (the warm serving path)"),
     CLIENTS,
-    flag("--max-in-flight",  USIZE,  "0", "with --session: jobs the pool runs at once (0 = automatic); extra clients block"),
+    flag("--max-in-flight",  WORKERS, "0", "with --session: jobs the pool runs at once (0 = automatic); extra clients block"),
     MODE, SAMPLE_RATE, SAMPLE_SEED, LIMIT,
 ];
 
@@ -271,7 +274,7 @@ static REMOTE: Spec = Spec {
         flag("--endpoints",       Kind::Str("<a,b,c>"), "", "failover mode: every endpoint of a replicated deployment (instead of --addr)"),
         PATTERN, CLIENTS, REPEAT, NO_IEP, HUBS,
         flag("--deadline-ms",     U32,    "0",  "per-request deadline covering queueing and execution (0 = none)"),
-        flag("--retries",         Kind::Int(32, 1..=u64::MAX, "must be at least 1 (the first attempt)"), "1", "attempts per request, reconnecting with jittered exponential backoff"),
+        flag("--retries",         Kind::Int(32, 1..=u64::MAX, "must be at least 1 (the first attempt)", ""), "1", "attempts per request, reconnecting with jittered exponential backoff"),
         flag("--backoff-ms",      U64,    "10", "backoff before the second attempt; doubles per retry"),
         flag("--chaos-seed",      U64,    "",   "route each connection through the in-process seeded fault injector"),
         flag("--ping",            Switch, "",   "liveness probe"),

@@ -39,7 +39,7 @@
 
 mod common;
 
-use common::{flag, load_graph, GraphFormat, Kind, Spec, U64, USIZE};
+use common::{flag, load_graph, GraphFormat, Kind, Spec, U64, USIZE, WORKERS};
 use graphpi_core::config::{PoolOptions, ServeOptions};
 use graphpi_core::engine::GraphPi;
 use graphpi_core::net::{run_replication, ReplState, Server};
@@ -61,10 +61,10 @@ static SERVER: Spec = Spec {
     flags: &[
         flag("--graph",                  PATH,  "",               "data graph: edge list or `graphpi-cli convert` binary (sniffed)").required(),
         flag("--listen",                 ADDR,  "127.0.0.1:7431", "address to bind (port 0 picks a free one)"),
-        flag("--threads",                USIZE, "0",              "pool worker threads (0 = all cores)"),
+        flag("--threads",                WORKERS, "0",            "pool worker threads (0 = all cores)"),
         flag("--cache-capacity",         USIZE, "64",             "compiled plans the cache keeps"),
-        flag("--max-in-flight",          USIZE, "0",              "jobs the pool runs at once (0 = automatic)"),
-        flag("--max-connections",        USIZE, "64",             "connections served at once; more are refused"),
+        flag("--max-in-flight",          WORKERS, "0",            "jobs the pool runs at once (0 = automatic)"),
+        flag("--max-connections",        WORKERS, "64",           "connections served at once; more are refused"),
         flag("--queue-depth",            USIZE, "0",              "queries that may wait for admission before shedding (0 = automatic)"),
         flag("--persist",                PATH,  "",               "plan-cache snapshot: written on drain, re-planned on start"),
         flag("--snapshot-interval-ms",   U64,   "0",              "also write --persist this often while serving (0 = off)"),

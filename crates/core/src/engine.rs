@@ -7,8 +7,8 @@
 //! 2. **Performance prediction** — every (schedule × restriction set)
 //!    combination is ranked by the cost model; the cheapest becomes the
 //!    plan.
-//! 3. **Execution** — the plan runs on the data graph sequentially, in
-//!    parallel, or on the simulated cluster, with or without IEP counting.
+//! 3. **Execution** — the plan runs on the data graph sequentially or in
+//!    parallel, with or without IEP counting.
 
 use crate::config::{Configuration, ExecutionPlan, PoolOptions, MAX_LOOPS};
 use crate::error::EngineError;

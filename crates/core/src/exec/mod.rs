@@ -10,9 +10,6 @@
 //!   task protocol as [`parallel`] but keeps workers (and their scratch)
 //!   alive across jobs: the warm serving path behind
 //!   [`crate::engine::Session`].
-//! * [`cluster`] — a simulated multi-node cluster reproducing the paper's
-//!   distributed task-partitioning and work-stealing design for the
-//!   scalability experiments.
 //! * [`setprog`] — the hoisted set program every plan is lowered to and
 //!   every executor above runs: one intersection per distinct parent set,
 //!   computed where its last parent binds, plus the precomputed IEP leaf.
@@ -20,7 +17,6 @@
 //!   into a pipeline: counting, enumeration, per-vertex (orbit) counts and
 //!   sampled approximate counting all share the same kernels.
 
-pub mod cluster;
 pub mod iep;
 pub mod interp;
 pub mod parallel;

@@ -15,8 +15,8 @@
 //! 3. **Performance prediction** ([`perf_model`]) — a cost model driven by
 //!    `|V|`, `|E|` and the triangle count ranks every configuration and the
 //!    best one is selected.
-//! 4. **Execution** ([`exec`]) — sequential, multi-threaded (work-stealing)
-//!    and simulated-cluster executors, plus Inclusion-Exclusion-Principle
+//! 4. **Execution** ([`exec`]) — sequential and multi-threaded
+//!    (work-stealing) executors, plus Inclusion-Exclusion-Principle
 //!    counting when only the number of embeddings is needed.
 //! 5. **Code generation** ([`codegen`]) — renders the selected plan as the
 //!    nested-loop source text the original system would have compiled.

@@ -391,6 +391,30 @@ fn bad_patterns_exit_one_with_one_line_and_no_panic() {
     }
 }
 
+/// A flag whose value becomes a number of OS threads or per-job slots is
+/// bounded by its table row: `--threads 100000` used to spend minutes
+/// spawning workers that spun on `yield_now` to count one triangle.
+#[test]
+fn oversized_worker_counts_are_refused_before_anything_is_spawned() {
+    let graph = temp_graph("workers");
+    let graph = graph.to_str().unwrap();
+    let count = ["count", "--graph", graph, "--pattern", "triangle"];
+    let start = std::time::Instant::now();
+    for (flag, extra) in [
+        ("--threads", &["--threads", "100000"][..]),
+        ("--clients", &["--session", "--clients", "1025"]),
+        ("--max-in-flight", &["--session", "--max-in-flight", "1025"]),
+    ] {
+        let needle = format!("{flag} must be at most 1024");
+        assert_one_line_error(&[&count, extra].concat(), &needle);
+    }
+    assert_one_line_error(
+        &["remote", "--ping", "--clients", "1025"],
+        "--clients must be at most 1024",
+    );
+    assert!(start.elapsed() < std::time::Duration::from_secs(5));
+}
+
 #[test]
 fn unknown_command_exits_one_with_one_line() {
     assert_one_line_error(&["foo"], "unknown command \"foo\"");

@@ -17,8 +17,6 @@
 //! * [`generators`] — seeded synthetic graph generators (Erdős–Rényi,
 //!   power-law preferential attachment, complete graphs, …) used as
 //!   stand-ins for the paper's real-world datasets.
-//! * [`datasets`] — a registry of named stand-in datasets mirroring the
-//!   relative scale/skew of Table I of the paper.
 //! * [`triangles`] and [`stats`] — the structural statistics (`|V|`, `|E|`,
 //!   triangle count, `p1`, `p2`) consumed by GraphPi's performance model.
 //! * [`io`] — plain-text edge-list and compact binary loading/saving.
@@ -29,7 +27,6 @@
 pub mod builder;
 pub mod components;
 pub mod csr;
-pub mod datasets;
 pub mod delta;
 pub mod generators;
 pub mod hub;
@@ -43,7 +40,6 @@ pub mod wal;
 
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, VertexId};
-pub use datasets::Dataset;
 pub use delta::{DynamicGraph, EdgeBatch, GraphSnapshot};
 pub use hub::{HubGraph, HubOptions};
 pub use stats::GraphStats;
@@ -53,6 +49,5 @@ pub use wal::{DurableGraph, DurableGraphOptions};
 pub mod prelude {
     pub use crate::builder::GraphBuilder;
     pub use crate::csr::{CsrGraph, VertexId};
-    pub use crate::datasets::Dataset;
     pub use crate::stats::GraphStats;
 }

@@ -1,4 +1,4 @@
-//! Parallel and simulated-distributed scaling.
+//! Multi-threaded scaling on the local machine.
 //!
 //! ```text
 //! cargo run --release --example parallel_scaling
@@ -7,13 +7,12 @@
 //! Measures real multi-threaded speedup on the local machine through the
 //! serving [`Session`] API (persistent work-stealing pool, Section IV-E):
 //! for every thread count the first query is cold (plans, fills the plan
-//! cache, ramps the pool) and the repeats are warm. It then replays the
-//! measured task durations on a simulated cluster to show the
-//! strong-scaling behaviour the paper reports in Figure 12.
+//! cache, ramps the pool) and the repeats are warm. The multi-node half of
+//! that section — Figure 12's strong scaling on a simulated cluster — is
+//! `cargo bench -p graphpi-bench --bench fig12_scalability`.
 
 use graphpi::core::config::PoolOptions;
 use graphpi::core::engine::{CountOptions, GraphPi, PlanOptions, Session};
-use graphpi::core::exec::cluster::strong_scaling;
 use graphpi::graph::generators;
 use graphpi::pattern::prefab;
 use std::time::Instant;
@@ -27,7 +26,6 @@ fn main() {
     );
     let engine = GraphPi::new(graph);
     let pattern = prefab::house();
-    let plan = engine.plan(&pattern, PlanOptions::default()).unwrap();
 
     // Real threads on this machine, via a persistent pool per thread count.
     println!("\nlocal multi-threaded scaling (enumeration, Session warm path):");
@@ -60,24 +58,4 @@ fn main() {
             baseline_time / warm
         );
     }
-
-    // Simulated cluster (per-node queues + work stealing over measured
-    // task durations).
-    println!("\nsimulated cluster strong scaling (24 workers per node):");
-    let node_counts = [1usize, 2, 4, 8, 16, 32];
-    let curve = strong_scaling(&plan.plan, engine.graph(), &node_counts, 24, None);
-    let single = curve[0].1.makespan_seconds;
-    for (nodes, report) in &curve {
-        println!(
-            "  {nodes:>3} nodes: makespan {:>8.3}ms  speedup {:>6.1}x  efficiency {:>5.1}%  steals {}",
-            report.makespan_seconds * 1e3,
-            single / report.makespan_seconds.max(1e-12),
-            report.efficiency() * 100.0,
-            report.steals
-        );
-    }
-    println!(
-        "\n({} tasks measured once and replayed for every cluster size)",
-        curve[0].1.num_tasks
-    );
 }
