@@ -53,7 +53,7 @@ pub struct ExpansionEngine {
 
 impl ExpansionEngine {
     /// Default budget on materialised partial embeddings.
-    pub const DEFAULT_MAX_PARTIALS: usize = 20_000_000;
+    pub(crate) const DEFAULT_MAX_PARTIALS: usize = 20_000_000;
 
     /// Wraps a data graph with the default budget.
     pub fn new(graph: CsrGraph) -> Self {
@@ -69,11 +69,6 @@ impl ExpansionEngine {
             graph,
             max_partials,
         }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &CsrGraph {
-        &self.graph
     }
 
     /// Counts embeddings by levelwise expansion.

@@ -94,13 +94,8 @@ impl GraphZeroEngine {
         Self { graph }
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &CsrGraph {
-        &self.graph
-    }
-
     /// The configuration GraphZero would run for this pattern.
-    pub fn configuration(&self, pattern: &Pattern) -> Configuration {
+    pub(crate) fn configuration(&self, pattern: &Pattern) -> Configuration {
         Configuration::new(
             pattern.clone(),
             graphzero_schedule(pattern),
@@ -112,15 +107,6 @@ impl GraphZeroEngine {
     /// has no IEP optimization).
     pub fn count(&self, pattern: &Pattern) -> u64 {
         let plan = self.configuration(pattern).compile();
-        interp::count_embeddings(&plan, &self.graph)
-    }
-
-    /// Counts embeddings with GraphZero's restriction set but a
-    /// caller-provided schedule (used by the Table II experiment, which
-    /// compares restriction sets on identical schedules).
-    pub fn count_with_schedule(&self, pattern: &Pattern, schedule: Schedule) -> u64 {
-        let plan = Configuration::new(pattern.clone(), schedule, graphzero_restrictions(pattern))
-            .compile();
         interp::count_embeddings(&plan, &self.graph)
     }
 }
@@ -191,23 +177,6 @@ mod tests {
             assert_eq!(
                 graphzero.count(&pattern),
                 crate::naive::count_embeddings(&pattern, &graph)
-            );
-        }
-    }
-
-    #[test]
-    fn custom_schedule_does_not_change_the_count() {
-        let graph = generators::power_law(200, 4, 3);
-        let engine = GraphZeroEngine::new(graph);
-        let pattern = prefab::house();
-        let default_count = engine.count(&pattern);
-        for schedule in graphpi_core::schedule::efficient_schedules(&pattern)
-            .into_iter()
-            .take(5)
-        {
-            assert_eq!(
-                engine.count_with_schedule(&pattern, schedule),
-                default_count
             );
         }
     }

@@ -16,6 +16,14 @@
 //!   specialised systems).
 //! * [`naive`] — a brute-force enumerator over injective mappings, used as
 //!   ground truth in tests and experiments.
+//!
+//! # Entry points
+//!
+//! [`GraphZeroEngine::count`], [`ExpansionEngine::count`] (budgeted with
+//! [`ExpansionEngine::with_budget`]) and [`naive::count_embeddings`] /
+//! [`naive::embeddings_sorted`]; [`graphzero::graphzero_restrictions`] and
+//! [`graphzero::graphzero_schedule`] expose the two GraphZero choices the
+//! Table II bench compares against.
 
 pub mod expansion;
 pub mod graphzero;

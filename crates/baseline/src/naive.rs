@@ -34,7 +34,11 @@ pub fn count_embeddings(pattern: &Pattern, graph: &CsrGraph) -> u64 {
 /// vertex). A distinct subgraph is visited once per pattern automorphism;
 /// callers that want one visit per *embedding* canonicalize the tuple
 /// (e.g. sort it) and deduplicate.
-pub fn for_each_mapping(pattern: &Pattern, graph: &CsrGraph, mut visit: impl FnMut(&[VertexId])) {
+pub(crate) fn for_each_mapping(
+    pattern: &Pattern,
+    graph: &CsrGraph,
+    mut visit: impl FnMut(&[VertexId]),
+) {
     if pattern.num_vertices() == 0 {
         return;
     }

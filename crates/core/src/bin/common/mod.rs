@@ -198,14 +198,6 @@ impl Spec {
         }
     }
 
-    /// The table's defaults: what an invocation without flags would hold.
-    pub fn defaults(&self) -> Parsed<'_> {
-        Parsed {
-            spec: self,
-            given: Vec::new(),
-        }
-    }
-
     /// The one-line synopsis appended to usage errors.
     pub fn usage(&self) -> String {
         let mut usage = format!("usage: {}", self.command);

@@ -68,10 +68,19 @@ impl CliMode {
     }
 }
 
-/// Parsed command-line invocation.
+/// Which of the three local query commands runs: each prints what the one
+/// before it does, then its own part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum QueryKind {
+    Stats,
+    Plan,
+    Count,
+}
+
+/// `stats` / `plan` / `count` invocation.
 #[derive(Debug, Clone, PartialEq)]
-struct CliArgs {
-    command: Command,
+struct QueryArgs {
+    kind: QueryKind,
     graph_path: String,
     format: GraphFormat,
     pattern: Option<String>,
@@ -94,31 +103,28 @@ struct CliArgs {
     limit: u64,
 }
 
+/// Parsed command-line invocation.
 #[derive(Debug, Clone, PartialEq)]
 enum Command {
-    Stats,
-    Plan,
-    Count,
+    /// Query a local graph file.
+    Query(QueryArgs),
     /// Convert an edge list into the binary format (`input` → `output`).
-    Convert {
-        output: String,
-    },
+    Convert { input: String, output: String },
     /// Talk to a running `graphpi-server` over the wire protocol.
     Remote(RemoteArgs),
     /// Promote a running replica to primary.
-    Promote {
-        addr: String,
-    },
+    Promote { addr: String },
     /// Run the byte-level fault-injecting TCP proxy.
     ChaosProxy(ChaosProxyArgs),
     /// Commit edge batches to a local WAL-backed graph.
     Update(UpdateArgs),
 }
 
-/// `update` subcommand invocation (the graph path and format live on
-/// [`CliArgs`] like every other graph-loading command).
+/// `update` subcommand invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct UpdateArgs {
+    graph_path: String,
+    format: GraphFormat,
     wal: String,
     inserts: Vec<(u32, u32)>,
     deletes: Vec<(u32, u32)>,
@@ -338,7 +344,7 @@ fn command_named(args: &[String]) -> Option<&'static Spec> {
     COMMANDS.iter().copied().find(|spec| spec.name() == name)
 }
 
-fn parse_args(args: &[String]) -> Result<CliArgs, String> {
+fn parse_args(args: &[String]) -> Result<Command, String> {
     let name = args.first().map_or("", String::as_str);
     let Some(spec) = command_named(args) else {
         let names: Vec<&str> = COMMANDS.iter().map(|spec| spec.name()).collect();
@@ -348,8 +354,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         ));
     };
     let rest = &args[1..];
-    // Every command carries the count-path knobs at their defaults.
-    let other = |command| query_args(command, &COUNT.defaults());
     if name == "convert" {
         let [input, output] = rest else {
             return Err(format!(
@@ -357,28 +361,22 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 spec.usage()
             ));
         };
-        return Ok(CliArgs {
-            graph_path: input.clone(),
-            ..other(Command::Convert {
-                output: output.clone(),
-            })
+        return Ok(Command::Convert {
+            input: input.clone(),
+            output: output.clone(),
         });
     }
     let parsed = spec.parse(rest)?;
     Ok(match name {
-        "stats" => checked_query_args(Command::Stats, &parsed, spec)?,
-        "plan" => checked_query_args(Command::Plan, &parsed, spec)?,
-        "count" => checked_query_args(Command::Count, &parsed, spec)?,
-        "update" => CliArgs {
-            graph_path: parsed.get("--graph"),
-            format: GraphFormat::ALL[parsed.choice("--format")],
-            ..other(Command::Update(update_args(&parsed)?))
-        },
-        "remote" => other(Command::Remote(remote_args(&parsed)?)),
-        "promote" => other(Command::Promote {
+        "stats" => Command::Query(checked_query_args(QueryKind::Stats, &parsed, spec)?),
+        "plan" => Command::Query(checked_query_args(QueryKind::Plan, &parsed, spec)?),
+        "count" => Command::Query(checked_query_args(QueryKind::Count, &parsed, spec)?),
+        "update" => Command::Update(update_args(&parsed)?),
+        "remote" => Command::Remote(remote_args(&parsed)?),
+        "promote" => Command::Promote {
             addr: parsed.get("--addr"),
-        }),
-        "chaos-proxy" => other(Command::ChaosProxy(ChaosProxyArgs {
+        },
+        "chaos-proxy" => Command::ChaosProxy(ChaosProxyArgs {
             listen: parsed.get("--listen"),
             upstream: parsed.get("--upstream"),
             seed: parsed.get("--seed"),
@@ -386,16 +384,16 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             stall_ms: parsed.get("--stall-ms"),
             reset_per_mille: parsed.get("--reset-per-mille"),
             partial_per_mille: parsed.get("--partial-per-mille"),
-        })),
+        }),
         _ => unreachable!("every entry of COMMANDS has an arm"),
     })
 }
 
-/// Fills a [`CliArgs`] from a parse of [`QUERY_FLAGS`].
-fn query_args(command: Command, parsed: &Parsed) -> CliArgs {
-    CliArgs {
-        command,
-        graph_path: parsed.opt("--graph").unwrap_or_default(),
+/// Fills a [`QueryArgs`] from a parse of [`QUERY_FLAGS`].
+fn query_args(kind: QueryKind, parsed: &Parsed) -> QueryArgs {
+    QueryArgs {
+        kind,
+        graph_path: parsed.get("--graph"),
         format: GraphFormat::ALL[parsed.choice("--format")],
         pattern: parsed.opt("--pattern"),
         threads: parsed.get("--threads"),
@@ -427,9 +425,9 @@ fn sample_flags_need_sample_mode(parsed: &Parsed, mode: CliMode) -> Result<(), S
 
 /// `stats` / `plan` / `count`: the filled arguments, once the rules that
 /// span several flags hold.
-fn checked_query_args(command: Command, parsed: &Parsed, spec: &Spec) -> Result<CliArgs, String> {
-    let args = query_args(command, parsed);
-    if args.command != Command::Stats && args.pattern.is_none() {
+fn checked_query_args(kind: QueryKind, parsed: &Parsed, spec: &Spec) -> Result<QueryArgs, String> {
+    let args = query_args(kind, parsed);
+    if kind != QueryKind::Stats && args.pattern.is_none() {
         return Err(format!(
             "--pattern is required for this command\n{}",
             spec.usage()
@@ -446,7 +444,7 @@ fn checked_query_args(command: Command, parsed: &Parsed, spec: &Spec) -> Result<
         );
     }
     if args.mode != CliMode::Count {
-        if args.command != Command::Count {
+        if kind != QueryKind::Count {
             return Err("--mode applies to the count command".to_string());
         }
         if args.clients > 1 {
@@ -588,6 +586,8 @@ fn remote_args(parsed: &Parsed) -> Result<RemoteArgs, String> {
 /// `update`: the filled arguments; a run must have something to commit.
 fn update_args(parsed: &Parsed) -> Result<UpdateArgs, String> {
     let update = UpdateArgs {
+        graph_path: parsed.get("--graph"),
+        format: GraphFormat::ALL[parsed.choice("--format")],
         wal: parsed.get("--wal"),
         inserts: parsed.pairs("--insert"),
         deletes: parsed.pairs("--delete"),
@@ -688,8 +688,8 @@ fn read_ops(path: &str) -> Result<Vec<Op>, String> {
 
 /// Runs the `update` subcommand: open (replay) the durable graph, commit
 /// the requested batches, optionally checkpoint.
-fn run_update(graph_path: &str, format: GraphFormat, args: &UpdateArgs) -> Result<(), String> {
-    let graph = load_graph(graph_path, format)?;
+fn run_update(args: &UpdateArgs) -> Result<(), String> {
+    let graph = load_graph(&args.graph_path, args.format)?;
     let (durable, recovery) = DurableGraph::open(graph, &args.wal, DurableGraphOptions::default())
         .map_err(|e| format!("failed to open WAL {}: {e}", args.wal))?;
     eprintln!(
@@ -1296,23 +1296,20 @@ fn run_convert(input: &str, output: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: CliArgs) -> Result<(), String> {
-    if args.scalar_kernels {
-        vertex_set::set_force_scalar(true);
-    }
-    match &args.command {
-        Command::Convert { output } => run_convert(&args.graph_path, output),
+fn run(command: Command) -> Result<(), String> {
+    match &command {
+        Command::Query(query) => run_query(query),
+        Command::Convert { input, output } => run_convert(input, output),
         Command::Remote(remote) => run_remote(remote),
         Command::Promote { addr } => run_promote(addr),
         Command::ChaosProxy(proxy) => run_chaos_proxy(proxy),
-        Command::Update(update) => run_update(&args.graph_path, args.format, update),
-        Command::Stats | Command::Plan | Command::Count => run_query(&args),
+        Command::Update(update) => run_update(update),
     }
 }
 
 /// The persistent pool and plan cache `--session` and the non-count modes
 /// run on.
-fn open_session<'e>(engine: &'e GraphPi, args: &CliArgs, options: CountOptions) -> Session<'e> {
+fn open_session<'e>(engine: &'e GraphPi, args: &QueryArgs, options: CountOptions) -> Session<'e> {
     let pool = PoolOptions {
         threads: args.threads,
         max_in_flight: args.max_in_flight,
@@ -1323,7 +1320,10 @@ fn open_session<'e>(engine: &'e GraphPi, args: &CliArgs, options: CountOptions) 
 
 /// Runs `stats`, `plan` and `count`: each prints what the one before it
 /// does, then its own part.
-fn run_query(args: &CliArgs) -> Result<(), String> {
+fn run_query(args: &QueryArgs) -> Result<(), String> {
+    if args.scalar_kernels {
+        vertex_set::set_force_scalar(true);
+    }
     // A bad pattern fails the run before the graph is loaded.
     let pattern = args.pattern.as_deref().map(resolve_pattern).transpose()?;
     let load_start = Instant::now();
@@ -1345,7 +1345,7 @@ fn run_query(args: &CliArgs) -> Result<(), String> {
         "stats: triangles={} max_degree={} avg_degree={:.2} p1={:.3e} p2={:.3e}",
         stats.triangle_count, stats.max_degree, stats.avg_degree, stats.p1, stats.p2
     );
-    let Some(pattern) = pattern.filter(|_| args.command != Command::Stats) else {
+    let Some(pattern) = pattern.filter(|_| args.kind != QueryKind::Stats) else {
         return Ok(());
     };
 
@@ -1365,7 +1365,7 @@ fn run_query(args: &CliArgs) -> Result<(), String> {
         plan.plan.config.restrictions.restrictions(),
         plan.predicted_cost
     );
-    if args.command == Command::Plan {
+    if args.kind == QueryKind::Plan {
         println!("\n{}", generate(&plan.plan, Language::Cpp));
         return Ok(());
     }
@@ -1491,7 +1491,7 @@ fn run_query(args: &CliArgs) -> Result<(), String> {
 fn run_local_mode(
     engine: &GraphPi,
     pattern: &Pattern,
-    args: &CliArgs,
+    args: &QueryArgs,
     count_options: CountOptions,
 ) -> Result<(), String> {
     let session = open_session(engine, args, count_options);
@@ -1578,6 +1578,14 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    /// A `stats` / `plan` / `count` command line, parsed.
+    fn query(parts: &[&str]) -> QueryArgs {
+        match parse_args(&strings(parts)) {
+            Ok(Command::Query(query)) => query,
+            other => panic!("expected a query command, got {other:?}"),
+        }
+    }
+
     fn temp_dir(label: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("graphpi_cli_{label}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1586,7 +1594,7 @@ mod tests {
 
     #[test]
     fn parses_count_invocation() {
-        let args = parse_args(&strings(&[
+        let args = query(&[
             "count",
             "--graph",
             "g.txt",
@@ -1597,9 +1605,8 @@ mod tests {
             "--no-iep",
             "--list",
             "3",
-        ]))
-        .unwrap();
-        assert_eq!(args.command, Command::Count);
+        ]);
+        assert_eq!(args.kind, QueryKind::Count);
         assert_eq!(args.graph_path, "g.txt");
         assert_eq!(args.pattern.as_deref(), Some("house"));
         assert_eq!(args.threads, 4);
@@ -1611,7 +1618,7 @@ mod tests {
 
     #[test]
     fn parses_format_and_kernel_flags() {
-        let args = parse_args(&strings(&[
+        let args = query(&[
             "count",
             "--graph",
             "g.bin",
@@ -1620,14 +1627,11 @@ mod tests {
             "--pattern",
             "house",
             "--scalar-kernels",
-        ]))
-        .unwrap();
+        ]);
         assert_eq!(args.format, GraphFormat::Binary);
         assert!(args.scalar_kernels);
         assert_eq!(
-            parse_args(&strings(&["stats", "--graph", "g.txt", "--format", "text"]))
-                .unwrap()
-                .format,
+            query(&["stats", "--graph", "g.txt", "--format", "text"]).format,
             GraphFormat::Text
         );
         assert!(parse_args(&strings(&["stats", "--graph", "g.txt", "--format", "tsv"])).is_err());
@@ -1636,10 +1640,10 @@ mod tests {
     #[test]
     fn parses_convert_invocation() {
         let args = parse_args(&strings(&["convert", "in.txt", "out.bin"])).unwrap();
-        assert_eq!(args.graph_path, "in.txt");
         assert_eq!(
-            args.command,
+            args,
             Command::Convert {
+                input: "in.txt".to_string(),
                 output: "out.bin".to_string()
             }
         );
@@ -1649,7 +1653,7 @@ mod tests {
 
     #[test]
     fn parses_repeat_and_session_flags() {
-        let args = parse_args(&strings(&[
+        let args = query(&[
             "count",
             "--graph",
             "g.txt",
@@ -1658,19 +1662,11 @@ mod tests {
             "--repeat",
             "20",
             "--session",
-        ]))
-        .unwrap();
+        ]);
         assert_eq!(args.repeat, 20);
         assert!(args.session);
         // Defaults: one iteration, no session.
-        let args = parse_args(&strings(&[
-            "count",
-            "--graph",
-            "g.txt",
-            "--pattern",
-            "house",
-        ]))
-        .unwrap();
+        let args = query(&["count", "--graph", "g.txt", "--pattern", "house"]);
         assert_eq!(args.repeat, 1);
         assert!(!args.session);
         // Zero repeats is rejected.
@@ -1688,7 +1684,7 @@ mod tests {
 
     #[test]
     fn parses_and_validates_clients_flags() {
-        let args = parse_args(&strings(&[
+        let args = query(&[
             "count",
             "--graph",
             "g.txt",
@@ -1699,20 +1695,12 @@ mod tests {
             "4",
             "--max-in-flight",
             "2",
-        ]))
-        .unwrap();
+        ]);
         assert_eq!(args.clients, 4);
         assert_eq!(args.max_in_flight, 2);
         assert!(args.session);
         // Defaults.
-        let args = parse_args(&strings(&[
-            "count",
-            "--graph",
-            "g.txt",
-            "--pattern",
-            "house",
-        ]))
-        .unwrap();
+        let args = query(&["count", "--graph", "g.txt", "--pattern", "house"]);
         assert_eq!(args.clients, 1);
         assert_eq!(args.max_in_flight, 0);
         // Zero clients and clients-without-session are rejected.
@@ -1753,7 +1741,7 @@ mod tests {
 
     #[test]
     fn parses_mode_flags_and_equals_sugar() {
-        let args = parse_args(&strings(&[
+        let args = query(&[
             "count",
             "--graph",
             "g.txt",
@@ -1762,12 +1750,11 @@ mod tests {
             "--mode=sample",
             "--sample-rate=0.25",
             "--sample-seed=7",
-        ]))
-        .unwrap();
+        ]);
         assert_eq!(args.mode, CliMode::Sample);
         assert_eq!(args.sample_rate, 0.25);
         assert_eq!(args.sample_seed, 7);
-        let args = parse_args(&strings(&[
+        let args = query(&[
             "count",
             "--graph",
             "g.txt",
@@ -1777,19 +1764,11 @@ mod tests {
             "enumerate",
             "--limit",
             "12",
-        ]))
-        .unwrap();
+        ]);
         assert_eq!(args.mode, CliMode::Enumerate);
         assert_eq!(args.limit, 12);
         // Defaults: exact count; seed 0, rate 0.1 and limit 100 documented.
-        let args = parse_args(&strings(&[
-            "count",
-            "--graph",
-            "g.txt",
-            "--pattern",
-            "house",
-        ]))
-        .unwrap();
+        let args = query(&["count", "--graph", "g.txt", "--pattern", "house"]);
         assert_eq!(args.mode, CliMode::Count);
         assert_eq!(args.sample_seed, 0);
         assert_eq!(args.sample_rate, DEFAULT_SAMPLE_RATE);
@@ -1850,7 +1829,7 @@ mod tests {
     #[test]
     fn parses_remote_mode_and_enumerate_flags() {
         let args = parse_args(&strings(&["remote", "--pattern", "house", "--mode=orbit"])).unwrap();
-        let Command::Remote(remote) = args.command else {
+        let Command::Remote(remote) = args else {
             panic!("expected a remote command");
         };
         assert_eq!(remote.mode, CliMode::Orbit);
@@ -1866,7 +1845,7 @@ mod tests {
             "16",
         ]))
         .unwrap();
-        let Command::Remote(remote) = args.command else {
+        let Command::Remote(remote) = args else {
             panic!("expected a remote command");
         };
         assert!(remote.enumerate);
@@ -1972,7 +1951,7 @@ mod tests {
             "--stats",
         ]))
         .unwrap();
-        let Command::Remote(remote) = args.command else {
+        let Command::Remote(remote) = args else {
             panic!("expected a remote command");
         };
         assert_eq!(remote.addr, "127.0.0.1:9000");
@@ -1986,7 +1965,7 @@ mod tests {
 
         // --mutate alone is an action.
         let parsed = parse_args(&strings(&["remote", "--mutate", "ops.txt"])).unwrap();
-        let Command::Remote(remote) = parsed.command else {
+        let Command::Remote(remote) = parsed else {
             panic!("expected a remote command");
         };
         assert_eq!(remote.mutate.as_deref(), Some("ops.txt"));
@@ -1997,7 +1976,7 @@ mod tests {
         assert!(parse_args(&strings(&["remote", "--addr", "h:1"])).is_err());
         for solo in ["--ping", "--stats", "--shutdown", "--probe-malformed"] {
             let parsed = parse_args(&strings(&["remote", solo])).unwrap();
-            assert!(matches!(parsed.command, Command::Remote(_)), "{solo}");
+            assert!(matches!(parsed, Command::Remote(_)), "{solo}");
         }
         assert!(parse_args(&strings(&["remote", "--clients", "0", "--ping"])).is_err());
         assert!(parse_args(&strings(&["remote", "--repeat", "0", "--ping"])).is_err());
@@ -2018,7 +1997,7 @@ mod tests {
             "42",
         ]))
         .unwrap();
-        let Command::Remote(remote) = args.command else {
+        let Command::Remote(remote) = args else {
             panic!("expected a remote command");
         };
         assert_eq!(remote.retries, 8);
@@ -2026,7 +2005,7 @@ mod tests {
         assert_eq!(remote.chaos_seed, Some(42));
         // Defaults: one attempt, no chaos.
         let args = parse_args(&strings(&["remote", "--ping"])).unwrap();
-        let Command::Remote(remote) = args.command else {
+        let Command::Remote(remote) = args else {
             panic!("expected a remote command");
         };
         assert_eq!(remote.retries, 1);
@@ -2050,7 +2029,7 @@ mod tests {
             "6",
         ]))
         .unwrap();
-        let Command::Remote(remote) = args.command else {
+        let Command::Remote(remote) = args else {
             panic!("expected a remote command");
         };
         assert_eq!(
@@ -2115,7 +2094,7 @@ mod tests {
 
         let args = parse_args(&strings(&["promote", "--addr", "127.0.0.1:7432"])).unwrap();
         assert_eq!(
-            args.command,
+            args,
             Command::Promote {
                 addr: "127.0.0.1:7432".to_string()
             }
@@ -2123,7 +2102,7 @@ mod tests {
         // Default address, like remote.
         let args = parse_args(&strings(&["promote"])).unwrap();
         assert_eq!(
-            args.command,
+            args,
             Command::Promote {
                 addr: "127.0.0.1:7431".to_string()
             }
@@ -2151,7 +2130,7 @@ mod tests {
             "25",
         ]))
         .unwrap();
-        let Command::ChaosProxy(proxy) = args.command else {
+        let Command::ChaosProxy(proxy) = args else {
             panic!("expected a chaos-proxy command");
         };
         assert_eq!(proxy.upstream, "127.0.0.1:7431");
@@ -2163,7 +2142,7 @@ mod tests {
         assert_eq!(proxy.partial_per_mille, 25);
         // Defaults (gentle chaos, ephemeral listen port).
         let args = parse_args(&strings(&["chaos-proxy", "--upstream", "h:1"])).unwrap();
-        let Command::ChaosProxy(proxy) = args.command else {
+        let Command::ChaosProxy(proxy) = args else {
             panic!("expected a chaos-proxy command");
         };
         assert_eq!(proxy.listen, "127.0.0.1:0");
@@ -2202,10 +2181,10 @@ mod tests {
             "--checkpoint",
         ]))
         .unwrap();
-        assert_eq!(args.graph_path, "g.txt");
-        let Command::Update(update) = args.command else {
+        let Command::Update(update) = args else {
             panic!("expected an update command");
         };
+        assert_eq!(update.graph_path, "g.txt");
         assert_eq!(update.wal, "g.wal");
         assert_eq!(update.inserts, vec![(0, 9), (1, 8)]);
         assert_eq!(update.deletes, vec![(2, 3)]);

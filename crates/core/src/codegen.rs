@@ -31,7 +31,7 @@ fn vertex_name(i: usize) -> String {
 }
 
 /// Emits the nested-loop matching program for a plan: the enumeration view
-/// of its [`SetProgram`](crate::exec::setprog::SetProgram), i.e. the loops
+/// of its `SetProgram`, i.e. the loops
 /// and hoisted temporaries the interpreter actually runs (IEP additionally
 /// runs the ops only its leaf reads, and stops above the suffix loops).
 pub fn generate(plan: &ExecutionPlan, language: Language) -> String {

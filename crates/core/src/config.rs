@@ -33,7 +33,7 @@ use std::sync::OnceLock;
 /// `[VertexId; MAX_LOOPS]` arrays and the matching kernel's parent lists
 /// are fixed-size arrays, so the worker loop performs no per-task heap
 /// allocation.
-pub const MAX_LOOPS: usize = 8;
+pub(crate) const MAX_LOOPS: usize = 8;
 
 /// Options for the long-lived serving path: the persistent
 /// [`crate::exec::pool::WorkerPool`] and the compiled-plan cache behind a
@@ -82,7 +82,7 @@ pub struct ServeOptions {
     /// the connection open.
     pub read_timeout: std::time::Duration,
     /// Where to persist the plan cache's keys at shutdown and warm-start
-    /// from at boot (`None` = no persistence). See [`crate::persist`].
+    /// from at boot (`None` = no persistence). See `crate::persist`.
     pub persist_path: Option<std::path::PathBuf>,
     /// Admission wait-queue bound: queries beyond it are shed with a
     /// typed `RetryLater` + retry-after hint instead of queueing
@@ -235,7 +235,7 @@ pub struct LoopPlan {
 /// is one), so the planner ranks IEP plans with the correction in hand
 /// ([`crate::perf_model::select_best_iep`]) and never picks a non-uniform
 /// candidate while a uniform one exists. A hand-built non-uniform plan has
-/// no IEP leaf ([`SetProgram::iep`]): every executor enumerates it, which
+/// no IEP leaf (`SetProgram::iep`): every executor enumerates it, which
 /// is always exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IepCorrection {
@@ -289,7 +289,7 @@ impl ExecutionPlan {
     }
 
     /// The plan's set program, lowered at most once.
-    pub fn program(&self) -> &SetProgram {
+    pub(crate) fn program(&self) -> &SetProgram {
         self.program.get_or_init(|| SetProgram::lower(self))
     }
 }

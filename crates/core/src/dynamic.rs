@@ -110,7 +110,7 @@ impl DynamicEngine {
     }
 
     /// Whether commits are write-ahead logged.
-    pub fn is_durable(&self) -> bool {
+    pub(crate) fn is_durable(&self) -> bool {
         matches!(self.backing, Backing::Durable(_))
     }
 
@@ -146,7 +146,7 @@ impl DynamicEngine {
 
     /// Forces a checkpoint on a durable backing; returns the
     /// checkpointed generation, or `None` when the engine is volatile.
-    pub fn checkpoint(&self) -> Option<Result<u64, DurableError>> {
+    pub(crate) fn checkpoint(&self) -> Option<Result<u64, DurableError>> {
         match &self.backing {
             Backing::Durable(durable) => Some(durable.checkpoint()),
             Backing::Volatile(_) => None,
@@ -157,7 +157,7 @@ impl DynamicEngine {
     /// that its claimed `generation` continues this engine's sequence
     /// exactly ([`graphpi_graph::delta::DeltaError::GenerationGap`]
     /// otherwise). Publication mirrors [`DynamicEngine::apply`].
-    pub fn apply_replicated(
+    pub(crate) fn apply_replicated(
         &self,
         generation: u64,
         batch: &EdgeBatch,
@@ -174,7 +174,11 @@ impl DynamicEngine {
     /// Replaces the whole graph with `base` at `generation` — the
     /// receiving end of a replication checkpoint bootstrap. On a durable
     /// backing the installed state is crash-safe before it is published.
-    pub fn install_checkpoint(&self, base: CsrGraph, generation: u64) -> Result<(), DurableError> {
+    pub(crate) fn install_checkpoint(
+        &self,
+        base: CsrGraph,
+        generation: u64,
+    ) -> Result<(), DurableError> {
         let _serialised = self.apply_lock.lock().expect("dynamic engine poisoned");
         match &self.backing {
             Backing::Durable(durable) => durable.install_checkpoint(base, generation)?,
@@ -222,7 +226,7 @@ impl DynamicEngine {
     }
 
     /// The WAL file path, or `None` when the engine is volatile.
-    pub fn wal_path(&self) -> Option<std::path::PathBuf> {
+    pub(crate) fn wal_path(&self) -> Option<std::path::PathBuf> {
         match &self.backing {
             Backing::Durable(durable) => Some(durable.wal_path()),
             Backing::Volatile(_) => None,
@@ -247,7 +251,7 @@ impl DynamicEngine {
 
     /// Generation of the WAL's base (cursors behind it need a checkpoint
     /// bootstrap), or `None` when volatile.
-    pub fn replication_horizon(&self) -> Option<u64> {
+    pub(crate) fn replication_horizon(&self) -> Option<u64> {
         match &self.backing {
             Backing::Durable(durable) => Some(durable.replication_horizon()),
             Backing::Volatile(_) => None,
@@ -256,7 +260,7 @@ impl DynamicEngine {
 
     /// The checkpoint file path paired with the WAL, or `None` when
     /// volatile.
-    pub fn checkpoint_file(&self) -> Option<std::path::PathBuf> {
+    pub(crate) fn checkpoint_file(&self) -> Option<std::path::PathBuf> {
         match &self.backing {
             Backing::Durable(durable) => Some(durable.checkpoint_path().to_path_buf()),
             Backing::Volatile(_) => None,

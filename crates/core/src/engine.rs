@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 /// Largest pattern size the planner accepts (the paper evaluates up to 6–7
 /// vertices; preprocessing cost grows factorially beyond that). Equal to
-/// [`MAX_LOOPS`], the bound the execution hot path relies on for its inline
+/// `MAX_LOOPS`, the bound the execution hot path relies on for its inline
 /// per-task state.
 pub const MAX_PATTERN_VERTICES: usize = MAX_LOOPS;
 
@@ -121,7 +121,6 @@ impl CountOptions {
             } else {
                 parallel::CountMode::Enumerate
             },
-            hub_bitsets: self.hub_bitsets,
             ..Default::default()
         }
     }
@@ -300,14 +299,14 @@ impl GraphPi {
         // environment pin is folded into detection and stays sticky).
         graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);
         let ctx = if options.hub_bitsets {
-            ExecCtx::with_hubs(self.hub_index())
+            ExecCtx::from(self.hub_index())
         } else {
-            ExecCtx::new(&self.graph)
+            ExecCtx::from(&self.graph)
         };
         match (options.use_iep, parallel::resolve_threads(options.threads)) {
-            (false, 1) => interp::count_embeddings_in(plan, ctx),
-            (true, 1) => iep::count_embeddings_iep_in(plan, ctx),
-            (_, _) => parallel::count_parallel_in(plan, ctx, options.parallel_options()),
+            (false, 1) => interp::count_embeddings(plan, ctx),
+            (true, 1) => iep::count_embeddings_iep(plan, ctx),
+            (_, _) => parallel::count_parallel(plan, ctx, options.parallel_options()),
         }
     }
 
@@ -410,7 +409,7 @@ impl PlanKey {
 /// relative to serving them stale, so warm start replans from keys (full
 /// plan serialization is deliberately deferred; see `ROADMAP.md`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedPlanKey {
+pub(crate) struct SavedPlanKey {
     /// The labeled pattern, as [`Pattern::canonical_bytes`].
     pub pattern: Vec<u8>,
     /// The planning cap [`PlanOptions::max_restriction_sets`] in effect.
@@ -483,7 +482,7 @@ impl Outcome {
     ///
     /// # Panics
     /// If the outcome is another mode's (as for every accessor below).
-    pub fn into_count(self) -> u64 {
+    pub(crate) fn into_count(self) -> u64 {
         match self {
             Outcome::Count(count) => count,
             other => other.is_not("a count"),
@@ -519,7 +518,7 @@ impl Outcome {
     }
 }
 
-/// Outcome of [`Session::warm_start`]: how many persisted keys applied to
+/// Outcome of `Session::warm_start`: how many persisted keys applied to
 /// this session's graph and planning options, and how many were actually
 /// re-planned into the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -656,11 +655,6 @@ impl PlanCache {
         }
     }
 
-    /// Drops every cached plan (counters are preserved).
-    pub fn clear(&self) {
-        self.inner.lock().expect("plan cache poisoned").map.clear();
-    }
-
     /// Snapshots every cached key in portable form (most recently used
     /// first), for persistence across processes — see [`crate::persist`].
     ///
@@ -668,7 +662,7 @@ impl PlanCache {
     /// format predates [`PlanOptions::enable_iep`] and mode plans are cheap
     /// derivatives that warm themselves on the first enumeration/orbit/
     /// sample query, so persisting them is not worth a format change.
-    pub fn saved_keys(&self) -> Vec<SavedPlanKey> {
+    pub(crate) fn saved_keys(&self) -> Vec<SavedPlanKey> {
         let inner = self.inner.lock().expect("plan cache poisoned");
         let mut entries: Vec<(&PlanKey, u64)> = inner
             .map
@@ -727,19 +721,9 @@ pub struct Session<'g> {
 }
 
 impl<'g> Session<'g> {
-    /// The engine this session serves queries for.
-    pub fn engine(&self) -> &'g GraphPi {
-        self.engine
-    }
-
     /// The persistent worker pool (shared across clones of this session).
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
-    }
-
-    /// The compiled-plan cache (shared across clones of this session).
-    pub fn cache(&self) -> &Arc<PlanCache> {
-        &self.cache
     }
 
     /// Plan-cache counter snapshot.
@@ -764,7 +748,7 @@ impl<'g> Session<'g> {
     /// planning latency. Keys for other graphs or other caps are skipped
     /// (counted as inapplicable), as are keys whose pattern bytes fail to
     /// decode or plan — corrupt persistence must never poison a session.
-    pub fn warm_start(&self, keys: &[SavedPlanKey]) -> WarmStartReport {
+    pub(crate) fn warm_start(&self, keys: &[SavedPlanKey]) -> WarmStartReport {
         let mut report = WarmStartReport::default();
         for key in keys {
             if key.graph_fingerprint != self.engine.stats.fingerprint()
@@ -821,7 +805,7 @@ impl<'g> Session<'g> {
         // authoritative for the process-global kernel dispatch.
         graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);
         let hubs = options.hub_bitsets.then(|| self.engine.hub_index());
-        let ctx = hubs.map_or_else(|| ExecCtx::new(&self.engine.graph), ExecCtx::with_hubs);
+        let ctx = hubs.map_or_else(|| ExecCtx::from(&self.engine.graph), ExecCtx::from);
         let executor_options = options.parallel_options();
         let job = match mode {
             Mode::Count => Job::count(plan, executor_options.mode),
@@ -1399,7 +1383,7 @@ mod tests {
         assert_eq!(stats.len, 2);
         assert!(stats.hits >= 2);
         // Persistence only snapshots count-path keys.
-        assert_eq!(session.cache().saved_keys().len(), 1);
+        assert_eq!(session.cache.saved_keys().len(), 1);
     }
 
     #[test]
@@ -1458,24 +1442,5 @@ mod tests {
             hub.count_per_vertex(&pattern).unwrap(),
             "hub relabeling must be invisible to orbit counts"
         );
-    }
-
-    #[test]
-    fn cache_clear_preserves_counters() {
-        let cache = PlanCache::new(4);
-        let engine = engine();
-        let session = engine.session_shared(
-            Arc::new(WorkerPool::new(1)),
-            Arc::new(cache),
-            PlanOptions::default(),
-            CountOptions::default(),
-        );
-        session.count(&prefab::triangle()).unwrap();
-        session.cache().clear();
-        let stats = session.cache_stats();
-        assert_eq!(stats.len, 0);
-        assert_eq!(stats.misses, 1);
-        session.count(&prefab::triangle()).unwrap();
-        assert_eq!(session.cache_stats().misses, 2);
     }
 }

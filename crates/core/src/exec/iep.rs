@@ -13,11 +13,11 @@
 //! over its blocks of `|∩_{i ∈ block} S_i|`.
 //!
 //! Nothing here builds a set. The plan's
-//! [`SetProgram`](crate::exec::setprog::SetProgram) already contains an op
+//! `SetProgram` already contains an op
 //! for every block intersection — each is `∩ N(v_p)` over the union of its
 //! members' parents, so coinciding blocks share one slot — hoisted to the
 //! loop of its last parent, and the partition sum is the precomputed
-//! [`IepTable`]. The leaf reads slot cardinalities, takes out the bound
+//! `IepTable`. The leaf reads slot cardinalities, takes out the bound
 //! prefix vertices with adjacency probes, and evaluates the table.
 //!
 //! Restrictions enforced in the suffix loops are dropped by this
@@ -28,23 +28,17 @@
 
 use crate::config::ExecutionPlan;
 use crate::exec::interp::{self, ExecCtx, Leaf, SearchBuffers, Walk};
-use crate::exec::setprog::{block_coefficient, for_each_partition, IepTable, Operand};
-use graphpi_graph::csr::{CsrGraph, VertexId};
-
-pub use crate::exec::setprog::MAX_IEP_SUFFIX;
+use crate::exec::setprog::{IepTable, Operand};
+use graphpi_graph::csr::VertexId;
 
 /// Counts embeddings using IEP over the innermost `plan.iep_suffix_len`
 /// loops. Falls back to plain enumeration when the plan has no IEP leaf:
 /// the suffix is shorter than 2 (there is nothing to gain), there is no
 /// outer loop, or the over-count is not uniform.
-pub fn count_embeddings_iep(plan: &ExecutionPlan, graph: &CsrGraph) -> u64 {
-    count_embeddings_iep_in(plan, ExecCtx::new(graph))
-}
-
-/// Context-explicit IEP driver.
-pub fn count_embeddings_iep_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>) -> u64 {
+pub fn count_embeddings_iep<'a>(plan: &ExecutionPlan, ctx: impl Into<ExecCtx<'a>>) -> u64 {
+    let ctx = ctx.into();
     if plan.program().iep().is_none() {
-        return interp::count_embeddings_in(plan, ctx);
+        return interp::count_embeddings(plan, ctx);
     }
     let mut buffers = SearchBuffers::new(plan.num_loops());
     let total: u64 = ctx
@@ -58,15 +52,14 @@ pub fn count_embeddings_iep_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>) -> u64 {
 /// Counts embeddings (before dividing by the redundancy factor) contributed
 /// by a single outer-loop prefix. Exposed for the parallel executor.
 ///
-/// Allocates fresh scratch; hot loops should hold a [`SearchBuffers`] and
-/// call [`iep_term_with`] instead.
-pub fn iep_term(plan: &ExecutionPlan, graph: &CsrGraph, prefix: &[VertexId]) -> u64 {
+/// Allocates fresh scratch; the executors' workers hold a
+/// `SearchBuffers` each and run the same kernel over it.
+pub fn iep_term<'a>(plan: &ExecutionPlan, ctx: impl Into<ExecCtx<'a>>, prefix: &[VertexId]) -> u64 {
     let mut buffers = SearchBuffers::new(plan.num_loops());
-    iep_term_with(plan, ExecCtx::new(graph), prefix, &mut buffers)
+    iep_term_with(plan, ctx.into(), prefix, &mut buffers)
 }
 
-/// Allocation-free variant of [`iep_term`]: reuses the caller's
-/// [`SearchBuffers`] and supports hub acceleration through the context.
+/// The kernel of [`iep_term`] over the caller's reusable [`SearchBuffers`].
 ///
 /// `prefix` binds the first `1..=n-k` loops: its ops are replayed, the
 /// remaining outer loops are walked, and the leaf fires under each binding.
@@ -76,7 +69,7 @@ pub fn iep_term(plan: &ExecutionPlan, graph: &CsrGraph, prefix: &[VertexId]) -> 
 /// reaches into the suffix.
 ///
 /// [`SetProgram::iep`]: crate::exec::setprog::SetProgram::iep
-pub fn iep_term_with(
+pub(crate) fn iep_term_with(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
     prefix: &[VertexId],
@@ -143,34 +136,11 @@ fn evaluate(table: &IepTable, cards: &[u64]) -> u64 {
     })
 }
 
-/// Number of ordered tuples `(e_1, …, e_k)` with `e_i ∈ sets[i]` and all
-/// entries pairwise distinct: the partition sum of the module docs over
-/// explicit sets. The reference the plan-level tables are checked against.
-pub fn count_distinct_tuples(sets: &[Vec<VertexId>]) -> u64 {
-    let k = sets.len();
-    assert!(k >= 1, "need at least one candidate set");
-    assert!(
-        k <= MAX_IEP_SUFFIX,
-        "IEP suffix larger than {MAX_IEP_SUFFIX} is not supported"
-    );
-    let mut total = 0i128;
-    for_each_partition(k, |blocks| {
-        total += blocks
-            .iter()
-            .map(|block| {
-                let members: Vec<&[VertexId]> = block.iter().map(|&i| &sets[i][..]).collect();
-                let common = graphpi_graph::vertex_set::intersect_many(&members).len();
-                block_coefficient(block.len()) as i128 * common as i128
-            })
-            .product::<i128>();
-    });
-    total as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Configuration;
+    use crate::exec::setprog::{block_coefficient, for_each_partition};
     use crate::schedule::{efficient_schedules, Schedule};
     use graphpi_graph::generators;
     use graphpi_graph::hub::{HubGraph, HubOptions};
@@ -178,6 +148,26 @@ mod tests {
     use graphpi_pattern::restriction::{
         generate_restriction_sets, GenerationOptions, RestrictionSet,
     };
+
+    /// Number of ordered tuples `(e_1, …, e_k)` with `e_i ∈ sets[i]` and all
+    /// entries pairwise distinct: the partition sum of the module docs over
+    /// explicit sets. The reference the plan-level tables are checked against.
+    fn count_distinct_tuples(sets: &[Vec<VertexId>]) -> u64 {
+        let k = sets.len();
+        assert!(k >= 1, "need at least one candidate set");
+        let mut total = 0i128;
+        for_each_partition(k, |blocks| {
+            total += blocks
+                .iter()
+                .map(|block| {
+                    let members: Vec<&[VertexId]> = block.iter().map(|&i| &sets[i][..]).collect();
+                    let common = graphpi_graph::vertex_set::intersect_many(&members).len();
+                    block_coefficient(block.len()) as i128 * common as i128
+                })
+                .product::<i128>();
+        });
+        total as u64
+    }
 
     #[test]
     fn distinct_tuple_counting_small_cases() {
@@ -291,7 +281,7 @@ mod tests {
         for pattern in [prefab::house(), prefab::p2(), prefab::cycle_6_tri()] {
             let plan = best_effort_plan(pattern);
             assert_eq!(
-                count_embeddings_iep_in(&plan, ExecCtx::with_hubs(&hubs)),
+                count_embeddings_iep(&plan, &hubs),
                 count_embeddings_iep(&plan, &g)
             );
         }
@@ -303,7 +293,7 @@ mod tests {
         let plan = best_effort_plan(prefab::house());
         let outer = plan.num_loops() - plan.iep_suffix_len;
         let prefixes = interp::enumerate_prefixes(&plan, &g, outer);
-        let ctx = ExecCtx::new(&g);
+        let ctx = ExecCtx::from(&g);
         let mut buffers = SearchBuffers::new(plan.num_loops());
         for p in prefixes.iter().take(40) {
             assert_eq!(

@@ -10,10 +10,10 @@
 //! This is the executable counterpart of the code GraphPi generates and
 //! compiles (Figure 5(b)): the loops never compute an intersection
 //! themselves. They execute the plan's
-//! [`SetProgram`] — when loop
+//! `SetProgram` — when loop
 //! `i` binds a vertex, the ops hoisted to depth `i` build every set whose
 //! last parent is `v_i`, once, into the slots of a reusable
-//! [`SearchBuffers`]; a deeper loop's candidate set is a slot reference plus
+//! `SearchBuffers`; a deeper loop's candidate set is a slot reference plus
 //! its restriction window. A prefix task replays the ops of its bound depths
 //! and then walks on, so sequential, scoped, pooled and IEP execution
 //! ([`crate::exec::iep`]) are all the same `Walk`. [`crate::codegen`]
@@ -21,7 +21,7 @@
 //!
 //! The matching kernel is **allocation-free** in steady state: slots, the
 //! bitset scratch of hub × hub intersections and the bound-vertex stack all
-//! live in the caller's [`SearchBuffers`], one per worker.
+//! live in the caller's `SearchBuffers`, one per worker.
 
 use crate::config::{ExecutionPlan, LoopBound};
 use crate::exec::setprog::{Operand, SetProgram};
@@ -44,30 +44,28 @@ pub struct ExecCtx<'a> {
     hubs: Option<&'a HubGraph>,
 }
 
-impl<'a> ExecCtx<'a> {
-    /// Plain execution over a CSR graph.
-    pub fn new(graph: &'a CsrGraph) -> Self {
+/// Plain execution over a CSR graph.
+impl<'a> From<&'a CsrGraph> for ExecCtx<'a> {
+    fn from(graph: &'a CsrGraph) -> Self {
         Self { graph, hubs: None }
     }
+}
 
-    /// Hub-accelerated execution over the relabeled graph.
-    pub fn with_hubs(hubs: &'a HubGraph) -> Self {
+/// Hub-accelerated execution over the relabeled graph.
+impl<'a> From<&'a HubGraph> for ExecCtx<'a> {
+    fn from(hubs: &'a HubGraph) -> Self {
         Self {
             graph: hubs.graph(),
             hubs: Some(hubs),
         }
     }
+}
 
+impl<'a> ExecCtx<'a> {
     /// The graph being executed against (relabeled when hubs are on).
     #[inline]
-    pub fn graph(&self) -> &'a CsrGraph {
+    pub(crate) fn graph(&self) -> &'a CsrGraph {
         self.graph
-    }
-
-    /// The hub structure, if hub acceleration is enabled.
-    #[inline]
-    pub fn hubs(&self) -> Option<&'a HubGraph> {
-        self.hubs
     }
 
     /// Whether `a` and `b` are adjacent (a bit probe when either is a hub).
@@ -89,7 +87,7 @@ impl<'a> ExecCtx<'a> {
 /// after the buffers have grown to their steady-state sizes the kernel
 /// allocates nothing.
 #[derive(Debug, Default)]
-pub struct SearchBuffers {
+pub(crate) struct SearchBuffers {
     /// One materialisation buffer per program slot.
     slots: Vec<Vec<VertexId>>,
     /// Cardinality of each slot as last built (all the IEP leaf reads).
@@ -106,7 +104,7 @@ pub struct SearchBuffers {
 
 impl SearchBuffers {
     /// Creates buffers for a plan with `depth` loops.
-    pub fn new(depth: usize) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         Self {
             stack: Vec::with_capacity(depth),
             ..Self::default()
@@ -397,15 +395,11 @@ impl Pair<'_> {
     }
 }
 
-/// Counts every embedding of the plan's pattern in the data graph.
-pub fn count_embeddings(plan: &ExecutionPlan, graph: &CsrGraph) -> u64 {
-    count_embeddings_in(plan, ExecCtx::new(graph))
-}
-
-/// Counts every embedding in an explicit execution context.
-pub fn count_embeddings_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>) -> u64 {
+/// Counts every embedding of the plan's pattern in the data graph (a
+/// `&CsrGraph`, or a `&HubGraph` for hub-accelerated execution).
+pub fn count_embeddings<'a>(plan: &ExecutionPlan, ctx: impl Into<ExecCtx<'a>>) -> u64 {
     let mut count = 0u64;
-    for_each_embedding_in(plan, ctx, |_| count += 1);
+    for_each_embedding(plan, ctx, |_| count += 1);
     count
 }
 
@@ -427,30 +421,21 @@ pub fn list_embeddings(plan: &ExecutionPlan, graph: &CsrGraph) -> Vec<Vec<Vertex
 
 /// Invokes `visitor` once per embedding with the bound data vertices in
 /// **schedule order** (`bound[i]` is the vertex chosen by loop `i`).
-pub fn for_each_embedding<F: FnMut(&[VertexId])>(
+pub(crate) fn for_each_embedding<'a, F: FnMut(&[VertexId])>(
     plan: &ExecutionPlan,
-    graph: &CsrGraph,
-    visitor: F,
-) {
-    for_each_embedding_in(plan, ExecCtx::new(graph), visitor);
-}
-
-/// Context-explicit variant of [`for_each_embedding`].
-pub fn for_each_embedding_in<F: FnMut(&[VertexId])>(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
+    ctx: impl Into<ExecCtx<'a>>,
     visitor: F,
 ) {
     // An embedding is a valid prefix of every loop.
     if plan.num_loops() > 0 {
-        for_each_prefix(plan, ctx, plan.num_loops(), visitor);
+        for_each_prefix(plan, ctx.into(), plan.num_loops(), visitor);
     }
 }
 
 /// Sink-driven whole-graph matching, decomposed exactly like the parallel
 /// executors: valid prefixes of `task_depth` loops are enumerated and the
 /// subtree under each is matched through
-/// [`match_from_prefix_with`] — so a sink that makes per-prefix decisions
+/// `match_from_prefix_with` — so a sink that makes per-prefix decisions
 /// ([`MatchSink::accept_prefix`], e.g. sampling) sees the **same** prefix
 /// stream sequentially as each parallel worker does collectively, and a
 /// saturating sink ([`MatchSink::is_full`]) stops exploring further
@@ -482,19 +467,21 @@ pub fn match_embeddings_in<S: MatchSink>(
 /// values chosen by the first `prefix.len()` loops). Used by the parallel
 /// and distributed executors, whose tasks are exactly such prefixes.
 ///
-/// Allocates fresh scratch; hot loops should hold a [`SearchBuffers`] and
-/// call [`count_from_prefix_with`] instead.
-pub fn count_from_prefix(plan: &ExecutionPlan, graph: &CsrGraph, prefix: &[VertexId]) -> u64 {
+/// Allocates fresh scratch; the executors' workers hold a
+/// `SearchBuffers` each and run the same kernel over it.
+pub fn count_from_prefix<'a>(
+    plan: &ExecutionPlan,
+    ctx: impl Into<ExecCtx<'a>>,
+    prefix: &[VertexId],
+) -> u64 {
     let mut buffers = SearchBuffers::new(plan.num_loops());
-    count_from_prefix_with(plan, ExecCtx::new(graph), prefix, &mut buffers)
+    count_from_prefix_with(plan, ctx.into(), prefix, &mut buffers)
 }
 
-/// Allocation-free variant of [`count_from_prefix`]: reuses the caller's
-/// [`SearchBuffers`] and supports hub acceleration through the context.
-///
-/// Implemented as [`match_from_prefix_with`] driving a [`CountSink`] — the
-/// sink monomorphises into a `count += 1` innermost loop.
-pub fn count_from_prefix_with(
+/// The kernel of [`count_from_prefix`] over the caller's reusable
+/// [`SearchBuffers`]: [`match_from_prefix_with`] driving a [`CountSink`],
+/// which monomorphises into a `count += 1` innermost loop.
+pub(crate) fn count_from_prefix_with(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
     prefix: &[VertexId],
@@ -514,7 +501,7 @@ pub fn count_from_prefix_with(
 ///
 /// The prefix may have any length from 1 to the loop count: the ops of its
 /// depths are replayed once, then the remaining loops are walked.
-pub fn match_from_prefix_with<S: MatchSink>(
+pub(crate) fn match_from_prefix_with<S: MatchSink>(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
     prefix: &[VertexId],
@@ -545,9 +532,7 @@ pub fn enumerate_prefixes(
     depth: usize,
 ) -> Vec<Vec<VertexId>> {
     let mut result = Vec::new();
-    for_each_prefix(plan, ExecCtx::new(graph), depth, |p| {
-        result.push(p.to_vec())
-    });
+    for_each_prefix(plan, graph.into(), depth, |p| result.push(p.to_vec()));
     result
 }
 
@@ -558,7 +543,7 @@ pub fn enumerate_prefixes(
 ///
 /// Only the ops that feed the candidates of loops below `depth` run, so
 /// whether a prefix is valid never depends on sets deeper loops would read.
-pub fn for_each_prefix<F: FnMut(&[VertexId])>(
+pub(crate) fn for_each_prefix<F: FnMut(&[VertexId])>(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
     depth: usize,
@@ -699,7 +684,7 @@ mod tests {
         let sets = generate_restriction_sets(&house, GenerationOptions::default());
         let plan = plan_for(house, vec![0, 1, 2, 3, 4], sets[0].clone());
         let prefixes = enumerate_prefixes(&plan, &g, 2);
-        let ctx = ExecCtx::new(&g);
+        let ctx = ExecCtx::from(&g);
         let mut buffers = SearchBuffers::new(plan.num_loops());
         for p in prefixes.iter().take(50) {
             assert_eq!(
@@ -718,7 +703,7 @@ mod tests {
         for depth in 1..=3 {
             let materialised = enumerate_prefixes(&plan, &g, depth);
             let mut streamed = Vec::new();
-            for_each_prefix(&plan, ExecCtx::new(&g), depth, |p| {
+            for_each_prefix(&plan, ExecCtx::from(&g), depth, |p| {
                 streamed.push(p.to_vec())
             });
             assert_eq!(streamed, materialised, "depth {depth}");
@@ -740,7 +725,7 @@ mod tests {
             let schedules = crate::schedule::efficient_schedules(&pattern);
             let plan = Configuration::new(pattern, schedules[0].clone(), sets[0].clone()).compile();
             assert_eq!(
-                count_embeddings_in(&plan, ExecCtx::with_hubs(&hubs)),
+                count_embeddings(&plan, &hubs),
                 count_embeddings(&plan, &g),
                 "{name}"
             );
@@ -776,12 +761,12 @@ mod tests {
         let plan = plan_for(house, vec![0, 1, 2, 3, 4], sets[0].clone());
         let total = count_embeddings(&plan, &g);
         let mut sink = EmbedSink::new(plan.num_loops(), u64::MAX);
-        match_embeddings_in(&plan, ExecCtx::new(&g), 2, &mut sink);
+        match_embeddings_in(&plan, ExecCtx::from(&g), 2, &mut sink);
         assert_eq!(sink.len(), total);
         // A limit stops the search early with exactly `limit` embeddings.
         let limit = (total / 2).max(1);
         let mut sink = EmbedSink::new(plan.num_loops(), limit);
-        match_embeddings_in(&plan, ExecCtx::new(&g), 2, &mut sink);
+        match_embeddings_in(&plan, ExecCtx::from(&g), 2, &mut sink);
         assert_eq!(sink.len(), limit.min(total));
     }
 
@@ -794,7 +779,7 @@ mod tests {
         let plan = plan_for(house, vec![0, 1, 2, 3, 4], sets[0].clone());
         let total = count_embeddings(&plan, &g);
         let mut sink = OrbitSink::new(g.num_vertices());
-        match_embeddings_in(&plan, ExecCtx::new(&g), 2, &mut sink);
+        match_embeddings_in(&plan, ExecCtx::from(&g), 2, &mut sink);
         let sum: u64 = sink.counts().iter().sum();
         assert_eq!(sum, 5 * total);
     }
@@ -808,7 +793,7 @@ mod tests {
         let plan = plan_for(house, vec![0, 1, 2, 3, 4], sets[0].clone());
         let total = count_embeddings(&plan, &g);
         let mut sink = SampleSink::new(99, 1.0);
-        match_embeddings_in(&plan, ExecCtx::new(&g), 2, &mut sink);
+        match_embeddings_in(&plan, ExecCtx::from(&g), 2, &mut sink);
         let est = sink.finish().estimate(1.0);
         assert_eq!(est.estimate, total as f64);
         assert_eq!(est.stderr, 0.0);

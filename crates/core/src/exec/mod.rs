@@ -10,7 +10,7 @@
 //!   task protocol as [`parallel`] but keeps workers (and their scratch)
 //!   alive across jobs: the warm serving path behind
 //!   [`crate::engine::Session`].
-//! * [`setprog`] — the hoisted set program every plan is lowered to and
+//! * `setprog` — the hoisted set program every plan is lowered to and
 //!   every executor above runs: one intersection per distinct parent set,
 //!   computed where its last parent binds, plus the precomputed IEP leaf.
 //! * [`sink`] — the [`sink::MatchSink`] abstraction that turns the matcher
@@ -21,5 +21,5 @@ pub mod iep;
 pub mod interp;
 pub mod parallel;
 pub mod pool;
-pub mod setprog;
+pub(crate) mod setprog;
 pub mod sink;

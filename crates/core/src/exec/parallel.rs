@@ -16,8 +16,8 @@
 //!   real-world degree distributions are heavily skewed, per-task cost
 //!   varies by orders of magnitude — fine-grained tasks plus stealing is
 //!   exactly what keeps the load balanced.
-//! * A task is an inline fixed-capacity [`PrefixTask`] (`Copy`, no heap),
-//!   and every worker reuses one [`SearchBuffers`], so the steady-state
+//! * A task is an inline fixed-capacity `PrefixTask` (`Copy`, no heap),
+//!   and every worker reuses one `SearchBuffers`, so the steady-state
 //!   worker loop performs **no heap allocation**. A worker replays the set
 //!   ops of the task's bound depths once and walks on from there, so a task
 //!   may be cut at any depth — IEP tasks included.
@@ -31,26 +31,25 @@
 //! (every job kind).
 //!
 //! Hub acceleration (degree-descending relabeling + bitset rows for the
-//! high-degree core, see [`graphpi_graph::hub`]) plugs in through
-//! [`ParallelOptions::hub_bitsets`] or a prebuilt [`HubGraph`]; counts are
-//! bit-identical with it on or off.
+//! high-degree core, see [`graphpi_graph::hub`]) plugs in by passing a
+//! prebuilt [`graphpi_graph::HubGraph`] where a graph is expected; counts
+//! are bit-identical with it on or off.
 
 use crate::config::{ExecutionPlan, MAX_LOOPS};
 use crate::exec::iep;
 use crate::exec::interp::{self, ExecCtx, SearchBuffers};
 use crate::exec::sink::{sample_accepts, EmbedSink, Job};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use graphpi_graph::csr::{CsrGraph, VertexId};
-use graphpi_graph::hub::{HubGraph, HubOptions};
+use graphpi_graph::csr::VertexId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Default number of prefix tasks pushed to the injector per batch.
-pub const DEFAULT_BATCH_SIZE: usize = 64;
+pub(crate) const DEFAULT_BATCH_SIZE: usize = 64;
 
 /// A unit of parallel work: the data vertices bound by the outer loops,
 /// stored inline so tasks are `Copy` and never touch the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefixTask {
+pub(crate) struct PrefixTask {
     len: u8,
     vertices: [VertexId; MAX_LOOPS],
 }
@@ -58,7 +57,7 @@ pub struct PrefixTask {
 impl PrefixTask {
     /// Packs a bound prefix (at most [`MAX_LOOPS`] vertices) into a task.
     #[inline]
-    pub fn from_slice(prefix: &[VertexId]) -> Self {
+    pub(crate) fn from_slice(prefix: &[VertexId]) -> Self {
         debug_assert!(prefix.len() <= MAX_LOOPS);
         let mut vertices = [0 as VertexId; MAX_LOOPS];
         vertices[..prefix.len()].copy_from_slice(prefix);
@@ -70,7 +69,7 @@ impl PrefixTask {
 
     /// The bound vertices in schedule order.
     #[inline]
-    pub fn as_slice(&self) -> &[VertexId] {
+    pub(crate) fn as_slice(&self) -> &[VertexId] {
         &self.vertices[..self.len as usize]
     }
 }
@@ -96,13 +95,9 @@ pub struct ParallelOptions {
     /// Counting mode used by the workers.
     pub mode: CountMode,
     /// Number of tasks the master pushes to the injector per batch
-    /// (0 = [`DEFAULT_BATCH_SIZE`]). Larger batches amortise queue traffic;
+    /// (0 = `DEFAULT_BATCH_SIZE`). Larger batches amortise queue traffic;
     /// smaller batches start workers earlier on tiny inputs.
     pub batch_size: usize,
-    /// Build a [`HubGraph`] (degree-descending relabeling + hub bitsets)
-    /// and execute against it. Prefer [`count_parallel_with_hubs`] with a
-    /// cached index when counting repeatedly on the same graph.
-    pub hub_bitsets: bool,
 }
 
 impl Default for ParallelOptions {
@@ -112,7 +107,6 @@ impl Default for ParallelOptions {
             prefix_depth: None,
             mode: CountMode::Enumerate,
             batch_size: 0,
-            hub_bitsets: false,
         }
     }
 }
@@ -139,26 +133,6 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     }
-}
-
-/// Counts embeddings in parallel.
-pub fn count_parallel(plan: &ExecutionPlan, graph: &CsrGraph, options: ParallelOptions) -> u64 {
-    if options.hub_bitsets {
-        let hubs = HubGraph::build(graph, HubOptions::default());
-        count_parallel_in(plan, ExecCtx::with_hubs(&hubs), options)
-    } else {
-        count_parallel_in(plan, ExecCtx::new(graph), options)
-    }
-}
-
-/// Counts embeddings in parallel against a prebuilt hub index (the
-/// `hub_bitsets` flag is ignored; the index is always used).
-pub fn count_parallel_with_hubs(
-    plan: &ExecutionPlan,
-    hubs: &HubGraph,
-    options: ParallelOptions,
-) -> u64 {
-    count_parallel_in(plan, ExecCtx::with_hubs(hubs), options)
 }
 
 /// The execution strategy resolved from a plan, the requested options and
@@ -383,10 +357,16 @@ impl crate::exec::sink::MatchSink for SharedOrbit<'_> {
     }
 }
 
-/// Counts embeddings in parallel in an explicit execution context: the
-/// scoped executor. Workers are spawned for this one job and joined before
-/// returning, so their scratch lives on their own stack frames.
-pub fn count_parallel_in(plan: &ExecutionPlan, ctx: ExecCtx<'_>, options: ParallelOptions) -> u64 {
+/// Counts embeddings in parallel over a `&CsrGraph`, or a prebuilt
+/// `&HubGraph` for hub-accelerated execution: the scoped executor. Workers
+/// are spawned for this one job and joined before returning, so their
+/// scratch lives on their own stack frames.
+pub fn count_parallel<'a>(
+    plan: &ExecutionPlan,
+    ctx: impl Into<ExecCtx<'a>>,
+    options: ParallelOptions,
+) -> u64 {
+    let ctx = ctx.into();
     let job = &Job::count(plan, options.mode);
     let (depth, batch_size) = match resolve_path(plan, &options, job) {
         ExecPath::Empty => return 0,
@@ -474,6 +454,7 @@ mod tests {
     use crate::config::Configuration;
     use crate::schedule::{efficient_schedules, Schedule};
     use graphpi_graph::generators;
+    use graphpi_graph::hub::{HubGraph, HubOptions};
     use graphpi_pattern::prefab;
     use graphpi_pattern::restriction::{
         generate_restriction_sets, GenerationOptions, RestrictionSet,
@@ -565,15 +546,15 @@ mod tests {
     #[test]
     fn hub_bitsets_do_not_change_counts() {
         let g = generators::power_law(250, 6, 31);
+        let hubs = HubGraph::build(&g, HubOptions::default());
         for (name, pattern) in prefab::evaluation_patterns().into_iter().take(4) {
             let plan = plan_for(pattern);
             let plain = interp::count_embeddings(&plan, &g);
             let hubbed = count_parallel(
                 &plan,
-                &g,
+                &hubs,
                 ParallelOptions {
                     threads: 4,
-                    hub_bitsets: true,
                     ..Default::default()
                 },
             );
@@ -596,7 +577,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let hubbed = count_parallel_with_hubs(
+            let hubbed = count_parallel(
                 &plan,
                 &hubs,
                 ParallelOptions {

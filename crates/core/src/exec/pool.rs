@@ -11,7 +11,7 @@
 //! jobs concurrently**:
 //!
 //! * **Workers are spawned once** and live as long as the pool, keeping
-//!   their Chase–Lev deque and [`SearchBuffers`] alive across jobs, so the
+//!   their Chase–Lev deque and `SearchBuffers` alive across jobs, so the
 //!   warm path performs zero thread spawns and zero steady-state
 //!   allocation.
 //! * **Jobs occupy slots.** The pool owns a fixed table of
@@ -88,8 +88,6 @@ use crate::exec::interp::{ExecCtx, SearchBuffers};
 use crate::exec::parallel::{self, ExecPath, ParallelOptions, PrefixTask};
 use crate::exec::sink::Job;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use graphpi_graph::csr::CsrGraph;
-use graphpi_graph::hub::{HubGraph, HubOptions};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -338,42 +336,22 @@ impl WorkerPool {
     }
 
     /// Counts embeddings on the pool, mirroring
-    /// [`parallel::count_parallel`] (including the `hub_bitsets` flag, which
-    /// builds a throwaway [`HubGraph`]; prefer [`WorkerPool::count_with_hubs`]
-    /// or a [`crate::engine::Session`] with a cached index when counting
-    /// repeatedly). `options.threads` is ignored — the pool size is fixed at
-    /// construction.
-    pub fn count(&self, plan: &ExecutionPlan, graph: &CsrGraph, options: &ParallelOptions) -> u64 {
-        if options.hub_bitsets {
-            let hubs = HubGraph::build(graph, HubOptions::default());
-            self.count_in(plan, ExecCtx::with_hubs(&hubs), options)
-        } else {
-            self.count_in(plan, ExecCtx::new(graph), options)
-        }
-    }
-
-    /// Counts embeddings on the pool against a prebuilt hub index.
-    pub fn count_with_hubs(
+    /// [`parallel::count_parallel`] (a `&CsrGraph`, or a prebuilt
+    /// `&HubGraph` for hub-accelerated execution). `options.threads` is
+    /// ignored — the pool size is fixed at construction.
+    ///
+    /// This is the warm serving path: no thread is spawned and no
+    /// steady-state allocation is performed by the workers or the master.
+    /// Safe to call from any number of threads concurrently — up to
+    /// [`WorkerPool::max_in_flight`] jobs run simultaneously, later
+    /// submitters block until a slot frees.
+    pub fn count<'a>(
         &self,
         plan: &ExecutionPlan,
-        hubs: &HubGraph,
+        ctx: impl Into<ExecCtx<'a>>,
         options: &ParallelOptions,
     ) -> u64 {
-        self.count_in(plan, ExecCtx::with_hubs(hubs), options)
-    }
-
-    /// Counts embeddings in an explicit execution context. This is the warm
-    /// serving path: no thread is spawned and no steady-state allocation is
-    /// performed by the workers or the master. Safe to call from any number
-    /// of threads concurrently — up to [`WorkerPool::max_in_flight`] jobs
-    /// run simultaneously, later submitters block until a slot frees.
-    pub fn count_in(
-        &self,
-        plan: &ExecutionPlan,
-        ctx: ExecCtx<'_>,
-        options: &ParallelOptions,
-    ) -> u64 {
-        self.run_job(plan, ctx, options, &Job::count(plan, options.mode))
+        self.run_job(plan, ctx.into(), options, &Job::count(plan, options.mode))
     }
 
     /// Runs one job of any kind on the pool — the single submission
@@ -743,8 +721,9 @@ mod tests {
     use crate::exec::sink::{EmbedSink, OrbitSink, SampleAccum, SampleSink};
     use crate::exec::{interp, interp::match_embeddings_in};
     use crate::schedule::efficient_schedules;
-    use graphpi_graph::csr::VertexId;
+    use graphpi_graph::csr::{CsrGraph, VertexId};
     use graphpi_graph::generators;
+    use graphpi_graph::hub::{HubGraph, HubOptions};
     use graphpi_pattern::prefab;
     use graphpi_pattern::restriction::{generate_restriction_sets, GenerationOptions};
 
@@ -775,7 +754,7 @@ mod tests {
     impl SinkOracle {
         fn new(pattern: graphpi_pattern::Pattern, g: &CsrGraph) -> Self {
             let plan = configuration_for(pattern).compile_with_iep(false);
-            let ctx = ExecCtx::new(g);
+            let ctx = ExecCtx::from(g);
             let depth = parallel::default_prefix_depth(&plan);
             let mut orbit = OrbitSink::new(g.num_vertices());
             match_embeddings_in(&plan, ctx, depth, &mut orbit);
@@ -783,7 +762,11 @@ mod tests {
             match_embeddings_in(&plan, ctx, depth, &mut sample);
             let mut embed = EmbedSink::new(plan.num_loops(), u64::MAX);
             match_embeddings_in(&plan, ctx, depth, &mut embed);
-            let mut all = embed.into_embeddings();
+            let mut all: Vec<Vec<VertexId>> = embed
+                .vertices()
+                .chunks(plan.num_loops())
+                .map(<[_]>::to_vec)
+                .collect();
             all.sort();
             Self {
                 plan,
@@ -796,7 +779,7 @@ mod tests {
         /// Runs sink job number `kind` (orbit, sample, bounded enumerate) on
         /// the pool and checks it against the oracle.
         fn check(&self, pool: &WorkerPool, g: &CsrGraph, kind: usize, options: &ParallelOptions) {
-            let run = |job: &Job| pool.run_job(&self.plan, ExecCtx::new(g), options, job);
+            let run = |job: &Job| pool.run_job(&self.plan, ExecCtx::from(g), options, job);
             match kind % 3 {
                 0 => {
                     let job = Job::orbit(g.num_vertices());
@@ -969,7 +952,7 @@ mod tests {
         let plan = plan_for(prefab::house());
         let options = ParallelOptions::default();
         assert_eq!(
-            pool.count_with_hubs(&plan, &hubs, &options),
+            pool.count(&plan, &hubs, &options),
             pool.count(&plan, &g, &options)
         );
     }

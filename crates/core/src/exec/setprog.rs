@@ -23,18 +23,15 @@
 //! [`crate::perf_model`] charges exactly its ops and [`crate::codegen`]
 //! renders it.
 
-use crate::config::{ExecutionPlan, IepCorrection, MAX_LOOPS};
+use crate::config::{ExecutionPlan, IepCorrection};
 use std::collections::BTreeMap;
 
-/// Largest IEP suffix a plan can have: every loop but the first.
-pub const MAX_IEP_SUFFIX: usize = MAX_LOOPS - 1;
-
 /// A set of loop positions, one bit per position.
-pub type Mask = u8;
+pub(crate) type Mask = u8;
 
 /// Where a loop or an op reads a set from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Operand {
+pub(crate) enum Operand {
     /// Every data vertex (no bound parent).
     All,
     /// The raw neighbourhood of the vertex bound by this loop position.
@@ -45,7 +42,7 @@ pub enum Operand {
 
 /// One hoisted intersection: `dst ← lhs ∩ N(v_depth)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SetOp {
+pub(crate) struct SetOp {
     /// The loop whose binding makes the op computable; its neighbourhood is
     /// the right operand.
     pub depth: u8,
@@ -70,7 +67,7 @@ pub struct SetOp {
 /// the union of the parent masks of one block of suffix vertices, minus the
 /// bound prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IepSet {
+pub(crate) struct IepSet {
     /// Where the unreduced cardinality comes from.
     pub source: Operand,
     /// Bound vertices the pattern's own edges place inside the set.
@@ -83,7 +80,7 @@ pub struct IepSet {
 
 /// One merged inclusion–exclusion term: `coeff × Π |sets[f]|`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IepTerm {
+pub(crate) struct IepTerm {
     /// Sum of the Möbius coefficients of the partitions that share these
     /// factors.
     pub coeff: i64,
@@ -93,7 +90,7 @@ pub struct IepTerm {
 
 /// The IEP leaf of a plan, precomputed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IepTable {
+pub(crate) struct IepTable {
     /// Number of loops walked before the leaf (`n - k`).
     pub outer: usize,
     /// The distinct block sets.
@@ -104,7 +101,7 @@ pub struct IepTable {
 
 /// A plan lowered to hoisted set ops; see the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SetProgram {
+pub(crate) struct SetProgram {
     /// Every op, ordered by depth.
     ops: Vec<SetOp>,
     /// `ops[starts[d]..starts[d + 1]]` run when loop `d` binds.
@@ -116,7 +113,7 @@ pub struct SetProgram {
 
 impl SetProgram {
     /// Lowers a compiled plan.
-    pub fn lower(plan: &ExecutionPlan) -> Self {
+    pub(crate) fn lower(plan: &ExecutionPlan) -> Self {
         let n = plan.num_loops();
         let mut chains = Chains::default();
         let masks: Vec<Mask> = plan
@@ -181,23 +178,18 @@ impl SetProgram {
 
     /// The ops that run when loop `depth` binds its vertex.
     #[inline]
-    pub fn ops_at(&self, depth: usize) -> &[SetOp] {
+    pub(crate) fn ops_at(&self, depth: usize) -> &[SetOp] {
         &self.ops[self.starts[depth]..self.starts[depth + 1]]
-    }
-
-    /// Every op, ordered by depth.
-    pub fn ops(&self) -> &[SetOp] {
-        &self.ops
     }
 
     /// The candidate set of loop `depth`.
     #[inline]
-    pub fn candidates(&self, depth: usize) -> Operand {
+    pub(crate) fn candidates(&self, depth: usize) -> Operand {
         self.candidates[depth]
     }
 
     /// Number of slots the ops write.
-    pub fn num_slots(&self) -> usize {
+    pub(crate) fn num_slots(&self) -> usize {
         self.ops.len()
     }
 
@@ -205,7 +197,7 @@ impl SetProgram {
     /// an independent suffix of at least two loops below at least one outer
     /// loop, and a uniform over-count to divide by.
     #[inline]
-    pub fn iep(&self) -> Option<&IepTable> {
+    pub(crate) fn iep(&self) -> Option<&IepTable> {
         self.iep.as_ref()
     }
 }
@@ -309,13 +301,13 @@ impl IepTable {
 /// A block's factor in the Möbius function of the partition lattice,
 /// `(-1)^(len-1) (len-1)!`: the coefficient of a partition in the
 /// inclusion–exclusion sum is the product over its blocks.
-pub fn block_coefficient(len: usize) -> i64 {
+pub(crate) fn block_coefficient(len: usize) -> i64 {
     (1..len as i64).map(|i| -i).product()
 }
 
 /// Visits every partition of `0..k` into non-empty blocks (Bell(k) of
 /// them), as restricted growth strings.
-pub fn for_each_partition(k: usize, mut visit: impl FnMut(&[Vec<usize>])) {
+pub(crate) fn for_each_partition(k: usize, mut visit: impl FnMut(&[Vec<usize>])) {
     fn grow(
         i: usize,
         k: usize,
@@ -357,7 +349,7 @@ mod tests {
         // E's candidates N(A) ∩ N(B) are built when B binds, D's
         // N(B) ∩ N(C) when C binds; the IEP pair set extends the former.
         let ops: Vec<(u8, Mask, Operand)> = program
-            .ops()
+            .ops
             .iter()
             .map(|op| (op.depth, op.mask, op.lhs))
             .collect();
@@ -375,7 +367,7 @@ mod tests {
         assert_eq!(program.candidates(4), Operand::Slot(0));
         // N(A) ∩ N(B) feeds the triple set, so IEP materialises it; the
         // other two are only counted. Enumeration never runs the triple.
-        let by_mask = |mask: Mask| program.ops().iter().find(|op| op.mask == mask).unwrap();
+        let by_mask = |mask: Mask| program.ops.iter().find(|op| op.mask == mask).unwrap();
         assert!(!by_mask(0b011).count_only);
         assert!(by_mask(0b110).count_only && by_mask(0b111).count_only);
         assert_eq!(by_mask(0b011).first_loop, 4);
@@ -388,8 +380,8 @@ mod tests {
         // K4: loop 2 reads N0∩N1, loop 3 extends the same slot.
         let program = program(prefab::clique(4), vec![0, 1, 2, 3]);
         assert_eq!(program.num_slots(), 2);
-        assert_eq!(program.ops()[1].lhs, Operand::Slot(0));
-        assert_eq!(program.ops()[0].first_loop, 2);
+        assert_eq!(program.ops[1].lhs, Operand::Slot(0));
+        assert_eq!(program.ops[0].first_loop, 2);
         assert!(program.iep().is_none());
     }
 

@@ -6,20 +6,23 @@
 //! per embedding, and the sink decides whether to tally, record, profile or
 //! sample it. Counting becomes one mode among several:
 //!
-//! * [`CountSink`] — the classic global count. Monomorphised into the same
+//! * `CountSink` — the classic global count. Monomorphised into the same
 //!   machine code as the old closure-based counter, so the count path stays
 //!   bit-identical and benchmark-neutral.
 //! * [`EmbedSink`] — records full vertex tuples (enumeration), bounded by a
 //!   limit so paged/streaming consumers can stop early.
-//! * [`OrbitSink`] — per-vertex participation counts (local motif
+//! * `Job::Orbit` — per-vertex participation counts (local motif
 //!   profiles): `counts[v]` is the number of embeddings containing `v`.
-//! * [`SampleSink`] — seeded uniform prefix-sampling with a
+//! * `Job::Sample` — seeded uniform prefix-sampling with a
 //!   Horvitz–Thompson estimate and standard error, for approximate counts
 //!   at interactive latency.
 //!
-//! The parallel executors do not share one sink across workers; each worker
-//! accumulates locally and merges into the job's `Job` (what a prefix
-//! task folds into) under brief, per-task synchronisation. IEP never
+//! Every query runs as a `Job` on the pool: workers do not share one sink,
+//! each accumulates locally and merges into the job (what a prefix task
+//! folds into) under brief, per-task synchronisation. The sequential
+//! `OrbitSink` and `SampleSink` at the end of this file are compiled for
+//! tests only: the references the pooled orbit and sample jobs are checked
+//! against. IEP never
 //! applies to sink modes — a sink observes *individual* embeddings, which
 //! is exactly what IEP avoids materialising — so mode plans are compiled
 //! with IEP disabled at the planner
@@ -43,7 +46,7 @@ pub trait MatchSink {
 
     /// Task-level admission: called once per search prefix before the
     /// subtree below it is explored; returning `false` skips the subtree
-    /// entirely. The default admits everything; [`SampleSink`] implements
+    /// entirely. The default admits everything; `SampleSink` implements
     /// its sampling decision here.
     fn accept_prefix(&mut self, _prefix: &[VertexId]) -> bool {
         true
@@ -60,18 +63,18 @@ pub trait MatchSink {
 /// closure the pre-sink kernel inlined, so counting through the sink
 /// pipeline monomorphises to the same hot loop.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct CountSink {
+pub(crate) struct CountSink {
     count: u64,
 }
 
 impl CountSink {
     /// A fresh zero-count sink.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The number of embeddings consumed.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 }
@@ -119,14 +122,6 @@ impl EmbedSink {
     pub fn vertices(&self) -> &[VertexId] {
         &self.buf
     }
-
-    /// Consumes the sink, returning one `Vec` per embedding.
-    pub fn into_embeddings(self) -> Vec<Vec<VertexId>> {
-        self.buf
-            .chunks(self.arity.max(1))
-            .map(<[_]>::to_vec)
-            .collect()
-    }
 }
 
 impl MatchSink for EmbedSink {
@@ -145,48 +140,12 @@ impl MatchSink for EmbedSink {
     }
 }
 
-/// Accumulates per-vertex participation counts: `counts()[v]` is the number
-/// of (restriction-deduplicated) embeddings that contain data vertex `v`.
-/// Summing over all vertices yields `pattern_size × global_count`.
-#[derive(Debug)]
-pub struct OrbitSink {
-    counts: Vec<u64>,
-}
-
-impl OrbitSink {
-    /// A sink over a graph with `num_vertices` vertices.
-    pub fn new(num_vertices: usize) -> Self {
-        Self {
-            counts: vec![0; num_vertices],
-        }
-    }
-
-    /// The per-vertex counts, indexed by data vertex id.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Consumes the sink, returning the per-vertex counts.
-    pub fn into_counts(self) -> Vec<u64> {
-        self.counts
-    }
-}
-
-impl MatchSink for OrbitSink {
-    #[inline]
-    fn on_match(&mut self, embedding: &[VertexId]) {
-        for &v in embedding {
-            self.counts[v as usize] += 1;
-        }
-    }
-}
-
 /// Deterministic 64-bit FNV-1a over the sampling seed and a vertex prefix.
 /// The hash depends only on `(seed, prefix)` — not on thread count, task
 /// order or batch size — which is what makes sampled estimates reproducible
 /// across every execution configuration.
 #[inline]
-pub fn prefix_hash(seed: u64, prefix: &[VertexId]) -> u64 {
+pub(crate) fn prefix_hash(seed: u64, prefix: &[VertexId]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x1000_0000_01b3;
     let mut h = OFFSET;
@@ -216,7 +175,7 @@ pub fn prefix_hash(seed: u64, prefix: &[VertexId]) -> u64 {
 /// in `(seed, prefix)`). A rate of 1.0 (or more) accepts everything, so the
 /// estimate degrades gracefully to the exact count.
 #[inline]
-pub fn sample_accepts(seed: u64, rate: f64, prefix: &[VertexId]) -> bool {
+pub(crate) fn sample_accepts(seed: u64, rate: f64, prefix: &[VertexId]) -> bool {
     if rate >= 1.0 {
         return true;
     }
@@ -231,7 +190,7 @@ pub fn sample_accepts(seed: u64, rate: f64, prefix: &[VertexId]) -> bool {
 /// Accumulated sampling statistics: the sufficient statistics of the
 /// Horvitz–Thompson estimator over Bernoulli-sampled prefix subtrees.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SampleAccum {
+pub(crate) struct SampleAccum {
     /// Prefix subtrees whose sampling decision accepted them.
     pub sampled: u64,
     /// All prefix subtrees offered to the sampler.
@@ -243,16 +202,8 @@ pub struct SampleAccum {
 }
 
 impl SampleAccum {
-    /// Folds another accumulator into this one (merge of per-worker parts).
-    pub fn merge(&mut self, other: &SampleAccum) {
-        self.sampled += other.sampled;
-        self.total += other.total;
-        self.sum_y += other.sum_y;
-        self.sum_y2 += other.sum_y2;
-    }
-
     /// Records one sampled subtree with `y` embeddings.
-    pub fn record(&mut self, y: u64) {
+    pub(crate) fn record(&mut self, y: u64) {
         self.sampled += 1;
         self.sum_y += y as u128;
         self.sum_y2 += (y as u128) * (y as u128);
@@ -261,7 +212,7 @@ impl SampleAccum {
     /// The Horvitz–Thompson estimate and its standard error at inclusion
     /// probability `rate`. With `rate >= 1` every subtree was counted, so
     /// the estimate is the exact total and the error is zero.
-    pub fn estimate(&self, rate: f64) -> SampleEstimate {
+    pub(crate) fn estimate(&self, rate: f64) -> SampleEstimate {
         if rate >= 1.0 {
             return SampleEstimate {
                 estimate: self.sum_y as f64,
@@ -285,7 +236,7 @@ impl SampleAccum {
 
 /// An approximate count with its uncertainty.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleEstimate {
+pub(crate) struct SampleEstimate {
     /// The Horvitz–Thompson estimate of the exact embedding count.
     pub estimate: f64,
     /// One standard error of the estimate (0 when the rate was 1).
@@ -294,69 +245,6 @@ pub struct SampleEstimate {
     pub sampled: u64,
     /// Number of prefix subtrees considered.
     pub total: u64,
-}
-
-/// A sequential sampling sink: admits whole prefix subtrees with
-/// probability `rate` (decided in [`MatchSink::accept_prefix`]) and counts
-/// the embeddings of the admitted ones. The parallel executors make the
-/// same `(seed, prefix)` decision per task instead — identical statistics,
-/// since a task *is* a prefix subtree.
-#[derive(Debug)]
-pub struct SampleSink {
-    seed: u64,
-    rate: f64,
-    /// Count inside the currently admitted subtree (folded into the
-    /// accumulator at the next subtree boundary).
-    current: u64,
-    /// An admitted subtree is open and must be flushed.
-    pending: bool,
-    accum: SampleAccum,
-}
-
-impl SampleSink {
-    /// A sink sampling prefixes at `rate` under `seed`.
-    pub fn new(seed: u64, rate: f64) -> Self {
-        Self {
-            seed,
-            rate,
-            current: 0,
-            pending: false,
-            accum: SampleAccum::default(),
-        }
-    }
-
-    /// Finishes the current subtree (if any) and returns the accumulated
-    /// statistics.
-    pub fn finish(mut self) -> SampleAccum {
-        self.flush();
-        self.accum
-    }
-
-    fn flush(&mut self) {
-        if self.pending {
-            self.accum.record(self.current);
-            self.current = 0;
-            self.pending = false;
-        }
-    }
-}
-
-impl MatchSink for SampleSink {
-    #[inline]
-    fn on_match(&mut self, _embedding: &[VertexId]) {
-        self.current += 1;
-    }
-
-    fn accept_prefix(&mut self, prefix: &[VertexId]) -> bool {
-        self.flush();
-        self.accum.total += 1;
-        if sample_accepts(self.seed, self.rate, prefix) {
-            self.pending = true;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// What a prefix task folds into: the job kind and, for the sink modes, the
@@ -444,6 +332,111 @@ impl Job {
     }
 }
 
+/// Accumulates per-vertex participation counts: `counts()[v]` is the number
+/// of (restriction-deduplicated) embeddings that contain data vertex `v`.
+/// Summing over all vertices yields `pattern_size × global_count`.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct OrbitSink {
+    counts: Vec<u64>,
+}
+
+#[cfg(test)]
+impl OrbitSink {
+    /// A sink over a graph with `num_vertices` vertices.
+    pub(crate) fn new(num_vertices: usize) -> Self {
+        Self {
+            counts: vec![0; num_vertices],
+        }
+    }
+
+    /// The per-vertex counts, indexed by data vertex id.
+    pub(crate) fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Consumes the sink, returning the per-vertex counts.
+    pub(crate) fn into_counts(self) -> Vec<u64> {
+        self.counts
+    }
+}
+
+#[cfg(test)]
+impl MatchSink for OrbitSink {
+    #[inline]
+    fn on_match(&mut self, embedding: &[VertexId]) {
+        for &v in embedding {
+            self.counts[v as usize] += 1;
+        }
+    }
+}
+
+/// A sequential sampling sink: admits whole prefix subtrees with
+/// probability `rate` (decided in [`MatchSink::accept_prefix`]) and counts
+/// the embeddings of the admitted ones. The parallel executors make the
+/// same `(seed, prefix)` decision per task instead — identical statistics,
+/// since a task *is* a prefix subtree.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct SampleSink {
+    seed: u64,
+    rate: f64,
+    /// Count inside the currently admitted subtree (folded into the
+    /// accumulator at the next subtree boundary).
+    current: u64,
+    /// An admitted subtree is open and must be flushed.
+    pending: bool,
+    accum: SampleAccum,
+}
+
+#[cfg(test)]
+impl SampleSink {
+    /// A sink sampling prefixes at `rate` under `seed`.
+    pub(crate) fn new(seed: u64, rate: f64) -> Self {
+        Self {
+            seed,
+            rate,
+            current: 0,
+            pending: false,
+            accum: SampleAccum::default(),
+        }
+    }
+
+    /// Finishes the current subtree (if any) and returns the accumulated
+    /// statistics.
+    pub(crate) fn finish(mut self) -> SampleAccum {
+        self.flush();
+        self.accum
+    }
+
+    fn flush(&mut self) {
+        if self.pending {
+            self.accum.record(self.current);
+            self.current = 0;
+            self.pending = false;
+        }
+    }
+}
+
+#[cfg(test)]
+impl MatchSink for SampleSink {
+    #[inline]
+    fn on_match(&mut self, _embedding: &[VertexId]) {
+        self.current += 1;
+    }
+
+    fn accept_prefix(&mut self, prefix: &[VertexId]) -> bool {
+        self.flush();
+        self.accum.total += 1;
+        if sample_accepts(self.seed, self.rate, prefix) {
+            self.pending = true;
+            true
+        } else {
+            false
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,7 +459,7 @@ mod tests {
         assert!(sink.is_full());
         sink.on_match(&[5, 6]); // ignored: full
         assert_eq!(sink.len(), 2);
-        assert_eq!(sink.into_embeddings(), vec![vec![1, 2], vec![3, 4]]);
+        assert_eq!(sink.vertices(), [1, 2, 3, 4]);
     }
 
     #[test]
@@ -537,32 +530,6 @@ mod tests {
         mean /= seeds as f64;
         let relative = (mean - total as f64).abs() / total as f64;
         assert!(relative < 0.05, "relative bias {relative} too large");
-    }
-
-    #[test]
-    fn sample_accum_merge_adds_fields() {
-        let mut a = SampleAccum {
-            sampled: 1,
-            total: 2,
-            sum_y: 3,
-            sum_y2: 9,
-        };
-        let b = SampleAccum {
-            sampled: 2,
-            total: 5,
-            sum_y: 4,
-            sum_y2: 16,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            SampleAccum {
-                sampled: 3,
-                total: 7,
-                sum_y: 7,
-                sum_y2: 25,
-            }
-        );
     }
 
     #[test]

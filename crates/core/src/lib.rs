@@ -34,6 +34,32 @@
 //! let houses = engine.count(&prefab::house()).unwrap();
 //! assert!(houses > 0);
 //! ```
+//!
+//! # Entry points
+//!
+//! `pub` here means "named from outside this crate" (the two binaries, the
+//! tests, the benches, the examples or the perf ledger); the rest is
+//! `pub(crate)`, so the `dead_code` lint sees it.
+//!
+//! * **Plan and count**: [`engine::GraphPi`] (`plan`, `count`,
+//!   `execute_count`), or a long-lived [`engine::Session`] whose
+//!   [`engine::Session::run`] serves all four [`engine::Mode`]s from a
+//!   [`WorkerPool`] and a [`engine::PlanCache`].
+//! * **Executors**, one entry point each, over a `&CsrGraph` or a prebuilt
+//!   `&HubGraph` ([`exec::interp::ExecCtx`] is built `From` either):
+//!   [`exec::interp::count_embeddings`],
+//!   [`exec::iep::count_embeddings_iep`],
+//!   [`exec::parallel::count_parallel`] and [`WorkerPool::count`]; prefix
+//!   tasks through [`exec::interp::enumerate_prefixes`],
+//!   [`exec::interp::count_from_prefix`] and [`exec::iep::iep_term`].
+//! * **Planner pieces** the benches and examples rank by hand:
+//!   [`schedule::efficient_schedules`], [`config::Configuration`],
+//!   [`perf_model::PerformanceModel`].
+//! * **Dynamic graphs**: [`DynamicEngine`] (`volatile` / `durable`,
+//!   `apply`, `pin`, `compact`).
+//! * **Serving**: [`Server`] and [`net::Client`] /
+//!   [`net::RetryingClient`] / [`net::FailoverClient`] over the
+//!   [`net::protocol`] codec.
 
 pub mod codegen;
 pub mod config;
@@ -43,33 +69,12 @@ pub mod error;
 pub mod exec;
 pub mod net;
 pub mod perf_model;
-pub mod persist;
+mod persist;
 pub mod schedule;
 
-pub use config::{Configuration, ExecutionPlan, IepCorrection, PoolOptions, ServeOptions};
-pub use dynamic::{DynamicEngine, PinnedEngine};
-pub use engine::{
-    ApproxCount, CacheStats, CountOptions, GraphPi, Mode, Outcome, Plan, PlanCache, PlanOptions,
-    SavedPlanKey, Session, WarmStartReport,
-};
+pub use config::PoolOptions;
+pub use dynamic::DynamicEngine;
 pub use error::EngineError;
 pub use exec::pool::WorkerPool;
-pub use net::{Client, CountExt, NetError, QueryMode, Server, ServerHandle};
-pub use perf_model::PerformanceModel;
+pub use net::{Server, ServerHandle};
 pub use schedule::Schedule;
-
-/// Convenience prelude for downstream code and examples.
-pub mod prelude {
-    pub use crate::config::{Configuration, PoolOptions, ServeOptions};
-    pub use crate::engine::{
-        ApproxCount, CacheStats, CountOptions, GraphPi, Mode, Outcome, Plan, PlanCache,
-        PlanOptions, Session,
-    };
-    pub use crate::error::EngineError;
-    pub use crate::exec::pool::WorkerPool;
-    pub use crate::net::{Client, CountExt, NetError, QueryMode, Server, ServerHandle};
-    pub use crate::perf_model::PerformanceModel;
-    pub use crate::schedule::Schedule;
-    pub use graphpi_graph::prelude::*;
-    pub use graphpi_pattern::{prefab, Pattern};
-}

@@ -28,18 +28,18 @@ use super::protocol::{read_frame, write_frame, Frame, NetError, Transport};
 /// only a dev-dependency of this crate, and the fault schedule must be
 /// reproducible from a single `u64` anyway.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Seeds the generator.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -48,7 +48,7 @@ impl SplitMix64 {
     }
 
     /// Uniform draw in `0..bound` (`bound` > 0).
-    pub fn next_below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn next_below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound
     }
 
@@ -101,7 +101,7 @@ impl ChaosConfig {
     /// The per-connection seed for connection number `index`. Mixing
     /// through SplitMix64 keeps schedules independent across reconnects
     /// while the whole run stays a pure function of the root seed.
-    pub fn connection_seed(&self, index: u64) -> u64 {
+    pub(crate) fn connection_seed(&self, index: u64) -> u64 {
         SplitMix64::new(self.seed ^ index.wrapping_mul(0xA076_1D64_78BD_642F)).next_u64()
     }
 }
@@ -109,7 +109,7 @@ impl ChaosConfig {
 /// Counts of injected faults, for assertions that a chaos run actually
 /// exercised the paths it claims to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosStats {
+pub(crate) struct ChaosStats {
     /// Stalls injected.
     pub stalls: u64,
     /// Outgoing frames dropped.
@@ -122,18 +122,10 @@ pub struct ChaosStats {
     pub resets: u64,
 }
 
-impl ChaosStats {
-    /// Total faults injected (stalls excluded — they don't kill the
-    /// connection).
-    pub fn total_failures(&self) -> u64 {
-        self.requests_dropped + self.partial_writes + self.replies_dropped + self.resets
-    }
-}
-
 /// Streams whose blocking reads can be bounded. [`ChaosTransport`]
-/// forwards [`Transport::set_recv_timeout`] through this, so the retry
-/// layer's per-attempt deadlines survive the chaos wrapper.
-pub trait TimeoutStream {
+/// forwards [`Transport::set_recv_timeout`] through this, so a caller's
+/// read timeout survives the chaos wrapper.
+pub(crate) trait TimeoutStream {
     /// Applies a read timeout (`None` = block forever).
     fn apply_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()>;
 }
@@ -162,7 +154,7 @@ impl<S> ChaosTransport<S> {
     /// Wraps `stream` with the fault model in `config`, seeded by
     /// `seed` (use [`ChaosConfig::connection_seed`] so reconnects get
     /// independent schedules).
-    pub fn new(stream: S, config: ChaosConfig, seed: u64) -> Self {
+    pub(crate) fn new(stream: S, config: ChaosConfig, seed: u64) -> Self {
         Self {
             stream,
             dead: false,
@@ -170,16 +162,6 @@ impl<S> ChaosTransport<S> {
             config,
             stats: ChaosStats::default(),
         }
-    }
-
-    /// Faults injected so far.
-    pub fn stats(&self) -> ChaosStats {
-        self.stats
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.stream
     }
 
     fn maybe_stall(&mut self) {
@@ -435,8 +417,8 @@ mod tests {
         let ping = Frame::new(super::super::protocol::op::PING, vec![]);
         chaos.send(&ping).unwrap();
         assert_eq!(chaos.recv().unwrap(), reply);
-        assert_eq!(chaos.stats(), ChaosStats::default());
-        assert_eq!(chaos.get_ref().output, ping.encode());
+        assert_eq!(chaos.stats, ChaosStats::default());
+        assert_eq!(chaos.stream.output, ping.encode());
     }
 
     #[test]
@@ -453,11 +435,11 @@ mod tests {
         let mut chaos = ChaosTransport::new(stream, config, config.connection_seed(0));
         let ping = Frame::new(super::super::protocol::op::PING, vec![]);
         assert!(matches!(chaos.send(&ping), Err(NetError::Closed)));
-        assert_eq!(chaos.stats().resets, 1);
+        assert_eq!(chaos.stats.resets, 1);
         // Dead forever after.
         assert!(matches!(chaos.recv(), Err(NetError::Closed)));
         assert!(matches!(chaos.send(&ping), Err(NetError::Closed)));
-        assert_eq!(chaos.stats().resets, 1, "no double-counting after death");
+        assert_eq!(chaos.stats.resets, 1, "no double-counting after death");
     }
 
     #[test]
@@ -474,9 +456,9 @@ mod tests {
         let mut chaos = ChaosTransport::new(stream, config, 9);
         let frame = Frame::new(super::super::protocol::op::COUNT, vec![0xAB; 64]);
         assert!(matches!(chaos.send(&frame), Err(NetError::Closed)));
-        let written = &chaos.get_ref().output;
+        let written = &chaos.stream.output;
         assert!(!written.is_empty() && written.len() < frame.encode().len());
         assert_eq!(written[..], frame.encode()[..written.len()]);
-        assert_eq!(chaos.stats().partial_writes, 1);
+        assert_eq!(chaos.stats.partial_writes, 1);
     }
 }

@@ -10,9 +10,8 @@
 //! expired" from "your pattern is disconnected" without string matching.
 //!
 //! [`RetryingClient`] runs that same client through one [`RetryPolicy`]
-//! loop: bounded attempts, exponential backoff with seeded jitter,
-//! per-attempt and overall deadlines, and automatic reconnect through a
-//! caller-supplied connector. COUNT and UPDATE retries carry a
+//! loop: bounded attempts, exponential backoff with seeded jitter, and
+//! automatic reconnect through a caller-supplied connector. COUNT and UPDATE retries carry a
 //! client-generated request ID so a resend after an *ambiguous* failure
 //! (reply lost mid-read) is answered from the server's completed-request
 //! ledger instead of double-executing. [`FailoverClient`] is endpoint
@@ -29,7 +28,7 @@ use std::cell::Cell;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-query options for [`Client::count_with`] — the wire-level mirror of
 /// the server-side execution flags.
@@ -53,7 +52,7 @@ pub struct RemoteCountOptions {
     pub mode: QueryMode,
 }
 
-/// Per-enumeration options for [`Client::enumerate_with`].
+/// Per-enumeration options for `Client::enumerate_with`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RemoteEnumerateOptions {
     /// Execute against the hub-accelerated layout. The returned tuples
@@ -125,7 +124,7 @@ const PING_PAYLOAD: [u8; 3] = [0xA5, 0x5A, 0x42];
 
 impl<T: Transport> Client<T> {
     /// Wraps an existing transport.
-    pub fn new(transport: T) -> Self {
+    pub(crate) fn new(transport: T) -> Self {
         Self { transport }
     }
 
@@ -223,7 +222,7 @@ impl<T: Transport> Client<T> {
     /// fails mid-stream cannot be resumed — issue a fresh request (and
     /// see [`RetryingClient::enumerate_with`] for the only retry that is
     /// safe automatically: one where no page was received).
-    pub fn enumerate_with(
+    pub(crate) fn enumerate_with(
         &mut self,
         pattern: &Pattern,
         limit: u64,
@@ -354,7 +353,7 @@ pub fn is_deadline_exceeded(error: &NetError) -> bool {
 /// server's recoverable refusals ([`ErrorCode::is_retryable`]); false
 /// for content errors a retry cannot fix (bad pattern, bad payload,
 /// deadline exceeded).
-pub fn is_retryable(error: &NetError) -> bool {
+pub(crate) fn is_retryable(error: &NetError) -> bool {
     match error {
         NetError::Remote { code, .. } => code.is_retryable(),
         NetError::Io(_)
@@ -368,11 +367,10 @@ pub fn is_retryable(error: &NetError) -> bool {
     }
 }
 
-/// Retry/backoff policy for [`RetryingClient`]: bounded attempts,
-/// exponential backoff with seeded jitter, and optional per-attempt and
-/// overall deadlines. The whole schedule is a pure function of the
-/// policy (see [`RetryPolicy::backoff_schedule`]), so tests can assert
-/// it exactly.
+/// Retry/backoff policy for [`RetryingClient`]: bounded attempts and
+/// exponential backoff with seeded jitter. The whole schedule is a pure
+/// function of the policy (see [`RetryPolicy::backoff_schedule`]), so tests
+/// can assert it exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (>= 1).
@@ -384,11 +382,6 @@ pub struct RetryPolicy {
     /// Seed for the jitter schedule and request-ID stream. Give each
     /// client its own seed: IDs double as server-side idempotency keys.
     pub seed: u64,
-    /// Per-attempt reply deadline (`None` = wait forever). Applied via
-    /// [`Transport::set_recv_timeout`].
-    pub attempt_timeout: Option<Duration>,
-    /// Overall deadline across all attempts and backoffs.
-    pub overall_deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -398,8 +391,6 @@ impl Default for RetryPolicy {
             initial_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_secs(1),
             seed: 0,
-            attempt_timeout: None,
-            overall_deadline: None,
         }
     }
 }
@@ -449,7 +440,7 @@ type BoxedTransport = Box<dyn Transport + Send>;
 type Connector = Box<dyn FnMut() -> Result<BoxedTransport, NetError> + Send>;
 
 /// A [`Client`] wrapped in a [`RetryPolicy`]: reconnects through a
-/// caller-supplied connector, classifies failures via [`is_retryable`],
+/// caller-supplied connector, classifies failures via `is_retryable`,
 /// sleeps the policy's jittered backoff (stretched to any server
 /// retry-after hint), and tags COUNT and UPDATE requests with request IDs
 /// so ambiguous failures are safe to resend.
@@ -493,15 +484,10 @@ impl RetryingClient {
         self.stats
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Drops the current connection; the next attempt redials through
     /// the connector. Lets failover logic force a re-route without
     /// waiting for the dead socket to fail an exchange.
-    pub fn disconnect(&mut self) {
+    pub(crate) fn disconnect(&mut self) {
         self.client = None;
     }
 
@@ -555,18 +541,6 @@ impl RetryingClient {
         )
     }
 
-    /// Commits one edge batch, retrying per the policy. Every attempt
-    /// carries the same request ID, so a resend after an ambiguous
-    /// failure is answered from the server's ledger with the generation
-    /// the batch *originally* produced — never committed twice.
-    pub fn update(
-        &mut self,
-        inserts: &[(u32, u32)],
-        deletes: &[(u32, u32)],
-    ) -> Result<UpdateOk, NetError> {
-        self.update_with(inserts, deletes, RemoteUpdateOptions::default())
-    }
-
     /// Commits one edge batch with explicit options, retrying per the
     /// policy. A caller-supplied `request_id` is kept; otherwise a fresh
     /// one is always drawn — an untagged update must not be resent.
@@ -585,17 +559,6 @@ impl RetryingClient {
         )
     }
 
-    /// Fetches the server's counter snapshot, retrying per the policy
-    /// (STATS is naturally idempotent — no request ID needed).
-    pub fn stats_remote(&mut self) -> Result<StatsOk, NetError> {
-        self.with_retries(Client::stats, || true)
-    }
-
-    /// Probes server readiness, retrying per the policy.
-    pub fn health(&mut self) -> Result<HealthOk, NetError> {
-        self.with_retries(Client::health, || true)
-    }
-
     fn next_request_id(&mut self) -> u64 {
         loop {
             let id = self.id_rng.next_u64();
@@ -606,19 +569,15 @@ impl RetryingClient {
     }
 
     /// The one retry loop: up to `max_attempts` runs of `attempt`, with
-    /// reconnects, backoff, hint-stretched sleeps, and deadline
-    /// enforcement between them. A failure is retried only when it is
-    /// [`is_retryable`] *and* `resend_is_safe` still holds (requests that
-    /// are not idempotent narrow it).
+    /// reconnects, backoff and hint-stretched sleeps between them. A
+    /// failure is retried only when it is [`is_retryable`] *and*
+    /// `resend_is_safe` still holds (requests that are not idempotent
+    /// narrow it).
     fn with_retries<R>(
         &mut self,
         mut attempt: impl FnMut(&mut Client<BoxedTransport>) -> Result<R, NetError>,
         resend_is_safe: impl Fn() -> bool,
     ) -> Result<R, NetError> {
-        let deadline = self
-            .policy
-            .overall_deadline
-            .map(|limit| Instant::now() + limit);
         let schedule = self.policy.backoff_schedule();
         let max_attempts = self.policy.max_attempts.max(1);
         let mut last_error = NetError::Closed;
@@ -627,7 +586,7 @@ impl RetryingClient {
                 self.stats.retries += 1;
             }
             self.stats.attempts += 1;
-            let error = match self.connected(deadline).and_then(&mut attempt) {
+            let error = match self.connected().and_then(&mut attempt) {
                 Ok(reply) => return Ok(reply),
                 Err(error) => error,
             };
@@ -658,8 +617,7 @@ impl RetryingClient {
                 }
             }
             last_error = error;
-            let out_of_time = deadline.is_some_and(|deadline| Instant::now() + wait >= deadline);
-            if n + 1 >= max_attempts || out_of_time {
+            if n + 1 >= max_attempts {
                 break;
             }
             if !wait.is_zero() {
@@ -669,32 +627,13 @@ impl RetryingClient {
         Err(last_error)
     }
 
-    /// The live connection for one attempt: (re)dials if needed and
-    /// bounds the attempt's reads by the tighter of the per-attempt
-    /// timeout and the time left on the overall deadline.
-    fn connected(
-        &mut self,
-        deadline: Option<Instant>,
-    ) -> Result<&mut Client<BoxedTransport>, NetError> {
-        let mut timeout = self.policy.attempt_timeout;
-        if let Some(deadline) = deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(NetError::Idle);
-            }
-            timeout = Some(
-                timeout
-                    .map_or(left, |t| t.min(left))
-                    .max(Duration::from_millis(1)),
-            );
-        }
+    /// The live connection for one attempt: (re)dials if needed.
+    fn connected(&mut self) -> Result<&mut Client<BoxedTransport>, NetError> {
         if self.client.is_none() {
             self.stats.connects += 1;
             self.client = Some(Client::new((self.connector)()?));
         }
-        let client = self.client.as_mut().expect("connected above");
-        client.transport.set_recv_timeout(timeout)?;
-        Ok(client)
+        Ok(self.client.as_mut().expect("connected above"))
     }
 }
 
@@ -818,11 +757,6 @@ impl FailoverClient {
     /// What this client has done so far, across both directions.
     pub fn stats(&self) -> &FailoverStats {
         &self.stats
-    }
-
-    /// Retry counters for the read and write sides.
-    pub fn retry_stats(&self) -> (RetryStats, RetryStats) {
-        (self.read.stats(), self.write.stats())
     }
 
     /// The generation of the last acknowledged write (0 before any).

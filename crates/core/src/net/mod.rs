@@ -40,15 +40,14 @@ pub mod protocol;
 pub mod replica;
 pub mod server;
 
-pub use chaos::{ChaosConfig, ChaosConnector, ChaosProxy, ChaosStats, ChaosTransport};
+pub use chaos::{ChaosConfig, ChaosConnector, ChaosProxy};
 pub use client::{
-    Client, FailoverClient, FailoverStats, RemoteCount, RemoteCountOptions, RemoteEnumerateOptions,
-    RemoteEnumeration, RemoteUpdateOptions, RetryPolicy, RetryStats, RetryingClient,
+    Client, FailoverClient, RemoteCount, RemoteCountOptions, RemoteEnumerateOptions,
+    RemoteUpdateOptions, RetryPolicy, RetryStats, RetryingClient,
 };
 pub use protocol::{
-    CountExt, ErrorCode, Frame, HealthOk, HealthState, NetError, OrbitSummary, PromoteOk,
-    QueryMode, ReplAck, ReplBatch, ReplPayload, ReplRole, ReplSubscribe, SampleSummary, StatsOk,
-    TcpTransport, Transport, UpdateOk, UpdateRequest,
+    CountExt, ErrorCode, HealthState, NetError, QueryMode, ReplRole, StatsOk, TcpTransport,
+    Transport, UpdateOk,
 };
-pub use replica::{run_replication, ReplicaReport};
+pub use replica::run_replication;
 pub use server::{ReplState, Server, ServerHandle, ServerReport};

@@ -20,7 +20,7 @@
 //! [`Pattern::canonical_bytes`](graphpi_pattern::Pattern::canonical_bytes),
 //! the same invertible encoding the plan cache keys on.
 //!
-//! The codec here is transport-agnostic: [`read_frame`]/[`write_frame`]
+//! The codec here is transport-agnostic: [`read_frame`]/`write_frame`
 //! work over any `Read`/`Write` (the tests drive them over in-memory
 //! cursors), and the [`Transport`] trait is the seam behind which an async
 //! or HTTP frontend can land later without touching the engine. The
@@ -32,15 +32,15 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// First two payload bytes of every frame.
-pub const MAGIC: [u8; 2] = *b"GP";
+pub(crate) const MAGIC: [u8; 2] = *b"GP";
 
 /// The protocol version — the only one spoken. A frame carrying any other
 /// version byte is refused with [`ErrorCode::UnsupportedVersion`] and the
 /// connection is closed.
-pub const VERSION: u8 = 2;
+pub(crate) const VERSION: u8 = 2;
 
 /// Bytes of header covered by the length prefix (magic + version + opcode).
-pub const HEADER_LEN: usize = 4;
+pub(crate) const HEADER_LEN: usize = 4;
 
 /// Upper bound on the length prefix. Patterns are ≤ 8 vertices and stats
 /// are fixed-size, so real frames are tiny; the cap exists so a corrupt or
@@ -58,39 +58,39 @@ pub mod op {
     /// Liveness probe; the payload is echoed back verbatim.
     pub const PING: u8 = 0x03;
     /// Ask the server to drain and exit (empty payload).
-    pub const SHUTDOWN: u8 = 0x04;
+    pub(crate) const SHUTDOWN: u8 = 0x04;
     /// Readiness probe for load balancers and supervisors (empty
     /// payload).
-    pub const HEALTH: u8 = 0x05;
+    pub(crate) const HEALTH: u8 = 0x05;
     /// Apply a batch of edge insertions/deletions
     /// ([`super::UpdateRequest`] payload). Static servers
     /// answer [`super::ErrorCode::ReadOnly`].
-    pub const UPDATE: u8 = 0x06;
+    pub(crate) const UPDATE: u8 = 0x06;
     /// Subscribe to the primary's WAL stream from a cursor
     /// ([`super::ReplSubscribe`] payload). Only durable
     /// (`--wal`) primaries accept it; the connection then alternates
-    /// [`REPL_BATCH`] / [`REPL_ACK`] until either side closes.
+    /// [`REPL_BATCH`] / `REPL_ACK` until either side closes.
     pub const REPL_SUBSCRIBE: u8 = 0x07;
     /// Replica's durable-cursor acknowledgement ([`super::ReplAck`]
     /// payload). Solicits the next [`REPL_BATCH`].
-    pub const REPL_ACK: u8 = 0x08;
+    pub(crate) const REPL_ACK: u8 = 0x08;
     /// Ask a replica to stop following its primary and serve writes
     /// (empty payload). Idempotent on a primary.
-    pub const PROMOTE: u8 = 0x09;
+    pub(crate) const PROMOTE: u8 = 0x09;
     /// Enumerate embeddings of a pattern ([`super::EnumerateRequest`]
     /// payload). Answered by a stream of [`ENUM_PAGE`]
     /// frames. Enumeration is **not** idempotent and never enters the
     /// completed-request ledger: a retry after an ambiguous failure may
     /// re-run the query and observe a different page split (or, with a
     /// `limit`, different representatives).
-    pub const ENUMERATE: u8 = 0x0A;
+    pub(crate) const ENUMERATE: u8 = 0x0A;
     /// One replication shipment ([`super::ReplBatch`] payload): a raw
     /// slice of the primary's WAL record stream, a checkpoint-file chunk,
     /// or an empty heartbeat.
     pub const REPL_BATCH: u8 = 0x87;
     /// Promotion acknowledged ([`super::PromoteOk`] payload): the
     /// generation the new primary serves writes from.
-    pub const PROMOTE_OK: u8 = 0x89;
+    pub(crate) const PROMOTE_OK: u8 = 0x89;
     /// Successful count ([`super::CountOk`] payload).
     pub const COUNT_OK: u8 = 0x81;
     /// Counter snapshot ([`super::StatsOk`] payload).
@@ -98,11 +98,11 @@ pub mod op {
     /// Ping reply (echoed payload).
     pub const PONG: u8 = 0x83;
     /// Shutdown acknowledged; the server is now draining.
-    pub const SHUTDOWN_OK: u8 = 0x84;
+    pub(crate) const SHUTDOWN_OK: u8 = 0x84;
     /// Health reply ([`super::HealthOk`] payload).
-    pub const HEALTH_OK: u8 = 0x85;
+    pub(crate) const HEALTH_OK: u8 = 0x85;
     /// Update applied ([`super::UpdateOk`] payload).
-    pub const UPDATE_OK: u8 = 0x86;
+    pub(crate) const UPDATE_OK: u8 = 0x86;
     /// One page of an enumeration's result stream ([`super::EnumPage`]
     /// payload). The last page carries a flag; the stream is
     /// `ENUM_PAGE*` terminated by a flagged page (or an [`ERROR`] frame,
@@ -121,7 +121,7 @@ pub mod op {
 pub enum ErrorCode {
     /// Unparseable frame header or truncated stream. Connection closes.
     BadFrame,
-    /// Version byte is not [`VERSION`]. Connection closes.
+    /// Version byte is not `VERSION`. Connection closes.
     UnsupportedVersion,
     /// Well-formed frame with an opcode the server does not know.
     /// Connection stays open.
@@ -149,7 +149,7 @@ pub enum ErrorCode {
     /// retry-after hint derived from the server's latency histogram.
     /// Connection stays open.
     RetryLater,
-    /// An [`op::UPDATE`] reached a server whose graph is immutable (no
+    /// An `op::UPDATE` reached a server whose graph is immutable (no
     /// `--wal`). Deterministic rejection; connection stays open.
     ReadOnly,
     /// A write (or replication subscribe) reached a read replica. The
@@ -167,7 +167,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// The wire byte for this code.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             ErrorCode::BadFrame => 1,
             ErrorCode::UnsupportedVersion => 2,
@@ -213,7 +213,7 @@ impl ErrorCode {
     /// non-retryable codes are deterministic rejections — resending the
     /// same bytes can only fail the same way — or an expired deadline the
     /// retry could not honor either.
-    pub fn is_retryable(self) -> bool {
+    pub(crate) fn is_retryable(self) -> bool {
         matches!(
             self,
             ErrorCode::RetryLater | ErrorCode::TooManyConnections | ErrorCode::ShuttingDown
@@ -253,9 +253,9 @@ pub enum NetError {
     /// The stream ended or stalled in the middle of a frame — the reader
     /// can no longer trust its framing and must drop the connection.
     Truncated,
-    /// The frame does not start with [`MAGIC`].
+    /// The frame does not start with `MAGIC`.
     BadMagic,
-    /// The version byte is not [`VERSION`] (carries the byte seen).
+    /// The version byte is not `VERSION` (carries the byte seen).
     UnsupportedVersion(u8),
     /// The length prefix exceeds [`MAX_FRAME_LEN`] (carries the length).
     FrameTooLarge(usize),
@@ -340,7 +340,7 @@ impl Frame {
 
     /// An [`op::ERROR`] frame carrying `code` and `message` (truncated so
     /// the frame always fits [`MAX_FRAME_LEN`]; see [`WireError::new`]).
-    pub fn error(code: ErrorCode, message: &str) -> Self {
+    pub(crate) fn error(code: ErrorCode, message: &str) -> Self {
         WireError::new(code, message).into()
     }
 
@@ -420,7 +420,7 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Frame, NetError> {
 }
 
 /// Writes one frame to `writer` and flushes it.
-pub fn write_frame<W: Write>(writer: &mut W, frame: &Frame) -> Result<(), NetError> {
+pub(crate) fn write_frame<W: Write>(writer: &mut W, frame: &Frame) -> Result<(), NetError> {
     writer.write_all(&frame.encode())?;
     writer.flush()?;
     Ok(())
@@ -437,8 +437,8 @@ pub trait Transport {
     fn recv(&mut self) -> Result<Frame, NetError>;
     /// Sets the receive timeout, after which a quiet [`Transport::recv`]
     /// surfaces [`NetError::Idle`]. Transports without timers may ignore
-    /// this (the default is a no-op); the retry layer uses it to bound
-    /// each attempt.
+    /// this (the default is a no-op); the replication stream uses it to
+    /// poll its stop flag between batches.
     fn set_recv_timeout(&mut self, _timeout: Option<Duration>) -> Result<(), NetError> {
         Ok(())
     }
@@ -467,7 +467,7 @@ pub struct TcpTransport {
 
 impl TcpTransport {
     /// Wraps an accepted or connected stream.
-    pub fn new(stream: TcpStream) -> Self {
+    pub(crate) fn new(stream: TcpStream) -> Self {
         stream.set_nodelay(true).ok();
         Self { stream }
     }
@@ -478,14 +478,9 @@ impl TcpTransport {
     }
 
     /// Sets the read timeout ([`NetError::Idle`] on quiet expiry).
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), NetError> {
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), NetError> {
         self.stream.set_read_timeout(timeout)?;
         Ok(())
-    }
-
-    /// The wrapped stream (for peer-address logging and shutdown).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
     }
 }
 
@@ -667,7 +662,7 @@ pub enum QueryMode {
         /// Sampling seed (a fixed seed reproduces the estimate).
         seed: u64,
         /// The sampling rate's IEEE-754 bits (kept as bits so the request
-        /// stays `Eq` and byte-stable; see [`QueryMode::sample_rate`]).
+        /// stays `Eq` and byte-stable; see `QueryMode::sample_rate`).
         rate_bits: u64,
     },
 }
@@ -682,7 +677,7 @@ impl QueryMode {
     }
 
     /// The sampling rate, for [`QueryMode::Sample`] (`None` otherwise).
-    pub fn sample_rate(&self) -> Option<f64> {
+    pub(crate) fn sample_rate(&self) -> Option<f64> {
         match self {
             QueryMode::Sample { rate_bits, .. } => Some(f64::from_bits(*rate_bits)),
             _ => None,
@@ -863,18 +858,6 @@ pub struct SampleSummary {
     pub total_tasks: u64,
 }
 
-impl SampleSummary {
-    /// The estimate as a float.
-    pub fn estimate(&self) -> f64 {
-        f64::from_bits(self.estimate_bits)
-    }
-
-    /// The standard error as a float.
-    pub fn stderr(&self) -> f64 {
-        f64::from_bits(self.stderr_bits)
-    }
-}
-
 /// The mode-specific tail of a [`CountOk`] reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountExt {
@@ -973,7 +956,7 @@ impl CountOk {
     }
 }
 
-/// [`op::ENUMERATE`] payload: enumerate up to `limit` embeddings,
+/// `op::ENUMERATE` payload: enumerate up to `limit` embeddings,
 /// streamed back as [`op::ENUM_PAGE`] frames.
 ///
 /// ```text
@@ -1042,7 +1025,7 @@ impl EnumerateRequest {
 
 /// Largest number of embeddings of a `pattern_size`-vertex pattern that
 /// fit one [`EnumPage`] frame under [`MAX_FRAME_LEN`].
-pub fn max_embeddings_per_page(pattern_size: usize) -> usize {
+pub(crate) fn max_embeddings_per_page(pattern_size: usize) -> usize {
     (MAX_FRAME_LEN - HEADER_LEN - 8) / (4 * pattern_size.max(1))
 }
 
@@ -1075,17 +1058,12 @@ impl EnumPage {
     const FLAG_LAST: u8 = 1 << 0;
 
     /// Number of embeddings in this page.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.vertices.len() / usize::from(self.pattern_size.max(1))
     }
 
-    /// Whether the page carries no embeddings.
-    pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty()
-    }
-
     /// Iterates the page's embeddings as `pattern_size`-length slices.
-    pub fn embeddings(&self) -> impl Iterator<Item = &[u32]> {
+    pub(crate) fn embeddings(&self) -> impl Iterator<Item = &[u32]> {
         self.vertices
             .chunks_exact(usize::from(self.pattern_size.max(1)))
     }
@@ -1133,7 +1111,7 @@ impl EnumPage {
 /// [`MAX_FRAME_LEN`]. Clients split bigger batches.
 pub const MAX_UPDATE_EDGES: usize = (MAX_FRAME_LEN - HEADER_LEN - 21) / 8;
 
-/// [`op::UPDATE`] payload: a batch of undirected edge insertions and
+/// `op::UPDATE` payload: a batch of undirected edge insertions and
 /// deletions, applied atomically — inserts first, then deletes; the reply
 /// carries the generation the batch produced.
 ///
@@ -1206,7 +1184,7 @@ impl UpdateRequest {
     }
 }
 
-/// [`op::UPDATE_OK`] payload: the generation the batch produced plus what
+/// `op::UPDATE_OK` payload: the generation the batch produced plus what
 /// it actually changed (`[u64 generation][u32 inserted][u32 deleted]`,
 /// LE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1242,7 +1220,7 @@ impl UpdateOk {
     }
 }
 
-/// Server readiness, as reported by the [`op::HEALTH`] opcode. Probes and
+/// Server readiness, as reported by the `op::HEALTH` opcode. Probes and
 /// load balancers branch on this without issuing a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -1258,12 +1236,12 @@ pub enum HealthState {
 
 impl HealthState {
     /// The wire byte for this state (its discriminant).
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         self as u8
     }
 
     /// Decodes a wire byte; `None` for unknown states.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         match code {
             0 => Some(HealthState::Ready),
             1 => Some(HealthState::Draining),
@@ -1302,12 +1280,12 @@ pub enum ReplRole {
 
 impl ReplRole {
     /// The wire byte for this role (its discriminant).
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         self as u8
     }
 
     /// Decodes a wire byte; `None` for unknown roles.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         match code {
             0 => Some(ReplRole::Primary),
             1 => Some(ReplRole::Replica),
@@ -1327,7 +1305,7 @@ impl fmt::Display for ReplRole {
     }
 }
 
-/// [`op::HEALTH_OK`] payload:
+/// `op::HEALTH_OK` payload:
 /// `[u8 state][u32 retry_after_ms][u8 role][u64 replication_lag]` (LE),
 /// exactly 14 bytes. The retry-after hint is 0 when the server is ready.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1588,7 +1566,7 @@ impl StatsOk {
 /// exceed one frame (a full-size update's record does), which is why the
 /// stream is shipped as raw byte ranges a replica reassembles rather than
 /// whole records.
-pub const REPL_CHUNK_BYTES: usize = 48 * 1024;
+pub(crate) const REPL_CHUNK_BYTES: usize = 48 * 1024;
 
 /// [`op::REPL_SUBSCRIBE`] payload: the cursor a replica wants the WAL
 /// stream resumed from — `[u8 flags=0][u64 generation][u64 offset]` (LE),
@@ -1666,7 +1644,7 @@ pub struct ReplBatch {
     /// offset for checkpoint chunks) — what the replica echoes back in
     /// its next [`ReplAck`].
     pub next_offset: u64,
-    /// The shipped bytes (≤ [`REPL_CHUNK_BYTES`]).
+    /// The shipped bytes (≤ `REPL_CHUNK_BYTES`).
     pub bytes: Vec<u8>,
 }
 
@@ -1720,7 +1698,7 @@ impl ReplBatch {
     }
 }
 
-/// [`op::REPL_ACK`] payload: the replica's durable cursor after applying
+/// `op::REPL_ACK` payload: the replica's durable cursor after applying
 /// a [`ReplBatch`] — `[u64 generation][u64 offset]` (LE), exactly 16
 /// bytes. The primary computes subscriber lag from `generation` and
 /// resumes shipping from `offset`.
@@ -1752,7 +1730,7 @@ impl ReplAck {
     }
 }
 
-/// [`op::PROMOTE_OK`] payload: `[u64 generation]` (LE), exactly 8 bytes —
+/// `op::PROMOTE_OK` payload: `[u64 generation]` (LE), exactly 8 bytes —
 /// the generation the newly promoted (or already-) primary serves writes
 /// from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1779,7 +1757,7 @@ impl PromoteOk {
 
 /// [`op::ERROR`] payload: `[u8 code][u16 msg_len][msg utf8]`, optionally
 /// followed by a 4-byte LE retry-after hint in milliseconds. The message
-/// is capped at [`WireError::MAX_MESSAGE_LEN`] bytes so that the error
+/// is capped at `WireError::MAX_MESSAGE_LEN` bytes so that the error
 /// frame — hint included — always fits [`MAX_FRAME_LEN`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
@@ -1794,10 +1772,10 @@ pub struct WireError {
 impl WireError {
     /// Longest message an error frame can carry: the frame cap less the
     /// frame header, the 3-byte code/length prefix and the 4-byte hint.
-    pub const MAX_MESSAGE_LEN: usize = MAX_FRAME_LEN - HEADER_LEN - 7;
+    pub(crate) const MAX_MESSAGE_LEN: usize = MAX_FRAME_LEN - HEADER_LEN - 7;
 
     /// Builds an error payload, truncating the message (on a char
-    /// boundary) to [`WireError::MAX_MESSAGE_LEN`] bytes.
+    /// boundary) to `WireError::MAX_MESSAGE_LEN` bytes.
     pub fn new(code: ErrorCode, message: &str) -> Self {
         let mut cut = message.len().min(Self::MAX_MESSAGE_LEN);
         while !message.is_char_boundary(cut) {
@@ -2322,8 +2300,8 @@ mod tests {
         let CountExt::Sample(s) = decoded.ext else {
             panic!("expected a sample extension");
         };
-        assert_eq!(s.estimate(), 10.25);
-        assert_eq!(s.stderr(), 1.5);
+        assert_eq!(f64::from_bits(s.estimate_bits), 10.25);
+        assert_eq!(f64::from_bits(s.stderr_bits), 1.5);
 
         // Wrong extension lengths and unknown tags are refused.
         assert!(CountOk::decode(&orbit.encode()[..16 + 28]).is_none());
@@ -2370,7 +2348,6 @@ mod tests {
             pattern_size: 5,
             vertices: vec![],
         };
-        assert!(terminal.is_empty());
         assert_eq!(EnumPage::decode(&terminal.encode()).unwrap(), terminal);
 
         // Malformed pages are refused: truncation, trailing bytes, a

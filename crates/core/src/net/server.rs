@@ -32,7 +32,7 @@
 //! run to completion and their replies are delivered, idle connections are
 //! told [`ErrorCode::ShuttingDown`] and closed, and — when a persistence
 //! path is configured — the plan cache's keys are saved for the next
-//! process's warm start ([`crate::persist`]).
+//! process's warm start (`crate::persist`).
 
 use crate::config::{PoolOptions, ServeOptions};
 use crate::dynamic::DynamicEngine;
@@ -170,19 +170,19 @@ impl ReplState {
     }
 
     /// The current role.
-    pub fn role(&self) -> ReplRole {
+    pub(crate) fn role(&self) -> ReplRole {
         ReplRole::from_code(self.role.load(Ordering::Acquire)).unwrap_or(ReplRole::Primary)
     }
 
     /// Flips the role (the replica apply loop moves Replica → Promoting
     /// → Primary; nothing ever demotes a primary in-process).
-    pub fn set_role(&self, role: ReplRole) {
+    pub(crate) fn set_role(&self, role: ReplRole) {
         self.role.store(role.code(), Ordering::Release);
     }
 
     /// Where writes should go when this node is not the primary (empty
     /// when unknown).
-    pub fn primary_addr(&self) -> String {
+    pub(crate) fn primary_addr(&self) -> String {
         self.primary_addr
             .lock()
             .expect("replication state poisoned")
@@ -197,12 +197,12 @@ impl ReplState {
     }
 
     /// Whether a promotion has been requested and not yet completed.
-    pub fn promote_requested(&self) -> bool {
+    pub(crate) fn promote_requested(&self) -> bool {
         self.promote_requested.load(Ordering::Acquire)
     }
 
     /// Records the primary's generation heard in a `REPL_BATCH`.
-    pub fn note_primary_generation(&self, generation: u64) {
+    pub(crate) fn note_primary_generation(&self, generation: u64) {
         self.primary_generation.store(generation, Ordering::Release);
     }
 
@@ -211,20 +211,10 @@ impl ReplState {
         self.batches_shipped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Connected replication subscribers (primary side).
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.load(Ordering::Relaxed)
-    }
-
-    /// `REPL_BATCH` frames shipped over this process's lifetime.
-    pub fn batches_shipped(&self) -> u64 {
-        self.batches_shipped.load(Ordering::Relaxed)
-    }
-
     /// The lag gauge served in `HEALTH`/`STATS`: on a primary, the
     /// freshest subscriber lag; on a replica, how many generations the
     /// primary is known to be ahead of `local_generation`.
-    pub fn replication_lag(&self, local_generation: u64) -> u64 {
+    pub(crate) fn replication_lag(&self, local_generation: u64) -> u64 {
         match self.role() {
             ReplRole::Primary => self.subscriber_lag.load(Ordering::Relaxed),
             _ => self

@@ -17,8 +17,8 @@
 //!   that loop: every merge `(N ∩ … ∩ N) ∩ N(v_i)` of a deeper vertex's
 //!   candidate chain whose last neighbourhood is this loop's vertex, each
 //!   distinct one charged once — exactly the ops the plan's
-//!   [`SetProgram`](crate::exec::setprog::SetProgram) hoists to loop `i`
-//!   ([`for_each_charged_merge`]), and
+//!   `SetProgram` hoists to loop `i`
+//!   (`for_each_charged_merge`), and
 //! * `f_i` is the probability that the restriction(s) enforced in this loop
 //!   filter out the current partial embedding: exactly the share of the
 //!   relative orders of the pattern vertices' data ids, among those every
@@ -36,7 +36,7 @@
 //! configurations; the perf ledger's `perf_model.rank_us` row prices it.
 
 use crate::config::{
-    compile_loops, iep_correction, Configuration, ExecutionPlan, IepCorrection, LoopPlan, MAX_LOOPS,
+    compile_loops, iep_correction, Configuration, IepCorrection, LoopPlan, MAX_LOOPS,
 };
 use crate::schedule::Schedule;
 use graphpi_graph::GraphStats;
@@ -84,7 +84,7 @@ pub struct PerformanceModel {
 /// however many deeper loops share the same leading parents. These are the
 /// ops of the plan's [`crate::exec::setprog::SetProgram`] that enumeration
 /// runs, at the depths it runs them.
-pub fn for_each_charged_merge(loops: &[LoopPlan], mut visit: impl FnMut(usize, usize)) {
+pub(crate) fn for_each_charged_merge(loops: &[LoopPlan], mut visit: impl FnMut(usize, usize)) {
     let mut charged = [false; 1 << MAX_LOOPS];
     for loop_plan in loops {
         let mut mask = 0usize;
@@ -128,20 +128,10 @@ impl PerformanceModel {
         }
     }
 
-    /// The graph statistics the model was built from.
-    pub fn stats(&self) -> &GraphStats {
-        &self.stats
-    }
-
     /// Predicts the enumeration cost of a configuration.
-    pub fn predict_configuration(&self, config: &Configuration) -> CostEstimate {
+    pub(crate) fn predict_configuration(&self, config: &Configuration) -> CostEstimate {
         let loops = compile_loops(&config.pattern, &config.schedule, &config.restrictions);
         self.estimate(config, &loops)
-    }
-
-    /// Predicts the enumeration cost of a compiled plan.
-    pub fn predict(&self, plan: &ExecutionPlan) -> CostEstimate {
-        self.estimate(&plan.config, &plan.loops)
     }
 
     fn estimate(&self, config: &Configuration, loops: &[LoopPlan]) -> CostEstimate {
@@ -683,17 +673,15 @@ mod tests {
                     for_each_charged_merge(&plan.loops, |depth, merged| {
                         charged.push((depth, merged));
                     });
-                    let mut emitted: Vec<(usize, usize)> = plan
-                        .program()
-                        .ops()
-                        .iter()
+                    let mut emitted: Vec<(usize, usize)> = (0..n)
+                        .flat_map(|depth| plan.program().ops_at(depth))
                         .filter(|op| (op.first_loop as usize) < n)
                         .map(|op| (op.depth as usize, op.mask.count_ones() as usize - 1))
                         .collect();
                     charged.sort_unstable();
                     emitted.sort_unstable();
                     assert_eq!(charged, emitted, "{name} {:?}", schedule.order());
-                    let estimate = model.predict(&plan);
+                    let estimate = model.predict_configuration(&plan.config);
                     for (depth, e) in estimate.loops.iter().enumerate() {
                         assert_eq!(
                             e.intersection_cost > 0.0,

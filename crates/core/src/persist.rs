@@ -34,12 +34,13 @@
 //! on disk between process lifetimes and must be treated as untrusted.
 
 use crate::engine::{CacheStats, PlanCache, SavedPlanKey};
+use graphpi_graph::io::fnv1a;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 
 /// File magic of the plan-cache snapshot format, version 1.
-pub const MAGIC: &[u8; 8] = b"GPPC0001";
+pub(crate) const MAGIC: &[u8; 8] = b"GPPC0001";
 
 /// Upper bound on keys read back (a corrupt count field must not allocate
 /// unbounded memory; real caches hold tens of plans).
@@ -52,7 +53,7 @@ const MAX_PATTERN_LEN: u16 = 4_096;
 /// A plan-cache snapshot: the persisted keys plus the counters the cache
 /// had accumulated when it was saved.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PlanCacheSnapshot {
+pub(crate) struct PlanCacheSnapshot {
     /// Cached keys, most recently used first.
     pub keys: Vec<SavedPlanKey>,
     /// Lifetime hits at save time.
@@ -65,7 +66,7 @@ pub struct PlanCacheSnapshot {
 
 /// Errors loading or saving a plan-cache snapshot.
 #[derive(Debug)]
-pub enum PersistError {
+pub(crate) enum PersistError {
     /// Underlying file I/O failed.
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`].
@@ -95,17 +96,8 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Serialises a snapshot to bytes (see the module docs for the layout).
-pub fn encode_snapshot(snapshot: &PlanCacheSnapshot) -> Vec<u8> {
+pub(crate) fn encode_snapshot(snapshot: &PlanCacheSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + snapshot.keys.len() * 32);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&0u32.to_le_bytes()); // flags: keys only
@@ -126,7 +118,7 @@ pub fn encode_snapshot(snapshot: &PlanCacheSnapshot) -> Vec<u8> {
 }
 
 /// Parses a snapshot from bytes, validating magic, lengths and checksum.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<PlanCacheSnapshot, PersistError> {
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<PlanCacheSnapshot, PersistError> {
     if bytes.len() < MAGIC.len() + 4 + 24 + 4 + 8 {
         return Err(PersistError::Malformed(
             "file shorter than the fixed header",
@@ -196,7 +188,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<PlanCacheSnapshot, PersistError> 
 
 /// Snapshots `cache` (keys + counters) and writes it to `path` atomically
 /// (write to `path.tmp`, then rename). Returns the number of keys saved.
-pub fn save_plan_cache(cache: &PlanCache, path: &Path) -> Result<usize, PersistError> {
+pub(crate) fn save_plan_cache(cache: &PlanCache, path: &Path) -> Result<usize, PersistError> {
     let CacheStats {
         hits,
         misses,
@@ -224,7 +216,7 @@ pub fn save_plan_cache(cache: &PlanCache, path: &Path) -> Result<usize, PersistE
 /// Loads a snapshot from `path`. A missing file is reported as
 /// [`PersistError::Io`] with [`std::io::ErrorKind::NotFound`] — callers
 /// treat that as a cold start, not a failure.
-pub fn load_plan_cache(path: &Path) -> Result<PlanCacheSnapshot, PersistError> {
+pub(crate) fn load_plan_cache(path: &Path) -> Result<PlanCacheSnapshot, PersistError> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
     decode_snapshot(&bytes)
@@ -236,7 +228,7 @@ pub fn load_plan_cache(path: &Path) -> Result<PlanCacheSnapshot, PersistError> {
 /// mid-write by a crash — the atomic tmp+rename in [`save_plan_cache`]
 /// makes that near-impossible, but disks misbehave) yields `None`, and
 /// the next periodic snapshot overwrites it.
-pub fn try_load_plan_cache(path: &Path) -> Option<PlanCacheSnapshot> {
+pub(crate) fn try_load_plan_cache(path: &Path) -> Option<PlanCacheSnapshot> {
     load_plan_cache(path).ok()
 }
 
@@ -311,18 +303,16 @@ mod tests {
         let path = dir.join("plans.gppc");
 
         let engine = GraphPi::new(generators::power_law(150, 5, 21));
-        let session = engine.session_with(
-            crate::config::PoolOptions {
-                threads: 1,
-                cache_capacity: 8,
-                ..Default::default()
-            },
+        let cache = std::sync::Arc::new(PlanCache::new(8));
+        let session = engine.session_shared(
+            std::sync::Arc::new(crate::exec::pool::WorkerPool::new(1)),
+            std::sync::Arc::clone(&cache),
             PlanOptions::default(),
             CountOptions::default(),
         );
         let expected = session.count(&prefab::house()).unwrap();
         session.count(&prefab::triangle()).unwrap();
-        assert_eq!(save_plan_cache(session.cache(), &path).unwrap(), 2);
+        assert_eq!(save_plan_cache(&cache, &path).unwrap(), 2);
 
         // "Restart": fresh session over the same graph, warm from disk.
         let restarted = engine.session_with(

@@ -47,17 +47,12 @@ impl Schedule {
     }
 
     /// Number of vertices (= number of loops).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
     }
 
-    /// True only for the degenerate empty schedule.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
     /// The loop position (0-based) of a pattern vertex.
-    pub fn position_of(&self, v: PatternVertex) -> usize {
+    pub(crate) fn position_of(&self, v: PatternVertex) -> usize {
         self.order
             .iter()
             .position(|&u| u == v)
@@ -69,19 +64,9 @@ impl Schedule {
         (1..=self.order.len()).all(|i| pattern.induces_connected_subgraph(&self.order[..i]))
     }
 
-    /// Whether the last `k` scheduled vertices are pairwise non-adjacent
-    /// (phase-2 test).
-    pub fn suffix_independent(&self, pattern: &Pattern, k: usize) -> bool {
-        let n = self.order.len();
-        if k <= 1 {
-            return true;
-        }
-        pattern.is_independent_set(&self.order[n - k..])
-    }
-
     /// Length of the maximal pairwise-non-adjacent suffix of this schedule.
     /// This is the `k` available to IEP counting for this specific schedule.
-    pub fn independent_suffix_len(&self, pattern: &Pattern) -> usize {
+    pub(crate) fn independent_suffix_len(&self, pattern: &Pattern) -> usize {
         let n = self.order.len();
         let mut k = 0;
         while k < n && pattern.is_independent_set(&self.order[n - (k + 1)..]) {
@@ -150,16 +135,6 @@ pub fn efficient_schedules(pattern: &Pattern) -> Vec<Schedule> {
         .collect()
 }
 
-/// Schedules eliminated by the 2-phase generator (the "×" markers of
-/// Figure 9): all schedules minus the efficient ones.
-pub fn eliminated_schedules(pattern: &Pattern) -> Vec<Schedule> {
-    let efficient = efficient_schedules(pattern);
-    all_schedules(pattern)
-        .into_iter()
-        .filter(|s| !efficient.contains(s))
-        .collect()
-}
-
 fn permute(
     pattern: &Pattern,
     current: &mut Vec<PatternVertex>,
@@ -220,7 +195,7 @@ mod tests {
         // eliminated.
         let k4 = prefab::clique(4);
         assert_eq!(efficient_schedules(&k4).len(), 24);
-        assert!(eliminated_schedules(&k4).is_empty());
+        assert_eq!(all_schedules(&k4).len(), 24);
     }
 
     #[test]
@@ -262,16 +237,12 @@ mod tests {
                 !efficient.is_empty(),
                 "pattern must have efficient schedules"
             );
-            assert_eq!(
-                efficient.len() + eliminated_schedules(&pattern).len(),
-                all.len()
-            );
+            assert!(efficient.iter().all(|s| all.contains(s)));
             let k = pattern.max_independent_set_size();
             for s in &efficient {
                 assert!(s.prefixes_connected(&pattern));
                 // For every evaluation pattern the achievable suffix equals
                 // the maximum independent set size, as in the paper.
-                assert!(s.suffix_independent(&pattern, k));
                 assert!(s.independent_suffix_len(&pattern) >= k);
             }
         }

@@ -72,12 +72,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Adds a single undirected edge.
-    pub fn edge(mut self, u: VertexId, v: VertexId) -> Self {
-        self.edges.push((u, v));
-        self
-    }
-
     /// Adds many undirected edges.
     pub fn edges<I>(mut self, iter: I) -> Self
     where
@@ -93,11 +87,6 @@ impl GraphBuilder {
         self.edges.push((u, v));
     }
 
-    /// Number of raw (possibly duplicate) edges currently buffered.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes the builder into a [`CsrGraph`], building in parallel when
     /// the edge list is large enough to amortise thread orchestration.
     pub fn build(self) -> CsrGraph {
@@ -106,11 +95,6 @@ impl GraphBuilder {
         } else {
             1
         };
-        build_from_edge_slice(&self.edges, self.min_vertices, threads)
-    }
-
-    /// Finalizes with an explicit thread count (0 = all cores, 1 = serial).
-    pub fn build_with_threads(self, threads: usize) -> CsrGraph {
         build_from_edge_slice(&self.edges, self.min_vertices, threads)
     }
 }
@@ -411,7 +395,7 @@ mod tests {
 
     #[test]
     fn isolated_vertices_preserved() {
-        let g = GraphBuilder::new().num_vertices(5).edge(0, 1).build();
+        let g = GraphBuilder::new().num_vertices(5).edges([(0, 1)]).build();
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.degree(4), 0);
         assert_eq!(g.neighbors(4), &[] as &[u32]);
@@ -437,7 +421,6 @@ mod tests {
         for i in 0..10 {
             b.push_edge(i, (i + 1) % 10);
         }
-        assert_eq!(b.raw_edge_count(), 10);
         let g = b.build();
         assert_eq!(g.num_edges(), 10);
         assert!(g.vertices().all(|v| g.degree(v) == 2));

@@ -21,7 +21,7 @@ pub type VertexId = u32;
 /// drops self loops and sorts neighborhoods), the generators in
 /// [`crate::generators`], or zero-copy from a binary file with
 /// [`crate::io::load_binary_mmap`] — the CSR arrays are
-/// [`SharedSlice`]s, so a graph either owns its storage or is a view over
+/// `SharedSlice`s, so a graph either owns its storage or is a view over
 /// a memory-mapped region; every consumer sees plain `&[_]` slices.
 #[derive(Clone)]
 pub struct CsrGraph {
@@ -40,7 +40,7 @@ impl CsrGraph {
     /// end at `neighbors.len()`; every adjacency slice must be strictly
     /// sorted (no duplicates) and free of self loops. These invariants are
     /// checked in debug builds.
-    pub fn from_raw_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
+    pub(crate) fn from_raw_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
         Self::from_shared_parts(offsets.into(), neighbors.into())
     }
 
@@ -155,56 +155,18 @@ impl CsrGraph {
     }
 
     /// Maximum degree over all vertices (0 for the empty graph).
-    pub fn max_degree(&self) -> usize {
+    pub(crate) fn max_degree(&self) -> usize {
         (0..self.num_vertices())
             .map(|v| self.degree(v as VertexId))
             .max()
             .unwrap_or(0)
     }
 
-    /// Average degree `2|E| / |V|` (0.0 for the empty graph).
-    pub fn avg_degree(&self) -> f64 {
-        if self.num_vertices() == 0 {
-            0.0
-        } else {
-            2.0 * self.num_edges as f64 / self.num_vertices() as f64
-        }
-    }
-
     /// Returns vertices sorted by decreasing degree (ties broken by id).
-    pub fn vertices_by_degree_desc(&self) -> Vec<VertexId> {
+    pub(crate) fn vertices_by_degree_desc(&self) -> Vec<VertexId> {
         let mut vs: Vec<VertexId> = self.vertices().collect();
         vs.sort_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v));
         vs
-    }
-
-    /// Checks whether the whole graph is connected (trivially true for
-    /// graphs with at most one vertex). Uses an iterative BFS.
-    pub fn is_connected(&self) -> bool {
-        let n = self.num_vertices();
-        if n <= 1 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0 as VertexId];
-        seen[0] = true;
-        let mut count = 1usize;
-        while let Some(v) = stack.pop() {
-            for &u in self.neighbors(v) {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
-                    count += 1;
-                    stack.push(u);
-                }
-            }
-        }
-        count == n
-    }
-
-    /// Total memory footprint of the CSR arrays in bytes (informational).
-    pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.neighbors.len() * std::mem::size_of::<VertexId>()
     }
 }
 
@@ -250,7 +212,6 @@ mod tests {
         assert_eq!(g.degree(2), 3);
         assert_eq!(g.neighbors(2), &[0, 1, 3]);
         assert_eq!(g.max_degree(), 3);
-        assert!((g.avg_degree() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -274,28 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn connectivity() {
-        let g = triangle_plus_tail();
-        assert!(g.is_connected());
-        let disconnected = GraphBuilder::new().edges([(0, 1), (2, 3)]).build();
-        assert!(!disconnected.is_connected());
-        let empty = GraphBuilder::new().num_vertices(0).build();
-        assert!(empty.is_connected());
-        let single = GraphBuilder::new().num_vertices(1).build();
-        assert!(single.is_connected());
-    }
-
-    #[test]
     fn degree_ordering() {
         let g = triangle_plus_tail();
         let order = g.vertices_by_degree_desc();
         assert_eq!(order[0], 2);
         assert_eq!(order.len(), 4);
-    }
-
-    #[test]
-    fn memory_is_reported() {
-        let g = triangle_plus_tail();
-        assert!(g.memory_bytes() > 0);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * [`EdgeBatch`] — one atomic unit of change: a list of undirected edge
 //!   insertions and deletions (inserts applied first, then deletes).
-//! * [`DeltaOverlay`] — per-vertex **sorted** insert/delete sets layered
+//! * `DeltaOverlay` — per-vertex **sorted** insert/delete sets layered
 //!   over a base CSR. Applying a batch normalises it against the current
 //!   view (inserting a present edge or deleting an absent one is a no-op;
 //!   re-inserting a deleted edge reinstates it), so the overlay invariants
@@ -36,17 +36,17 @@ use std::sync::{Arc, Mutex};
 /// grow. Updates are client-supplied; without a bound, one hostile edge
 /// `(0, u32::MAX)` would make materialisation allocate gigabytes of empty
 /// rows.
-pub const MAX_VERTEX_GROWTH: usize = 1 << 20;
+pub(crate) const MAX_VERTEX_GROWTH: usize = 1 << 20;
 
 /// Default overlay size (in applied edge modifications) past which
 /// [`DynamicGraph`] folds the overlay into a fresh base CSR.
-pub const DEFAULT_COMPACTION_THRESHOLD: u64 = 1 << 16;
+pub(crate) const DEFAULT_COMPACTION_THRESHOLD: u64 = 1 << 16;
 
 /// Errors produced while applying an [`EdgeBatch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaError {
     /// An edge endpoint exceeds the allowed vertex range (base vertices
-    /// plus [`MAX_VERTEX_GROWTH`]).
+    /// plus `MAX_VERTEX_GROWTH`).
     VertexOutOfRange {
         /// The offending endpoint.
         vertex: VertexId,
@@ -112,12 +112,12 @@ impl EdgeBatch {
     }
 
     /// The queued insertions, as given.
-    pub fn inserts(&self) -> &[(VertexId, VertexId)] {
+    pub(crate) fn inserts(&self) -> &[(VertexId, VertexId)] {
         &self.inserts
     }
 
     /// The queued deletions, as given.
-    pub fn deletes(&self) -> &[(VertexId, VertexId)] {
+    pub(crate) fn deletes(&self) -> &[(VertexId, VertexId)] {
         &self.deletes
     }
 
@@ -128,21 +128,11 @@ impl EdgeBatch {
     ) -> Self {
         Self { inserts, deletes }
     }
-
-    /// Total queued operations (before normalisation).
-    pub fn len(&self) -> usize {
-        self.inserts.len() + self.deletes.len()
-    }
-
-    /// Whether the batch queues nothing.
-    pub fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty()
-    }
 }
 
 /// What applying a batch actually changed (no-ops excluded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ApplyOutcome {
+pub(crate) struct ApplyOutcome {
     /// Undirected edges that became present.
     pub inserted: u32,
     /// Undirected edges that became absent.
@@ -160,7 +150,7 @@ pub struct ApplyOutcome {
 /// A merged read is therefore exactly `(base \ deletes) ∪ inserts`, one
 /// linear three-way merge over sorted inputs.
 #[derive(Debug, Clone, Default)]
-pub struct DeltaOverlay {
+pub(crate) struct DeltaOverlay {
     inserts: BTreeMap<VertexId, Vec<VertexId>>,
     deletes: BTreeMap<VertexId, Vec<VertexId>>,
     /// Undirected edges currently added relative to the base.
@@ -207,23 +197,18 @@ fn row_contains(map: &BTreeMap<VertexId, Vec<VertexId>>, u: VertexId, v: VertexI
 
 impl DeltaOverlay {
     /// An empty overlay.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether the overlay changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty() && self.grown_vertices == 0
     }
 
     /// Total undirected edge modifications currently held (inserted plus
     /// deleted) — the size compaction thresholds compare against.
-    pub fn delta_edges(&self) -> u64 {
+    pub(crate) fn delta_edges(&self) -> u64 {
         self.inserted_edges + self.deleted_edges
     }
 
     /// Whether the undirected edge `(u, v)` exists in the merged view.
-    pub fn edge_present(&self, base: &CsrGraph, u: VertexId, v: VertexId) -> bool {
+    pub(crate) fn edge_present(&self, base: &CsrGraph, u: VertexId, v: VertexId) -> bool {
         if u == v {
             return false;
         }
@@ -240,12 +225,12 @@ impl DeltaOverlay {
 
     /// Number of vertices in the merged view (base vertices plus any the
     /// overlay has grown).
-    pub fn num_vertices(&self, base: &CsrGraph) -> usize {
+    pub(crate) fn num_vertices(&self, base: &CsrGraph) -> usize {
         base.num_vertices().max(self.grown_vertices)
     }
 
     /// Number of undirected edges in the merged view.
-    pub fn num_edges(&self, base: &CsrGraph) -> u64 {
+    pub(crate) fn num_edges(&self, base: &CsrGraph) -> u64 {
         base.num_edges() + self.inserted_edges - self.deleted_edges
     }
 
@@ -253,7 +238,7 @@ impl DeltaOverlay {
     /// invariants. Insertions first, then deletions; no-ops (inserting a
     /// present edge, deleting an absent one) are skipped and do not count
     /// toward the outcome.
-    pub fn apply(
+    pub(crate) fn apply(
         &mut self,
         batch: &EdgeBatch,
         base: &CsrGraph,
@@ -313,7 +298,12 @@ impl DeltaOverlay {
     /// `out` (cleared first): `(base_row \ deletes) ∪ inserts`, a single
     /// linear merge over three sorted inputs. The base CSR row is read
     /// as-is, so the SIMD-friendly base storage is never rewritten.
-    pub fn merged_neighbors_into(&self, base: &CsrGraph, v: VertexId, out: &mut Vec<VertexId>) {
+    pub(crate) fn merged_neighbors_into(
+        &self,
+        base: &CsrGraph,
+        v: VertexId,
+        out: &mut Vec<VertexId>,
+    ) {
         out.clear();
         let base_row: &[VertexId] = if (v as usize) < base.num_vertices() {
             base.neighbors(v)
@@ -353,7 +343,7 @@ impl DeltaOverlay {
     /// without deltas are copied verbatim from the base; touched rows are
     /// merged. The result is canonical, so it is bit-identical no matter
     /// how the same net change was batched.
-    pub fn materialize(&self, base: &CsrGraph) -> CsrGraph {
+    pub(crate) fn materialize(&self, base: &CsrGraph) -> CsrGraph {
         let n = self.num_vertices(base);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
@@ -373,7 +363,7 @@ impl DeltaOverlay {
     }
 
     /// Drops every delta (after the caller folded them into a new base).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.inserts.clear();
         self.deletes.clear();
         self.inserted_edges = 0;
@@ -466,7 +456,7 @@ impl DynamicGraph {
 
     /// Like [`DynamicGraph::new`] with an explicit compaction threshold
     /// (in overlay edge modifications; 0 compacts on every commit).
-    pub fn with_compaction_threshold(base: CsrGraph, threshold: u64) -> Self {
+    pub(crate) fn with_compaction_threshold(base: CsrGraph, threshold: u64) -> Self {
         let base = Arc::new(base);
         Self {
             state: Mutex::new(DynState {
@@ -480,27 +470,17 @@ impl DynamicGraph {
     }
 
     /// The current generation number.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.state
             .lock()
             .expect("dynamic graph poisoned")
             .generation
     }
 
-    /// Current overlay size in edge modifications (0 right after a
-    /// compaction).
-    pub fn overlay_edges(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("dynamic graph poisoned")
-            .overlay
-            .delta_edges()
-    }
-
     /// Checks a batch against the limits a commit would enforce, without
     /// changing anything — the write-ahead log uses this to reject a bad
     /// batch *before* logging it.
-    pub fn validate_batch(&self, batch: &EdgeBatch) -> Result<(), DeltaError> {
+    pub(crate) fn validate_batch(&self, batch: &EdgeBatch) -> Result<(), DeltaError> {
         let state = self.state.lock().expect("dynamic graph poisoned");
         let limit = (state.base.num_vertices() + MAX_VERTEX_GROWTH) as u64;
         for &(u, v) in batch.inserts().iter().chain(batch.deletes().iter()) {
@@ -717,7 +697,7 @@ mod tests {
             }
         );
         assert!(!overlay.edge_present(&base, 0, 3));
-        assert!(overlay.is_empty());
+        assert_eq!(overlay.delta_edges(), 0);
     }
 
     #[test]
@@ -775,6 +755,7 @@ mod tests {
         let eager = DynamicGraph::with_compaction_threshold(base.clone(), 1);
         let lazy = DynamicGraph::with_compaction_threshold(base, u64::MAX);
         let mut reports = Vec::new();
+        let mut lazy_compacted = false;
         for round in 0u32..20 {
             let mut batch = EdgeBatch::new();
             batch.insert(round, (round + 37) % 120);
@@ -784,9 +765,10 @@ mod tests {
             assert_eq!(a.generation, b.generation);
             assert_eq!((a.inserted, a.deleted), (b.inserted, b.deleted));
             reports.push(a.compacted);
+            lazy_compacted |= b.compacted;
         }
         assert!(reports.iter().any(|&c| c), "eager path must compact");
-        assert!(lazy.overlay_edges() > 0);
+        assert!(!lazy_compacted, "lazy path must keep its overlay");
         assert_eq!(eager.snapshot().graph(), lazy.snapshot().graph());
     }
 

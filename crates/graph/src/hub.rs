@@ -123,12 +123,6 @@ impl HubGraph {
         self.hub_count
     }
 
-    /// Number of `u64` words per bitset row.
-    #[inline]
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
     /// Whether `v` (a *relabeled* id) has a bitset row.
     #[inline]
     pub fn is_hub(&self, v: VertexId) -> bool {
@@ -143,7 +137,7 @@ impl HubGraph {
 
     /// The bitset row of hub `h`.
     #[inline]
-    pub fn row(&self, h: VertexId) -> &[u64] {
+    pub(crate) fn row(&self, h: VertexId) -> &[u64] {
         let h = h as usize;
         debug_assert!(h < self.hub_count);
         &self.bits[h * self.words_per_row..(h + 1) * self.words_per_row]
@@ -189,12 +183,6 @@ impl HubGraph {
                 w &= w - 1;
             }
         }
-    }
-
-    /// Keeps only the elements of `out` adjacent to **every** hub in `hubs`
-    /// (in-place bit-probe filter; no allocation).
-    pub fn retain_adjacent_to_all(&self, hubs: &[VertexId], out: &mut Vec<VertexId>) {
-        out.retain(|&v| hubs.iter().all(|&h| self.contains(h, v)));
     }
 
     /// Materialises `list ∩ N(h₁) ∩ … ∩ N(hₖ)` into `out` by probing each
@@ -316,10 +304,6 @@ mod tests {
             hub.graph().neighbors(1),
         ]);
         assert_eq!(out, expected);
-        // retain variant agrees.
-        let mut retained = list.clone();
-        hub.retain_adjacent_to_all(&hubs, &mut retained);
-        assert_eq!(retained, expected);
     }
 
     #[test]

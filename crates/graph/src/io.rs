@@ -39,7 +39,7 @@
 //! corrupt files fail with a typed [`LoadError`] instead of reading
 //! garbage (the truncation test sweeps every prefix length).
 
-use crate::builder::{build_from_edge_slice, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, VertexId};
 use crate::mmap::{MappedSlice, Region, SharedSlice};
 use std::collections::HashMap;
@@ -57,13 +57,29 @@ const BINARY_MAGIC_V2: &[u8; 8] = b"GRPHPI02";
 const BINARY_MAGIC_V1: &[u8; 8] = b"GRPHPI01";
 
 /// Version field written into v2 headers.
-pub const BINARY_VERSION: u32 = 2;
+pub(crate) const BINARY_VERSION: u32 = 2;
 
 /// Size of the v2 header in bytes.
-pub const BINARY_HEADER_LEN: usize = 64;
+pub(crate) const BINARY_HEADER_LEN: usize = 64;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
+
+/// One FNV-1a step: folds `unit` (a byte, or a whole word in the word-wise
+/// form below) into `hash`.
+#[inline]
+fn fnv_mix(hash: u64, unit: u64) -> u64 {
+    (hash ^ unit).wrapping_mul(FNV_PRIME)
+}
+
+/// 64-bit FNV-1a over raw bytes: the checksum of WAL records, plan-cache
+/// snapshots (`GPPC0001`) and the statistics fingerprint. The `GRPHPI02`
+/// payload uses the word-wise form, one step per 8 bytes.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |hash, &byte| fnv_mix(hash, byte as u64))
+}
 
 /// Errors produced while loading a graph.
 #[derive(Debug)]
@@ -106,7 +122,7 @@ impl From<io::Error> for LoadError {
 /// Vertex labels may be arbitrary `u64`s; they are remapped to dense ids in
 /// first-appearance order. Lines starting with `#` or `%` and empty lines
 /// are skipped.
-pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, LoadError> {
+pub(crate) fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, LoadError> {
     let reader = BufReader::new(reader);
     let mut remap: HashMap<u64, VertexId> = HashMap::new();
     let mut builder = GraphBuilder::new();
@@ -140,14 +156,14 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, LoadError> {
     Ok(builder.build())
 }
 
-/// Loads an edge-list file from disk. See [`read_edge_list`].
+/// Loads an edge-list file from disk. See `read_edge_list`.
 pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<CsrGraph, LoadError> {
     let file = std::fs::File::open(path)?;
     read_edge_list(file)
 }
 
 /// Writes a graph as a plain-text edge list (each undirected edge once).
-pub fn write_edge_list<W: Write>(graph: &CsrGraph, writer: W) -> io::Result<()> {
+pub(crate) fn write_edge_list<W: Write>(graph: &CsrGraph, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
     writeln!(
         w,
@@ -175,15 +191,13 @@ fn fnv1a_words(bytes: &[u8]) -> u64 {
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        hash ^= word;
-        hash = hash.wrapping_mul(FNV_PRIME);
+        hash = fnv_mix(hash, word);
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut buf = [0u8; 8];
         buf[..rem.len()].copy_from_slice(rem);
-        hash ^= u64::from_le_bytes(buf);
-        hash = hash.wrapping_mul(FNV_PRIME);
+        hash = fnv_mix(hash, u64::from_le_bytes(buf));
     }
     hash
 }
@@ -194,10 +208,7 @@ fn fnv1a_words(bytes: &[u8]) -> u64 {
 /// equals [`fnv1a_words`] over the serialised payload.
 fn payload_checksum(offsets: &[usize], neighbors: &[VertexId]) -> u64 {
     let mut hash = FNV_OFFSET;
-    let mut mix = |word: u64| {
-        hash ^= word;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    };
+    let mut mix = |word: u64| hash = fnv_mix(hash, word);
     for &o in offsets {
         mix(o as u64);
     }
@@ -485,158 +496,6 @@ pub fn load_binary_mmap<P: AsRef<Path>>(path: P) -> Result<CsrGraph, LoadError> 
     }
 }
 
-/// What one worker produced from its chunk of the text.
-struct ParsedChunk {
-    /// Label pairs, in chunk order.
-    pairs: Vec<(u64, u64)>,
-    /// Total lines in the chunk (counted even past an error, so later
-    /// chunks can compute global line numbers).
-    lines: usize,
-    /// First unparsable line: (0-based line offset within the chunk,
-    /// line text).
-    error: Option<(usize, String)>,
-}
-
-/// Parses one newline-delimited chunk. Mirrors [`read_edge_list`]'s line
-/// handling exactly: trailing `\r` stripped, `#`/`%`/blank lines skipped,
-/// two whitespace-separated `u64` labels per edge line.
-fn parse_text_chunk(chunk: &[u8]) -> Result<ParsedChunk, LoadError> {
-    let mut out = ParsedChunk {
-        pairs: Vec::new(),
-        lines: 0,
-        error: None,
-    };
-    let mut segments = chunk.split(|&b| b == b'\n').peekable();
-    while let Some(raw) = segments.next() {
-        // `split` yields one empty artifact after a trailing newline —
-        // not a line (matches `BufRead::lines`).
-        if segments.peek().is_none() && raw.is_empty() && chunk.last() == Some(&b'\n') {
-            break;
-        }
-        let line_index = out.lines;
-        out.lines += 1;
-        if out.error.is_some() {
-            continue; // keep counting lines, stop parsing
-        }
-        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
-        let Ok(line) = std::str::from_utf8(raw) else {
-            return Err(LoadError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            )));
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let labels = match (parts.next(), parts.next()) {
-            (Some(a), Some(b)) => match (a.parse::<u64>(), b.parse::<u64>()) {
-                (Ok(a), Ok(b)) => Some((a, b)),
-                _ => None,
-            },
-            _ => None,
-        };
-        match labels {
-            Some(pair) => out.pairs.push(pair),
-            None => out.error = Some((line_index, line.to_string())),
-        }
-    }
-    Ok(out)
-}
-
-/// Splits `bytes` into at most `chunks` pieces on newline boundaries.
-fn chunk_at_line_boundaries(bytes: &[u8], chunks: usize) -> Vec<&[u8]> {
-    let mut boundaries = vec![0usize];
-    for i in 1..chunks {
-        let mut pos = i * bytes.len() / chunks;
-        while pos < bytes.len() && bytes[pos] != b'\n' {
-            pos += 1;
-        }
-        pos = (pos + 1).min(bytes.len());
-        if pos > *boundaries.last().unwrap() {
-            boundaries.push(pos);
-        }
-    }
-    boundaries.push(bytes.len());
-    boundaries.windows(2).map(|w| &bytes[w[0]..w[1]]).collect()
-}
-
-/// Parses a whitespace-separated edge-list *text* in parallel,
-/// bit-identical to [`read_edge_list`] — same graph, same first-error
-/// line number.
-///
-/// The input is split into chunks at line boundaries; workers parse the
-/// label pairs concurrently; a single sequential pass then interns labels
-/// in first-appearance file order (exactly the serial remapping) and the
-/// existing parallel CSR builder assembles the graph. `threads` = 0 picks
-/// a thread count from the input size and available cores; 1 is the
-/// serial path.
-pub fn read_edge_list_parallel(bytes: &[u8], threads: usize) -> Result<CsrGraph, LoadError> {
-    let threads = if threads > 0 {
-        threads.min(16)
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(16)
-            .min(bytes.len() >> 18)
-            .max(1)
-    };
-    if threads <= 1 {
-        return read_edge_list(bytes);
-    }
-    let chunks = chunk_at_line_boundaries(bytes, threads);
-    let parsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| scope.spawn(move || parse_text_chunk(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("chunk parser panicked"))
-            .collect::<Result<Vec<_>, _>>()
-    })?;
-
-    // The globally-first bad line wins, exactly as the serial scan would
-    // have reported it.
-    let mut lines_before = 0usize;
-    for chunk in &parsed {
-        if let Some((offset, line)) = &chunk.error {
-            return Err(LoadError::Parse {
-                line_number: lines_before + offset + 1,
-                line: line.clone(),
-            });
-        }
-        lines_before += chunk.lines;
-    }
-
-    // Sequential intern pass in file order: identical dense remapping to
-    // the serial loader.
-    let mut remap: HashMap<u64, VertexId> = HashMap::new();
-    let total: usize = parsed.iter().map(|c| c.pairs.len()).sum();
-    let mut edges = Vec::with_capacity(total);
-    for chunk in &parsed {
-        for &(a, b) in &chunk.pairs {
-            let next = remap.len() as VertexId;
-            let u = *remap.entry(a).or_insert(next);
-            let next = remap.len() as VertexId;
-            let v = *remap.entry(b).or_insert(next);
-            edges.push((u, v));
-        }
-    }
-    Ok(build_from_edge_slice(&edges, 0, threads))
-}
-
-/// Loads an edge-list text file with [`read_edge_list_parallel`].
-pub fn load_edge_list_parallel<P: AsRef<Path>>(
-    path: P,
-    threads: usize,
-) -> Result<CsrGraph, LoadError> {
-    let bytes = std::fs::read(path)?;
-    read_edge_list_parallel(&bytes, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,6 +514,24 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
         assert_eq!(crate::triangles::count_triangles(&g), 1);
+
+        // CRLF, tabs, blank and comment lines, a self loop and trailing
+        // tokens; labels densify in first-appearance order (7, 3, 9, 10^9+7).
+        let messy = "# comment header\n\
+                     7 3\n\
+                     \t 3   9 \r\n\
+                     % another comment\n\
+                     \n\
+                     1000000007 7\n\
+                     9 9\n\
+                     3 1000000007 trailing tokens ignored\n";
+        let expected = crate::builder::from_edges(&[(0, 1), (1, 2), (3, 0), (1, 3)]);
+        assert_eq!(read_edge_list(messy.as_bytes()).unwrap(), expected);
+        // No trailing newline on the last line.
+        assert_eq!(
+            read_edge_list(messy.trim_end().as_bytes()).unwrap(),
+            expected
+        );
     }
 
     #[test]
@@ -662,6 +539,25 @@ mod tests {
         let text = "1 2\noops\n";
         match read_edge_list(text.as_bytes()) {
             Err(LoadError::Parse { line_number, .. }) => assert_eq!(line_number, 2),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+
+        // A bad line mid-file with a later one also bad: the first wins,
+        // comment lines counted.
+        let mut text = String::from("# header\n");
+        for i in 0..200 {
+            text.push_str(&format!("{i} {}\n", i + 1));
+        }
+        text.push_str("not an edge\n");
+        for i in 0..50 {
+            text.push_str(&format!("{i} {}\n", i + 3));
+        }
+        text.push_str("also bad\n");
+        match read_edge_list(text.as_bytes()) {
+            Err(LoadError::Parse { line_number, line }) => {
+                assert_eq!(line_number, 202);
+                assert_eq!(line, "not an edge");
+            }
             other => panic!("expected parse error, got {other:?}"),
         }
     }
@@ -919,91 +815,5 @@ mod tests {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(payload_checksum(&offsets, even), fnv1a_words(&bytes));
-    }
-
-    #[test]
-    fn parallel_text_parse_matches_serial_on_messy_input() {
-        let text = "# comment header\n\
-                    7 3\n\
-                    \t 3   9 \r\n\
-                    % another comment\n\
-                    \n\
-                    1000000007 7\n\
-                    9 9\n\
-                    3 1000000007 trailing tokens ignored\n";
-        let serial = read_edge_list(text.as_bytes()).unwrap();
-        for threads in [1, 2, 3, 4, 16] {
-            let parallel = read_edge_list_parallel(text.as_bytes(), threads).unwrap();
-            assert_eq!(parallel, serial, "threads = {threads}");
-        }
-        // No trailing newline on the last line.
-        let no_newline = text.trim_end();
-        assert_eq!(
-            read_edge_list_parallel(no_newline.as_bytes(), 4).unwrap(),
-            read_edge_list(no_newline.as_bytes()).unwrap()
-        );
-        // Empty input.
-        assert_eq!(read_edge_list_parallel(b"", 4).unwrap().num_vertices(), 0);
-    }
-
-    #[test]
-    fn parallel_text_parse_reports_the_same_first_error() {
-        // The bad line sits in a late chunk; an even later line is also
-        // bad — the first must win, with the serial line number.
-        let mut text = String::from("# header\n");
-        for i in 0..200 {
-            text.push_str(&format!("{i} {}\n", i + 1));
-        }
-        text.push_str("not an edge\n");
-        for i in 0..50 {
-            text.push_str(&format!("{i} {}\n", i + 3));
-        }
-        text.push_str("also bad\n");
-        let serial = read_edge_list(text.as_bytes()).unwrap_err();
-        let LoadError::Parse { line_number, line } = serial else {
-            panic!("expected a parse error");
-        };
-        assert_eq!(line_number, 202);
-        for threads in [2, 3, 4, 16] {
-            match read_edge_list_parallel(text.as_bytes(), threads) {
-                Err(LoadError::Parse {
-                    line_number: got_number,
-                    line: got_line,
-                }) => {
-                    assert_eq!(got_number, line_number, "threads = {threads}");
-                    assert_eq!(got_line, line, "threads = {threads}");
-                }
-                other => panic!("threads = {threads}: expected parse error, got {other:?}"),
-            }
-        }
-    }
-
-    proptest::proptest! {
-        /// Random edge lists (arbitrary u64 labels, duplicate edges, self
-        /// loops, comments and blank lines mixed in) parse bit-identical
-        /// to the serial loader at every thread count.
-        #[test]
-        fn prop_parallel_text_parse_is_bit_identical(
-            edges in proptest::collection::vec((0u64..50, 0u64..50), 0..120),
-            noise in proptest::collection::vec(0u8..4, 0..40),
-            threads in 2usize..6,
-        ) {
-            let mut text = String::new();
-            let mut noise_iter = noise.iter();
-            for &(a, b) in &edges {
-                if let Some(&kind) = noise_iter.next() {
-                    match kind {
-                        0 => text.push_str("# interleaved comment\n"),
-                        1 => text.push('\n'),
-                        2 => text.push_str("% other comment style\n"),
-                        _ => {}
-                    }
-                }
-                text.push_str(&format!("{a} {b}\n"));
-            }
-            let serial = read_edge_list(text.as_bytes()).unwrap();
-            let parallel = read_edge_list_parallel(text.as_bytes(), threads).unwrap();
-            proptest::prop_assert_eq!(&parallel, &serial);
-        }
     }
 }

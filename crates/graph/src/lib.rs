@@ -23,31 +23,38 @@
 //! * [`delta`] and [`wal`] — the dynamic-graph layer: batch-applied edge
 //!   overlays with generation-based snapshots, made durable by a
 //!   checksummed write-ahead log with checkpoint + replay recovery.
+//!
+//! # Entry points
+//!
+//! `pub` here means "named from outside this crate" (the engine, the
+//! binaries, the tests, the benches or the perf ledger); everything else is
+//! `pub(crate)`, so the `dead_code` lint sees it. Build a graph with
+//! [`GraphBuilder`], [`builder::from_edges`] or a [`generators`] function;
+//! load and save one with [`io::load_edge_list`], [`io::save_binary`] and
+//! [`io::load_binary_mmap`] (one text parser; the checksummed binary + mmap
+//! path is the fast ingest); read it through [`CsrGraph`] and the
+//! [`vertex_set`] kernels ([`vertex_set::intersect_into`],
+//! [`vertex_set::intersect_count`], [`vertex_set::subtract_into`]); wrap it
+//! in a [`HubGraph`] for hub acceleration; summarise it with
+//! [`GraphStats::compute`]; mutate it through [`delta::DynamicGraph`] or,
+//! durably, [`wal::DurableGraph`]. [`io::fnv1a`] is the one byte-wise
+//! FNV-1a every on-disk checksum uses.
 
 pub mod builder;
-pub mod components;
 pub mod csr;
 pub mod delta;
 pub mod generators;
 pub mod hub;
 pub mod io;
-pub mod kcore;
-pub mod mmap;
+mod mmap;
 pub mod stats;
 pub mod triangles;
 pub mod vertex_set;
 pub mod wal;
 
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, VertexId};
-pub use delta::{DynamicGraph, EdgeBatch, GraphSnapshot};
+pub use csr::CsrGraph;
+pub use delta::EdgeBatch;
 pub use hub::{HubGraph, HubOptions};
 pub use stats::GraphStats;
-pub use wal::{DurableGraph, DurableGraphOptions};
-
-/// Convenience prelude bringing the most common types into scope.
-pub mod prelude {
-    pub use crate::builder::GraphBuilder;
-    pub use crate::csr::{CsrGraph, VertexId};
-    pub use crate::stats::GraphStats;
-}
+pub use wal::DurableGraphOptions;

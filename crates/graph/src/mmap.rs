@@ -34,11 +34,11 @@ use std::sync::Arc;
 ///
 /// Sealed: implemented exactly for the primitive array element types the
 /// binary graph format uses.
-pub trait Pod: Copy + Send + Sync + 'static + private::Sealed {}
+pub(crate) trait Pod: Copy + Send + Sync + 'static + private::Sealed {}
 
 mod private {
     /// Seals [`super::Pod`].
-    pub trait Sealed {}
+    pub(crate) trait Sealed {}
 }
 
 macro_rules! impl_pod {
@@ -57,7 +57,7 @@ mod ffi {
     use std::os::raw::{c_int, c_void};
 
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             length: usize,
             prot: c_int,
@@ -65,13 +65,13 @@ mod ffi {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, length: usize) -> c_int;
+        pub(crate) fn munmap(addr: *mut c_void, length: usize) -> c_int;
     }
 
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
+    pub(crate) const PROT_READ: c_int = 1;
+    pub(crate) const MAP_PRIVATE: c_int = 2;
 
-    pub fn map_failed() -> *mut c_void {
+    pub(crate) fn map_failed() -> *mut c_void {
         usize::MAX as *mut c_void
     }
 }
@@ -95,7 +95,7 @@ unsafe impl Sync for RegionStorage {}
 
 /// An immutable byte region: a zero-copy file mapping where supported, or
 /// an aligned heap buffer elsewhere.
-pub struct Region {
+pub(crate) struct Region {
     storage: RegionStorage,
 }
 
@@ -103,7 +103,7 @@ impl Region {
     /// Memory-maps `path` read-only (zero-copy). On targets without the
     /// mapping fast path (non-Unix, or 32-bit, where `u64` offsets cannot
     /// be reinterpreted as `usize`), falls back to [`Region::read`].
-    pub fn map<P: AsRef<Path>>(path: P) -> io::Result<Self> {
+    pub(crate) fn map<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         #[cfg(all(unix, target_pointer_width = "64"))]
         {
             Self::map_unix(path.as_ref())
@@ -115,7 +115,8 @@ impl Region {
     }
 
     /// Reads `path` entirely into an aligned heap region.
-    pub fn read<P: AsRef<Path>>(path: P) -> io::Result<Self> {
+    #[cfg(any(test, not(all(unix, target_pointer_width = "64"))))]
+    pub(crate) fn read<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         use std::io::Read;
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
@@ -172,7 +173,7 @@ impl Region {
     }
 
     /// Whether this region is a zero-copy file mapping.
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         match &self.storage {
             #[cfg(all(unix, target_pointer_width = "64"))]
             RegionStorage::Mapped { .. } => true,
@@ -181,7 +182,7 @@ impl Region {
     }
 
     /// The region's bytes.
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         match &self.storage {
             #[cfg(all(unix, target_pointer_width = "64"))]
             RegionStorage::Mapped { ptr, len } => {
@@ -220,7 +221,7 @@ impl fmt::Debug for Region {
 }
 
 /// A typed, alignment-checked view into a shared [`Region`].
-pub struct MappedSlice<T: Pod> {
+pub(crate) struct MappedSlice<T: Pod> {
     region: Arc<Region>,
     byte_offset: usize,
     len: usize,
@@ -231,7 +232,7 @@ impl<T: Pod> MappedSlice<T> {
     /// Creates a view of `len` elements of `T` starting `byte_offset` bytes
     /// into `region`. Fails when the range is out of bounds or the start is
     /// not aligned for `T`.
-    pub fn new(region: Arc<Region>, byte_offset: usize, len: usize) -> Result<Self, String> {
+    pub(crate) fn new(region: Arc<Region>, byte_offset: usize, len: usize) -> Result<Self, String> {
         let bytes = region.bytes();
         let elem = std::mem::size_of::<T>();
         let end = len
@@ -263,7 +264,7 @@ impl<T: Pod> MappedSlice<T> {
 
     /// The viewed elements.
     #[inline]
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         // SAFETY: bounds and alignment were verified in `new`, the region
         // is immutable and outlives `self` via the Arc, and T is Pod so any
         // byte content is a valid value.
@@ -296,7 +297,7 @@ impl<T: Pod + fmt::Debug> fmt::Debug for MappedSlice<T> {
 /// Owned-or-mapped read-only storage: `Vec<T>` for built graphs, a region
 /// view for memory-mapped ones, behind one `&[T]` interface.
 #[derive(Clone)]
-pub enum SharedSlice<T: Pod> {
+pub(crate) enum SharedSlice<T: Pod> {
     /// Heap-owned storage.
     Owned(Vec<T>),
     /// A view into a shared (usually memory-mapped) region.
@@ -305,7 +306,7 @@ pub enum SharedSlice<T: Pod> {
 
 impl<T: Pod> SharedSlice<T> {
     /// Whether the storage is a region view (vs an owned `Vec`).
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         matches!(self, SharedSlice::Mapped(_))
     }
 }

@@ -45,7 +45,7 @@ impl GraphStats {
 
     /// Builds the statistics from pre-computed counts (useful in tests and
     /// when loading persisted statistics).
-    pub fn from_counts(
+    pub(crate) fn from_counts(
         num_vertices: usize,
         num_edges: u64,
         triangle_count: u64,
@@ -85,22 +85,17 @@ impl GraphStats {
     /// cost model (which only reads these numbers), so the fingerprint is
     /// the graph component of compiled-plan cache keys.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        let mut hash = FNV_OFFSET;
         let words = [
             self.num_vertices as u64,
             self.num_edges,
             self.triangle_count,
             self.max_degree as u64,
         ];
-        for word in words {
-            for byte in word.to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
+        let mut bytes = [0u8; 32];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&word.to_le_bytes());
         }
-        hash
+        crate::io::fnv1a(&bytes)
     }
 
     /// Expected cardinality of the neighborhood of a random vertex,

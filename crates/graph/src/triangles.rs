@@ -34,44 +34,6 @@ fn count_common_above(a: &[VertexId], b: &[VertexId], bound: VertexId) -> u64 {
     vertex_set::intersect_count(&a[ai..], &b[bi..]) as u64
 }
 
-/// Per-vertex triangle participation: `result[v]` is the number of triangles
-/// containing `v`. The sum over all vertices is `3 *` [`count_triangles`].
-pub fn per_vertex_triangles(graph: &CsrGraph) -> Vec<u64> {
-    let mut counts = vec![0u64; graph.num_vertices()];
-    for u in graph.vertices() {
-        let nu = graph.neighbors(u);
-        for &v in nu.iter().filter(|&&v| v > u) {
-            let nv = graph.neighbors(v);
-            let ai = nu.partition_point(|&x| x <= v);
-            let bi = nv.partition_point(|&x| x <= v);
-            for &w in vertex_set::intersect(&nu[ai..], &nv[bi..]).iter() {
-                counts[u as usize] += 1;
-                counts[v as usize] += 1;
-                counts[w as usize] += 1;
-            }
-        }
-    }
-    counts
-}
-
-/// Global clustering coefficient: `3 * triangles / wedges`, where a wedge is
-/// an unordered path of length two. Returns 0.0 when there are no wedges.
-pub fn global_clustering_coefficient(graph: &CsrGraph) -> f64 {
-    let triangles = count_triangles(graph) as f64;
-    let wedges: u64 = graph
-        .vertices()
-        .map(|v| {
-            let d = graph.degree(v) as u64;
-            d * d.saturating_sub(1) / 2
-        })
-        .sum();
-    if wedges == 0 {
-        0.0
-    } else {
-        3.0 * triangles / wedges as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,15 +44,12 @@ mod tests {
     fn triangle_graph() {
         let g = from_edges(&[(0, 1), (1, 2), (0, 2)]);
         assert_eq!(count_triangles(&g), 1);
-        assert_eq!(per_vertex_triangles(&g), vec![1, 1, 1]);
-        assert!((global_clustering_coefficient(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn square_has_no_triangles() {
         let g = generators::cycle(4);
         assert_eq!(count_triangles(&g), 0);
-        assert_eq!(global_clustering_coefficient(&g), 0.0);
     }
 
     #[test]
@@ -101,14 +60,6 @@ mod tests {
             let expected = (n * (n - 1) * (n - 2) / 6) as u64;
             assert_eq!(count_triangles(&g), expected, "K_{n}");
         }
-    }
-
-    #[test]
-    fn per_vertex_sums_to_three_times_total() {
-        let g = generators::power_law(300, 4, 3);
-        let total = count_triangles(&g);
-        let per_vertex: u64 = per_vertex_triangles(&g).iter().sum();
-        assert_eq!(per_vertex, 3 * total);
     }
 
     #[test]

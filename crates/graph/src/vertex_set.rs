@@ -8,7 +8,7 @@
 //! result.
 //!
 //! All intersection variants — materialising ([`intersect_into`],
-//! [`intersect_many_into`]), counting ([`intersect_count`]) and bound-clamped
+//! `intersect_many_into`), counting ([`intersect_count`]) and bound-clamped
 //! counting ([`intersect_count_below`]) — share the same routing: a linear
 //! merge for balanced inputs and a galloping (exponential) search when one
 //! input is at least `GALLOP_RATIO` times larger, which is the common case
@@ -44,7 +44,7 @@ const GALLOP_RATIO: usize = 32;
 
 /// Largest number of sets [`intersect_many_into`] accepts (bounded by the
 /// engine's maximum pattern size; keeps the ordering scratch on the stack).
-pub const MAX_INTERSECT_SETS: usize = 16;
+pub(crate) const MAX_INTERSECT_SETS: usize = 16;
 
 /// The intersection kernel family the dispatcher selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +197,7 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
 
 /// Clamps a sorted set to its prefix of elements strictly below `bound`.
 #[inline]
-pub fn clamp_below(a: &[VertexId], bound: VertexId) -> &[VertexId] {
+pub(crate) fn clamp_below(a: &[VertexId], bound: VertexId) -> &[VertexId] {
     &a[..a.partition_point(|&x| x < bound)]
 }
 
@@ -209,17 +209,6 @@ pub fn clamp_below(a: &[VertexId], bound: VertexId) -> &[VertexId] {
 /// same merge/galloping kernels as [`intersect_count`].
 pub fn intersect_count_below(a: &[VertexId], b: &[VertexId], bound: VertexId) -> usize {
     intersect_count(clamp_below(a, bound), clamp_below(b, bound))
-}
-
-/// Materialises `a ∩ b` keeping only elements strictly below `bound`
-/// (bound-clamped sibling of [`intersect_into`]).
-pub fn intersect_into_below(
-    a: &[VertexId],
-    b: &[VertexId],
-    bound: VertexId,
-    out: &mut Vec<VertexId>,
-) {
-    intersect_into(clamp_below(a, bound), clamp_below(b, bound), out);
 }
 
 #[inline]
@@ -281,24 +270,16 @@ pub fn subtract_into(a: &[VertexId], excluded: &[VertexId], out: &mut Vec<Vertex
     out.extend(a.iter().copied().filter(|v| !excluded.contains(v)));
 }
 
-/// Allocating variant of [`subtract_into`].
-pub fn subtract(a: &[VertexId], excluded: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(a.len());
-    subtract_into(a, excluded, &mut out);
-    out
-}
-
-/// Counts the elements of `a` not present in `excluded`.
-pub fn subtract_count(a: &[VertexId], excluded: &[VertexId]) -> usize {
-    a.iter().filter(|v| !excluded.contains(v)).count()
-}
-
 /// Intersects an arbitrary number of sorted sets into `out` without heap
 /// allocation: `tmp` is the ping-pong scratch, the set order is kept on the
 /// stack, and the sets are intersected smallest-first so intermediates stay
 /// tiny. `sets` must be non-empty and hold at most [`MAX_INTERSECT_SETS`]
 /// entries; `out` and `tmp` must be distinct buffers (both are clobbered).
-pub fn intersect_many_into(sets: &[&[VertexId]], out: &mut Vec<VertexId>, tmp: &mut Vec<VertexId>) {
+pub(crate) fn intersect_many_into(
+    sets: &[&[VertexId]],
+    out: &mut Vec<VertexId>,
+    tmp: &mut Vec<VertexId>,
+) {
     assert!(
         !sets.is_empty(),
         "intersect_many_into requires at least one set"
@@ -339,17 +320,12 @@ fn intersect_into_swap(b: &[VertexId], out: &mut Vec<VertexId>, tmp: &mut Vec<Ve
     std::mem::swap(out, tmp);
 }
 
-/// Allocating variant of [`intersect_many_into`].
+/// Allocating variant of `intersect_many_into`.
 pub fn intersect_many(sets: &[&[VertexId]]) -> Vec<VertexId> {
     let mut out = Vec::new();
     let mut tmp = Vec::new();
     intersect_many_into(sets, &mut out, &mut tmp);
     out
-}
-
-/// Checks that a slice is strictly increasing (sorted, duplicate-free).
-pub fn is_sorted_set(a: &[VertexId]) -> bool {
-    a.windows(2).all(|w| w[0] < w[1])
 }
 
 #[cfg(test)]
@@ -387,9 +363,6 @@ mod tests {
         let small: Vec<u32> = vec![10, 500, 900, 1500];
         let large: Vec<u32> = (0..2000).collect();
         assert_eq!(intersect_count_below(&small, &large, 1000), 3);
-        let mut out = Vec::new();
-        intersect_into_below(&small, &large, 1000, &mut out);
-        assert_eq!(out, vec![10, 500, 900]);
     }
 
     #[test]
@@ -402,9 +375,11 @@ mod tests {
 
     #[test]
     fn subtraction() {
-        assert_eq!(subtract(&[1, 2, 3, 4], &[2, 4]), vec![1, 3]);
-        assert_eq!(subtract(&[1, 2], &[]), vec![1, 2]);
-        assert_eq!(subtract_count(&[1, 2, 3], &[3, 1]), 1);
+        let mut out = vec![9];
+        subtract_into(&[1, 2, 3, 4], &[2, 4], &mut out);
+        assert_eq!(out, vec![1, 3]);
+        subtract_into(&[1, 2], &[], &mut out);
+        assert_eq!(out, vec![1, 2]);
     }
 
     #[test]
@@ -526,7 +501,7 @@ mod tests {
         #[test]
         fn prop_intersection_sorted_and_subset(a in sorted_set(), b in sorted_set()) {
             let r = intersect(&a, &b);
-            prop_assert!(is_sorted_set(&r));
+            prop_assert!(r.windows(2).all(|w| w[0] < w[1]));
             prop_assert!(r.iter().all(|x| a.binary_search(x).is_ok() && b.binary_search(x).is_ok()));
         }
 
@@ -537,10 +512,10 @@ mod tests {
 
         #[test]
         fn prop_subtract_removes_exactly(a in sorted_set(), ex in proptest::collection::vec(0u32..2000, 0..10)) {
-            let r = subtract(&a, &ex);
-            prop_assert!(is_sorted_set(&r));
+            let mut r = Vec::new();
+            subtract_into(&a, &ex, &mut r);
+            prop_assert!(r.windows(2).all(|w| w[0] < w[1]));
             prop_assert!(r.iter().all(|x| !ex.contains(x)));
-            prop_assert_eq!(r.len(), subtract_count(&a, &ex));
             prop_assert!(a.iter().filter(|x| !ex.contains(x)).count() == r.len());
         }
 
@@ -554,9 +529,6 @@ mod tests {
         fn prop_bounded_count_matches_filter(a in sorted_set(), b in sorted_set(), bound in 0u32..2000) {
             let expected = intersect(&a, &b).into_iter().filter(|&x| x < bound).count();
             prop_assert_eq!(intersect_count_below(&a, &b, bound), expected);
-            let mut out = Vec::new();
-            intersect_into_below(&a, &b, bound, &mut out);
-            prop_assert_eq!(out.len(), expected);
         }
     }
 }

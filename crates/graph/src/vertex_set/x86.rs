@@ -133,7 +133,7 @@ unsafe fn block_matches_sse(va: __m128i, vb: __m128i) -> __m128i {
 /// Caller must have verified SSE2 support (always present on `x86_64`, but
 /// the dispatch layer still proves it for uniformity).
 #[target_feature(enable = "sse2")]
-pub unsafe fn merge_count_sse(a: &[u32], b: &[u32]) -> usize {
+pub(crate) unsafe fn merge_count_sse(a: &[u32], b: &[u32]) -> usize {
     let (mut i, mut j) = (0usize, 0usize);
     let mut count = 0usize;
     while i + 4 <= a.len() && j + 4 <= b.len() {
@@ -157,7 +157,7 @@ pub unsafe fn merge_count_sse(a: &[u32], b: &[u32]) -> usize {
 /// # Safety
 /// Caller must have verified SSSE3 support. `out` must not alias `a`/`b`.
 #[target_feature(enable = "ssse3")]
-pub unsafe fn merge_into_sse(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+pub(crate) unsafe fn merge_into_sse(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     debug_assert!(out.is_empty());
     out.reserve(a.len().min(b.len()) + 4);
     let base = out.as_mut_ptr();
@@ -221,7 +221,7 @@ unsafe fn block_matches_avx2(va: __m256i, vb: __m256i, rot: &[__m256i; 7]) -> __
 /// # Safety
 /// Caller must have verified AVX2 support.
 #[target_feature(enable = "avx2")]
-pub unsafe fn merge_count_avx2(a: &[u32], b: &[u32]) -> usize {
+pub(crate) unsafe fn merge_count_avx2(a: &[u32], b: &[u32]) -> usize {
     let rot = load_rotations_avx2();
     let (mut i, mut j) = (0usize, 0usize);
     let mut count = 0usize;
@@ -245,7 +245,7 @@ pub unsafe fn merge_count_avx2(a: &[u32], b: &[u32]) -> usize {
 /// # Safety
 /// Caller must have verified AVX2 support. `out` must not alias `a`/`b`.
 #[target_feature(enable = "avx2")]
-pub unsafe fn merge_into_avx2(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+pub(crate) unsafe fn merge_into_avx2(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     debug_assert!(out.is_empty());
     out.reserve(a.len().min(b.len()) + 8);
     let rot = load_rotations_avx2();
@@ -323,7 +323,7 @@ unsafe fn gallop_find_avx2(large: &[u32], from: usize, x: u32) -> (usize, bool) 
 /// # Safety
 /// Caller must have verified AVX2 support. Both inputs strictly sorted.
 #[target_feature(enable = "avx2")]
-pub unsafe fn gallop_count_avx2(small: &[u32], large: &[u32]) -> usize {
+pub(crate) unsafe fn gallop_count_avx2(small: &[u32], large: &[u32]) -> usize {
     let mut count = 0usize;
     let mut lo = 0usize;
     for &x in small {
@@ -343,7 +343,7 @@ pub unsafe fn gallop_count_avx2(small: &[u32], large: &[u32]) -> usize {
 /// # Safety
 /// Caller must have verified AVX2 support. `out` must not alias the inputs.
 #[target_feature(enable = "avx2")]
-pub unsafe fn gallop_into_avx2(small: &[u32], large: &[u32], out: &mut Vec<u32>) {
+pub(crate) unsafe fn gallop_into_avx2(small: &[u32], large: &[u32], out: &mut Vec<u32>) {
     let mut lo = 0usize;
     for &x in small {
         if lo >= large.len() {

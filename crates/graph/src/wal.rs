@@ -7,7 +7,7 @@
 //!   and `fsync`s it *before* applying it in memory; a commit is only
 //!   acknowledged once it would survive `kill -9`.
 //! * **Torn tails recover, corruption errors.** Appends are sequential,
-//!   so a crash leaves a *prefix* of the final record. [`Wal::open`]
+//!   so a crash leaves a *prefix* of the final record. `Wal::open`
 //!   scans records front to back: a record whose (self-checksummed)
 //!   header is incomplete or whose payload extends past EOF is a torn
 //!   tail — the file is truncated back to the last durable record and
@@ -43,7 +43,7 @@ use crate::csr::CsrGraph;
 use crate::delta::{
     CommitReport, DeltaError, DynamicGraph, EdgeBatch, GraphSnapshot, DEFAULT_COMPACTION_THRESHOLD,
 };
-use crate::io;
+use crate::io::{self, fnv1a};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -51,30 +51,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Magic bytes opening every WAL file.
-pub const WAL_MAGIC: &[u8; 8] = b"GRPHWAL1";
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"GRPHWAL1";
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+pub(crate) const WAL_VERSION: u32 = 1;
 /// Byte length of the WAL file header.
-pub const WAL_HEADER_LEN: usize = 16;
+pub(crate) const WAL_HEADER_LEN: usize = 16;
 /// Byte length of a record header (`len`, `header_check`, `payload_fnv`).
 const RECORD_HEADER_LEN: usize = 16;
 /// Upper bound on a single record's payload; appends beyond it are
 /// rejected and claimed lengths beyond it are treated as corruption.
-pub const MAX_WAL_RECORD_LEN: usize = 1 << 26;
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over raw bytes (byte-wise; the `GRPHPI02` header uses the
-/// word-wise variant — the two logs are independent formats).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+pub(crate) const MAX_WAL_RECORD_LEN: usize = 1 << 26;
 
 fn header_check(len: u32, payload_fnv: u64) -> u32 {
     let mut bytes = [0u8; 12];
@@ -314,7 +300,7 @@ fn parse_frame_at(
 
 /// What [`Wal::open`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalOpenReport {
+pub(crate) struct WalOpenReport {
     /// Whether the file was created (or was empty) and got a fresh
     /// header.
     pub created: bool,
@@ -329,7 +315,7 @@ pub struct WalOpenReport {
 /// Appends are acknowledged only after `fsync`; see the module docs for
 /// the recovery rules.
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     file: File,
     path: PathBuf,
     len: u64,
@@ -342,7 +328,7 @@ pub struct Wal {
 impl Wal {
     /// Opens (creating if absent) the log at `path`, scans and returns
     /// every durable record, and truncates any torn tail.
-    pub fn open<P: AsRef<Path>>(
+    pub(crate) fn open<P: AsRef<Path>>(
         path: P,
     ) -> Result<(Self, Vec<WalRecord>, WalOpenReport), WalError> {
         let path = path.as_ref().to_path_buf();
@@ -434,7 +420,7 @@ impl Wal {
 
     /// Appends one record and `fsync`s it. When this returns `Ok`, the
     /// record survives `kill -9`.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
+    pub(crate) fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
         let frame = encode_record_frame(record);
         let payload_len = frame.len() - RECORD_HEADER_LEN;
         if payload_len > MAX_WAL_RECORD_LEN {
@@ -449,7 +435,7 @@ impl Wal {
     /// Resets the log to just a checkpoint marker for `generation` —
     /// called after the checkpoint file has durably captured that
     /// generation.
-    pub fn reset(&mut self, generation: u64) -> Result<(), WalError> {
+    pub(crate) fn reset(&mut self, generation: u64) -> Result<(), WalError> {
         let end = self.len;
         self.reset_keeping_suffix(generation, end)
     }
@@ -461,7 +447,7 @@ impl Wal {
     /// checkpoint file *without* holding the commit lock, and any records
     /// appended meanwhile (all with generations past the checkpoint) are
     /// re-seated right after the fresh marker.
-    pub fn reset_keeping_suffix(
+    pub(crate) fn reset_keeping_suffix(
         &mut self,
         generation: u64,
         suffix_start: u64,
@@ -485,25 +471,25 @@ impl Wal {
     }
 
     /// The log's file path.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
     /// Current byte length of the record region (excludes the header).
-    pub fn record_bytes(&self) -> u64 {
+    pub(crate) fn record_bytes(&self) -> u64 {
         self.len - WAL_HEADER_LEN as u64
     }
 
     /// Absolute end offset of the durable log (header included) — the
     /// position replication cursors address.
-    pub fn end_offset(&self) -> u64 {
+    pub(crate) fn end_offset(&self) -> u64 {
         self.len
     }
 
     /// Reset epoch: bumped every time the log is truncated back to a
     /// checkpoint marker. Offsets taken under one epoch are meaningless
     /// under another.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 }
@@ -673,11 +659,6 @@ pub struct RecordStreamParser {
 }
 
 impl RecordStreamParser {
-    /// An empty parser.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Appends stream bytes.
     pub fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -696,11 +677,6 @@ impl RecordStreamParser {
         }
     }
 
-    /// Bytes buffered but not yet forming a complete record.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Drops any partial frame (used when resubscribing after a torn
     /// stream: the gap is refetched from the durable cursor).
     pub fn clear(&mut self) {
@@ -712,7 +688,7 @@ impl RecordStreamParser {
 /// Encodes one record as a raw stream frame (the same checksummed bytes
 /// [`Wal::append`] writes) — lets tests and the bootstrap path synthesize
 /// replication streams without a file.
-pub fn encode_record_frame(record: &WalRecord) -> Vec<u8> {
+pub(crate) fn encode_record_frame(record: &WalRecord) -> Vec<u8> {
     let payload = encode_payload(record);
     let payload_fnv = fnv1a(&payload);
     let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
@@ -803,7 +779,7 @@ pub struct DurableGraph {
 }
 
 /// The checkpoint file that accompanies a WAL at `wal_path`.
-pub fn checkpoint_path_for(wal_path: &Path) -> PathBuf {
+pub(crate) fn checkpoint_path_for(wal_path: &Path) -> PathBuf {
     let mut name = wal_path.as_os_str().to_os_string();
     name.push(".ckpt");
     PathBuf::from(name)
@@ -1004,21 +980,6 @@ impl DurableGraph {
         self.graph.snapshot()
     }
 
-    /// The current generation number.
-    pub fn generation(&self) -> u64 {
-        self.graph.generation()
-    }
-
-    /// Current overlay size in edge modifications.
-    pub fn overlay_edges(&self) -> u64 {
-        self.graph.overlay_edges()
-    }
-
-    /// Current WAL record-region size in bytes.
-    pub fn wal_record_bytes(&self) -> u64 {
-        self.wal.lock().expect("wal poisoned").record_bytes()
-    }
-
     /// The checkpoint file path paired with this WAL.
     pub fn checkpoint_path(&self) -> &Path {
         &self.checkpoint_path
@@ -1034,7 +995,7 @@ impl DurableGraph {
         self.wal.lock().expect("wal poisoned").end_offset()
     }
 
-    /// The log's reset epoch (see [`Wal::epoch`]).
+    /// The log's reset epoch (see `Wal::epoch`).
     pub fn wal_epoch(&self) -> u64 {
         self.wal.lock().expect("wal poisoned").epoch()
     }
@@ -1255,7 +1216,7 @@ mod tests {
         let mut ends = vec![WAL_HEADER_LEN as u64];
         for round in 0..10 {
             durable.commit(&batch_for_round(round)).unwrap();
-            ends.push(WAL_HEADER_LEN as u64 + durable.wal_record_bytes());
+            ends.push(std::fs::metadata(&wal_path).unwrap().len());
         }
         drop(durable);
         let full = std::fs::read(&wal_path).unwrap();
@@ -1325,13 +1286,13 @@ mod tests {
             DurableGraphOptions::default(),
         )
         .unwrap();
-        let before = durable.wal_record_bytes();
+        let before = std::fs::metadata(&wal_path).unwrap().len();
         let mut hostile = EdgeBatch::new();
         hostile.insert(0, u32::MAX);
         let err = durable.commit(&hostile).unwrap_err();
         assert!(matches!(err, DurableError::Delta(_)));
-        assert_eq!(durable.wal_record_bytes(), before);
-        assert_eq!(durable.generation(), 0);
+        assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), before);
+        assert_eq!(durable.snapshot().generation(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

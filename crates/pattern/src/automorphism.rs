@@ -61,26 +61,26 @@ pub fn automorphism_count(pattern: &Pattern) -> usize {
     automorphism_group(pattern).len()
 }
 
-/// Checks whether a specific permutation is an automorphism of the pattern.
-pub fn is_automorphism(pattern: &Pattern, perm: &Permutation) -> bool {
-    if perm.len() != pattern.num_vertices() {
-        return false;
-    }
-    let n = pattern.num_vertices();
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if pattern.has_edge(u, v) != pattern.has_edge(perm.apply(u), perm.apply(v)) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prefab;
+
+    /// The definition, checked directly: the oracle for the enumerator.
+    fn is_automorphism(pattern: &Pattern, perm: &Permutation) -> bool {
+        if perm.len() != pattern.num_vertices() {
+            return false;
+        }
+        let n = pattern.num_vertices();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if pattern.has_edge(u, v) != pattern.has_edge(perm.apply(u), perm.apply(v)) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 
     #[test]
     fn rectangle_group_matches_figure_4() {
@@ -149,6 +149,4 @@ mod tests {
         let wrong_len = Permutation::identity(3);
         assert!(!is_automorphism(&house, &wrong_len));
     }
-
-    use crate::pattern::Pattern;
 }

@@ -18,6 +18,16 @@
 //! * [`prefab`] — named patterns: the worked examples of the paper
 //!   (Rectangle, House, Cycle-6-Tri), cliques, cycles, stars, the connected
 //!   3- and 4-vertex motifs, and the six evaluation patterns P1–P6.
+//!
+//! # Entry points
+//!
+//! `pub` here means "named from outside this crate"; the rest is
+//! `pub(crate)`. Build a [`Pattern`] with [`Pattern::new`],
+//! [`Pattern::try_from_adjacency_string`] or a [`prefab`] function; get its
+//! symmetries from [`automorphism_group`]; get its complete restriction
+//! sets from [`restriction::generate_restriction_sets`] and check one with
+//! [`restriction::validate`]. The planner reads id-orders through
+//! [`orders::OrderTable::for_size`].
 
 pub mod automorphism;
 pub mod orders;
@@ -27,7 +37,4 @@ pub mod prefab;
 pub mod restriction;
 
 pub use automorphism::automorphism_group;
-pub use orders::OrderTable;
-pub use pattern::{Pattern, PatternVertex};
-pub use permutation::Permutation;
-pub use restriction::{Restriction, RestrictionSet};
+pub use pattern::Pattern;

@@ -36,13 +36,13 @@ impl OrderTable {
     /// Largest pattern size with a table: the planner's cap
     /// (`MAX_PATTERN_VERTICES` in `graphpi-core`), and the largest `n` whose
     /// `n * n` ordered pairs index the bits of one `u64`.
-    pub const MAX_VERTICES: usize = 8;
+    pub(crate) const MAX_VERTICES: usize = 8;
 
     /// The table for patterns of `n` vertices (322 KiB at the cap, 3 KiB at
     /// six vertices).
     ///
     /// # Panics
-    /// If `n` exceeds [`Self::MAX_VERTICES`].
+    /// If `n` exceeds `Self::MAX_VERTICES`.
     pub fn for_size(n: usize) -> &'static OrderTable {
         // One cell per size. (A named constant rather than an inline `const`
         // block: the workspace's rust-version predates those.)
@@ -120,7 +120,7 @@ impl OrderTable {
     }
 
     /// Number of orders in which `id(a) > id(b)` for every `(a, b)` yielded.
-    pub fn count_satisfying(
+    pub(crate) fn count_satisfying(
         &self,
         pairs: impl Iterator<Item = (PatternVertex, PatternVertex)> + Clone,
     ) -> u64 {

@@ -44,16 +44,7 @@ impl Pattern {
 
     /// Parses the flattened adjacency-matrix string format used by the
     /// original GraphPi implementation: `n * n` characters of `'0'`/`'1'`,
-    /// row-major.
-    ///
-    /// # Panics
-    /// Panics where [`Pattern::try_from_adjacency_string`] returns an error.
-    pub fn from_adjacency_string(s: &str) -> Self {
-        Self::try_from_adjacency_string(s).expect("malformed adjacency string")
-    }
-
-    /// [`Pattern::from_adjacency_string`] for strings from outside the
-    /// program: an error says what is wrong when the length is not a
+    /// row-major. An error says what is wrong when the length is not a
     /// perfect square, a character is not `0`/`1`, or the matrix is not
     /// symmetric with a zero diagonal.
     pub fn try_from_adjacency_string(s: &str) -> Result<Self, String> {
@@ -88,7 +79,7 @@ impl Pattern {
     }
 
     /// Adds an undirected edge in place.
-    pub fn add_edge(&mut self, u: PatternVertex, v: PatternVertex) {
+    pub(crate) fn add_edge(&mut self, u: PatternVertex, v: PatternVertex) {
         assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range");
         assert_ne!(u, v, "patterns cannot contain self loops");
         self.adj[u * self.n + v] = true;
@@ -101,11 +92,6 @@ impl Pattern {
         self.n
     }
 
-    /// Number of pattern edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges().count()
-    }
-
     /// Whether vertices `u` and `v` are adjacent.
     #[inline]
     pub fn has_edge(&self, u: PatternVertex, v: PatternVertex) -> bool {
@@ -115,11 +101,6 @@ impl Pattern {
     /// Degree of vertex `v`.
     pub fn degree(&self, v: PatternVertex) -> usize {
         (0..self.n).filter(|&u| self.has_edge(v, u)).count()
-    }
-
-    /// Sorted neighbors of vertex `v`.
-    pub fn neighbors(&self, v: PatternVertex) -> Vec<PatternVertex> {
-        (0..self.n).filter(|&u| self.has_edge(v, u)).collect()
     }
 
     /// Iterator over edges `(u, v)` with `u < v`.
@@ -223,33 +204,6 @@ impl Pattern {
         count == vertices.len()
     }
 
-    /// Relabels the pattern's vertices: vertex `i` of the result is vertex
-    /// `order[i]` of `self`. `order` must be a permutation of `0..n`.
-    pub fn relabeled(&self, order: &[PatternVertex]) -> Pattern {
-        assert_eq!(order.len(), self.n);
-        let mut p = Pattern::empty(self.n);
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                if self.has_edge(order[i], order[j]) {
-                    p.add_edge(i, j);
-                }
-            }
-        }
-        p
-    }
-
-    /// Serialises to the flattened adjacency-matrix string format (the
-    /// inverse of [`Pattern::from_adjacency_string`]).
-    pub fn to_adjacency_string(&self) -> String {
-        let mut s = String::with_capacity(self.n * self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                s.push(if self.has_edge(i, j) { '1' } else { '0' });
-            }
-        }
-        s
-    }
-
     /// A compact byte serialisation of the pattern: the vertex count
     /// followed by the row-major adjacency matrix packed eight bits per
     /// byte. Two patterns produce the same bytes **iff** they are equal as
@@ -340,27 +294,25 @@ mod tests {
     fn basic_queries() {
         let p = house();
         assert_eq!(p.num_vertices(), 5);
-        assert_eq!(p.num_edges(), 6);
+        assert_eq!(p.edges().count(), 6);
         assert!(p.has_edge(0, 1) && p.has_edge(1, 0));
         assert!(!p.has_edge(2, 4));
         assert_eq!(p.degree(0), 3);
-        assert_eq!(p.neighbors(0), vec![1, 2, 4]);
         assert!(p.is_connected());
     }
 
     #[test]
     fn adjacency_string_round_trip() {
-        let p = house();
-        let s = p.to_adjacency_string();
+        let s = "0110110011100100110011000";
         assert_eq!(s.len(), 25);
-        let q = Pattern::from_adjacency_string(&s);
-        assert_eq!(p, q);
+        let q = Pattern::try_from_adjacency_string(s).unwrap();
+        assert_eq!(house(), q);
     }
 
     #[test]
     #[should_panic]
     fn asymmetric_adjacency_string_rejected() {
-        let _ = Pattern::from_adjacency_string("010000000");
+        let _ = Pattern::try_from_adjacency_string("010000000").unwrap();
     }
 
     #[test]
@@ -397,20 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn relabeling_preserves_structure() {
-        let p = house();
-        let order = [4, 3, 2, 1, 0];
-        let q = p.relabeled(&order);
-        assert_eq!(q.num_edges(), p.num_edges());
-        // Edge (0,4) of p maps to (4,0) of q.
-        assert!(q.has_edge(4, 0));
-        // Degrees are permuted accordingly.
-        for (i, &mapped) in order.iter().enumerate() {
-            assert_eq!(q.degree(i), p.degree(mapped));
-        }
-    }
-
-    #[test]
     fn disconnected_pattern_detected() {
         let p = Pattern::new(4, &[(0, 1), (2, 3)]);
         assert!(!p.is_connected());
@@ -430,8 +368,8 @@ mod tests {
         );
         // Size header + ceil(9/8) packed bytes for a 3-vertex pattern.
         assert_eq!(tri.canonical_bytes().len(), 1 + 2);
-        // Roundtrip sanity against the string serialisation: byte equality
-        // must match string equality on a small pattern family.
+        // Byte equality must match labeled-graph equality on a small
+        // pattern family.
         let patterns = [
             tri,
             path,
@@ -439,10 +377,7 @@ mod tests {
         ];
         for a in &patterns {
             for b in &patterns {
-                assert_eq!(
-                    a.canonical_bytes() == b.canonical_bytes(),
-                    a.to_adjacency_string() == b.to_adjacency_string()
-                );
+                assert_eq!(a.canonical_bytes() == b.canonical_bytes(), a == b);
             }
         }
     }

@@ -15,18 +15,11 @@ pub struct Permutation {
 }
 
 impl Permutation {
-    /// The identity permutation on `n` elements.
-    pub fn identity(n: usize) -> Self {
-        Self {
-            map: (0..n).collect(),
-        }
-    }
-
     /// Builds a permutation from an explicit mapping.
     ///
     /// # Panics
     /// Panics if `map` is not a permutation of `0..map.len()`.
-    pub fn from_mapping(map: Vec<usize>) -> Self {
+    pub(crate) fn from_mapping(map: Vec<usize>) -> Self {
         let n = map.len();
         let mut seen = vec![false; n];
         for &x in &map {
@@ -39,13 +32,8 @@ impl Permutation {
 
     /// Number of elements.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// True for the zero-length permutation.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Image of `i`.
@@ -55,35 +43,13 @@ impl Permutation {
     }
 
     /// The underlying mapping slice.
-    pub fn mapping(&self) -> &[usize] {
+    pub(crate) fn mapping(&self) -> &[usize] {
         &self.map
-    }
-
-    /// Whether this is the identity.
-    pub fn is_identity(&self) -> bool {
-        self.map.iter().enumerate().all(|(i, &x)| i == x)
-    }
-
-    /// Composition `self ∘ other`: applies `other` first, then `self`.
-    pub fn compose(&self, other: &Permutation) -> Permutation {
-        assert_eq!(self.len(), other.len());
-        Permutation {
-            map: (0..self.len()).map(|i| self.map[other.map[i]]).collect(),
-        }
-    }
-
-    /// The inverse permutation.
-    pub fn inverse(&self) -> Permutation {
-        let mut inv = vec![0usize; self.len()];
-        for (i, &x) in self.map.iter().enumerate() {
-            inv[x] = i;
-        }
-        Permutation { map: inv }
     }
 
     /// Decomposes into disjoint cycles, each written with its smallest
     /// element first; 1-cycles (fixed points) are included.
-    pub fn cycles(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn cycles(&self) -> Vec<Vec<usize>> {
         let n = self.len();
         let mut seen = vec![false; n];
         let mut cycles = Vec::new();
@@ -108,7 +74,7 @@ impl Permutation {
     /// `(a, b)` with `a < b`, `map[a] == b` and `map[b] == a`.
     ///
     /// These are exactly the elements Algorithm 1 turns into restrictions.
-    pub fn two_cycles(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn two_cycles(&self) -> Vec<(usize, usize)> {
         (0..self.len())
             .filter(|&a| {
                 let b = self.map[a];
@@ -117,32 +83,6 @@ impl Permutation {
             .map(|a| (a, self.map[a]))
             .collect()
     }
-
-    /// Number of fixed points (1-cycles).
-    pub fn fixed_points(&self) -> usize {
-        self.map
-            .iter()
-            .enumerate()
-            .filter(|(i, &x)| *i == x)
-            .count()
-    }
-
-    /// Order of the permutation (smallest k > 0 with `self^k = id`).
-    pub fn order(&self) -> usize {
-        self.cycles().iter().map(|c| c.len()).fold(1usize, lcm)
-    }
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: usize, b: usize) -> usize {
-    a / gcd(a, b) * b
 }
 
 impl fmt::Debug for Permutation {
@@ -159,6 +99,40 @@ impl fmt::Debug for Permutation {
     }
 }
 
+/// The group operations the automorphism and restriction tests check
+/// closure and survivors with; the planner itself never composes.
+#[cfg(test)]
+impl Permutation {
+    /// The identity permutation on `n` elements.
+    pub(crate) fn identity(n: usize) -> Self {
+        Self {
+            map: (0..n).collect(),
+        }
+    }
+
+    /// Whether this is the identity.
+    pub(crate) fn is_identity(&self) -> bool {
+        self.map.iter().enumerate().all(|(i, &x)| i == x)
+    }
+
+    /// Composition `self ∘ other`: applies `other` first, then `self`.
+    pub(crate) fn compose(&self, other: &Permutation) -> Permutation {
+        assert_eq!(self.len(), other.len());
+        Permutation {
+            map: (0..self.len()).map(|i| self.map[other.map[i]]).collect(),
+        }
+    }
+
+    /// The inverse permutation.
+    pub(crate) fn inverse(&self) -> Permutation {
+        let mut inv = vec![0usize; self.len()];
+        for (i, &x) in self.map.iter().enumerate() {
+            inv[x] = i;
+        }
+        Permutation { map: inv }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,9 +142,7 @@ mod tests {
     fn identity_properties() {
         let id = Permutation::identity(5);
         assert!(id.is_identity());
-        assert_eq!(id.fixed_points(), 5);
         assert_eq!(id.two_cycles(), vec![]);
-        assert_eq!(id.order(), 1);
         assert_eq!(id.cycles().len(), 5);
     }
 
@@ -180,8 +152,6 @@ mod tests {
         // 0=A,1=B,2=C,3=D the mapping is [0,3,2,1].
         let p = Permutation::from_mapping(vec![0, 3, 2, 1]);
         assert_eq!(p.two_cycles(), vec![(1, 3)]);
-        assert_eq!(p.fixed_points(), 2);
-        assert_eq!(p.order(), 2);
         assert!(!p.is_identity());
     }
 
@@ -191,7 +161,6 @@ mod tests {
         let p = Permutation::from_mapping(vec![1, 2, 3, 0]);
         assert!(p.two_cycles().is_empty());
         assert_eq!(p.cycles(), vec![vec![0, 1, 2, 3]]);
-        assert_eq!(p.order(), 4);
     }
 
     #[test]
@@ -249,16 +218,6 @@ mod tests {
                 prop_assert_eq!(p.apply(a), b);
                 prop_assert_eq!(p.apply(b), a);
             }
-        }
-
-        #[test]
-        fn prop_order_annihilates(p in arb_permutation(6)) {
-            let k = p.order();
-            let mut acc = Permutation::identity(6);
-            for _ in 0..k {
-                acc = acc.compose(&p);
-            }
-            prop_assert!(acc.is_identity());
         }
     }
 }

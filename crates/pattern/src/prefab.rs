@@ -205,11 +205,11 @@ mod tests {
     #[test]
     fn worked_examples_match_paper_structure() {
         assert_eq!(rectangle().num_vertices(), 4);
-        assert_eq!(rectangle().num_edges(), 4);
+        assert_eq!(rectangle().edges().count(), 4);
 
         let h = house();
         assert_eq!(h.num_vertices(), 5);
-        assert_eq!(h.num_edges(), 6);
+        assert_eq!(h.edges().count(), 6);
         // D (=3) and E (=4) are the only non-adjacent "innermost" pair
         // discussed in Section IV-B phase 2 (k = 2).
         assert!(!h.has_edge(3, 4));
@@ -217,7 +217,7 @@ mod tests {
 
         let c6t = cycle_6_tri();
         assert_eq!(c6t.num_vertices(), 6);
-        assert_eq!(c6t.num_edges(), 8);
+        assert_eq!(c6t.edges().count(), 8);
         // D, E, F (=3,4,5) are pairwise non-adjacent; k = 3 (Figure 6).
         assert!(c6t.is_independent_set(&[3, 4, 5]));
         assert_eq!(c6t.max_independent_set_size(), 3);
@@ -242,7 +242,7 @@ mod tests {
         assert_eq!(sizes, vec![5, 6, 6, 6, 6, 6]);
         let edges: Vec<usize> = evaluation_patterns()
             .iter()
-            .map(|(_, p)| p.num_edges())
+            .map(|(_, p)| p.edges().count())
             .collect();
         assert_eq!(edges, vec![6, 5, 8, 8, 12, 9]);
     }
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn octahedron_structure() {
         let p = p5();
-        assert_eq!(p.num_edges(), 12);
+        assert_eq!(p.edges().count(), 12);
         assert!(!p.has_edge(0, 1));
         assert!(!p.has_edge(2, 3));
         assert!(!p.has_edge(4, 5));

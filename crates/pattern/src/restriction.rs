@@ -85,13 +85,6 @@ impl RestrictionSet {
         }
     }
 
-    /// Returns a new set extended with `r`.
-    pub fn with(&self, r: Restriction) -> Self {
-        let mut next = self.clone();
-        next.push(r);
-        next
-    }
-
     /// The restrictions in canonical (sorted) order.
     pub fn restrictions(&self) -> &[Restriction] {
         &self.restrictions
@@ -105,11 +98,6 @@ impl RestrictionSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.restrictions.is_empty()
-    }
-
-    /// Whether an id assignment satisfies every restriction in the set.
-    pub fn satisfied_by(&self, ids: &[u64]) -> bool {
-        self.restrictions.iter().all(|r| r.satisfied_by(ids))
     }
 
     fn pairs(&self) -> impl Iterator<Item = (PatternVertex, PatternVertex)> + Clone + '_ {
@@ -132,13 +120,6 @@ impl RestrictionSet {
 
 /// Largest pattern the mask encoding serves (see [`OrderTable::MAX_VERTICES`]).
 const MAX_VERTICES: usize = OrderTable::MAX_VERTICES;
-
-/// A restriction set over at most eight vertices as one word: restriction
-/// `id(g) > id(s)` is bit `8 * g + s`. Ascending bits are the set's
-/// canonical (sorted) order.
-fn mask_of(res_set: &RestrictionSet) -> u64 {
-    res_set.pairs().fold(0, |mask, (g, s)| mask | bit_of(g, s))
-}
 
 fn bit_of(greater: PatternVertex, smaller: PatternVertex) -> u64 {
     assert!(
@@ -218,30 +199,6 @@ fn images(perm: &Permutation) -> [u8; MAX_VERTICES] {
     image
 }
 
-/// The `no_conflict` predicate of Algorithm 1.
-///
-/// Returns `true` when the permutation **survives** (is *not* eliminated by)
-/// the restriction set: for every restriction `a > b` the set also implies
-/// `perm(a) > perm(b)`, and the union of those constraints is consistent,
-/// i.e. the directed graph with edges `a -> b` and `perm(a) -> perm(b)` for
-/// every restriction is acyclic.
-///
-/// # Panics
-/// If the permutation acts on more than eight vertices.
-pub fn no_conflict(perm: &Permutation, res_set: &RestrictionSet) -> bool {
-    let n = perm.len();
-    Constraints::new(n, mask_of(res_set)).spares(&images(perm))
-}
-
-/// Returns the automorphisms of `auts` that survive (are not eliminated by)
-/// `res_set`. The identity always survives.
-pub fn surviving_automorphisms<'a>(
-    auts: &'a [Permutation],
-    res_set: &RestrictionSet,
-) -> Vec<&'a Permutation> {
-    auts.iter().filter(|p| no_conflict(p, res_set)).collect()
-}
-
 /// The `validate` step of Algorithm 1: matches the pattern (with and without
 /// restrictions) on the complete graph with `n = |V_p|` vertices.
 ///
@@ -262,16 +219,6 @@ fn keeps_one_order_per_subgraph(
 ) -> bool {
     let total = orders.num_orders();
     total % aut_count == 0 && orders.count_satisfying(pairs) == total / aut_count
-}
-
-/// Counts the permutations of `0..n` (used as data ids) that satisfy every
-/// restriction in the set. This equals the number of embeddings found on
-/// `K_n` when the restrictions are applied.
-///
-/// # Panics
-/// If `n` exceeds [`OrderTable::MAX_VERTICES`].
-pub fn count_satisfying_assignments(n: usize, res_set: &RestrictionSet) -> u64 {
-    OrderTable::for_size(n).count_satisfying(res_set.pairs())
 }
 
 /// Options controlling the restriction-set generator.
@@ -308,7 +255,7 @@ impl Default for GenerationOptions {
 ///
 /// # Panics
 /// If a pattern with a non-trivial automorphism group has more than
-/// [`OrderTable::MAX_VERTICES`] vertices.
+/// `OrderTable::MAX_VERTICES` vertices.
 pub fn generate_restriction_sets(
     pattern: &Pattern,
     options: GenerationOptions,
@@ -319,7 +266,7 @@ pub fn generate_restriction_sets(
 
 /// Same as [`generate_restriction_sets`] but reuses a precomputed
 /// automorphism group.
-pub fn generate_from_group(
+pub(crate) fn generate_from_group(
     pattern: &Pattern,
     auts: &[Permutation],
     options: GenerationOptions,
@@ -438,6 +385,47 @@ mod tests {
     use super::*;
     use crate::prefab;
 
+    /// A restriction set over at most eight vertices as one word: restriction
+    /// `id(g) > id(s)` is bit `8 * g + s`. Ascending bits are the set's
+    /// canonical (sorted) order.
+    fn mask_of(res_set: &RestrictionSet) -> u64 {
+        res_set.pairs().fold(0, |mask, (g, s)| mask | bit_of(g, s))
+    }
+
+    /// The `no_conflict` predicate of Algorithm 1.
+    ///
+    /// Returns `true` when the permutation **survives** (is *not* eliminated by)
+    /// the restriction set: for every restriction `a > b` the set also implies
+    /// `perm(a) > perm(b)`, and the union of those constraints is consistent,
+    /// i.e. the directed graph with edges `a -> b` and `perm(a) -> perm(b)` for
+    /// every restriction is acyclic.
+    ///
+    /// # Panics
+    /// If the permutation acts on more than eight vertices.
+    fn no_conflict(perm: &Permutation, res_set: &RestrictionSet) -> bool {
+        let n = perm.len();
+        Constraints::new(n, mask_of(res_set)).spares(&images(perm))
+    }
+
+    /// Returns the automorphisms of `auts` that survive (are not eliminated by)
+    /// `res_set`. The identity always survives.
+    fn surviving_automorphisms<'a>(
+        auts: &'a [Permutation],
+        res_set: &RestrictionSet,
+    ) -> Vec<&'a Permutation> {
+        auts.iter().filter(|p| no_conflict(p, res_set)).collect()
+    }
+
+    /// Counts the permutations of `0..n` (used as data ids) that satisfy every
+    /// restriction in the set. This equals the number of embeddings found on
+    /// `K_n` when the restrictions are applied.
+    ///
+    /// # Panics
+    /// If `n` exceeds [`OrderTable::MAX_VERTICES`].
+    fn count_satisfying_assignments(n: usize, res_set: &RestrictionSet) -> u64 {
+        OrderTable::for_size(n).count_satisfying(res_set.pairs())
+    }
+
     /// Every assignment of the ids `0..n` to `n` vertices: the scan the
     /// order table replaced, kept as the oracle it must agree with.
     fn all_id_orders(n: usize) -> Vec<Vec<u64>> {
@@ -485,7 +473,10 @@ mod tests {
             let sets = generate_restriction_sets(&pattern, options);
             let mut complete = 0;
             for set in &sets {
-                let satisfying = orders.iter().filter(|ids| set.satisfied_by(ids)).count();
+                let satisfying = orders
+                    .iter()
+                    .filter(|ids| set.restrictions().iter().all(|r| r.satisfied_by(ids)))
+                    .count();
                 assert_eq!(
                     count_satisfying_assignments(n, set),
                     satisfying as u64,

@@ -291,7 +291,7 @@ fn sink_modes_are_bit_identical_to_the_recompute_interpreter() {
     let plan = Configuration::new(pattern, schedule, RestrictionSet::from_pairs(&[(0, 1)]))
         .compile_with_iep(false);
     let mut page = EmbedSink::new(5, 1_000);
-    match_embeddings_in(&plan, ExecCtx::new(&graph), 2, &mut page);
+    match_embeddings_in(&plan, ExecCtx::from(&graph), 2, &mut page);
     assert_eq!(page.len(), 1_000);
     assert_eq!(
         fingerprint(page.vertices().iter().map(|&v| v as u64)),

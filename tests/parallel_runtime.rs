@@ -14,7 +14,7 @@ use graphpi::graph::hub::{HubGraph, HubOptions};
 use graphpi::graph::{generators, CsrGraph};
 use graphpi::pattern::prefab;
 use graphpi::pattern::restriction::{generate_restriction_sets, GenerationOptions};
-use parallel::{count_parallel, count_parallel_with_hubs, CountMode, ParallelOptions};
+use parallel::{count_parallel, CountMode, ParallelOptions};
 use proptest::prelude::*;
 
 fn plan_for(pattern: graphpi::pattern::Pattern) -> graphpi::core::config::ExecutionPlan {
@@ -68,7 +68,7 @@ fn run_agreement_sweep(scale: usize, thread_counts: &[usize]) {
                         "{pname} on {gname}: {threads} threads, {mode:?}, no hubs"
                     );
                     assert_eq!(
-                        count_parallel_with_hubs(&plan, &hubs, options),
+                        count_parallel(&plan, &hubs, options),
                         expected,
                         "{pname} on {gname}: {threads} threads, {mode:?}, hubs"
                     );
@@ -118,30 +118,6 @@ fn batch_sizes_and_prefix_depths_do_not_change_counts() {
     }
 }
 
-#[test]
-fn hub_option_through_parallel_options_matches_plain() {
-    let graph = generators::power_law(150, 6, 55);
-    let plan = plan_for(prefab::house());
-    let plain = count_parallel(
-        &plan,
-        &graph,
-        ParallelOptions {
-            threads: 4,
-            ..Default::default()
-        },
-    );
-    let hubbed = count_parallel(
-        &plan,
-        &graph,
-        ParallelOptions {
-            threads: 4,
-            hub_bitsets: true,
-            ..Default::default()
-        },
-    );
-    assert_eq!(plain, hubbed);
-}
-
 /// The hoisted executor against the naive ground truth: every evaluation
 /// pattern, as the engine plans it, counted by enumeration and by IEP across
 /// threads × hub layout × kernel family — and cut into tasks at **every**
@@ -183,7 +159,7 @@ fn hoisted_counts_match_naive_across_the_execution_matrix_and_task_depths() {
                     );
                     // Same kernel pin (it is process-global), hub layout.
                     assert_eq!(
-                        count_parallel_with_hubs(&plan, &hubs, options.parallel_options()),
+                        count_parallel(&plan, &hubs, options.parallel_options()),
                         expected,
                         "{name}: {options:?}, hubs"
                     );
@@ -278,16 +254,17 @@ proptest! {
         let hub = hub_sel == 1;
         let plan = plan_for(pattern);
         let sequential = interp::count_embeddings(&plan, &graph);
-        let got = count_parallel(
-            &plan,
-            &graph,
-            ParallelOptions {
-                threads,
-                batch_size,
-                hub_bitsets: hub,
-                ..Default::default()
-            },
-        );
+        let options = ParallelOptions {
+            threads,
+            batch_size,
+            ..Default::default()
+        };
+        let got = if hub {
+            let hubs = HubGraph::build(&graph, HubOptions::default());
+            count_parallel(&plan, &hubs, options)
+        } else {
+            count_parallel(&plan, &graph, options)
+        };
         prop_assert_eq!(got, sequential);
     }
 

@@ -43,14 +43,12 @@ fn pooled_execution_is_bit_identical_to_scoped() {
                             ..Default::default()
                         };
                         let scoped = if hubbed {
-                            graphpi::core::exec::parallel::count_parallel_with_hubs(
-                                &plan, &hubs, options,
-                            )
+                            count_parallel(&plan, &hubs, options)
                         } else {
                             count_parallel(&plan, &graph, options)
                         };
                         let pooled = if hubbed {
-                            pool.count_with_hubs(&plan, &hubs, &options)
+                            pool.count(&plan, &hubs, &options)
                         } else {
                             pool.count(&plan, &graph, &options)
                         };
