@@ -7,6 +7,12 @@
 //! C++ flavour (matching the paper's Figure 5(b)/Figure 6(b) pseudocode) and
 //! a Rust flavour — so the structure the engine executes can be inspected,
 //! tested, and diffed against the paper.
+//!
+//! The text is the paper's enumeration form, innermost loop included. The
+//! interpreter runs every loop of it but that one: the last loop builds
+//! nothing, so [`crate::exec::interp`] hands its candidate window to the
+//! sink as a set (a count adds the window's size less the bound vertices in
+//! it) — the same embeddings, found without the loop.
 
 use crate::config::{ExecutionPlan, LoopBound};
 use crate::exec::setprog::Operand;
@@ -31,9 +37,10 @@ fn vertex_name(i: usize) -> String {
 }
 
 /// Emits the nested-loop matching program for a plan: the enumeration view
-/// of its `SetProgram`, i.e. the loops
-/// and hoisted temporaries the interpreter actually runs (IEP additionally
-/// runs the ops only its leaf reads, and stops above the suffix loops).
+/// of its `SetProgram`, i.e. the loops and hoisted temporaries the
+/// interpreter runs, with the last loop written out where the interpreter
+/// takes its window as a set (IEP additionally runs the ops only its leaf
+/// reads, and stops above the suffix loops).
 pub fn generate(plan: &ExecutionPlan, language: Language) -> String {
     let n = plan.num_loops();
     let program = plan.program();

@@ -79,12 +79,19 @@ pub struct CountOptions {
     pub hub_bitsets: bool,
     /// Pin the sorted-set intersection kernels to the portable scalar
     /// reference instead of the runtime-detected SIMD family. Kernel
-    /// dispatch is **process-global** (`graphpi_graph::vertex_set`), and
-    /// each engine/session count applies this field authoritatively —
+    /// dispatch is **process-wide** (`graphpi_graph::vertex_set`), and
+    /// each engine/session call stores this field into it as it starts —
     /// `true` pins scalar, `false` restores auto-detection (except under
     /// the sticky `GRAPHPI_FORCE_SCALAR` environment pin, which keeps the
-    /// whole process scalar regardless). Counts are bit-identical with
-    /// this on or off — the agreement suites enforce it.
+    /// whole process scalar regardless). The last writer wins: of two
+    /// queries running concurrently with opposite settings — on one
+    /// session, on two, on two engines — both run on whichever family the
+    /// later starter asked for, and a query may change family part-way
+    /// through. That moves time, never results: scalar ≡ SSE ≡ AVX2 set for
+    /// set, so counts are bit-identical with this on, off or flipping —
+    /// the agreement suites enforce it, `tests/data_plane.rs` under the
+    /// race. A caller that needs one family for a measurement must keep
+    /// opposite settings out of the process while it runs.
     pub scalar_kernels: bool,
 }
 
@@ -797,10 +804,12 @@ impl<'g> Session<'g> {
         Ok(self.run_plan(&plan.plan, mode, options))
     }
 
-    /// [`Session::run`] below plan selection: pins the kernel family,
-    /// builds the execution context, submits the job to the pool and turns
-    /// what it folded into the caller's result.
-    fn run_plan(&self, plan: &ExecutionPlan, mode: Mode, options: CountOptions) -> Outcome {
+    /// [`Session::run`] below plan selection, for a caller that compiled
+    /// its own plan: pins the kernel family, builds the execution context,
+    /// submits the job to the pool and turns what it folded into the
+    /// caller's result. A sink mode needs a plan compiled without IEP
+    /// ([`Configuration::compile_with_iep`]`(false)`).
+    pub fn run_plan(&self, plan: &ExecutionPlan, mode: Mode, options: CountOptions) -> Outcome {
         // Same contract as `GraphPi::execute_count`: the per-call knob is
         // authoritative for the process-global kernel dispatch.
         graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);

@@ -25,6 +25,13 @@
 //! automorphisms the *remaining* restrictions fail to eliminate; the final
 //! count is divided by that factor
 //! ([`IepCorrection`](crate::config::IepCorrection)).
+//!
+//! The table is built from `k = 2` up. At `k = 1` the same idea needs none
+//! of it: the one suffix set is the last loop's candidate window with its
+//! restriction bounds still applied, so every walk that reaches full depth
+//! ends in that set instead of a loop over it
+//! ([`MatchSink::on_leaf`](crate::exec::sink::MatchSink::on_leaf)) and a
+//! count adds its size — exact, with no divisor.
 
 use crate::config::ExecutionPlan;
 use crate::exec::interp::{self, ExecCtx, Leaf, SearchBuffers, Walk};
@@ -32,9 +39,11 @@ use crate::exec::setprog::{IepTable, Operand};
 use graphpi_graph::csr::VertexId;
 
 /// Counts embeddings using IEP over the innermost `plan.iep_suffix_len`
-/// loops. Falls back to plain enumeration when the plan has no IEP leaf:
-/// the suffix is shorter than 2 (there is nothing to gain), there is no
-/// outer loop, or the over-count is not uniform.
+/// loops. Falls back to [`interp::count_embeddings`] when the plan has no
+/// IEP table: the suffix is shorter than 2 (the table's `k = 1` case is the
+/// set-valued leaf every enumeration already ends in — the last window's
+/// size, no restriction dropped, nothing to divide — so there is no table
+/// to build), there is no outer loop, or the over-count is not uniform.
 pub fn count_embeddings_iep<'a>(plan: &ExecutionPlan, ctx: impl Into<ExecCtx<'a>>) -> u64 {
     let ctx = ctx.into();
     if plan.program().iep().is_none() {

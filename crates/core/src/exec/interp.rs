@@ -4,8 +4,14 @@
 //! [`crate::config::ExecutionPlan`]: loop `i` binds pattern
 //! vertex `plan.loops[i].pattern_vertex` to a data vertex drawn from the
 //! intersection of the neighborhoods of its already-bound pattern neighbors,
-//! subject to the restriction bounds and to injectivity. Reaching the last
-//! loop yields embeddings.
+//! subject to the restriction bounds and to injectivity. The last loop is
+//! not run: it has nothing to build, so its candidates inside the
+//! restriction window *are* the embeddings below the bound prefix, and the
+//! walk hands that window to the [`MatchSink`] as one set
+//! ([`MatchSink::on_leaf`]) — Section IV-D's leaf at `k = 1`, where no
+//! restriction is dropped and nothing has to be divided out. A count is
+//! `|window|` less the bound vertices inside it; the other sinks do the
+//! cheapest thing the set allows ([`crate::exec::sink`]).
 //!
 //! This is the executable counterpart of the code GraphPi generates and
 //! compiles (Figure 5(b)): the loops never compute an intersection
@@ -20,12 +26,13 @@
 //! renders the same program as source text.
 //!
 //! The matching kernel is **allocation-free** in steady state: slots, the
-//! bitset scratch of hub × hub intersections and the bound-vertex stack all
-//! live in the caller's `SearchBuffers`, one per worker.
+//! bitset scratch of hub × hub intersections, the bound-vertex stack and the
+//! page an enumeration task records into all live in the caller's
+//! `SearchBuffers`, one per worker.
 
 use crate::config::{ExecutionPlan, LoopBound};
 use crate::exec::setprog::{Operand, SetProgram};
-use crate::exec::sink::{CountSink, MatchSink};
+use crate::exec::sink::{CountSink, EmbedSink, MatchSink};
 use graphpi_graph::csr::{CsrGraph, VertexId};
 use graphpi_graph::hub::HubGraph;
 use graphpi_graph::vertex_set;
@@ -100,6 +107,9 @@ pub(crate) struct SearchBuffers {
     stack: Vec<VertexId>,
     /// The IEP leaf's per-set cardinalities.
     pub(crate) cards: Vec<u64>,
+    /// The embeddings an enumeration task records (flat, schedule order)
+    /// before it appends them to its job under one lock.
+    pub(crate) page: Vec<VertexId>,
 }
 
 impl SearchBuffers {
@@ -112,19 +122,49 @@ impl SearchBuffers {
     }
 }
 
-/// Receives every full binding of a [`Walk`]'s loops: the bound vertices in
-/// schedule order and the slot cardinalities. Returns `false` to stop the
-/// walk.
+/// What a [`Walk`] ends in. Both methods return `false` to stop the walk.
 pub(crate) trait Leaf {
+    /// One full binding of the walked loops: the bound vertices in schedule
+    /// order and the slot cardinalities.
     fn hit(&mut self, bound: &[VertexId], counts: &[usize]) -> bool;
+
+    /// The last walked loop as a set, when it has nothing to build: every
+    /// member of `window` (sorted, duplicate-free) that `stack` does not
+    /// already bind completes a binding. Binding them one at a time is for
+    /// leaves where a binding is not an embedding — the IEP leaf above its
+    /// suffix, a prefix visitor — and a sink takes the set whole.
+    #[inline]
+    fn window(&mut self, stack: &mut Vec<VertexId>, window: &[VertexId], counts: &[usize]) -> bool {
+        for &v in window {
+            if stack.contains(&v) {
+                continue;
+            }
+            stack.push(v);
+            let go = self.hit(stack, counts);
+            stack.pop();
+            if !go {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 struct SinkLeaf<'s, S>(&'s mut S);
 
 impl<S: MatchSink> Leaf for SinkLeaf<'_, S> {
-    #[inline(always)]
+    /// A fully bound stack is the degenerate leaf: its last vertex is the
+    /// whole window.
+    #[inline]
     fn hit(&mut self, bound: &[VertexId], _: &[usize]) -> bool {
-        self.0.on_match(bound);
+        let (prefix, last) = bound.split_at(bound.len() - 1);
+        self.0.on_leaf(prefix, last);
+        !self.0.is_full()
+    }
+
+    #[inline(always)]
+    fn window(&mut self, stack: &mut Vec<VertexId>, window: &[VertexId], _: &[usize]) -> bool {
+        self.0.on_leaf(stack, window);
         !self.0.is_full()
     }
 }
@@ -308,8 +348,8 @@ impl<'a> Walk<'a> {
         );
         let last = depth + 1 == self.end;
         if last && self.program.ops_at(depth).is_empty() {
-            // Innermost loop with nothing to build: the candidate slice can
-            // stay borrowed, and every candidate not already bound is a hit.
+            // Last walked loop with nothing to build: it is not run, the
+            // leaf takes its window as a set.
             let SearchBuffers {
                 slots,
                 counts,
@@ -322,18 +362,7 @@ impl<'a> Walk<'a> {
                 Operand::Adj(_) => adjacency,
                 Operand::Slot(s) => &slots[s as usize],
             };
-            for &v in &candidates[start..end] {
-                if stack.contains(&v) {
-                    continue;
-                }
-                stack.push(v);
-                let go = leaf.hit(stack, counts);
-                stack.pop();
-                if !go {
-                    return false;
-                }
-            }
-            return true;
+            return leaf.window(stack, &candidates[start..end], counts);
         }
         let candidate = |buffers: &SearchBuffers, idx: usize| match source {
             Operand::All => buffers.everything[idx],
@@ -397,10 +426,13 @@ impl Pair<'_> {
 
 /// Counts every embedding of the plan's pattern in the data graph (a
 /// `&CsrGraph`, or a `&HubGraph` for hub-accelerated execution).
+///
+/// The same `CountSink` leaf the scoped and pooled executors fold their
+/// tasks through, one start vertex at a time.
 pub fn count_embeddings<'a>(plan: &ExecutionPlan, ctx: impl Into<ExecCtx<'a>>) -> u64 {
-    let mut count = 0u64;
-    for_each_embedding(plan, ctx, |_| count += 1);
-    count
+    let mut sink = CountSink::new();
+    match_embeddings_in(plan, ctx.into(), 1, &mut sink);
+    sink.count()
 }
 
 /// Collects every embedding as a vector of data vertices indexed **by
@@ -408,28 +440,19 @@ pub fn count_embeddings<'a>(plan: &ExecutionPlan, ctx: impl Into<ExecCtx<'a>>) -
 /// `e` assigns to pattern vertex `p`).
 pub fn list_embeddings(plan: &ExecutionPlan, graph: &CsrGraph) -> Vec<Vec<VertexId>> {
     let n = plan.num_loops();
-    let mut out = Vec::new();
-    for_each_embedding(plan, graph, |bound| {
-        let mut by_pattern_vertex = vec![0 as VertexId; n];
+    let mut sink = EmbedSink::new(n, u64::MAX);
+    match_embeddings_in(plan, graph.into(), 1, &mut sink);
+    let by_pattern_vertex = |bound: &[VertexId]| {
+        let mut embedding = vec![0 as VertexId; n];
         for (i, &v) in bound.iter().enumerate() {
-            by_pattern_vertex[plan.loops[i].pattern_vertex] = v;
+            embedding[plan.loops[i].pattern_vertex] = v;
         }
-        out.push(by_pattern_vertex);
-    });
-    out
-}
-
-/// Invokes `visitor` once per embedding with the bound data vertices in
-/// **schedule order** (`bound[i]` is the vertex chosen by loop `i`).
-pub(crate) fn for_each_embedding<'a, F: FnMut(&[VertexId])>(
-    plan: &ExecutionPlan,
-    ctx: impl Into<ExecCtx<'a>>,
-    visitor: F,
-) {
-    // An embedding is a valid prefix of every loop.
-    if plan.num_loops() > 0 {
-        for_each_prefix(plan, ctx.into(), plan.num_loops(), visitor);
-    }
+        embedding
+    };
+    sink.vertices()
+        .chunks_exact(n.max(1))
+        .map(by_pattern_vertex)
+        .collect()
 }
 
 /// Sink-driven whole-graph matching, decomposed exactly like the parallel
@@ -480,7 +503,7 @@ pub fn count_from_prefix<'a>(
 
 /// The kernel of [`count_from_prefix`] over the caller's reusable
 /// [`SearchBuffers`]: [`match_from_prefix_with`] driving a [`CountSink`],
-/// which monomorphises into a `count += 1` innermost loop.
+/// whose leaf is the size of the last window less the bound vertices in it.
 pub(crate) fn count_from_prefix_with(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
@@ -493,7 +516,7 @@ pub(crate) fn count_from_prefix_with(
 }
 
 /// The mode-generic matching entry point: explores every embedding that
-/// extends `prefix` and feeds each to `sink`. Consults
+/// extends `prefix` and feeds them to `sink` a leaf at a time. Consults
 /// [`MatchSink::accept_prefix`] once for the task prefix (a rejected task
 /// explores nothing) and stops early once [`MatchSink::is_full`] reports
 /// saturation. Returns `false` when the search was cut short by a full
@@ -513,12 +536,13 @@ pub(crate) fn match_from_prefix_with<S: MatchSink>(
     if !sink.accept_prefix(prefix) {
         return true;
     }
+    let mut leaf = SinkLeaf(sink);
     if prefix.len() == n {
-        sink.on_match(prefix);
-        return !sink.is_full();
+        // Nothing to replay: a full-depth task is itself a leaf.
+        return leaf.hit(prefix, &[]);
     }
     let walk = Walk::enumerate(plan, ctx, n);
-    !walk.bind(prefix, buffers) || walk.descend(buffers, &mut SinkLeaf(sink))
+    !walk.bind(prefix, buffers) || walk.descend(buffers, &mut leaf)
 }
 
 /// Enumerates every valid prefix of length `depth` (the values bound by the

@@ -1,7 +1,8 @@
 //! Execution engines for compiled plans.
 //!
 //! * [`interp`] — the sequential nested-loop interpreter (the in-memory
-//!   equivalent of the paper's generated C++ code).
+//!   equivalent of the paper's generated C++ code, with the last loop
+//!   handed to the sink as a set instead of run).
 //! * [`iep`] — embedding counting with the Inclusion-Exclusion Principle
 //!   over the innermost independent loops (Section IV-D).
 //! * [`parallel`] — multi-threaded execution with fine-grained prefix tasks

@@ -38,7 +38,7 @@
 use crate::config::{ExecutionPlan, MAX_LOOPS};
 use crate::exec::iep;
 use crate::exec::interp::{self, ExecCtx, SearchBuffers};
-use crate::exec::sink::{sample_accepts, EmbedSink, Job};
+use crate::exec::sink::{free_members, members, record_members, sample_accepts, Job, MatchSink};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use graphpi_graph::csr::VertexId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -260,33 +260,31 @@ pub(crate) fn run_one_task(
             if claimed.load(Ordering::Relaxed) >= *limit {
                 return 0; // budget exhausted: drain remaining tasks cheaply
             }
-            let arity = plan.num_loops();
-            let mut local = EmbedSink::new(arity, u64::MAX);
-            // Claim budget per embedding: only claims below the limit
-            // record, so at most `limit` embeddings are kept globally and
-            // the first over-limit claim stops this task's search.
-            interp::match_from_prefix_with(
-                plan,
-                ctx,
-                prefix,
-                buffers,
-                &mut ClaimingEmbed {
-                    inner: &mut local,
-                    claimed,
-                    limit: *limit,
-                    full: false,
-                },
-            );
-            if !local.is_empty() {
+            // The task's page lives in the worker's buffers: cleared per
+            // task, its capacity reused.
+            let mut sink = ClaimingEmbed {
+                page: std::mem::take(&mut buffers.page),
+                claimed,
+                limit: *limit,
+                full: false,
+            };
+            sink.page.clear();
+            interp::match_from_prefix_with(plan, ctx, prefix, buffers, &mut sink);
+            if !sink.page.is_empty() {
                 out.lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .extend_from_slice(local.vertices());
+                    .extend_from_slice(&sink.page);
             }
+            buffers.page = sink.page;
             0
         }
         Job::Orbit { counts } => {
-            let mut sink = SharedOrbit { counts };
+            let mut sink = SharedOrbit {
+                counts,
+                pending: [(0, 0); MAX_LOOPS],
+            };
             interp::match_from_prefix_with(plan, ctx, prefix, buffers, &mut sink);
+            sink.flush();
             0
         }
         Job::Sample { seed, rate, accum } => {
@@ -316,24 +314,31 @@ pub(crate) fn finalize_count(raw: u64, job: &Job, plan: &ExecutionPlan) -> u64 {
     }
 }
 
-/// An [`EmbedSink`] wrapper that claims from a job-global budget before
-/// recording, so concurrent workers collectively record exactly `limit`
-/// embeddings.
+/// A recording sink that claims from a job-global budget before it
+/// records, a leaf at a time, so concurrent workers collectively record
+/// exactly `min(limit, total)` embeddings: a leaf of `k` embeddings takes
+/// the budget range `[start, start + k)` with one add and records its first
+/// `min(k, limit − start)`, in window order.
 struct ClaimingEmbed<'a> {
-    inner: &'a mut EmbedSink,
+    /// This task's embeddings (flat, schedule order).
+    page: Vec<VertexId>,
     claimed: &'a AtomicU64,
     limit: u64,
     full: bool,
 }
 
-impl crate::exec::sink::MatchSink for ClaimingEmbed<'_> {
+impl MatchSink for ClaimingEmbed<'_> {
     #[inline]
-    fn on_match(&mut self, embedding: &[VertexId]) {
-        if self.claimed.fetch_add(1, Ordering::Relaxed) < self.limit {
-            self.inner.on_match(embedding);
-        } else {
-            self.full = true;
+    fn on_leaf(&mut self, prefix: &[VertexId], window: &[VertexId]) {
+        let k = free_members(prefix, window);
+        if k == 0 {
+            return;
         }
+        let start = self.claimed.fetch_add(k, Ordering::Relaxed);
+        let room = self.limit.saturating_sub(start);
+        record_members(&mut self.page, prefix, window, room);
+        // The claim reached the end of the budget: stop this task's search.
+        self.full = k >= room;
     }
 
     #[inline]
@@ -342,17 +347,55 @@ impl crate::exec::sink::MatchSink for ClaimingEmbed<'_> {
     }
 }
 
-/// An [`OrbitSink`]-shaped sink over the job's shared atomic counters
-/// (relaxed adds: the final counts are order-free sums).
+/// The orbit sink over the job's shared atomic counters (relaxed adds: the
+/// final counts are order-free sums). A leaf adds one to each of its
+/// members; what it owes the prefix vertices — the leaf's size, each — is
+/// summed here and reaches the shared counters when a prefix position is
+/// rebound and at task end, so a task costs about one atomic add per
+/// embedding plus one per internal node of its search tree, not `n` per
+/// embedding.
 struct SharedOrbit<'a> {
     counts: &'a [AtomicU64],
+    /// Per prefix position: the vertex bound there and the embeddings found
+    /// under it that `counts` has not seen yet.
+    pending: [(VertexId, u64); MAX_LOOPS],
 }
 
-impl crate::exec::sink::MatchSink for SharedOrbit<'_> {
+impl SharedOrbit<'_> {
+    /// Moves one position's pending share into the shared counters.
     #[inline]
-    fn on_match(&mut self, embedding: &[VertexId]) {
-        for &v in embedding {
+    fn settle(counts: &[AtomicU64], (v, owed): &mut (VertexId, u64)) {
+        if *owed > 0 {
+            counts[*v as usize].fetch_add(*owed, Ordering::Relaxed);
+            *owed = 0;
+        }
+    }
+
+    /// Settles every position: the task is over.
+    fn flush(&mut self) {
+        for slot in &mut self.pending {
+            Self::settle(self.counts, slot);
+        }
+    }
+}
+
+impl MatchSink for SharedOrbit<'_> {
+    #[inline]
+    fn on_leaf(&mut self, prefix: &[VertexId], window: &[VertexId]) {
+        let mut k = 0;
+        for v in members(prefix, window) {
             self.counts[v as usize].fetch_add(1, Ordering::Relaxed);
+            k += 1;
+        }
+        if k == 0 {
+            return;
+        }
+        for (slot, &bound) in self.pending.iter_mut().zip(prefix) {
+            if slot.0 != bound {
+                Self::settle(self.counts, slot);
+                slot.0 = bound;
+            }
+            slot.1 += k;
         }
     }
 }
@@ -604,6 +647,53 @@ mod tests {
         let g = graphpi_graph::GraphBuilder::new().num_vertices(50).build();
         let plan = plan_for(prefab::house());
         assert_eq!(count_parallel(&plan, &g, ParallelOptions::default()), 0);
+    }
+
+    #[test]
+    fn claiming_embed_keeps_the_part_of_a_claim_below_the_limit() {
+        let claimed = AtomicU64::new(0);
+        let sink = || ClaimingEmbed {
+            page: Vec::new(),
+            claimed: &claimed,
+            limit: 4,
+            full: false,
+        };
+        let mut first = sink();
+        first.on_leaf(&[9, 2], &[1, 2, 3]); // claims [0, 2): the bound 2 is no embedding
+        assert!(!first.is_full());
+        first.on_leaf(&[9, 2], &[]); // claims nothing
+        first.on_leaf(&[9, 2], &[4, 5, 6]); // claims [2, 5), keeps [2, 4)
+        assert!(first.is_full());
+        assert_eq!(first.page, [9, 2, 1, 9, 2, 3, 9, 2, 4, 9, 2, 5]);
+        assert_eq!(claimed.load(Ordering::Relaxed), 5);
+        // A worker that arrives after the budget is gone records nothing.
+        let mut late = sink();
+        late.on_leaf(&[7, 8], &[1]);
+        assert!(late.is_full() && late.page.is_empty());
+    }
+
+    #[test]
+    fn shared_orbit_settles_prefix_shares_on_rebinding_and_at_task_end() {
+        let job = Job::orbit(6);
+        let Job::Orbit { counts } = &job else {
+            panic!("constructed as Orbit")
+        };
+        let read = || -> Vec<u64> { counts.iter().map(|c| c.load(Ordering::Relaxed)).collect() };
+        let mut sink = SharedOrbit {
+            counts,
+            pending: [(0, 0); MAX_LOOPS],
+        };
+        // Members reach the counters at once, prefix shares wait.
+        sink.on_leaf(&[0, 1], &[1, 2, 3]);
+        assert_eq!(read(), [0, 0, 1, 1, 0, 0]);
+        // Position 1 is rebound: vertex 1 gets its two; vertex 0 keeps waiting.
+        sink.on_leaf(&[0, 4], &[5]);
+        assert_eq!(read(), [0, 2, 1, 1, 0, 1]);
+        sink.on_leaf(&[0, 4], &[0, 4]); // nothing free: nothing owed
+        sink.flush();
+        assert_eq!(read(), [3, 2, 1, 1, 1, 1]);
+        sink.flush();
+        assert_eq!(read(), [3, 2, 1, 1, 1, 1]);
     }
 
     #[test]

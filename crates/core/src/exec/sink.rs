@@ -1,31 +1,36 @@
-//! Match sinks: what the execution core *does* with each embedding.
+//! Match sinks: what the execution core *does* with the embeddings it finds.
 //!
-//! The matching kernel used to hard-code `count += 1`; every executor was a
-//! counter and nothing else. [`MatchSink`] turns the kernel into a pipeline
-//! stage: the recursive matcher ([`crate::exec::interp`]) drives a sink once
-//! per embedding, and the sink decides whether to tally, record, profile or
-//! sample it. Counting becomes one mode among several:
+//! [`MatchSink`] makes the matching kernel a pipeline stage. The matcher
+//! ([`crate::exec::interp`]) never runs a plan's last loop: under every
+//! binding of the loops above it, it hands the sink the bound prefix and the
+//! last loop's candidate window as one sorted set ([`MatchSink::on_leaf`]),
+//! and the sink does the cheapest thing that set allows. Counting is one
+//! mode among several:
 //!
-//! * `CountSink` — the classic global count. Monomorphised into the same
-//!   machine code as the old closure-based counter, so the count path stays
-//!   bit-identical and benchmark-neutral.
+//! * `CountSink` — the global count: `|window|` less the bound vertices
+//!   inside it, a handful of binary searches per leaf and no work per
+//!   embedding.
 //! * [`EmbedSink`] — records full vertex tuples (enumeration), bounded by a
-//!   limit so paged/streaming consumers can stop early.
+//!   limit so paged/streaming consumers can stop early. The pooled
+//!   `Job::Enumerate` claims a whole leaf of its budget with one atomic add.
 //! * `Job::Orbit` — per-vertex participation counts (local motif
-//!   profiles): `counts[v]` is the number of embeddings containing `v`.
+//!   profiles): `counts[v]` is the number of embeddings containing `v`. One
+//!   add per window member; the prefix vertices' shares are summed locally
+//!   and reach the shared counters when a binding changes.
 //! * `Job::Sample` — seeded uniform prefix-sampling with a
 //!   Horvitz–Thompson estimate and standard error, for approximate counts
-//!   at interactive latency.
+//!   at interactive latency. An accepted task is counted by the count leaf.
 //!
 //! Every query runs as a `Job` on the pool: workers do not share one sink,
 //! each accumulates locally and merges into the job (what a prefix task
 //! folds into) under brief, per-task synchronisation. The sequential
 //! `OrbitSink` and `SampleSink` at the end of this file are compiled for
 //! tests only: the references the pooled orbit and sample jobs are checked
-//! against. IEP never
-//! applies to sink modes — a sink observes *individual* embeddings, which
-//! is exactly what IEP avoids materialising — so mode plans are compiled
-//! with IEP disabled at the planner
+//! against, one window member at a time (`for_each_member`). The IEP
+//! table never applies to sink modes — a sink needs the last loop's window
+//! under every binding of *all* the loops above it, and from `k ≥ 2` on IEP
+//! neither binds those loops nor keeps their restrictions — so mode plans
+//! are compiled with IEP disabled at the planner
 //! ([`crate::engine::PlanOptions::enable_iep`]).
 
 use crate::config::ExecutionPlan;
@@ -36,13 +41,20 @@ use std::sync::Mutex;
 
 /// A consumer of matched embeddings.
 ///
-/// The matcher calls [`MatchSink::on_match`] once per embedding with the
-/// bound data vertices in **schedule order** (`embedding[i]` is the vertex
-/// chosen by loop `i`). Sinks that can saturate (e.g. a limit) return `true`
-/// from [`MatchSink::is_full`] to stop the search early.
+/// The matcher calls [`MatchSink::on_leaf`] once per binding of every loop
+/// but the last, with the last loop's candidates as a set. Sinks that can
+/// saturate (e.g. a limit) return `true` from [`MatchSink::is_full`] to stop
+/// the search early.
 pub trait MatchSink {
-    /// Consumes one embedding (bound vertices in schedule order).
-    fn on_match(&mut self, embedding: &[VertexId]);
+    /// Consumes the embeddings of one leaf. `prefix` holds the vertices
+    /// bound by every loop but the last, in **schedule order** (`prefix[i]`
+    /// is the vertex chosen by loop `i`); `window` holds the last loop's
+    /// candidates inside its restriction window, ascending and
+    /// duplicate-free. Each member `v` of `window` that `prefix` does not
+    /// already bind is one embedding, `prefix` followed by `v`; a member
+    /// `prefix` binds is none (embeddings are injective), and a sink must
+    /// skip it.
+    fn on_leaf(&mut self, prefix: &[VertexId], window: &[VertexId]);
 
     /// Task-level admission: called once per search prefix before the
     /// subtree below it is explored; returning `false` skips the subtree
@@ -59,9 +71,19 @@ pub trait MatchSink {
     }
 }
 
-/// The zero-overhead counting sink: `on_match` is `count += 1`, exactly the
-/// closure the pre-sink kernel inlined, so counting through the sink
-/// pipeline monomorphises to the same hot loop.
+/// How many members of `window` (sorted) `prefix` does not bind: the number
+/// of embeddings in a leaf. `prefix` is injective, so each of its vertices
+/// takes out at most one member.
+#[inline]
+pub(crate) fn free_members(prefix: &[VertexId], window: &[VertexId]) -> u64 {
+    let bound = prefix
+        .iter()
+        .filter(|v| window.binary_search(v).is_ok())
+        .count();
+    (window.len() - bound) as u64
+}
+
+/// The counting sink: a leaf adds its size, nothing is done per embedding.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct CountSink {
     count: u64,
@@ -81,9 +103,38 @@ impl CountSink {
 
 impl MatchSink for CountSink {
     #[inline(always)]
-    fn on_match(&mut self, _embedding: &[VertexId]) {
-        self.count += 1;
+    fn on_leaf(&mut self, prefix: &[VertexId], window: &[VertexId]) {
+        self.count += free_members(prefix, window);
     }
+}
+
+/// The embeddings of a leaf by their last vertex: the members of `window`
+/// that `prefix` does not bind, in window order.
+#[inline]
+pub(crate) fn members<'a>(
+    prefix: &'a [VertexId],
+    window: &'a [VertexId],
+) -> impl Iterator<Item = VertexId> + 'a {
+    window.iter().copied().filter(move |v| !prefix.contains(v))
+}
+
+/// Appends the first `room` embeddings of a leaf to `out` (flat, schedule
+/// order, window order) and returns how many it appended.
+#[inline]
+pub(crate) fn record_members(
+    out: &mut Vec<VertexId>,
+    prefix: &[VertexId],
+    window: &[VertexId],
+    room: u64,
+) -> u64 {
+    let room = usize::try_from(room).unwrap_or(usize::MAX);
+    let mut recorded = 0;
+    for v in members(prefix, window).take(room) {
+        out.extend_from_slice(prefix);
+        out.push(v);
+        recorded += 1;
+    }
+    recorded
 }
 
 /// Records full embeddings (flattened, fixed arity) up to a limit.
@@ -126,12 +177,10 @@ impl EmbedSink {
 
 impl MatchSink for EmbedSink {
     #[inline]
-    fn on_match(&mut self, embedding: &[VertexId]) {
-        if self.recorded < self.limit {
-            debug_assert_eq!(embedding.len(), self.arity);
-            self.buf.extend_from_slice(embedding);
-            self.recorded += 1;
-        }
+    fn on_leaf(&mut self, prefix: &[VertexId], window: &[VertexId]) {
+        debug_assert_eq!(prefix.len() + 1, self.arity);
+        let room = self.limit - self.recorded;
+        self.recorded += record_members(&mut self.buf, prefix, window, room);
     }
 
     #[inline]
@@ -260,14 +309,14 @@ pub(crate) enum Job {
         /// One IEP term per task instead of an enumerated subtree.
         iep: bool,
     },
-    /// Enumeration: a global budget (`claimed`) bounds the recorded
-    /// embeddings at `limit`; workers append whole local pages under the
-    /// mutex.
+    /// Enumeration: a global budget (`claimed`), taken a leaf at a time,
+    /// bounds the recorded embeddings at `limit`; workers append whole
+    /// task-local pages under the mutex.
     Enumerate {
         /// Maximum embeddings to record.
         limit: u64,
         /// Embeddings claimed so far (may overshoot `limit` by in-flight
-        /// claims; only claims `< limit` record).
+        /// claims; only the part of a claim below `limit` records).
         claimed: AtomicU64,
         /// Flat schedule-order output, `arity` vertices per embedding.
         out: Mutex<Vec<VertexId>>,
@@ -332,6 +381,25 @@ impl Job {
     }
 }
 
+/// The per-member reading of a leaf, the reference the set-valued sinks are
+/// checked against: calls `each` with every embedding of the leaf — `prefix`
+/// followed by one member of `window` it does not bind — in window order.
+#[cfg(test)]
+pub(crate) fn for_each_member(
+    prefix: &[VertexId],
+    window: &[VertexId],
+    mut each: impl FnMut(&[VertexId]),
+) {
+    let mut embedding = prefix.to_vec();
+    for &v in window {
+        if !prefix.contains(&v) {
+            embedding.push(v);
+            each(&embedding);
+            embedding.pop();
+        }
+    }
+}
+
 /// Accumulates per-vertex participation counts: `counts()[v]` is the number
 /// of (restriction-deduplicated) embeddings that contain data vertex `v`.
 /// Summing over all vertices yields `pattern_size × global_count`.
@@ -363,11 +431,12 @@ impl OrbitSink {
 
 #[cfg(test)]
 impl MatchSink for OrbitSink {
-    #[inline]
-    fn on_match(&mut self, embedding: &[VertexId]) {
-        for &v in embedding {
-            self.counts[v as usize] += 1;
-        }
+    fn on_leaf(&mut self, prefix: &[VertexId], window: &[VertexId]) {
+        for_each_member(prefix, window, |embedding| {
+            for &v in embedding {
+                self.counts[v as usize] += 1;
+            }
+        });
     }
 }
 
@@ -420,9 +489,8 @@ impl SampleSink {
 
 #[cfg(test)]
 impl MatchSink for SampleSink {
-    #[inline]
-    fn on_match(&mut self, _embedding: &[VertexId]) {
-        self.current += 1;
+    fn on_leaf(&mut self, prefix: &[VertexId], window: &[VertexId]) {
+        for_each_member(prefix, window, |_| self.current += 1);
     }
 
     fn accept_prefix(&mut self, prefix: &[VertexId]) -> bool {
@@ -444,30 +512,73 @@ mod tests {
     #[test]
     fn count_sink_counts() {
         let mut sink = CountSink::new();
-        sink.on_match(&[1, 2, 3]);
-        sink.on_match(&[4, 5, 6]);
+        sink.on_leaf(&[1, 2], &[3]);
+        sink.on_leaf(&[4, 5], &[6]);
         assert_eq!(sink.count(), 2);
+        // Bound vertices inside the window are no embeddings, wherever in
+        // it they sit; bound vertices outside it change nothing.
+        sink.on_leaf(&[7, 3, 9], &[3, 5, 7, 8]);
+        assert_eq!(sink.count(), 4);
+        sink.on_leaf(&[3, 8], &[3, 8]);
+        sink.on_leaf(&[3, 8], &[]);
+        assert_eq!(sink.count(), 4);
         assert!(!sink.is_full());
     }
 
     #[test]
     fn embed_sink_respects_limit() {
         let mut sink = EmbedSink::new(2, 2);
-        sink.on_match(&[1, 2]);
+        sink.on_leaf(&[1], &[2]);
         assert!(!sink.is_full());
-        sink.on_match(&[3, 4]);
+        sink.on_leaf(&[3], &[4]);
         assert!(sink.is_full());
-        sink.on_match(&[5, 6]); // ignored: full
+        sink.on_leaf(&[5], &[6]); // ignored: full
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.vertices(), [1, 2, 3, 4]);
     }
 
     #[test]
+    fn embed_sink_fills_up_mid_leaf() {
+        // Three of the window's five members fit, the bound one not
+        // counting against the limit.
+        let mut sink = EmbedSink::new(3, 3);
+        sink.on_leaf(&[4, 2], &[1, 2, 3, 5, 6]);
+        assert!(sink.is_full());
+        assert_eq!(sink.len(), 3);
+        assert_eq!(sink.vertices(), [4, 2, 1, 4, 2, 3, 4, 2, 5]);
+    }
+
+    #[test]
     fn orbit_sink_accumulates_membership() {
         let mut sink = OrbitSink::new(5);
-        sink.on_match(&[0, 2, 4]);
-        sink.on_match(&[2, 3, 4]);
+        sink.on_leaf(&[0, 2], &[4]);
+        sink.on_leaf(&[2, 3], &[4]);
         assert_eq!(sink.counts(), &[1, 0, 2, 1, 2]);
+    }
+
+    #[test]
+    fn set_valued_leaves_agree_with_the_per_member_reading() {
+        // Every prefix over 0..6 of length 0..=2 against every window over
+        // 0..6: the count and the recorded page are what binding the
+        // members one at a time produces.
+        let prefixes: Vec<Vec<VertexId>> = std::iter::once(vec![])
+            .chain((0..6).map(|a| vec![a]))
+            .chain((0..6).flat_map(|a| (0..6).filter(move |&b| b != a).map(move |b| vec![a, b])))
+            .collect();
+        for mask in 0u32..64 {
+            let window: Vec<VertexId> = (0..6).filter(|v| mask & (1 << v) != 0).collect();
+            for prefix in &prefixes {
+                let mut reference = Vec::new();
+                for_each_member(prefix, &window, |e| reference.extend_from_slice(e));
+                let arity = prefix.len() + 1;
+                let mut count = CountSink::new();
+                count.on_leaf(prefix, &window);
+                assert_eq!(count.count() as usize, reference.len() / arity);
+                let mut embed = EmbedSink::new(arity, u64::MAX);
+                embed.on_leaf(prefix, &window);
+                assert_eq!(embed.vertices(), reference, "{prefix:?} {window:?}");
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! any thread), so concurrent toggling cannot make them flaky.
 
 use graphpi::core::engine::{CountOptions, GraphPi, PlanOptions};
+use graphpi::core::PoolOptions;
 use graphpi::graph::vertex_set;
 use graphpi::graph::{generators, io, GraphStats};
 use graphpi::pattern::prefab;
@@ -149,6 +150,56 @@ fn end_to_end_counts_agree_scalar_vs_auto() {
             }
         }
     }
+}
+
+/// `scalar_kernels` is stored into the process-wide dispatch by every call,
+/// last writer wins: two sessions that disagree race on which kernel family
+/// each of them runs on. The race may move time, never a result — each round
+/// starts both sides together, so every interleaving of the two stores and
+/// the two executions gets its chance.
+#[test]
+fn opposite_scalar_settings_racing_do_not_change_results() {
+    let engine = GraphPi::new(generators::power_law(160, 5, 77));
+    let patterns = [prefab::triangle(), prefab::rectangle(), prefab::house()];
+    let expected: Vec<(u64, Vec<u64>)> = {
+        let session = engine.session();
+        let both = |p| {
+            (
+                session.count(p).unwrap(),
+                session.count_per_vertex(p).unwrap(),
+            )
+        };
+        patterns.iter().map(both).collect()
+    };
+    let rounds = 12;
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for scalar_kernels in [true, false] {
+            let (engine, patterns, expected, start) = (&engine, &patterns, &expected, &start);
+            scope.spawn(move || {
+                let session = engine.session_with(
+                    PoolOptions {
+                        threads: 2,
+                        ..PoolOptions::default()
+                    },
+                    PlanOptions::default(),
+                    CountOptions {
+                        scalar_kernels,
+                        hub_bitsets: scalar_kernels,
+                        ..CountOptions::default()
+                    },
+                );
+                for round in 0..rounds {
+                    start.wait();
+                    let at = round % patterns.len();
+                    let (pattern, (count, orbit)) = (&patterns[at], &expected[at]);
+                    assert_eq!(session.count(pattern).unwrap(), *count, "round {round}");
+                    assert_eq!(&session.count_per_vertex(pattern).unwrap(), orbit);
+                }
+            });
+        }
+    });
+    vertex_set::set_force_scalar(false);
 }
 
 /// Edge list → binary conversion → zero-copy mmap open must preserve the
