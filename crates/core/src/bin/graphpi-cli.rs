@@ -1360,10 +1360,11 @@ fn run_query(args: &QueryArgs) -> Result<(), String> {
         plan.preprocessing_time
     );
     println!(
-        "selected schedule {:?}, restrictions {:?}, predicted cost {:.3e}",
+        "selected schedule {:?}, restrictions {:?}, predicted cost {:.3e}, placement {}",
         plan.plan.config.schedule.order(),
         plan.plan.config.restrictions.restrictions(),
-        plan.predicted_cost
+        plan.predicted_cost,
+        plan.placement()
     );
     if args.kind == QueryKind::Plan {
         println!("\n{}", generate(&plan.plan, Language::Cpp));

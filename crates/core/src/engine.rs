@@ -13,6 +13,7 @@
 use crate::config::{Configuration, ExecutionPlan, PoolOptions, MAX_LOOPS};
 use crate::error::EngineError;
 use crate::exec::interp::ExecCtx;
+use crate::exec::parallel::ExecPath;
 use crate::exec::pool::WorkerPool;
 use crate::exec::sink::Job;
 use crate::exec::{iep, interp, parallel};
@@ -149,6 +150,38 @@ pub struct Plan {
     /// Wall-clock time spent on preprocessing (configuration generation +
     /// performance prediction), the quantity Table III reports.
     pub preprocessing_time: Duration,
+}
+
+/// Where [`Session::run`] executes a plan: the placement rule's verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// On the calling thread: the plan costs less than handing it off.
+    Caller,
+    /// On the session's worker pool.
+    Pool,
+}
+
+impl std::fmt::Display for Placement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Placement::Caller => "caller",
+            Placement::Pool => "pool",
+        })
+    }
+}
+
+impl Plan {
+    /// The placement rule: a plan the §IV-C model prices below one pool
+    /// hand-off ([`parallel::HANDOFF_COST`]) runs on the calling thread,
+    /// every other plan on the pool. The one definition [`Session::run`]
+    /// and the CLI read.
+    pub fn placement(&self) -> Placement {
+        if self.predicted_cost < parallel::HANDOFF_COST {
+            Placement::Caller
+        } else {
+            Placement::Pool
+        }
+    }
 }
 
 /// The GraphPi engine bound to one data graph.
@@ -489,7 +522,7 @@ impl Outcome {
     ///
     /// # Panics
     /// If the outcome is another mode's (as for every accessor below).
-    pub(crate) fn into_count(self) -> u64 {
+    pub fn into_count(self) -> u64 {
         match self {
             Outcome::Count(count) => count,
             other => other.is_not("a count"),
@@ -695,8 +728,11 @@ impl PlanCache {
 /// A `Session` pairs the engine with a persistent [`WorkerPool`] and a
 /// compiled-[`PlanCache`] (both behind `Arc`, so sessions are cheap to
 /// share and clone across threads). A warm [`Session::count`] call
-/// performs **no thread spawn, no planning, and no steady-state
-/// allocation** — only the matching work itself:
+/// performs **no thread spawn and no planning** — only the matching work
+/// itself. A query that goes to the pool allocates nothing in steady
+/// state; one that [`Plan::placement`] keeps on the calling thread builds
+/// its search scratch per call, a few small buffers (reusing them across
+/// calls did not move the warm-count latency):
 ///
 /// ```
 /// use graphpi_core::engine::GraphPi;
@@ -716,8 +752,10 @@ impl PlanCache {
 /// multi-tenant pool, up to the pool's
 /// [`max_in_flight`](crate::config::PoolOptions::max_in_flight) limit —
 /// beyond it, extra submitters block until a job completes (backpressure).
-/// The plan cache is concurrent as well, and counts stay bit-identical to
-/// sequential execution regardless of how many clients are in flight.
+/// Queries kept on their calling threads take no slot and never block
+/// there. The plan cache is concurrent as well, and counts stay
+/// bit-identical to sequential execution regardless of how many clients
+/// are in flight.
 #[derive(Debug)]
 pub struct Session<'g> {
     engine: &'g GraphPi,
@@ -774,14 +812,23 @@ impl<'g> Session<'g> {
         report
     }
 
-    /// Runs one query of any [`Mode`] on the warm path — cached plan,
-    /// persistent pool — under per-call execution options (IEP, hub
-    /// acceleration, prefix depth, kernel family; the worker count is the
-    /// pool's, so `threads` is ignored, and the sink modes never use IEP).
-    /// This is the entry the server and the CLI use; [`Session::count`],
-    /// [`Session::enumerate`], [`Session::count_per_vertex`] and
-    /// [`Session::count_approx`] are shorthands for it with the session's
-    /// own options.
+    /// Runs one query of any [`Mode`] on the warm path — cached plan, and
+    /// the placement [`Plan::placement`] picks — under per-call execution
+    /// options (IEP, hub acceleration, prefix depth, kernel family; the
+    /// worker count is the pool's, so `threads` is ignored, and the sink
+    /// modes never use IEP). This is the entry the server and the CLI use;
+    /// [`Session::count`], [`Session::enumerate`],
+    /// [`Session::count_per_vertex`] and [`Session::count_approx`] are
+    /// shorthands for it with the session's own options.
+    ///
+    /// A plan priced below one pool hand-off runs on the calling thread: the
+    /// same prefix tasks, at the same depth, through the same per-task
+    /// kernel the pool workers run, folded in task order. It takes no pool
+    /// slot, so it never waits behind `max_in_flight`, and its result is
+    /// bit-identical to [`Session::run_plan`]'s on the pool — counts, orbit
+    /// vectors and sample estimates alike. A truncated enumeration run
+    /// there is deterministic: the first `limit` embeddings in sequential
+    /// search order. Every other plan is a pool job.
     ///
     /// Fails with [`EngineError::InvalidSampleRate`] unless a sample rate
     /// is finite and positive, and with the planner's error for a pattern
@@ -801,15 +848,27 @@ impl<'g> Session<'g> {
             Mode::Count => self.plan_cached(pattern)?,
             _ => self.mode_plan_cached(pattern)?,
         };
-        Ok(self.run_plan(&plan.plan, mode, options))
+        Ok(self.execute(&plan.plan, mode, options, plan.placement()))
     }
 
     /// [`Session::run`] below plan selection, for a caller that compiled
     /// its own plan: pins the kernel family, builds the execution context,
-    /// submits the job to the pool and turns what it folded into the
-    /// caller's result. A sink mode needs a plan compiled without IEP
-    /// ([`Configuration::compile_with_iep`]`(false)`).
+    /// submits the job to the pool — whatever the plan costs — and turns
+    /// what it folded into the caller's result. A sink mode needs a plan
+    /// compiled without IEP ([`Configuration::compile_with_iep`]`(false)`).
     pub fn run_plan(&self, plan: &ExecutionPlan, mode: Mode, options: CountOptions) -> Outcome {
+        self.execute(plan, mode, options, Placement::Pool)
+    }
+
+    /// Runs `plan` where `placement` says: the body of [`Session::run`] and
+    /// [`Session::run_plan`].
+    fn execute(
+        &self,
+        plan: &ExecutionPlan,
+        mode: Mode,
+        options: CountOptions,
+        placement: Placement,
+    ) -> Outcome {
         // Same contract as `GraphPi::execute_count`: the per-call knob is
         // authoritative for the process-global kernel dispatch.
         graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);
@@ -822,7 +881,17 @@ impl<'g> Session<'g> {
             Mode::Orbit => Job::orbit(ctx.graph().num_vertices()),
             Mode::Sample { rate, seed } => Job::sample(seed, rate),
         };
-        let count = self.pool.run_job(plan, ctx, &executor_options, &job);
+        let count = match placement {
+            // The depth the pool would cut the job at, so the tasks — and
+            // with them sample decisions and page order — are the pool's.
+            Placement::Caller => match parallel::resolve_path(plan, &executor_options, &job) {
+                ExecPath::Empty => 0,
+                ExecPath::MasterOnly { depth } | ExecPath::Tasks { depth, .. } => {
+                    parallel::run_on_caller(plan, ctx, depth, &job)
+                }
+            },
+            Placement::Pool => self.pool.run_job(plan, ctx, &executor_options, &job),
+        };
         // The hub layout relabels vertices degree-descending; results go
         // back to the caller in original ids.
         let original = |v: VertexId| hubs.map_or(v, |h| h.original_id(v));
@@ -909,9 +978,12 @@ impl<'g> Session<'g> {
     /// embeddings are recorded the search stops claiming more, so
     /// enumerating a bounded page out of an astronomically large match set
     /// does not pay for the full search. *Which* embeddings fill a
-    /// truncated page is unspecified under parallel execution (tasks race
-    /// for the budget); the full set is returned whenever the true count
-    /// is within the limit.
+    /// truncated page depends on placement ([`Plan::placement`] of the
+    /// pattern's [`Session::mode_plan_cached`] plan): on the calling thread
+    /// they are the first `limit` in sequential search order, the same
+    /// page every time; on the pool they are unspecified (tasks race for
+    /// the budget). The full set is returned whenever the true count is
+    /// within the limit.
     ///
     /// Under [`CountOptions::hub_bitsets`] the returned tuples may pick a
     /// different automorphic representative per subgraph occurrence than

@@ -25,10 +25,12 @@
 //! What a task *folds into* is data, a `Job`: counting (an enumerated
 //! subtree or one IEP term per task) and the three sink modes share one
 //! path resolution, one producer, one per-task kernel (`run_one_task`) and
-//! one calling-thread fallback (`run_on_caller`). Two executors run them:
+//! one calling-thread executor (`run_on_caller`). Two executors run them:
 //! the scoped one here ([`count_parallel`] — workers spawned and joined per
 //! call, counts only) and the persistent [`crate::exec::pool::WorkerPool`]
-//! (every job kind).
+//! (every job kind). A query whose predicted cost is below one hand-off
+//! ([`HANDOFF_COST`]) reaches neither: `Session::run` folds it through
+//! `run_on_caller` at the depth the pool would have cut it at.
 //!
 //! Hub acceleration (degree-descending relabeling + bitset rows for the
 //! high-degree core, see [`graphpi_graph::hub`]) plugs in by passing a
@@ -188,10 +190,26 @@ pub(crate) fn resolve_path(plan: &ExecutionPlan, options: &ParallelOptions, job:
     ExecPath::Tasks { depth, batch_size }
 }
 
-/// The calling-thread fallback every executor shares: folds each
-/// depth-`depth` prefix through the per-task kernel right here, queueing
-/// nothing. Returns the job's raw count total — at full depth, which IEP
-/// tasks never reach, that is the count itself.
+/// What handing a job to a worker costs, in §IV-C model units: the
+/// threshold below which [`crate::engine::Plan::placement`] keeps a query on
+/// the calling thread (`run_on_caller`) instead of the pool.
+///
+/// Derived from two perf-ledger rows, not fitted to any workload: a
+/// hand-off is one pool dispatch (`pool.dispatch_us`, ≈ 1 µs) plus one
+/// futex wake of a parked worker (≈ 13 µs), about 14 µs; a model unit is
+/// one set element, and an intersection costs ≈ 1 ns per element
+/// (`vertex_set.intersect_ns_per_elem`). 14 µs / 1 ns ≈ 1.4·10⁴ units.
+/// The serving patterns predict at most ≈ 8·10³ units on small graphs and
+/// the perf ledger's batch and mixed reads ≈ 10⁶ or more, so their routing
+/// does not hinge on the exact value.
+pub const HANDOFF_COST: f64 = 1.4e4;
+
+/// The calling-thread executor every path shares: folds each depth-`depth`
+/// prefix through the per-task kernel right here, queueing nothing, and
+/// returns the job's finished count (IEP correction applied; zero for the
+/// sink modes, whose results are in `job`). It serves the degenerate
+/// full-depth path of both executors and every query the placement rule
+/// keeps off the pool.
 pub(crate) fn run_on_caller(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
@@ -203,7 +221,7 @@ pub(crate) fn run_on_caller(
     interp::for_each_prefix(plan, ctx, depth, |prefix| {
         raw += run_one_task(plan, ctx, job, prefix, &mut buffers);
     });
-    raw
+    finalize_count(raw, job, plan)
 }
 
 /// The producer core shared by the scoped executor and the pool: enumerates

@@ -39,24 +39,27 @@
 //!   concurrent jobs keep executing normally and the worker thread itself
 //!   survives for the next job.
 //!
-//! Two properties tune the pool for *small* queries, where a naive pool
-//! would drown the matching work in handshake overhead:
+//! Small queries do not reach the pool at all: `Session::run` keeps a plan
+//! the §IV-C model prices below one hand-off ([`parallel::HANDOFF_COST`])
+//! on the calling thread, with no slot, no queue and no wake. What arrives
+//! here is at least a hand-off's worth of work, and two properties keep
+//! the handshake from eating the *mid-size* jobs among it:
 //!
 //! * **Lazy wakeups** — posting a job wakes nobody by itself; the submitter
 //!   issues one `notify_one` per pushed batch *once more than a full batch
-//!   of backlog is sitting unclaimed in its lane*, so a query the submitter
-//!   can chew alone pays zero context switches while a large query's
+//!   of backlog is sitting unclaimed in its lane*, so a job the submitter
+//!   can chew alone pays zero context switches while a large job's
 //!   backlog ramps up the pool batch by batch. A worker that finds no task
 //!   anywhere parks on the wakeup condvar until backlog reappears. It does
 //!   not nap and poll first: with tasks around a microsecond a job is over
 //!   before a poller's patience is, and on a core shared with other
 //!   runnable threads the pollers cost those threads more than they save
 //!   the next job (perf ledger, one pinned CPU: `mixed_rw` write p50 −33 %,
-//!   `serve_warm` and `plan_churn` −15–20 % without them; a lone client's
-//!   tiny query on idle cores pays ~10 µs for the futex wake instead).
+//!   `serve_warm` and `plan_churn` −15–20 % without them; a job that does
+//!   wake a parked worker pays ~10 µs for the futex instead).
 //! * **Caller-runs master helping** — after streaming, the submitting
 //!   thread drains its own job's lane itself (with the slot's persistent
-//!   scratch). Tiny jobs often complete entirely on the caller; job
+//!   scratch). Mid-size jobs often complete entirely on the caller; job
 //!   completion waits only for tasks some worker actually picked up.
 //!
 //! # Safety model

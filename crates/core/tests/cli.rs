@@ -184,6 +184,13 @@ fn counts_triangles_end_to_end() {
         "stdout: {}",
         stdout_of(&output)
     );
+    // Five edges price far below one pool hand-off: the plan line says
+    // the query runs on the calling thread.
+    assert!(
+        stdout_of(&output).contains(", placement caller\n"),
+        "stdout: {}",
+        stdout_of(&output)
+    );
 }
 
 #[test]
