@@ -2275,7 +2275,7 @@ mod tests {
         let (durable, recovery) =
             DurableGraph::open(base, &wal, DurableGraphOptions::default()).unwrap();
         assert!(recovery.checkpoint_loaded, "second run checkpointed");
-        let engine = GraphPi::new(durable.snapshot().graph().as_ref().clone());
+        let engine = GraphPi::shared(std::sync::Arc::clone(durable.snapshot().graph()));
         assert_eq!(engine.count(&prefab::triangle()).unwrap(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }

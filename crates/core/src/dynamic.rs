@@ -11,23 +11,30 @@
 //!   consistent graph no matter how many batches commit mid-flight.
 //! * [`DynamicEngine::apply`] durably commits a batch (WAL append +
 //!   fsync first when durability is on), then builds the next
-//!   generation's engine and swaps it in. Building the engine recomputes
-//!   [`graphpi_graph::GraphStats`] — and therefore the stats
-//!   *fingerprint* that keys the shared [`crate::engine::PlanCache`] —
-//!   so queries against the new generation re-plan instead of reusing a
-//!   stale plan, while queries still pinned to an old generation keep
-//!   hitting their original cache entries. The fingerprint keying that
-//!   was dormant while graphs were immutable becomes the cache
-//!   invalidation mechanism.
+//!   generation's engine and swaps it in. The new engine shares the
+//!   snapshot's CSR (no copy) and carries [`graphpi_graph::GraphStats`]
+//!   over from the previous generation with
+//!   [`graphpi_graph::GraphStats::after_batch`] — the same numbers a full
+//!   recount gives, and therefore the same stats *fingerprint* that keys
+//!   the shared [`crate::engine::PlanCache`]. A batch that changes the
+//!   graph changes the fingerprint, so queries against the new generation
+//!   re-plan instead of reusing a stale plan, while queries still pinned
+//!   to an old generation keep hitting their original cache entries. The
+//!   fingerprint keying that was dormant while graphs were immutable
+//!   becomes the cache invalidation mechanism.
 //!
-//! Engine construction is deliberately *per generation*, not per query:
-//! one batch costs one stats recompute + plan-cache keying, then every
-//! query of that generation is as cheap as on a static engine.
+//! Engine construction is deliberately *per generation*, not per query,
+//! and its CPU cost follows the batch, not the graph: one fold of the
+//! overlay's touched rows into the snapshot CSR (untouched runs are slice
+//! copies), one O(|V|) degree scan, and one intersection per changed edge
+//! for the triangle count. Every query of that generation is then as cheap
+//! as on a static engine. Only opening an engine and installing a
+//! replication checkpoint count the graph from scratch.
 
 use crate::engine::GraphPi;
-use graphpi_graph::delta::{CommitReport, DynamicGraph, EdgeBatch};
+use graphpi_graph::delta::{CommitReport, DynamicGraph, EdgeBatch, GraphSnapshot};
 use graphpi_graph::wal::{DurableError, DurableGraph, DurableGraphOptions, RecoveryReport};
-use graphpi_graph::CsrGraph;
+use graphpi_graph::{CsrGraph, GraphStats};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -36,6 +43,15 @@ enum Backing {
     Durable(DurableGraph),
     /// In-memory only: same snapshot semantics, no crash recovery.
     Volatile(DynamicGraph),
+}
+
+impl Backing {
+    fn snapshot(&self) -> GraphSnapshot {
+        match self {
+            Backing::Durable(durable) => durable.snapshot(),
+            Backing::Volatile(graph) => graph.snapshot(),
+        }
+    }
 }
 
 /// A query's consistent view: one generation's engine, pinned. Cloning is
@@ -48,6 +64,14 @@ pub struct PinnedEngine {
 }
 
 impl PinnedEngine {
+    /// An engine over `snapshot` that counts its statistics from scratch.
+    fn counted(snapshot: GraphSnapshot) -> Self {
+        Self {
+            generation: snapshot.generation(),
+            engine: Arc::new(GraphPi::shared(Arc::clone(snapshot.graph()))),
+        }
+    }
+
     /// The pinned generation number.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -72,17 +96,7 @@ pub struct DynamicEngine {
 impl DynamicEngine {
     /// Wraps a graph with snapshot semantics but no durability.
     pub fn volatile(graph: CsrGraph) -> Self {
-        let backing = DynamicGraph::new(graph);
-        let snapshot = backing.snapshot();
-        let engine = Arc::new(GraphPi::new(snapshot.graph().as_ref().clone()));
-        Self {
-            backing: Backing::Volatile(backing),
-            current: RwLock::new(PinnedEngine {
-                generation: snapshot.generation(),
-                engine,
-            }),
-            apply_lock: Mutex::new(()),
-        }
+        Self::serving(Backing::Volatile(DynamicGraph::new(graph)))
     }
 
     /// Opens a WAL-backed engine: loads the checkpoint (or `initial`),
@@ -94,19 +108,16 @@ impl DynamicEngine {
         options: DurableGraphOptions,
     ) -> Result<(Self, RecoveryReport), DurableError> {
         let (backing, report) = DurableGraph::open(initial, wal_path, options)?;
-        let snapshot = backing.snapshot();
-        let engine = Arc::new(GraphPi::new(snapshot.graph().as_ref().clone()));
-        Ok((
-            Self {
-                backing: Backing::Durable(backing),
-                current: RwLock::new(PinnedEngine {
-                    generation: snapshot.generation(),
-                    engine,
-                }),
-                apply_lock: Mutex::new(()),
-            },
-            report,
-        ))
+        Ok((Self::serving(Backing::Durable(backing)), report))
+    }
+
+    fn serving(backing: Backing) -> Self {
+        let current = RwLock::new(PinnedEngine::counted(backing.snapshot()));
+        Self {
+            backing,
+            current,
+            apply_lock: Mutex::new(()),
+        }
     }
 
     /// Whether commits are write-ahead logged.
@@ -134,14 +145,18 @@ impl DynamicEngine {
     /// backing is durable, the batch is on disk (fsync'd) before it
     /// becomes visible; on `Ok` it survives any crash. Queries pinned to
     /// earlier generations are unaffected.
+    ///
+    /// Beyond the commit itself (and its fsync), publishing costs what the
+    /// batch costs: the snapshot folds only the overlay's touched rows, the
+    /// new engine shares that snapshot's CSR, and its statistics are
+    /// derived from the previous generation's by
+    /// [`graphpi_graph::GraphStats::after_batch`] instead of recounting
+    /// every triangle.
     pub fn apply(&self, batch: &EdgeBatch) -> Result<CommitReport, DurableError> {
-        let _serialised = self.apply_lock.lock().expect("dynamic engine poisoned");
-        let report = match &self.backing {
-            Backing::Durable(durable) => durable.commit(batch)?,
-            Backing::Volatile(graph) => graph.commit(batch)?,
-        };
-        self.publish(&report);
-        Ok(report)
+        self.publish(batch, |backing| match backing {
+            Backing::Durable(durable) => durable.commit(batch),
+            Backing::Volatile(graph) => Ok(graph.commit(batch)?),
+        })
     }
 
     /// Forces a checkpoint on a durable backing; returns the
@@ -162,13 +177,10 @@ impl DynamicEngine {
         generation: u64,
         batch: &EdgeBatch,
     ) -> Result<CommitReport, DurableError> {
-        let _serialised = self.apply_lock.lock().expect("dynamic engine poisoned");
-        let report = match &self.backing {
-            Backing::Durable(durable) => durable.commit_replicated(generation, batch)?,
-            Backing::Volatile(graph) => graph.commit_at(batch, generation)?,
-        };
-        self.publish(&report);
-        Ok(report)
+        self.publish(batch, |backing| match backing {
+            Backing::Durable(durable) => durable.commit_replicated(generation, batch),
+            Backing::Volatile(graph) => Ok(graph.commit_at(batch, generation)?),
+        })
     }
 
     /// Replaces the whole graph with `base` at `generation` — the
@@ -184,36 +196,52 @@ impl DynamicEngine {
             Backing::Durable(durable) => durable.install_checkpoint(base, generation)?,
             Backing::Volatile(graph) => graph.reset_base(base, generation),
         }
-        let snapshot = match &self.backing {
-            Backing::Durable(durable) => durable.snapshot(),
-            Backing::Volatile(graph) => graph.snapshot(),
-        };
-        let engine = Arc::new(GraphPi::new(snapshot.graph().as_ref().clone()));
-        *self.current.write().expect("dynamic engine poisoned") =
-            PinnedEngine { generation, engine };
+        let pinned = PinnedEngine::counted(self.backing.snapshot());
+        *self.current.write().expect("dynamic engine poisoned") = pinned;
         Ok(())
     }
 
-    fn publish(&self, report: &CommitReport) {
-        if report.inserted > 0 || report.deleted > 0 {
-            let snapshot = match &self.backing {
-                Backing::Durable(durable) => durable.snapshot(),
-                Backing::Volatile(graph) => graph.snapshot(),
-            };
+    /// The one publish path of [`DynamicEngine::apply`] and
+    /// [`DynamicEngine::apply_replicated`]: runs `commit` under the apply
+    /// lock, then swaps in the generation it produced.
+    fn publish(
+        &self,
+        batch: &EdgeBatch,
+        commit: impl FnOnce(&Backing) -> Result<CommitReport, DurableError>,
+    ) -> Result<CommitReport, DurableError> {
+        let _serialised = self.apply_lock.lock().expect("dynamic engine poisoned");
+        let report = commit(&self.backing)?;
+        let previous = self.pin();
+        let pinned = if previous.generation + 1 != report.generation {
+            // An earlier commit failed after it had applied (its inline
+            // checkpoint, say), so the engine is more than this batch
+            // behind: count the graph from scratch.
+            PinnedEngine::counted(self.backing.snapshot())
+        } else if report.inserted > 0 || report.deleted > 0 {
             // New stats, new fingerprint, fresh plan-cache keys.
-            let engine = Arc::new(GraphPi::new(snapshot.graph().as_ref().clone()));
-            *self.current.write().expect("dynamic engine poisoned") = PinnedEngine {
-                generation: report.generation,
-                engine,
-            };
+            let snapshot = self.backing.snapshot();
+            let old = previous.engine();
+            let stats = old
+                .stats()
+                .after_batch(old.graph(), snapshot.graph(), batch);
+            debug_assert_eq!(stats, GraphStats::compute(snapshot.graph()));
+            PinnedEngine {
+                generation: snapshot.generation(),
+                engine: Arc::new(GraphPi::shared_with_stats(
+                    Arc::clone(snapshot.graph()),
+                    stats,
+                )),
+            }
         } else {
             // Nothing changed: keep the engine (and its warm plans), just
             // advance the generation number.
-            self.current
-                .write()
-                .expect("dynamic engine poisoned")
-                .generation = report.generation;
-        }
+            PinnedEngine {
+                generation: report.generation,
+                ..previous
+            }
+        };
+        *self.current.write().expect("dynamic engine poisoned") = pinned;
+        Ok(report)
     }
 
     /// Folds the overlay into a fresh base CSR off the commit path;
@@ -273,8 +301,160 @@ mod tests {
     use super::*;
     use crate::engine::{CountOptions, PlanCache, PlanOptions};
     use crate::exec::pool::WorkerPool;
-    use graphpi_graph::generators;
+    use graphpi_graph::{generators, GraphBuilder};
     use graphpi_pattern::prefab;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn scratch_dir(label: &str) -> std::path::PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "graphpi_dyneng_{label}_{}_{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    type Edges = Vec<(u32, u32)>;
+
+    /// Turns `(a, b, kind)` ops into a batch's inserts and deletes against
+    /// the current edge set `model`: kind 0 inserts `(a, b)` (new,
+    /// duplicate, self loop or a grown vertex), kind 1 deletes it (mostly
+    /// absent, so a no-op), kind 2 deletes a present edge (base or overlay)
+    /// and kind 3 re-inserts one (effect-free).
+    fn random_batch(ops: &[(u32, u32, u8)], model: &BTreeSet<(u32, u32)>) -> (Edges, Edges) {
+        let present: Edges = model.iter().copied().collect();
+        let pick = |a: u32, b: u32| present[(a as usize * 31 + b as usize) % present.len()];
+        let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+        for &(a, b, kind) in ops {
+            match kind {
+                0 => inserts.push((a, b)),
+                1 => deletes.push((a, b)),
+                _ if present.is_empty() => {}
+                2 => {
+                    let (u, v) = pick(a, b);
+                    deletes.push((v, u));
+                }
+                _ => inserts.push(pick(a, b)),
+            }
+        }
+        (inserts, deletes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn stats_follow_every_batch_exactly(
+            seed in 0u64..1_000,
+            power_law in 0u8..2,
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u32..44, 0u32..44, 0u8..4), 0..10),
+                1..21,
+            ),
+            compact_every in 2usize..6,
+        ) {
+            let base = if power_law == 1 {
+                generators::power_law(40, 3, seed)
+            } else {
+                generators::erdos_renyi(40, 120, seed)
+            };
+            let dir = scratch_dir("stats");
+            let volatile = DynamicEngine::volatile(base.clone());
+            // Small thresholds: the durable engine also compacts and
+            // checkpoints on the commit path.
+            let options = DurableGraphOptions {
+                compaction_threshold: 16,
+                checkpoint_wal_bytes: 4 << 10,
+            };
+            let (durable, _) = DynamicEngine::durable(base.clone(), dir.join("graph.wal"), options).unwrap();
+            let replica = DynamicEngine::volatile(base.clone());
+            let mut model: BTreeSet<(u32, u32)> = base.edges().collect();
+            let mut vertices = base.num_vertices();
+            for (round, ops) in batches.iter().enumerate() {
+                let (inserts, deletes) = random_batch(ops, &model);
+                // Batch semantics: all inserts land before all deletes.
+                for &(u, v) in &inserts {
+                    if u != v {
+                        model.insert((u.min(v), u.max(v)));
+                        vertices = vertices.max(u.max(v) as usize + 1);
+                    }
+                }
+                for &(u, v) in &deletes {
+                    model.remove(&(u.min(v), u.max(v)));
+                }
+                let batch = EdgeBatch::from_edges(inserts, deletes);
+                let report = volatile.apply(&batch).unwrap();
+                let logged = durable.apply(&batch).unwrap();
+                prop_assert_eq!(
+                    (logged.generation, logged.inserted, logged.deleted),
+                    (report.generation, report.inserted, report.deleted)
+                );
+                replica.apply_replicated(report.generation, &batch).unwrap();
+                if round % compact_every == 0 {
+                    volatile.compact();
+                    replica.compact();
+                }
+                let expected = GraphBuilder::new()
+                    .num_vertices(vertices)
+                    .edges(model.iter().copied())
+                    .build();
+                for engine in [&volatile, &durable, &replica] {
+                    let pin = engine.pin();
+                    prop_assert_eq!(pin.generation(), report.generation);
+                    prop_assert_eq!(pin.engine().graph(), &expected);
+                    let counted = GraphStats::compute(pin.engine().graph());
+                    prop_assert_eq!(pin.engine().stats(), &counted);
+                    prop_assert_eq!(pin.engine().stats().fingerprint(), counted.fingerprint());
+                }
+            }
+            drop(durable);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn an_engine_left_behind_by_a_failed_commit_recounts() {
+        let dir = scratch_dir("behind");
+        let options = DurableGraphOptions {
+            checkpoint_wal_bytes: 1, // every commit checkpoints inline
+            ..DurableGraphOptions::default()
+        };
+        let (engine, _) = DynamicEngine::durable(
+            generators::power_law(60, 3, 5),
+            dir.join("graph.wal"),
+            options,
+        )
+        .unwrap();
+        // A non-empty directory where the checkpoint file goes: the inline
+        // checkpoint fails after the batch has applied in memory.
+        let blocker = dir.join("graph.wal.ckpt");
+        std::fs::create_dir_all(blocker.join("occupied")).unwrap();
+        let mut batch = EdgeBatch::new();
+        batch.insert(0, 59).insert(0, 58).insert(58, 59);
+        assert!(engine.apply(&batch).is_err());
+        assert_eq!(engine.generation(), 0, "a failed commit publishes nothing");
+        std::fs::remove_dir_all(&blocker).unwrap();
+
+        // Effect-free against the graph as applied, so the engine serving
+        // generation 0 must not be kept or carried forward.
+        let mut noop = EdgeBatch::new();
+        noop.insert(59, 0);
+        let report = engine.apply(&noop).unwrap();
+        assert_eq!((report.generation, report.inserted), (2, 0));
+        let pin = engine.pin();
+        assert!(pin.engine().graph().has_edge(0, 59));
+        assert_eq!(
+            *pin.engine().stats(),
+            GraphStats::compute(pin.engine().graph())
+        );
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn pinned_queries_see_one_consistent_generation() {

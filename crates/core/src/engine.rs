@@ -187,7 +187,9 @@ impl Plan {
 /// The GraphPi engine bound to one data graph.
 #[derive(Debug, Clone)]
 pub struct GraphPi {
-    graph: CsrGraph,
+    /// Shared, so an engine over a pinned snapshot holds the snapshot's
+    /// CSR instead of a copy of it.
+    graph: Arc<CsrGraph>,
     stats: GraphStats,
     /// Lazily built hub-acceleration index, shared across clones.
     hub: OnceLock<Arc<HubGraph>>,
@@ -198,16 +200,24 @@ impl GraphPi {
     /// triangle counts) the performance model needs. This is the
     /// graph-dependent part of preprocessing and is done once per graph.
     pub fn new(graph: CsrGraph) -> Self {
+        Self::shared(Arc::new(graph))
+    }
+
+    /// [`GraphPi::new`] over a CSR someone else also holds (a pinned
+    /// snapshot, say): the graph is shared, not copied.
+    pub fn shared(graph: Arc<CsrGraph>) -> Self {
         let stats = GraphStats::compute(&graph);
-        Self {
-            graph,
-            stats,
-            hub: OnceLock::new(),
-        }
+        Self::shared_with_stats(graph, stats)
     }
 
     /// Builds the engine with precomputed statistics (e.g. loaded from disk).
     pub fn with_stats(graph: CsrGraph, stats: GraphStats) -> Self {
+        Self::shared_with_stats(Arc::new(graph), stats)
+    }
+
+    /// [`GraphPi::with_stats`] over a shared CSR; `stats` must be those of
+    /// `graph`.
+    pub(crate) fn shared_with_stats(graph: Arc<CsrGraph>, stats: GraphStats) -> Self {
         Self {
             graph,
             stats,
@@ -341,7 +351,7 @@ impl GraphPi {
         let ctx = if options.hub_bitsets {
             ExecCtx::from(self.hub_index())
         } else {
-            ExecCtx::from(&self.graph)
+            ExecCtx::from(self.graph())
         };
         match (options.use_iep, parallel::resolve_threads(options.threads)) {
             (false, 1) => interp::count_embeddings(plan, ctx),
@@ -873,7 +883,7 @@ impl<'g> Session<'g> {
         // authoritative for the process-global kernel dispatch.
         graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);
         let hubs = options.hub_bitsets.then(|| self.engine.hub_index());
-        let ctx = hubs.map_or_else(|| ExecCtx::from(&self.engine.graph), ExecCtx::from);
+        let ctx = hubs.map_or_else(|| ExecCtx::from(self.engine.graph()), ExecCtx::from);
         let executor_options = options.parallel_options();
         let job = match mode {
             Mode::Count => Job::count(plan, executor_options.mode),

@@ -195,6 +195,57 @@ fn row_contains(map: &BTreeMap<VertexId, Vec<VertexId>>, u: VertexId, v: VertexI
     map.get(&u).is_some_and(|row| row.binary_search(&v).is_ok())
 }
 
+/// Appends `(base_row \ del) ∪ ins` to `out`: one linear merge over three
+/// sorted inputs, relying on the overlay invariants (`ins` disjoint from
+/// `base_row`, `del` a subset of it).
+fn merge_row(base_row: &[VertexId], ins: &[VertexId], del: &[VertexId], out: &mut Vec<VertexId>) {
+    let (mut bi, mut ii, mut di) = (0usize, 0usize, 0usize);
+    while bi < base_row.len() || ii < ins.len() {
+        let take_insert = match (base_row.get(bi), ins.get(ii)) {
+            (Some(&b), Some(&i)) => i < b,
+            (None, Some(_)) => true,
+            _ => false,
+        };
+        if take_insert {
+            out.push(ins[ii]);
+            ii += 1;
+        } else {
+            let b = base_row[bi];
+            bi += 1;
+            while di < del.len() && del[di] < b {
+                di += 1;
+            }
+            if di < del.len() && del[di] == b {
+                di += 1;
+                continue; // masked by a delete
+            }
+            out.push(b);
+        }
+    }
+}
+
+/// Appends rows `rows` of `base`, unchanged, to the CSR arrays `offsets`
+/// and `neighbors`: the part inside the base as one slice copy with its
+/// offsets shifted to the output position, the grown part past it as
+/// empty rows.
+fn copy_rows(
+    base: &CsrGraph,
+    rows: std::ops::Range<usize>,
+    offsets: &mut Vec<usize>,
+    neighbors: &mut Vec<VertexId>,
+) {
+    let stop = rows.end.min(base.num_vertices());
+    if rows.start < stop {
+        let base_offsets = &base.offsets_slice()[rows.start..=stop];
+        let (first, last) = (base_offsets[0], base_offsets[base_offsets.len() - 1]);
+        let at = neighbors.len();
+        neighbors.extend_from_slice(&base.neighbors_slice()[first..last]);
+        offsets.extend(base_offsets[1..].iter().map(|&o| o - first + at));
+    }
+    let grown = rows.end.saturating_sub(rows.start.max(stop));
+    offsets.resize(offsets.len() + grown, neighbors.len());
+}
+
 impl DeltaOverlay {
     /// An empty overlay.
     pub(crate) fn new() -> Self {
@@ -294,53 +345,10 @@ impl DeltaOverlay {
         Ok(outcome)
     }
 
-    /// Writes the merged (post-overlay) sorted neighborhood of `v` into
-    /// `out` (cleared first): `(base_row \ deletes) ∪ inserts`, a single
-    /// linear merge over three sorted inputs. The base CSR row is read
-    /// as-is, so the SIMD-friendly base storage is never rewritten.
-    pub(crate) fn merged_neighbors_into(
-        &self,
-        base: &CsrGraph,
-        v: VertexId,
-        out: &mut Vec<VertexId>,
-    ) {
-        out.clear();
-        let base_row: &[VertexId] = if (v as usize) < base.num_vertices() {
-            base.neighbors(v)
-        } else {
-            &[]
-        };
-        let empty: &[VertexId] = &[];
-        let ins = self.inserts.get(&v).map_or(empty, |r| r.as_slice());
-        let del = self.deletes.get(&v).map_or(empty, |r| r.as_slice());
-        out.reserve(base_row.len() + ins.len());
-        let (mut bi, mut ii, mut di) = (0usize, 0usize, 0usize);
-        while bi < base_row.len() || ii < ins.len() {
-            let take_insert = match (base_row.get(bi), ins.get(ii)) {
-                (Some(&b), Some(&i)) => i < b, // disjoint by invariant
-                (None, Some(_)) => true,
-                _ => false,
-            };
-            if take_insert {
-                out.push(ins[ii]);
-                ii += 1;
-            } else {
-                let b = base_row[bi];
-                bi += 1;
-                while di < del.len() && del[di] < b {
-                    di += 1;
-                }
-                if di < del.len() && del[di] == b {
-                    di += 1;
-                    continue; // masked by a delete
-                }
-                out.push(b);
-            }
-        }
-    }
-
-    /// Folds the overlay into a fresh CSR (the compaction path). Rows
-    /// without deltas are copied verbatim from the base; touched rows are
+    /// Folds the overlay into a fresh CSR (the snapshot and compaction
+    /// path). The touched rows are visited in ascending order; each maximal
+    /// run of untouched base rows between two of them is copied with one
+    /// slice copy plus shifted offsets, and only the touched rows are
     /// merged. The result is canonical, so it is bit-identical no matter
     /// how the same net change was batched.
     pub(crate) fn materialize(&self, base: &CsrGraph) -> CsrGraph {
@@ -348,17 +356,33 @@ impl DeltaOverlay {
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut neighbors = Vec::with_capacity(2 * self.num_edges(base) as usize);
-        let mut scratch = Vec::new();
-        for v in 0..n as VertexId {
-            let untouched = !self.inserts.contains_key(&v) && !self.deletes.contains_key(&v);
-            if untouched && (v as usize) < base.num_vertices() {
-                neighbors.extend_from_slice(base.neighbors(v));
+        let empty: &[VertexId] = &[];
+        let mut inserts = self.inserts.iter().peekable();
+        let mut deletes = self.deletes.iter().peekable();
+        let mut next = 0usize; // the first row not written yet
+        loop {
+            let v = match (inserts.peek(), deletes.peek()) {
+                (None, None) => break,
+                (Some((&a, _)), None) | (None, Some((&a, _))) => a,
+                (Some((&a, _)), Some((&b, _))) => a.min(b),
+            };
+            copy_rows(base, next..v as usize, &mut offsets, &mut neighbors);
+            let ins = inserts
+                .next_if(|(&u, _)| u == v)
+                .map_or(empty, |(_, row)| row);
+            let del = deletes
+                .next_if(|(&u, _)| u == v)
+                .map_or(empty, |(_, row)| row);
+            let base_row = if (v as usize) < base.num_vertices() {
+                base.neighbors(v)
             } else {
-                self.merged_neighbors_into(base, v, &mut scratch);
-                neighbors.extend_from_slice(&scratch);
-            }
+                empty
+            };
+            merge_row(base_row, ins, del, &mut neighbors);
             offsets.push(neighbors.len());
+            next = v as usize + 1;
         }
+        copy_rows(base, next..n, &mut offsets, &mut neighbors);
         CsrGraph::from_raw_parts(offsets, neighbors)
     }
 
@@ -772,6 +796,54 @@ mod tests {
         assert_eq!(eager.snapshot().graph(), lazy.snapshot().graph());
     }
 
+    #[test]
+    fn fold_by_runs_matches_a_rebuild_at_the_edges_of_the_row_range() {
+        let base = generators::erdos_renyi(40, 120, 5);
+        let last = 39;
+        let row_zero: Vec<(VertexId, VertexId)> =
+            base.neighbors(0).iter().map(|&v| (0, v)).collect();
+        let non_edge = |u: VertexId| (0..40).find(|&v| v != u && !base.has_edge(u, v)).unwrap();
+        let cases: Vec<EdgeBatch> = vec![
+            // Untouched: one run covering every row.
+            EdgeBatch::new(),
+            // The first and the last row.
+            if base.has_edge(0, last) {
+                EdgeBatch::from_edges(vec![], vec![(0, last)])
+            } else {
+                EdgeBatch::from_edges(vec![(0, last)], vec![])
+            },
+            // Vertex 0's row emptied.
+            EdgeBatch::from_edges(vec![], row_zero),
+            // Adjacent touched rows: no run between them.
+            EdgeBatch::from_edges(
+                vec![(10, non_edge(10)), (11, non_edge(11)), (12, non_edge(12))],
+                vec![(13, base.neighbors(13)[0])],
+            ),
+            // Grown rows: untouched runs of them between touched ones
+            // (40; 42 and 43) and after the last (45 to 47, whose edge the
+            // same batch deleted again).
+            EdgeBatch::from_edges(vec![(last, 41), (41, 44), (5, 44), (5, 47)], vec![(47, 5)]),
+            // Only the last row, deleted.
+            EdgeBatch::from_edges(vec![], vec![(base.neighbors(last)[0], last)]),
+        ];
+        for batch in cases {
+            let mut overlay = DeltaOverlay::new();
+            let outcome = overlay.apply(&batch, &base).unwrap();
+            let named = batch.inserts().len() + batch.deletes().len();
+            assert_eq!((outcome.inserted + outcome.deleted) as usize, named);
+            let mut model = model_edges(&base);
+            model.extend(batch.inserts().iter().map(|&(u, v)| (u.min(v), u.max(v))));
+            for &(u, v) in batch.deletes() {
+                model.remove(&(u.min(v), u.max(v)));
+            }
+            let expected = GraphBuilder::new()
+                .num_vertices(overlay.num_vertices(&base))
+                .edges(model.iter().copied())
+                .build();
+            assert_eq!(overlay.materialize(&base), expected, "{batch:?}");
+        }
+    }
+
     /// Reference model: the merged view must equal a from-scratch rebuild
     /// of the edited edge set.
     fn model_edges(base: &CsrGraph) -> BTreeSet<(VertexId, VertexId)> {
@@ -814,12 +886,6 @@ mod tests {
             let merged = overlay.materialize(&base);
             prop_assert_eq!(&merged, &expected);
             prop_assert_eq!(merged.num_edges(), overlay.num_edges(&base));
-            // Row-level merge agrees with the materialised rows.
-            let mut row = Vec::new();
-            for v in 0..merged.num_vertices() as u32 {
-                overlay.merged_neighbors_into(&base, v, &mut row);
-                prop_assert_eq!(&row[..], merged.neighbors(v));
-            }
         }
     }
 }

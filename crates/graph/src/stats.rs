@@ -9,9 +9,13 @@
 //!   common neighborhood are adjacent.
 //!
 //! [`GraphStats`] computes and caches these once per graph (the paper notes
-//! this is part of preprocessing because the graph is immutable).
+//! this is part of preprocessing because the graph is immutable). A mutable
+//! graph carries them from one generation to the next with
+//! [`GraphStats::after_batch`], at the cost of the batch rather than the
+//! graph.
 
 use crate::csr::CsrGraph;
+use crate::delta::EdgeBatch;
 use crate::triangles;
 
 /// Cached structural statistics used by the performance model.
@@ -43,8 +47,26 @@ impl GraphStats {
         Self::from_counts(num_vertices, num_edges, triangle_count, graph.max_degree())
     }
 
-    /// Builds the statistics from pre-computed counts (useful in tests and
-    /// when loading persisted statistics).
+    /// The statistics of `new`, the graph `batch` made of `old`, derived
+    /// from `self` (the statistics of `old`) without recounting the graph:
+    /// `|V|` and `|E|` are read off `new`, the maximum degree is one scan of
+    /// its offsets, and the triangle count moves by the triangles the
+    /// batch's effective edge changes destroyed and created (one
+    /// intersection per changed edge). The result equals
+    /// [`GraphStats::compute`]`(new)` field for field, so the fingerprint —
+    /// and every plan-cache key built on it — is the same either way.
+    pub fn after_batch(&self, old: &CsrGraph, new: &CsrGraph, batch: &EdgeBatch) -> Self {
+        let (removed, added) = triangles::batch_delta(old, new, batch);
+        Self::from_counts(
+            new.num_vertices(),
+            new.num_edges(),
+            self.triangle_count - removed + added,
+            new.max_degree(),
+        )
+    }
+
+    /// Builds the statistics from pre-computed counts (the one place the
+    /// derived fields `avg_degree`, `p1` and `p2` are computed).
     pub(crate) fn from_counts(
         num_vertices: usize,
         num_edges: u64,
@@ -169,6 +191,30 @@ mod tests {
             base.fingerprint(),
             GraphStats::from_counts(100, 500, 41, 12).fingerprint()
         );
+    }
+
+    #[test]
+    fn after_batch_matches_compute_when_triangles_share_changed_edges() {
+        use crate::delta::DynamicGraph;
+        // Wiping a clique removes triangles holding two or three deleted
+        // edges each; rebuilding it (plus a grown vertex) adds them back.
+        let clique: Vec<_> = generators::complete(6).edges().collect();
+        let mut grown = clique.clone();
+        grown.extend([(0, 31), (1, 31), (0, 1)]); // vertices 30 and 31 grow
+        let graph = DynamicGraph::new(generators::power_law(30, 3, 4));
+        let mut stats = GraphStats::compute(graph.snapshot().graph());
+        for batch in [
+            EdgeBatch::from_edges(vec![], clique.clone()),
+            EdgeBatch::from_edges(grown, vec![(2, 3)]),
+            EdgeBatch::from_edges(clique.clone(), clique),
+            EdgeBatch::new(),
+        ] {
+            let old = graph.snapshot();
+            graph.commit(&batch).unwrap();
+            let new = graph.snapshot();
+            stats = stats.after_batch(old.graph(), new.graph(), &batch);
+            assert_eq!(stats, GraphStats::compute(new.graph()), "{batch:?}");
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! count `tri_cnt` of the data graph to estimate `p2`, the probability that
 //! two vertices sharing a neighbor are themselves adjacent. The paper treats
 //! the data graph as immutable, so the count is computed once during
-//! preprocessing; this module provides that computation.
+//! preprocessing; this module provides that computation, and the
+//! per-batch correction that keeps it exact under edge updates.
 
 use crate::csr::{CsrGraph, VertexId};
+use crate::delta::EdgeBatch;
 use crate::vertex_set;
 
 /// Counts every triangle in the graph exactly once.
@@ -32,6 +34,61 @@ fn count_common_above(a: &[VertexId], b: &[VertexId], bound: VertexId) -> u64 {
     let ai = a.partition_point(|&x| x <= bound);
     let bi = b.partition_point(|&x| x <= bound);
     vertex_set::intersect_count(&a[ai..], &b[bi..]) as u64
+}
+
+/// The triangles one batch removed from `old` and added to produce `new`:
+/// `count_triangles(new) == count_triangles(old) - removed + added`.
+///
+/// Only edges the batch names can differ between the two graphs, so the
+/// effective changes are the named edges present in exactly one of them.
+/// A triangle of `old` disappears iff it holds a deleted edge, and one of
+/// `new` appears iff it holds an inserted edge; each side is counted once
+/// per triangle by [`triangles_through`]. The cost is one intersection per
+/// effective edge, independent of the rest of the graph.
+pub(crate) fn batch_delta(old: &CsrGraph, new: &CsrGraph, batch: &EdgeBatch) -> (u64, u64) {
+    let mut named: Vec<(VertexId, VertexId)> = batch
+        .inserts()
+        .iter()
+        .chain(batch.deletes())
+        .filter(|&&(u, v)| u != v)
+        .map(|&(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    named.sort_unstable();
+    named.dedup();
+    let present = |graph: &CsrGraph, (u, v): (VertexId, VertexId)| {
+        (v as usize) < graph.num_vertices() && graph.has_edge(u, v)
+    };
+    let (mut deleted, mut inserted) = (Vec::new(), Vec::new());
+    for edge in named {
+        match (present(old, edge), present(new, edge)) {
+            (true, false) => deleted.push(edge),
+            (false, true) => inserted.push(edge),
+            _ => {}
+        }
+    }
+    (
+        triangles_through(old, &deleted),
+        triangles_through(new, &inserted),
+    )
+}
+
+/// Counts the triangles of `graph` holding at least one of `edges` (sorted,
+/// `u < v`, all present), each once: at the smallest of its edges in the
+/// list.
+fn triangles_through(graph: &CsrGraph, edges: &[(VertexId, VertexId)]) -> u64 {
+    let mut common = Vec::new();
+    let mut total = 0u64;
+    for (i, &(u, v)) in edges.iter().enumerate() {
+        vertex_set::intersect_into(graph.neighbors(u), graph.neighbors(v), &mut common);
+        let earlier = &edges[..i];
+        let counted_before =
+            |a: VertexId, b: VertexId| earlier.binary_search(&(a.min(b), a.max(b))).is_ok();
+        total += common
+            .iter()
+            .filter(|&&w| !counted_before(u, w) && !counted_before(v, w))
+            .count() as u64;
+    }
+    total
 }
 
 #[cfg(test)]

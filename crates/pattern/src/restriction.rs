@@ -224,11 +224,14 @@ fn keeps_one_order_per_subgraph(
 /// Options controlling the restriction-set generator.
 #[derive(Debug, Clone, Copy)]
 pub struct GenerationOptions {
-    /// Stop after this many *distinct, validated* sets have been produced.
-    /// The paper's generator enumerates all of them; large symmetric
-    /// patterns (cliques) can produce a combinatorial number, so a generous
-    /// cap keeps preprocessing bounded without affecting the patterns used
-    /// in the evaluation.
+    /// Stop the recursion once it has *completed* this many distinct sets
+    /// (sets under which only the identity automorphism survives).
+    /// Validation runs afterwards and keeps only the sets that leave one
+    /// order per subgraph, so the result can be far smaller than the cap:
+    /// at the default 4096, P5 completes 4,096 sets and keeps 594, P6
+    /// completes 4,096 and keeps 16. The paper's generator enumerates
+    /// every set; large symmetric patterns (cliques) can complete a
+    /// combinatorial number, so the cap keeps preprocessing bounded.
     pub max_sets: usize,
     /// Skip the final `validate` call (used only by tests that validate
     /// separately).
@@ -244,8 +247,11 @@ impl Default for GenerationOptions {
     }
 }
 
-/// Runs Algorithm 1: generates every distinct restriction set (up to
-/// `options.max_sets`) that eliminates all automorphisms of the pattern.
+/// Runs Algorithm 1: generates the distinct restriction sets that eliminate
+/// all automorphisms of the pattern. The recursion stops after completing
+/// `options.max_sets` sets, in traversal order; the sets returned are the
+/// ones among those that pass validation, so a capped run returns fewer
+/// than `max_sets` whenever some completed set fails it.
 ///
 /// The result is never empty for a valid pattern: if the 2-cycle driven
 /// recursion fails to produce any set (possible only when the automorphism
