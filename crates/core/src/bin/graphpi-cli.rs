@@ -841,13 +841,12 @@ fn print_remote_stats(stats: &protocol::StatsOk) {
         );
     }
     println!(
-        "plan cache: {} hit(s) / {} miss(es), {} eviction(s), {}/{} plans, {} warm-started",
+        "plan cache: {} hit(s) / {} miss(es), {} eviction(s), {}/{} plans",
         stats.cache_hits,
         stats.cache_misses,
         stats.cache_evictions,
         stats.cache_len,
-        stats.cache_capacity,
-        stats.warm_started
+        stats.cache_capacity
     );
     if stats.latency.total() > 0 {
         let p50 = stats.latency.percentile_upper_bound_micros(0.50).unwrap();

@@ -10,12 +10,9 @@
 //! listener, prints one `listening on <addr>` line to stdout, and serves
 //! the wire protocol documented in `docs/protocol.md` until a client sends
 //! the `SHUTDOWN` opcode or the process receives SIGTERM/SIGINT. Both
-//! shutdown paths are graceful: in-flight queries finish and, with
-//! `--persist`, the plan cache's keys are written so the next start
-//! re-plans them (warm start) before the first query arrives. With
-//! `--snapshot-interval-ms`, the cache is additionally re-snapshotted in
-//! the background while serving, so even `kill -9` loses at most one
-//! interval of warmth.
+//! shutdown paths are graceful: new connections are refused, in-flight
+//! queries finish and their replies are delivered. The plan cache lives in
+//! memory only; a restarted server re-plans each pattern on its first query.
 //!
 //! With `--wal <path>` the graph is **mutable and durable**: the
 //! `UPDATE` opcode commits edge batches that are fsync'd to the
@@ -66,8 +63,6 @@ static SERVER: Spec = Spec {
         flag("--max-in-flight",          WORKERS, "0",            "jobs the pool runs at once (0 = automatic)"),
         flag("--max-connections",        WORKERS, "64",           "connections served at once; more are refused"),
         flag("--queue-depth",            USIZE, "0",              "queries that may wait for admission before shedding (0 = automatic)"),
-        flag("--persist",                PATH,  "",               "plan-cache snapshot: written on drain, re-planned on start"),
-        flag("--snapshot-interval-ms",   U64,   "0",              "also write --persist this often while serving (0 = off)"),
         flag("--wal",                    PATH,  "",               "write-ahead log: makes the graph mutable (UPDATE) and durable"),
         flag("--checkpoint-interval-ms", U64,   "0",              "fold the WAL into a checkpoint this often (needs --wal; 0 = off)"),
         flag("--replica-of",             ADDR,  "",               "start as a read replica of this primary (needs --wal)"),
@@ -84,8 +79,6 @@ struct ServerArgs {
     max_in_flight: usize,
     max_connections: usize,
     queue_depth: usize,
-    persist: Option<String>,
-    snapshot_interval_ms: u64,
     wal: Option<String>,
     checkpoint_interval_ms: u64,
     replica_of: Option<String>,
@@ -101,8 +94,6 @@ fn parse_args(args: &[String]) -> Result<ServerArgs, String> {
         max_in_flight: parsed.get("--max-in-flight"),
         max_connections: parsed.get("--max-connections"),
         queue_depth: parsed.get("--queue-depth"),
-        persist: parsed.opt("--persist"),
-        snapshot_interval_ms: parsed.get("--snapshot-interval-ms"),
         wal: parsed.opt("--wal"),
         checkpoint_interval_ms: parsed.get("--checkpoint-interval-ms"),
         replica_of: parsed.opt("--replica-of"),
@@ -127,7 +118,7 @@ fn parse_args(args: &[String]) -> Result<ServerArgs, String> {
 /// mmap loader). The handler itself only flips an atomic — the only
 /// async-signal-safe thing it may do — and a watcher thread polls the
 /// flag and triggers the normal graceful drain, so a plain `kill` gets
-/// the exact same final-snapshot path as the SHUTDOWN opcode.
+/// the exact same drain as the SHUTDOWN opcode.
 #[cfg(unix)]
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -224,9 +215,6 @@ fn run(args: ServerArgs) -> Result<(), String> {
         },
         max_connections: args.max_connections,
         max_queue_depth: args.queue_depth,
-        persist_path: args.persist.as_ref().map(std::path::PathBuf::from),
-        snapshot_interval: (args.snapshot_interval_ms > 0)
-            .then(|| Duration::from_millis(args.snapshot_interval_ms)),
         checkpoint_interval: (args.checkpoint_interval_ms > 0)
             .then(|| Duration::from_millis(args.checkpoint_interval_ms)),
         ..ServeOptions::default()
@@ -309,15 +297,8 @@ fn run(args: ServerArgs) -> Result<(), String> {
     };
     let _ = watcher.join();
     eprintln!(
-        "drained: {} connections, {} queries, {} updates; warm start {}/{} keys, \
-         {} plan keys persisted, {} background snapshots",
-        report.connections,
-        report.queries,
-        report.updates,
-        report.warm_start.warmed,
-        report.warm_start.applicable,
-        report.saved_plans,
-        report.snapshots_written
+        "drained: {} connections, {} queries, {} updates",
+        report.connections, report.queries, report.updates
     );
     Ok(())
 }
@@ -362,10 +343,6 @@ mod tests {
             "8",
             "--queue-depth",
             "5",
-            "--persist",
-            "plans.gppc",
-            "--snapshot-interval-ms",
-            "250",
             "--wal",
             "graph.wal",
             "--checkpoint-interval-ms",
@@ -381,8 +358,6 @@ mod tests {
         assert_eq!(args.max_in_flight, 2);
         assert_eq!(args.max_connections, 8);
         assert_eq!(args.queue_depth, 5);
-        assert_eq!(args.persist.as_deref(), Some("plans.gppc"));
-        assert_eq!(args.snapshot_interval_ms, 250);
         assert_eq!(args.wal.as_deref(), Some("graph.wal"));
         assert_eq!(args.checkpoint_interval_ms, 400);
         assert_eq!(args.replica_of.as_deref(), Some("127.0.0.1:7431"));
@@ -395,8 +370,6 @@ mod tests {
         assert_eq!(args.threads, 0);
         assert_eq!(args.cache_capacity, 64);
         assert_eq!(args.queue_depth, 0);
-        assert_eq!(args.snapshot_interval_ms, 0);
-        assert!(args.persist.is_none());
         assert!(args.wal.is_none());
         assert_eq!(args.checkpoint_interval_ms, 0);
         assert!(args.replica_of.is_none());
@@ -428,7 +401,6 @@ mod tests {
         assert!(parse_args(&strings(&["--graph", "g", "--wal"])).is_err());
         assert!(parse_args(&strings(&["--graph", "g", "--threads", "x"])).is_err());
         assert!(parse_args(&strings(&["--bogus"])).is_err());
-        assert!(parse_args(&strings(&["--graph", "g", "--snapshot-interval-ms", "x"])).is_err());
     }
 
     #[test]
@@ -448,8 +420,6 @@ mod tests {
             ("--max-in-flight", "0"),
             ("--max-connections", "64"),
             ("--queue-depth", "0"),
-            ("--persist", ""),
-            ("--snapshot-interval-ms", "0"),
             ("--wal", ""),
             ("--checkpoint-interval-ms", "0"),
             ("--replica-of", ""),

@@ -81,18 +81,10 @@ pub struct ServeOptions {
     /// (anti-slowloris), while a peer idle *between* frames just keeps
     /// the connection open.
     pub read_timeout: std::time::Duration,
-    /// Where to persist the plan cache's keys at shutdown and warm-start
-    /// from at boot (`None` = no persistence). See `crate::persist`.
-    pub persist_path: Option<std::path::PathBuf>,
     /// Admission wait-queue bound: queries beyond it are shed with a
     /// typed `RetryLater` + retry-after hint instead of queueing
     /// unboundedly (0 = auto: `max(16, 4 × max_in_flight)`).
     pub max_queue_depth: usize,
-    /// Re-snapshot the plan cache to `persist_path` this often while
-    /// serving, so a hard crash (`kill -9`) loses at most one interval
-    /// of cache warmth (`None` = only the shutdown snapshot). Ignored
-    /// without a `persist_path`.
-    pub snapshot_interval: Option<std::time::Duration>,
     /// Checkpoint the WAL and compact the delta overlay this often on a
     /// dedicated maintenance thread, keeping both off the committing
     /// thread (`None` = only the size-triggered inline checkpoint).
@@ -106,9 +98,7 @@ impl Default for ServeOptions {
             pool: PoolOptions::default(),
             max_connections: 64,
             read_timeout: std::time::Duration::from_millis(50),
-            persist_path: None,
             max_queue_depth: 0,
-            snapshot_interval: None,
             checkpoint_interval: None,
         }
     }

@@ -451,25 +451,6 @@ impl PlanKey {
     }
 }
 
-/// A plan-cache key in portable, process-independent form: what
-/// [`crate::persist`] writes to disk on server shutdown so a restarted
-/// process can re-plan (and therefore re-cache) the same working set.
-///
-/// Only the *key* is persisted — compiled plans are cheap to regenerate
-/// relative to serving them stale, so warm start replans from keys (full
-/// plan serialization is deliberately deferred; see `ROADMAP.md`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SavedPlanKey {
-    /// The labeled pattern, as [`Pattern::canonical_bytes`].
-    pub pattern: Vec<u8>,
-    /// The planning cap [`PlanOptions::max_restriction_sets`] in effect.
-    pub max_restriction_sets: usize,
-    /// The planning cap [`PlanOptions::max_schedules`] in effect.
-    pub max_schedules: usize,
-    /// The [`GraphStats::fingerprint`] of the graph the plan was ranked on.
-    pub graph_fingerprint: u64,
-}
-
 /// Outcome of [`Session::count_approx`]: a Horvitz–Thompson estimate of
 /// the embedding count from a uniform sample of search-prefix subtrees.
 ///
@@ -566,17 +547,6 @@ impl Outcome {
     fn is_not(&self, wanted: &str) -> ! {
         panic!("query outcome is not {wanted}: {self:?}")
     }
-}
-
-/// Outcome of `Session::warm_start`: how many persisted keys applied to
-/// this session's graph and planning options, and how many were actually
-/// re-planned into the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WarmStartReport {
-    /// Keys whose graph fingerprint and planning caps match this session.
-    pub applicable: usize,
-    /// Applicable keys successfully decoded, re-planned and cached.
-    pub warmed: usize,
 }
 
 /// A snapshot of [`PlanCache`] counters.
@@ -704,33 +674,6 @@ impl PlanCache {
             capacity: self.capacity,
         }
     }
-
-    /// Snapshots every cached key in portable form (most recently used
-    /// first), for persistence across processes — see [`crate::persist`].
-    ///
-    /// Only IEP-enabled (count-path) keys are snapshotted: the persisted
-    /// format predates [`PlanOptions::enable_iep`] and mode plans are cheap
-    /// derivatives that warm themselves on the first enumeration/orbit/
-    /// sample query, so persisting them is not worth a format change.
-    pub(crate) fn saved_keys(&self) -> Vec<SavedPlanKey> {
-        let inner = self.inner.lock().expect("plan cache poisoned");
-        let mut entries: Vec<(&PlanKey, u64)> = inner
-            .map
-            .iter()
-            .filter(|(k, _)| k.enable_iep)
-            .map(|(k, e)| (k, e.last_used))
-            .collect();
-        entries.sort_by_key(|&(_, last_used)| std::cmp::Reverse(last_used));
-        entries
-            .into_iter()
-            .map(|(k, _)| SavedPlanKey {
-                pattern: k.pattern.clone(),
-                max_restriction_sets: k.max_restriction_sets,
-                max_schedules: k.max_schedules,
-                graph_fingerprint: k.graph_fingerprint,
-            })
-            .collect()
-    }
 }
 
 /// A long-lived query session: the warm serving path.
@@ -793,33 +736,6 @@ impl<'g> Session<'g> {
         let key = PlanKey::new(pattern, &self.plan_options, &self.engine.stats);
         self.cache
             .get_or_plan(key, || self.engine.plan(pattern, self.plan_options))
-    }
-
-    /// Re-plans a persisted working set into this session's cache (the
-    /// warm-start half of [`PlanCache::saved_keys`]): every key whose graph
-    /// fingerprint and planning caps match this session is decoded and
-    /// planned through [`Session::plan_cached`], so the first client query
-    /// for each of those patterns is a cache **hit** instead of paying
-    /// planning latency. Keys for other graphs or other caps are skipped
-    /// (counted as inapplicable), as are keys whose pattern bytes fail to
-    /// decode or plan — corrupt persistence must never poison a session.
-    pub(crate) fn warm_start(&self, keys: &[SavedPlanKey]) -> WarmStartReport {
-        let mut report = WarmStartReport::default();
-        for key in keys {
-            if key.graph_fingerprint != self.engine.stats.fingerprint()
-                || key.max_restriction_sets != self.plan_options.max_restriction_sets
-                || key.max_schedules != self.plan_options.max_schedules
-            {
-                continue;
-            }
-            report.applicable += 1;
-            if let Some(pattern) = Pattern::from_canonical_bytes(&key.pattern) {
-                if self.plan_cached(&pattern).is_ok() {
-                    report.warmed += 1;
-                }
-            }
-        }
-        report
     }
 
     /// Runs one query of any [`Mode`] on the warm path — cached plan, and
@@ -1473,8 +1389,6 @@ mod tests {
         let stats = session.cache_stats();
         assert_eq!(stats.len, 2);
         assert!(stats.hits >= 2);
-        // Persistence only snapshots count-path keys.
-        assert_eq!(session.cache.saved_keys().len(), 1);
     }
 
     #[test]

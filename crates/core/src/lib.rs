@@ -69,7 +69,6 @@ pub mod error;
 pub mod exec;
 pub mod net;
 pub mod perf_model;
-mod persist;
 pub mod schedule;
 
 pub use config::PoolOptions;

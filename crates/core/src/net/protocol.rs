@@ -1444,14 +1444,13 @@ pub struct StatsOk {
     pub cache_len: u32,
     /// Plan-cache capacity.
     pub cache_capacity: u32,
-    /// Plans re-planned into the cache by warm start at boot.
+    /// Reserved, always 0; kept so the 380-byte layout is unchanged.
     pub warm_started: u32,
     /// Connections accepted since boot.
     pub connections_total: u64,
     /// Count queries that entered execution (admitted; includes rejected
     /// patterns and late completions, excludes queries cancelled while
-    /// queued). With a cold boot, `cache_hits + cache_misses ==
-    /// queries_total + warm_started`.
+    /// queued). `cache_hits + cache_misses == queries_total`.
     pub queries_total: u64,
     /// Queries whose deadline expired (while queued or before reply).
     pub deadline_exceeded: u64,

@@ -29,17 +29,13 @@
 //! Graceful shutdown (the `SHUTDOWN` opcode or [`ServerHandle::shutdown`])
 //! flips the draining flag: the accept loop stops and **closes the
 //! listener** (new connects are refused at the OS level), in-flight queries
-//! run to completion and their replies are delivered, idle connections are
-//! told [`ErrorCode::ShuttingDown`] and closed, and — when a persistence
-//! path is configured — the plan cache's keys are saved for the next
-//! process's warm start (`crate::persist`).
+//! run to completion and their replies are delivered, and idle connections
+//! are told [`ErrorCode::ShuttingDown`] and closed. The plan cache is not
+//! saved: a restarted server re-plans each pattern on its first query.
 
 use crate::config::{PoolOptions, ServeOptions};
 use crate::dynamic::DynamicEngine;
-use crate::engine::{
-    CountOptions, GraphPi, Mode, Outcome, PlanCache, PlanOptions, SavedPlanKey, Session,
-    WarmStartReport,
-};
+use crate::engine::{CountOptions, GraphPi, Mode, Outcome, PlanCache, PlanOptions, Session};
 use crate::exec::pool::WorkerPool;
 use crate::net::protocol::{
     max_embeddings_per_page, op, CountExt, CountOk, CountRequest, EnumPage, EnumerateRequest,
@@ -48,7 +44,6 @@ use crate::net::protocol::{
     TcpTransport, Transport, UpdateOk, UpdateRequest, WireError, HISTOGRAM_BUCKETS,
     REPL_CHUNK_BYTES,
 };
-use crate::persist;
 use graphpi_graph::delta::{DeltaError, EdgeBatch};
 use graphpi_graph::wal::{DurableError, ShipPoint, WalReader};
 use graphpi_pattern::Pattern;
@@ -65,9 +60,9 @@ use std::time::{Duration, Instant};
 /// How long the accept loop naps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
-/// How often the snapshot thread wakes to check the drain flag (the
-/// snapshot interval itself is user-configured and usually much longer).
-const SNAPSHOT_POLL: Duration = Duration::from_millis(20);
+/// How often the maintenance thread wakes to check the drain flag (the
+/// checkpoint interval itself is user-configured and usually much longer).
+const MAINTENANCE_POLL: Duration = Duration::from_millis(20);
 
 /// Completed COUNT requests remembered per server for idempotent
 /// retries. Bounded FIFO; old entries fall out once a retry can no
@@ -105,7 +100,6 @@ struct Metrics {
     deadline_exceeded: AtomicU64,
     protocol_errors: AtomicU64,
     overload_rejections: AtomicU64,
-    warm_started: AtomicUsize,
     latency: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
@@ -548,12 +542,6 @@ impl ServeBackend<'_> {
     fn generation(&self) -> u64 {
         self.dynamic().map_or(0, DynamicEngine::generation)
     }
-
-    /// Warm-starts the plan cache against the engine serving right now
-    /// (for a dynamic backend: the recovered generation).
-    fn warm_start(&self, keys: &[SavedPlanKey]) -> WarmStartReport {
-        self.with_session(|session| session.warm_start(keys))
-    }
 }
 
 /// Remote control for a running [`Server`]: clonable, valid across
@@ -573,7 +561,7 @@ impl ServerHandle {
     }
 
     /// Requests a graceful drain: stop accepting, finish in-flight
-    /// queries, persist the plan cache, return from `serve`.
+    /// queries, return from `serve`.
     pub fn shutdown(&self) {
         self.draining.store(true, Ordering::Release);
     }
@@ -593,14 +581,6 @@ pub struct ServerReport {
     pub queries: u64,
     /// Update batches that committed (always zero for a static server).
     pub updates: u64,
-    /// The warm-start outcome at boot (zero when no persistence path or no
-    /// snapshot existed).
-    pub warm_start: WarmStartReport,
-    /// Plan-cache keys persisted at shutdown (zero without a path).
-    pub saved_plans: usize,
-    /// Periodic background snapshots written while serving (zero without
-    /// a path or a snapshot interval).
-    pub snapshots_written: u64,
 }
 
 /// A bound-but-not-yet-serving GraphPi TCP server. Construction binds the
@@ -735,18 +715,6 @@ impl Server {
             metrics,
         } = self;
 
-        // Warm start: re-plan the previous process's working set so its
-        // patterns are cache hits from the first query. A missing snapshot
-        // is a cold start; a corrupt one is ignored (it must never prevent
-        // serving) and will be overwritten at shutdown.
-        let mut warm = WarmStartReport::default();
-        if let Some(path) = &options.persist_path {
-            if let Some(snapshot) = persist::try_load_plan_cache(path) {
-                warm = backend.warm_start(&snapshot.keys);
-                metrics.warm_started.store(warm.warmed, Ordering::Relaxed);
-            }
-        }
-
         // The wait queue is bounded: beyond it, queries are shed with
         // RETRY_LATER instead of queueing without limit. 0 = auto-size.
         let max_waiting = if options.max_queue_depth > 0 {
@@ -756,7 +724,6 @@ impl Server {
         };
         let admission = Admission::new(pool.max_in_flight(), max_waiting);
         let ledger = RequestLedger::new(LEDGER_CAPACITY);
-        let snapshots_written = AtomicU64::new(0);
         let ctx = ServeCtx {
             backend: &backend,
             pool: &pool,
@@ -768,27 +735,6 @@ impl Server {
             repl: &repl,
         };
         std::thread::scope(|scope| {
-            // Crash safety: a background thread re-snapshots the plan
-            // cache every `snapshot_interval`, so a `kill -9` loses at
-            // most one interval of cache warmth, not the whole set.
-            if let (Some(path), Some(interval)) = (&options.persist_path, options.snapshot_interval)
-            {
-                let cache = &cache;
-                let draining = &draining;
-                let snapshots_written = &snapshots_written;
-                scope.spawn(move || {
-                    let mut last = Instant::now();
-                    while !draining.load(Ordering::Acquire) {
-                        std::thread::sleep(SNAPSHOT_POLL);
-                        if last.elapsed() >= interval {
-                            if persist::save_plan_cache(cache, path).is_ok() {
-                                snapshots_written.fetch_add(1, Ordering::Relaxed);
-                            }
-                            last = Instant::now();
-                        }
-                    }
-                });
-            }
             // Background maintenance: WAL checkpointing and overlay
             // compaction run here, off the committing thread, so a large
             // checkpoint stalls neither commits (the commit lock is held
@@ -799,7 +745,7 @@ impl Server {
                 scope.spawn(move || {
                     let mut last = Instant::now();
                     while !draining.load(Ordering::Acquire) {
-                        std::thread::sleep(SNAPSHOT_POLL);
+                        std::thread::sleep(MAINTENANCE_POLL);
                         if last.elapsed() >= interval {
                             if engine.is_durable() {
                                 let _ = engine.checkpoint();
@@ -851,17 +797,10 @@ impl Server {
             // Scope exit waits for every handler: that wait IS the drain.
         });
 
-        let saved_plans = match &options.persist_path {
-            Some(path) => persist::save_plan_cache(&cache, path).unwrap_or(0),
-            None => 0,
-        };
         Ok(ServerReport {
             connections: metrics.connections_total.load(Ordering::Relaxed),
             queries: metrics.queries_total.load(Ordering::Relaxed),
             updates: metrics.updates_total.load(Ordering::Relaxed),
-            warm_start: warm,
-            saved_plans,
-            snapshots_written: snapshots_written.load(Ordering::Relaxed),
         })
     }
 }
@@ -1131,7 +1070,7 @@ impl ServeCtx<'_> {
             queued: self.admission.waiting() as u32,
             cache_len: cache.len as u32,
             cache_capacity: cache.capacity as u32,
-            warm_started: metrics.warm_started.load(Ordering::Relaxed) as u32,
+            warm_started: 0,
             connections_total: metrics.connections_total.load(Ordering::Relaxed),
             queries_total: metrics.queries_total.load(Ordering::Relaxed),
             deadline_exceeded: metrics.deadline_exceeded.load(Ordering::Relaxed),

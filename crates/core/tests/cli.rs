@@ -152,6 +152,24 @@ fn rejects_unknown_flags_and_patterns() {
     );
 }
 
+/// The server keeps its plan cache in memory only; the flags that once
+/// named a snapshot file are refused like any other unknown flag.
+#[test]
+fn the_server_refuses_the_plan_cache_persistence_flags() {
+    for flag in [["--persist", "p"], ["--snapshot-interval-ms", "5"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_graphpi-server"))
+            .args([["--graph", "g"], flag].concat())
+            .output()
+            .expect("spawn graphpi-server");
+        assert!(!output.status.success(), "{flag:?} was accepted");
+        let stderr = stderr_of(&output);
+        assert!(
+            stderr.starts_with(&format!("unknown flag {}\n", flag[0])),
+            "{flag:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn rejects_missing_graph_file_with_typed_error() {
     assert_rejected(

@@ -72,10 +72,10 @@ fn fnv_mix(hash: u64, unit: u64) -> u64 {
     (hash ^ unit).wrapping_mul(FNV_PRIME)
 }
 
-/// 64-bit FNV-1a over raw bytes: the checksum of WAL records, plan-cache
-/// snapshots (`GPPC0001`) and the statistics fingerprint. The `GRPHPI02`
-/// payload uses the word-wise form, one step per 8 bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over raw bytes: the checksum of WAL records and the
+/// statistics fingerprint. The `GRPHPI02` payload uses the word-wise form,
+/// one step per 8 bytes.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(FNV_OFFSET, |hash, &byte| fnv_mix(hash, byte as u64))

@@ -37,8 +37,8 @@
 //! [`vertex_set::intersect_count`], [`vertex_set::subtract_into`]); wrap it
 //! in a [`HubGraph`] for hub acceleration; summarise it with
 //! [`GraphStats::compute`]; mutate it through [`delta::DynamicGraph`] or,
-//! durably, [`wal::DurableGraph`]. [`io::fnv1a`] is the one byte-wise
-//! FNV-1a every on-disk checksum uses.
+//! durably, [`wal::DurableGraph`]. One crate-private byte-wise FNV-1a
+//! (`io::fnv1a`) checksums the WAL and fingerprints [`GraphStats`].
 
 pub mod builder;
 pub mod csr;

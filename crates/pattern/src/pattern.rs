@@ -235,8 +235,8 @@ impl Pattern {
     /// must match the declared vertex count exactly, the matrix must be
     /// symmetric with a zero diagonal, and the padding bits of the final
     /// byte must be zero. Returns `None` for any malformed input — this is
-    /// the decoder used at trust boundaries (the wire protocol, persisted
-    /// plan-cache keys), so it must never panic.
+    /// the decoder used at the wire protocol's trust boundary, so it must
+    /// never panic.
     pub fn from_canonical_bytes(bytes: &[u8]) -> Option<Pattern> {
         let (&n_byte, packed) = bytes.split_first()?;
         let n = n_byte as usize;

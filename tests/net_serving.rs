@@ -1,11 +1,10 @@
 //! Network serving end-to-end: multi-client counts over real sockets must
 //! be bit-identical to in-process execution, server stats must reconcile
-//! (hits + misses == queries + warm-started), deadlines must produce typed
-//! `DeadlineExceeded` errors without disturbing other clients, graceful
-//! shutdown must drain in-flight queries and reject new connections, and a
-//! restarted server must warm-start its plan cache from disk.
+//! (hits + misses == queries), deadlines must produce typed
+//! `DeadlineExceeded` errors without disturbing other clients, and graceful
+//! shutdown must drain in-flight queries and reject new connections.
 
-use graphpi::core::config::{PoolOptions, ServeOptions};
+use graphpi::core::config::ServeOptions;
 use graphpi::core::engine::{GraphPi, PlanCache};
 use graphpi::core::exec::pool::WorkerPool;
 use graphpi::core::net::client::is_deadline_exceeded;
@@ -120,7 +119,6 @@ fn multi_client_counts_match_in_process_execution_and_stats_reconcile() {
         serving.join().unwrap()
     });
     assert_eq!(report.queries, (CLIENTS * REPEAT * patterns.len()) as u64);
-    assert_eq!(report.warm_start.applicable, 0);
 }
 
 #[test]
@@ -268,77 +266,6 @@ fn graceful_shutdown_drains_in_flight_queries_and_rejects_new_connections() {
     // The listener is gone: new connections are refused at the OS level.
     let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
     assert!(refused.is_err(), "a drained server accepted a connection");
-}
-
-#[test]
-fn warm_start_restores_the_working_set_across_restarts() {
-    let dir = std::env::temp_dir().join(format!("graphpi_net_warm_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("plans.gppc");
-    std::fs::remove_file(&path).ok();
-
-    let engine = GraphPi::new(generators::power_law(150, 5, 73));
-    let options = || ServeOptions {
-        pool: PoolOptions {
-            threads: 2,
-            ..PoolOptions::default()
-        },
-        persist_path: Some(path.clone()),
-        ..ServeOptions::default()
-    };
-
-    // First lifetime: two patterns enter the cache, shutdown persists them.
-    let (first_house, first_report) = {
-        let server = Server::bind("127.0.0.1:0", options()).unwrap();
-        let handle = server.handle().unwrap();
-        let addr = handle.addr();
-        std::thread::scope(|scope| {
-            let _drain = DrainOnDrop(handle.clone());
-            let serving = scope.spawn(|| server.serve(&engine).unwrap());
-            let mut client = Client::connect(addr).unwrap();
-            let house = client.count(&prefab::house()).unwrap().count;
-            client.count(&prefab::triangle()).unwrap();
-            client.shutdown_server().unwrap();
-            (house, serving.join().unwrap())
-        })
-    };
-    assert_eq!(first_report.saved_plans, 2);
-    assert_eq!(first_report.warm_start.applicable, 0);
-
-    // Second lifetime: the snapshot is re-planned at boot, so the first
-    // client query is already a cache hit — and the counts are identical.
-    let second_report = {
-        let server = Server::bind("127.0.0.1:0", options()).unwrap();
-        let handle = server.handle().unwrap();
-        let addr = handle.addr();
-        std::thread::scope(|scope| {
-            let _drain = DrainOnDrop(handle.clone());
-            let serving = scope.spawn(|| server.serve(&engine).unwrap());
-            let mut client = Client::connect(addr).unwrap();
-            let stats = client.stats().unwrap();
-            assert_eq!(stats.warm_started, 2);
-            assert_eq!(stats.cache_len, 2);
-
-            assert_eq!(client.count(&prefab::house()).unwrap().count, first_house);
-            let stats = client.stats().unwrap();
-            assert_eq!(
-                stats.cache_hits, 1,
-                "warm start must make the first query a hit"
-            );
-            // Warm-start reconciliation: the two boot-time plans are the
-            // only misses.
-            assert_eq!(
-                stats.cache_hits + stats.cache_misses,
-                stats.queries_total + u64::from(stats.warm_started)
-            );
-            client.shutdown_server().unwrap();
-            serving.join().unwrap()
-        })
-    };
-    assert_eq!(second_report.warm_start.applicable, 2);
-    assert_eq!(second_report.warm_start.warmed, 2);
-    assert_eq!(second_report.saved_plans, 2);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
