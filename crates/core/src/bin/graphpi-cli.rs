@@ -196,7 +196,7 @@ mod shared_rows {
     pub const FORMAT_ROW: Flag  = flag("--format",      FORMAT, "auto",        "how to read --graph (auto sniffs the magic bytes; binary opens via mmap)");
     pub const PATTERN: Flag     = flag("--pattern",     Kind::Str("<name>"), "", "triangle|rectangle|house|cycle6tri|p1..p6|cliqueK|cycleK|pathK|starK|adj:<row-major 0/1 matrix>");
     pub const NO_IEP: Flag      = flag("--no-iep",      Switch, "",            "count without the inclusion-exclusion suffix");
-    pub const HUBS: Flag        = flag("--hubs",        Switch, "",            "use the hub-bitset layout (same counts)");
+    pub const HUBS: Flag        = flag("--hubs",        Switch, "",            "intersect through hub bitset rows (same results)");
     pub const REPEAT: Flag      = flag("--repeat",      AT_LEAST_ONE, "1",     "run the query N times");
     pub const CLIENTS: Flag     = flag("--clients",     WORKERS_AT_LEAST_ONE, "1", "concurrent clients, each running --repeat queries; all counts must agree");
     pub const MODE: Flag        = flag("--mode",        Kind::OneOf("mode", &MODE_NAMES), "count", "exact count, per-vertex orbit counts, seeded sample estimate, or the embeddings");

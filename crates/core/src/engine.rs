@@ -73,10 +73,11 @@ pub struct CountOptions {
     pub threads: usize,
     /// Outer-loop prefix depth for parallel tasks (None = heuristic).
     pub prefix_depth: Option<usize>,
-    /// Execute against the hub-accelerated layout (degree-descending
-    /// relabeling + bitset rows for the high-degree core). The index is
-    /// built lazily once per engine and cached; counts are bit-identical
-    /// with this on or off.
+    /// Intersect against bitset rows for the high-degree core
+    /// ([`GraphPi::hub_index`]) wherever a set op involves a hub. The index
+    /// is built lazily once per engine and cached; it changes the kernel,
+    /// not the result, so every mode returns bit-identical results with
+    /// this on or off.
     pub hub_bitsets: bool,
     /// Pin the sorted-set intersection kernels to the portable scalar
     /// reference instead of the runtime-detected SIMD family. Kernel
@@ -235,12 +236,22 @@ impl GraphPi {
         &self.stats
     }
 
-    /// The hub-acceleration index (degree-descending relabeled graph +
-    /// bitset rows for the high-degree core), built on first use and cached
-    /// for the lifetime of the engine.
+    /// The hub-acceleration index (bitset rows for the high-degree core,
+    /// indexed by this engine's own vertex ids), built on first use and
+    /// cached for the lifetime of the engine.
     pub fn hub_index(&self) -> &HubGraph {
         self.hub
             .get_or_init(|| Arc::new(HubGraph::build(&self.graph, HubOptions::default())))
+    }
+
+    /// The execution context of one call: this engine's graph, with its hub
+    /// index when `hub_bitsets` asks for it.
+    fn ctx(&self, hub_bitsets: bool) -> ExecCtx<'_> {
+        if hub_bitsets {
+            ExecCtx::from((self.graph(), self.hub_index()))
+        } else {
+            ExecCtx::from(self.graph())
+        }
     }
 
     fn check_pattern(&self, pattern: &Pattern) -> Result<(), EngineError> {
@@ -348,11 +359,7 @@ impl GraphPi {
         // setting becomes the process setting (the `GRAPHPI_FORCE_SCALAR`
         // environment pin is folded into detection and stays sticky).
         graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);
-        let ctx = if options.hub_bitsets {
-            ExecCtx::from(self.hub_index())
-        } else {
-            ExecCtx::from(self.graph())
-        };
+        let ctx = self.ctx(options.hub_bitsets);
         match (options.use_iep, parallel::resolve_threads(options.threads)) {
             (false, 1) => interp::count_embeddings(plan, ctx),
             (true, 1) => iep::count_embeddings_iep(plan, ctx),
@@ -798,8 +805,7 @@ impl<'g> Session<'g> {
         // Same contract as `GraphPi::execute_count`: the per-call knob is
         // authoritative for the process-global kernel dispatch.
         graphpi_graph::vertex_set::set_force_scalar(options.scalar_kernels);
-        let hubs = options.hub_bitsets.then(|| self.engine.hub_index());
-        let ctx = hubs.map_or_else(|| ExecCtx::from(self.engine.graph()), ExecCtx::from);
+        let ctx = self.engine.ctx(options.hub_bitsets);
         let executor_options = options.parallel_options();
         let job = match mode {
             Mode::Count => Job::count(plan, executor_options.mode),
@@ -818,30 +824,14 @@ impl<'g> Session<'g> {
             },
             Placement::Pool => self.pool.run_job(plan, ctx, &executor_options, &job),
         };
-        // The hub layout relabels vertices degree-descending; results go
-        // back to the caller in original ids.
-        let original = |v: VertexId| hubs.map_or(v, |h| h.original_id(v));
         match job {
             Job::Count { .. } => Outcome::Count(count),
             Job::Enumerate { out, .. } => {
                 let flat = out.into_inner().expect("enumeration sink poisoned");
-                let n = plan.num_loops();
-                let mut embeddings = Vec::with_capacity(flat.len() / n.max(1));
-                for chunk in flat.chunks_exact(n) {
-                    let mut by_pattern_vertex = vec![0 as VertexId; n];
-                    for (i, &v) in chunk.iter().enumerate() {
-                        by_pattern_vertex[plan.loops[i].pattern_vertex] = original(v);
-                    }
-                    embeddings.push(by_pattern_vertex);
-                }
-                Outcome::Embeddings(embeddings)
+                Outcome::Embeddings(interp::by_pattern_vertex(plan, &flat))
             }
             Job::Orbit { counts } => {
-                let mut result = vec![0u64; counts.len()];
-                for (v, count) in counts.into_iter().enumerate() {
-                    result[original(v as VertexId) as usize] = count.into_inner();
-                }
-                Outcome::PerVertex(result)
+                Outcome::PerVertex(counts.into_iter().map(AtomicU64::into_inner).collect())
             }
             Job::Sample { rate, accum, .. } => {
                 let accum = accum.into_inner().expect("sample accumulator poisoned");
@@ -898,7 +888,7 @@ impl<'g> Session<'g> {
 
     /// Enumerates embeddings of `pattern`, returning at most `limit` of
     /// them (one `Vec` per embedding, indexed by pattern vertex, in
-    /// original data-graph ids).
+    /// data-graph ids).
     ///
     /// The `limit` is a hard budget enforced while matching — once `limit`
     /// embeddings are recorded the search stops claiming more, so
@@ -911,11 +901,9 @@ impl<'g> Session<'g> {
     /// the budget). The full set is returned whenever the true count is
     /// within the limit.
     ///
-    /// Under [`CountOptions::hub_bitsets`] the returned tuples may pick a
-    /// different automorphic representative per subgraph occurrence than
-    /// the plain layout (symmetry-breaking restrictions compare ids, and
-    /// the hub layout relabels them); the set of occurrences and the count
-    /// are identical either way.
+    /// Which automorphic representative a tuple is depends on the plan's
+    /// restrictions alone: [`CountOptions::hub_bitsets`] changes no row and
+    /// no row's position.
     pub fn enumerate(
         &self,
         pattern: &Pattern,
@@ -926,7 +914,7 @@ impl<'g> Session<'g> {
     }
 
     /// Counts, for every data vertex, the embeddings of `pattern` it
-    /// participates in (its *orbit count*), indexed by original vertex id.
+    /// participates in (its *orbit count*), indexed by vertex id.
     ///
     /// Each embedding contributes 1 to each of its `pattern.num_vertices()`
     /// member vertices, so the returned counts sum to
@@ -1394,6 +1382,7 @@ mod tests {
     #[test]
     fn modes_agree_under_hub_layout() {
         let engine = engine();
+        assert!(engine.hub_index().hub_count() > 0);
         let pattern = prefab::house();
         let (pool, plan_opts, _) = small_session_options();
         let plain = engine.session_with(pool, plan_opts, CountOptions::default());
@@ -1405,47 +1394,22 @@ mod tests {
                 ..CountOptions::default()
             },
         );
-        // Restrictions compare ids, and the hub layout relabels them, so
-        // hub enumeration may pick a different automorphic representative
-        // per subgraph occurrence. The occurrences themselves (vertex
-        // sets) must agree exactly, and every hub tuple must be a valid
-        // embedding in original ids.
-        let plain_embs = plain.enumerate(&pattern, u64::MAX).unwrap();
-        let hub_embs = hub.enumerate(&pattern, u64::MAX).unwrap();
-        assert_eq!(hub_embs.len(), plain_embs.len());
-        let occurrences = |embs: &[Vec<VertexId>]| {
-            let mut sets: Vec<Vec<VertexId>> = embs
-                .iter()
-                .map(|e| {
-                    let mut s = e.clone();
-                    s.sort_unstable();
-                    s
-                })
-                .collect();
-            sets.sort();
-            sets
+        // Hub rows index the engine's own ids: only the kernels differ, so
+        // the rows are identical (sorted, since the pool appends them in
+        // completion order) and so are the orbit counts.
+        let sorted = |mut embs: Vec<Vec<VertexId>>| {
+            embs.sort_unstable();
+            embs
         };
+        let plain_embs = sorted(plain.enumerate(&pattern, u64::MAX).unwrap());
+        assert!(!plain_embs.is_empty());
         assert_eq!(
-            occurrences(&hub_embs),
-            occurrences(&plain_embs),
-            "hub relabeling must be invisible to the matched occurrences"
+            sorted(hub.enumerate(&pattern, u64::MAX).unwrap()),
+            plain_embs
         );
-        for emb in &hub_embs {
-            for a in 0..pattern.num_vertices() {
-                for b in (a + 1)..pattern.num_vertices() {
-                    if pattern.has_edge(a, b) {
-                        assert!(
-                            engine.graph().has_edge(emb[a], emb[b]),
-                            "hub-enumerated tuple is not a valid embedding"
-                        );
-                    }
-                }
-            }
-        }
         assert_eq!(
             plain.count_per_vertex(&pattern).unwrap(),
             hub.count_per_vertex(&pattern).unwrap(),
-            "hub relabeling must be invisible to orbit counts"
         );
     }
 }

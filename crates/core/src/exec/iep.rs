@@ -290,7 +290,7 @@ mod tests {
         for pattern in [prefab::house(), prefab::p2(), prefab::cycle_6_tri()] {
             let plan = best_effort_plan(pattern);
             assert_eq!(
-                count_embeddings_iep(&plan, &hubs),
+                count_embeddings_iep(&plan, (&g, &hubs)),
                 count_embeddings_iep(&plan, &g)
             );
         }

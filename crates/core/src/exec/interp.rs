@@ -26,25 +26,22 @@
 //! renders the same program as source text.
 //!
 //! The matching kernel is **allocation-free** in steady state: slots, the
-//! bitset scratch of hub × hub intersections, the bound-vertex stack and the
-//! page an enumeration task records into all live in the caller's
-//! `SearchBuffers`, one per worker.
+//! bound-vertex stack and the page an enumeration task records into all
+//! live in the caller's `SearchBuffers`, one per worker.
 
 use crate::config::{ExecutionPlan, LoopBound};
 use crate::exec::setprog::{Operand, SetProgram};
 use crate::exec::sink::{CountSink, EmbedSink, MatchSink};
 use graphpi_graph::csr::{CsrGraph, VertexId};
-use graphpi_graph::hub::HubGraph;
+use graphpi_graph::hub::{self, HubGraph};
 use graphpi_graph::vertex_set;
 
-/// The data a plan executes against: a CSR graph, optionally wrapped with
-/// the hub-acceleration structure (degree-descending relabeling + bitset
-/// rows for the high-degree core).
+/// The data a plan executes against: a CSR graph, optionally with a hub
+/// index of bitset rows over that same graph's vertex ids.
 ///
-/// When hubs are present, `graph` **is** the relabeled graph
-/// ([`HubGraph::graph`]); embedding counts are invariant under the
-/// relabeling, so every counting entry point returns identical results with
-/// hubs on or off.
+/// The index only changes which kernel intersects two sets, never a set, so
+/// every result — counts, orbit vectors, sample estimates, enumeration rows
+/// and their order — is bit-identical with it or without it.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecCtx<'a> {
     graph: &'a CsrGraph,
@@ -58,37 +55,53 @@ impl<'a> From<&'a CsrGraph> for ExecCtx<'a> {
     }
 }
 
-/// Hub-accelerated execution over the relabeled graph.
-impl<'a> From<&'a HubGraph> for ExecCtx<'a> {
-    fn from(hubs: &'a HubGraph) -> Self {
+/// Hub-accelerated execution: a graph paired with the hub index built over
+/// it.
+///
+/// # Panics
+/// Panics if the index was built over a graph of another size (`|V|` or
+/// `|E|`): its rows would answer for the wrong vertices.
+impl<'a> From<(&'a CsrGraph, &'a HubGraph)> for ExecCtx<'a> {
+    fn from((graph, hubs): (&'a CsrGraph, &'a HubGraph)) -> Self {
+        assert!(
+            hubs.indexes(graph),
+            "hub index {hubs:?} paired with a graph it was not built over"
+        );
         Self {
-            graph: hubs.graph(),
+            graph,
             hubs: Some(hubs),
         }
     }
 }
 
 impl<'a> ExecCtx<'a> {
-    /// The graph being executed against (relabeled when hubs are on).
+    /// The graph being executed against.
     #[inline]
     pub(crate) fn graph(&self) -> &'a CsrGraph {
         self.graph
     }
 
+    /// The bitset row of `v`, when there is an index and `v` is a hub.
+    #[inline]
+    fn row(&self, v: VertexId) -> Option<&'a [u64]> {
+        self.hubs.and_then(|hubs| hubs.row(v))
+    }
+
     /// Whether `a` and `b` are adjacent (a bit probe when either is a hub).
     #[inline]
     pub(crate) fn adjacent(&self, a: VertexId, b: VertexId) -> bool {
-        match self.hubs {
-            Some(hubs) if hubs.is_hub(a) => hubs.contains(a, b),
-            Some(hubs) if hubs.is_hub(b) => hubs.contains(b, a),
-            _ => self.graph.has_edge(a, b),
+        if let Some(row) = self.row(a) {
+            hub::contains(row, b)
+        } else if let Some(row) = self.row(b) {
+            hub::contains(row, a)
+        } else {
+            self.graph.has_edge(a, b)
         }
     }
 }
 
-/// Reusable scratch for the matching kernel: the set program's slots, a
-/// bitset word buffer for hub × hub intersections, and the bound-vertex
-/// stack.
+/// Reusable scratch for the matching kernel: the set program's slots and
+/// the bound-vertex stack.
 ///
 /// Create once (per worker, per thread) and reuse across tasks and plans;
 /// after the buffers have grown to their steady-state sizes the kernel
@@ -101,8 +114,6 @@ pub(crate) struct SearchBuffers {
     counts: Vec<usize>,
     /// `0..|V|`, for loops with no bound parent.
     everything: Vec<VertexId>,
-    /// Bitset scratch for intersections of two hub neighbourhoods.
-    words: Vec<u64>,
     /// Bound-vertex stack (prefix + inner-loop bindings).
     stack: Vec<VertexId>,
     /// The IEP leaf's per-set cardinalities.
@@ -248,7 +259,6 @@ impl<'a> Walk<'a> {
         let SearchBuffers {
             slots,
             counts,
-            words,
             stack,
             ..
         } = buffers;
@@ -267,7 +277,7 @@ impl<'a> Walk<'a> {
             let len = if self.iep && op.count_only {
                 pair.count()
             } else {
-                pair.materialise(&mut rest[0], words);
+                pair.materialise(&mut rest[0]);
                 rest[0].len()
             };
             counts[op.dst as usize] = len;
@@ -281,11 +291,11 @@ impl<'a> Walk<'a> {
     /// `N(a) ∩ N(b)` for two bound vertices.
     fn pair(&self, a: VertexId, b: VertexId) -> Pair<'a> {
         let graph = self.ctx.graph;
-        match self.ctx.hubs {
-            Some(hubs) if hubs.is_hub(a) && hubs.is_hub(b) => Pair::Rows(hubs, a, b),
-            Some(hubs) if hubs.is_hub(a) => Pair::Probe(hubs, graph.neighbors(b), a),
-            Some(hubs) if hubs.is_hub(b) => Pair::Probe(hubs, graph.neighbors(a), b),
-            _ => Pair::Lists(graph.neighbors(a), graph.neighbors(b)),
+        match (self.ctx.row(a), self.ctx.row(b)) {
+            (Some(ra), Some(rb)) => Pair::Rows(ra, rb),
+            (Some(row), None) => Pair::Probe(graph.neighbors(b), row),
+            (None, Some(row)) => Pair::Probe(graph.neighbors(a), row),
+            (None, None) => Pair::Lists(graph.neighbors(a), graph.neighbors(b)),
         }
     }
 
@@ -294,9 +304,9 @@ impl<'a> Walk<'a> {
     where
         'a: 's,
     {
-        match self.ctx.hubs {
-            Some(hubs) if hubs.is_hub(b) => Pair::Probe(hubs, set, b),
-            _ => Pair::Lists(set, self.ctx.graph.neighbors(b)),
+        match self.ctx.row(b) {
+            Some(row) => Pair::Probe(set, row),
+            None => Pair::Lists(set, self.ctx.graph.neighbors(b)),
         }
     }
 
@@ -390,42 +400,41 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// The two sets of one op, paired with the cheapest way to intersect them:
+/// The two sets of one op, paired with the cheapest way to intersect them,
+/// each hub's bitset row looked up once per op:
 ///
 /// * two sorted lists — merge or galloping ([`vertex_set`]);
-/// * a sorted list against a hub — probe each element in the hub's bitset
-///   row (`O(|list|)` regardless of the hub's degree);
-/// * two hubs — word-AND the bitset rows.
+/// * a sorted list against a hub's row — probe each element (`O(|list|)`
+///   regardless of the hub's degree);
+/// * two hubs' rows — word-AND.
 #[derive(Clone, Copy)]
 enum Pair<'a> {
     Lists(&'a [VertexId], &'a [VertexId]),
-    Probe(&'a HubGraph, &'a [VertexId], VertexId),
-    Rows(&'a HubGraph, VertexId, VertexId),
+    Probe(&'a [VertexId], &'a [u64]),
+    Rows(&'a [u64], &'a [u64]),
 }
 
 impl Pair<'_> {
-    fn materialise(self, out: &mut Vec<VertexId>, words: &mut Vec<u64>) {
+    fn materialise(self, out: &mut Vec<VertexId>) {
         match self {
             Pair::Lists(a, b) => vertex_set::intersect_into(a, b, out),
-            Pair::Probe(hubs, list, hub) => hubs.filter_list_into(&[hub], list, out),
-            Pair::Rows(hubs, a, b) => {
-                hubs.and_rows_into(&[a, b], words);
-                HubGraph::extract_bits_into(words, out);
-            }
+            Pair::Probe(list, row) => hub::filter_into(row, list, out),
+            Pair::Rows(a, b) => hub::and_into(a, b, out),
         }
     }
 
     fn count(self) -> usize {
         match self {
             Pair::Lists(a, b) => vertex_set::intersect_count(a, b),
-            Pair::Probe(hubs, list, hub) => list.iter().filter(|&&v| hubs.contains(hub, v)).count(),
-            Pair::Rows(hubs, a, b) => hubs.intersect_hubs_count(a, b),
+            Pair::Probe(list, row) => list.iter().filter(|&&v| hub::contains(row, v)).count(),
+            Pair::Rows(a, b) => hub::and_count(a, b),
         }
     }
 }
 
 /// Counts every embedding of the plan's pattern in the data graph (a
-/// `&CsrGraph`, or a `&HubGraph` for hub-accelerated execution).
+/// `&CsrGraph`, or a `(&CsrGraph, &HubGraph)` pair for hub-accelerated
+/// execution).
 ///
 /// The same `CountSink` leaf the scoped and pooled executors fold their
 /// tasks through, one start vertex at a time.
@@ -439,20 +448,23 @@ pub fn count_embeddings<'a>(plan: &ExecutionPlan, ctx: impl Into<ExecCtx<'a>>) -
 /// pattern vertex** (i.e. `result[e][p]` is the data vertex that embedding
 /// `e` assigns to pattern vertex `p`).
 pub fn list_embeddings(plan: &ExecutionPlan, graph: &CsrGraph) -> Vec<Vec<VertexId>> {
-    let n = plan.num_loops();
-    let mut sink = EmbedSink::new(n, u64::MAX);
+    let mut sink = EmbedSink::new(plan.num_loops(), u64::MAX);
     match_embeddings_in(plan, graph.into(), 1, &mut sink);
-    let by_pattern_vertex = |bound: &[VertexId]| {
+    by_pattern_vertex(plan, sink.vertices())
+}
+
+/// Flat schedule-order rows, `plan.num_loops()` vertices each, as one
+/// `Vec` per row indexed by pattern vertex.
+pub(crate) fn by_pattern_vertex(plan: &ExecutionPlan, flat: &[VertexId]) -> Vec<Vec<VertexId>> {
+    let n = plan.num_loops();
+    let reindex = |row: &[VertexId]| {
         let mut embedding = vec![0 as VertexId; n];
-        for (i, &v) in bound.iter().enumerate() {
+        for (i, &v) in row.iter().enumerate() {
             embedding[plan.loops[i].pattern_vertex] = v;
         }
         embedding
     };
-    sink.vertices()
-        .chunks_exact(n.max(1))
-        .map(by_pattern_vertex)
-        .collect()
+    flat.chunks_exact(n.max(1)).map(reindex).collect()
 }
 
 /// Sink-driven whole-graph matching, decomposed exactly like the parallel
@@ -749,11 +761,20 @@ mod tests {
             let schedules = crate::schedule::efficient_schedules(&pattern);
             let plan = Configuration::new(pattern, schedules[0].clone(), sets[0].clone()).compile();
             assert_eq!(
-                count_embeddings(&plan, &hubs),
+                count_embeddings(&plan, (&g, &hubs)),
                 count_embeddings(&plan, &g),
                 "{name}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "paired with a graph it was not built over")]
+    fn pairing_one_graphs_hub_rows_with_another_graph_panics() {
+        let hubs = HubGraph::build(&generators::power_law(180, 5, 99), HubOptions::default());
+        let other = generators::power_law(200, 5, 99);
+        let plan = plan_for(prefab::triangle(), vec![0, 1, 2], RestrictionSet::empty());
+        count_embeddings(&plan, (&other, &hubs));
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! ([`HANDOFF_COST`]) reaches neither: `Session::run` folds it through
 //! `run_on_caller` at the depth the pool would have cut it at.
 //!
-//! Hub acceleration (degree-descending relabeling + bitset rows for the
-//! high-degree core, see [`graphpi_graph::hub`]) plugs in by passing a
-//! prebuilt [`graphpi_graph::HubGraph`] where a graph is expected; counts
-//! are bit-identical with it on or off.
+//! Hub acceleration (bitset rows for the high-degree core over the graph's
+//! own ids, see [`graphpi_graph::hub`]) plugs in by passing the graph
+//! paired with a prebuilt [`graphpi_graph::HubGraph`] where a graph is
+//! expected; it changes kernels, not results.
 
 use crate::config::{ExecutionPlan, MAX_LOOPS};
 use crate::exec::iep;
@@ -418,8 +418,8 @@ impl MatchSink for SharedOrbit<'_> {
     }
 }
 
-/// Counts embeddings in parallel over a `&CsrGraph`, or a prebuilt
-/// `&HubGraph` for hub-accelerated execution: the scoped executor. Workers
+/// Counts embeddings in parallel over a `&CsrGraph`, or a `(&CsrGraph,
+/// &HubGraph)` pair for hub-accelerated execution: the scoped executor. Workers
 /// are spawned for this one job and joined before returning, so their
 /// scratch lives on their own stack frames.
 pub fn count_parallel<'a>(
@@ -613,7 +613,7 @@ mod tests {
             let plain = interp::count_embeddings(&plan, &g);
             let hubbed = count_parallel(
                 &plan,
-                &hubs,
+                (&g, &hubs),
                 ParallelOptions {
                     threads: 4,
                     ..Default::default()
@@ -640,7 +640,7 @@ mod tests {
             );
             let hubbed = count_parallel(
                 &plan,
-                &hubs,
+                (&g, &hubs),
                 ParallelOptions {
                     threads: 3,
                     mode,

@@ -339,8 +339,8 @@ impl WorkerPool {
     }
 
     /// Counts embeddings on the pool, mirroring
-    /// [`parallel::count_parallel`] (a `&CsrGraph`, or a prebuilt
-    /// `&HubGraph` for hub-accelerated execution). `options.threads` is
+    /// [`parallel::count_parallel`] (a `&CsrGraph`, or a `(&CsrGraph,
+    /// &HubGraph)` pair for hub-accelerated execution). `options.threads` is
     /// ignored — the pool size is fixed at construction.
     ///
     /// This is the warm serving path: no thread is spawned and no
@@ -955,7 +955,7 @@ mod tests {
         let plan = plan_for(prefab::house());
         let options = ParallelOptions::default();
         assert_eq!(
-            pool.count(&plan, &hubs, &options),
+            pool.count(&plan, (&g, &hubs), &options),
             pool.count(&plan, &g, &options)
         );
     }

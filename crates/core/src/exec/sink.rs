@@ -323,8 +323,7 @@ pub(crate) enum Job {
     },
     /// Per-vertex counts, merged with relaxed atomic adds (order-free sum).
     Orbit {
-        /// `counts[v]` accumulates embeddings containing vertex `v` (ids in
-        /// execution-context space; hub relabeling is undone at finalize).
+        /// `counts[v]` accumulates embeddings containing vertex `v`.
         counts: Vec<AtomicU64>,
     },
     /// Sampled counting: per-task decisions, statistics merged under the

@@ -45,8 +45,9 @@
 //!   `execute_count`), or a long-lived [`engine::Session`] whose
 //!   [`engine::Session::run`] serves all four [`engine::Mode`]s from a
 //!   [`WorkerPool`] and a [`engine::PlanCache`].
-//! * **Executors**, one entry point each, over a `&CsrGraph` or a prebuilt
-//!   `&HubGraph` ([`exec::interp::ExecCtx`] is built `From` either):
+//! * **Executors**, one entry point each, over a `&CsrGraph` or that graph
+//!   paired with its prebuilt hub rows, `(&CsrGraph, &HubGraph)`
+//!   ([`exec::interp::ExecCtx`] is built `From` either; the pair is checked):
 //!   [`exec::interp::count_embeddings`],
 //!   [`exec::iep::count_embeddings_iep`],
 //!   [`exec::parallel::count_parallel`] and [`WorkerPool::count`]; prefix

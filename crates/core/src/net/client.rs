@@ -36,7 +36,7 @@ use std::time::Duration;
 pub struct RemoteCountOptions {
     /// Disable Inclusion–Exclusion counting for this query.
     pub no_iep: bool,
-    /// Execute against the hub-accelerated layout.
+    /// Intersect through the hub bitset rows (same result).
     pub hub_bitsets: bool,
     /// Deadline in milliseconds covering queueing + execution (0 = none).
     pub deadline_ms: u32,
@@ -55,9 +55,8 @@ pub struct RemoteCountOptions {
 /// Per-enumeration options for `Client::enumerate_with`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RemoteEnumerateOptions {
-    /// Execute against the hub-accelerated layout. The returned tuples
-    /// may pick different automorphic representatives than the plain
-    /// layout; the set of occurrences is identical.
+    /// Intersect through the hub bitset rows: the same rows as without,
+    /// the same representative for each occurrence.
     pub hub_bitsets: bool,
     /// Deadline in milliseconds covering queueing, matching, *and* page
     /// streaming — the server re-checks it between pages (0 = none).

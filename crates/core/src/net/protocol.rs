@@ -82,7 +82,7 @@ pub mod op {
     /// frames. Enumeration is **not** idempotent and never enters the
     /// completed-request ledger: a retry after an ambiguous failure may
     /// re-run the query and observe a different page split (or, with a
-    /// `limit`, different representatives).
+    /// `limit` on a pooled plan, a different subset of the rows).
     pub(crate) const ENUMERATE: u8 = 0x0A;
     /// One replication shipment ([`super::ReplBatch`] payload): a raw
     /// slice of the primary's WAL record stream, a checkpoint-file chunk,
@@ -718,7 +718,7 @@ impl QueryMode {
 pub struct CountRequest {
     /// Disable Inclusion–Exclusion counting for this query.
     pub no_iep: bool,
-    /// Execute against the hub-accelerated layout.
+    /// Intersect through the hub bitset rows (same result).
     pub hub_bitsets: bool,
     /// Query deadline in milliseconds (0 = none). The deadline covers
     /// admission queueing and execution; an expired query gets
@@ -979,7 +979,7 @@ impl CountOk {
 /// stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnumerateRequest {
-    /// Execute against the hub-accelerated layout.
+    /// Intersect through the hub bitset rows (same result).
     pub hub_bitsets: bool,
     /// Deadline in milliseconds (0 = none), checked between pages.
     pub deadline_ms: u32,

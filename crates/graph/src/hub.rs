@@ -1,31 +1,28 @@
-//! Hub-accelerated adjacency: degree-descending relabeling plus bitset rows
-//! for the high-degree core.
+//! Hub-accelerated adjacency: bitset rows for the high-degree core, indexed
+//! by the graph's own vertex ids.
 //!
 //! Real-world degree distributions are heavily skewed (the premise of the
 //! paper's Section IV-E load-balancing design), so a small set of *hub*
 //! vertices participates in a disproportionate share of all neighborhood
-//! intersections. [`HubGraph`] exploits that:
+//! intersections. [`HubGraph`] stores each hub's neighborhood once more as a
+//! **bitset row** over all vertices, so an intersection *against* a hub
+//! becomes word-AND + popcount (hub × hub, [`and_count`] / [`and_into`]) or
+//! one bit probe per element (hub × sorted list, [`filter_into`]) instead
+//! of a merge over the hub's huge adjacency.
 //!
-//! 1. The graph is **relabeled in degree-descending order**, so the top-k
-//!    high-degree vertices occupy ids `0..k` (hub membership is a single
-//!    compare) and the hottest adjacency lists sit together in cache.
-//! 2. Each hub's neighborhood is additionally stored as a **bitset row**
-//!    over all vertices, so intersections *against* a hub become word-AND +
-//!    popcount (hub × hub) or per-element bit probes (hub × sorted list)
-//!    instead of list merges over the hub's huge adjacency.
-//!
-//! Embedding **counts** are invariant under relabeling (symmetry-breaking
-//! restrictions compare ids, but the total over any consistent labeling is
-//! the same), which the engine's agreement tests enforce. Listings are *not*
-//! translated back; the hub path is a counting accelerator.
+//! The index is rows only, beside the caller's CSR: it copies no adjacency
+//! list and renames no vertex. A set computed through a row is the set the
+//! merge computes, so whether hubs are on is a choice of kernel, never of
+//! result.
 
 use crate::csr::{CsrGraph, VertexId};
 
 /// Options controlling which vertices become hubs.
 #[derive(Debug, Clone, Copy)]
 pub struct HubOptions {
-    /// Upper bound on the number of hub rows (memory: `max_hubs × |V| / 8`
-    /// bytes).
+    /// Upper bound on the number of hub rows. The index weighs
+    /// `⌈|V| / 64⌉ × 8` bytes per row plus 4 bytes per vertex for the row
+    /// lookup: at most about `max_hubs × |V| / 8 + 4 × |V|` bytes.
     pub max_hubs: usize,
     /// Minimum degree for a vertex to qualify as a hub. Bit probes beat
     /// merges only when the hub's adjacency is large; low-degree rows would
@@ -42,79 +39,53 @@ impl Default for HubOptions {
     }
 }
 
-/// A data graph relabeled degree-descending, with bitset adjacency rows for
-/// its top-k high-degree core.
-#[derive(Clone, PartialEq, Eq)]
+/// `row_of` entry of a vertex without a row.
+const NO_ROW: u32 = u32::MAX;
+
+/// Bitset adjacency rows for the high-degree core of one graph, indexed by
+/// that graph's vertex ids.
 pub struct HubGraph {
-    graph: CsrGraph,
-    /// `new_to_old[new_id] = old_id` (informational / for diagnostics).
-    new_to_old: Vec<VertexId>,
+    /// `row_of[v]` is the index of `v`'s row, or [`NO_ROW`].
+    row_of: Vec<u32>,
+    /// `|E|` of the graph the rows were built over (`|V|` is
+    /// `row_of.len()`).
+    num_edges: u64,
     hub_count: usize,
     words_per_row: usize,
-    /// `hub_count` rows of `words_per_row` words; bit `v` of row `h` is set
-    /// iff the (relabeled) edge `(h, v)` exists.
+    /// `hub_count` rows of `words_per_row` words; bit `v` of a hub's row is
+    /// set iff the edge `(hub, v)` exists.
     bits: Vec<u64>,
 }
 
 impl HubGraph {
-    /// Builds the hub structure: relabels `graph` in degree-descending order
-    /// and materialises bitset rows for every vertex of the high-degree core
-    /// selected by `options`.
+    /// Builds a bitset row for every hub `options` selects: the first
+    /// `max_hubs` vertices in degree-descending order (ties by id) whose
+    /// degree is at least `min_degree`.
     pub fn build(graph: &CsrGraph, options: HubOptions) -> Self {
         let n = graph.num_vertices();
-        let order = graph.vertices_by_degree_desc();
-        let mut old_to_new = vec![0 as VertexId; n];
-        for (new_id, &old_id) in order.iter().enumerate() {
-            old_to_new[old_id as usize] = new_id as VertexId;
-        }
-
-        // Rebuild the CSR under the new labels (adjacency re-sorted).
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut neighbors = Vec::with_capacity(graph.num_edges() as usize * 2);
-        let mut adj: Vec<VertexId> = Vec::new();
-        for &old_id in &order {
-            adj.clear();
-            adj.extend(
-                graph
-                    .neighbors(old_id)
-                    .iter()
-                    .map(|&u| old_to_new[u as usize]),
-            );
-            adj.sort_unstable();
-            neighbors.extend_from_slice(&adj);
-            offsets.push(neighbors.len());
-        }
-        let relabeled = CsrGraph::from_raw_parts(offsets, neighbors);
-
-        let hub_count = order
-            .iter()
+        let hubs: Vec<VertexId> = graph
+            .vertices_by_degree_desc()
+            .into_iter()
             .take(options.max_hubs)
-            .filter(|&&v| graph.degree(v) >= options.min_degree.max(1))
-            .count();
+            .take_while(|&v| graph.degree(v) >= options.min_degree.max(1))
+            .collect();
         let words_per_row = n.div_ceil(64);
-        let mut bits = vec![0u64; hub_count * words_per_row];
-        for h in 0..hub_count {
-            let row = &mut bits[h * words_per_row..(h + 1) * words_per_row];
-            for &v in relabeled.neighbors(h as VertexId) {
+        let mut row_of = vec![NO_ROW; n];
+        let mut bits = vec![0u64; hubs.len() * words_per_row];
+        let rows = bits.chunks_exact_mut(words_per_row.max(1));
+        for (h, (&hub, row)) in hubs.iter().zip(rows).enumerate() {
+            row_of[hub as usize] = h as u32;
+            for &v in graph.neighbors(hub) {
                 row[(v as usize) >> 6] |= 1u64 << (v & 63);
             }
         }
-
         Self {
-            graph: relabeled,
-            new_to_old: order,
-            hub_count,
+            row_of,
+            num_edges: graph.num_edges(),
+            hub_count: hubs.len(),
             words_per_row,
             bits,
         }
-    }
-
-    /// The relabeled (degree-descending) data graph. All hub-accelerated
-    /// execution runs against this graph.
-    #[inline]
-    pub fn graph(&self) -> &CsrGraph {
-        &self.graph
     }
 
     /// Number of hub rows.
@@ -123,78 +94,17 @@ impl HubGraph {
         self.hub_count
     }
 
-    /// Whether `v` (a *relabeled* id) has a bitset row.
+    /// Whether these rows can index `graph`: it has the `|V|` and `|E|` they
+    /// were built over.
+    pub fn indexes(&self, graph: &CsrGraph) -> bool {
+        (self.row_of.len(), self.num_edges) == (graph.num_vertices(), graph.num_edges())
+    }
+
+    /// The bitset row of `v`, if `v` is a hub.
     #[inline]
-    pub fn is_hub(&self, v: VertexId) -> bool {
-        (v as usize) < self.hub_count
-    }
-
-    /// Maps a relabeled id back to the original id.
-    #[inline]
-    pub fn original_id(&self, new_id: VertexId) -> VertexId {
-        self.new_to_old[new_id as usize]
-    }
-
-    /// The bitset row of hub `h`.
-    #[inline]
-    pub(crate) fn row(&self, h: VertexId) -> &[u64] {
-        let h = h as usize;
-        debug_assert!(h < self.hub_count);
-        &self.bits[h * self.words_per_row..(h + 1) * self.words_per_row]
-    }
-
-    /// Whether hub `h` is adjacent to `v` (single bit probe).
-    #[inline]
-    pub fn contains(&self, h: VertexId, v: VertexId) -> bool {
-        self.row(h)[(v as usize) >> 6] & (1u64 << (v & 63)) != 0
-    }
-
-    /// `|N(a) ∩ N(b)|` for two hubs, as word-AND + popcount.
-    pub fn intersect_hubs_count(&self, a: VertexId, b: VertexId) -> usize {
-        self.row(a)
-            .iter()
-            .zip(self.row(b))
-            .map(|(x, y)| (x & y).count_ones() as usize)
-            .sum()
-    }
-
-    /// ANDs the rows of every hub in `hubs` into `words` (which is resized
-    /// to the row width). `hubs` must be non-empty and all ids must be hubs.
-    pub fn and_rows_into(&self, hubs: &[VertexId], words: &mut Vec<u64>) {
-        assert!(!hubs.is_empty(), "and_rows_into requires at least one hub");
-        words.clear();
-        words.extend_from_slice(self.row(hubs[0]));
-        for &h in &hubs[1..] {
-            for (w, r) in words.iter_mut().zip(self.row(h)) {
-                *w &= r;
-            }
-        }
-    }
-
-    /// Extracts the set bits of `words` as sorted vertex ids appended into
-    /// `out` (cleared first).
-    pub fn extract_bits_into(words: &[u64], out: &mut Vec<VertexId>) {
-        out.clear();
-        for (wi, &word) in words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let bit = w.trailing_zeros();
-                out.push(((wi as u32) << 6) | bit);
-                w &= w - 1;
-            }
-        }
-    }
-
-    /// Materialises `list ∩ N(h₁) ∩ … ∩ N(hₖ)` into `out` by probing each
-    /// element of the sorted `list` against every hub row: `O(|list| · k)`
-    /// regardless of the hubs' degrees.
-    pub fn filter_list_into(&self, hubs: &[VertexId], list: &[VertexId], out: &mut Vec<VertexId>) {
-        out.clear();
-        out.extend(
-            list.iter()
-                .copied()
-                .filter(|&v| hubs.iter().all(|&h| self.contains(h, v))),
-        );
+    pub fn row(&self, v: VertexId) -> Option<&[u64]> {
+        let h = self.row_of[v as usize] as usize;
+        (h != NO_ROW as usize).then(|| &self.bits[h * self.words_per_row..][..self.words_per_row])
     }
 
     /// Memory footprint of the bitset rows in bytes (informational).
@@ -206,12 +116,45 @@ impl HubGraph {
 impl std::fmt::Debug for HubGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HubGraph")
-            .field("num_vertices", &self.graph.num_vertices())
-            .field("num_edges", &self.graph.num_edges())
+            .field("num_vertices", &self.row_of.len())
+            .field("num_edges", &self.num_edges)
             .field("hub_count", &self.hub_count)
             .field("bitset_bytes", &self.bitset_bytes())
             .finish()
     }
+}
+
+/// Whether `row` holds `v`: hub × vertex adjacency as one bit probe.
+#[inline]
+pub fn contains(row: &[u64], v: VertexId) -> bool {
+    row[(v as usize) >> 6] & (1u64 << (v & 63)) != 0
+}
+
+/// `|a ∩ b|` for two rows, as word-AND + popcount.
+pub fn and_count(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
+}
+
+/// `a ∩ b` for two rows, as sorted ids in `out` (cleared first).
+pub fn and_into(a: &[u64], b: &[u64], out: &mut Vec<VertexId>) {
+    out.clear();
+    for (wi, (x, y)) in a.iter().zip(b).enumerate() {
+        let mut w = x & y;
+        while w != 0 {
+            out.push(((wi as VertexId) << 6) | w.trailing_zeros());
+            w &= w - 1;
+        }
+    }
+}
+
+/// The members of the sorted `list` that `row` holds, into `out` (cleared
+/// first): `O(|list|)` whatever the hub's degree.
+pub fn filter_into(row: &[u64], list: &[VertexId], out: &mut Vec<VertexId>) {
+    out.clear();
+    out.extend(list.iter().copied().filter(|&v| contains(row, v)));
 }
 
 #[cfg(test)]
@@ -230,20 +173,35 @@ mod tests {
         }
     }
 
+    /// The hubs in row order: every vertex with a row, by row index.
+    fn hubs_of(hub: &HubGraph, g: &CsrGraph) -> Vec<VertexId> {
+        let mut hubs: Vec<VertexId> = g.vertices().filter(|&v| hub.row(v).is_some()).collect();
+        hubs.sort_by_key(|&v| hub.row_of[v as usize]);
+        hubs
+    }
+
     #[test]
-    fn relabeling_is_degree_descending_and_preserves_structure() {
+    fn hubs_are_the_top_of_the_degree_order() {
         let g = hubby_graph();
-        let hub = HubGraph::build(&g, small_opts());
-        let r = hub.graph();
-        assert_eq!(r.num_vertices(), g.num_vertices());
-        assert_eq!(r.num_edges(), g.num_edges());
-        // Degrees are non-increasing in the new labeling.
-        for v in 1..r.num_vertices() {
-            assert!(r.degree(v as VertexId) <= r.degree((v - 1) as VertexId));
-        }
-        // Every relabeled edge maps back to an original edge.
-        for (u, v) in r.edges() {
-            assert!(g.has_edge(hub.original_id(u), hub.original_id(v)));
+        let wide = HubOptions {
+            max_hubs: 256,
+            min_degree: 10,
+        };
+        for options in [small_opts(), wide] {
+            let hub = HubGraph::build(&g, options);
+            let order = g.vertices_by_degree_desc();
+            let qualifying = order
+                .iter()
+                .take(options.max_hubs)
+                .filter(|&&v| g.degree(v) >= options.min_degree)
+                .count();
+            assert!(qualifying > 0);
+            assert_eq!(hub.hub_count(), qualifying);
+            assert_eq!(hubs_of(&hub, &g), order[..qualifying]);
+            assert_eq!(
+                hub.bitset_bytes(),
+                qualifying * g.num_vertices().div_ceil(64) * 8
+            );
         }
     }
 
@@ -251,27 +209,32 @@ mod tests {
     fn bitset_rows_match_adjacency() {
         let g = hubby_graph();
         let hub = HubGraph::build(&g, small_opts());
-        assert!(hub.hub_count() > 0);
-        for h in 0..hub.hub_count() as VertexId {
+        assert!(hub.indexes(&g));
+        assert!(!hub.indexes(&generators::power_law(300, 5, 123)));
+        let mut rows = 0;
+        for v in g.vertices() {
+            let Some(row) = hub.row(v) else { continue };
+            rows += 1;
             let mut from_bits = Vec::new();
-            HubGraph::extract_bits_into(hub.row(h), &mut from_bits);
-            assert_eq!(from_bits, hub.graph().neighbors(h));
-            for v in hub.graph().vertices() {
-                assert_eq!(hub.contains(h, v), hub.graph().has_edge(h, v));
+            and_into(row, row, &mut from_bits);
+            assert_eq!(from_bits, g.neighbors(v), "row of {v}");
+            for u in g.vertices() {
+                assert_eq!(contains(row, u), g.has_edge(v, u));
             }
         }
+        assert_eq!(rows, hub.hub_count());
     }
 
     #[test]
     fn hub_hub_intersection_matches_merge() {
         let g = hubby_graph();
         let hub = HubGraph::build(&g, small_opts());
-        let k = hub.hub_count() as VertexId;
-        for a in 0..k.min(6) {
-            for b in 0..k.min(6) {
-                let expected =
-                    vertex_set::intersect_count(hub.graph().neighbors(a), hub.graph().neighbors(b));
-                assert_eq!(hub.intersect_hubs_count(a, b), expected, "{a} x {b}");
+        let hubs = hubs_of(&hub, &g);
+        for &a in hubs.iter().take(6) {
+            for &b in hubs.iter().take(6) {
+                let expected = vertex_set::intersect_count(g.neighbors(a), g.neighbors(b));
+                let (ra, rb) = (hub.row(a).unwrap(), hub.row(b).unwrap());
+                assert_eq!(and_count(ra, rb), expected, "{a} x {b}");
             }
         }
     }
@@ -280,30 +243,33 @@ mod tests {
     fn and_extract_matches_intersect_many() {
         let g = hubby_graph();
         let hub = HubGraph::build(&g, small_opts());
-        assert!(hub.hub_count() >= 3);
-        let hubs = [0 as VertexId, 1, 2];
-        let mut words = Vec::new();
-        hub.and_rows_into(&hubs, &mut words);
-        let mut got = Vec::new();
-        HubGraph::extract_bits_into(&words, &mut got);
-        let sets: Vec<&[VertexId]> = hubs.iter().map(|&h| hub.graph().neighbors(h)).collect();
-        assert_eq!(got, vertex_set::intersect_many(&sets));
+        let hubs = hubs_of(&hub, &g);
+        assert!(hubs.len() >= 3);
+        for pair in hubs.windows(2) {
+            let mut got = Vec::new();
+            and_into(
+                hub.row(pair[0]).unwrap(),
+                hub.row(pair[1]).unwrap(),
+                &mut got,
+            );
+            let sets = [g.neighbors(pair[0]), g.neighbors(pair[1])];
+            assert_eq!(got, vertex_set::intersect_many(&sets), "{pair:?}");
+        }
     }
 
     #[test]
     fn list_filter_matches_merge_intersection() {
         let g = hubby_graph();
         let hub = HubGraph::build(&g, small_opts());
-        let list: Vec<VertexId> = hub.graph().neighbors(5).to_vec();
-        let hubs = [0 as VertexId, 1];
-        let mut out = Vec::new();
-        hub.filter_list_into(&hubs, &list, &mut out);
-        let expected = vertex_set::intersect_many(&[
-            &list,
-            hub.graph().neighbors(0),
-            hub.graph().neighbors(1),
-        ]);
-        assert_eq!(out, expected);
+        for &h in &hubs_of(&hub, &g) {
+            for list in [g.neighbors(5), g.neighbors(h)] {
+                let mut out = Vec::new();
+                filter_into(hub.row(h).unwrap(), list, &mut out);
+                let mut expected = Vec::new();
+                vertex_set::intersect_into(list, g.neighbors(h), &mut expected);
+                assert_eq!(out, expected, "hub {h}");
+            }
+        }
     }
 
     #[test]
@@ -332,6 +298,6 @@ mod tests {
         let g = crate::GraphBuilder::new().num_vertices(0).build();
         let hub = HubGraph::build(&g, HubOptions::default());
         assert_eq!(hub.hub_count(), 0);
-        assert_eq!(hub.graph().num_vertices(), 0);
+        assert!(hub.indexes(&g));
     }
 }

@@ -11,9 +11,9 @@
 //! * [`vertex_set`] — the sorted-set algebra (merge intersection, galloping
 //!   intersection, subtraction) that dominates the cost of nested-loop
 //!   pattern matching.
-//! * [`hub`] — hub acceleration: degree-descending relabeling plus bitset
-//!   adjacency rows for the top-k high-degree core, turning intersections
-//!   against hubs into word-AND popcounts.
+//! * [`hub`] — hub acceleration: bitset adjacency rows for the top-k
+//!   high-degree core, indexed by the graph's own vertex ids, turning
+//!   intersections against hubs into bit probes and word-AND popcounts.
 //! * [`generators`] — seeded synthetic graph generators (Erdős–Rényi,
 //!   power-law preferential attachment, complete graphs, …) used as
 //!   stand-ins for the paper's real-world datasets.
@@ -34,8 +34,8 @@
 //! [`io::load_binary_mmap`] (one text parser; the checksummed binary + mmap
 //! path is the fast ingest); read it through [`CsrGraph`] and the
 //! [`vertex_set`] kernels ([`vertex_set::intersect_into`],
-//! [`vertex_set::intersect_count`], [`vertex_set::subtract_into`]); wrap it
-//! in a [`HubGraph`] for hub acceleration; summarise it with
+//! [`vertex_set::intersect_count`], [`vertex_set::subtract_into`]); index
+//! its hubs with a [`HubGraph`]; summarise it with
 //! [`GraphStats::compute`]; mutate it through [`delta::DynamicGraph`] or,
 //! durably, [`wal::DurableGraph`]. One crate-private byte-wise FNV-1a
 //! (`io::fnv1a`) checksums the WAL and fingerprints [`GraphStats`].

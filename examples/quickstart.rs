@@ -71,8 +71,8 @@ fn main() {
             ..CountOptions::default()
         },
     );
-    // Hub acceleration: degree-descending relabeling + bitset rows for the
-    // high-degree core (built once, cached by the engine).
+    // Hub acceleration: bitset rows for the high-degree core over the
+    // graph's own ids (built once, cached by the engine).
     let hub_parallel = engine.execute_count(
         &plan.plan,
         CountOptions {

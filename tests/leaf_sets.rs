@@ -86,8 +86,8 @@ fn orbit_of(embeddings: &[Vec<u32>], num_vertices: usize) -> Vec<u64> {
     counts
 }
 
-/// Sorted canonical representatives modulo the pattern's automorphisms (the
-/// hub layout may emit a different representative per occurrence).
+/// Sorted canonical representatives modulo the pattern's automorphisms:
+/// what `naive` reports, whichever representative a plan emits.
 fn canonical(pattern: &Pattern, embeddings: &[Vec<u32>]) -> Vec<Vec<u32>> {
     let auts = automorphism_group(pattern);
     let mut tuples: Vec<Vec<u32>> = embeddings
@@ -234,7 +234,8 @@ proptest! {
 /// `0 – 1 – 2 – 3` scheduled `2, 1, 0, 3` draws its last vertex from
 /// `N(v₂)` alone, where `v₁` always is and `v₀` is whenever it closes a
 /// triangle: the leaf must take exactly those out, in every mode, with the
-/// window a raw neighbourhood or a hub's, under every restriction set.
+/// window a raw neighbourhood or a hub's, under every restriction set — and
+/// with hubs on, every result must be the one hubs off gives, bit for bit.
 #[test]
 fn bound_vertices_inside_the_window_are_not_embeddings() {
     let pattern = prefab::path_pattern(4);
@@ -300,7 +301,45 @@ fn bound_vertices_inside_the_window_are_not_embeddings() {
             assert_eq!(approx.estimate, total as f64, "sample {label}");
             assert_eq!(approx.stderr, 0.0, "sample {label}");
         }
+
+        // Hub rows index the graph's own ids, so the hub kernels change no
+        // result: hubs on ≡ hubs off, bit for bit.
+        let both = |mode| {
+            [false, true].map(|hub_bitsets| {
+                let options = CountOptions {
+                    hub_bitsets,
+                    ..enumeration()
+                };
+                session.run_plan(&plan, mode, options)
+            })
+        };
+        let [off, on] = both(Mode::Count);
+        assert_eq!(on, off, "count {set:?}");
+        let [off, on] = both(Mode::Orbit);
+        assert_eq!(on, off, "orbit {set:?}");
+        for seed in 0..4 {
+            let [off, on] = both(Mode::Sample { rate: 0.5, seed }).map(approx_bits);
+            assert_eq!(on, off, "sample seed {seed}, {set:?}");
+        }
+        // Sorted: the pool appends rows in completion order.
+        let [off, on] = both(Mode::Enumerate { limit: u64::MAX }).map(|outcome| {
+            let mut rows = outcome.into_embeddings();
+            rows.sort_unstable();
+            rows
+        });
+        assert_eq!(on, off, "enumerate {set:?}");
     }
+}
+
+/// The bits of an estimate, so two runs compare exactly.
+fn approx_bits(outcome: Outcome) -> (u64, u64, u64, u64) {
+    let approx = outcome.into_approx();
+    (
+        approx.estimate.to_bits(),
+        approx.stderr.to_bits(),
+        approx.sampled_tasks,
+        approx.total_tasks,
+    )
 }
 
 /// A limit that lands inside a leaf: the enumerate job claims a whole leaf

@@ -5,12 +5,11 @@
 //!
 //! Enumeration comparisons canonicalize each emitted mapping modulo the
 //! pattern's automorphism group (the lexicographically smallest automorphic
-//! relabeling): under the hub layout the symmetry-breaking restrictions
-//! compare relabeled ids, so a different automorphic representative may be
-//! emitted per occurrence — the set of occurrences is what must match, and
-//! it must contain no duplicates. Sorting the data vertices instead would
-//! conflate distinct embeddings that share a vertex set (a K5 holds 60
-//! house embeddings on the same five vertices).
+//! image), because `naive` reports canonical tuples while a plan emits the
+//! representative its restrictions pick — the set of occurrences is what
+//! must match, and it must contain no duplicates. Sorting the data vertices
+//! instead would conflate distinct embeddings that share a vertex set (a K5
+//! holds 60 house embeddings on the same five vertices).
 
 use graphpi::baseline::naive;
 use graphpi::core::engine::{CountOptions, GraphPi, Mode, PlanOptions};

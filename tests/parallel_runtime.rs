@@ -68,7 +68,7 @@ fn run_agreement_sweep(scale: usize, thread_counts: &[usize]) {
                         "{pname} on {gname}: {threads} threads, {mode:?}, no hubs"
                     );
                     assert_eq!(
-                        count_parallel(&plan, &hubs, options),
+                        count_parallel(&plan, (&graph, &hubs), options),
                         expected,
                         "{pname} on {gname}: {threads} threads, {mode:?}, hubs"
                     );
@@ -159,7 +159,7 @@ fn hoisted_counts_match_naive_across_the_execution_matrix_and_task_depths() {
                     );
                     // Same kernel pin (it is process-global), hub layout.
                     assert_eq!(
-                        count_parallel(&plan, &hubs, options.parallel_options()),
+                        count_parallel(&plan, (&graph, &hubs), options.parallel_options()),
                         expected,
                         "{name}: {options:?}, hubs"
                     );
@@ -261,7 +261,7 @@ proptest! {
         };
         let got = if hub {
             let hubs = HubGraph::build(&graph, HubOptions::default());
-            count_parallel(&plan, &hubs, options)
+            count_parallel(&plan, (&graph, &hubs), options)
         } else {
             count_parallel(&plan, &graph, options)
         };

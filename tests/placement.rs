@@ -19,7 +19,7 @@ use graphpi::core::exec::interp::{match_embeddings_in, ExecCtx};
 use graphpi::core::exec::parallel::{default_prefix_depth, HANDOFF_COST};
 use graphpi::core::exec::sink::EmbedSink;
 use graphpi::core::{PoolOptions, WorkerPool};
-use graphpi::graph::{generators, CsrGraph};
+use graphpi::graph::{generators, CsrGraph, GraphBuilder};
 use graphpi::pattern::{automorphism_group, prefab, Pattern};
 use std::sync::Arc;
 
@@ -66,7 +66,7 @@ fn session_over(engine: &GraphPi, threads: usize) -> Session<'_> {
 }
 
 /// An enumeration modulo the pattern's automorphisms, sorted: what naive
-/// reports, and what two layouts that pick different representatives share.
+/// reports, whichever representative a plan emits.
 fn canonical(pattern: &Pattern, embeddings: &[Vec<u32>]) -> Vec<Vec<u32>> {
     let auts = automorphism_group(pattern);
     let mut tuples: Vec<Vec<u32>> = embeddings
@@ -231,6 +231,57 @@ fn inline_truncated_pages_are_the_sequential_prefix_under_any_pool() {
         for limit in [1, 2, 7, order.len() / 2, order.len() - 1] {
             let page = session.enumerate(&pattern, limit as u64).unwrap();
             assert_eq!(page, order[..limit], "{threads} workers, limit {limit}");
+        }
+    }
+}
+
+/// Hubs at the graph's highest ids: the hub rows index the graph's own ids,
+/// so an inline enumeration with hubs on returns the rows hubs off returns,
+/// in the same order, full and truncated.
+#[test]
+fn inline_pages_are_identical_with_hubs_on_and_off() {
+    let graph = {
+        let sparse = generators::erdos_renyi(32, 40, 0x4B);
+        let mut builder = GraphBuilder::new().num_vertices(34);
+        for u in sparse.vertices() {
+            for &v in sparse.neighbors(u).iter().filter(|&&v| u < v) {
+                builder.push_edge(u, v);
+            }
+        }
+        for hub in 32..34 {
+            for v in 0..hub {
+                builder.push_edge(hub, v);
+            }
+        }
+        builder.build()
+    };
+    let engine = GraphPi::new(graph);
+    assert!(engine.hub_index().hub_count() > 0);
+    let session = session_over(&engine, 2);
+    for (name, pattern) in [
+        ("triangle", prefab::triangle()),
+        ("rectangle", prefab::rectangle()),
+    ] {
+        let plan = session.mode_plan_cached(&pattern).unwrap();
+        assert_eq!(plan.placement(), Placement::Caller, "{name}");
+        let page = |limit: usize, hub_bitsets| {
+            let options = CountOptions {
+                hub_bitsets,
+                ..CountOptions::default()
+            };
+            let mode = Mode::Enumerate {
+                limit: limit as u64,
+            };
+            session
+                .run(&pattern, mode, options)
+                .unwrap()
+                .into_embeddings()
+        };
+        let full = page(usize::MAX, false);
+        assert!(full.len() > 20, "{name}: the page must truncate");
+        assert_eq!(page(usize::MAX, true), full, "{name}, full page");
+        for limit in [1, 7, full.len() / 2] {
+            assert_eq!(page(limit, true), full[..limit], "{name}, limit {limit}");
         }
     }
 }

@@ -43,12 +43,12 @@ fn pooled_execution_is_bit_identical_to_scoped() {
                             ..Default::default()
                         };
                         let scoped = if hubbed {
-                            count_parallel(&plan, &hubs, options)
+                            count_parallel(&plan, (&graph, &hubs), options)
                         } else {
                             count_parallel(&plan, &graph, options)
                         };
                         let pooled = if hubbed {
-                            pool.count(&plan, &hubs, &options)
+                            pool.count(&plan, (&graph, &hubs), &options)
                         } else {
                             pool.count(&plan, &graph, &options)
                         };
