@@ -42,6 +42,7 @@ fn main() {
                     CountOptions {
                         use_iep: true,
                         threads: 1,
+                        hub_bitsets: false,
                         ..CountOptions::default()
                     },
                 )

@@ -86,7 +86,6 @@ struct QueryArgs {
     pattern: Option<String>,
     threads: usize,
     use_iep: bool,
-    hub_bitsets: bool,
     scalar_kernels: bool,
     list: usize,
     repeat: usize,
@@ -143,7 +142,6 @@ struct RemoteArgs {
     clients: usize,
     repeat: usize,
     no_iep: bool,
-    hubs: bool,
     deadline_ms: u32,
     retries: u32,
     backoff_ms: u64,
@@ -196,7 +194,6 @@ mod shared_rows {
     pub const FORMAT_ROW: Flag  = flag("--format",      FORMAT, "auto",        "how to read --graph (auto sniffs the magic bytes; binary opens via mmap)");
     pub const PATTERN: Flag     = flag("--pattern",     Kind::Str("<name>"), "", "triangle|rectangle|house|cycle6tri|p1..p6|cliqueK|cycleK|pathK|starK|adj:<row-major 0/1 matrix>");
     pub const NO_IEP: Flag      = flag("--no-iep",      Switch, "",            "count without the inclusion-exclusion suffix");
-    pub const HUBS: Flag        = flag("--hubs",        Switch, "",            "intersect through hub bitset rows (same results)");
     pub const REPEAT: Flag      = flag("--repeat",      AT_LEAST_ONE, "1",     "run the query N times");
     pub const CLIENTS: Flag     = flag("--clients",     WORKERS_AT_LEAST_ONE, "1", "concurrent clients, each running --repeat queries; all counts must agree");
     pub const MODE: Flag        = flag("--mode",        Kind::OneOf("mode", &MODE_NAMES), "count", "exact count, per-vertex orbit counts, seeded sample estimate, or the embeddings");
@@ -211,7 +208,7 @@ use shared_rows::*;
 const QUERY_FLAGS: &[Flag] = &[
     GRAPH, FORMAT_ROW, PATTERN,
     flag("--threads",        WORKERS, "0", "worker threads (0 = all cores)"),
-    NO_IEP, HUBS,
+    NO_IEP,
     flag("--scalar-kernels", Switch, "",  "pin the set kernels to the portable scalar reference (same counts)"),
     flag("--list",           USIZE,  "0", "count mode: also print the first N embeddings"),
     REPEAT,
@@ -278,7 +275,7 @@ static REMOTE: Spec = Spec {
     flags: &[
         ADDR,
         flag("--endpoints",       Kind::Str("<a,b,c>"), "", "failover mode: every endpoint of a replicated deployment (instead of --addr)"),
-        PATTERN, CLIENTS, REPEAT, NO_IEP, HUBS,
+        PATTERN, CLIENTS, REPEAT, NO_IEP,
         flag("--deadline-ms",     U32,    "0",  "per-request deadline covering queueing and execution (0 = none)"),
         flag("--retries",         Kind::Int(32, 1..=u64::MAX, "must be at least 1 (the first attempt)", ""), "1", "attempts per request, reconnecting with jittered exponential backoff"),
         flag("--backoff-ms",      U64,    "10", "backoff before the second attempt; doubles per retry"),
@@ -398,7 +395,6 @@ fn query_args(kind: QueryKind, parsed: &Parsed) -> QueryArgs {
         pattern: parsed.opt("--pattern"),
         threads: parsed.get("--threads"),
         use_iep: !parsed.given("--no-iep"),
-        hub_bitsets: parsed.given("--hubs"),
         scalar_kernels: parsed.given("--scalar-kernels"),
         list: parsed.get("--list"),
         repeat: parsed.get("--repeat"),
@@ -485,7 +481,6 @@ fn remote_args(parsed: &Parsed) -> Result<RemoteArgs, String> {
         clients: parsed.get("--clients"),
         repeat: parsed.get("--repeat"),
         no_iep: parsed.given("--no-iep"),
-        hubs: parsed.given("--hubs"),
         deadline_ms: parsed.get("--deadline-ms"),
         retries: parsed.get("--retries"),
         backoff_ms: parsed.get("--backoff-ms"),
@@ -941,7 +936,6 @@ fn mutate<C>(
 fn count_options(args: &RemoteArgs) -> RemoteCountOptions {
     RemoteCountOptions {
         no_iep: args.no_iep,
-        hub_bitsets: args.hubs,
         deadline_ms: args.deadline_ms,
         mode: match args.mode {
             CliMode::Orbit => QueryMode::Orbit,
@@ -1201,7 +1195,6 @@ fn run_remote_enumerate(
     pattern: &Pattern,
 ) -> Result<(), String> {
     let options = RemoteEnumerateOptions {
-        hub_bitsets: args.hubs,
         deadline_ms: args.deadline_ms,
         page_size: args.page_size,
     };
@@ -1373,9 +1366,8 @@ fn run_query(args: &QueryArgs) -> Result<(), String> {
     let count_options = CountOptions {
         use_iep: args.use_iep,
         threads: args.threads,
-        prefix_depth: None,
-        hub_bitsets: args.hub_bitsets,
         scalar_kernels: args.scalar_kernels,
+        ..CountOptions::default()
     };
     println!("kernels: {}", vertex_set::active_kernel().name());
     if args.mode != CliMode::Count {
@@ -2363,7 +2355,7 @@ mod tests {
     /// replaced: nothing added, renamed, removed or re-defaulted.
     #[test]
     fn the_tables_hold_exactly_the_flags_and_defaults_they_replaced() {
-        let query = "--graph= --format=auto --pattern= --threads=0 --no-iep= --hubs= \
+        let query = "--graph= --format=auto --pattern= --threads=0 --no-iep= \
                      --scalar-kernels= --list=0 --repeat=1 --session= --clients=1 \
                      --max-in-flight=0 --mode=count --sample-rate=0.1 --sample-seed=0 --limit=100";
         let expected = [
@@ -2378,7 +2370,7 @@ mod tests {
             (
                 "remote",
                 "--addr=127.0.0.1:7431 --endpoints= --pattern= --clients=1 --repeat=1 --no-iep= \
-                 --hubs= --deadline-ms=0 --retries=1 --backoff-ms=10 --chaos-seed= --ping= \
+                 --deadline-ms=0 --retries=1 --backoff-ms=10 --chaos-seed= --ping= \
                  --stats= --probe-malformed= --shutdown= --mutate= --mode=count \
                  --sample-rate=0.1 --sample-seed=0 --enumerate= --limit=100 --page-size=0",
             ),

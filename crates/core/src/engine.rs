@@ -74,10 +74,12 @@ pub struct CountOptions {
     /// Outer-loop prefix depth for parallel tasks (None = heuristic).
     pub prefix_depth: Option<usize>,
     /// Intersect against bitset rows for the high-degree core
-    /// ([`GraphPi::hub_index`]) wherever a set op involves a hub. The index
-    /// is built lazily once per engine and cached; it changes the kernel,
-    /// not the result, so every mode returns bit-identical results with
-    /// this on or off.
+    /// ([`GraphPi::hub_index`]) wherever a set op involves a hub. On by
+    /// default: the index is built lazily once per engine and cached, and a
+    /// graph whose index has no row runs the merge kernels anyway. It
+    /// changes the kernel, not the result, so every mode returns
+    /// bit-identical results either way; `false` pins the merge kernels,
+    /// as the paper-reproduction mains and the agreement suites do.
     pub hub_bitsets: bool,
     /// Pin the sorted-set intersection kernels to the portable scalar
     /// reference instead of the runtime-detected SIMD family. Kernel
@@ -103,19 +105,20 @@ impl Default for CountOptions {
             use_iep: true,
             threads: 0,
             prefix_depth: None,
-            hub_bitsets: false,
+            hub_bitsets: true,
             scalar_kernels: false,
         }
     }
 }
 
 impl CountOptions {
-    /// Sequential, enumeration-only execution (what the paper uses when
-    /// comparing against GraphZero and Fractal).
+    /// Sequential, enumeration-only execution on the merge kernels (what
+    /// the paper uses when comparing against GraphZero and Fractal).
     pub fn sequential_enumeration() -> Self {
         Self {
             use_iep: false,
             threads: 1,
+            hub_bitsets: false,
             ..Self::default()
         }
     }
@@ -245,12 +248,11 @@ impl GraphPi {
     }
 
     /// The execution context of one call: this engine's graph, with its hub
-    /// index when `hub_bitsets` asks for it.
+    /// index when `hub_bitsets` allows it and the index has a row.
     fn ctx(&self, hub_bitsets: bool) -> ExecCtx<'_> {
-        if hub_bitsets {
-            ExecCtx::from((self.graph(), self.hub_index()))
-        } else {
-            ExecCtx::from(self.graph())
+        match hub_bitsets.then(|| self.hub_index()) {
+            Some(hubs) if hubs.hub_count() > 0 => ExecCtx::from((self.graph(), hubs)),
+            _ => ExecCtx::from(self.graph()),
         }
     }
 
@@ -1385,15 +1387,15 @@ mod tests {
         assert!(engine.hub_index().hub_count() > 0);
         let pattern = prefab::house();
         let (pool, plan_opts, _) = small_session_options();
-        let plain = engine.session_with(pool, plan_opts, CountOptions::default());
-        let hub = engine.session_with(
+        let plain = engine.session_with(
             pool,
             plan_opts,
             CountOptions {
-                hub_bitsets: true,
+                hub_bitsets: false,
                 ..CountOptions::default()
             },
         );
+        let hub = engine.session_with(pool, plan_opts, CountOptions::default());
         // Hub rows index the engine's own ids: only the kernels differ, so
         // the rows are identical (sorted, since the pool appends them in
         // completion order) and so are the orbit counts.

@@ -36,8 +36,6 @@ use std::time::Duration;
 pub struct RemoteCountOptions {
     /// Disable Inclusion–Exclusion counting for this query.
     pub no_iep: bool,
-    /// Intersect through the hub bitset rows (same result).
-    pub hub_bitsets: bool,
     /// Deadline in milliseconds covering queueing + execution (0 = none).
     pub deadline_ms: u32,
     /// Idempotency key for safe retries (0 = none; [`RetryingClient`]
@@ -55,9 +53,6 @@ pub struct RemoteCountOptions {
 /// Per-enumeration options for `Client::enumerate_with`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RemoteEnumerateOptions {
-    /// Intersect through the hub bitset rows: the same rows as without,
-    /// the same representative for each occurrence.
-    pub hub_bitsets: bool,
     /// Deadline in milliseconds covering queueing, matching, *and* page
     /// streaming — the server re-checks it between pages (0 = none).
     pub deadline_ms: u32,
@@ -189,7 +184,7 @@ impl<T: Transport> Client<T> {
     ) -> Result<RemoteCount, NetError> {
         let request = CountRequest {
             no_iep: options.no_iep,
-            hub_bitsets: options.hub_bitsets,
+            hub_bitsets: false,
             deadline_ms: options.deadline_ms,
             request_id: options.request_id,
             min_generation: options.min_generation,
@@ -241,7 +236,7 @@ impl<T: Transport> Client<T> {
         pages: &Cell<u64>,
     ) -> Result<RemoteEnumeration, NetError> {
         let request = EnumerateRequest {
-            hub_bitsets: options.hub_bitsets,
+            hub_bitsets: false,
             deadline_ms: options.deadline_ms,
             limit,
             page_size: options.page_size,

@@ -692,8 +692,9 @@ impl QueryMode {
 /// ```text
 /// offset  size  field          present
 /// 0       1     flags          always: bit0 = disable IEP, bit1 = hub
-///                              bitsets, bit2 = request ID, bit3 = min
-///                              generation, bit4 = query mode
+///                              bitsets (accepted, ignored), bit2 =
+///                              request ID, bit3 = min generation,
+///                              bit4 = query mode
 /// 1       4     deadline_ms    always; u32 LE, 0 = no deadline
 /// 5       8     request_id     u64 LE, only when flag bit2 is set
 /// +0      8     min_generation u64 LE, only when flag bit3 is set
@@ -718,7 +719,9 @@ impl QueryMode {
 pub struct CountRequest {
     /// Disable Inclusion–Exclusion counting for this query.
     pub no_iep: bool,
-    /// Intersect through the hub bitset rows (same result).
+    /// Flag bit 1, "hub bitsets": encoded and decoded so the wire bytes
+    /// stay fixed, and ignored by the server, because hub rows are the
+    /// engine's choice and never change an answer.
     pub hub_bitsets: bool,
     /// Query deadline in milliseconds (0 = none). The deadline covers
     /// admission queueing and execution; an expired query gets
@@ -961,7 +964,7 @@ impl CountOk {
 ///
 /// ```text
 /// offset  size  field        notes
-/// 0       1     flags        bit0 = hub bitsets
+/// 0       1     flags        bit0 = hub bitsets (accepted, ignored)
 /// 1       4     deadline_ms  u32 LE, 0 = none; checked between pages, so
 ///                            an expired deadline cancels the stream at
 ///                            the next page boundary
@@ -979,7 +982,9 @@ impl CountOk {
 /// stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnumerateRequest {
-    /// Intersect through the hub bitset rows (same result).
+    /// Flag bit 0, "hub bitsets": encoded and decoded so the wire bytes
+    /// stay fixed, and ignored by the server, because hub rows are the
+    /// engine's choice and never change an answer.
     pub hub_bitsets: bool,
     /// Deadline in milliseconds (0 = none), checked between pages.
     pub deadline_ms: u32,

@@ -328,7 +328,6 @@ fn request_fingerprint(request: &CountRequest) -> u64 {
         hash = hash.wrapping_mul(0x1000_0000_01B3);
     };
     eat(u8::from(request.no_iep));
-    eat(u8::from(request.hub_bitsets));
     // The execution mode changes the answer, so orbit/sample replies can
     // never replay for a plain count retry (or vice versa).
     match request.mode {
@@ -1142,7 +1141,6 @@ fn handle_count(ctx: &ServeCtx<'_>, payload: &[u8]) -> Result<Frame, WireError> 
 
     let count_options = CountOptions {
         use_iep: !request.no_iep,
-        hub_bitsets: request.hub_bitsets,
         ..CountOptions::default()
     };
     let (outcome, elapsed) = ctx.admitted("query", deadline, || {
@@ -1267,10 +1265,6 @@ fn handle_enumerate<'a>(ctx: &ServeCtx<'a>, payload: &[u8]) -> Result<PageStream
     )?;
     let pattern = ctx.pattern(&request.pattern)?;
     let deadline = deadline_after(request.deadline_ms);
-    let count_options = CountOptions {
-        hub_bitsets: request.hub_bitsets,
-        ..CountOptions::default()
-    };
     let (outcome, _) = ctx.admitted("enumeration", deadline, || {
         ctx.metrics
             .enumerations_total
@@ -1279,7 +1273,7 @@ fn handle_enumerate<'a>(ctx: &ServeCtx<'a>, payload: &[u8]) -> Result<PageStream
             limit: request.limit,
         };
         ctx.backend
-            .with_session(|session| session.run(&pattern, mode, count_options))
+            .with_session(|session| session.run(&pattern, mode, CountOptions::default()))
     })?;
     let embeddings = outcome.map_err(pattern_rejected)?.into_embeddings();
 
@@ -1762,6 +1756,15 @@ mod tests {
         assert_eq!(
             request_fingerprint(&base),
             request_fingerprint(&same_but_other_id)
+        );
+        // Neither does the hub bit: the server picks its kernels itself.
+        let same_but_hub_bit = CountRequest {
+            hub_bitsets: true,
+            ..base.clone()
+        };
+        assert_eq!(
+            request_fingerprint(&base),
+            request_fingerprint(&same_but_hub_bit)
         );
         let different_flags = CountRequest {
             no_iep: true,

@@ -170,6 +170,25 @@ fn the_server_refuses_the_plan_cache_persistence_flags() {
     }
 }
 
+/// Hub rows are the engine's choice: whenever the graph has one, every
+/// query intersects through it. The switch that once opted in is refused
+/// like any other unknown flag.
+#[test]
+fn count_and_remote_refuse_the_hubs_switch() {
+    for command in [
+        &["count", "--graph", "g", "--pattern", "house"][..],
+        &["remote", "--pattern", "house"],
+    ] {
+        let output = run(&[command, &["--hubs"]].concat());
+        assert!(!output.status.success(), "{command:?} accepted --hubs");
+        let stderr = stderr_of(&output);
+        assert!(
+            stderr.starts_with("unknown flag --hubs\n"),
+            "{command:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn rejects_missing_graph_file_with_typed_error() {
     assert_rejected(

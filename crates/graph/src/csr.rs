@@ -162,7 +162,9 @@ impl CsrGraph {
             .unwrap_or(0)
     }
 
-    /// Returns vertices sorted by decreasing degree (ties broken by id).
+    /// Returns vertices sorted by decreasing degree (ties broken by id): the
+    /// order the hub tests check `HubGraph::build`'s selection against.
+    #[cfg(test)]
     pub(crate) fn vertices_by_degree_desc(&self) -> Vec<VertexId> {
         let mut vs: Vec<VertexId> = self.vertices().collect();
         vs.sort_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v));

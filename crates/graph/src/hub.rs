@@ -13,16 +13,23 @@
 //! The index is rows only, beside the caller's CSR: it copies no adjacency
 //! list and renames no vertex. A set computed through a row is the set the
 //! merge computes, so whether hubs are on is a choice of kernel, never of
-//! result.
+//! result — which is why the engine turns them on by default wherever the
+//! graph has a row.
 
 use crate::csr::{CsrGraph, VertexId};
+use std::cmp::Reverse;
 
 /// Options controlling which vertices become hubs.
+///
+/// The engine builds its index with the defaults and intersects through it
+/// whenever it has a row, so these bounds are what every query on the
+/// graph pays for in memory.
 #[derive(Debug, Clone, Copy)]
 pub struct HubOptions {
     /// Upper bound on the number of hub rows. The index weighs
-    /// `⌈|V| / 64⌉ × 8` bytes per row plus 4 bytes per vertex for the row
-    /// lookup: at most about `max_hubs × |V| / 8 + 4 × |V|` bytes.
+    /// `⌈|V| / 64⌉ × 8` bytes per row plus 4 bytes per vertex up to the
+    /// highest hub id for the row lookup: at most about
+    /// `max_hubs × |V| / 8 + 4 × |V|` bytes, and nothing without hubs.
     pub max_hubs: usize,
     /// Minimum degree for a vertex to qualify as a hub. Bit probes beat
     /// merges only when the hub's adjacency is large; low-degree rows would
@@ -45,10 +52,12 @@ const NO_ROW: u32 = u32::MAX;
 /// Bitset adjacency rows for the high-degree core of one graph, indexed by
 /// that graph's vertex ids.
 pub struct HubGraph {
-    /// `row_of[v]` is the index of `v`'s row, or [`NO_ROW`].
+    /// `row_of[v]` is the index of `v`'s row, or [`NO_ROW`]. It ends at the
+    /// highest hub id, so a vertex past its end has no row, and a graph
+    /// without hubs pays nothing for the lookup.
     row_of: Vec<u32>,
-    /// `|E|` of the graph the rows were built over (`|V|` is
-    /// `row_of.len()`).
+    /// `|V|` and `|E|` of the graph the rows were built over.
+    num_vertices: usize,
     num_edges: u64,
     hub_count: usize,
     words_per_row: usize,
@@ -63,14 +72,18 @@ impl HubGraph {
     /// degree is at least `min_degree`.
     pub fn build(graph: &CsrGraph, options: HubOptions) -> Self {
         let n = graph.num_vertices();
-        let hubs: Vec<VertexId> = graph
-            .vertices_by_degree_desc()
-            .into_iter()
-            .take(options.max_hubs)
-            .take_while(|&v| graph.degree(v) >= options.min_degree.max(1))
-            .collect();
         let words_per_row = n.div_ceil(64);
-        let mut row_of = vec![NO_ROW; n];
+        let min_degree = options.min_degree.max(1);
+        // Filter by degree first and order only the survivors: the rows and
+        // their order are those of a full degree sort, without sorting |V|.
+        let mut hubs: Vec<VertexId> = graph
+            .vertices()
+            .filter(|&v| graph.degree(v) >= min_degree)
+            .collect();
+        hubs.sort_unstable_by_key(|&v| (Reverse(graph.degree(v)), v));
+        hubs.truncate(options.max_hubs);
+        let lookup_len = hubs.iter().max().map_or(0, |&v| v as usize + 1);
+        let mut row_of = vec![NO_ROW; lookup_len];
         let mut bits = vec![0u64; hubs.len() * words_per_row];
         let rows = bits.chunks_exact_mut(words_per_row.max(1));
         for (h, (&hub, row)) in hubs.iter().zip(rows).enumerate() {
@@ -81,6 +94,7 @@ impl HubGraph {
         }
         Self {
             row_of,
+            num_vertices: n,
             num_edges: graph.num_edges(),
             hub_count: hubs.len(),
             words_per_row,
@@ -97,13 +111,13 @@ impl HubGraph {
     /// Whether these rows can index `graph`: it has the `|V|` and `|E|` they
     /// were built over.
     pub fn indexes(&self, graph: &CsrGraph) -> bool {
-        (self.row_of.len(), self.num_edges) == (graph.num_vertices(), graph.num_edges())
+        (self.num_vertices, self.num_edges) == (graph.num_vertices(), graph.num_edges())
     }
 
     /// The bitset row of `v`, if `v` is a hub.
     #[inline]
     pub fn row(&self, v: VertexId) -> Option<&[u64]> {
-        let h = self.row_of[v as usize] as usize;
+        let h = *self.row_of.get(v as usize)? as usize;
         (h != NO_ROW as usize).then(|| &self.bits[h * self.words_per_row..][..self.words_per_row])
     }
 
@@ -116,7 +130,7 @@ impl HubGraph {
 impl std::fmt::Debug for HubGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HubGraph")
-            .field("num_vertices", &self.row_of.len())
+            .field("num_vertices", &self.num_vertices)
             .field("num_edges", &self.num_edges)
             .field("hub_count", &self.hub_count)
             .field("bitset_bytes", &self.bitset_bytes())
@@ -291,6 +305,28 @@ mod tests {
             },
         );
         assert_eq!(strict.hub_count(), 0);
+    }
+
+    #[test]
+    fn the_row_lookup_ends_at_the_highest_hub() {
+        // 10,000 vertices, two of them hubs: the lookup covers ids 0..=300,
+        // and the other vertices, past its end, have no row.
+        let star = |hub: VertexId, first: VertexId| (first..first + 40).map(move |v| (hub, v));
+        let g = crate::GraphBuilder::new()
+            .num_vertices(10_000)
+            .edges(star(300, 1_000).chain(star(7, 2_000)))
+            .build();
+        let hub = HubGraph::build(&g, HubOptions::default());
+        assert_eq!(hubs_of(&hub, &g), [7, 300]);
+        assert_eq!(hub.row_of.len(), 301);
+        assert!(hub.indexes(&g));
+        assert!(hub.row(9_999).is_none());
+        // A graph without a vertex of degree 32 pays nothing for a lookup.
+        let flat = generators::grid(100, 100);
+        let none = HubGraph::build(&flat, HubOptions::default());
+        assert_eq!((none.hub_count(), none.row_of.len()), (0, 0));
+        assert!(none.indexes(&flat));
+        assert!(flat.vertices().all(|v| none.row(v).is_none()));
     }
 
     #[test]

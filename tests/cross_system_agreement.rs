@@ -5,7 +5,8 @@
 use graphpi::baseline::expansion::{ExpansionEngine, ExpansionOutcome};
 use graphpi::baseline::{naive, GraphZeroEngine};
 use graphpi::core::engine::{CountOptions, GraphPi, PlanOptions};
-use graphpi::graph::generators;
+use graphpi::core::DynamicEngine;
+use graphpi::graph::{generators, hub, EdgeBatch, GraphBuilder};
 use graphpi::pattern::prefab;
 
 fn all_counts_agree(
@@ -159,4 +160,58 @@ fn counts_on_bipartite_like_graph_with_no_odd_cycles() {
         engine.count(&prefab::rectangle()).unwrap(),
         naive::count_embeddings(&prefab::rectangle(), &graph)
     );
+}
+
+/// A dynamic engine's generation builds its hub rows over its own graph on
+/// its first query, so a batch that rewires a hub (and grows a new one) is
+/// seen by the default count, which intersects through those rows.
+#[test]
+fn a_new_generation_counts_through_rows_of_its_own_graph() {
+    // A sparse graph with one hub adjacent to 60 vertices; vertex 100 has
+    // too few neighbours for a row until the batch adds 40.
+    let n = 200;
+    let mut edges: std::collections::BTreeSet<(u32, u32)> = generators::erdos_renyi(n, 500, 0xD1)
+        .edges()
+        .chain((1..61).map(|v| (0, v)))
+        .map(|(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    let graph_of = |edges: &std::collections::BTreeSet<(u32, u32)>| {
+        GraphBuilder::new()
+            .num_vertices(n)
+            .edges(edges.iter().copied())
+            .build()
+    };
+    let initial = graph_of(&edges);
+    let dynamic = DynamicEngine::volatile(initial.clone());
+    let patterns = [prefab::triangle(), prefab::rectangle(), prefab::house()];
+    let before = dynamic.pin();
+    assert!(before.engine().hub_index().row(0).is_some());
+    assert!(before.engine().hub_index().row(100).is_none());
+
+    let mut batch = EdgeBatch::new();
+    for v in 1..21 {
+        batch.delete(0, v);
+        edges.remove(&(0, v));
+    }
+    for v in 101..141 {
+        batch.insert(100, v);
+        edges.insert((100, v));
+    }
+    dynamic.apply(&batch).unwrap();
+    let after = dynamic.pin();
+    let updated = graph_of(&edges);
+    assert_eq!(*after.engine().graph(), updated);
+    let rows = after.engine().hub_index();
+    for center in [0, 100] {
+        let row = rows.row(center).expect("a hub after the batch");
+        let members: Vec<u32> = (0..n as u32).filter(|&v| hub::contains(row, v)).collect();
+        assert_eq!(members, updated.neighbors(center), "row of {center}");
+    }
+    for pattern in &patterns {
+        let expected = naive::count_embeddings(pattern, &updated);
+        assert_eq!(after.engine().count(pattern).unwrap(), expected);
+        // The pinned old generation keeps its own rows and its own count.
+        let old = naive::count_embeddings(pattern, &initial);
+        assert_eq!(before.engine().count(pattern).unwrap(), old);
+    }
 }

@@ -303,31 +303,34 @@ fn bound_vertices_inside_the_window_are_not_embeddings() {
         }
 
         // Hub rows index the graph's own ids, so the hub kernels change no
-        // result: hubs on ≡ hubs off, bit for bit.
-        let both = |mode| {
-            [false, true].map(|hub_bitsets| {
-                let options = CountOptions {
-                    hub_bitsets,
-                    ..enumeration()
-                };
-                session.run_plan(&plan, mode, options)
-            })
+        // result: hubs off ≡ hubs on ≡ the engine's default, bit for bit.
+        let all = |mode| {
+            let pinned = |hub_bitsets| CountOptions {
+                hub_bitsets,
+                ..enumeration()
+            };
+            [pinned(false), pinned(true), CountOptions::default()]
+                .map(|options| session.run_plan(&plan, mode, options))
         };
-        let [off, on] = both(Mode::Count);
+        let [off, on, default] = all(Mode::Count);
         assert_eq!(on, off, "count {set:?}");
-        let [off, on] = both(Mode::Orbit);
+        assert_eq!(default, off, "default count {set:?}");
+        let [off, on, default] = all(Mode::Orbit);
         assert_eq!(on, off, "orbit {set:?}");
+        assert_eq!(default, off, "default orbit {set:?}");
         for seed in 0..4 {
-            let [off, on] = both(Mode::Sample { rate: 0.5, seed }).map(approx_bits);
+            let [off, on, default] = all(Mode::Sample { rate: 0.5, seed }).map(approx_bits);
             assert_eq!(on, off, "sample seed {seed}, {set:?}");
+            assert_eq!(default, off, "default sample seed {seed}, {set:?}");
         }
         // Sorted: the pool appends rows in completion order.
-        let [off, on] = both(Mode::Enumerate { limit: u64::MAX }).map(|outcome| {
+        let [off, on, default] = all(Mode::Enumerate { limit: u64::MAX }).map(|outcome| {
             let mut rows = outcome.into_embeddings();
             rows.sort_unstable();
             rows
         });
         assert_eq!(on, off, "enumerate {set:?}");
+        assert_eq!(default, off, "default enumerate {set:?}");
     }
 }
 
