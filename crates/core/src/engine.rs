@@ -354,8 +354,8 @@ impl GraphPi {
     }
 
     /// Executes an already-compiled plan and returns the embedding count:
-    /// sequentially (enumerating or with IEP) on one thread, on the scoped
-    /// parallel executor otherwise.
+    /// sequentially (enumerating or with IEP) on one thread, otherwise on a
+    /// worker pool built for this one count ([`parallel::count_parallel`]).
     pub fn execute_count(&self, plan: &ExecutionPlan, options: CountOptions) -> u64 {
         // Authoritative per call: dispatch is process-global, so this call's
         // setting becomes the process setting (the `GRAPHPI_FORCE_SCALAR`
@@ -473,7 +473,9 @@ pub struct ApproxCount {
     /// The Horvitz–Thompson estimate of the embedding count.
     pub estimate: f64,
     /// Estimated standard error of `estimate` (0 when the rate is ≥ 1,
-    /// where the "estimate" is the exact count).
+    /// where the "estimate" is the exact count). `f64::INFINITY` means
+    /// unknown: no sampled task held an embedding while some tasks went
+    /// unsampled, so the sample cannot bound what it skipped.
     pub stderr: f64,
     /// Number of prefix tasks that were sampled and fully counted.
     pub sampled_tasks: u64,

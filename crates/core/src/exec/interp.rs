@@ -21,7 +21,7 @@
 //! last parent is `v_i`, once, into the slots of a reusable
 //! `SearchBuffers`; a deeper loop's candidate set is a slot reference plus
 //! its restriction window. A prefix task replays the ops of its bound depths
-//! and then walks on, so sequential, scoped, pooled and IEP execution
+//! and then walks on, so sequential, pooled and IEP execution
 //! ([`crate::exec::iep`]) are all the same `Walk`. [`crate::codegen`]
 //! renders the same program as source text.
 //!
@@ -436,8 +436,8 @@ impl Pair<'_> {
 /// `&CsrGraph`, or a `(&CsrGraph, &HubGraph)` pair for hub-accelerated
 /// execution).
 ///
-/// The same `CountSink` leaf the scoped and pooled executors fold their
-/// tasks through, one start vertex at a time.
+/// The same `CountSink` leaf the pool folds its tasks through, one start
+/// vertex at a time.
 pub fn count_embeddings<'a>(plan: &ExecutionPlan, ctx: impl Into<ExecCtx<'a>>) -> u64 {
     let mut sink = CountSink::new();
     match_embeddings_in(plan, ctx.into(), 1, &mut sink);
@@ -574,7 +574,7 @@ pub fn enumerate_prefixes(
 
 /// Streaming variant of [`enumerate_prefixes`]: invokes `visitor` once per
 /// valid prefix without materialising the task list. This is what the
-/// parallel executor's master thread uses to feed workers in batches while
+/// worker pool's submitting thread uses to feed workers in batches while
 /// enumeration is still running.
 ///
 /// Only the ops that feed the candidates of loops below `depth` run, so

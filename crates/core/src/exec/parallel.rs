@@ -1,36 +1,32 @@
-//! Multi-threaded execution with fine-grained prefix tasks and work
-//! stealing (the intra-node half of Section IV-E).
+//! Fine-grained prefix tasks with work stealing (the intra-node half of
+//! Section IV-E): what a task is, what it folds into, and the one kernel
+//! that runs it.
 //!
 //! The paper's distributed design has a master thread execute the outermost
 //! loops and pack their bound values into tasks; worker threads unpack a
-//! task and run the remaining inner loops. Within one process the same idea
-//! becomes a streaming pipeline:
+//! task and run the remaining inner loops. Within one process that is the
+//! [`WorkerPool`], the one multi-threaded executor: the master (the
+//! submitting thread) streams depth-`d` prefixes into its job's lane in
+//! fixed-size batches — the task list is never materialised, so workers
+//! start while the outer loops are still running — and workers pop, refill
+//! a batch at a time and steal from each other. Because real-world degree
+//! distributions are heavily skewed, per-task cost varies by orders of
+//! magnitude; fine-grained tasks plus stealing keep the load balanced.
 //!
-//! * The **master** (the calling thread) enumerates valid prefixes of depth
-//!   `d` and pushes them into a global [`Injector`] in fixed-size batches —
-//!   the task list is never materialised, so workers start while the outer
-//!   loops are still running and the queue holds at most a window of tasks.
-//! * Each **worker** owns a lock-free Chase–Lev deque. It pops locally,
-//!   refills with [`Injector::steal_batch_and_pop`] (one lock per batch),
-//!   and steals batches from sibling deques when both run dry. Because
-//!   real-world degree distributions are heavily skewed, per-task cost
-//!   varies by orders of magnitude — fine-grained tasks plus stealing is
-//!   exactly what keeps the load balanced.
 //! * A task is an inline fixed-capacity `PrefixTask` (`Copy`, no heap),
 //!   and every worker reuses one `SearchBuffers`, so the steady-state
 //!   worker loop performs **no heap allocation**. A worker replays the set
 //!   ops of the task's bound depths once and walks on from there, so a task
 //!   may be cut at any depth — IEP tasks included.
+//! * What a task *folds into* is data, a `Job`: counting (an enumerated
+//!   subtree or one IEP term per task) and the three sink modes share one
+//!   path resolution (`resolve_path`), one per-task kernel (`run_one_task`)
+//!   and one calling-thread executor (`run_on_caller`).
 //!
-//! What a task *folds into* is data, a `Job`: counting (an enumerated
-//! subtree or one IEP term per task) and the three sink modes share one
-//! path resolution, one producer, one per-task kernel (`run_one_task`) and
-//! one calling-thread executor (`run_on_caller`). Two executors run them:
-//! the scoped one here ([`count_parallel`] — workers spawned and joined per
-//! call, counts only) and the persistent [`crate::exec::pool::WorkerPool`]
-//! (every job kind). A query whose predicted cost is below one hand-off
-//! ([`HANDOFF_COST`]) reaches neither: `Session::run` folds it through
-//! `run_on_caller` at the depth the pool would have cut it at.
+//! A `Session` keeps a pool warm; [`count_parallel`] builds one for a
+//! single count and drops it. A query whose predicted cost is below one
+//! hand-off ([`HANDOFF_COST`]) reaches neither: `Session::run` folds it
+//! through `run_on_caller` at the depth the pool would have cut it at.
 //!
 //! Hub acceleration (bitset rows for the high-degree core over the graph's
 //! own ids, see [`graphpi_graph::hub`]) plugs in by passing the graph
@@ -40,10 +36,10 @@
 use crate::config::{ExecutionPlan, MAX_LOOPS};
 use crate::exec::iep;
 use crate::exec::interp::{self, ExecCtx, SearchBuffers};
+use crate::exec::pool::WorkerPool;
 use crate::exec::sink::{free_members, members, record_members, sample_accepts, Job, MatchSink};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use graphpi_graph::csr::VertexId;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default number of prefix tasks pushed to the injector per batch.
 pub(crate) const DEFAULT_BATCH_SIZE: usize = 64;
@@ -125,8 +121,7 @@ pub fn default_prefix_depth(plan: &ExecutionPlan) -> usize {
     }
 }
 
-/// Resolves a requested worker count (0 = all available cores). Shared by
-/// the scoped executor and [`crate::exec::pool::WorkerPool`].
+/// Resolves a requested worker count (0 = all available cores).
 pub(crate) fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         requested
@@ -139,9 +134,8 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
 
 /// The execution strategy resolved from a plan, the requested options and
 /// the job — the single source of truth for sequential fallbacks and
-/// degenerate depths, shared by the scoped executor ([`count_parallel`]) and
-/// the persistent pool ([`crate::exec::pool::WorkerPool`]), which is what
-/// keeps their counts bit-identical.
+/// degenerate depths, read by [`WorkerPool`] and by the calling-thread
+/// placement in `Session::run`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExecPath {
     /// The plan has no loops; there is nothing to match.
@@ -207,9 +201,8 @@ pub const HANDOFF_COST: f64 = 1.4e4;
 /// The calling-thread executor every path shares: folds each depth-`depth`
 /// prefix through the per-task kernel right here, queueing nothing, and
 /// returns the job's finished count (IEP correction applied; zero for the
-/// sink modes, whose results are in `job`). It serves the degenerate
-/// full-depth path of both executors and every query the placement rule
-/// keeps off the pool.
+/// sink modes, whose results are in `job`). It serves the pool's degenerate
+/// full-depth path and every query the placement rule keeps off the pool.
 pub(crate) fn run_on_caller(
     plan: &ExecutionPlan,
     ctx: ExecCtx<'_>,
@@ -224,35 +217,11 @@ pub(crate) fn run_on_caller(
     finalize_count(raw, job, plan)
 }
 
-/// The producer core shared by the scoped executor and the pool: enumerates
-/// depth-`depth` prefixes and hands them out in batches of `batch_size`
-/// through `emit`, which drains the batch into whatever queue the caller
-/// uses. Tasks never materialise as a full list — workers overlap with
-/// enumeration and the queue stays bounded by a window.
-pub(crate) fn stream_prefix_batches(
-    plan: &ExecutionPlan,
-    ctx: ExecCtx<'_>,
-    depth: usize,
-    batch_size: usize,
-    mut emit: impl FnMut(&mut Vec<PrefixTask>),
-) {
-    let mut batch: Vec<PrefixTask> = Vec::with_capacity(batch_size);
-    interp::for_each_prefix(plan, ctx, depth, |prefix| {
-        batch.push(PrefixTask::from_slice(prefix));
-        if batch.len() == batch_size {
-            emit(&mut batch);
-        }
-    });
-    if !batch.is_empty() {
-        emit(&mut batch);
-    }
-}
-
 /// Runs one prefix task's subtree into its job — the single per-task kernel
-/// every executor shares (scoped workers, pool workers serving any job, the
-/// pool's caller-runs master helping and [`run_on_caller`]), which is what
-/// keeps their results bit-identical: a job folds the same per-task
-/// contributions regardless of which threads ran them.
+/// that pool workers serving any job, the pool's caller-runs master helping
+/// and [`run_on_caller`] share, which is what keeps their results
+/// bit-identical: a job folds the same per-task contributions regardless of
+/// which threads ran them.
 ///
 /// Returns the task's term of a count job's raw total (zero for the sink
 /// modes, whose per-task work accumulates locally — a page of embeddings,
@@ -419,94 +388,16 @@ impl MatchSink for SharedOrbit<'_> {
 }
 
 /// Counts embeddings in parallel over a `&CsrGraph`, or a `(&CsrGraph,
-/// &HubGraph)` pair for hub-accelerated execution: the scoped executor. Workers
-/// are spawned for this one job and joined before returning, so their
-/// scratch lives on their own stack frames.
+/// &HubGraph)` pair for hub-accelerated execution, on a [`WorkerPool`] built
+/// for this one job with `options.threads` workers and dropped (its workers
+/// joined) before returning. A long-lived caller keeps a warm pool instead:
+/// [`crate::engine::Session`] or [`WorkerPool::count`] directly.
 pub fn count_parallel<'a>(
     plan: &ExecutionPlan,
     ctx: impl Into<ExecCtx<'a>>,
     options: ParallelOptions,
 ) -> u64 {
-    let ctx = ctx.into();
-    let job = &Job::count(plan, options.mode);
-    let (depth, batch_size) = match resolve_path(plan, &options, job) {
-        ExecPath::Empty => return 0,
-        ExecPath::MasterOnly { depth } => return run_on_caller(plan, ctx, depth, job),
-        ExecPath::Tasks { depth, batch_size } => (depth, batch_size),
-    };
-
-    let injector: Injector<PrefixTask> = Injector::new();
-    let done = AtomicBool::new(false);
-    let total = AtomicU64::new(0);
-
-    let workers: Vec<Worker<PrefixTask>> = (0..resolve_threads(options.threads))
-        .map(|_| Worker::new_lifo())
-        .collect();
-    let stealers: Vec<Stealer<PrefixTask>> = workers.iter().map(Worker::stealer).collect();
-
-    std::thread::scope(|scope| {
-        for (me, worker) in workers.into_iter().enumerate() {
-            let (stealers, injector, done, total) = (&stealers, &injector, &done, &total);
-            scope.spawn(move || {
-                let mut buffers = SearchBuffers::new(plan.num_loops());
-                let mut local = 0u64;
-                loop {
-                    match next_task(&worker, me, stealers, injector) {
-                        Some(task) => {
-                            local += run_one_task(plan, ctx, job, task.as_slice(), &mut buffers);
-                        }
-                        // No task anywhere. If the master has finished and
-                        // the injector is drained, any still-queued task is
-                        // owned by a sibling that will process it — safe to
-                        // retire.
-                        None if done.load(Ordering::Acquire) && injector.is_empty() => break,
-                        None => std::thread::yield_now(),
-                    }
-                }
-                total.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-
-        // The master: stream prefix batches into the shared injector.
-        stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
-            injector.push_batch(batch.drain(..));
-        });
-        done.store(true, Ordering::Release);
-    });
-
-    finalize_count(total.load(Ordering::Relaxed), job, plan)
-}
-
-/// Task acquisition order: own deque, then a batch from the injector, then
-/// batches stolen from siblings.
-fn next_task(
-    worker: &Worker<PrefixTask>,
-    me: usize,
-    stealers: &[Stealer<PrefixTask>],
-    injector: &Injector<PrefixTask>,
-) -> Option<PrefixTask> {
-    if let Some(task) = worker.pop() {
-        return Some(task);
-    }
-    loop {
-        match injector.steal_batch_and_pop(worker) {
-            Steal::Success(task) => return Some(task),
-            Steal::Empty => break,
-            Steal::Retry => continue,
-        }
-    }
-    for (i, stealer) in stealers.iter().enumerate() {
-        if i == me {
-            continue;
-        }
-        match stealer.steal_batch_and_pop(worker) {
-            Steal::Success(task) => return Some(task),
-            // On Empty move to the next victim; on Retry (lost a CAS race)
-            // likewise — the caller's loop revisits every victim anyway.
-            Steal::Empty | Steal::Retry => {}
-        }
-    }
-    None
+    WorkerPool::with_max_in_flight(options.threads, 1).count(plan, ctx, &options)
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
-//! A persistent, **multi-tenant** work-stealing worker pool: the warm
-//! serving path.
+//! A persistent, **multi-tenant** work-stealing worker pool: the one
+//! multi-threaded executor.
 //!
-//! [`super::parallel::count_parallel`] spawns and joins a fresh
-//! `std::thread::scope` per call. That is the right shape for one-shot batch
-//! counting, but in a long-lived service handling many queries the fixed
-//! costs dominate at fine task granularity: thread spawn/join is on the
-//! order of a millisecond, and every spawn re-allocates the per-worker
-//! search scratch. [`WorkerPool`] removes both, and (unlike its first
-//! incarnation, which serialized every job on a submit lock) runs **several
-//! jobs concurrently**:
+//! A long-lived service keeps one pool warm; a one-shot batch count
+//! ([`super::parallel::count_parallel`]) builds a pool for its one job and
+//! drops it. Spawning and joining an idle 2-worker pool costs 50–100 µs
+//! (median of 2,000 cycles on a 2-vCPU Xeon guest: ~50 µs pinned to one
+//! CPU, ~80–100 µs unpinned), and every spawn allocates the per-worker
+//! search scratch, so at fine task granularity a warm pool is what keeps
+//! both off the serving path. The pool (unlike its first incarnation, which
+//! serialized every job on a submit lock) runs **several jobs
+//! concurrently**:
 //!
 //! * **Workers are spawned once** and live as long as the pool, keeping
 //!   their Chase–Lev deque and `SearchBuffers` alive across jobs, so the
@@ -19,11 +20,11 @@
 //!   its **own injector lane**, and every queued task is **tagged** with its
 //!   slot index, so one worker can drain tasks from several active jobs
 //!   without ever mixing their results: the per-task kernel
-//!   (`parallel::run_one_task`, shared with the scoped executor — which is
-//!   what keeps pooled counts bit-identical to scoped counts) folds each
-//!   task into the owning slot's job, whatever its kind. Counting is one
-//!   job kind among four; every kind enters through the same submission
-//!   routine (`WorkerPool::run_job`).
+//!   (`parallel::run_one_task`, shared with the calling-thread executor
+//!   `run_on_caller` — which is what keeps a job's result the same whichever
+//!   threads ran its tasks) folds each task into the owning slot's job,
+//!   whatever its kind. Counting is one job kind among four; every kind
+//!   enters through the same submission routine (`WorkerPool::run_job`).
 //! * **Completion is accounting, not thread handshakes.** Each slot counts
 //!   its published-but-unfinished tasks (`pending`); a job is complete when
 //!   its producer has finished streaming and `pending` returns to zero.
@@ -34,8 +35,7 @@
 //!   memory and scheduling overhead instead of accepting unbounded fan-in.
 //! * **Panic isolation per job.** Workers run every task under
 //!   `catch_unwind`: a poisoned plan marks *its own* slot panicked (the
-//!   submitter re-raises after the job completes, mirroring the scoped
-//!   executor's propagation through `thread::scope`) while tasks of
+//!   submitter re-raises after the job completes) while tasks of
 //!   concurrent jobs keep executing normally and the worker thread itself
 //!   survives for the next job.
 //!
@@ -87,7 +87,7 @@
 //! dangling read.
 
 use crate::config::{ExecutionPlan, MAX_LOOPS};
-use crate::exec::interp::{ExecCtx, SearchBuffers};
+use crate::exec::interp::{self, ExecCtx, SearchBuffers};
 use crate::exec::parallel::{self, ExecPath, ParallelOptions, PrefixTask};
 use crate::exec::sink::Job;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -338,9 +338,8 @@ impl WorkerPool {
         self.handles.iter().filter(|h| !h.is_finished()).count()
     }
 
-    /// Counts embeddings on the pool, mirroring
-    /// [`parallel::count_parallel`] (a `&CsrGraph`, or a `(&CsrGraph,
-    /// &HubGraph)` pair for hub-accelerated execution). `options.threads` is
+    /// Counts embeddings on the pool over a `&CsrGraph`, or a `(&CsrGraph,
+    /// &HubGraph)` pair for hub-accelerated execution. `options.threads` is
     /// ignored — the pool size is fixed at construction.
     ///
     /// This is the warm serving path: no thread is spawned and no
@@ -413,8 +412,11 @@ impl WorkerPool {
         let scratch = &mut *scratch_guard;
         debug_assert!(scratch.deque.is_empty());
 
+        // Stream depth-`depth` prefixes into the lane a batch at a time:
+        // workers overlap with enumeration and the lane holds a window.
         let tag = slot_idx as u32;
-        parallel::stream_prefix_batches(plan, ctx, depth, batch_size, |batch| {
+        let mut batch = Vec::with_capacity(batch_size);
+        let publish = |batch: &mut Vec<TaggedTask>| {
             // Once an enumeration's budget is fully claimed every further
             // task would early-return anyway; stop feeding the queue and
             // let the in-flight tail drain.
@@ -426,8 +428,7 @@ impl WorkerPool {
             // at zero while tasks sit in the lane.
             slot.pending
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            slot.injector
-                .push_batch(batch.drain(..).map(|task| TaggedTask { slot: tag, task }));
+            slot.injector.push_batch(batch.drain(..));
             // Backlog-driven ramp-up: wake one dormant worker per pushed
             // batch, but only once more than a full batch is sitting
             // unclaimed — a job small enough for this thread alone never
@@ -438,7 +439,19 @@ impl WorkerPool {
                 drop(lock_state(shared));
                 shared.job_ready.notify_one();
             }
+        };
+        interp::for_each_prefix(plan, ctx, depth, |prefix| {
+            batch.push(TaggedTask {
+                slot: tag,
+                task: PrefixTask::from_slice(prefix),
+            });
+            if batch.len() == batch_size {
+                publish(&mut batch);
+            }
         });
+        if !batch.is_empty() {
+            publish(&mut batch);
+        }
         slot.producer_done.store(true, Ordering::Release);
 
         // Master helping (caller-runs): drain this job's own lane with the
@@ -720,7 +733,7 @@ fn next_task(
 mod tests {
     use super::*;
     use crate::config::Configuration;
-    use crate::exec::parallel::{count_parallel, CountMode};
+    use crate::exec::parallel::CountMode;
     use crate::exec::sink::{EmbedSink, OrbitSink, SampleAccum, SampleSink};
     use crate::exec::{interp, interp::match_embeddings_in};
     use crate::schedule::efficient_schedules;
@@ -865,7 +878,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_scoped_execution() {
+    fn pool_matches_sequential_execution() {
         let g = generators::power_law(200, 5, 9);
         let pool = WorkerPool::new(3);
         for (name, pattern) in prefab::evaluation_patterns().into_iter().take(3) {
@@ -876,9 +889,13 @@ mod tests {
                     mode,
                     ..Default::default()
                 };
+                let sequential = match mode {
+                    CountMode::Enumerate => interp::count_embeddings(&plan, &g),
+                    CountMode::Iep => crate::exec::iep::count_embeddings_iep(&plan, &g),
+                };
                 assert_eq!(
                     pool.count(&plan, &g, &options),
-                    count_parallel(&plan, &g, options),
+                    sequential,
                     "{name} ({mode:?})"
                 );
             }

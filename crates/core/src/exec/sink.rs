@@ -260,7 +260,10 @@ impl SampleAccum {
 
     /// The Horvitz–Thompson estimate and its standard error at inclusion
     /// probability `rate`. With `rate >= 1` every subtree was counted, so
-    /// the estimate is the exact total and the error is zero.
+    /// the estimate is the exact total and the error is zero. A sample that
+    /// met no embedding but skipped some subtrees says nothing about the
+    /// skipped ones: its error is unknown, reported as `f64::INFINITY`, not
+    /// the zero the variance formula gives.
     pub(crate) fn estimate(&self, rate: f64) -> SampleEstimate {
         if rate >= 1.0 {
             return SampleEstimate {
@@ -274,9 +277,14 @@ impl SampleAccum {
         // τ̂ = Σ_{i ∈ S} y_i / p;  Var̂(τ̂) = Σ_{i ∈ S} y_i² (1 − p) / p².
         let estimate = self.sum_y as f64 / p;
         let variance = self.sum_y2 as f64 * (1.0 - p) / (p * p);
+        let stderr = if self.sum_y == 0 && self.sampled < self.total {
+            f64::INFINITY
+        } else {
+            variance.max(0.0).sqrt()
+        };
         SampleEstimate {
             estimate,
-            stderr: variance.max(0.0).sqrt(),
+            stderr,
             sampled: self.sampled,
             total: self.total,
         }
@@ -288,7 +296,8 @@ impl SampleAccum {
 pub(crate) struct SampleEstimate {
     /// The Horvitz–Thompson estimate of the exact embedding count.
     pub estimate: f64,
-    /// One standard error of the estimate (0 when the rate was 1).
+    /// One standard error of the estimate (0 when the rate was 1; infinite
+    /// when no sampled subtree held an embedding and some went unsampled).
     pub stderr: f64,
     /// Number of prefix subtrees actually counted.
     pub sampled: u64,
@@ -604,6 +613,31 @@ mod tests {
         assert_eq!(est.estimate, 31.0);
         assert_eq!(est.stderr, 0.0);
         assert_eq!(est.sampled, 10);
+    }
+
+    #[test]
+    fn an_empty_partial_sample_has_unknown_error() {
+        // Nothing sampled held an embedding, but some subtrees went
+        // unsampled: the estimate is 0 and its error is unknown, not 0.
+        let mut partial = SampleAccum {
+            total: 10,
+            ..SampleAccum::default()
+        };
+        for _ in 0..3 {
+            partial.record(0);
+        }
+        let est = partial.estimate(0.3);
+        assert_eq!(est.estimate, 0.0);
+        assert_eq!(est.stderr, f64::INFINITY);
+        // A run that happened to accept every subtree counted them all, and
+        // rate 1 counts every subtree by construction: both are exact.
+        let mut complete = partial;
+        complete.total = 3;
+        assert_eq!(complete.estimate(0.3).stderr, 0.0);
+        assert_eq!(partial.estimate(1.0).stderr, 0.0);
+        // One non-zero subtree makes the usual variance estimate apply.
+        partial.record(4);
+        assert!(partial.estimate(0.3).stderr.is_finite());
     }
 
     #[test]

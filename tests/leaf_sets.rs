@@ -183,8 +183,8 @@ proptest! {
         let total = expected.embeddings.len() as u64;
         prop_assert_eq!(total, naive::count_embeddings(&pattern, &graph));
 
-        // Count: sequential, scoped, per task — and through the IEP-shaped
-        // plan of the same configuration, enumerated.
+        // Count: sequential, on a one-job pool, per task — and through the
+        // IEP-shaped plan of the same configuration, enumerated.
         prop_assert_eq!(interp::count_embeddings(&plan, &graph), total);
         prop_assert_eq!(interp::count_embeddings(&configuration.compile(), &graph), total);
         let options = ParallelOptions { threads, ..ParallelOptions::default() };
@@ -424,15 +424,15 @@ fn leaf_deep_tasks_agree_with_the_default_depth() {
             };
             let run = |mode| session.run(&pattern, mode, options).unwrap();
             assert_eq!(count_of(run(Mode::Count)), total, "count {label}");
-            let scoped = ParallelOptions {
+            let one_job = ParallelOptions {
                 threads: 2,
                 prefix_depth,
                 ..ParallelOptions::default()
             };
             assert_eq!(
-                parallel::count_parallel(&plan.plan, &graph, scoped),
+                parallel::count_parallel(&plan.plan, &graph, one_job),
                 total,
-                "scoped count {label}"
+                "one-job pool count {label}"
             );
             let listed = run(Mode::Enumerate { limit: u64::MAX }).into_embeddings();
             assert_eq!(canonical(&pattern, &listed), expected, "enumerate {label}");

@@ -1,7 +1,9 @@
-//! Agreement tests for the work-stealing parallel runtime: every
-//! combination of thread count, batch size, counting mode, and hub
-//! acceleration must return counts bit-identical to the sequential
-//! interpreter, on prefab patterns and on randomly generated graphs.
+//! Agreement tests for the work-stealing parallel runtime through its
+//! one-shot entry, `count_parallel`, which runs each count on a `WorkerPool`
+//! built for that one job: every combination of thread count, batch size,
+//! counting mode, and hub acceleration must return counts bit-identical to
+//! the sequential interpreter, on prefab patterns and on randomly generated
+//! graphs.
 //!
 //! The default-sized tests run in tier-1 CI; the exhaustive sweeps are
 //! `#[ignore]`d and run by the tier-2 job (`cargo test --release -- --ignored`).
@@ -34,8 +36,8 @@ fn agreement_graphs(scale: usize) -> Vec<(&'static str, CsrGraph)> {
     ]
 }
 
-/// The acceptance sweep: `count_parallel` (and its hub-accelerated variant)
-/// must match the sequential interpreter on every prefab evaluation pattern,
+/// The acceptance sweep: the one-job pool (with and without hub rows) must
+/// match the sequential references on every prefab evaluation pattern,
 /// across ≥3 thread counts and ≥3 generated graphs, in both counting modes.
 fn run_agreement_sweep(scale: usize, thread_counts: &[usize]) {
     for (gname, graph) in agreement_graphs(scale) {
@@ -116,6 +118,30 @@ fn batch_sizes_and_prefix_depths_do_not_change_counts() {
             }
         }
     }
+}
+
+/// A count whose tasks panic unwinds to the caller: the one-job pool
+/// re-raises the task panic, and dropping it joins workers that survived
+/// it, so the call returns instead of hanging. The next count on the same
+/// thread builds a fresh pool and is exact.
+#[test]
+fn a_panicking_count_unwinds_to_the_caller_and_the_next_count_is_exact() {
+    let graph = generators::power_law(150, 5, 91);
+    let good = plan_for(prefab::house());
+    let expected = interp::count_embeddings(&good, &graph);
+    // Corrupt a plan so task processing indexes out of bounds.
+    let mut bad = plan_for(graphpi::pattern::Pattern::new(2, &[(0, 1)]));
+    bad.loops[1].parents = vec![3];
+    let options = ParallelOptions {
+        threads: 2,
+        batch_size: 1,
+        ..Default::default()
+    };
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        count_parallel(&bad, &graph, options)
+    }));
+    assert!(result.is_err(), "corrupted plan must panic");
+    assert_eq!(count_parallel(&good, &graph, options), expected);
 }
 
 /// The hoisted executor against the naive ground truth: every evaluation

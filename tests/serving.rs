@@ -5,9 +5,10 @@
 
 use graphpi::core::config::{Configuration, PoolOptions};
 use graphpi::core::engine::{CountOptions, GraphPi, PlanCache, PlanOptions};
-use graphpi::core::exec::interp;
-use graphpi::core::exec::parallel::{count_parallel, CountMode, ParallelOptions};
+use graphpi::core::exec::interp::ExecCtx;
+use graphpi::core::exec::parallel::{CountMode, ParallelOptions};
 use graphpi::core::exec::pool::WorkerPool;
+use graphpi::core::exec::{iep, interp};
 use graphpi::core::schedule::efficient_schedules;
 use graphpi::graph::generators;
 use graphpi::graph::hub::{HubGraph, HubOptions};
@@ -21,11 +22,12 @@ fn plan_for(pattern: graphpi::pattern::Pattern) -> graphpi::core::config::Execut
     Configuration::new(pattern, schedules[0].clone(), sets[0].clone()).compile()
 }
 
-/// The tentpole agreement sweep: pooled execution must match the scoped
-/// spawn-per-call path (and the sequential interpreter) exactly, across
-/// thread counts × batch sizes × hub on/off × counting modes.
+/// The tentpole agreement sweep: pooled execution must match the
+/// sequential reference of its counting mode (the interpreter, or the
+/// sequential IEP count) on the same graph layout exactly, across thread
+/// counts × batch sizes × hub on/off × counting modes.
 #[test]
-fn pooled_execution_is_bit_identical_to_scoped() {
+fn pooled_execution_is_bit_identical_to_sequential() {
     let graph = generators::power_law(180, 5, 123);
     let hubs = HubGraph::build(&graph, HubOptions::default());
     for (name, pattern) in prefab::evaluation_patterns().into_iter().take(3) {
@@ -42,24 +44,24 @@ fn pooled_execution_is_bit_identical_to_scoped() {
                             batch_size,
                             ..Default::default()
                         };
-                        let scoped = if hubbed {
-                            count_parallel(&plan, (&graph, &hubs), options)
+                        let ctx: ExecCtx = if hubbed {
+                            (&graph, &hubs).into()
                         } else {
-                            count_parallel(&plan, &graph, options)
+                            (&graph).into()
                         };
-                        let pooled = if hubbed {
-                            pool.count(&plan, (&graph, &hubs), &options)
-                        } else {
-                            pool.count(&plan, &graph, &options)
+                        let reference = match mode {
+                            CountMode::Enumerate => interp::count_embeddings(&plan, ctx),
+                            CountMode::Iep => iep::count_embeddings_iep(&plan, ctx),
                         };
+                        let pooled = pool.count(&plan, ctx, &options);
                         assert_eq!(
-                            pooled, scoped,
-                            "{name}: pooled vs scoped (threads={threads}, \
+                            pooled, reference,
+                            "{name}: pooled vs sequential reference (threads={threads}, \
                              batch={batch_size}, mode={mode:?}, hubs={hubbed})"
                         );
                         assert_eq!(
                             pooled, sequential,
-                            "{name}: pooled vs sequential (threads={threads}, \
+                            "{name}: pooled vs sequential enumeration (threads={threads}, \
                              batch={batch_size}, mode={mode:?}, hubs={hubbed})"
                         );
                     }
