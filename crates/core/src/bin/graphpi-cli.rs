@@ -32,9 +32,8 @@ use graphpi_core::engine::{
 };
 use graphpi_core::net::protocol::{self, LatencyHistogram};
 use graphpi_core::net::{
-    ChaosConfig, ChaosConnector, ChaosProxy, Client, CountExt, FailoverClient, NetError, QueryMode,
-    RemoteCount, RemoteCountOptions, RemoteEnumerateOptions, RemoteUpdateOptions, RetryPolicy,
-    RetryStats, RetryingClient, Transport, UpdateOk,
+    ChaosConfig, ChaosConnector, ChaosProxy, Client, ClientCounters, CountExt, NetError, QueryMode,
+    RemoteCountOptions, RemoteEnumerateOptions, RemoteUpdateOptions, RetryPolicy, Transport,
 };
 use graphpi_graph::wal::DurableGraph;
 use graphpi_graph::DurableGraphOptions;
@@ -42,6 +41,7 @@ use graphpi_graph::{io, vertex_set, EdgeBatch};
 use graphpi_pattern::{prefab, Pattern};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What the `count` command computes (`--mode`).
@@ -135,8 +135,7 @@ struct UpdateArgs {
 #[derive(Debug, Clone, PartialEq)]
 struct RemoteArgs {
     addr: String,
-    /// Failover mode: the replicated deployment's endpoint list
-    /// (empty = classic single-address mode via `addr`).
+    /// Every endpoint of a replicated deployment (empty = `addr` alone).
     endpoints: Vec<String>,
     pattern: Option<String>,
     clients: usize,
@@ -542,38 +541,14 @@ fn remote_args(parsed: &Parsed) -> Result<RemoteArgs, String> {
                 .to_string(),
         );
     }
-    if !remote.endpoints.is_empty() {
-        // Failover mode drives counts and mutations through the
-        // multi-endpoint client; the single-connection probes have no
-        // meaningful target in a rotation.
-        if probes {
-            return Err(
-                "--endpoints is for counts and mutations; use --addr for --ping, --stats, \
-                 --probe-malformed and --shutdown"
-                    .to_string(),
-            );
-        }
-        if remote.chaos_seed.is_some() {
-            return Err(
-                "--chaos-seed routes one address; it cannot combine with --endpoints".to_string(),
-            );
-        }
-        if remote.clients > 1 {
-            return Err(
-                "--endpoints runs one failover client; drop --clients or use --addr".to_string(),
-            );
-        }
-        if remote.enumerate {
-            return Err(
-                "--enumerate is non-idempotent and cannot fail over; use --addr".to_string(),
-            );
-        }
-        if remote.mode != CliMode::Count {
-            return Err(format!(
-                "--mode={} is --addr territory; the failover client verifies exact counts",
-                remote.mode.name()
-            ));
-        }
+    // The probes each speak to one server; a rotation gives them no
+    // meaningful target.
+    if !remote.endpoints.is_empty() && probes {
+        return Err(
+            "--endpoints is for counts, enumerations and mutations; use --addr for --ping, \
+             --stats, --probe-malformed and --shutdown"
+                .to_string(),
+        );
     }
     Ok(remote)
 }
@@ -604,9 +579,6 @@ fn update_args(parsed: &Parsed) -> Result<UpdateArgs, String> {
 
 /// One mutation from an ops file: `true` = insert, `false` = delete.
 type Op = (bool, (u32, u32));
-
-/// One side of a batch on its way to a client's `update_with`.
-type Edges = [(u32, u32)];
 
 /// One wire-sized batch: the insert list, then the delete list.
 type OpBatch = (Vec<(u32, u32)>, Vec<(u32, u32)>);
@@ -869,46 +841,45 @@ fn print_remote_stats(stats: &protocol::StatsOk) {
     }
 }
 
-/// The retry policy `--retries` / `--backoff-ms` ask for. Request IDs are
-/// drawn from the policy's seed and the server remembers them as
-/// idempotency keys, so the seed is fresh per invocation (clock and pid)
-/// and per client: two runs of this program must never present the same
-/// ID, or the second would be answered from the first one's ledger entry.
-fn retry_policy(args: &RemoteArgs, client_index: u64) -> RetryPolicy {
+/// One `remote` client over `endpoints`, retrying per `--retries` /
+/// `--backoff-ms`: plain TCP, or with `--chaos-seed` every dial goes
+/// through the in-process fault injector (its own fault stream per
+/// client). Request IDs are drawn from the policy's seed and the server
+/// remembers them as idempotency keys, so the seed is fresh per
+/// invocation (clock and pid) and per client: two runs of this program
+/// must never present the same ID, or the second would be answered from
+/// the first one's ledger entry.
+fn connect(args: &RemoteArgs, endpoints: &[SocketAddr], client_index: u64) -> Client {
     let clock = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
     let clock = clock.map_or(0, |since| since.as_nanos() as u64);
     let seed = clock ^ (u64::from(std::process::id()) << 32) ^ client_index;
     let mut policy = RetryPolicy::default().with_seed(seed);
-    policy.max_attempts = args.retries;
+    // Over several endpoints a write may spend one attempt on a redirect.
+    let floor = if endpoints.len() > 1 { 2 } else { 1 };
+    policy.max_attempts = args.retries.max(floor);
     policy.initial_backoff = Duration::from_millis(args.backoff_ms);
-    policy
+    let Some(chaos_seed) = args.chaos_seed else {
+        return Client::with_endpoints(endpoints.to_vec(), policy);
+    };
+    let config = ChaosConfig::gentle(chaos_seed ^ client_index);
+    let injectors: Vec<_> = endpoints
+        .iter()
+        .map(|&addr| (addr, ChaosConnector::new(addr, config)))
+        .collect();
+    let dial = move |addr| {
+        let (_, injector) = injectors
+            .iter()
+            .find(|(at, _)| *at == addr)
+            .expect("an endpoint");
+        Ok(Box::new(injector.connect()?) as Box<dyn Transport + Send>)
+    };
+    Client::with_connector(endpoints.to_vec(), dial, policy)
 }
 
-/// One retrying connection to `addr`: plain TCP, or with `--chaos-seed`
-/// through the in-process fault injector (its own fault stream per
-/// client).
-fn connect(args: &RemoteArgs, addr: SocketAddr, client_index: u64) -> RetryingClient {
-    let policy = retry_policy(args, client_index);
-    match args.chaos_seed {
-        Some(seed) => {
-            let connector = ChaosConnector::new(addr, ChaosConfig::gentle(seed ^ client_index));
-            let dial = move || Ok(Box::new(connector.connect()?) as Box<dyn Transport + Send>);
-            RetryingClient::new(dial, policy)
-        }
-        None => RetryingClient::connect_tcp(addr, policy),
-    }
-}
-
-/// Commits the `--mutate` ops file through `send`, one frame-sized batch
-/// after another, and prints the summary; `landed` says where (the
-/// failover client names the primary it ended on).
-fn mutate<C>(
-    args: &RemoteArgs,
-    ops_path: &str,
-    client: &mut C,
-    send: impl Fn(&mut C, &Edges, &Edges, RemoteUpdateOptions) -> Result<UpdateOk, NetError>,
-    landed: impl Fn(&C) -> String,
-) -> Result<(), String> {
+/// Commits the `--mutate` ops file, one frame-sized batch after another,
+/// and prints the summary; with `--endpoints` it names the primary the
+/// batches landed on.
+fn mutate(args: &RemoteArgs, ops_path: &str, client: &mut Client) -> Result<(), String> {
     let batches = ops_to_batches(&read_ops(ops_path)?, protocol::MAX_UPDATE_EDGES);
     let options = RemoteUpdateOptions {
         deadline_ms: args.deadline_ms,
@@ -916,16 +887,22 @@ fn mutate<C>(
     };
     let (mut inserted, mut deleted, mut generation) = (0u64, 0u64, None);
     for (ins, del) in &batches {
-        let ok = send(client, ins, del, options).map_err(|e| format!("mutate failed: {e}"))?;
+        let ok = client
+            .update_with(ins, del, options)
+            .map_err(|e| format!("mutate failed: {e}"))?;
         inserted += u64::from(ok.inserted);
         deleted += u64::from(ok.deleted);
         generation = Some(ok.generation);
     }
+    let landed = if args.endpoints.is_empty() {
+        String::new()
+    } else {
+        format!(" (primary {})", client.primary_endpoint())
+    };
     match generation {
         Some(generation) => println!(
-            "mutate: {} batch(es) applied, +{inserted} -{deleted} edges, generation {generation}{}",
+            "mutate: {} batch(es) applied, +{inserted} -{deleted} edges, generation {generation}{landed}",
             batches.len(),
-            landed(client)
         ),
         None => println!("mutate: {ops_path} contained no operations"),
     }
@@ -944,22 +921,6 @@ fn count_options(args: &RemoteArgs) -> RemoteCountOptions {
         },
         ..RemoteCountOptions::default()
     }
-}
-
-/// Runs `--repeat` queries through `count` (given the query's index): the
-/// counts observed, and the mode extension of the last reply.
-fn repeat_counts(
-    repeat: usize,
-    mut count: impl FnMut(usize) -> Result<RemoteCount, NetError>,
-) -> Result<(Vec<u64>, CountExt), NetError> {
-    let mut observed = Vec::with_capacity(repeat);
-    let mut ext = CountExt::None;
-    for query in 0..repeat {
-        let reply = count(query)?;
-        observed.push(reply.count);
-        ext = reply.ext;
-    }
-    Ok((observed, ext))
 }
 
 /// Runs `work` once per client index on its own scoped thread; the first
@@ -983,78 +944,6 @@ fn run_clients<T: Send>(
     })
 }
 
-/// Runs `remote --endpoints a,b,c`: mutations and counts through the
-/// multi-endpoint failover client, with a `replication:` summary of
-/// where the traffic landed and how far the replicas trail.
-fn run_remote_failover(args: &RemoteArgs, pattern: Option<&Pattern>) -> Result<(), String> {
-    let endpoints = args.endpoints.iter().map(|addr| resolve_addr(addr));
-    let mut policy = retry_policy(args, 0);
-    policy.max_attempts = policy.max_attempts.max(2);
-    // Read-your-writes on: counts after a mutation carry the committed
-    // generation as a floor, so a lagging replica waits or sheds.
-    let mut client = FailoverClient::connect(endpoints.collect::<Result<_, _>>()?, policy, true);
-    if let Some(ops_path) = &args.mutate {
-        mutate(
-            args,
-            ops_path,
-            &mut client,
-            FailoverClient::update_with,
-            |client| format!(" (primary {})", client.primary_endpoint()),
-        )?;
-    }
-    if let (Some(name), Some(pattern)) = (&args.pattern, pattern) {
-        let start = Instant::now();
-        let (observed, _) = repeat_counts(args.repeat, |query| {
-            // Reads are sticky per connection; rotating between queries
-            // spreads the burst across the endpoint list.
-            if query > 0 {
-                client.rotate_reads();
-            }
-            client.count_with(pattern, count_options(args))
-        })
-        .map_err(|e| format!("count failed: {e}"))?;
-        let elapsed = start.elapsed();
-        let first = observed[0];
-        if observed.iter().any(|&c| c != first) {
-            return Err("failover reads observed diverging counts".to_string());
-        }
-        println!(
-            "remote count {name}: {first} embeddings  ({} queries across {} endpoint(s) in {:?})",
-            observed.len(),
-            client.endpoints().len(),
-            elapsed
-        );
-    }
-    // The summary line: who answered the reads, how often writes had to
-    // re-route, and the worst replication lag any endpoint admits to.
-    let stats = client.stats().clone();
-    let reads: Vec<String> = client
-        .endpoints()
-        .iter()
-        .zip(&stats.reads_per_endpoint)
-        .map(|(addr, count)| format!("{addr}={count}"))
-        .collect();
-    let mut max_lag = 0u64;
-    let mut unreachable = 0usize;
-    for (_, health) in client.health_all() {
-        match health {
-            Some(health) => max_lag = max_lag.max(health.replication_lag),
-            None => unreachable += 1,
-        }
-    }
-    println!(
-        "replication: reads [{}], {} failover(s) ({} redirected), max lag {} generation(s), \
-         {} unreachable, primary {}",
-        reads.join(" "),
-        stats.failovers,
-        stats.redirects,
-        max_lag,
-        unreachable,
-        client.primary_endpoint()
-    );
-    Ok(())
-}
-
 /// Runs `promote`: asks the replica at `addr` to become primary.
 fn run_promote(addr: &str) -> Result<(), String> {
     let ok = Client::connect(addr)
@@ -1067,13 +956,12 @@ fn run_promote(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the `remote` subcommand against a live `graphpi-server`.
+/// Runs the `remote` subcommand against a live `graphpi-server`, or with
+/// `--endpoints` against every node of a replicated deployment (then a
+/// `replication:` line sums up where the traffic landed).
 fn run_remote(args: &RemoteArgs) -> Result<(), String> {
     // A bad pattern fails the run before anything is sent.
     let pattern = args.pattern.as_deref().map(resolve_pattern).transpose()?;
-    if !args.endpoints.is_empty() {
-        return run_remote_failover(args, pattern.as_ref());
-    }
     if args.probe_malformed {
         probe_malformed(&args.addr)?;
     }
@@ -1083,23 +971,36 @@ fn run_remote(args: &RemoteArgs) -> Result<(), String> {
             .map_err(|e| format!("ping failed: {e}"))?;
         println!("ping: ok ({})", args.addr);
     }
-    let addr = resolve_addr(&args.addr)?;
+    let endpoints = if args.endpoints.is_empty() {
+        vec![resolve_addr(&args.addr)?]
+    } else {
+        let resolved = args.endpoints.iter().map(|addr| resolve_addr(addr));
+        resolved.collect::<Result<_, _>>()?
+    };
+    // Clients dial lazily; the mutex only hands each thread its own.
+    let mut clients: Vec<Mutex<Client>> = (0..args.clients)
+        .map(|index| Mutex::new(connect(args, &endpoints, index as u64)))
+        .collect();
+    let first = clients[0].get_mut().expect("no thread has run yet");
     if let Some(ops_path) = &args.mutate {
         // Mutations run before any counting, so `--mutate ops.txt
         // --pattern house` counts the post-update graph. Every batch
         // carries a request ID, so a resend after an ambiguous failure
         // replays from the server's ledger instead of committing twice.
-        let mut client = connect(args, addr, 0);
-        let send = RetryingClient::update_with;
-        mutate(args, ops_path, &mut client, send, |_| String::new())?;
+        mutate(args, ops_path, first)?;
     }
     if let (Some(name), Some(pattern)) = (&args.pattern, &pattern) {
         if args.enumerate {
-            run_remote_enumerate(args, addr, name, pattern)?;
+            run_remote_enumerate(args, first, name, pattern)?;
         } else {
-            run_remote_counts(args, addr, name, pattern)?;
+            run_remote_counts(args, &clients, name, pattern)?;
         }
     }
+    let clients: Vec<Client> = clients
+        .into_iter()
+        .map(|client| client.into_inner().expect("every client thread was joined"))
+        .collect();
+    print_summary(args, &clients);
     if args.stats {
         let stats = Client::connect(&args.addr)
             .and_then(|mut c| c.stats())
@@ -1115,38 +1016,93 @@ fn run_remote(args: &RemoteArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// The run's summary lines, over every client: with `--retries` or
+/// `--chaos-seed` a `resilience:` line of what the retry loop did, and
+/// with `--endpoints` a `replication:` line of who answered the reads, how
+/// often writes had to re-route, and the worst replication lag any
+/// endpoint admits to.
+fn print_summary(args: &RemoteArgs, clients: &[Client]) {
+    let counters: Vec<ClientCounters> = clients.iter().map(Client::counters).collect();
+    let sum = |field: fn(&ClientCounters) -> u64| counters.iter().map(field).sum::<u64>();
+    if args.retries > 1 || args.chaos_seed.is_some() {
+        println!(
+            "resilience: {} attempts, {} connects, {} retries, {} server hints honored",
+            sum(|c| c.attempts),
+            sum(|c| c.connects),
+            sum(|c| c.retries),
+            sum(|c| c.hints_honored)
+        );
+    }
+    if args.endpoints.is_empty() {
+        return;
+    }
+    let first = &clients[0];
+    let reads: Vec<String> = (first.endpoints().iter().enumerate())
+        .map(|(at, addr)| {
+            let reads: u64 = counters.iter().map(|c| c.reads_per_endpoint[at]).sum();
+            format!("{addr}={reads}")
+        })
+        .collect();
+    let mut max_lag = 0u64;
+    let mut unreachable = 0usize;
+    for (_, health) in first.health_all() {
+        match health {
+            Some(health) => max_lag = max_lag.max(health.replication_lag),
+            None => unreachable += 1,
+        }
+    }
+    println!(
+        "replication: reads [{}], {} failover(s) ({} redirected), max lag {max_lag} \
+         generation(s), {unreachable} unreachable, primary {}",
+        reads.join(" "),
+        sum(|c| c.failovers),
+        sum(|c| c.redirects),
+        first.primary_endpoint()
+    );
+}
+
 /// Runs the remote counting loop (all `--mode`s; enumeration is
-/// [`run_remote_enumerate`]): every client thread opens its own
-/// connection and runs `--repeat` queries, and all observed headline
-/// counts must be bit-identical — sample mode included, because a fixed
-/// seed replays the same estimate on an unchanged graph.
+/// [`run_remote_enumerate`]): every client thread runs `--repeat` queries,
+/// and all observed headline counts must be bit-identical — sample mode
+/// included, because a fixed seed replays the same estimate on an
+/// unchanged graph. Every count is floored at the `--mutate` generation,
+/// so a lagging replica waits or sheds the read to another endpoint.
 fn run_remote_counts(
     args: &RemoteArgs,
-    addr: SocketAddr,
+    clients: &[Mutex<Client>],
     name: &str,
     pattern: &Pattern,
 ) -> Result<(), String> {
-    let options = count_options(args);
+    let mut options = count_options(args);
+    let first = clients[0].lock().expect("no client thread has run yet");
+    options.min_generation = first.last_write_generation();
+    drop(first);
     let start = Instant::now();
     let results = run_clients(args.clients, |client_index| {
-        let mut client = connect(args, addr, client_index as u64);
-        let counted = repeat_counts(args.repeat, |_| client.count_with(pattern, options));
-        let (observed, ext) = counted.map_err(|e| format!("client {client_index}: {e}"))?;
-        Ok((observed, ext, client.stats()))
+        let mut client = clients[client_index].lock().expect("one thread per client");
+        let mut observed = Vec::with_capacity(args.repeat);
+        let mut ext = CountExt::None;
+        for query in 0..args.repeat {
+            // Reads are sticky per connection; rotating between queries
+            // spreads the burst across the endpoint list.
+            if query > 0 {
+                client.rotate_reads();
+            }
+            let reply = client.count_with(pattern, options);
+            let reply = reply.map_err(|e| format!("client {client_index}: {e}"))?;
+            observed.push(reply.count);
+            ext = reply.ext;
+        }
+        Ok((observed, ext))
     })?;
     let elapsed = start.elapsed();
     let mut all_counts = Vec::new();
     let mut mode_ext = CountExt::None;
-    let mut retry = RetryStats::default();
-    for (counts, ext, stats) in results {
+    for (counts, ext) in results {
         all_counts.extend(counts);
         if !matches!(ext, CountExt::None) {
             mode_ext = ext;
         }
-        retry.attempts += stats.attempts;
-        retry.connects += stats.connects;
-        retry.retries += stats.retries;
-        retry.hints_honored += stats.hints_honored;
     }
     let first = all_counts[0];
     if all_counts.iter().any(|&c| c != first) {
@@ -1176,12 +1132,6 @@ fn run_remote_counts(
             sample.total_tasks
         ),
     }
-    if args.retries > 1 || args.chaos_seed.is_some() {
-        println!(
-            "resilience: {} attempts, {} connects, {} retries, {} server hints honored",
-            retry.attempts, retry.connects, retry.retries, retry.hints_honored
-        );
-    }
     Ok(())
 }
 
@@ -1190,7 +1140,7 @@ fn run_remote_counts(
 /// short embedding preview and the page/total summary.
 fn run_remote_enumerate(
     args: &RemoteArgs,
-    addr: SocketAddr,
+    client: &mut Client,
     name: &str,
     pattern: &Pattern,
 ) -> Result<(), String> {
@@ -1199,7 +1149,7 @@ fn run_remote_enumerate(
         page_size: args.page_size,
     };
     let start = Instant::now();
-    let result = connect(args, addr, 0)
+    let result = client
         .enumerate_with(pattern, args.limit, options)
         .map_err(|e| format!("enumerate failed: {e}"))?;
     let elapsed = start.elapsed();
@@ -1873,28 +1823,6 @@ mod tests {
                 vec!["remote", "--pattern", "p1", "--sample-seed", "3"],
                 "only apply to --mode=sample",
             ),
-            (
-                vec![
-                    "remote",
-                    "--endpoints",
-                    "h:1,h:2",
-                    "--pattern",
-                    "p1",
-                    "--enumerate",
-                ],
-                "cannot fail over",
-            ),
-            (
-                vec![
-                    "remote",
-                    "--endpoints",
-                    "h:1,h:2",
-                    "--pattern",
-                    "p1",
-                    "--mode=sample",
-                ],
-                "--addr territory",
-            ),
         ] {
             let error = parse_args(&strings(&argv)).unwrap_err();
             assert!(error.contains(needle), "{argv:?}: {error}");
@@ -2029,36 +1957,11 @@ mod tests {
             vec!["127.0.0.1:7431", "127.0.0.1:7432", "127.0.0.1:7433"]
         );
         assert_eq!(remote.repeat, 6);
-        // Mutate-only failover runs are fine.
-        assert!(parse_args(&strings(&[
-            "remote",
-            "--endpoints",
-            "h:1,h:2",
-            "--mutate",
-            "o"
-        ]))
-        .is_ok());
-        // The single-connection probes, chaos injection and multi-client
-        // mode are all --addr territory.
-        for bad in [
-            vec!["remote", "--endpoints", "h:1", "--ping"],
-            vec!["remote", "--endpoints", "h:1", "--pattern", "p1", "--stats"],
-            vec![
-                "remote",
-                "--endpoints",
-                "h:1",
-                "--pattern",
-                "p1",
-                "--shutdown",
-            ],
-            vec![
-                "remote",
-                "--endpoints",
-                "h:1",
-                "--pattern",
-                "p1",
-                "--probe-malformed",
-            ],
+        // Everything a remote run does over one address it does over a
+        // rotation: mutations, chaos injection, several clients, count
+        // modes and enumeration.
+        for good in [
+            vec!["remote", "--endpoints", "h:1,h:2", "--mutate", "o"],
             vec![
                 "remote",
                 "--endpoints",
@@ -2078,6 +1981,45 @@ mod tests {
                 "p1",
                 "--clients",
                 "2",
+            ],
+            vec![
+                "remote",
+                "--endpoints",
+                "h:1,h:2",
+                "--pattern",
+                "p1",
+                "--mode=sample",
+            ],
+            vec![
+                "remote",
+                "--endpoints",
+                "h:1,h:2",
+                "--pattern",
+                "p1",
+                "--enumerate",
+            ],
+        ] {
+            assert!(parse_args(&strings(&good)).is_ok(), "{good:?}");
+        }
+        // The single-connection probes need one address.
+        for bad in [
+            vec!["remote", "--endpoints", "h:1", "--ping"],
+            vec!["remote", "--endpoints", "h:1", "--pattern", "p1", "--stats"],
+            vec![
+                "remote",
+                "--endpoints",
+                "h:1",
+                "--pattern",
+                "p1",
+                "--shutdown",
+            ],
+            vec![
+                "remote",
+                "--endpoints",
+                "h:1",
+                "--pattern",
+                "p1",
+                "--probe-malformed",
             ],
             vec!["remote", "--endpoints", ",", "--pattern", "p1"],
         ] {

@@ -58,8 +58,8 @@
 //!   [`perf_model::PerformanceModel`].
 //! * **Dynamic graphs**: [`DynamicEngine`] (`volatile` / `durable`,
 //!   `apply`, `pin`, `compact`).
-//! * **Serving**: [`Server`] and [`net::Client`] /
-//!   [`net::RetryingClient`] / [`net::FailoverClient`] over the
+//! * **Serving**: [`Server`] and [`net::Client`] (one connection, or a
+//!   [`net::RetryPolicy`] over one or more endpoints) over the
 //!   [`net::protocol`] codec.
 
 pub mod codegen;

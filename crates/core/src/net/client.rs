@@ -1,21 +1,31 @@
-//! The GraphPi client library: a thin, synchronous request/response layer
-//! over any [`Transport`], plus the retrying client built on top of it.
+//! The GraphPi client library: one synchronous request/response client
+//! over any [`Transport`], for a single server or a replicated deployment.
 //!
-//! [`Client`] is what `graphpi-cli remote` and the network tests are built
-//! on, and the only code that builds a request, sends it, and reads the
-//! reply. Each method sends exactly one request frame and blocks for
-//! exactly one response frame (a page stream, for enumeration); a typed
-//! server error ([`op::ERROR`]) surfaces as [`NetError::Remote`] with its
-//! [`ErrorCode`] intact, so callers can distinguish "your deadline
-//! expired" from "your pattern is disconnected" without string matching.
+//! [`Client`] is what `graphpi-cli remote`, the perf ledger and the
+//! network tests are built on, and the only code that builds a request,
+//! sends it, and reads the reply. Each request is one frame out and one
+//! reply frame back (a page stream, for enumeration); a typed server error
+//! ([`op::ERROR`]) surfaces as [`NetError::Remote`] with its [`ErrorCode`]
+//! intact, so callers can distinguish "your deadline expired" from "your
+//! pattern is disconnected" without string matching.
 //!
-//! [`RetryingClient`] runs that same client through one [`RetryPolicy`]
-//! loop: bounded attempts, exponential backoff with seeded jitter, and
-//! automatic reconnect through a caller-supplied connector. COUNT and UPDATE retries carry a
-//! client-generated request ID so a resend after an *ambiguous* failure
-//! (reply lost mid-read) is answered from the server's completed-request
-//! ledger instead of double-executing. [`FailoverClient`] is endpoint
-//! routing over two of those.
+//! How hard a client tries is policy, fixed at construction, and every
+//! request runs the same [`RetryPolicy`] loop:
+//! - [`Client::connect`] dials one server now and makes one attempt per
+//!   request on that one connection. Its requests go out untagged, byte
+//!   for byte what the caller asked for.
+//! - [`Client::with_endpoints`] (TCP) and [`Client::with_connector`] (any
+//!   transport) make bounded attempts with exponential backoff and seeded
+//!   jitter, redialing after any failure that leaves the stream in an
+//!   unknown state. COUNT and UPDATE carry a client-generated request ID,
+//!   so a resend after an *ambiguous* failure (reply lost mid-read) is
+//!   answered from the server's completed-request ledger instead of
+//!   double-executing.
+//!
+//! Over several endpoints of a replicated deployment, reads stick to one
+//! connection and rotate on failure, writes go to the believed primary and
+//! follow `NOT_PRIMARY` redirects, and every read is floored at the
+//! client's last acknowledged write.
 
 use super::chaos::SplitMix64;
 use super::protocol::{
@@ -26,8 +36,6 @@ use super::protocol::{
 use graphpi_pattern::Pattern;
 use std::cell::Cell;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-query options for [`Client::count_with`] — the wire-level mirror of
@@ -38,19 +46,20 @@ pub struct RemoteCountOptions {
     pub no_iep: bool,
     /// Deadline in milliseconds covering queueing + execution (0 = none).
     pub deadline_ms: u32,
-    /// Idempotency key for safe retries (0 = none; [`RetryingClient`]
-    /// fills this in automatically).
+    /// Idempotency key for safe retries (0 = none; a client built with a
+    /// retry policy fills this in automatically).
     pub request_id: u64,
-    /// Read-your-writes floor (0 = none): the server answers only at or
-    /// after this generation, waiting briefly for replication to catch
-    /// up and shedding with `RETRY_LATER` past its wait budget.
+    /// Read-your-writes floor (0 = the client's last acknowledged write):
+    /// the server answers only at or after this generation, waiting
+    /// briefly for replication to catch up and shedding with
+    /// `RETRY_LATER` past its wait budget.
     pub min_generation: u64,
     /// Execution mode: a plain count (default), per-vertex orbit counts
     /// (summarised in the reply), or a seeded sampled estimate.
     pub mode: QueryMode,
 }
 
-/// Per-enumeration options for `Client::enumerate_with`.
+/// Per-enumeration options for [`Client::enumerate_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RemoteEnumerateOptions {
     /// Deadline in milliseconds covering queueing, matching, *and* page
@@ -80,7 +89,8 @@ pub struct RemoteUpdateOptions {
     /// Idempotency key (0 = none). Unlike counts, updates are **not**
     /// naturally idempotent — recommitting an applied batch burns a
     /// generation and can change the graph — so anything that resends
-    /// must set this ([`RetryingClient`] fills it in automatically).
+    /// must set this (a client built with a retry policy fills it in
+    /// automatically).
     pub request_id: u64,
 }
 
@@ -95,240 +105,6 @@ pub struct RemoteCount {
     /// Mode-specific extension: an orbit summary or sample estimate
     /// ([`CountExt::None`] for plain counts).
     pub ext: CountExt,
-}
-
-/// A synchronous GraphPi protocol client over any [`Transport`]. A receive
-/// timeout configured on the transport bounds the wait for each reply
-/// frame: a quiet expiry surfaces as [`NetError::Idle`] (the TCP transport
-/// of [`Client::connect`] has none and waits as long as the query runs).
-#[derive(Debug)]
-pub struct Client<T: Transport = TcpTransport> {
-    transport: T,
-}
-
-impl Client<TcpTransport> {
-    /// Connects over TCP.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
-        Ok(Self::new(TcpTransport::connect(addr)?))
-    }
-}
-
-/// The probe payload `PING` sends and expects echoed.
-const PING_PAYLOAD: [u8; 3] = [0xA5, 0x5A, 0x42];
-
-impl<T: Transport> Client<T> {
-    /// Wraps an existing transport.
-    pub(crate) fn new(transport: T) -> Self {
-        Self { transport }
-    }
-
-    /// Consumes the client, returning its transport.
-    pub fn into_transport(self) -> T {
-        self.transport
-    }
-
-    /// Receives the next reply frame, which must carry opcode `expect`;
-    /// a server [`op::ERROR`] frame surfaces as [`NetError::Remote`].
-    fn recv_reply(&mut self, expect: u8) -> Result<Frame, NetError> {
-        let frame = self.transport.recv()?;
-        if frame.opcode == op::ERROR {
-            let error = WireError::decode(&frame.payload)
-                .ok_or(NetError::Protocol("undecodable error payload"))?;
-            return Err(error.into_net_error());
-        }
-        if frame.opcode != expect {
-            return Err(NetError::Protocol(
-                "response opcode does not match the request",
-            ));
-        }
-        Ok(frame)
-    }
-
-    /// Sends one request frame and receives its one reply frame.
-    fn exchange(&mut self, opcode: u8, payload: Vec<u8>, expect: u8) -> Result<Frame, NetError> {
-        self.transport.send(&Frame::new(opcode, payload))?;
-        self.recv_reply(expect)
-    }
-
-    /// [`Client::exchange`] plus decoding the reply payload.
-    fn call<R>(
-        &mut self,
-        opcode: u8,
-        payload: Vec<u8>,
-        expect: u8,
-        decode: fn(&[u8]) -> Option<R>,
-    ) -> Result<R, NetError> {
-        let reply = self.exchange(opcode, payload, expect)?;
-        decode(&reply.payload).ok_or(NetError::Protocol("undecodable reply payload"))
-    }
-
-    /// Liveness probe: sends `PING`, expects the payload echoed back.
-    pub fn ping(&mut self) -> Result<(), NetError> {
-        let reply = self.exchange(op::PING, PING_PAYLOAD.to_vec(), op::PONG)?;
-        if reply.payload != PING_PAYLOAD {
-            return Err(NetError::Protocol("pong payload was not echoed"));
-        }
-        Ok(())
-    }
-
-    /// Counts embeddings of `pattern` with default options.
-    pub fn count(&mut self, pattern: &Pattern) -> Result<RemoteCount, NetError> {
-        self.count_with(pattern, RemoteCountOptions::default())
-    }
-
-    /// Counts embeddings with explicit per-query options.
-    pub fn count_with(
-        &mut self,
-        pattern: &Pattern,
-        options: RemoteCountOptions,
-    ) -> Result<RemoteCount, NetError> {
-        let request = CountRequest {
-            no_iep: options.no_iep,
-            hub_bitsets: false,
-            deadline_ms: options.deadline_ms,
-            request_id: options.request_id,
-            min_generation: options.min_generation,
-            mode: options.mode,
-            pattern: pattern.canonical_bytes(),
-        };
-        let ok = self.call(op::COUNT, request.encode(), op::COUNT_OK, CountOk::decode)?;
-        Ok(RemoteCount {
-            count: ok.count,
-            elapsed: Duration::from_micros(ok.elapsed_micros),
-            ext: ok.ext,
-        })
-    }
-
-    /// Enumerates up to `limit` embeddings with default options,
-    /// collecting every streamed page.
-    pub fn enumerate(
-        &mut self,
-        pattern: &Pattern,
-        limit: u64,
-    ) -> Result<RemoteEnumeration, NetError> {
-        self.enumerate_with(pattern, limit, RemoteEnumerateOptions::default())
-    }
-
-    /// Enumerates up to `limit` embeddings with explicit options,
-    /// collecting the `ENUM_PAGE` stream until its terminal page.
-    ///
-    /// Unlike counts there is no idempotency key: an enumeration that
-    /// fails mid-stream cannot be resumed — issue a fresh request (and
-    /// see [`RetryingClient::enumerate_with`] for the only retry that is
-    /// safe automatically: one where no page was received).
-    pub(crate) fn enumerate_with(
-        &mut self,
-        pattern: &Pattern,
-        limit: u64,
-        options: RemoteEnumerateOptions,
-    ) -> Result<RemoteEnumeration, NetError> {
-        self.enumerate_paged(pattern, limit, options, &Cell::new(0))
-    }
-
-    /// The one page-collecting loop. `pages` counts the pages received so
-    /// far, so a caller can tell — even on failure — whether any of the
-    /// stream arrived.
-    fn enumerate_paged(
-        &mut self,
-        pattern: &Pattern,
-        limit: u64,
-        options: RemoteEnumerateOptions,
-        pages: &Cell<u64>,
-    ) -> Result<RemoteEnumeration, NetError> {
-        let request = EnumerateRequest {
-            hub_bitsets: false,
-            deadline_ms: options.deadline_ms,
-            limit,
-            page_size: options.page_size,
-            pattern: pattern.canonical_bytes(),
-        };
-        self.transport
-            .send(&Frame::new(op::ENUMERATE, request.encode()))?;
-        pages.set(0);
-        let mut embeddings = Vec::new();
-        loop {
-            let frame = self.recv_reply(op::ENUM_PAGE)?;
-            let page = EnumPage::decode(&frame.payload)
-                .ok_or(NetError::Protocol("undecodable reply payload"))?;
-            if usize::from(page.pattern_size) != pattern.num_vertices() {
-                return Err(NetError::Protocol(
-                    "page pattern size does not match the request",
-                ));
-            }
-            pages.set(pages.get() + 1);
-            embeddings.extend(page.embeddings().map(<[u32]>::to_vec));
-            if page.last {
-                return Ok(RemoteEnumeration {
-                    embeddings,
-                    pages: pages.get(),
-                });
-            }
-        }
-    }
-
-    /// Commits one edge batch. Inserts apply before deletes; the reply
-    /// carries the generation the batch produced. Static servers answer
-    /// [`ErrorCode::ReadOnly`].
-    pub fn update(
-        &mut self,
-        inserts: &[(u32, u32)],
-        deletes: &[(u32, u32)],
-    ) -> Result<UpdateOk, NetError> {
-        self.update_with(inserts, deletes, RemoteUpdateOptions::default())
-    }
-
-    /// Commits one edge batch with explicit options. Batches that cannot
-    /// fit one frame are refused before anything is sent — the caller
-    /// must split them (see [`MAX_UPDATE_EDGES`]).
-    pub fn update_with(
-        &mut self,
-        inserts: &[(u32, u32)],
-        deletes: &[(u32, u32)],
-        options: RemoteUpdateOptions,
-    ) -> Result<UpdateOk, NetError> {
-        if inserts.len().saturating_add(deletes.len()) > MAX_UPDATE_EDGES {
-            return Err(NetError::Protocol(
-                "update batch exceeds one frame; split it into MAX_UPDATE_EDGES chunks",
-            ));
-        }
-        let request = UpdateRequest {
-            deadline_ms: options.deadline_ms,
-            request_id: options.request_id,
-            inserts: inserts.to_vec(),
-            deletes: deletes.to_vec(),
-        };
-        self.call(
-            op::UPDATE,
-            request.encode(),
-            op::UPDATE_OK,
-            UpdateOk::decode,
-        )
-    }
-
-    /// Fetches the server's counter snapshot.
-    pub fn stats(&mut self) -> Result<StatsOk, NetError> {
-        self.call(op::STATS, vec![], op::STATS_OK, StatsOk::decode)
-    }
-
-    /// Probes server readiness: ready, draining, or overloaded, with a
-    /// retry-after hint when not ready.
-    pub fn health(&mut self) -> Result<HealthOk, NetError> {
-        self.call(op::HEALTH, vec![], op::HEALTH_OK, HealthOk::decode)
-    }
-
-    /// Asks a replica to promote itself to primary, blocking until its
-    /// apply loop seals the stream. Idempotent on a server that is already
-    /// primary. Returns the sealed generation.
-    pub fn promote(&mut self) -> Result<PromoteOk, NetError> {
-        self.call(op::PROMOTE, vec![], op::PROMOTE_OK, PromoteOk::decode)
-    }
-
-    /// Asks the server to drain and exit. The server acknowledges, then
-    /// closes this connection.
-    pub fn shutdown_server(&mut self) -> Result<(), NetError> {
-        self.exchange(op::SHUTDOWN, vec![], op::SHUTDOWN_OK)?;
-        Ok(())
-    }
 }
 
 /// Convenience: is this error the server saying "deadline exceeded"?
@@ -361,7 +137,7 @@ pub(crate) fn is_retryable(error: &NetError) -> bool {
     }
 }
 
-/// Retry/backoff policy for [`RetryingClient`]: bounded attempts and
+/// Retry/backoff policy for a [`Client`]: bounded attempts and
 /// exponential backoff with seeded jitter. The whole schedule is a pure
 /// function of the policy (see [`RetryPolicy::backoff_schedule`]), so tests
 /// can assert it exactly.
@@ -416,84 +192,186 @@ impl RetryPolicy {
     }
 }
 
-/// Counters describing what a [`RetryingClient`] actually did — tests
-/// assert on these to prove the chaos runs exercised the retry paths.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
+/// What a [`Client`] has done so far — tests assert on these to prove
+/// the chaos runs exercised the retry paths, and the CLI's `resilience:`
+/// and `replication:` summary lines are built from them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClientCounters {
     /// Wire attempts issued (first tries + retries).
     pub attempts: u64,
     /// Fresh connections dialed (includes the first).
     pub connects: u64,
-    /// Retries that followed a retryable failure.
+    /// Retries that followed a retryable failure or a redirect.
     pub retries: u64,
     /// Backoffs stretched to honor a server retry-after hint.
     pub hints_honored: u64,
+    /// Writes re-routed to a different endpoint (after a `NOT_PRIMARY`
+    /// redirect or an undialable primary).
+    pub failovers: u64,
+    /// `NOT_PRIMARY` redirects that carried the primary's address.
+    pub redirects: u64,
+    /// Counts and enumerations answered per endpoint, indexed like the
+    /// endpoint list.
+    pub reads_per_endpoint: Vec<u64>,
 }
 
 type BoxedTransport = Box<dyn Transport + Send>;
-type Connector = Box<dyn FnMut() -> Result<BoxedTransport, NetError> + Send>;
+type Connector = Box<dyn FnMut(SocketAddr) -> Result<BoxedTransport, NetError> + Send>;
 
-/// A [`Client`] wrapped in a [`RetryPolicy`]: reconnects through a
-/// caller-supplied connector, classifies failures via `is_retryable`,
-/// sleeps the policy's jittered backoff (stretched to any server
-/// retry-after hint), and tags COUNT and UPDATE requests with request IDs
-/// so ambiguous failures are safe to resend.
-pub struct RetryingClient {
+/// The probe payload `PING` sends and expects echoed.
+const PING_PAYLOAD: [u8; 3] = [0xA5, 0x5A, 0x42];
+
+/// A synchronous GraphPi protocol client. A receive timeout configured on
+/// the transport bounds the wait for each reply frame: a quiet expiry
+/// surfaces as [`NetError::Idle`] (the TCP transport has none and waits as
+/// long as the query runs).
+pub struct Client {
+    /// The live connection, to `endpoints[conn_at]`.
+    conn: Option<BoxedTransport>,
+    conn_at: usize,
+    /// Opens a fresh connection to an endpoint.
     connector: Connector,
+    endpoints: Vec<SocketAddr>,
+    /// Index of the endpoint writes route to.
+    primary: usize,
+    /// Index of the endpoint the next read connection tries first.
+    next_read: usize,
     policy: RetryPolicy,
-    client: Option<Client<BoxedTransport>>,
-    id_rng: SplitMix64,
-    stats: RetryStats,
+    /// The request-ID stream; `None` sends requests untagged.
+    request_ids: Option<SplitMix64>,
+    last_write_generation: u64,
+    counters: ClientCounters,
 }
 
-impl RetryingClient {
-    /// Builds a retrying client over any connector. The connector is
-    /// called lazily — once before the first attempt, then after every
-    /// connection-killing failure.
-    pub fn new<F>(connector: F, policy: RetryPolicy) -> Self
-    where
-        F: FnMut() -> Result<Box<dyn Transport + Send>, NetError> + Send + 'static,
-    {
+impl Client {
+    /// Connects over TCP now. One attempt per request, on this one
+    /// connection, and no request IDs: the client never resends, so the
+    /// frames are exactly the requests the caller built (and two such
+    /// clients can never be answered from each other's ledger entries).
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
+        // Tries each resolved address in turn, as `TcpStream::connect`
+        // does, keeping the one that answered as the endpoint.
+        let mut error = NetError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "could not resolve to any addresses",
+        ));
+        for endpoint in addr.to_socket_addrs()? {
+            match TcpTransport::connect(endpoint) {
+                Ok(transport) => return Ok(Self::dialed(endpoint, Box::new(transport))),
+                Err(e) => error = e,
+            }
+        }
+        Err(error)
+    }
+
+    /// A [`Client::connect`] client around a connection already made.
+    fn dialed(endpoint: SocketAddr, transport: BoxedTransport) -> Self {
+        // One connection is all it has: it never redials, resends or tags.
+        let never_redial = |_| Err(NetError::Closed);
+        let single_attempt = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
         Self {
-            connector: Box::new(connector),
-            policy,
-            client: None,
-            // Offset the ID stream from the jitter stream so the two
-            // deterministic sequences never correlate.
-            id_rng: SplitMix64::new(policy.seed ^ 0x1D0_C0DE),
-            stats: RetryStats::default(),
+            conn: Some(transport),
+            request_ids: None,
+            ..Self::with_connector(vec![endpoint], never_redial, single_attempt)
         }
     }
 
-    /// Retrying client dialing `addr` over plain TCP.
-    pub fn connect_tcp(addr: std::net::SocketAddr, policy: RetryPolicy) -> Self {
-        Self::new(
-            move || Ok(Box::new(TcpTransport::connect(addr)?) as BoxedTransport),
+    /// A retrying client over TCP to `endpoints` (at least one): a
+    /// single server, or every node of a replicated deployment. Reads
+    /// start from the first endpoint; writes assume `endpoints[0]` is the
+    /// primary until a redirect teaches otherwise. Nothing is dialed
+    /// until the first request.
+    pub fn with_endpoints(endpoints: Vec<SocketAddr>, policy: RetryPolicy) -> Self {
+        let tcp = |addr| Ok(Box::new(TcpTransport::connect(addr)?) as BoxedTransport);
+        Self::with_connector(endpoints, tcp, policy)
+    }
+
+    /// [`Client::with_endpoints`] over any transport: `connector(addr)`
+    /// opens a fresh connection to one of `endpoints` (the fault-injection
+    /// and scripted-transport seam). It is called lazily — before the
+    /// first attempt, then after every connection-killing failure.
+    pub fn with_connector<F>(endpoints: Vec<SocketAddr>, connector: F, policy: RetryPolicy) -> Self
+    where
+        F: FnMut(SocketAddr) -> Result<Box<dyn Transport + Send>, NetError> + Send + 'static,
+    {
+        assert!(!endpoints.is_empty(), "need at least one endpoint");
+        Self {
+            conn: None,
+            conn_at: 0,
+            connector: Box::new(connector),
+            counters: ClientCounters {
+                reads_per_endpoint: vec![0; endpoints.len()],
+                ..ClientCounters::default()
+            },
+            endpoints,
+            primary: 0,
+            next_read: 0,
             policy,
-        )
+            // Offset the ID stream from the jitter stream so the two
+            // deterministic sequences never correlate.
+            request_ids: Some(SplitMix64::new(policy.seed ^ 0x1D0_C0DE)),
+            last_write_generation: 0,
+        }
+    }
+
+    /// Consumes the client, returning its live connection.
+    ///
+    /// # Panics
+    /// If the client holds none (it has not dialed yet, or its last
+    /// request dropped the connection).
+    pub fn into_transport(self) -> Box<dyn Transport + Send> {
+        self.conn.expect("the client holds no live connection")
+    }
+
+    /// The endpoint list this client routes over.
+    pub fn endpoints(&self) -> &[SocketAddr] {
+        &self.endpoints
+    }
+
+    /// The endpoint writes currently route to.
+    pub fn primary_endpoint(&self) -> SocketAddr {
+        self.endpoints[self.primary]
+    }
+
+    /// The generation of the last acknowledged write (0 before any).
+    pub fn last_write_generation(&self) -> u64 {
+        self.last_write_generation
     }
 
     /// What this client has done so far.
-    pub fn stats(&self) -> RetryStats {
-        self.stats
+    pub fn counters(&self) -> ClientCounters {
+        self.counters.clone()
     }
 
-    /// Drops the current connection; the next attempt redials through
-    /// the connector. Lets failover logic force a re-route without
-    /// waiting for the dead socket to fail an exchange.
-    pub(crate) fn disconnect(&mut self) {
-        self.client = None;
+    /// Drops the read connection so the next read dials the next endpoint
+    /// in rotation. Reads are otherwise sticky — they reuse one connection
+    /// until it fails — so callers that want to spread a query burst
+    /// across replicas rotate explicitly between queries. A client with
+    /// one endpoint has nowhere to rotate to and keeps its connection.
+    pub fn rotate_reads(&mut self) {
+        if self.endpoints.len() > 1 {
+            self.conn = None;
+        }
     }
 
-    /// Counts embeddings of `pattern` with default options, retrying per
-    /// the policy.
+    /// Liveness probe: sends `PING`, expects the payload echoed back.
+    pub fn ping(&mut self) -> Result<(), NetError> {
+        let echoed = |payload: &[u8]| (payload == PING_PAYLOAD).then_some(());
+        self.call(op::PING, PING_PAYLOAD.to_vec(), op::PONG, echoed)
+    }
+
+    /// Counts embeddings of `pattern` with default options.
     pub fn count(&mut self, pattern: &Pattern) -> Result<RemoteCount, NetError> {
         self.count_with(pattern, RemoteCountOptions::default())
     }
 
-    /// Counts embeddings with explicit options, retrying per the policy.
-    /// A caller-supplied `request_id` is kept; otherwise a fresh one is
-    /// drawn so every attempt of this query shares one idempotency key.
+    /// Counts embeddings with explicit per-query options. A caller-supplied
+    /// `request_id` or `min_generation` is kept; otherwise a retrying
+    /// client draws a fresh ID (shared by every attempt of this query),
+    /// and the floor is the client's last acknowledged write.
     pub fn count_with(
         &mut self,
         pattern: &Pattern,
@@ -502,11 +380,28 @@ impl RetryingClient {
         if options.request_id == 0 {
             options.request_id = self.next_request_id();
         }
-        self.with_retries(|client| client.count_with(pattern, options), || true)
+        if options.min_generation == 0 {
+            options.min_generation = self.last_write_generation;
+        }
+        let request = CountRequest {
+            no_iep: options.no_iep,
+            hub_bitsets: false,
+            deadline_ms: options.deadline_ms,
+            request_id: options.request_id,
+            min_generation: options.min_generation,
+            mode: options.mode,
+            pattern: pattern.canonical_bytes(),
+        };
+        let ok = self.call(op::COUNT, request.encode(), op::COUNT_OK, CountOk::decode)?;
+        self.counters.reads_per_endpoint[self.conn_at] += 1;
+        Ok(RemoteCount {
+            count: ok.count,
+            elapsed: Duration::from_micros(ok.elapsed_micros),
+            ext: ok.ext,
+        })
     }
 
-    /// Enumerates up to `limit` embeddings with default options, with
-    /// the zero-page retry rule of [`RetryingClient::enumerate_with`].
+    /// Enumerates up to `limit` embeddings with default options.
     pub fn enumerate(
         &mut self,
         pattern: &Pattern,
@@ -515,286 +410,44 @@ impl RetryingClient {
         self.enumerate_with(pattern, limit, RemoteEnumerateOptions::default())
     }
 
-    /// Enumerates up to `limit` embeddings, retrying per the policy —
-    /// but **only while no page has been received**. Enumeration carries
-    /// no idempotency key and its pages are not resumable: once a page
-    /// has arrived, a failure surfaces immediately rather than risking a
-    /// silently interleaved second stream (a truncated-limit re-run may
-    /// also legitimately return different embeddings). Callers that need
-    /// to recover mid-stream issue a fresh request.
+    /// Enumerates up to `limit` embeddings with explicit options,
+    /// collecting the `ENUM_PAGE` stream until its terminal page.
+    ///
+    /// Enumeration carries no idempotency key and its pages are not
+    /// resumable, so it is retried **only while no page has been
+    /// received**: once a page has arrived, a failure surfaces rather than
+    /// risking a silently interleaved second stream (a truncated-limit
+    /// re-run may also legitimately return different embeddings). It
+    /// carries no generation floor either, so a client that has written
+    /// enumerates on the primary.
     pub fn enumerate_with(
         &mut self,
         pattern: &Pattern,
         limit: u64,
         options: RemoteEnumerateOptions,
     ) -> Result<RemoteEnumeration, NetError> {
+        let request = EnumerateRequest {
+            hub_bitsets: false,
+            deadline_ms: options.deadline_ms,
+            limit,
+            page_size: options.page_size,
+            pattern: pattern.canonical_bytes(),
+        };
+        let request = Frame::new(op::ENUMERATE, request.encode());
         let pages = Cell::new(0);
-        self.with_retries(
-            |client| client.enumerate_paged(pattern, limit, options, &pages),
+        let size = pattern.num_vertices();
+        let result = self.with_retries(
+            self.last_write_generation > 0,
+            |transport| collect_pages(transport, &request, size, limit, &pages),
             || pages.get() == 0,
-        )
+        )?;
+        self.counters.reads_per_endpoint[self.conn_at] += 1;
+        Ok(result)
     }
 
-    /// Commits one edge batch with explicit options, retrying per the
-    /// policy. A caller-supplied `request_id` is kept; otherwise a fresh
-    /// one is always drawn — an untagged update must not be resent.
-    pub fn update_with(
-        &mut self,
-        inserts: &[(u32, u32)],
-        deletes: &[(u32, u32)],
-        mut options: RemoteUpdateOptions,
-    ) -> Result<UpdateOk, NetError> {
-        if options.request_id == 0 {
-            options.request_id = self.next_request_id();
-        }
-        self.with_retries(
-            |client| client.update_with(inserts, deletes, options),
-            || true,
-        )
-    }
-
-    fn next_request_id(&mut self) -> u64 {
-        loop {
-            let id = self.id_rng.next_u64();
-            if id != 0 {
-                return id;
-            }
-        }
-    }
-
-    /// The one retry loop: up to `max_attempts` runs of `attempt`, with
-    /// reconnects, backoff and hint-stretched sleeps between them. A
-    /// failure is retried only when it is [`is_retryable`] *and*
-    /// `resend_is_safe` still holds (requests that are not idempotent
-    /// narrow it).
-    fn with_retries<R>(
-        &mut self,
-        mut attempt: impl FnMut(&mut Client<BoxedTransport>) -> Result<R, NetError>,
-        resend_is_safe: impl Fn() -> bool,
-    ) -> Result<R, NetError> {
-        let schedule = self.policy.backoff_schedule();
-        let max_attempts = self.policy.max_attempts.max(1);
-        let mut last_error = NetError::Closed;
-        for n in 0..max_attempts {
-            if n > 0 {
-                self.stats.retries += 1;
-            }
-            self.stats.attempts += 1;
-            let error = match self.connected().and_then(&mut attempt) {
-                Ok(reply) => return Ok(reply),
-                Err(error) => error,
-            };
-            // A typed refusal arrived on a connection the server keeps
-            // open; anything else (and the two refusals that close it)
-            // leaves the stream in an unknown state, so reconnect.
-            let keep_connection = matches!(
-                &error,
-                NetError::Remote { code, .. }
-                    if *code == ErrorCode::RetryLater || !code.is_retryable()
-            );
-            if !keep_connection {
-                self.client = None;
-            }
-            if !is_retryable(&error) || !resend_is_safe() {
-                return Err(error);
-            }
-            let mut wait = schedule.get(n as usize).copied().unwrap_or(Duration::ZERO);
-            if let NetError::Remote {
-                retry_after_ms: Some(hint_ms),
-                ..
-            } = error
-            {
-                let hint = Duration::from_millis(u64::from(hint_ms));
-                if hint > wait {
-                    wait = hint;
-                    self.stats.hints_honored += 1;
-                }
-            }
-            last_error = error;
-            if n + 1 >= max_attempts {
-                break;
-            }
-            if !wait.is_zero() {
-                std::thread::sleep(wait);
-            }
-        }
-        Err(last_error)
-    }
-
-    /// The live connection for one attempt: (re)dials if needed.
-    fn connected(&mut self) -> Result<&mut Client<BoxedTransport>, NetError> {
-        if self.client.is_none() {
-            self.stats.connects += 1;
-            self.client = Some(Client::new((self.connector)()?));
-        }
-        Ok(self.client.as_mut().expect("connected above"))
-    }
-}
-
-/// Counters describing what a [`FailoverClient`] did across its
-/// endpoints — the CLI's `replication:` summary line is built from
-/// these.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FailoverStats {
-    /// Writes re-routed to a different endpoint (after a `NOT_PRIMARY`
-    /// redirect or a dead primary).
-    pub failovers: u64,
-    /// `NOT_PRIMARY` redirects that carried the primary's address.
-    pub redirects: u64,
-    /// Successful reads answered per endpoint, indexed like the
-    /// endpoint list passed at construction.
-    pub reads_per_endpoint: Vec<u64>,
-}
-
-/// A multi-endpoint client for a replicated deployment: reads spread
-/// round-robin across every reachable endpoint (each one a
-/// [`RetryingClient`] that reconnects through the rotation on failure),
-/// writes route to the endpoint currently believed to be the primary
-/// and re-route on [`ErrorCode::NotPrimary`] — following the address in
-/// the redirect when the replica knows it, advancing through the
-/// rotation when it does not (or when the primary is simply dead).
-///
-/// With read-your-writes enabled, every read carries a generation floor
-/// equal to the last acknowledged write, so a lagging replica either
-/// waits until it has caught up to the client's own writes or sheds the
-/// read to another endpoint.
-pub struct FailoverClient {
-    endpoints: Vec<SocketAddr>,
-    read: RetryingClient,
-    write: RetryingClient,
-    /// Which endpoint the read connector dialed last (shared with the
-    /// connector closure).
-    last_read_endpoint: Arc<AtomicUsize>,
-    /// Index of the endpoint writes currently route to (shared with the
-    /// write connector closure).
-    primary: Arc<AtomicUsize>,
-    read_your_writes: bool,
-    last_write_generation: u64,
-    stats: FailoverStats,
-}
-
-impl FailoverClient {
-    /// Builds a failover client over `endpoints` (at least one). Reads
-    /// start round-robin from the first endpoint; writes assume
-    /// `endpoints[0]` is the primary until a redirect teaches otherwise.
-    pub fn connect(
-        endpoints: Vec<SocketAddr>,
-        policy: RetryPolicy,
-        read_your_writes: bool,
-    ) -> Self {
-        assert!(!endpoints.is_empty(), "need at least one endpoint");
-        let rr = Arc::new(AtomicUsize::new(0));
-        let last_read_endpoint = Arc::new(AtomicUsize::new(0));
-        let primary = Arc::new(AtomicUsize::new(0));
-        let read = {
-            let endpoints = endpoints.clone();
-            let rr = Arc::clone(&rr);
-            let last = Arc::clone(&last_read_endpoint);
-            RetryingClient::new(
-                move || {
-                    // Try every endpoint once, starting at the rotation
-                    // cursor; the first that answers wins the read.
-                    let start = rr.fetch_add(1, Ordering::Relaxed);
-                    let mut error = NetError::Closed;
-                    for probe in 0..endpoints.len() {
-                        let index = (start + probe) % endpoints.len();
-                        match TcpTransport::connect(endpoints[index]) {
-                            Ok(transport) => {
-                                last.store(index, Ordering::Relaxed);
-                                return Ok(Box::new(transport) as BoxedTransport);
-                            }
-                            Err(e) => error = e,
-                        }
-                    }
-                    Err(error)
-                },
-                policy,
-            )
-        };
-        let write = {
-            let endpoints = endpoints.clone();
-            let primary = Arc::clone(&primary);
-            RetryingClient::new(
-                move || {
-                    let index = primary.load(Ordering::Relaxed) % endpoints.len();
-                    Ok(Box::new(TcpTransport::connect(endpoints[index])?) as BoxedTransport)
-                },
-                // Writes and reads draw from distinct ID streams so the
-                // two idempotency-key sequences never collide.
-                RetryPolicy {
-                    seed: policy.seed ^ 0xFA11_0E14_ED75_0B5E,
-                    ..policy
-                },
-            )
-        };
-        let stats = FailoverStats {
-            reads_per_endpoint: vec![0; endpoints.len()],
-            ..FailoverStats::default()
-        };
-        Self {
-            endpoints,
-            read,
-            write,
-            last_read_endpoint,
-            primary,
-            read_your_writes,
-            last_write_generation: 0,
-            stats,
-        }
-    }
-
-    /// The endpoint list this client rotates over.
-    pub fn endpoints(&self) -> &[SocketAddr] {
-        &self.endpoints
-    }
-
-    /// What this client has done so far, across both directions.
-    pub fn stats(&self) -> &FailoverStats {
-        &self.stats
-    }
-
-    /// The generation of the last acknowledged write (0 before any).
-    pub fn last_write_generation(&self) -> u64 {
-        self.last_write_generation
-    }
-
-    /// The endpoint writes currently route to.
-    pub fn primary_endpoint(&self) -> SocketAddr {
-        self.endpoints[self.primary.load(Ordering::Relaxed) % self.endpoints.len()]
-    }
-
-    /// Counts embeddings on whichever endpoint answers, with default
-    /// options (plus the read-your-writes floor when enabled).
-    pub fn count(&mut self, pattern: &Pattern) -> Result<RemoteCount, NetError> {
-        self.count_with(pattern, RemoteCountOptions::default())
-    }
-
-    /// Counts embeddings with explicit options. When read-your-writes is
-    /// on and the caller set no explicit floor, the floor is the last
-    /// acknowledged write's generation.
-    pub fn count_with(
-        &mut self,
-        pattern: &Pattern,
-        mut options: RemoteCountOptions,
-    ) -> Result<RemoteCount, NetError> {
-        if self.read_your_writes && options.min_generation == 0 {
-            options.min_generation = self.last_write_generation;
-        }
-        let result = self.read.count_with(pattern, options);
-        if result.is_ok() {
-            let index = self.last_read_endpoint.load(Ordering::Relaxed) % self.endpoints.len();
-            self.stats.reads_per_endpoint[index] += 1;
-        }
-        result
-    }
-
-    /// Commits one edge batch on the primary, following `NOT_PRIMARY`
-    /// redirects and rotating past dead endpoints. Every routing attempt
-    /// reuses one request ID, so a batch that actually committed before
-    /// an ambiguous failure is answered from the ledger, not re-applied
-    /// — on the *same* server; a failover to a server that never saw the
-    /// ID commits it there (callers that cannot tolerate that must
-    /// quiesce before promoting, as the smoke test does).
+    /// Commits one edge batch. Inserts apply before deletes; the reply
+    /// carries the generation the batch produced. Static servers answer
+    /// [`ErrorCode::ReadOnly`].
     pub fn update(
         &mut self,
         inserts: &[(u32, u32)],
@@ -803,64 +456,72 @@ impl FailoverClient {
         self.update_with(inserts, deletes, RemoteUpdateOptions::default())
     }
 
-    /// Commits one edge batch with explicit options, with failover.
+    /// Commits one edge batch with explicit options, on the primary.
+    /// Batches that cannot fit one frame are refused before anything is
+    /// sent — the caller must split them (see [`MAX_UPDATE_EDGES`]).
+    ///
+    /// A retrying client tags the batch with one request ID across every
+    /// attempt, so a batch that committed before an ambiguous failure is
+    /// answered from the ledger, not re-applied — on the *same* server; a
+    /// failover to a server that never saw the ID commits it there
+    /// (callers that cannot tolerate that must quiesce before promoting).
     pub fn update_with(
         &mut self,
         inserts: &[(u32, u32)],
         deletes: &[(u32, u32)],
         mut options: RemoteUpdateOptions,
     ) -> Result<UpdateOk, NetError> {
+        if inserts.len().saturating_add(deletes.len()) > MAX_UPDATE_EDGES {
+            return Err(NetError::Protocol(
+                "update batch exceeds one frame; split it into MAX_UPDATE_EDGES chunks",
+            ));
+        }
         if options.request_id == 0 {
-            options.request_id = self.write.next_request_id();
+            options.request_id = self.next_request_id();
         }
-        let mut last_error = NetError::Closed;
-        // One routing attempt per endpoint, plus one for the redirect
-        // target itself; the per-endpoint RetryingClient already
-        // retried transient failures before each error reaches us.
-        for _ in 0..=self.endpoints.len() {
-            match self.write.update_with(inserts, deletes, options) {
-                Ok(ok) => {
-                    self.last_write_generation = ok.generation;
-                    return Ok(ok);
-                }
-                Err(NetError::Remote {
-                    code: ErrorCode::NotPrimary,
-                    message,
-                    ..
-                }) => {
-                    self.stats.failovers += 1;
-                    self.follow_redirect(&message);
-                    self.write.disconnect();
-                    last_error = NetError::Remote {
-                        code: ErrorCode::NotPrimary,
-                        message,
-                        retry_after_ms: None,
-                    };
-                }
-                Err(error) if is_retryable(&error) => {
-                    // The believed primary is unreachable or shedding;
-                    // rotate to the next endpoint and try there.
-                    self.stats.failovers += 1;
-                    self.primary.fetch_add(1, Ordering::Relaxed);
-                    self.write.disconnect();
-                    last_error = error;
-                }
-                Err(error) => return Err(error),
-            }
-        }
-        Err(last_error)
+        let request = UpdateRequest {
+            deadline_ms: options.deadline_ms,
+            request_id: options.request_id,
+            inserts: inserts.to_vec(),
+            deletes: deletes.to_vec(),
+        };
+        let ok = self.call(
+            op::UPDATE,
+            request.encode(),
+            op::UPDATE_OK,
+            UpdateOk::decode,
+        )?;
+        self.last_write_generation = ok.generation;
+        Ok(ok)
     }
 
-    /// Drops the read connection so the next read dials the next
-    /// endpoint in rotation. Reads are otherwise sticky — they reuse one
-    /// connection until it fails — so callers that want to spread a
-    /// query burst across replicas rotate explicitly between queries.
-    pub fn rotate_reads(&mut self) {
-        self.read.disconnect();
+    /// Fetches the server's counter snapshot.
+    pub fn stats(&mut self) -> Result<StatsOk, NetError> {
+        self.call(op::STATS, vec![], op::STATS_OK, StatsOk::decode)
     }
 
-    /// Probes every endpoint's health directly (no retries): the CLI's
-    /// lag report. Unreachable endpoints yield `None`.
+    /// Probes server readiness: ready, draining, or overloaded, with a
+    /// retry-after hint when not ready.
+    pub fn health(&mut self) -> Result<HealthOk, NetError> {
+        self.call(op::HEALTH, vec![], op::HEALTH_OK, HealthOk::decode)
+    }
+
+    /// Asks a replica to promote itself to primary, blocking until its
+    /// apply loop seals the stream. Idempotent on a server that is already
+    /// primary. Returns the sealed generation.
+    pub fn promote(&mut self) -> Result<PromoteOk, NetError> {
+        self.call(op::PROMOTE, vec![], op::PROMOTE_OK, PromoteOk::decode)
+    }
+
+    /// Asks the server to drain and exit. The server acknowledges, then
+    /// closes this connection.
+    pub fn shutdown_server(&mut self) -> Result<(), NetError> {
+        self.call(op::SHUTDOWN, vec![], op::SHUTDOWN_OK, |_| Some(()))
+    }
+
+    /// Probes every endpoint's health directly (fresh connection, one
+    /// attempt, 500 ms reply timeout): the CLI's lag report. Unreachable
+    /// endpoints yield `None`.
     pub fn health_all(&self) -> Vec<(SocketAddr, Option<HealthOk>)> {
         self.endpoints
             .iter()
@@ -869,11 +530,164 @@ impl FailoverClient {
                     transport
                         .set_recv_timeout(Some(Duration::from_millis(500)))
                         .ok()?;
-                    Client::new(transport).health().ok()
+                    Self::dialed(addr, Box::new(transport)).health().ok()
                 });
                 (addr, health)
             })
             .collect()
+    }
+
+    /// The next request ID: 0 (untagged) on a [`Client::connect`] client.
+    fn next_request_id(&mut self) -> u64 {
+        let Some(ids) = &mut self.request_ids else {
+            return 0;
+        };
+        loop {
+            let id = ids.next_u64();
+            if id != 0 {
+                return id;
+            }
+        }
+    }
+
+    /// One request that every attempt resends as is, and its decoded
+    /// reply. Writes route to the primary.
+    fn call<R>(
+        &mut self,
+        opcode: u8,
+        payload: Vec<u8>,
+        expect: u8,
+        decode: fn(&[u8]) -> Option<R>,
+    ) -> Result<R, NetError> {
+        let request = Frame::new(opcode, payload);
+        let attempt = |transport: &mut dyn Transport| {
+            transport.send(&request)?;
+            let reply = recv_reply(transport, expect)?;
+            decode(&reply.payload).ok_or(NetError::Protocol("undecodable reply payload"))
+        };
+        self.with_retries(opcode == op::UPDATE, attempt, || true)
+    }
+
+    /// The one retry loop: up to `max_attempts` runs of `attempt`, with
+    /// reconnects, redirects, backoff and hint-stretched sleeps between
+    /// them. A failure is retried only when it is [`is_retryable`] (or a
+    /// write's `NOT_PRIMARY` that another endpoint may take) *and*
+    /// `resend_is_safe` still holds (requests that are not idempotent
+    /// narrow it).
+    fn with_retries<R>(
+        &mut self,
+        to_primary: bool,
+        mut attempt: impl FnMut(&mut dyn Transport) -> Result<R, NetError>,
+        resend_is_safe: impl Fn() -> bool,
+    ) -> Result<R, NetError> {
+        let max_attempts = self.policy.max_attempts.max(1);
+        let several = self.endpoints.len() > 1;
+        for n in 0..max_attempts {
+            if n > 0 {
+                self.counters.retries += 1;
+            }
+            self.counters.attempts += 1;
+            let error = match self.connected(to_primary).and_then(&mut attempt) {
+                Ok(reply) => return Ok(reply),
+                Err(error) => error,
+            };
+            // A write a replica refused moves to the primary it names.
+            let redirected = match &error {
+                NetError::Remote {
+                    code: ErrorCode::NotPrimary,
+                    message,
+                    ..
+                } if to_primary && several => {
+                    self.follow_redirect(message);
+                    true
+                }
+                _ => false,
+            };
+            // A typed refusal arrives on a connection the server keeps
+            // open, so stay on it — unless it is a shed read another
+            // endpoint may serve. Anything else (and the two refusals that
+            // close the connection) leaves the stream in an unknown state.
+            let stays = matches!(
+                &error,
+                NetError::Remote { code, .. } if !code.is_retryable()
+                    || (*code == ErrorCode::RetryLater && (to_primary || !several))
+            );
+            if !stays {
+                self.conn = None;
+            }
+            let last = n + 1 == max_attempts;
+            if last || !(redirected || is_retryable(&error)) || !resend_is_safe() {
+                return Err(error);
+            }
+            let mut wait = if redirected {
+                Duration::ZERO
+            } else {
+                let schedule = self.policy.backoff_schedule();
+                schedule.get(n as usize).copied().unwrap_or_default()
+            };
+            // A retry-after hint speaks for the server that sent it; a read
+            // that moves on to the next endpoint does not wait it out.
+            let moves_on = several && !stays && !to_primary;
+            if let NetError::Remote {
+                retry_after_ms: Some(hint_ms),
+                ..
+            } = error
+            {
+                let hint = Duration::from_millis(u64::from(hint_ms));
+                if hint > wait && !moves_on {
+                    wait = hint;
+                    self.counters.hints_honored += 1;
+                }
+            }
+            if !wait.is_zero() {
+                std::thread::sleep(wait);
+            }
+        }
+        unreachable!("the last attempt returns its error")
+    }
+
+    /// The connection for one attempt: the current one, unless a write
+    /// needs the primary and it is elsewhere; otherwise a fresh dial.
+    fn connected(&mut self, to_primary: bool) -> Result<&mut dyn Transport, NetError> {
+        if to_primary && self.conn_at != self.primary {
+            self.conn = None;
+        }
+        if self.conn.is_none() {
+            self.dial(to_primary)?;
+        }
+        Ok(self.conn.as_deref_mut().expect("dialed above"))
+    }
+
+    /// Dials each endpoint once, starting at the primary (writes) or at
+    /// the read rotation's cursor (reads); the first that answers wins.
+    /// A write that lands past the primary has failed over to it.
+    fn dial(&mut self, to_primary: bool) -> Result<(), NetError> {
+        let n = self.endpoints.len();
+        let start = if to_primary {
+            self.primary
+        } else {
+            self.next_read
+        };
+        let mut error = NetError::Closed;
+        for at in (start..start + n).map(|i| i % n) {
+            self.counters.connects += 1;
+            match (self.connector)(self.endpoints[at]) {
+                Ok(transport) => {
+                    self.conn = Some(transport);
+                    self.conn_at = at;
+                    if to_primary && at != self.primary {
+                        self.counters.failovers += 1;
+                        self.primary = at;
+                    }
+                    if !to_primary {
+                        self.next_read = (at + 1) % n;
+                    }
+                    return Ok(());
+                }
+                Err(e) => error = e,
+            }
+        }
+        Err(error)
     }
 
     /// Points writes at the redirect target: the address named in a
@@ -881,13 +695,77 @@ impl FailoverClient {
     /// endpoint in rotation otherwise (empty redirects included — the
     /// replica may not know its primary yet).
     fn follow_redirect(&mut self, message: &str) {
-        if let Ok(addr) = message.parse::<SocketAddr>() {
-            if let Some(index) = self.endpoints.iter().position(|&e| e == addr) {
-                self.stats.redirects += 1;
-                self.primary.store(index, Ordering::Relaxed);
-                return;
+        self.counters.failovers += 1;
+        let named = message.parse::<SocketAddr>().ok();
+        match self.endpoints.iter().position(|&e| Some(e) == named) {
+            Some(index) => {
+                self.counters.redirects += 1;
+                self.primary = index;
             }
+            None => self.primary = (self.primary + 1) % self.endpoints.len(),
         }
-        self.primary.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Receives the next reply frame, which must carry opcode `expect`; a
+/// server [`op::ERROR`] frame surfaces as [`NetError::Remote`].
+fn recv_reply(transport: &mut dyn Transport, expect: u8) -> Result<Frame, NetError> {
+    let frame = transport.recv()?;
+    if frame.opcode == op::ERROR {
+        let error = WireError::decode(&frame.payload)
+            .ok_or(NetError::Protocol("undecodable error payload"))?;
+        return Err(error.into_net_error());
+    }
+    if frame.opcode != expect {
+        return Err(NetError::Protocol(
+            "response opcode does not match the request",
+        ));
+    }
+    Ok(frame)
+}
+
+/// Sends one `ENUMERATE` and collects its page stream. `pages` counts the
+/// pages received so far, so a caller can tell — even on failure —
+/// whether any of the stream arrived. A stream no honest server sends —
+/// more embeddings than `limit`, or an empty page before the last — is
+/// refused rather than followed, so a broken peer can neither grow the
+/// result without bound nor loop the client forever.
+fn collect_pages(
+    transport: &mut dyn Transport,
+    request: &Frame,
+    pattern_size: usize,
+    limit: u64,
+    pages: &Cell<u64>,
+) -> Result<RemoteEnumeration, NetError> {
+    transport.send(request)?;
+    pages.set(0);
+    let mut embeddings = Vec::new();
+    loop {
+        let frame = recv_reply(transport, op::ENUM_PAGE)?;
+        let page = EnumPage::decode(&frame.payload)
+            .ok_or(NetError::Protocol("undecodable reply payload"))?;
+        if usize::from(page.pattern_size) != pattern_size {
+            return Err(NetError::Protocol(
+                "page pattern size does not match the request",
+            ));
+        }
+        pages.set(pages.get() + 1);
+        if !page.last && page.vertices.is_empty() {
+            return Err(NetError::Protocol(
+                "empty page before the end of the stream",
+            ));
+        }
+        if (embeddings.len() + page.embeddings().len()) as u64 > limit {
+            return Err(NetError::Protocol(
+                "page stream exceeds the requested limit",
+            ));
+        }
+        embeddings.extend(page.embeddings().map(<[u32]>::to_vec));
+        if page.last {
+            return Ok(RemoteEnumeration {
+                embeddings,
+                pages: pages.get(),
+            });
+        }
     }
 }

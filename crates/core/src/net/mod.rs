@@ -6,11 +6,11 @@
 //! socket. [`protocol`] defines the length-prefixed binary frame format
 //! and the [`Transport`] seam, [`server`] owns the
 //! accept loop, admission control, overload shedding, deadlines and
-//! graceful drain, [`client`] is the synchronous request/response
-//! library (including the [`RetryPolicy`]-driven [`RetryingClient`])
-//! the CLI's `remote` subcommand and the network test suites are built
-//! on, and [`chaos`] is the seeded fault-injection harness that proves
-//! the rest of it honest.
+//! graceful drain, [`client`] is the one synchronous request/response
+//! [`Client`] — a single connection, or a [`RetryPolicy`] over one or
+//! more endpoints — the CLI's `remote` subcommand and the network test
+//! suites are built on, and [`chaos`] is the seeded fault-injection
+//! harness that proves the rest of it honest.
 //!
 //! The full frame layout, opcode list and error-code table are documented
 //! in `docs/protocol.md`.
@@ -42,8 +42,8 @@ pub mod server;
 
 pub use chaos::{ChaosConfig, ChaosConnector, ChaosProxy};
 pub use client::{
-    Client, FailoverClient, RemoteCount, RemoteCountOptions, RemoteEnumerateOptions,
-    RemoteUpdateOptions, RetryPolicy, RetryStats, RetryingClient,
+    Client, ClientCounters, RemoteCount, RemoteCountOptions, RemoteEnumerateOptions,
+    RemoteUpdateOptions, RetryPolicy,
 };
 pub use protocol::{
     CountExt, ErrorCode, HealthState, NetError, QueryMode, ReplRole, StatsOk, TcpTransport,

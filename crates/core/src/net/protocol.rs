@@ -65,7 +65,7 @@ pub mod op {
     /// Apply a batch of edge insertions/deletions
     /// ([`super::UpdateRequest`] payload). Static servers
     /// answer [`super::ErrorCode::ReadOnly`].
-    pub(crate) const UPDATE: u8 = 0x06;
+    pub const UPDATE: u8 = 0x06;
     /// Subscribe to the primary's WAL stream from a cursor
     /// ([`super::ReplSubscribe`] payload). Only durable
     /// (`--wal`) primaries accept it; the connection then alternates
@@ -102,7 +102,7 @@ pub mod op {
     /// Health reply ([`super::HealthOk`] payload).
     pub(crate) const HEALTH_OK: u8 = 0x85;
     /// Update applied ([`super::UpdateOk`] payload).
-    pub(crate) const UPDATE_OK: u8 = 0x86;
+    pub const UPDATE_OK: u8 = 0x86;
     /// One page of an enumeration's result stream ([`super::EnumPage`]
     /// payload). The last page carries a flag; the stream is
     /// `ENUM_PAGE*` terminated by a flagged page (or an [`ERROR`] frame,
@@ -1068,7 +1068,7 @@ impl EnumPage {
     }
 
     /// Iterates the page's embeddings as `pattern_size`-length slices.
-    pub(crate) fn embeddings(&self) -> impl Iterator<Item = &[u32]> {
+    pub(crate) fn embeddings(&self) -> impl ExactSizeIterator<Item = &[u32]> {
         self.vertices
             .chunks_exact(usize::from(self.pattern_size.max(1)))
     }

@@ -14,13 +14,13 @@ use graphpi::core::exec::pool::WorkerPool;
 use graphpi::core::net::protocol::{self, op, EnumPage, Frame, WireError};
 use graphpi::core::net::{
     ChaosConfig, ChaosConnector, Client, ErrorCode, HealthState, NetError, RemoteCountOptions,
-    RetryPolicy, RetryingClient, Server, ServerHandle, Transport,
+    RetryPolicy, Server, ServerHandle, Transport,
 };
 use graphpi::graph::generators;
 use graphpi::pattern::prefab;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -84,8 +84,9 @@ fn chaos_clients_agree_with_in_process_execution() {
                     let connector =
                         ChaosConnector::new(addr, ChaosConfig::gentle(0xBAD_5EED ^ client_index));
                     let probe = connector.clone();
-                    let mut client = RetryingClient::new(
-                        move || {
+                    let mut client = Client::with_connector(
+                        vec![addr],
+                        move |_| {
                             let transport = connector.connect()?;
                             Ok(Box::new(transport) as Box<dyn Transport + Send>)
                         },
@@ -99,7 +100,7 @@ fn chaos_clients_agree_with_in_process_execution() {
                             .unwrap_or_else(|e| panic!("client {client_index}: {e}"));
                         observed.push(result.count);
                     }
-                    (observed, client.stats(), probe.connections())
+                    (observed, client.counters(), probe.connections())
                 })
             })
             .collect();
@@ -226,8 +227,8 @@ fn overload_sheds_with_typed_retry_later_and_hint() {
 
         // Honoring the hint (with the retrying client) eventually lands
         // the query; nobody is lost, every answer is bit-identical.
-        let mut patient = RetryingClient::connect_tcp(
-            addr,
+        let mut patient = Client::with_endpoints(
+            vec![addr],
             RetryPolicy {
                 max_attempts: 200,
                 initial_backoff: Duration::from_millis(1),
@@ -237,7 +238,7 @@ fn overload_sheds_with_typed_retry_later_and_hint() {
             .with_seed(7),
         );
         assert_eq!(patient.count(&prefab::house()).unwrap().count, baseline);
-        let retry_stats = patient.stats();
+        let retry_stats = patient.counters();
         assert!(
             retry_stats.hints_honored > 0,
             "the retrying client should have waited on at least one server hint"
@@ -341,12 +342,13 @@ impl Transport for Scripted {
 }
 
 /// A retrying client over `script`, with a fast deterministic backoff.
-fn scripted_client(script: Vec<Result<Frame, NetError>>) -> (RetryingClient, Scripted) {
+fn scripted_client(script: Vec<Result<Frame, NetError>>) -> (Client, Scripted) {
     let transport = Scripted::default();
     transport.replies.lock().unwrap().extend(script);
     let dialed = transport.clone();
-    let client = RetryingClient::new(
-        move || Ok(Box::new(dialed.clone()) as Box<dyn Transport + Send>),
+    let client = Client::with_connector(
+        vec![SocketAddr::from(([127, 0, 0, 1], 0))],
+        move |_| Ok(Box::new(dialed.clone()) as Box<dyn Transport + Send>),
         RetryPolicy {
             max_attempts: 4,
             initial_backoff: Duration::from_millis(1),
@@ -378,7 +380,7 @@ fn enumerations_are_retried_only_while_zero_pages_arrived() {
     let result = client.enumerate(&prefab::triangle(), 10).unwrap();
     assert_eq!(result.embeddings, vec![vec![0, 1, 2], vec![3, 4, 5]]);
     assert_eq!(result.pages, 2);
-    let stats = client.stats();
+    let stats = client.counters();
     assert_eq!((stats.attempts, stats.retries, stats.connects), (2, 1, 2));
     assert_eq!(transport.sent.lock().unwrap().len(), 2);
 
@@ -390,7 +392,35 @@ fn enumerations_are_retried_only_while_zero_pages_arrived() {
     ]);
     let error = client.enumerate(&prefab::triangle(), 10).unwrap_err();
     assert!(matches!(error, NetError::Closed), "got {error}");
-    let stats = client.stats();
+    let stats = client.counters();
+    assert_eq!((stats.attempts, stats.retries), (1, 0));
+    assert_eq!(transport.sent.lock().unwrap().len(), 1);
+}
+
+#[test]
+fn page_streams_past_the_limit_are_refused() {
+    // Two embeddings against a limit of one: no honest server sends that,
+    // so the client stops reading instead of growing the result.
+    let (mut client, transport) =
+        scripted_client(vec![triangle_page(false, vec![0, 1, 2, 3, 4, 5])]);
+    let error = client.enumerate(&prefab::triangle(), 1).unwrap_err();
+    assert!(matches!(error, NetError::Protocol(_)), "got {error}");
+    let stats = client.counters();
+    assert_eq!((stats.attempts, stats.retries), (1, 0));
+    assert_eq!(transport.sent.lock().unwrap().len(), 1);
+}
+
+#[test]
+fn empty_pages_before_the_last_are_refused() {
+    // An empty page that is not the last could repeat forever; the
+    // first one ends the stream with a protocol error.
+    let (mut client, transport) = scripted_client(vec![
+        triangle_page(false, vec![0, 1, 2]),
+        triangle_page(false, vec![]),
+    ]);
+    let error = client.enumerate(&prefab::triangle(), 10).unwrap_err();
+    assert!(matches!(error, NetError::Protocol(_)), "got {error}");
+    let stats = client.counters();
     assert_eq!((stats.attempts, stats.retries), (1, 0));
     assert_eq!(transport.sent.lock().unwrap().len(), 1);
 }
@@ -409,7 +439,7 @@ fn shed_enumerations_honour_the_hint_and_keep_the_connection() {
     let result = client.enumerate(&prefab::triangle(), 10).unwrap();
     assert!(started.elapsed() >= Duration::from_millis(30));
     assert_eq!(result.embeddings, vec![vec![0, 1, 2]]);
-    let stats = client.stats();
+    let stats = client.counters();
     assert_eq!(stats.hints_honored, 1);
     assert_eq!(stats.connects, 1, "RETRY_LATER must not cost a redial");
     assert_eq!((stats.attempts, stats.retries), (2, 1));

@@ -8,11 +8,13 @@ use graphpi::core::config::ServeOptions;
 use graphpi::core::engine::{GraphPi, PlanCache};
 use graphpi::core::exec::pool::WorkerPool;
 use graphpi::core::net::client::is_deadline_exceeded;
+use graphpi::core::net::protocol::{op, CountOk, CountRequest, Frame, UpdateOk, UpdateRequest};
 use graphpi::core::net::ServerHandle;
-use graphpi::core::net::{Client, RemoteCountOptions, Server};
+use graphpi::core::net::{Client, QueryMode, RemoteCountOptions, Server};
 use graphpi::graph::generators;
 use graphpi::pattern::prefab;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -302,4 +304,78 @@ fn connection_limit_is_enforced_with_a_typed_error() {
         handle.shutdown();
         serving.join().unwrap();
     });
+}
+
+/// The traffic the perf ledger drives: a `Client::connect` client that has
+/// not written sends every request untagged and unfloored — on the wire,
+/// byte for byte the frame its options describe with `request_id: 0` and
+/// `min_generation: 0`.
+#[test]
+fn connect_clients_send_untagged_unfloored_frames() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let triangle = prefab::triangle();
+    let count = |mode| CountRequest {
+        no_iep: false,
+        hub_bitsets: false,
+        deadline_ms: 0,
+        request_id: 0,
+        min_generation: 0,
+        mode,
+        pattern: triangle.canonical_bytes(),
+    };
+    let sample = QueryMode::sample(7, 0.5);
+    let update = UpdateRequest {
+        deadline_ms: 0,
+        request_id: 0,
+        inserts: vec![(0, 1)],
+        deletes: vec![(1, 2)],
+    };
+    let expected = [
+        Frame::new(op::COUNT, count(QueryMode::Count).encode()),
+        Frame::new(op::COUNT, count(QueryMode::Orbit).encode()),
+        Frame::new(op::COUNT, count(sample).encode()),
+        Frame::new(op::UPDATE, update.encode()),
+    ];
+    let counted = Frame::new(op::COUNT_OK, CountOk::new(1, 0).encode());
+    let committed = UpdateOk {
+        generation: 1,
+        inserted: 1,
+        deleted: 1,
+    };
+    let committed = Frame::new(op::UPDATE_OK, committed.encode());
+    let replies = [counted.clone(), counted.clone(), counted, committed];
+
+    // A bare socket in place of the server: it records each request's raw
+    // bytes (length prefix included) and answers with a canned reply.
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut received = Vec::new();
+        for reply in replies {
+            let mut raw = vec![0u8; 4];
+            stream.read_exact(&mut raw).unwrap();
+            let len = u32::from_le_bytes(raw[..4].try_into().unwrap()) as usize;
+            raw.resize(4 + len, 0);
+            stream.read_exact(&mut raw[4..]).unwrap();
+            received.push(raw);
+            stream.write_all(&reply.encode()).unwrap();
+        }
+        received
+    });
+
+    let mut client = Client::connect(addr).unwrap();
+    client.count(&triangle).unwrap();
+    for mode in [QueryMode::Orbit, sample] {
+        let options = RemoteCountOptions {
+            mode,
+            ..RemoteCountOptions::default()
+        };
+        client.count_with(&triangle, options).unwrap();
+    }
+    client.update(&[(0, 1)], &[(1, 2)]).unwrap();
+    let received = peer.join().unwrap();
+    assert_eq!(received.len(), expected.len());
+    for (raw, frame) in received.iter().zip(&expected) {
+        assert_eq!(raw, &frame.encode(), "opcode {:#x}", frame.opcode);
+    }
 }

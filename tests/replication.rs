@@ -10,8 +10,8 @@
 use graphpi::core::config::ServeOptions;
 use graphpi::core::net::{ChaosConfig, ChaosProxy};
 use graphpi::core::net::{
-    Client, ErrorCode, FailoverClient, NetError, RemoteCountOptions, RemoteUpdateOptions, ReplRole,
-    ReplState, RetryPolicy, Server,
+    Client, ErrorCode, NetError, RemoteCountOptions, RemoteUpdateOptions, ReplRole, ReplState,
+    RetryPolicy, Server, ServerHandle,
 };
 use graphpi::core::DynamicEngine;
 use graphpi::graph::generators;
@@ -110,8 +110,7 @@ fn failover_client_and_replica_serve_guarded_reads() {
 
         // The replica comes first in the endpoint list, so the very
         // first write exercises the NOT_PRIMARY redirect.
-        let mut client =
-            FailoverClient::connect(vec![replica_addr, primary_addr], retry_policy(), true);
+        let mut client = Client::with_endpoints(vec![replica_addr, primary_addr], retry_policy());
         const ROUNDS: u32 = 6;
         for round in 0..ROUNDS {
             let (inserts, deletes) = round_ops(round);
@@ -121,9 +120,9 @@ fn failover_client_and_replica_serve_guarded_reads() {
         assert_eq!(client.last_write_generation(), u64::from(ROUNDS));
         assert_eq!(client.primary_endpoint(), primary_addr);
         assert!(
-            client.stats().redirects >= 1,
+            client.counters().redirects >= 1,
             "the first write must have followed a NOT_PRIMARY redirect: {:?}",
-            client.stats()
+            client.counters()
         );
 
         // Read-your-writes: every read is guarded at the committed
@@ -140,7 +139,7 @@ fn failover_client_and_replica_serve_guarded_reads() {
             }
             assert_eq!(client.count(&pattern).unwrap().count, expected);
         }
-        let reads = &client.stats().reads_per_endpoint;
+        let reads = &client.counters().reads_per_endpoint;
         assert_eq!(reads.iter().sum::<u64>(), 6);
         assert!(
             reads.iter().all(|&per_endpoint| per_endpoint > 0),
@@ -437,4 +436,72 @@ fn promotion_seals_the_stream_and_continues_the_generations() {
         replica_serving.join().unwrap().unwrap();
     });
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sets the drain flag when dropped, so a failed assertion unwinds instead
+/// of waiting forever on the accept loop.
+struct DrainOnDrop(ServerHandle);
+
+impl Drop for DrainOnDrop {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
+/// A read shed below its generation floor moves on to the next endpoint
+/// rather than waiting out the lagging server's retry-after hint there:
+/// the first endpoint is left at generation 0, the second has committed
+/// one batch, and a read floored at generation 1 is answered by the
+/// second.
+#[test]
+fn a_shed_read_moves_to_the_next_endpoint() {
+    let lagging_engine = DynamicEngine::volatile(generators::power_law(N as usize, 4, 97));
+    let current_engine = DynamicEngine::volatile(generators::power_law(N as usize, 4, 97));
+    let pattern = prefab::triangle();
+
+    let lagging_server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let lagging_addr = lagging_server.local_addr().unwrap();
+    let lagging_handle = lagging_server.handle().unwrap();
+    let current_server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let current_addr = current_server.local_addr().unwrap();
+    let current_handle = current_server.handle().unwrap();
+
+    std::thread::scope(|scope| {
+        let drain = [DrainOnDrop(lagging_handle), DrainOnDrop(current_handle)];
+        let lagging_serving = scope.spawn(|| lagging_server.serve_dynamic(&lagging_engine));
+        let current_serving = scope.spawn(|| current_server.serve_dynamic(&current_engine));
+
+        let (inserts, deletes) = round_ops(0);
+        let mut writer = Client::connect(current_addr).unwrap();
+        assert_eq!(writer.update(&inserts, &deletes).unwrap().generation, 1);
+        let expected = writer.count(&pattern).unwrap().count;
+
+        // Two attempts: the shed read, then the one that must land.
+        let mut client = Client::with_endpoints(
+            vec![lagging_addr, current_addr],
+            RetryPolicy {
+                max_attempts: 2,
+                ..retry_policy()
+            },
+        );
+        let floored = RemoteCountOptions {
+            min_generation: 1,
+            ..RemoteCountOptions::default()
+        };
+        assert_eq!(
+            client.count_with(&pattern, floored).unwrap().count,
+            expected
+        );
+        let counters = client.counters();
+        assert_eq!(counters.reads_per_endpoint, vec![0, 1]);
+        assert_eq!(
+            counters.hints_honored, 0,
+            "the lagging server's hint does not hold the read back"
+        );
+
+        drop(writer);
+        drop(drain);
+        lagging_serving.join().unwrap().unwrap();
+        current_serving.join().unwrap().unwrap();
+    });
 }
