@@ -675,13 +675,7 @@ fn run_update(args: &UpdateArgs) -> Result<(), String> {
     let mut inserted = 0u64;
     let mut deleted = 0u64;
     for (batch_inserts, batch_deletes) in ops_to_batches(&ops, usize::MAX) {
-        let mut batch = EdgeBatch::new();
-        for (u, v) in batch_inserts {
-            batch.insert(u, v);
-        }
-        for (u, v) in batch_deletes {
-            batch.delete(u, v);
-        }
+        let batch = EdgeBatch::from_edges(batch_inserts, batch_deletes);
         let report = durable
             .commit(&batch)
             .map_err(|e| format!("commit failed: {e}"))?;

@@ -32,7 +32,7 @@
 //! replication checkpoint count the graph from scratch.
 
 use crate::engine::GraphPi;
-use graphpi_graph::delta::{CommitReport, DynamicGraph, EdgeBatch, GraphSnapshot};
+use graphpi_graph::delta::{CommitReport, DeltaError, DynamicGraph, EdgeBatch, GraphSnapshot};
 use graphpi_graph::wal::{DurableError, DurableGraph, DurableGraphOptions, RecoveryReport};
 use graphpi_graph::{CsrGraph, GraphStats};
 use std::path::Path;
@@ -153,10 +153,7 @@ impl DynamicEngine {
     /// [`graphpi_graph::GraphStats::after_batch`] instead of recounting
     /// every triangle.
     pub fn apply(&self, batch: &EdgeBatch) -> Result<CommitReport, DurableError> {
-        self.publish(batch, |backing| match backing {
-            Backing::Durable(durable) => durable.commit(batch),
-            Backing::Volatile(graph) => Ok(graph.commit(batch)?),
-        })
+        self.publish(None, batch)
     }
 
     /// Forces a checkpoint on a durable backing; returns the
@@ -171,16 +168,14 @@ impl DynamicEngine {
     /// Commits a batch received from a replication stream, asserting
     /// that its claimed `generation` continues this engine's sequence
     /// exactly ([`graphpi_graph::delta::DeltaError::GenerationGap`]
-    /// otherwise). Publication mirrors [`DynamicEngine::apply`].
+    /// otherwise, and nothing changes). Publication mirrors
+    /// [`DynamicEngine::apply`].
     pub(crate) fn apply_replicated(
         &self,
         generation: u64,
         batch: &EdgeBatch,
     ) -> Result<CommitReport, DurableError> {
-        self.publish(batch, |backing| match backing {
-            Backing::Durable(durable) => durable.commit_replicated(generation, batch),
-            Backing::Volatile(graph) => Ok(graph.commit_at(batch, generation)?),
-        })
+        self.publish(Some(generation), batch)
     }
 
     /// Replaces the whole graph with `base` at `generation` — the
@@ -201,23 +196,29 @@ impl DynamicEngine {
         Ok(())
     }
 
-    /// The one publish path of [`DynamicEngine::apply`] and
-    /// [`DynamicEngine::apply_replicated`]: runs `commit` under the apply
-    /// lock, then swaps in the generation it produced.
+    /// The one commit path of [`DynamicEngine::apply`] and
+    /// [`DynamicEngine::apply_replicated`]: under the apply lock, refuses
+    /// a `claimed` generation that does not continue the published one,
+    /// commits the batch, then swaps in the generation it produced. A
+    /// failed commit changes nothing, so the published generation is
+    /// always the backing's.
     fn publish(
         &self,
+        claimed: Option<u64>,
         batch: &EdgeBatch,
-        commit: impl FnOnce(&Backing) -> Result<CommitReport, DurableError>,
     ) -> Result<CommitReport, DurableError> {
         let _serialised = self.apply_lock.lock().expect("dynamic engine poisoned");
-        let report = commit(&self.backing)?;
         let previous = self.pin();
-        let pinned = if previous.generation + 1 != report.generation {
-            // An earlier commit failed after it had applied (its inline
-            // checkpoint, say), so the engine is more than this batch
-            // behind: count the graph from scratch.
-            PinnedEngine::counted(self.backing.snapshot())
-        } else if report.inserted > 0 || report.deleted > 0 {
+        let expected = previous.generation + 1;
+        if let Some(found) = claimed.filter(|&found| found != expected) {
+            return Err(DeltaError::GenerationGap { expected, found }.into());
+        }
+        let report = match &self.backing {
+            Backing::Durable(durable) => durable.commit(batch)?,
+            Backing::Volatile(graph) => graph.commit(batch)?,
+        };
+        debug_assert_eq!(report.generation, expected);
+        let pinned = if report.inserted > 0 || report.deleted > 0 {
             // New stats, new fingerprint, fresh plan-cache keys.
             let snapshot = self.backing.snapshot();
             let old = previous.engine();
@@ -418,34 +419,37 @@ mod tests {
     }
 
     #[test]
-    fn an_engine_left_behind_by_a_failed_commit_recounts() {
-        let dir = scratch_dir("behind");
+    fn a_failed_commit_changes_neither_the_log_nor_the_graph() {
+        let dir = scratch_dir("failed");
+        let wal = dir.join("graph.wal");
+        let initial = generators::power_law(60, 3, 5);
         let options = DurableGraphOptions {
-            checkpoint_wal_bytes: 1, // every commit checkpoints inline
+            checkpoint_wal_bytes: 1, // every commit after the first checkpoints
             ..DurableGraphOptions::default()
         };
-        let (engine, _) = DynamicEngine::durable(
-            generators::power_law(60, 3, 5),
-            dir.join("graph.wal"),
-            options,
-        )
-        .unwrap();
-        // A non-empty directory where the checkpoint file goes: the inline
-        // checkpoint fails after the batch has applied in memory.
+        let (engine, _) = DynamicEngine::durable(initial.clone(), &wal, options).unwrap();
+        let mut first = EdgeBatch::new();
+        first.insert(0, 57);
+        engine.apply(&first).unwrap();
+        // A non-empty directory where the checkpoint file goes: the
+        // checkpoint the next commit runs before logging cannot save.
         let blocker = dir.join("graph.wal.ckpt");
+        std::fs::remove_file(&blocker).ok();
         std::fs::create_dir_all(blocker.join("occupied")).unwrap();
         let mut batch = EdgeBatch::new();
         batch.insert(0, 59).insert(0, 58).insert(58, 59);
         assert!(engine.apply(&batch).is_err());
-        assert_eq!(engine.generation(), 0, "a failed commit publishes nothing");
+        assert_eq!(engine.generation(), 1, "a failed commit publishes nothing");
+        assert!(!engine.pin().engine().graph().has_edge(0, 59));
+        drop(engine);
         std::fs::remove_dir_all(&blocker).unwrap();
 
-        // Effect-free against the graph as applied, so the engine serving
-        // generation 0 must not be kept or carried forward.
-        let mut noop = EdgeBatch::new();
-        noop.insert(59, 0);
-        let report = engine.apply(&noop).unwrap();
-        assert_eq!((report.generation, report.inserted), (2, 0));
+        // The log does not hold the failed batch either.
+        let (engine, report) = DynamicEngine::durable(initial, &wal, options).unwrap();
+        assert_eq!(report.generation, 1);
+        assert!(!engine.pin().engine().graph().has_edge(0, 59));
+        // The same batch then commits as the next generation.
+        assert_eq!(engine.apply(&batch).unwrap().generation, 2);
         let pin = engine.pin();
         assert!(pin.engine().graph().has_edge(0, 59));
         assert_eq!(
@@ -453,6 +457,42 @@ mod tests {
             GraphStats::compute(pin.engine().graph())
         );
         drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_replicated_batch_out_of_sequence_changes_nothing() {
+        let dir = scratch_dir("gap");
+        let wal = dir.join("graph.wal");
+        let initial = generators::cycle(12);
+        let options = DurableGraphOptions::default();
+        let (durable, _) = DynamicEngine::durable(initial.clone(), &wal, options).unwrap();
+        let volatile = DynamicEngine::volatile(initial.clone());
+        let mut first = EdgeBatch::new();
+        first.insert(0, 6);
+        let mut batch = EdgeBatch::new();
+        batch.insert(1, 7);
+        for engine in [&volatile, &durable] {
+            engine.apply_replicated(1, &first).unwrap();
+            for claimed in [0, 1, 3, u64::MAX] {
+                let err = engine.apply_replicated(claimed, &batch).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        DurableError::Delta(DeltaError::GenerationGap { expected: 2, found })
+                            if found == claimed
+                    ),
+                    "claimed {claimed}: {err}"
+                );
+                assert_eq!(engine.generation(), 1);
+                assert!(!engine.pin().engine().graph().has_edge(1, 7));
+            }
+        }
+        drop(durable);
+        let (reopened, report) = DynamicEngine::durable(initial, &wal, options).unwrap();
+        assert_eq!((report.generation, report.replayed_batches), (1, 1));
+        assert!(!reopened.pin().engine().graph().has_edge(1, 7));
+        drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1327,13 +1327,7 @@ fn handle_update(ctx: &ServeCtx<'_>, payload: &[u8]) -> Result<Frame, WireError>
     {
         return Ok(Frame::new(op::UPDATE_OK, recorded.encode()));
     }
-    let mut batch = EdgeBatch::new();
-    for &(a, b) in &request.inserts {
-        batch.insert(a, b);
-    }
-    for &(a, b) in &request.deletes {
-        batch.delete(a, b);
-    }
+    let batch = EdgeBatch::from_edges(request.inserts, request.deletes);
     // Updates queue at the same admission gate as counts, so a client
     // flooding commits is shed (or deadline-cancelled) exactly like a
     // client flooding queries — commit order itself is serialised inside
@@ -1347,8 +1341,8 @@ fn handle_update(ctx: &ServeCtx<'_>, payload: &[u8]) -> Result<Frame, WireError>
             ErrorCode::BadPayload,
             &format!("vertex {vertex} exceeds the growth limit {limit}; batch rejected"),
         ),
-        // A WAL append/fsync failure means durability cannot be promised;
-        // the batch was not applied in memory either.
+        // A WAL append, fsync or checkpoint failure means the batch did
+        // not commit: neither the log nor the graph holds it.
         wal_error => WireError::new(
             ErrorCode::Internal,
             &format!("write-ahead log failure: {wal_error}"),

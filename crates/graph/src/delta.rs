@@ -550,42 +550,13 @@ impl DynamicGraph {
     /// threshold.
     pub fn commit(&self, batch: &EdgeBatch) -> Result<CommitReport, DeltaError> {
         let mut state = self.state.lock().expect("dynamic graph poisoned");
-        Self::commit_locked(&mut state, batch, self.compaction_threshold)
-    }
-
-    /// Commits one batch that must produce exactly `generation` — the
-    /// replication apply path. A batch whose claimed generation does not
-    /// continue the current sequence is rejected with
-    /// [`DeltaError::GenerationGap`] and nothing changes, so a replica
-    /// can never silently skip or double-apply part of the stream.
-    pub fn commit_at(
-        &self,
-        batch: &EdgeBatch,
-        generation: u64,
-    ) -> Result<CommitReport, DeltaError> {
-        let mut state = self.state.lock().expect("dynamic graph poisoned");
-        let expected = state.generation + 1;
-        if generation != expected {
-            return Err(DeltaError::GenerationGap {
-                expected,
-                found: generation,
-            });
-        }
-        Self::commit_locked(&mut state, batch, self.compaction_threshold)
-    }
-
-    fn commit_locked(
-        state: &mut DynState,
-        batch: &EdgeBatch,
-        compaction_threshold: u64,
-    ) -> Result<CommitReport, DeltaError> {
         let base = Arc::clone(&state.base);
         let outcome = state.overlay.apply(batch, &base)?;
         state.generation += 1;
         let mut compacted = false;
         if outcome.inserted > 0 || outcome.deleted > 0 {
             state.current = None;
-            if state.overlay.delta_edges() >= compaction_threshold.max(1) {
+            if state.overlay.delta_edges() >= self.compaction_threshold.max(1) {
                 let merged = Arc::new(state.overlay.materialize(&state.base));
                 state.overlay.clear();
                 state.base = Arc::clone(&merged);

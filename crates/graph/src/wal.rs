@@ -15,10 +15,12 @@
 //!   checksum cannot come from a torn append; that is real corruption
 //!   and yields a typed [`WalError::Corrupt`], never a panic or a
 //!   silently wrong graph.
-//! * **Checkpoint + replay.** When the log grows past a threshold the
-//!   current generation is saved to `<wal>.ckpt` in the existing
-//!   `GRPHPI02` format (atomic tmp+rename) and the log is reset to a
-//!   checkpoint marker. Recovery = load the checkpoint (or the initial
+//! * **Checkpoint + replay.** A commit that finds the log past a
+//!   threshold first saves the current generation to `<wal>.ckpt` in the
+//!   existing `GRPHPI02` format (atomic tmp+rename) and resets the log to
+//!   a checkpoint marker, and only then logs its own batch; a failed save
+//!   fails that commit before anything is logged, and the next commit
+//!   retries it. Recovery = load the checkpoint (or the initial
 //!   graph) + replay the log suffix. Because batch application is
 //!   deterministic and normalising (see [`crate::delta`]), replaying a
 //!   batch the checkpoint already contains is a no-op, so every crash
@@ -48,7 +50,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Magic bytes opening every WAL file.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"GRPHWAL1";
@@ -61,6 +63,22 @@ const RECORD_HEADER_LEN: usize = 16;
 /// Upper bound on a single record's payload; appends beyond it are
 /// rejected and claimed lengths beyond it are treated as corruption.
 pub(crate) const MAX_WAL_RECORD_LEN: usize = 1 << 26;
+
+/// Validates the 16-byte file header, for the log's writer and its
+/// readers alike.
+fn check_file_header(header: &[u8]) -> Result<(), WalError> {
+    let field = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
+    let reason = if &header[..8] != WAL_MAGIC {
+        "wrong magic bytes".to_string()
+    } else if field(8) != WAL_VERSION {
+        format!("unsupported version {}", field(8))
+    } else if field(12) != 0 {
+        format!("nonzero reserved field {:#x}", field(12))
+    } else {
+        return Ok(());
+    };
+    Err(WalError::BadHeader { reason })
+}
 
 fn header_check(len: u32, payload_fnv: u64) -> u32 {
     let mut bytes = [0u8; 12];
@@ -366,23 +384,7 @@ impl Wal {
             ));
         }
 
-        if &bytes[..8] != WAL_MAGIC {
-            return Err(WalError::BadHeader {
-                reason: "wrong magic bytes".to_string(),
-            });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != WAL_VERSION {
-            return Err(WalError::BadHeader {
-                reason: format!("unsupported version {version}"),
-            });
-        }
-        let reserved = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        if reserved != 0 {
-            return Err(WalError::BadHeader {
-                reason: format!("nonzero reserved field {reserved:#x}"),
-            });
-        }
+        check_file_header(&bytes[..WAL_HEADER_LEN])?;
 
         let mut records = Vec::new();
         let mut offset = WAL_HEADER_LEN;
@@ -426,8 +428,17 @@ impl Wal {
         if payload_len > MAX_WAL_RECORD_LEN {
             return Err(WalError::RecordTooLarge { len: payload_len });
         }
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
+        if let Err(err) = self
+            .file
+            .write_all(&frame)
+            .and_then(|()| self.file.sync_data())
+        {
+            // Cut the failed record back off: the next append must not land
+            // behind a record whose commit reported an error.
+            let _ = self.file.set_len(self.len);
+            let _ = self.file.seek(SeekFrom::Start(self.len));
+            return Err(err.into());
+        }
         self.len += frame.len() as u64;
         Ok(())
     }
@@ -528,17 +539,7 @@ impl WalReader {
         let mut file = OpenOptions::new().read(true).open(path.as_ref())?;
         let mut header = [0u8; WAL_HEADER_LEN];
         file.read_exact(&mut header)?;
-        if &header[..8] != WAL_MAGIC {
-            return Err(WalError::BadHeader {
-                reason: "wrong magic bytes".to_string(),
-            });
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version != WAL_VERSION {
-            return Err(WalError::BadHeader {
-                reason: format!("unsupported version {version}"),
-            });
-        }
+        check_file_header(&header)?;
         Ok(Self { file })
     }
 
@@ -735,9 +736,9 @@ pub struct RecoveryReport {
     pub generation: u64,
 }
 
-/// A [`DynamicGraph`] whose commits are write-ahead logged: log first
-/// (fsync), apply second, checkpoint when the log grows. Reopening after
-/// any crash reconstructs the exact acknowledged state.
+/// A [`DynamicGraph`] whose commits are write-ahead logged: checkpoint
+/// first once the log has grown, log second (fsync), apply third.
+/// Reopening after any crash reconstructs the exact acknowledged state.
 ///
 /// ```
 /// use graphpi_graph::wal::{DurableGraph, DurableGraphOptions};
@@ -768,8 +769,7 @@ pub struct DurableGraph {
     wal: Mutex<Wal>,
     /// Serialises checkpointers against each other (NOT against commits
     /// — that is the point of the short-critical-section checkpoint).
-    /// Lock order: `ckpt_lock` before `wal`; the commit path, which holds
-    /// `wal`, only ever `try_lock`s this, so the pair cannot deadlock.
+    /// Nothing takes it while holding `wal`.
     ckpt_lock: Mutex<()>,
     /// Generation of the log's base: a cursor at or past this can be
     /// served from records alone, an older one needs the checkpoint file.
@@ -852,10 +852,19 @@ impl DurableGraph {
         ))
     }
 
-    /// Durably commits one batch: validate, append to the log, `fsync`,
-    /// apply in memory, checkpoint if the log crossed the threshold. On
-    /// `Ok` the batch survives any crash.
+    /// Durably commits one batch. A commit that finds the log past the
+    /// checkpoint threshold first runs [`DurableGraph::checkpoint`]
+    /// (skipped while another checkpointer runs one); then it validates
+    /// the batch, appends it to the log, `fsync`s and applies it in
+    /// memory. On `Ok` the batch survives any crash. On `Err` (an invalid
+    /// batch, a failed checkpoint, a failed append) neither the log nor
+    /// the graph holds the batch.
     pub fn commit(&self, batch: &EdgeBatch) -> Result<CommitReport, DurableError> {
+        if self.wal.lock().expect("wal poisoned").record_bytes() >= self.checkpoint_wal_bytes {
+            if let Ok(ckpt) = self.ckpt_lock.try_lock() {
+                self.save_and_reset(ckpt)?;
+            }
+        }
         let mut wal = self.wal.lock().expect("wal poisoned");
         // Validate before logging: an invalid batch must leave both the
         // log and the graph untouched (and must never poison replay).
@@ -870,53 +879,7 @@ impl DurableGraph {
             .commit(batch)
             .expect("validated batch must apply");
         debug_assert_eq!(report.generation, generation);
-        self.maybe_checkpoint_inline(&mut wal)?;
         Ok(report)
-    }
-
-    /// Applies one batch from a replication stream: the batch's claimed
-    /// `generation` must continue this graph's sequence exactly
-    /// ([`DeltaError::GenerationGap`] otherwise, nothing changed), and on
-    /// success the batch is in this graph's *own* log — a replica is as
-    /// crash-safe as its primary.
-    pub fn commit_replicated(
-        &self,
-        generation: u64,
-        batch: &EdgeBatch,
-    ) -> Result<CommitReport, DurableError> {
-        let mut wal = self.wal.lock().expect("wal poisoned");
-        self.graph.validate_batch(batch)?;
-        let expected = self.graph.generation() + 1;
-        if generation != expected {
-            return Err(DeltaError::GenerationGap {
-                expected,
-                found: generation,
-            }
-            .into());
-        }
-        wal.append(&WalRecord::Batch {
-            generation,
-            batch: batch.clone(),
-        })?;
-        let report = self
-            .graph
-            .commit_at(batch, generation)
-            .expect("continuity-checked batch must apply");
-        self.maybe_checkpoint_inline(&mut wal)?;
-        Ok(report)
-    }
-
-    /// Inline size-triggered checkpoint on the committing thread — the
-    /// fallback when no maintenance thread runs [`DurableGraph::checkpoint`]
-    /// periodically. Skipped (`try_lock`) when a concurrent checkpointer
-    /// already holds the checkpoint lock.
-    fn maybe_checkpoint_inline(&self, wal: &mut Wal) -> Result<(), DurableError> {
-        if wal.record_bytes() >= self.checkpoint_wal_bytes {
-            if let Ok(_ckpt) = self.ckpt_lock.try_lock() {
-                self.checkpoint_locked(wal)?;
-            }
-        }
-        Ok(())
     }
 
     /// Forces a checkpoint: saves the current generation to the
@@ -928,7 +891,11 @@ impl DurableGraph {
     /// runs unlocked, with commits proceeding concurrently. Records
     /// appended during the save are preserved across the reset.
     pub fn checkpoint(&self) -> Result<u64, DurableError> {
-        let _ckpt = self.ckpt_lock.lock().expect("checkpoint lock poisoned");
+        self.save_and_reset(self.ckpt_lock.lock().expect("checkpoint lock poisoned"))
+    }
+
+    /// The checkpoint algorithm, run while the caller holds `ckpt_lock`.
+    fn save_and_reset(&self, _ckpt: MutexGuard<'_, ()>) -> Result<u64, DurableError> {
         let (snapshot, suffix_start) = {
             let wal = self.wal.lock().expect("wal poisoned");
             (self.graph.snapshot(), wal.end_offset())
@@ -939,17 +906,6 @@ impl DurableGraph {
         io::save_binary(snapshot.graph(), &self.checkpoint_path).map_err(WalError::Io)?;
         let mut wal = self.wal.lock().expect("wal poisoned");
         wal.reset_keeping_suffix(snapshot.generation(), suffix_start)?;
-        self.horizon.store(snapshot.generation(), Ordering::SeqCst);
-        Ok(snapshot.generation())
-    }
-
-    fn checkpoint_locked(&self, wal: &mut Wal) -> Result<u64, DurableError> {
-        let snapshot = self.graph.snapshot();
-        // Checkpoint file first (atomic tmp+rename), log reset second: a
-        // crash between the two replays the old log against the new
-        // checkpoint, which re-applies as no-ops.
-        io::save_binary(snapshot.graph(), &self.checkpoint_path).map_err(WalError::Io)?;
-        wal.reset(snapshot.generation())?;
         self.horizon.store(snapshot.generation(), Ordering::SeqCst);
         Ok(snapshot.generation())
     }
@@ -1153,6 +1109,96 @@ mod tests {
         }
         let (_, records, _) = Wal::open(&path).unwrap();
         assert_eq!(records, vec![WalRecord::Checkpoint { generation: 1 }]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reset_keeping_suffix_reseats_the_records_past_the_checkpoint() {
+        let dir = scratch("suffix");
+        let path = dir.join("log.wal");
+        {
+            let (mut wal, _, _) = Wal::open(&path).unwrap();
+            let mut suffix_start = 0;
+            for generation in 1..=5 {
+                wal.append(&WalRecord::Batch {
+                    generation,
+                    batch: batch_for_round(generation as u32),
+                })
+                .unwrap();
+                if generation == 3 {
+                    suffix_start = wal.end_offset();
+                }
+            }
+            wal.reset_keeping_suffix(3, suffix_start).unwrap();
+            assert_eq!(wal.epoch(), 1);
+        }
+        let (_, records, report) = Wal::open(&path).unwrap();
+        assert_eq!(report.truncated_bytes, 0);
+        let batch = |generation: u64| WalRecord::Batch {
+            generation,
+            batch: batch_for_round(generation as u32),
+        };
+        assert_eq!(
+            records,
+            vec![WalRecord::Checkpoint { generation: 3 }, batch(4), batch(5)]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn writer_and_reader_refuse_the_same_bad_header() {
+        let dir = scratch("header");
+        let path = dir.join("log.wal");
+        drop(Wal::open(&path).unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[12] = 1; // the reserved field
+        std::fs::write(&path, &bytes).unwrap();
+        let reason = |err: WalError| match err {
+            WalError::BadHeader { reason } => reason,
+            other => panic!("expected a bad header, got {other}"),
+        };
+        let from_writer = reason(Wal::open(&path).unwrap_err());
+        let from_reader = reason(WalReader::open(&path).unwrap_err());
+        assert_eq!(from_writer, "nonzero reserved field 0x1");
+        assert_eq!(from_reader, from_writer);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn commits_beside_a_checkpointing_thread_recover_bit_identical() {
+        let dir = scratch("concurrent");
+        let initial = generators::power_law(50, 3, 7);
+        let reference = DynamicGraph::new(initial.clone());
+        for round in 0..200 {
+            reference.commit(&batch_for_round(round)).unwrap();
+        }
+        let wal_path = dir.join("graph.wal");
+        let options = DurableGraphOptions {
+            compaction_threshold: 16,
+            checkpoint_wal_bytes: 512,
+        };
+        let (durable, _) = DurableGraph::open(initial.clone(), &wal_path, options).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    durable.checkpoint().unwrap();
+                }
+            });
+            for round in 0..200 {
+                durable.commit(&batch_for_round(round)).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        drop(durable);
+        let (recovered, report) = DurableGraph::open(initial, &wal_path, options).unwrap();
+        assert!(report.checkpoint_loaded);
+        let snapshot = recovered.snapshot();
+        assert_eq!(snapshot.generation(), 200);
+        assert_eq!(
+            snapshot.graph().as_ref(),
+            reference.snapshot().graph().as_ref()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -159,6 +159,17 @@ fn slow_count(client: &mut Client) -> u64 {
         .count
 }
 
+/// Polls STATS until `ready` holds; panics after 10 s.
+fn await_stats(client: &mut Client, ready: impl Fn(&protocol::StatsOk) -> bool) {
+    for _ in 0..2_000 {
+        if ready(&client.stats().unwrap()) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    panic!("the server never reached the awaited load");
+}
+
 #[test]
 fn overload_sheds_with_typed_retry_later_and_hint() {
     // Big enough that the slot-holding query runs for hundreds of
@@ -190,17 +201,20 @@ fn overload_sheds_with_typed_retry_later_and_hint() {
         let _drain = DrainOnDrop(handle.clone());
         let serving = scope.spawn(|| server.serve(&engine).unwrap());
 
-        // Occupy the slot, then park one waiter in the queue.
+        // Occupy the slot, then park one waiter in the queue, each
+        // observed through STATS (which is not a query) before going on.
+        let mut watch = Client::connect(addr).unwrap();
         let slot = scope.spawn(move || {
             let mut client = Client::connect(addr).unwrap();
             slow_count(&mut client)
         });
-        std::thread::sleep(Duration::from_millis(40));
+        await_stats(&mut watch, |stats| stats.in_flight == 1);
         let queued = scope.spawn(move || {
             let mut client = Client::connect(addr).unwrap();
             slow_count(&mut client)
         });
-        std::thread::sleep(Duration::from_millis(40));
+        await_stats(&mut watch, |stats| stats.queued == 1);
+        drop(watch);
 
         // While saturated: HEALTH reports overloaded with a hint, STATS
         // shows the queue never exceeding its bound, and a fresh COUNT is
